@@ -17,7 +17,7 @@ from repro.replication import (
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_sync,
+    SyncSession,
 )
 from repro.replication.routing import NullRoutingPolicy
 
@@ -88,7 +88,11 @@ def run_gossip(seed=13):
     transfers = 0
     while not converged(replicas, items):
         a, b = rng.sample(LEAVES, 2)
-        stats = perform_sync(endpoints[a], endpoints[b], now=float(syncs))
+        stats = SyncSession(
+            source=endpoints[a],
+            target=endpoints[b],
+            now=float(syncs),
+        ).run()
         syncs += 1
         transfers += stats.sent_total
         assert syncs < 2000, "gossip failed to converge"

@@ -15,9 +15,9 @@ from repro.replication import (
     Replica,
     ReplicaId,
     SyncEndpoint,
+    SyncSession,
     build_batch,
     knowledge_wire_size,
-    perform_sync,
 )
 from repro.replication.filters import MultiAddressFilter
 from repro.replication.ids import Version
@@ -214,10 +214,13 @@ def test_sync_metadata_cost_is_bounded(benchmark):
     target = Replica(ReplicaId("dst"), AddressFilter("dst"))
     for i in range(500):
         source.create_item(f"m{i}", {"destination": "dst"})
-    perform_sync(SyncEndpoint(source), SyncEndpoint(target))
+    SyncSession(source=SyncEndpoint(source), target=SyncEndpoint(target)).run()
 
     def converged_sync_overhead():
-        perform_sync(SyncEndpoint(source), SyncEndpoint(target))
+        SyncSession(
+            source=SyncEndpoint(source),
+            target=SyncEndpoint(target),
+        ).run()
         return knowledge_wire_size(target.knowledge)
 
     overhead = benchmark(converged_sync_overhead)

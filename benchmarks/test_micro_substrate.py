@@ -13,8 +13,8 @@ from repro.replication import (
     Replica,
     ReplicaId,
     SyncEndpoint,
+    SyncSession,
     VersionVector,
-    perform_sync,
 )
 from repro.replication.ids import Version
 
@@ -59,7 +59,10 @@ def test_sync_throughput_500_items(benchmark):
         target = Replica(ReplicaId("dst"), AddressFilter("dst"))
         for i in range(500):
             source.create_item(f"m{i}", {"destination": "dst"})
-        stats = perform_sync(SyncEndpoint(source), SyncEndpoint(target))
+        stats = SyncSession(
+            source=SyncEndpoint(source),
+            target=SyncEndpoint(target),
+        ).run()
         return stats.sent_total
 
     assert benchmark(run_sync) == 500
@@ -72,10 +75,13 @@ def test_no_op_sync_after_convergence(benchmark):
     target = Replica(ReplicaId("dst"), AddressFilter("dst"))
     for i in range(500):
         source.create_item(f"m{i}", {"destination": "dst"})
-    perform_sync(SyncEndpoint(source), SyncEndpoint(target))
+    SyncSession(source=SyncEndpoint(source), target=SyncEndpoint(target)).run()
 
     stats = benchmark(
-        lambda: perform_sync(SyncEndpoint(source), SyncEndpoint(target))
+        lambda: SyncSession(
+            source=SyncEndpoint(source),
+            target=SyncEndpoint(target),
+        ).run()
     )
     assert stats.sent_total == 0
 

@@ -17,11 +17,11 @@ from repro.dtn import ProphetPolicy
 from repro.messaging import MessagingApp
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Replica,
     ReplicaId,
     SyncEndpoint,
     load_replica,
-    perform_encounter,
     save_replica,
 )
 
@@ -40,9 +40,9 @@ def main() -> None:
 
     # The relay meets the destination, learning P[dst]; then receives a
     # message from the source, then a first message is delivered.
-    perform_encounter(relay_ep, dst_ep, now=0.0)
+    EncounterSession(first=relay_ep, second=dst_ep, now=0.0).run()
     first = src_app.send("dst", "before the reboot", now=100.0)
-    perform_encounter(src_ep, relay_ep, now=200.0)
+    EncounterSession(first=src_ep, second=relay_ep, now=200.0).run()
     print(f"relay carries {first.message_id}: {relay_replica.holds(first.message_id)}")
     print(f"relay P[dst] = {relay_policy.predictability('dst'):.3f}")
 
@@ -64,11 +64,11 @@ def main() -> None:
     )
 
     # At-most-once survives the restart: the source has nothing new for us.
-    stats = perform_encounter(src_ep, restored_ep, now=300.0)
+    stats = EncounterSession(first=src_ep, second=restored_ep, now=300.0).run()
     print(f"re-encounter with source transferred {sum(s.sent_total for s in stats)} items")
 
     # And the restored relay still routes: it hands the message to dst.
-    perform_encounter(restored_ep, dst_ep, now=400.0)
+    EncounterSession(first=restored_ep, second=dst_ep, now=400.0).run()
     print(f"dst received after reboot: {[m.body for m in dst_app.delivered_messages]}")
 
 

@@ -22,12 +22,12 @@ from repro.messaging import Message, MessagingApp
 from repro.replication import (
     AddressFilter,
     AttributeFilter,
+    EncounterSession,
     Filter,
     MultiAddressFilter,
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_encounter,
 )
 
 ANA_DEVICES = ("ana-phone", "ana-laptop", "ana-tablet")
@@ -63,11 +63,11 @@ def main() -> None:
     )
     # The phone's ensemble filter selects mail *sent by* ana-laptop, so
     # it picks the message up during a home sync...
-    perform_encounter(laptop, phone)
+    EncounterSession(first=laptop, second=phone).run()
     print(f"phone carries the laptop's message: {phone_r.holds(message.message_id)}")
 
     # ...and hands it over when Ana bumps into Bea downtown.
-    perform_encounter(phone, bea)
+    EncounterSession(first=phone, second=bea).run()
     print(f"bea received: {[m.body for m in bea_app.delivered_messages]}")
 
     # Buddy-list relaying: Bea's phone also relays for her friend Carlos.
@@ -79,8 +79,8 @@ def main() -> None:
     note = phone_app.send_from(
         "ana-phone", "carlos-phone", "hi carlos, via bea's relay", now=10.0
     )
-    perform_encounter(phone, carlos_relay)
-    perform_encounter(carlos_relay, carlos)
+    EncounterSession(first=phone, second=carlos_relay).run()
+    EncounterSession(first=carlos_relay, second=carlos).run()
     print(f"carlos received: {[m.body for m in carlos_app.delivered_messages]}")
 
     # Every hop used nothing but filters — no routing policy involved.

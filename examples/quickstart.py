@@ -15,10 +15,10 @@ from repro.dtn import EpidemicPolicy
 from repro.messaging import MessagingApp
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_encounter,
 )
 
 
@@ -43,11 +43,11 @@ def direct_delivery() -> None:
 
     # Hosts sync opportunistically whenever they meet; one encounter is
     # two pairwise syncs with alternating roles.
-    perform_encounter(alice_ep, bob_ep)
+    EncounterSession(first=alice_ep, second=bob_ep).run()
     print(f"bob received: {[m.body for m in bob_app.delivered_messages]}")
 
     # At-most-once delivery: meeting again transfers nothing.
-    stats = perform_encounter(alice_ep, bob_ep)
+    stats = EncounterSession(first=alice_ep, second=bob_ep).run()
     print(f"second encounter transferred {sum(s.sent_total for s in stats)} items")
 
 
@@ -58,8 +58,9 @@ def relayed_delivery() -> None:
     _, dave_app, dave_ep = make_host("dave")
 
     carol_app.send("dave", "are you there?", now=0.0)
-    perform_encounter(carol_ep, mule_ep)  # mule's filter rejects the item
-    perform_encounter(mule_ep, dave_ep)
+    # mule's filter rejects the item
+    EncounterSession(first=carol_ep, second=mule_ep).run()
+    EncounterSession(first=mule_ep, second=dave_ep).run()
     print(f"dave received: {[m.body for m in dave_app.delivered_messages]}")
 
     print("\n== 3. Plugging in a DTN routing policy (Epidemic) ==")
@@ -68,8 +69,10 @@ def relayed_delivery() -> None:
     _, frank_app, frank_ep = make_host("frank", EpidemicPolicy())
 
     erin_app.send("frank", "via the relay", now=0.0)
-    perform_encounter(erin_ep, relay_ep)  # relay now carries the message
-    perform_encounter(relay_ep, frank_ep)  # and hands it to frank
+    # relay now carries the message
+    EncounterSession(first=erin_ep, second=relay_ep).run()
+    # and hands it to frank
+    EncounterSession(first=relay_ep, second=frank_ep).run()
     print(f"frank received: {[m.body for m in frank_app.delivered_messages]}")
 
 

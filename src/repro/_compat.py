@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import sys
-import warnings
 
 #: Keyword arguments adding ``__slots__`` to a ``@dataclass`` where the
 #: interpreter supports it (3.10+). Hot value types (batch entries,
@@ -22,14 +21,12 @@ DATACLASS_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
 def keyword_only_dataclass(cls):
-    """Make a dataclass's constructor keyword-only, with a positional shim.
+    """Make a dataclass's constructor keyword-only.
 
-    The supported call form is keyword-only; positional arguments keep
-    working for one release but emit :class:`DeprecationWarning` (the 3.9
-    floor rules out ``@dataclass(kw_only=True)``, and that form would hard
-    break old callers anyway). Unknown field names raise :class:`TypeError`
-    naming the offending field and listing the valid ones, which is the
-    error contract ``repro.api`` documents.
+    Positional arguments raise :class:`TypeError` (the 3.9 floor rules
+    out ``@dataclass(kw_only=True)``). Unknown field names raise
+    :class:`TypeError` naming the offending field and listing the valid
+    ones, which is the error contract ``repro.api`` documents.
     """
     original_init = cls.__init__
     field_names = [f.name for f in dataclasses.fields(cls) if f.init]
@@ -38,24 +35,10 @@ def keyword_only_dataclass(cls):
     @functools.wraps(original_init)
     def __init__(self, *args, **kwargs):
         if args:
-            warnings.warn(
-                f"positional arguments to {cls.__name__}() are deprecated; "
-                "pass every field by keyword",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                f"{cls.__name__}() takes no positional arguments; pass "
+                "every field by keyword"
             )
-            if len(args) > len(field_names):
-                raise TypeError(
-                    f"{cls.__name__}() takes at most {len(field_names)} "
-                    f"arguments ({len(args)} given)"
-                )
-            for name, value in zip(field_names, args):
-                if name in kwargs:
-                    raise TypeError(
-                        f"{cls.__name__}() got multiple values for field "
-                        f"{name!r}"
-                    )
-                kwargs[name] = value
         unknown = sorted(set(kwargs) - valid)
         if unknown:
             raise TypeError(

@@ -2,7 +2,7 @@
 
 ``repro.api`` is a curated facade: everything re-exported here is covered
 by the stability policy in ``docs/api.md`` — keyword-compatible across
-minor releases, with at least one release of :class:`DeprecationWarning`
+minor releases, with at least one release of notice in ``docs/api.md``
 before any breaking change. Internal modules stay importable (this is
 research code; poke at anything), but only the names below are *promised*.
 
@@ -48,9 +48,8 @@ Groups:
   :class:`SyncSession` and :class:`EncounterSession` run the paper's
   Figure 4 exchange (one direction, or a full two-sync encounter) over
   any :class:`Transport`, configured by :class:`SessionConfig`. The
-  emulator, the benches, and the live network all drive these same
-  objects; the old ``perform_sync``/``perform_encounter`` free functions
-  remain as deprecated shims.
+  emulator, the ``bench/`` harness, and the live network all drive
+  these same objects.
 * **Live swarm** — :func:`run_swarm` / :class:`SwarmConfig` replay a
   trace against real replica processes over unix or TCP sockets
   (``repro serve`` / ``repro swarm``), and

@@ -3,53 +3,34 @@
 Usage (installed as ``python -m repro``):
 
     python -m repro trace [--scale S] [--seed N] [--export PATH]
-    python -m repro run --policy epidemic [--scale S]
-                        [--bandwidth-limit N] [--storage-limit N]
-                        [--filter-strategy random|selected --filter-k K]
-                        [--digest] [--digest-fp-rate P]
-                        [--fault-drop P] [--fault-truncation P]
+    python -m repro run [SCENARIO] [--fault-drop P] [--fault-truncation P]
                         [--fault-duplication P] [--fault-crash P]
                         [--fault-corruption P] [--fault-replay P]
                         [--fault-fabrication P] [--fault-malformed P]
                         [--fault-seed N] [--fault-rng-streams MODE]
-                        [--churn-arrivals F] [--churn-departures F]
-                        [--churn-crashes F] [--churn-amnesia P]
-                        [--churn-free-riders F] [--reciprocity-threshold R]
-                        [--churn-seed N] [--json PATH]
+                        [--json PATH]
     python -m repro serve --node NAME --listen ADDR --config PATH
                           [--state-dir DIR] [--read-timeout S] [--amnesiac]
-    python -m repro swarm [--policy P] [--scale S] [--addressing MODE]
-                          [--bandwidth-limit N] [--storage-limit N]
-                          [--filter-strategy STRAT --filter-k K]
-                          [--digest] [--digest-fp-rate P]
-                          [--churn-* ...] [--reciprocity-threshold R]
-                          [--transport unix|tcp] [--base-port N]
+    python -m repro swarm [SCENARIO] [--transport unix|tcp] [--base-port N]
                           [--output PATH] [--parity]
     python -m repro sweep [--policies P ...] [--seeds N ...]
                           [--bandwidth-limits N|none ...]
                           [--storage-limits N|none ...]
                           [--scale S] [--workers N] [--no-resume]
-                          [--timeout SECONDS]
+                          [--timeout SECONDS] [--extra-days N] [--report]
                           [--filter LABEL] [--results-dir DIR]
     python -m repro figure {5,6,7,8,9,10,all} [--scale S]
-                           [--results-dir DIR]
+                           [--output-dir DIR] [--results-dir DIR]
     python -m repro tables
-    python -m repro bench sync [--nodes N] [--items M] [--encounters E]
-                               [--seed S] [--output PATH]
-                               [--min-reduction R]
-    python -m repro bench encounter [--nodes N] [--items M] [--encounters E]
-                                    [--seed S] [--duplicate-every N]
-                                    [--output PATH] [--min-reduction R]
-                                    [--profile PATH]
-    python -m repro bench sweep [--workers N] [--scale S]
-                                [--policies P ...] [--seeds N ...]
-                                [--output PATH] [--min-speedup X]
-    python -m repro bench metadata [--scale S] [--items M] [--seed S]
-                                   [--fp-rate P] [--output PATH]
-                                   [--min-reduction R]
-    python -m repro bench scale [--preset tiny|smoke|full] [--policy P]
-                                [--max-nodes N] [--no-equivalence]
-                                [--seed S] [--output PATH] [--min-speedup X]
+
+``SCENARIO`` is the flag set ``run`` and ``swarm`` share:
+
+    [--policy P] [--scale S] [--bandwidth-limit N] [--storage-limit N]
+    [--filter-strategy self|random|selected] [--filter-k K]
+    [--addressing bus|user] [--digest] [--digest-fp-rate P]
+    [--churn-arrivals F] [--churn-departures F] [--churn-crashes F]
+    [--churn-amnesia P] [--churn-free-riders F]
+    [--reciprocity-threshold R] [--churn-seed N]
 
 Every command prints paper-style rows; ``figure`` also honours
 ``--output-dir`` to persist them, and ``sweep`` materializes every run as
@@ -92,6 +73,37 @@ from repro.traces.dieselnet import (
     format_trace_text,
     generate_dieselnet_trace,
 )
+
+
+def _add_scenario_arguments(
+    command: argparse.ArgumentParser, default_policy: str
+) -> None:
+    """The scenario flags ``run`` and ``swarm`` share."""
+    command.add_argument(
+        "--policy", default=default_policy,
+        choices=sorted(available_policies()),
+    )
+    command.add_argument("--scale", type=float, default=None)
+    command.add_argument("--bandwidth-limit", type=int, default=None)
+    command.add_argument("--storage-limit", type=int, default=None)
+    command.add_argument(
+        "--filter-strategy", choices=("self", "random", "selected"), default="self"
+    )
+    command.add_argument("--filter-k", type=int, default=0)
+    command.add_argument(
+        "--addressing", choices=("bus", "user"), default="bus",
+        help="bus = the paper's model; user = dynamic-filter extension",
+    )
+    command.add_argument(
+        "--digest", action="store_true",
+        help="arm the compact knowledge-digest mode of the sync protocol "
+             "(docs/protocol.md §8)",
+    )
+    command.add_argument(
+        "--digest-fp-rate", type=float, default=0.05, metavar="P",
+        help="digest false-positive budget per membership probe "
+             "(default 0.05)",
+    )
 
 
 def _add_churn_arguments(command: argparse.ArgumentParser) -> None:
@@ -151,30 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = subparsers.add_parser("run", help="run one experiment configuration")
-    run.add_argument(
-        "--policy", default="cimbiosys", choices=sorted(available_policies())
-    )
-    run.add_argument("--scale", type=float, default=None)
-    run.add_argument("--bandwidth-limit", type=int, default=None)
-    run.add_argument("--storage-limit", type=int, default=None)
-    run.add_argument(
-        "--filter-strategy", choices=("self", "random", "selected"), default="self"
-    )
-    run.add_argument("--filter-k", type=int, default=0)
-    run.add_argument(
-        "--addressing", choices=("bus", "user"), default="bus",
-        help="bus = the paper's model; user = dynamic-filter extension",
-    )
-    run.add_argument(
-        "--digest", action="store_true",
-        help="arm the compact knowledge-digest mode of the sync protocol "
-             "(docs/protocol.md §8)",
-    )
-    run.add_argument(
-        "--digest-fp-rate", type=float, default=0.05, metavar="P",
-        help="digest false-positive budget per membership probe "
-             "(default 0.05)",
-    )
+    _add_scenario_arguments(run, default_policy="cimbiosys")
     faults = run.add_argument_group(
         "fault injection", "seeded fault models (see docs/faults.md)"
     )
@@ -262,27 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "swarm",
         help="spawn a live N-process swarm and replay the trace schedule",
     )
-    swarm.add_argument(
-        "--policy", default="epidemic", choices=sorted(available_policies())
-    )
-    swarm.add_argument("--scale", type=float, default=None)
-    swarm.add_argument("--bandwidth-limit", type=int, default=None)
-    swarm.add_argument("--storage-limit", type=int, default=None)
-    swarm.add_argument(
-        "--filter-strategy", choices=("self", "random", "selected"),
-        default="self",
-    )
-    swarm.add_argument("--filter-k", type=int, default=0)
-    swarm.add_argument(
-        "--addressing", choices=("bus", "user"), default="bus",
-    )
-    swarm.add_argument(
-        "--digest", action="store_true",
-        help="arm the knowledge-digest mode on the live wire",
-    )
-    swarm.add_argument(
-        "--digest-fp-rate", type=float, default=0.05, metavar="P",
-    )
+    _add_scenario_arguments(swarm, default_policy="epidemic")
     swarm.add_argument(
         "--transport", choices=("unix", "tcp"), default="unix",
         help="peer channel flavour (default unix sockets)",
@@ -371,140 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     subparsers.add_parser("tables", help="print Tables I and II")
-
-    bench = subparsers.add_parser(
-        "bench", help="run a micro-benchmark and record its JSON artifact"
-    )
-    bench_subs = bench.add_subparsers(
-        dest="which", required=True,
-        metavar="{sync,encounter,sweep,metadata,scale}",
-    )
-
-    # Parent parsers carrying the flags every bench shares: the artifact
-    # destination, the workload seed, and the two regression-gate shapes
-    # (reduction over a baseline leg, speedup over a reference engine).
-    bench_shared = argparse.ArgumentParser(add_help=False)
-    bench_shared.add_argument(
-        "--output", type=pathlib.Path, default=None, metavar="PATH",
-        help="where to write the JSON artifact (default ./BENCH_<name>.json)",
-    )
-    bench_seeded = argparse.ArgumentParser(add_help=False)
-    bench_seeded.add_argument(
-        "--seed", type=int, default=7,
-        help="deterministic seed for the benchmark workload",
-    )
-    bench_reduction = argparse.ArgumentParser(add_help=False)
-    bench_reduction.add_argument(
-        "--min-reduction", type=float, default=None, metavar="R",
-        help="fail (exit 1) unless the bench's headline cost improved by at "
-             "least this factor over its baseline leg",
-    )
-    bench_speedup = argparse.ArgumentParser(add_help=False)
-    bench_speedup.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="fail (exit 1) unless the fast leg beat the reference leg by at "
-             "least this wall-clock factor",
-    )
-
-    bench_sync = bench_subs.add_parser(
-        "sync", parents=[bench_shared, bench_seeded, bench_reduction],
-        help="store enumeration: version index vs full scan",
-    )
-    bench_sync.add_argument("--nodes", type=int, default=50)
-    bench_sync.add_argument("--items", type=int, default=5000)
-    bench_sync.add_argument("--encounters", type=int, default=10000)
-    bench_sync.add_argument(
-        "--bandwidth-limit", type=int, default=None,
-        help="optional per-encounter item cap (exercises the partial sort)",
-    )
-    bench_sync.add_argument(
-        "--verify-every", type=int, default=50, metavar="N",
-        help="check index/scan enumeration equivalence every Nth encounter "
-             "(0 disables)",
-    )
-
-    bench_encounter = bench_subs.add_parser(
-        "encounter", parents=[bench_shared, bench_seeded, bench_reduction],
-        help="content checksums: cached vs per-hop recomputation",
-    )
-    bench_encounter.add_argument("--nodes", type=int, default=50)
-    bench_encounter.add_argument("--items", type=int, default=5000)
-    bench_encounter.add_argument("--encounters", type=int, default=10000)
-    bench_encounter.add_argument(
-        "--bandwidth-limit", type=int, default=None,
-        help="optional per-encounter item cap (exercises the partial sort)",
-    )
-    bench_encounter.add_argument(
-        "--duplicate-every", type=int, default=7, metavar="N",
-        help="deterministically deliver every Nth entry twice (0 disables) "
-             "— exercises redundant receipts",
-    )
-    bench_encounter.add_argument(
-        "--profile", type=pathlib.Path, default=None, metavar="PATH",
-        help="additionally re-run the cached leg under cProfile and dump "
-             "the stats to PATH (pstats format)",
-    )
-
-    bench_sweep = bench_subs.add_parser(
-        "sweep", parents=[bench_shared, bench_speedup],
-        help="sweep engine: parallel workers vs serial execution",
-    )
-    bench_sweep.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="worker processes for the parallel leg",
-    )
-    bench_sweep.add_argument(
-        "--scale", type=float, default=None,
-        help="scenario scale for every grid cell (default 0.5)",
-    )
-    bench_sweep.add_argument(
-        "--policies", nargs="+", default=None, metavar="POLICY",
-        help="grid policies (default epidemic spray prophet maxprop)",
-    )
-    bench_sweep.add_argument(
-        "--seeds", nargs="+", type=int, default=None, metavar="N",
-        help="grid replicate seeds (default 0 1)",
-    )
-
-    bench_metadata = bench_subs.add_parser(
-        "metadata", parents=[bench_shared, bench_seeded, bench_reduction],
-        help="knowledge metadata: Bloom digests vs exact vectors",
-    )
-    bench_metadata.add_argument(
-        "--scale", type=float, default=None,
-        help="emulation workload scale (default 0.3)",
-    )
-    bench_metadata.add_argument("--items", type=int, default=5000)
-    bench_metadata.add_argument(
-        "--fp-rate", type=float, default=0.05, metavar="P",
-        help="digest false-positive budget for the emulation workloads "
-             "(default 0.05)",
-    )
-
-    bench_scale_p = bench_subs.add_parser(
-        "scale", parents=[bench_shared, bench_seeded, bench_speedup],
-        help="columnar core: object-engine comparison + nodes×encounters "
-             "curve over metro-DieselNet traces",
-    )
-    bench_scale_p.set_defaults(seed=42)
-    bench_scale_p.add_argument(
-        "--preset", choices=("tiny", "smoke", "full"), default="full",
-        help="curve ladder: 'full' tops out at 50k buses / >1M encounters, "
-             "'smoke' stays under 2k buses for CI, 'tiny' is for tests",
-    )
-    bench_scale_p.add_argument(
-        "--policy", default="epidemic",
-        help="routing policy for every run (must be columnar-supported)",
-    )
-    bench_scale_p.add_argument(
-        "--max-nodes", type=int, default=None, metavar="N",
-        help="drop curve points above this many buses",
-    )
-    bench_scale_p.add_argument(
-        "--no-equivalence", action="store_true",
-        help="skip the object-vs-columnar equivalence gate on the matched "
-             "comparison run",
-    )
     return parser
 
 
@@ -607,31 +442,36 @@ def _churn_config(args: argparse.Namespace) -> Optional[ChurnConfig]:
     )
 
 
+def _experiment_config(args: argparse.Namespace, **extra) -> ExperimentConfig:
+    """The config the scenario (and churn) flags describe.
+
+    ``extra`` carries what only one command has (``run``'s fault knobs).
+    """
+    return ExperimentConfig(
+        scale=_scale(args.scale),
+        policy=args.policy,
+        addressing=args.addressing,
+        filter_strategy=args.filter_strategy,
+        filter_k=args.filter_k,
+        bandwidth_limit=args.bandwidth_limit,
+        storage_limit=args.storage_limit,
+        churn=_churn_config(args),
+        knowledge_digest=args.digest,
+        digest_fp_rate=args.digest_fp_rate,
+        **extra,
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         faults = _fault_config(args)
-        churn = _churn_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = ExperimentConfig(
-            scale=_scale(args.scale),
-            policy=args.policy,
-            addressing=args.addressing,
-            filter_strategy=args.filter_strategy,
-            filter_k=args.filter_k,
-            bandwidth_limit=args.bandwidth_limit,
-            storage_limit=args.storage_limit,
-            faults=faults,
-            fault_seed=args.fault_seed,
-            churn=churn,
-            knowledge_digest=args.digest,
-            digest_fp_rate=args.digest_fp_rate,
+        config = _experiment_config(
+            args, faults=faults, fault_seed=args.fault_seed
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    churn = config.churn
     result = run_experiment(config)
     summary = result.summary()
     print(f"experiment: {config.label()}  (scale {config.scale})")
@@ -709,18 +549,7 @@ def cmd_swarm(args: argparse.Namespace) -> int:
     from repro.net.swarm import SwarmConfig, run_swarm
 
     try:
-        config = ExperimentConfig(
-            scale=_scale(args.scale),
-            policy=args.policy,
-            addressing=args.addressing,
-            filter_strategy=args.filter_strategy,
-            filter_k=args.filter_k,
-            bandwidth_limit=args.bandwidth_limit,
-            storage_limit=args.storage_limit,
-            churn=_churn_config(args),
-            knowledge_digest=args.digest,
-            digest_fp_rate=args.digest_fp_rate,
-        )
+        config = _experiment_config(args)
         swarm_config = SwarmConfig(
             experiment=config,
             transport=args.transport,
@@ -956,296 +785,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    handlers = {
-        "sync": _cmd_bench_sync,
-        "encounter": _cmd_bench_encounter,
-        "sweep": _cmd_bench_sweep,
-        "metadata": _cmd_bench_metadata,
-        "scale": _cmd_bench_scale,
-    }
-    return handlers[args.which](args)
-
-
-def _cmd_bench_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_sweep import (
-        DEFAULT_POLICIES,
-        DEFAULT_SEEDS,
-        SweepBenchConfig,
-        run_sweep_bench,
-        write_sweep_bench,
-    )
-
-    try:
-        config = SweepBenchConfig(
-            scale=args.scale if args.scale is not None else 0.5,
-            workers=args.workers,
-            policies=tuple(args.policies or DEFAULT_POLICIES),
-            seeds=tuple(args.seeds if args.seeds is not None else DEFAULT_SEEDS),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_sweep_bench(config)
-    output = args.output or pathlib.Path("BENCH_sweep.json")
-    path = write_sweep_bench(report, output)
-    runs = report["config"]["runs"]
-    speedup = report["speedup_wall_clock"]
-    print(f"sweep bench: {runs} runs at scale {config.scale}, "
-          f"{config.workers} workers, {report['cpu_count']} CPUs")
-    print(f"{'serial wall clock':>28} | {report['serial']['wall_clock_s']:>9.3f}s")
-    print(f"{'parallel wall clock':>28} | {report['parallel']['wall_clock_s']:>9.3f}s")
-    print(f"{'speedup':>28} | {speedup:.2f}x")
-    equivalence = report["equivalence"]
-    print(f"{'equivalence':>28} | {equivalence['runs_compared']} runs compared, "
-          f"byte-identical results: {equivalence['byte_identical_results']}")
-    print(f"artifact written to {path}")
-    if not equivalence["byte_identical_results"]:
-        print("error: parallel and serial sweeps diverged", file=sys.stderr)
-        return 1
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"error: sweep speedup {speedup:.2f}x is below the required "
-            f"{args.min_speedup:.2f}x (machine has {report['cpu_count']} CPUs)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_encounter(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_encounter import (
-        EncounterBenchConfig,
-        encounter_bench_equivalent,
-        run_encounter_bench,
-        write_encounter_bench,
-    )
-
-    try:
-        config = EncounterBenchConfig(
-            nodes=args.nodes,
-            items=args.items,
-            encounters=args.encounters,
-            seed=args.seed,
-            max_items_per_encounter=args.bandwidth_limit,
-            duplicate_every=args.duplicate_every,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_encounter_bench(config, profile=args.profile)
-    path = write_encounter_bench(
-        report, args.output or pathlib.Path("BENCH_encounter.json")
-    )
-    cached = report["cached"]
-    uncached = report["uncached"]
-    reduction = report["reduction_factor_checksum_computations"]
-    print(f"encounter bench: {args.nodes} nodes, {args.items} items, "
-          f"{args.encounters} encounters (seed {args.seed})")
-    print(f"{'checksums / encounter':>28} | "
-          f"cached {cached['checksum_computations_per_encounter']:>10.2f} | "
-          f"uncached {uncached['checksum_computations_per_encounter']:>10.2f}")
-    print(f"{'wall clock / 1k encounters':>28} | "
-          f"cached {cached['wall_clock_s_per_1k_encounters']:>9.3f}s | "
-          f"uncached {uncached['wall_clock_s_per_1k_encounters']:>9.3f}s")
-    print(f"{'reduction factor':>28} | {reduction:.2f}x checksums, "
-          f"{report['speedup_wall_clock']:.2f}x wall clock")
-    equivalence = report["equivalence"]
-    print(f"{'equivalence':>28} | "
-          f"identical batches: {equivalence['identical_batches']}, "
-          f"received match: {equivalence['received_match']}, "
-          f"knowledge match: {equivalence['final_knowledge_match']}")
-    print(f"artifact written to {path}")
-    if args.profile is not None:
-        print(f"profile written to {args.profile}")
-    if not encounter_bench_equivalent(report):
-        print("error: cached and uncached runs diverged", file=sys.stderr)
-        return 1
-    if args.min_reduction is not None and reduction < args.min_reduction:
-        print(
-            f"error: checksum reduction {reduction:.2f}x is below the "
-            f"required {args.min_reduction:.2f}x — the integrity cache has "
-            "regressed toward per-hop recomputation",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_metadata(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_metadata import (
-        MetadataBenchConfig,
-        run_metadata_bench,
-        write_metadata_bench,
-    )
-
-    try:
-        config = MetadataBenchConfig(
-            scale=args.scale if args.scale is not None else 0.3,
-            fp_rate=args.fp_rate,
-            items=args.items,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_metadata_bench(config)
-    path = write_metadata_bench(
-        report, args.output or pathlib.Path("BENCH_metadata.json")
-    )
-    print(f"metadata bench: scale {config.scale}, fp rate {config.fp_rate:g}, "
-          f"{config.items} fragmented versions (seed {config.seed})")
-    print(f"{'workload':>24} | {'mode':>16} | {'meta B/msg':>10} | "
-          f"{'suppressed':>10} | {'fp resends':>10}")
-    for name, modes in report["workloads"].items():
-        for mode in ("exact", "digest_negotiated", "digest_forced"):
-            row = modes[mode]
-            print(f"{name:>24} | {mode:>16} | "
-                  f"{row['metadata_bytes_per_delivered']:>10.2f} | "
-                  f"{row['digest_suppressed']:>10.0f} | "
-                  f"{row['fp_resends']:>10.0f}")
-    print(f"{'fragmented knowledge':>24} | {'versions':>9} | {'exact B':>9} | "
-          f"{'digest B':>9} | {'reduction':>9}")
-    for point in report["fragmented_knowledge"]["points"]:
-        print(f"{'':>24} | {point['versions']:>9} | {point['exact_bytes']:>9} | "
-              f"{point['digest_bytes']:>9} | {point['reduction_factor']:>8.2f}x")
-    reduction = report["reduction_factor_at_largest_point"]
-    print(f"artifact written to {path}")
-    if args.min_reduction is not None and reduction < args.min_reduction:
-        print(
-            f"error: metadata reduction {reduction:.2f}x is below the "
-            f"required {args.min_reduction:.2f}x — the digest has stopped "
-            "beating the exact encoding on fragmented knowledge",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_sync(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (
-        SyncBenchConfig,
-        run_sync_bench,
-        write_sync_bench,
-    )
-
-    try:
-        config = SyncBenchConfig(
-            nodes=args.nodes,
-            items=args.items,
-            encounters=args.encounters,
-            seed=args.seed,
-            max_items_per_encounter=args.bandwidth_limit,
-            verify_every=args.verify_every,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_sync_bench(config)
-    path = write_sync_bench(report, args.output or pathlib.Path("BENCH_sync.json"))
-    indexed = report["indexed"]
-    baseline = report["baseline_full_scan"]
-    reduction = report["reduction_factor_items_scanned"]
-    print(f"sync bench: {args.nodes} nodes, {args.items} items, "
-          f"{args.encounters} encounters (seed {args.seed})")
-    print(f"{'items scanned / encounter':>28} | "
-          f"indexed {indexed['items_scanned_per_encounter']:>10.2f} | "
-          f"full scan {baseline['items_scanned_per_encounter']:>10.2f}")
-    print(f"{'wall clock / 1k encounters':>28} | "
-          f"indexed {indexed['wall_clock_s_per_1k_encounters']:>9.3f}s | "
-          f"full scan {baseline['wall_clock_s_per_1k_encounters']:>9.3f}s")
-    print(f"{'reduction factor':>28} | {reduction:.2f}x scanned, "
-          f"{report['speedup_wall_clock']:.2f}x wall clock")
-    equivalence = report["equivalence"]
-    print(f"{'equivalence':>28} | "
-          f"{equivalence['sampled_enumerations_checked']} enumerations checked, "
-          f"transmissions match: {equivalence['transmissions_match']}, "
-          f"knowledge match: {equivalence['final_knowledge_match']}")
-    print(f"artifact written to {path}")
-    if not (
-        equivalence["transmissions_match"] and equivalence["final_knowledge_match"]
-    ):
-        print("error: indexed and full-scan runs diverged", file=sys.stderr)
-        return 1
-    if args.min_reduction is not None and reduction < args.min_reduction:
-        print(
-            f"error: scan reduction {reduction:.2f}x is below the required "
-            f"{args.min_reduction:.2f}x — the version index has regressed "
-            "toward full-store scans",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_scale import (
-        ScaleBenchConfig,
-        run_scale_bench,
-        write_scale_bench,
-    )
-
-    try:
-        config = ScaleBenchConfig(
-            preset=args.preset,
-            policy=args.policy,
-            seed=args.seed,
-            min_speedup=(
-                args.min_speedup if args.min_speedup is not None else 5.0
-            ),
-            equivalence=not args.no_equivalence,
-            max_nodes=args.max_nodes,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_scale_bench(config)
-    path = write_scale_bench(report, args.output or pathlib.Path("BENCH_scale.json"))
-    comparison = report["comparison"]
-    print(f"scale bench: preset {config.preset}, policy {config.policy} "
-          f"(seed {config.seed}, {report['cpu_count']} CPUs)")
-    print(f"{'matched comparison':>28} | {comparison['n_buses']} buses, "
-          f"{comparison['encounters']} encounters")
-    print(f"{'object engine':>28} | "
-          f"{comparison['object']['wall_clock_s']:>9.3f}s | "
-          f"{comparison['object']['us_per_encounter']:>9.2f} us/enc")
-    print(f"{'columnar core':>28} | "
-          f"{comparison['columnar']['wall_clock_s']:>9.3f}s | "
-          f"{comparison['columnar']['us_per_encounter']:>9.2f} us/enc")
-    print(f"{'speedup':>28} | {comparison['speedup_wall_clock']:.2f}x "
-          f"(gate: {config.min_speedup:.2f}x)")
-    if comparison["equivalence_checked"]:
-        print(f"{'equivalence':>28} | identical comparable metrics: "
-              f"{comparison['equivalent']}")
-    print(f"{'buses':>10} | {'encounters':>10} | {'run s':>9} | "
-          f"{'us/enc':>8} | {'peak RSS':>10} | {'delivered':>9}")
-    for row in report["curve"]:
-        shard_tag = f" ({row['shards']} shards)" if row["shards"] > 1 else ""
-        print(f"{row['n_buses']:>10} | {row['encounters']:>10} | "
-              f"{row['run_wall_clock_s']:>9.3f} | "
-              f"{row['us_per_encounter']:>8.2f} | "
-              f"{row['peak_rss_mb']:>8.1f}MB | "
-              f"{row['delivered']:>9}{shard_tag}")
-    print(f"artifact written to {path}")
-    failed = False
-    if comparison["equivalence_checked"] and not comparison["equivalent"]:
-        keys = ", ".join(comparison["mismatched_keys"]) or "records"
-        print(
-            "error: columnar and object engines diverged on the matched "
-            f"comparison run ({keys})",
-            file=sys.stderr,
-        )
-        failed = True
-    if not report["speedup_ok"]:
-        print(
-            f"error: columnar speedup {comparison['speedup_wall_clock']:.2f}x "
-            f"is below the required {config.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -1256,7 +795,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sweep": cmd_sweep,
         "figure": cmd_figure,
         "tables": cmd_tables,
-        "bench": cmd_bench,
     }
     return handlers[args.command](args)
 

@@ -30,7 +30,6 @@ from .registry import (
     PAPER_POLICY_ORDER,
     TABLE_II_PARAMETERS,
     available_policies,
-    create_policy,
     default_parameters,
     get_policy,
     register_policy,
@@ -61,7 +60,6 @@ __all__ = [
     "TABLE_II_PARAMETERS",
     "TTL_ATTRIBUTE",
     "available_policies",
-    "create_policy",
     "default_parameters",
     "filter_addresses",
     "get_policy",

@@ -7,13 +7,11 @@ Every emulated node gets its own instance — policies hold per-host state.
 
 :func:`get_policy` is the single supported entry point for turning a name
 into an instance (names are case-insensitive). Constructing policy classes
-directly still works but skips the Table II defaults; :func:`create_policy`
-is a deprecated alias kept for one release.
+directly still works but skips the Table II defaults.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from .direct import DirectDeliveryPolicy
@@ -89,16 +87,6 @@ def get_policy(name: str, **parameters: Any) -> DTNPolicy:
     merged: Dict[str, Any] = dict(TABLE_II_PARAMETERS.get(key, {}))
     merged.update(parameters)
     return factory(**merged)
-
-
-def create_policy(name: str, **overrides: Any) -> DTNPolicy:
-    """Deprecated alias of :func:`get_policy` (kept for one release)."""
-    warnings.warn(
-        "create_policy() is deprecated; use repro.dtn.registry.get_policy()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return get_policy(name, **overrides)
 
 
 def default_parameters(name: str) -> Mapping[str, Any]:

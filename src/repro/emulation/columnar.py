@@ -562,7 +562,7 @@ class ColumnarWorld:
                 dup_mask = duplication.duplicate_mask(delivered_n, rng)
 
         # Source-side confirmation (each delivered entry once), *before*
-        # the target applies — perform_sync's order, which matters for
+        # the target applies — SyncSession.run's order, which matters for
         # first-contact holder counts at delivery time.
         if kind == _SPRAY and delivered_n:
             attr = self._local[src]
@@ -789,7 +789,7 @@ UNREPLICATED_COUNTERS: Tuple[str, ...] = (
 def comparable_metrics(metrics: MetricsCollector) -> Dict[str, Any]:
     """``metrics.to_dict()`` restricted to the equivalence contract.
 
-    Both the equivalence tests and ``repro bench scale`` compare engines
+    Both the equivalence tests and ``bench/paper_object.py`` compare engines
     through this view: everything in :meth:`MetricsCollector.to_dict`
     except :data:`UNREPLICATED_COUNTERS`.
     """

@@ -120,8 +120,8 @@ class MetricsCollector:
     # stored items the sources held when batches were built (what a full
     # scan would visit), how many the version index actually enumerated,
     # how many it skipped, and how the memoised peer-filter evaluations
-    # fared. ``items_scanned / syncs`` is the figure ``repro bench sync``
-    # reports as items-scanned-per-encounter.
+    # fared. ``items_scanned`` over items sent is the figure ``bench/``
+    # reports as ``sync.candidates_per_sent``.
     store_items_at_sync: int = 0
     items_scanned: int = 0
     index_skipped: int = 0

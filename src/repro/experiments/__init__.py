@@ -1,10 +1,9 @@
 """Experiment harnesses reproducing the paper's evaluation (Section VI).
 
 Beyond the per-figure harnesses this package hosts the sweep machinery:
-:mod:`~repro.experiments.sweep` (process-parallel grid execution),
+:mod:`~repro.experiments.sweep` (process-parallel grid execution) and
 :mod:`~repro.experiments.store` (content-addressed run artifacts +
-manifests), and :mod:`~repro.experiments.bench_sweep` (the serial-vs-
-parallel equivalence/speedup benchmark behind ``repro bench sweep``).
+manifests).
 The supported subset of these names is re-exported by :mod:`repro.api`.
 """
 

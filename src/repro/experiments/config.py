@@ -43,8 +43,8 @@ def configured_scale() -> float:
 class ExperimentConfig:
     """Full description of one emulation run.
 
-    Construct with keyword arguments only (positional form is deprecated
-    and warns). Configs round-trip through :meth:`to_dict` /
+    Construct with keyword arguments only (positional arguments raise
+    :class:`TypeError`). Configs round-trip through :meth:`to_dict` /
     :meth:`from_dict`, which is what lets sweep workers rebuild scenarios
     from serialized configs and lets the artifact store content-address
     runs by config digest.

@@ -28,18 +28,19 @@ An artifact is an envelope around ``ExperimentResult.to_dict()``::
     }
 
 Validation recomputes the digest from the embedded config, so a tampered
-or half-written artifact (writes are atomic: temp file + ``os.replace``)
-is detected rather than silently reused.
+or half-written artifact (writes are atomic: temp file + ``fsync`` +
+``os.replace``) is detected rather than silently reused.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import re
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+
+from repro.replication.persistence import write_text_atomic
 
 from .config import ExperimentConfig
 from .runner import ExperimentResult
@@ -236,9 +237,7 @@ class RunStore:
         self, path: pathlib.Path, payload: Dict[str, Any]
     ) -> pathlib.Path:
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(canonical_json(payload) + "\n")
-        os.replace(tmp, path)
+        write_text_atomic(path, canonical_json(payload) + "\n")
         return path
 
     # -- manifests ------------------------------------------------------------------

@@ -23,8 +23,8 @@ into throughput:
   as runs start and finish — a progress callback sees every event.
 
 Because every run is deterministic from its config, a parallel sweep's
-artifacts are byte-identical to a serial sweep's (``repro bench sweep``
-asserts exactly that, and records the wall-clock speedup).
+artifacts are byte-identical to a serial sweep's
+(``tests/experiments/test_sweep.py`` asserts exactly that).
 """
 
 from __future__ import annotations

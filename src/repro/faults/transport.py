@@ -13,7 +13,7 @@ entries are appended after the genuine stream).
 
 Besides the delivered stream, the outcome reports the ``confirmed``
 entries: the originals that reached the target *intact* at least once.
-``perform_sync`` fires ``on_items_sent`` for exactly those — a policy
+``SyncSession.run`` fires ``on_items_sent`` for exactly those — a policy
 that releases its copy on hand-off (First Contact) or spends a copy
 budget (Spray and Wait) must not pay for an item the target quarantined.
 

@@ -19,10 +19,6 @@ Typical use::
     alice.create_item("hi bob", {"destination": "bob"})
     EncounterSession(first=SyncEndpoint(alice), second=SyncEndpoint(bob)).run()
     assert any(i.payload == "hi bob" for i in bob.stored_items())
-
-(``perform_sync`` / ``perform_encounter`` remain as deprecated shims over
-:class:`~repro.replication.session.SyncSession` /
-:class:`~repro.replication.session.EncounterSession`.)
 """
 
 from .codec import (
@@ -132,8 +128,6 @@ from .sync import (
     SyncStats,
     build_batch,
     build_request,
-    perform_encounter,
-    perform_sync,
     validate_request_digest,
     validate_request_knowledge,
 )
@@ -233,8 +227,6 @@ __all__ = [
     "item_checksum",
     "knowledge_wire_size",
     "load_replica",
-    "perform_encounter",
-    "perform_sync",
     "register_routing_codec",
     "replica_from_state",
     "replica_to_state",

@@ -75,24 +75,16 @@ def _opaque(value: object) -> str:
 
 
 #: Count of actual serialise-and-hash computations performed by
-#: :func:`item_checksum` since process start (or the last reset). This is
-#: the quantity ``repro bench encounter`` measures: cache layers avoid
+#: :func:`item_checksum` since process start. Cache layers avoid
 #: computations, they never change results, so the counter is the honest
-#: cost metric for both the cached and the uncached pipeline.
+#: cost metric for both the cached and the uncached pipeline (the cache
+#: tests count with it).
 _computations = 0
 
 
 def checksum_computations() -> int:
     """How many times :func:`item_checksum` actually hashed content."""
     return _computations
-
-
-def reset_checksum_computations() -> int:
-    """Reset the computation counter; returns the value it had."""
-    global _computations
-    previous = _computations
-    _computations = 0
-    return previous
 
 
 def item_checksum(item: Item) -> str:
@@ -104,7 +96,7 @@ def item_checksum(item: Item) -> str:
 
     Always computes — this is the executable specification the memoised
     layers (:func:`cached_item_checksum`, :class:`ChecksumCache`) must
-    agree with, and the baseline the benchmark measures against.
+    agree with.
     """
     global _computations
     _computations += 1

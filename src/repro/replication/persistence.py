@@ -22,6 +22,7 @@ host can check-point between encounters and resume where it left off.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import warnings
 from typing import Any, Dict, Optional, Union
@@ -136,6 +137,22 @@ def amnesiac_replica_state(state: Dict[str, Any]) -> Dict[str, Any]:
     return fresh
 
 
+def write_text_atomic(path: pathlib.Path, text: str) -> None:
+    """Replace ``path``'s contents with ``text``, all or nothing.
+
+    Temp file beside the target, ``fsync``, then ``os.replace``: a writer
+    killed at any instruction leaves the old file or the new one, never a
+    torn one (churn SIGKILLs a daemon right after its checkpoint
+    directive).
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as stream:
+        stream.write(text)
+        stream.flush()
+        os.fsync(stream.fileno())
+    os.replace(tmp, path)
+
+
 def save_replica(
     replica: Replica,
     path: Union[str, pathlib.Path],
@@ -145,7 +162,7 @@ def save_replica(
     document = {"replica_state": replica_to_state(replica)}
     if policy_state is not None:
         document["policy_state"] = policy_state
-    pathlib.Path(path).write_text(json.dumps(document, sort_keys=True))
+    write_text_atomic(pathlib.Path(path), json.dumps(document, sort_keys=True))
 
 
 def load_replica(

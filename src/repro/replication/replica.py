@@ -328,8 +328,7 @@ class Replica:
         """Reference full-scan implementation of :meth:`items_unknown_to`.
 
         Kept as the executable specification the version index must match
-        (the equivalence tests assert it) and as the baseline the
-        ``repro bench sync`` micro-benchmark measures against.
+        (the equivalence tests assert it).
         """
         return [
             item for item in self.stored_items() if not knowledge.contains(item.version)

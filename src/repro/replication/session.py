@@ -1,17 +1,14 @@
 """Transport-agnostic sync sessions: the protocol flow as an object.
 
-:func:`~repro.replication.sync.perform_sync` and
-:func:`~repro.replication.sync.perform_encounter` grew one positional
-flag per feature (bandwidth caps, fault transports, index/cache toggles,
-knowledge digests). This module re-packages the same flow behind three
+The Figure 4 flow of :mod:`repro.replication.sync` behind three
 keyword-only objects:
 
 * :class:`SessionConfig` — the protocol knobs, serialisable like every
   other config object (``to_dict``/``from_dict`` round-trip);
 * :class:`SyncSession` — one sync (target pulls from source). With both
-  endpoints local, :meth:`SyncSession.run` reproduces ``perform_sync``
-  draw-for-draw. With only *one* endpoint local — the networked case,
-  where source and target live in different OS processes — the stepwise
+  endpoints local, :meth:`SyncSession.run` executes the whole flow.
+  With only *one* endpoint local — the networked case, where source
+  and target live in different OS processes — the stepwise
   halves (:meth:`build_request` / :meth:`apply` on the target side,
   :meth:`build_response` / :meth:`stamp` / :meth:`confirm_sent` on the
   source side) expose each protocol step so a byte transport can carry
@@ -20,8 +17,7 @@ keyword-only objects:
   shared bandwidth budget, exactly the paper's encounter shape.
 
 The discrete-event emulator and the asyncio transport in
-:mod:`repro.net` both drive these same session objects; the old free
-functions remain as thin :class:`DeprecationWarning` shims.
+:mod:`repro.net` both drive these same session objects.
 
 A channel is anything satisfying the :class:`Transport` protocol —
 :class:`repro.faults.FaultyTransport` already does, and so does the
@@ -67,8 +63,7 @@ class Transport(Protocol):
 
     :class:`repro.faults.FaultyTransport` and its
     :class:`~repro.faults.DeliveryOutcome` satisfy this protocol
-    unchanged; it formalises the duck type ``perform_sync`` always
-    accepted.
+    unchanged.
     """
 
     def deliver(self, batch: Sequence[Any]) -> Any:
@@ -135,12 +130,11 @@ class SyncSession:
     """One sync session: ``target`` pulls from ``source``.
 
     Constructed keyword-only. For a fully local session pass both
-    endpoints; :meth:`run` then executes the whole Figure 4 flow
-    (identically to the deprecated ``perform_sync``). For a networked
-    session, construct a *half* session in each process — only the local
-    endpoint plus ``peer`` naming the remote replica — and drive the
-    stepwise methods, shipping the encoded request/batch frames through
-    :mod:`repro.replication.codec` in between.
+    endpoints; :meth:`run` then executes the whole Figure 4 flow. For a
+    networked session, construct a *half* session in each process — only
+    the local endpoint plus ``peer`` naming the remote replica — and
+    drive the stepwise methods, shipping the encoded request/batch
+    frames through :mod:`repro.replication.codec` in between.
     """
 
     def __init__(
@@ -287,11 +281,10 @@ class SyncSession:
     def run(self) -> SyncStats:
         """Run the complete session with both endpoints local.
 
-        Byte-for-byte the flow of the deprecated ``perform_sync``: build
-        the request, (optionally) let the transport corrupt it, build the
-        batch, deliver — stamping checksums only when a transport is
-        present — fire ``on_items_sent`` for the confirmed set, and apply
-        the delivered stream on the target.
+        Build the request, (optionally) let the transport corrupt it,
+        build the batch, deliver — stamping checksums only when a
+        transport is present — fire ``on_items_sent`` for the confirmed
+        set, and apply the delivered stream on the target.
         """
         if self.source is None or self.target is None:
             raise ValueError("run() needs both endpoints; use the stepwise "

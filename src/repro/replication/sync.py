@@ -22,7 +22,7 @@ This implements the paper's Figure 4 flow::
 The *target* is the initiator (it asks "bring me up to date"); the *source*
 is the responder that pushes items. One real-world **encounter** between
 two hosts runs two syncs, alternating roles, which
-:func:`perform_encounter` packages.
+:class:`repro.replication.session.EncounterSession` packages.
 
 Bandwidth constraints (Figure 9) are modelled as a cap on the number of
 items transferred; because the batch is priority-sorted before truncation,
@@ -33,7 +33,6 @@ MaxProp's ordering is designed for.
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -458,8 +457,8 @@ def build_batch(
     go through the source's :class:`~repro.replication.filters.FilterMatchCache`
     — per-encounter cost proportional to what the target is missing.
     ``use_index=False`` keeps the original full-store scan; it exists as
-    the measured baseline for ``repro bench sync`` and the equivalence
-    tests, and produces identical batches.
+    the reference leg of the equivalence tests, and produces identical
+    batches.
 
     In digest mode (``request.digest`` set) the exact-knowledge machinery
     is bypassed: the digest is validated (checksum + fabrication probes,
@@ -472,7 +471,7 @@ def build_batch(
     store (same enumeration order as the exact scan).
 
     Building does **not** fire ``on_items_sent`` — the channel has not
-    carried anything yet. :func:`perform_sync` invokes the hook with the
+    carried anything yet. :meth:`SyncSession.run` invokes the hook with the
     entries that were actually delivered; callers assembling the protocol
     by hand must do the same once delivery is confirmed.
     """
@@ -642,8 +641,8 @@ def apply_batch(
     only ever skips the hash for an object it has itself verified before —
     verification-before-cache, so a corrupted entry can never be accepted
     via a cache hit. ``use_cache=False`` recomputes every checksum; it is
-    the measured baseline for ``repro bench encounter`` and the
-    cached-vs-uncached equivalence tests, and quarantines identically.
+    the reference leg of the cached-vs-uncached equivalence tests, and
+    quarantines identically.
     """
     snapshot = target.replica.knowledge.copy() if tolerate_duplicates else None
     seen_checksums: Dict[Any, Optional[str]] = {}
@@ -752,126 +751,3 @@ def _each_entry_once(delivered: List[BatchEntry]) -> List[BatchEntry]:
         seen.add(key)
         unique.append(entry)
     return unique
-
-
-def perform_sync(
-    source: SyncEndpoint,
-    target: SyncEndpoint,
-    now: float = 0.0,
-    max_items: Optional[int] = None,
-    transport: Optional[Any] = None,
-    use_index: bool = True,
-    use_cache: bool = True,
-    digest: Optional[DigestConfig] = None,
-) -> SyncStats:
-    """Run one complete sync session: ``target`` pulls from ``source``.
-
-    ``digest``, when given, arms the compact-knowledge mode: the target's
-    request carries a salted Bloom digest instead of its exact vector
-    whenever the negotiation in :func:`build_request` favours it (always,
-    under ``force=True``).
-
-    ``transport``, when given, mediates batch delivery (duck-typed to
-    :class:`repro.faults.FaultyTransport`): it may truncate the batch —
-    the target then commits knowledge for exactly the delivered prefix and
-    the session is marked ``interrupted`` — and it may duplicate entries,
-    which the target tolerates and counts as redundant receptions.
-
-    ``on_items_sent`` fires only for entries the channel actually carried
-    *intact* (each once, however many times it was duplicated): a policy
-    that releases its stored copy on hand-off (First Contact) or spends a
-    copy budget (Spray and Wait) must not pay for items lost, corrupted,
-    or mangled in transit — those stay stored and re-offerable,
-    preserving monotone progress. A transport reporting a ``confirmed``
-    list (see :class:`repro.faults.DeliveryOutcome`) provides exactly that
-    set; transports without one fall back to the delivered stream.
-
-    Over a faulty channel every outgoing entry is stamped with its
-    content checksum, and a transport exposing ``corrupt_request`` gets
-    to tamper with the sync request before the source sees it (modelling
-    fabricated knowledge) — the hardened :func:`build_batch` /
-    :func:`apply_batch` paths detect both.
-
-    .. deprecated::
-        ``perform_sync`` is a thin shim over
-        :class:`repro.replication.session.SyncSession` — construct one
-        (keyword-only) and call :meth:`~SyncSession.run` instead. The
-        shim emits :class:`DeprecationWarning` and will be removed after
-        one release, per the policy in ``docs/api.md``.
-    """
-    warnings.warn(
-        "perform_sync() is deprecated; use "
-        "repro.replication.session.SyncSession(...).run() "
-        "(exported via repro.api)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .session import SessionConfig, SyncSession
-
-    return SyncSession(
-        source=source,
-        target=target,
-        now=now,
-        config=SessionConfig(
-            max_items=max_items,
-            use_index=use_index,
-            use_cache=use_cache,
-            digest=digest,
-        ),
-        transport=transport,
-    ).run()
-
-
-def perform_encounter(
-    first: SyncEndpoint,
-    second: SyncEndpoint,
-    now: float = 0.0,
-    max_items_per_encounter: Optional[int] = None,
-    transport_factory: Optional[Any] = None,
-    use_index: bool = True,
-    use_cache: bool = True,
-    digest: Optional[DigestConfig] = None,
-) -> List[SyncStats]:
-    """Run one encounter: two syncs with alternating source/target roles.
-
-    This follows the paper's experimental setup ("we performed two syncs
-    between the corresponding replicas, alternating the source and target
-    roles"). Policy ``on_encounter_start`` hooks fire once per side before
-    either sync, so per-meeting state updates happen exactly once.
-
-    ``max_items_per_encounter`` is the Figure 9 bandwidth constraint: a
-    budget on total items moved across both syncs. The first sync (with
-    ``first`` as source) consumes budget before the second.
-
-    ``transport_factory``, when given, is called once per sync session
-    with ``(source_id, target_id)`` and returns the (possibly faulty)
-    channel for that session, or None for perfect delivery.
-
-    .. deprecated::
-        ``perform_encounter`` is a thin shim over
-        :class:`repro.replication.session.EncounterSession` — construct
-        one (keyword-only) and call :meth:`~EncounterSession.run`
-        instead. The shim emits :class:`DeprecationWarning` and will be
-        removed after one release, per the policy in ``docs/api.md``.
-    """
-    warnings.warn(
-        "perform_encounter() is deprecated; use "
-        "repro.replication.session.EncounterSession(...).run() "
-        "(exported via repro.api)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .session import EncounterSession, SessionConfig
-
-    return EncounterSession(
-        first=first,
-        second=second,
-        now=now,
-        config=SessionConfig(
-            max_items=max_items_per_encounter,
-            use_index=use_index,
-            use_cache=use_cache,
-            digest=digest,
-        ),
-        transport_factory=transport_factory,
-    ).run()

@@ -5,12 +5,12 @@ import pytest
 from repro.dtn.epidemic import TTL_ATTRIBUTE, EpidemicPolicy
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Replica,
     ReplicaId,
     SyncContext,
     SyncEndpoint,
-    perform_encounter,
-    perform_sync,
+    SyncSession,
 )
 
 
@@ -94,7 +94,7 @@ class TestHopBound:
             endpoints.append(SyncEndpoint(replica, policy))
         item = replicas[0].create_item("m", {"destination": "unreachable"})
         for left, right in zip(endpoints, endpoints[1:]):
-            perform_sync(source=left, target=right)
+            SyncSession(source=left, target=right).run()
         assert replicas[1].holds(item.item_id)  # hop 1 (ttl 1 remaining)
         assert replicas[2].holds(item.item_id)  # hop 2 (ttl 0 remaining)
         assert not replicas[3].holds(item.item_id)  # beyond the bound
@@ -109,8 +109,8 @@ class TestHopBound:
             )
             replicas.append(replica)
         replicas[0].create_item("m", {"destination": "dst"})
-        perform_encounter(endpoints[0], endpoints[1])
-        perform_encounter(endpoints[1], endpoints[2])
+        EncounterSession(first=endpoints[0], second=endpoints[1]).run()
+        EncounterSession(first=endpoints[1], second=endpoints[2]).run()
         assert replicas[2].in_filter_count == 1
 
     def test_duplicate_suppression_from_substrate(self):
@@ -120,18 +120,22 @@ class TestHopBound:
         src, src_policy = node("src")
         dst, dst_policy = node("dst")
         src.create_item("m", {"destination": "dst"})
-        perform_encounter(
-            SyncEndpoint(src, src_policy), SyncEndpoint(hub1, hub1_policy)
-        )
-        perform_encounter(
-            SyncEndpoint(src, src_policy), SyncEndpoint(hub2, hub2_policy)
-        )
-        stats1 = perform_encounter(
-            SyncEndpoint(hub1, hub1_policy), SyncEndpoint(dst, dst_policy)
-        )
-        stats2 = perform_encounter(
-            SyncEndpoint(hub2, hub2_policy), SyncEndpoint(dst, dst_policy)
-        )
+        EncounterSession(
+            first=SyncEndpoint(src, src_policy),
+            second=SyncEndpoint(hub1, hub1_policy),
+        ).run()
+        EncounterSession(
+            first=SyncEndpoint(src, src_policy),
+            second=SyncEndpoint(hub2, hub2_policy),
+        ).run()
+        stats1 = EncounterSession(
+            first=SyncEndpoint(hub1, hub1_policy),
+            second=SyncEndpoint(dst, dst_policy),
+        ).run()
+        stats2 = EncounterSession(
+            first=SyncEndpoint(hub2, hub2_policy),
+            second=SyncEndpoint(dst, dst_policy),
+        ).run()
         delivered = sum(s.sent_matching for s in stats1 + stats2)
         assert delivered == 1
         assert dst.in_filter_count == 1

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from repro.dtn.first_contact import FirstContactPolicy
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_encounter,
-    perform_sync,
+    SyncSession,
 )
 
 
@@ -27,7 +27,7 @@ class TestHandOff:
         src, src_ep = node("src")
         relay, relay_ep = node("relay")
         item = src.create_item("m", {"destination": "dst"})
-        perform_sync(src_ep, relay_ep)
+        SyncSession(source=src_ep, target=relay_ep).run()
         assert relay.holds(item.item_id)
         assert not src.holds(item.item_id)  # the source dropped its copy
 
@@ -35,17 +35,17 @@ class TestHandOff:
         src, src_ep = node("src")
         relay, relay_ep = node("relay")
         item = src.create_item("m", {"destination": "dst"})
-        perform_sync(src_ep, relay_ep)
+        SyncSession(source=src_ep, target=relay_ep).run()
         assert src.knowledge.contains(item.version)
         # The walk is self-avoiding: the source refuses its old message.
-        stats = perform_sync(relay_ep, src_ep)
+        stats = SyncSession(source=relay_ep, target=src_ep).run()
         assert stats.sent_total == 0
 
     def test_delivery_releases_the_last_copy(self):
         src, src_ep = node("src")
         dst, dst_ep = node("dst")
         item = src.create_item("m", {"destination": "dst"})
-        perform_sync(src_ep, dst_ep)
+        SyncSession(source=src_ep, target=dst_ep).run()
         assert dst.holds(item.item_id)  # delivered copy stays
         assert not src.holds(item.item_id)
 
@@ -54,8 +54,8 @@ class TestHandOff:
         dst, dst_ep = node("dst")
         bystander, bystander_ep = node("bystander")
         item = src.create_item("m", {"destination": "dst"})
-        perform_sync(src_ep, dst_ep)
-        stats = perform_sync(dst_ep, bystander_ep)
+        SyncSession(source=src_ep, target=dst_ep).run()
+        stats = SyncSession(source=dst_ep, target=bystander_ep).run()
         assert stats.sent_total == 0
         assert dst.holds(item.item_id)
 
@@ -64,7 +64,7 @@ class TestHandOff:
         relay, relay_ep = node("relay")
         item = src.create_item("m", {"destination": "src"})
         src.delete_item(item.item_id)
-        stats = perform_sync(src_ep, relay_ep)
+        stats = SyncSession(source=src_ep, target=relay_ep).run()
         assert stats.sent_relayed == 0
 
 
@@ -87,7 +87,11 @@ class TestSingleCopyInvariant:
             endpoints.append(endpoint)
         item = replicas[0].create_item("walker", {"destination": "nowhere"})
         for step, (a, b) in enumerate(schedule):
-            perform_encounter(endpoints[a], endpoints[b], now=float(step))
+            EncounterSession(
+                first=endpoints[a],
+                second=endpoints[b],
+                now=float(step),
+            ).run()
             holders = sum(
                 1 for replica in replicas if replica.holds(item.item_id)
             )
@@ -103,7 +107,11 @@ class TestSingleCopyInvariant:
         item = replicas[0].create_item("walker", {"destination": "n4"})
         for step in range(200):
             a, b = rng.sample(range(5), 2)
-            perform_encounter(endpoints[a], endpoints[b], now=float(step))
+            EncounterSession(
+                first=endpoints[a],
+                second=endpoints[b],
+                now=float(step),
+            ).run()
             if replicas[4].holds(item.item_id):
                 break
         assert replicas[4].holds(item.item_id)

@@ -9,12 +9,12 @@ from repro.dtn.maxprop import (
 )
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     PriorityClass,
     Replica,
     ReplicaId,
     SyncContext,
     SyncEndpoint,
-    perform_encounter,
 )
 
 
@@ -217,9 +217,10 @@ class TestAcknowledgements:
         src = Replica(ReplicaId("src"), AddressFilter("src"))
         item = src.create_item("m", {"destination": "a"})
         a_replica.apply_remote(item)  # delivery → a acks
-        perform_encounter(
-            SyncEndpoint(a_replica, a_policy), SyncEndpoint(b_replica, b_policy)
-        )
+        EncounterSession(
+            first=SyncEndpoint(a_replica, a_policy),
+            second=SyncEndpoint(b_replica, b_policy),
+        ).run()
         assert item.item_id in b_policy.acks
 
 
@@ -229,18 +230,18 @@ class TestEndToEnd:
         mule_replica, mule_policy = make_node("mule")
         dst_replica, dst_policy = make_node("dst")
         src_replica.create_item("m", {"destination": "dst"})
-        perform_encounter(
-            SyncEndpoint(src_replica, src_policy),
-            SyncEndpoint(mule_replica, mule_policy),
-        )
-        perform_encounter(
-            SyncEndpoint(mule_replica, mule_policy),
-            SyncEndpoint(dst_replica, dst_policy),
-        )
+        EncounterSession(
+            first=SyncEndpoint(src_replica, src_policy),
+            second=SyncEndpoint(mule_replica, mule_policy),
+        ).run()
+        EncounterSession(
+            first=SyncEndpoint(mule_replica, mule_policy),
+            second=SyncEndpoint(dst_replica, dst_policy),
+        ).run()
         assert dst_replica.in_filter_count == 1
         # And once delivered, the ack eventually clears the mule's buffer.
-        perform_encounter(
-            SyncEndpoint(dst_replica, dst_policy),
-            SyncEndpoint(mule_replica, mule_policy),
-        )
+        EncounterSession(
+            first=SyncEndpoint(dst_replica, dst_policy),
+            second=SyncEndpoint(mule_replica, mule_policy),
+        ).run()
         assert mule_replica.relay_count == 0

@@ -5,12 +5,12 @@ import pytest
 from repro.dtn.prophet import ProphetPolicy, ProphetRequest
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Priority,
     Replica,
     ReplicaId,
     SyncContext,
     SyncEndpoint,
-    perform_encounter,
 )
 
 
@@ -186,9 +186,10 @@ class TestEndToEnd:
         a_policy = ProphetPolicy().bind(a_replica, lambda: frozenset({"a"}))
         b_replica = Replica(ReplicaId("b"), AddressFilter("b"))
         b_policy = ProphetPolicy().bind(b_replica, lambda: frozenset({"b"}))
-        perform_encounter(
-            SyncEndpoint(a_replica, a_policy), SyncEndpoint(b_replica, b_policy)
-        )
+        EncounterSession(
+            first=SyncEndpoint(a_replica, a_policy),
+            second=SyncEndpoint(b_replica, b_policy),
+        ).run()
         assert a_policy.predictability("b") == pytest.approx(0.75)
         assert b_policy.predictability("a") == pytest.approx(0.75)
 
@@ -203,17 +204,20 @@ class TestEndToEnd:
         dst_policy = ProphetPolicy().bind(dst, lambda: frozenset({"dst"}))
 
         # Relay meets the destination first, acquiring predictability.
-        perform_encounter(
-            SyncEndpoint(relay, relay_policy), SyncEndpoint(dst, dst_policy)
-        )
+        EncounterSession(
+            first=SyncEndpoint(relay, relay_policy),
+            second=SyncEndpoint(dst, dst_policy),
+        ).run()
         item = src.create_item("m", {"destination": "dst"})
-        perform_encounter(
-            SyncEndpoint(src, src_policy), SyncEndpoint(relay, relay_policy)
-        )
+        EncounterSession(
+            first=SyncEndpoint(src, src_policy),
+            second=SyncEndpoint(relay, relay_policy),
+        ).run()
         assert relay.holds(item.item_id)
-        perform_encounter(
-            SyncEndpoint(relay, relay_policy), SyncEndpoint(dst, dst_policy)
-        )
+        EncounterSession(
+            first=SyncEndpoint(relay, relay_policy),
+            second=SyncEndpoint(dst, dst_policy),
+        ).run()
         assert dst.in_filter_count == 1
 
 

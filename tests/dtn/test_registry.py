@@ -9,7 +9,6 @@ from repro.dtn import (
     ProphetPolicy,
     SprayAndWaitPolicy,
     available_policies,
-    create_policy,
     default_parameters,
     get_policy,
     register_policy,
@@ -45,12 +44,6 @@ class TestLookup:
 
     def test_each_call_returns_fresh_instance(self):
         assert get_policy("epidemic") is not get_policy("epidemic")
-
-    def test_create_policy_is_a_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="get_policy"):
-            policy = create_policy("epidemic", initial_ttl=3)
-        assert isinstance(policy, EpidemicPolicy)
-        assert policy.initial_ttl == 3
 
     def test_available_policies_sorted(self):
         names = available_policies()

@@ -5,12 +5,12 @@ import pytest
 from repro.dtn.spray_wait import COPIES_ATTRIBUTE, SprayAndWaitPolicy
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Replica,
     ReplicaId,
     SyncContext,
     SyncEndpoint,
-    perform_encounter,
-    perform_sync,
+    SyncSession,
 )
 
 
@@ -60,9 +60,10 @@ class TestBinaryHalving:
         a_replica, a_policy = node("a", copies=8)
         b_replica, b_policy = node("b")
         item = a_replica.create_item("m", {"destination": "z"})
-        perform_sync(
-            SyncEndpoint(a_replica, a_policy), SyncEndpoint(b_replica, b_policy)
-        )
+        SyncSession(
+            source=SyncEndpoint(a_replica, a_policy),
+            target=SyncEndpoint(b_replica, b_policy),
+        ).run()
         assert a_replica.get_item(item.item_id).local(COPIES_ATTRIBUTE) == 4
         assert b_replica.get_item(item.item_id).local(COPIES_ATTRIBUTE) == 4
 
@@ -70,9 +71,10 @@ class TestBinaryHalving:
         a_replica, a_policy = node("a", copies=5)
         b_replica, b_policy = node("b")
         item = a_replica.create_item("m", {"destination": "z"})
-        perform_sync(
-            SyncEndpoint(a_replica, a_policy), SyncEndpoint(b_replica, b_policy)
-        )
+        SyncSession(
+            source=SyncEndpoint(a_replica, a_policy),
+            target=SyncEndpoint(b_replica, b_policy),
+        ).run()
         assert a_replica.get_item(item.item_id).local(COPIES_ATTRIBUTE) == 3
         assert b_replica.get_item(item.item_id).local(COPIES_ATTRIBUTE) == 2
 
@@ -90,7 +92,7 @@ class TestBinaryHalving:
         # A gossip round-robin of encounters.
         for i in range(len(endpoints)):
             for j in range(i + 1, len(endpoints)):
-                perform_encounter(endpoints[i], endpoints[j])
+                EncounterSession(first=endpoints[i], second=endpoints[j]).run()
         total = sum(
             replica.get_item(item.item_id).local(COPIES_ATTRIBUTE, 0)
             for replica in replicas
@@ -109,7 +111,7 @@ class TestBinaryHalving:
         item = replicas[0].create_item("m", {"destination": "nowhere"})
         for i in range(len(endpoints)):
             for j in range(i + 1, len(endpoints)):
-                perform_encounter(endpoints[i], endpoints[j])
+                EncounterSession(first=endpoints[i], second=endpoints[j]).run()
         holders = sum(1 for replica in replicas if replica.holds(item.item_id))
         assert holders <= initial
 
@@ -117,10 +119,10 @@ class TestBinaryHalving:
         a_replica, a_policy = node("a", copies=1)
         dst_replica, dst_policy = node("dst")
         a_replica.create_item("m", {"destination": "dst"})
-        stats = perform_sync(
-            SyncEndpoint(a_replica, a_policy),
-            SyncEndpoint(dst_replica, dst_policy),
-        )
+        stats = SyncSession(
+            source=SyncEndpoint(a_replica, a_policy),
+            target=SyncEndpoint(dst_replica, dst_policy),
+        ).run()
         assert stats.sent_matching == 1
         assert dst_replica.in_filter_count == 1
 

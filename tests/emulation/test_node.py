@@ -2,7 +2,7 @@
 
 from repro.dtn import DirectDeliveryPolicy, EpidemicPolicy
 from repro.emulation.node import EmulatedNode
-from repro.replication import SyncEndpoint, perform_encounter
+from repro.replication import EncounterSession, SyncEndpoint
 
 
 def node(name, **kwargs):
@@ -47,7 +47,7 @@ class TestMessaging:
     def test_send_and_direct_delivery(self):
         alice, bob = node("a"), node("b")
         message = alice.send("a", "b", "hello", now=0.0)
-        perform_encounter(alice.endpoint, bob.endpoint)
+        EncounterSession(first=alice.endpoint, second=bob.endpoint).run()
         assert bob.app.has_received(message.message_id)
         assert bob.holds_message(message.message_id)
 
@@ -55,7 +55,10 @@ class TestMessaging:
         alice = EmulatedNode("a", EpidemicPolicy())
         epidemic_bus = EmulatedNode("mule", EpidemicPolicy())
         message = alice.send("a", "user9", "hi", now=0.0)
-        perform_encounter(alice.endpoint, epidemic_bus.endpoint)
+        EncounterSession(
+            first=alice.endpoint,
+            second=epidemic_bus.endpoint,
+        ).run()
         # user9 boards the mule; its relayed copy becomes a delivery.
         epidemic_bus.assign_addresses({"user9"})
         assert epidemic_bus.app.has_received(message.message_id)
@@ -64,7 +67,7 @@ class TestMessaging:
         alice = node("a", delete_on_receipt=True)
         bob = node("b")
         message = bob.send("b", "a", "hi", now=0.0)
-        perform_encounter(bob.endpoint, alice.endpoint)
+        EncounterSession(first=bob.endpoint, second=alice.endpoint).run()
         assert alice.app.has_received(message.message_id)
         assert not alice.holds_message(message.message_id)
 
@@ -75,7 +78,7 @@ class TestStorageConstraint:
         senders = [EmulatedNode(f"s{i}", EpidemicPolicy()) for i in range(3)]
         for i, sender in enumerate(senders):
             sender.send(sender.name, "elsewhere", f"m{i}", now=0.0)
-            perform_encounter(sender.endpoint, bus.endpoint)
+            EncounterSession(first=sender.endpoint, second=bus.endpoint).run()
         assert bus.replica.relay_count == 1
 
     def test_policy_is_bound_to_replica(self):

@@ -1,9 +1,5 @@
 """Tests for the curated ``repro.api`` facade."""
 
-import warnings
-
-import pytest
-
 import repro
 import repro.api as api
 
@@ -43,18 +39,3 @@ class TestPolicyRegistryContract:
 
     def test_default_parameters_are_exposed(self):
         assert isinstance(api.default_parameters("spray"), dict)
-
-
-class TestDeprecationShims:
-    def test_create_policy_warns_but_works(self):
-        from repro.dtn.registry import create_policy
-
-        with pytest.warns(DeprecationWarning, match="get_policy"):
-            policy = create_policy("epidemic")
-        assert policy is not None
-
-    def test_keyword_construction_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            api.ExperimentConfig(scale=0.5, policy="epidemic")
-            api.FaultConfig(crash_probability=0.1)

@@ -172,65 +172,48 @@ class TestFigureAll:
             assert (tmp_path / f"{name}.txt").exists()
 
 
-class TestBenchDispatcher:
-    """The unified ``repro bench <name>`` front end."""
+SCENARIO_FLAGS = [
+    ("--policy", "maxprop", "policy", "maxprop"),
+    ("--scale", "0.25", "scale", 0.25),
+    ("--bandwidth-limit", "3", "bandwidth_limit", 3),
+    ("--storage-limit", "4", "storage_limit", 4),
+    ("--filter-strategy", "selected", "filter_strategy", "selected"),
+    ("--filter-k", "2", "filter_k", 2),
+    ("--addressing", "user", "addressing", "user"),
+    ("--digest", None, "digest", True),
+    ("--digest-fp-rate", "0.01", "digest_fp_rate", 0.01),
+]
 
-    def test_bench_requires_a_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench"])
 
-    def test_unknown_bench_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "warp"])
+class TestScenarioFlags:
+    """``run`` and ``swarm`` describe a scenario with one flag set."""
 
-    @pytest.mark.parametrize(
-        "which", ["sync", "encounter", "sweep", "metadata", "scale"]
-    )
-    def test_every_bench_shares_the_output_flag(self, which):
-        args = build_parser().parse_args(
-            ["bench", which, "--output", "artifact.json"]
-        )
-        assert args.which == which
-        assert str(args.output) == "artifact.json"
+    @pytest.mark.parametrize("flag,value,dest,parsed", SCENARIO_FLAGS)
+    def test_run_and_swarm_accept_the_same_flag(self, flag, value, dest, parsed):
+        argv = [flag] if value is None else [flag, value]
+        for command in ("run", "swarm"):
+            args = build_parser().parse_args([command] + argv)
+            assert getattr(args, dest) == parsed
 
-    def test_per_bench_flags_stay_per_bench(self):
-        args = build_parser().parse_args(
-            ["bench", "sync", "--verify-every", "10", "--min-reduction", "2"]
-        )
-        assert args.verify_every == 10 and args.min_reduction == 2.0
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "sweep", "--verify-every", "10"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "scale", "--min-reduction", "2"])
+    def test_defaults_differ_only_in_policy(self):
+        run = vars(build_parser().parse_args(["run"]))
+        swarm = vars(build_parser().parse_args(["swarm"]))
+        differing = {
+            dest
+            for _, _, dest, _ in SCENARIO_FLAGS
+            if run[dest] != swarm[dest]
+        }
+        assert differing == {"policy"}
+        assert (run["policy"], swarm["policy"]) == ("cimbiosys", "epidemic")
 
-    def test_scale_defaults(self):
-        args = build_parser().parse_args(["bench", "scale"])
-        assert args.preset == "full"
-        assert args.seed == 42
-        assert args.min_speedup is None
-        assert not args.no_equivalence
+    @pytest.mark.parametrize("command", ["run", "swarm"])
+    def test_invalid_scenario_exits_2(self, command, capsys):
+        assert main([command, "--scale", "0.25", "--filter-k", "2"]) == 2
+        assert "filter_k" in capsys.readouterr().err
 
-    def test_scale_runs_tiny_preset(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_scale.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "scale",
-                    "--preset",
-                    "tiny",
-                    "--min-speedup",
-                    "1",
-                    "--output",
-                    str(target),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "matched comparison" in out
-        assert "identical comparable metrics: True" in out
-        assert target.exists()
 
-    def test_scale_rejects_unsupported_policy(self, capsys):
-        assert main(["bench", "scale", "--preset", "tiny", "--policy", "prophet"]) != 0
+def test_bench_is_not_a_command():
+    """The ``bench`` subcommand is gone; the harness is ``bench/run.py``."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["bench", "sync"])
+    assert excinfo.value.code == 2

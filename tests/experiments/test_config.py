@@ -85,15 +85,9 @@ class TestEnvScale:
 
 
 class TestKeywordOnlyConstruction:
-    def test_positional_args_warn_then_work(self):
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            config = ExperimentConfig(0.5)
-        assert config.scale == 0.5
-
-    def test_positional_and_keyword_collision(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                ExperimentConfig(0.5, scale=0.25)
+    def test_positional_args_are_a_type_error(self):
+        with pytest.raises(TypeError, match="positional"):
+            ExperimentConfig(0.5)
 
     def test_unknown_field_error_names_field_and_lists_valid(self):
         with pytest.raises(TypeError) as excinfo:

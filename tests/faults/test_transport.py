@@ -17,7 +17,7 @@ from repro.replication import (
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_sync,
+    SyncSession,
 )
 
 
@@ -86,7 +86,11 @@ class TestPrefixCommit:
         transport = FaultyTransport(
             random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
         )
-        stats = perform_sync(sender_ep, receiver_ep, transport=transport)
+        stats = SyncSession(
+            source=sender_ep,
+            target=receiver_ep,
+            transport=transport,
+        ).run()
 
         assert stats.interrupted
         assert stats.sent_total == 8
@@ -111,10 +115,14 @@ class TestPrefixCommit:
         transport = FaultyTransport(
             random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
         )
-        perform_sync(sender_ep, receiver_ep, transport=transport)
+        SyncSession(
+            source=sender_ep,
+            target=receiver_ep,
+            transport=transport,
+        ).run()
 
         # Fault-free follow-up: exactly the lost suffix moves, nothing else.
-        stats = perform_sync(sender_ep, receiver_ep)
+        stats = SyncSession(source=sender_ep, target=receiver_ep).run()
         assert stats.sent_total == 8 - k
         assert receiver.in_filter_count == 8
 
@@ -126,7 +134,11 @@ class TestPrefixCommit:
         transport = FaultyTransport(
             random.Random(1), duplication=EntryDuplication(1.0)
         )
-        stats = perform_sync(sender_ep, receiver_ep, transport=transport)
+        stats = SyncSession(
+            source=sender_ep,
+            target=receiver_ep,
+            transport=transport,
+        ).run()
         assert stats.received_total == 4
         assert stats.redundant_received == 4
         assert receiver.in_filter_count == 4
@@ -142,7 +154,11 @@ class TestPrefixCommit:
             random.Random(1),
             truncation=BatchTruncation(1.0, minimum=0, maximum=None, unit="bytes"),
         )
-        stats = perform_sync(sender_ep, receiver_ep, transport=transport)
+        stats = SyncSession(
+            source=sender_ep,
+            target=receiver_ep,
+            transport=transport,
+        ).run()
         assert stats.interrupted
         assert stats.received_total < 6
         assert stats.received_total + stats.lost_in_transit == 6
@@ -172,7 +188,11 @@ class TestDeliveryConfirmedHook:
         transport = FaultyTransport(
             random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
         )
-        perform_sync(sender_ep, receiver_ep, transport=transport)
+        SyncSession(
+            source=sender_ep,
+            target=receiver_ep,
+            transport=transport,
+        ).run()
         assert len(sender_ep.policy.sent_batches) == 1
         assert [item.payload for item in sender_ep.policy.sent_batches[0]] == [
             "m0",
@@ -188,7 +208,11 @@ class TestDeliveryConfirmedHook:
         transport = FaultyTransport(
             random.Random(1), duplication=EntryDuplication(1.0)
         )
-        perform_sync(sender_ep, receiver_ep, transport=transport)
+        SyncSession(
+            source=sender_ep,
+            target=receiver_ep,
+            transport=transport,
+        ).run()
         (batch,) = sender_ep.policy.sent_batches
         assert len(batch) == 4
 
@@ -197,7 +221,7 @@ class TestDeliveryConfirmedHook:
         receiver, receiver_ep = host("bob")
         for i in range(5):
             sender.create_item(f"m{i}", {"destination": "bob"})
-        perform_sync(sender_ep, receiver_ep)
+        SyncSession(source=sender_ep, target=receiver_ep).run()
         (batch,) = sender_ep.policy.sent_batches
         assert len(batch) == 5
 
@@ -215,7 +239,11 @@ class TestFirstContactUnderFaults:
         transport = FaultyTransport(
             random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
         )
-        stats = perform_sync(carrier_ep, relay_ep, transport=transport)
+        stats = SyncSession(
+            source=carrier_ep,
+            target=relay_ep,
+            transport=transport,
+        ).run()
         assert stats.interrupted
         # Delivered prefix: handed off (relay holds, carrier expunged).
         for item in items[:k]:
@@ -236,8 +264,13 @@ class TestFirstContactUnderFaults:
         transport = FaultyTransport(
             random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
         )
-        perform_sync(carrier_ep, relay_ep, transport=transport)
-        stats = perform_sync(carrier_ep, relay_ep)  # fault-free retry
+        SyncSession(
+            source=carrier_ep,
+            target=relay_ep,
+            transport=transport,
+        ).run()
+        # fault-free retry
+        stats = SyncSession(source=carrier_ep, target=relay_ep).run()
         assert stats.sent_total == 5 - k
         # Every message now has exactly one live copy, all at the relay.
         for item in items:
@@ -266,7 +299,11 @@ class TestSprayBudgetUnderFaults:
         transport = FaultyTransport(
             random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
         )
-        perform_sync(sender_ep, receiver_ep, transport=transport)
+        SyncSession(
+            source=sender_ep,
+            target=receiver_ep,
+            transport=transport,
+        ).run()
         for item in items:
             total = self.copies_at(sender, item.item_id) + self.copies_at(
                 receiver, item.item_id
@@ -283,6 +320,10 @@ class TestSprayBudgetUnderFaults:
         transport = FaultyTransport(
             random.Random(1), duplication=EntryDuplication(1.0)
         )
-        perform_sync(sender_ep, receiver_ep, transport=transport)
+        SyncSession(
+            source=sender_ep,
+            target=receiver_ep,
+            transport=transport,
+        ).run()
         assert self.copies_at(sender, item.item_id) == DEFAULT_COPIES // 2
         assert self.copies_at(receiver, item.item_id) == DEFAULT_COPIES // 2

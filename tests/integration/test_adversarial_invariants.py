@@ -22,7 +22,6 @@ from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrac
 from repro.emulation.network import Emulator, Injection
 from repro.emulation.node import EmulatedNode
 from repro.faults import FaultConfig
-from repro.replication.sync import perform_encounter
 
 from .test_fault_invariants import (
     assert_knowledge_covers_stores,

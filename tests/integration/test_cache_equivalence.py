@@ -24,7 +24,13 @@ import pytest
 
 from repro.dtn.epidemic import EpidemicPolicy
 from repro.faults import FaultConfig, FaultInjector
-from repro.replication import Replica, ReplicaId, SyncEndpoint, perform_encounter
+from repro.replication import (
+    EncounterSession,
+    Replica,
+    ReplicaId,
+    SessionConfig,
+    SyncEndpoint,
+)
 from repro.replication.filters import MultiAddressFilter
 
 NODES = 8
@@ -128,13 +134,13 @@ def _run(seed: int, use_cache: bool) -> Fingerprint:
             )
             continue
         now += 1.0
-        stats_pair = perform_encounter(
-            endpoints[a],
-            endpoints[b],
+        stats_pair = EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
             now=now,
+            config=SessionConfig(use_cache=use_cache),
             transport_factory=factory,
-            use_cache=use_cache,
-        )
+        ).run()
         for stats in stats_pair:
             print_.sync_counters.append(
                 (

@@ -11,11 +11,11 @@ from repro.emulation.node import EmulatedNode
 from repro.faults import FaultConfig
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Replica,
     ReplicaId,
     SyncEndpoint,
     load_replica,
-    perform_encounter,
     save_replica,
 )
 
@@ -74,7 +74,11 @@ def run_schedule(policy_factory, crash_after=None, checkpoint_dir=None):
             policy.restore_state(policy_state or {})
             replicas["bob"] = restored
             endpoints["bob"] = SyncEndpoint(restored, policy)
-        perform_encounter(endpoints[a], endpoints[b], now=now)
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=now,
+        ).run()
     return replicas
 
 
@@ -97,14 +101,18 @@ def test_restart_does_not_double_deliver(tmp_path):
     sender, sender_ep = host("alice")
     receiver, receiver_ep = host("bob")
     sender.create_item("m", {"destination": "bob"})
-    perform_encounter(sender_ep, receiver_ep, now=0.0)
+    EncounterSession(first=sender_ep, second=receiver_ep, now=0.0).run()
 
     path = tmp_path / "bob.json"
     save_replica(receiver, path)
     restored, _ = load_replica(path)
     policy = EpidemicPolicy()
     policy.bind(restored, lambda: frozenset({"bob"}))
-    stats = perform_encounter(sender_ep, SyncEndpoint(restored, policy), now=1.0)
+    stats = EncounterSession(
+        first=sender_ep,
+        second=SyncEndpoint(restored, policy),
+        now=1.0,
+    ).run()
     assert sum(s.sent_total for s in stats) == 0
     assert restored.in_filter_count == 1
 

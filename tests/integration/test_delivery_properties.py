@@ -24,10 +24,10 @@ from repro.dtn import (
 )
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_encounter,
 )
 
 N_NODES = 5
@@ -87,7 +87,11 @@ def test_at_most_once_under_random_schedules(policy_factory, plan, schedule):
             f"{sender}->{recipient}", {"destination": f"n{recipient}"}
         )
     for step, (a, b) in enumerate(schedule):
-        perform_encounter(endpoints[a], endpoints[b], now=float(step))
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=float(step),
+        ).run()
 
 
 @given(policy_factories, message_plans, st.integers(min_value=0, max_value=2**16))
@@ -113,7 +117,11 @@ def test_eventual_delivery_on_connected_schedule(policy_factory, plan, seed):
     for _ in range(3):
         rng.shuffle(pairs)
         for a, b in pairs:
-            perform_encounter(endpoints[a], endpoints[b], now=now)
+            EncounterSession(
+                first=endpoints[a],
+                second=endpoints[b],
+                now=now,
+            ).run()
             now += 1.0
 
     for recipient, item_ids in expected.items():
@@ -131,7 +139,11 @@ def test_knowledge_monotonicity(plan, schedule):
         replicas[sender].create_item("x", {"destination": f"n{recipient}"})
     snapshots = [replica.knowledge.copy() for replica in replicas]
     for step, (a, b) in enumerate(schedule):
-        perform_encounter(endpoints[a], endpoints[b], now=float(step))
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=float(step),
+        ).run()
         for replica, previous in zip(replicas, snapshots):
             assert replica.knowledge.dominates(previous)
         snapshots = [replica.knowledge.copy() for replica in replicas]
@@ -146,7 +158,11 @@ def test_stored_items_always_covered_by_knowledge(schedule):
     replicas[0].create_item("x", {"destination": "n1"})
     replicas[2].create_item("y", {"destination": "n3"})
     for step, (a, b) in enumerate(schedule):
-        perform_encounter(endpoints[a], endpoints[b], now=float(step))
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=float(step),
+        ).run()
     for replica in replicas:
         for item in replica.stored_items():
             assert replica.knowledge.contains(item.version)

@@ -34,14 +34,15 @@ from repro.dtn.epidemic import EpidemicPolicy
 from repro.faults import FaultConfig, FaultInjector
 from repro.replication import (
     DigestConfig,
+    EncounterSession,
     KnowledgeDigest,
     Replica,
     ReplicaId,
+    SessionConfig,
     SyncEndpoint,
     VIOLATION_DIGEST,
     VIOLATION_KNOWLEDGE_FABRICATION,
     build_batch,
-    perform_encounter,
 )
 from repro.replication.filters import MultiAddressFilter
 from repro.replication.ids import Version
@@ -148,7 +149,12 @@ def _tail(
         for a, b in _all_pairs():
             now += 1.0
             collected.extend(
-                perform_encounter(endpoints[a], endpoints[b], now=now, digest=digest)
+                EncounterSession(
+                    first=endpoints[a],
+                    second=endpoints[b],
+                    now=now,
+                    config=SessionConfig(digest=digest),
+                ).run()
             )
     return max_rounds, now, collected
 
@@ -178,13 +184,13 @@ def _run(seed: int, digest: Optional[DigestConfig], faults) -> Outcome:
             continue
         now += 1.0
         all_stats.extend(
-            perform_encounter(
-                endpoints[a],
-                endpoints[b],
+            EncounterSession(
+                first=endpoints[a],
+                second=endpoints[b],
                 now=now,
+                config=SessionConfig(digest=digest),
                 transport_factory=factory,
-                digest=digest,
-            )
+            ).run()
         )
 
     # Convergence tail, fault-free. The digest leg first (re-offers under

@@ -20,7 +20,7 @@ from repro.replication import (
     ReplicaId,
     SyncContext,
     SyncEndpoint,
-    perform_sync,
+    SyncSession,
 )
 from repro.replication.persistence import replica_from_state, replica_to_state
 from repro.replication.sync import apply_batch, build_batch, build_request
@@ -57,7 +57,7 @@ class TestInterruptedSync:
         assert receiver.in_filter_count == 4
 
         # The next (complete) sync delivers exactly the missing six.
-        stats = perform_sync(sender_ep, receiver_ep)
+        stats = SyncSession(source=sender_ep, target=receiver_ep).run()
         assert stats.sent_total == 6
         assert receiver.in_filter_count == 10
 
@@ -88,13 +88,13 @@ class TestCrashRestart:
         sender, sender_ep = host("alice")
         receiver, receiver_ep = host("bob")
         sender.create_item("m0", {"destination": "bob"})
-        perform_sync(sender_ep, receiver_ep)
+        SyncSession(source=sender_ep, target=receiver_ep).run()
         checkpoint = replica_to_state(receiver)
 
         # Crash: the in-memory replica is gone; restore from the checkpoint.
         restored = replica_from_state(checkpoint)
         restored_ep = SyncEndpoint(restored, EpidemicPolicy().bind(restored))
-        stats = perform_sync(sender_ep, restored_ep)
+        stats = SyncSession(source=sender_ep, target=restored_ep).run()
         assert stats.sent_total == 0
         assert restored.in_filter_count == 1
 
@@ -104,15 +104,16 @@ class TestCrashRestart:
         sender, sender_ep = host("alice")
         receiver, receiver_ep = host("bob")
         sender.create_item("m0", {"destination": "bob"})
-        perform_sync(sender_ep, receiver_ep)
+        SyncSession(source=sender_ep, target=receiver_ep).run()
         stale_checkpoint = replica_to_state(receiver)
 
         sender.create_item("m1", {"destination": "bob"})
-        perform_sync(sender_ep, receiver_ep)  # m1 delivered, then crash
+        # m1 delivered, then crash
+        SyncSession(source=sender_ep, target=receiver_ep).run()
 
         restored = replica_from_state(stale_checkpoint)
         restored_ep = SyncEndpoint(restored, EpidemicPolicy().bind(restored))
-        stats = perform_sync(sender_ep, restored_ep)
+        stats = SyncSession(source=sender_ep, target=restored_ep).run()
         assert stats.sent_total == 1  # only m1 again
         assert restored.in_filter_count == 2
 

@@ -26,7 +26,7 @@ from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrac
 from repro.emulation.network import Emulator, Injection
 from repro.emulation.node import EmulatedNode
 from repro.faults import FaultConfig
-from repro.replication.sync import perform_encounter
+from repro.replication.session import EncounterSession
 
 SEEDS = range(24)
 
@@ -114,7 +114,11 @@ def heal(nodes, names, start_time):
     now = start_time
     for _ in range(len(names) + 1):
         for a, b in itertools.combinations(names, 2):
-            perform_encounter(nodes[a].endpoint, nodes[b].endpoint, now=now)
+            EncounterSession(
+                first=nodes[a].endpoint,
+                second=nodes[b].endpoint,
+                now=now,
+            ).run()
             now += 60.0
     return now
 

@@ -16,10 +16,10 @@ from repro.dtn import (
 )
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_encounter,
 )
 
 N_NODES = 5
@@ -52,7 +52,11 @@ def test_epidemic_ttl_bounds_and_decreases(schedule, ttl):
     replicas, endpoints, _ = network(lambda: EpidemicPolicy(initial_ttl=ttl))
     item = replicas[0].create_item("x", {"destination": "none"})
     for step, (a, b) in enumerate(schedule):
-        perform_encounter(endpoints[a], endpoints[b], now=float(step))
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=float(step),
+        ).run()
     for replica in replicas:
         stored = replica.get_item(item.item_id)
         if stored is None:
@@ -70,7 +74,11 @@ def test_spray_budget_conserved(schedule, budget):
     )
     item = replicas[0].create_item("x", {"destination": "none"})
     for step, (a, b) in enumerate(schedule):
-        perform_encounter(endpoints[a], endpoints[b], now=float(step))
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=float(step),
+        ).run()
         total = 0
         holders = 0
         for replica in replicas:
@@ -89,7 +97,11 @@ def test_prophet_values_stay_in_unit_interval(schedule):
     replicas, endpoints, policies = network(ProphetPolicy)
     replicas[0].create_item("x", {"destination": "n1"})
     for step, (a, b) in enumerate(schedule):
-        perform_encounter(endpoints[a], endpoints[b], now=float(step) * 600.0)
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=float(step) * 600.0,
+        ).run()
         for policy in policies:
             for value in policy.predictabilities.values():
                 assert 0.0 <= value <= 1.0
@@ -101,7 +113,11 @@ def test_maxprop_distributions_normalised(schedule):
     replicas, endpoints, policies = network(MaxPropPolicy)
     replicas[0].create_item("x", {"destination": "n1"})
     for step, (a, b) in enumerate(schedule):
-        perform_encounter(endpoints[a], endpoints[b], now=float(step))
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=float(step),
+        ).run()
     for policy in policies:
         vector = policy.own_vector()
         if vector:
@@ -115,7 +131,11 @@ def test_maxprop_hoplists_have_no_duplicates(schedule):
     replicas, endpoints, _ = network(MaxPropPolicy)
     item = replicas[0].create_item("x", {"destination": "none"})
     for step, (a, b) in enumerate(schedule):
-        perform_encounter(endpoints[a], endpoints[b], now=float(step))
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=float(step),
+        ).run()
     for replica in replicas:
         stored = replica.get_item(item.item_id)
         if stored is None:
@@ -132,10 +152,14 @@ def test_maxprop_acks_eventually_clear_relay_buffers(schedule):
     replicas, endpoints, policies = network(MaxPropPolicy)
     item = replicas[0].create_item("x", {"destination": "n1"})
     # Direct delivery first, then the random schedule spreads acks.
-    perform_encounter(endpoints[0], endpoints[1], now=0.0)
+    EncounterSession(first=endpoints[0], second=endpoints[1], now=0.0).run()
     assert replicas[1].holds(item.item_id)
     for step, (a, b) in enumerate(schedule, start=1):
-        perform_encounter(endpoints[a], endpoints[b], now=float(step))
+        EncounterSession(
+            first=endpoints[a],
+            second=endpoints[b],
+            now=float(step),
+        ).run()
         for index, (replica, policy) in enumerate(zip(replicas, policies)):
             if item.item_id in policy.acks and index not in (0, 1):
                 assert not replica.holds(item.item_id)

@@ -22,7 +22,7 @@ import pytest
 
 from repro.dtn import EpidemicPolicy
 from repro.emulation.node import EmulatedNode
-from repro.replication.sync import perform_encounter
+from repro.replication.session import EncounterSession
 
 SEEDS = range(16)
 
@@ -100,7 +100,11 @@ def test_index_matches_scan_under_churn(seed):
             nodes[rng.choice(names)].crash_restart()
         else:
             a, b = rng.sample(names, 2)
-            perform_encounter(nodes[a].endpoint, nodes[b].endpoint, now=now)
+            EncounterSession(
+                first=nodes[a].endpoint,
+                second=nodes[b].endpoint,
+                now=now,
+            ).run()
 
         if step % 6 == 0:
             assert_index_matches_scan(nodes, f"seed {seed}, step {step}")
@@ -130,7 +134,11 @@ def test_day_boundary_reassignment_never_serves_stale_matches(seed):
         now = start
         for _ in range(len(names) + 1):
             for a, b in itertools.combinations(names, 2):
-                perform_encounter(nodes[a].endpoint, nodes[b].endpoint, now=now)
+                EncounterSession(
+                    first=nodes[a].endpoint,
+                    second=nodes[b].endpoint,
+                    now=now,
+                ).run()
                 now += 60.0
         return now
 

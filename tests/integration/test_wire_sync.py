@@ -35,7 +35,7 @@ from repro.replication.sync import apply_batch, build_batch, build_request
 
 
 def sync_over_wire(source: SyncEndpoint, target: SyncEndpoint, now=0.0):
-    """perform_sync, but with a JSON hop at each protocol step."""
+    """``SyncSession.run``, but with a JSON hop at each protocol step."""
     target_context = SyncContext(target.replica_id, source.replica_id, now)
     source_context = SyncContext(source.replica_id, target.replica_id, now)
 
@@ -48,7 +48,7 @@ def sync_over_wire(source: SyncEndpoint, target: SyncEndpoint, now=0.0):
     received = decode_batch(json.loads(batch_bytes))
 
     # The wire hop delivered everything; confirm the batch to the policy
-    # (perform_sync does this with the delivered entries).
+    # (``SyncSession.run`` does this with the delivered entries).
     source.policy.on_items_sent([entry.item for entry in batch], source_context)
     apply_batch(target, received, stats)
     return stats, len(request_bytes), len(batch_bytes)

@@ -7,7 +7,7 @@ from repro.replication import (
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_sync,
+    SyncSession,
 )
 
 
@@ -43,7 +43,10 @@ class TestDelivery:
         sender_replica, sender_app = make_app("alice")
         receiver_replica, receiver_app = make_app("bob")
         message = sender_app.send("bob", "hello")
-        perform_sync(SyncEndpoint(sender_replica), SyncEndpoint(receiver_replica))
+        SyncSession(
+            source=SyncEndpoint(sender_replica),
+            target=SyncEndpoint(receiver_replica),
+        ).run()
         assert receiver_app.has_received(message.message_id)
         assert [m.body for m in receiver_app.delivered_messages] == ["hello"]
 
@@ -53,8 +56,14 @@ class TestDelivery:
         received = []
         receiver_app.on_delivery(received.append)
         sender_app.send("bob", "hello")
-        perform_sync(SyncEndpoint(sender_replica), SyncEndpoint(receiver_replica))
-        perform_sync(SyncEndpoint(sender_replica), SyncEndpoint(receiver_replica))
+        SyncSession(
+            source=SyncEndpoint(sender_replica),
+            target=SyncEndpoint(receiver_replica),
+        ).run()
+        SyncSession(
+            source=SyncEndpoint(sender_replica),
+            target=SyncEndpoint(receiver_replica),
+        ).run()
         assert len(received) == 1
 
     def test_self_addressed_message_delivered_immediately(self):
@@ -71,7 +80,10 @@ class TestDelivery:
         relay_app = MessagingApp(relay_replica, lambda: frozenset({"relay"}))
         sender_replica, sender_app = make_app("alice")
         message = sender_app.send("bob", "hi")
-        perform_sync(SyncEndpoint(sender_replica), SyncEndpoint(relay_replica))
+        SyncSession(
+            source=SyncEndpoint(sender_replica),
+            target=SyncEndpoint(relay_replica),
+        ).run()
         assert relay_replica.holds(message.message_id)
         assert not relay_app.has_received(message.message_id)
 
@@ -86,7 +98,10 @@ class TestDelivery:
 
         # First the bus merely relays for user1 (filter includes, app not).
         replica.set_filter(MultiAddressFilter("bus", frozenset({"user1"})))
-        perform_sync(SyncEndpoint(sender_replica), SyncEndpoint(replica))
+        SyncSession(
+            source=SyncEndpoint(sender_replica),
+            target=SyncEndpoint(replica),
+        ).run()
         assert not app.has_received(message.message_id)
 
         # Then user1 boards: address set grows and the filter re-fires.
@@ -103,7 +118,10 @@ class TestDelivery:
         app = MessagingApp(replica, lambda: current["addresses"])
         sender_replica, sender_app = make_app("alice")
         message = sender_app.send("user1", "hi")
-        perform_sync(SyncEndpoint(sender_replica), SyncEndpoint(replica))
+        SyncSession(
+            source=SyncEndpoint(sender_replica),
+            target=SyncEndpoint(replica),
+        ).run()
         current["addresses"] = frozenset({"bus", "user1"})
         app.re_scan()
         assert app.has_received(message.message_id)
@@ -116,7 +134,10 @@ class TestDeleteOnReceipt:
             "bob", delete_on_receipt=True
         )
         message = sender_app.send("bob", "hello")
-        perform_sync(SyncEndpoint(sender_replica), SyncEndpoint(receiver_replica))
+        SyncSession(
+            source=SyncEndpoint(sender_replica),
+            target=SyncEndpoint(receiver_replica),
+        ).run()
         assert receiver_app.has_received(message.message_id)
         stored = receiver_replica.get_item(message.message_id)
         assert stored is not None and stored.deleted
@@ -131,9 +152,18 @@ class TestDeleteOnReceipt:
         sender_replica, sender_app = make_app("alice")
         receiver_replica, receiver_app = make_app("bob", delete_on_receipt=True)
         message = sender_app.send("bob", "hello")
-        perform_sync(SyncEndpoint(sender_replica), SyncEndpoint(forwarder))
-        perform_sync(SyncEndpoint(forwarder), SyncEndpoint(receiver_replica))
-        perform_sync(SyncEndpoint(receiver_replica), SyncEndpoint(forwarder))
+        SyncSession(
+            source=SyncEndpoint(sender_replica),
+            target=SyncEndpoint(forwarder),
+        ).run()
+        SyncSession(
+            source=SyncEndpoint(forwarder),
+            target=SyncEndpoint(receiver_replica),
+        ).run()
+        SyncSession(
+            source=SyncEndpoint(receiver_replica),
+            target=SyncEndpoint(forwarder),
+        ).run()
         stored = forwarder.get_item(message.message_id)
         assert stored is not None and stored.deleted
         assert stored.payload is None

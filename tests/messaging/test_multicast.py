@@ -7,11 +7,11 @@ from repro.messaging.app import MessagingApp
 from repro.messaging.message import Message
 from repro.replication import (
     AddressFilter,
+    EncounterSession,
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_encounter,
-    perform_sync,
+    SyncSession,
 )
 
 
@@ -50,8 +50,8 @@ class TestDelivery:
         _, bob_app, bob_ep = make_host("b")
         _, carol_app, carol_ep = make_host("c")
         message = sender_app.send_multicast(["b", "c"], "to both")
-        perform_encounter(sender_ep, bob_ep)
-        perform_encounter(sender_ep, carol_ep)
+        EncounterSession(first=sender_ep, second=bob_ep).run()
+        EncounterSession(first=sender_ep, second=carol_ep).run()
         assert bob_app.has_received(message.message_id)
         assert carol_app.has_received(message.message_id)
 
@@ -59,7 +59,7 @@ class TestDelivery:
         _, sender_app, sender_ep = make_host("a")
         _, dave_app, dave_ep = make_host("d")
         sender_app.send_multicast(["b", "c"], "not for dave")
-        perform_encounter(sender_ep, dave_ep)
+        EncounterSession(first=sender_ep, second=dave_ep).run()
         assert dave_app.delivered_messages == []
 
     def test_recipient_relays_to_other_recipient(self):
@@ -69,8 +69,8 @@ class TestDelivery:
         _, bob_app, bob_ep = make_host("b")
         _, carol_app, carol_ep = make_host("c")
         message = sender_app.send_multicast(["b", "c"], "chain")
-        perform_sync(source=sender_ep, target=bob_ep)
-        perform_sync(source=bob_ep, target=carol_ep)
+        SyncSession(source=sender_ep, target=bob_ep).run()
+        SyncSession(source=bob_ep, target=carol_ep).run()
         assert bob_app.has_received(message.message_id)
         assert carol_app.has_received(message.message_id)
 
@@ -80,7 +80,7 @@ class TestDelivery:
         endpoints = [endpoint for (_, _, endpoint) in hosts]
         message = apps["a"].send_multicast(["b", "c"], "flooded")
         for left, right in zip(endpoints, endpoints[1:]):
-            perform_encounter(left, right)
+            EncounterSession(first=left, second=right).run()
         assert apps["b"].has_received(message.message_id)
         assert apps["c"].has_received(message.message_id)
         assert not apps["m"].has_received(message.message_id)
@@ -91,8 +91,8 @@ class TestDelivery:
         received = []
         bob_app.on_delivery(received.append)
         sender_app.send_multicast(["b", "c"], "once")
-        perform_encounter(sender_ep, bob_ep)
-        perform_encounter(sender_ep, bob_ep)
+        EncounterSession(first=sender_ep, second=bob_ep).run()
+        EncounterSession(first=sender_ep, second=bob_ep).run()
         assert len(received) == 1
 
 

@@ -1,6 +1,9 @@
 """Tests for replica checkpointing and restore."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +13,7 @@ from repro.replication import (
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_sync,
+    SyncSession,
 )
 from repro.replication.codec import CodecError
 from repro.replication.persistence import (
@@ -116,15 +119,21 @@ class TestResume:
         alice = populated_replica()
         bob = Replica(ReplicaId("bob"), AddressFilter("bob"))
         bob.create_item("first", {"destination": "alice"})
-        perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
+        SyncSession(source=SyncEndpoint(bob), target=SyncEndpoint(alice)).run()
 
         restored = replica_from_state(replica_to_state(alice))
         # Nothing new: the restored knowledge filters everything out.
-        stats = perform_sync(SyncEndpoint(bob), SyncEndpoint(restored))
+        stats = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(restored),
+        ).run()
         assert stats.sent_total == 0
         # Something new: accepted exactly once.
         bob.create_item("second", {"destination": "alice"})
-        stats = perform_sync(SyncEndpoint(bob), SyncEndpoint(restored))
+        stats = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(restored),
+        ).run()
         assert stats.sent_total == 1
 
 
@@ -150,3 +159,73 @@ class TestFiles:
         path.write_text(json.dumps({"nope": 1}))
         with pytest.raises(CodecError):
             load_replica(path)
+
+
+#: A writer that overwrites the checkpoint at ``argv[2]`` with a larger
+#: replica and is killed at the crash point named by ``argv[1]``.
+CRASH_WRITER = """
+import os, resource, signal, sys
+from repro.replication import AddressFilter, Replica, ReplicaId
+from repro.replication.persistence import save_replica
+
+point, path = sys.argv[1], sys.argv[2]
+real_replace = os.replace
+
+def die(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+def replace_then_die(*args):
+    real_replace(*args)
+    die()
+
+if point == "write":
+    # The kernel kills the writer part-way through the file.
+    signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    resource.setrlimit(resource.RLIMIT_FSIZE, (512, hard))
+elif point == "fsync":
+    os.fsync = die
+elif point == "replace":
+    os.replace = die
+elif point == "after-replace":
+    os.replace = replace_then_die
+
+replica = Replica(ReplicaId("alice"), AddressFilter("alice"))
+for index in range(50):
+    replica.create_item("new-%d" % index, {"destination": "bob"})
+save_replica(replica, path)
+"""
+
+
+class TestCrashPoints:
+    @pytest.mark.parametrize(
+        "point,survivor",
+        [
+            ("write", "old"),
+            ("fsync", "old"),
+            ("replace", "old"),
+            ("after-replace", "new"),
+        ],
+    )
+    def test_killed_writer_leaves_old_or_new_never_torn(
+        self, tmp_path, point, survivor
+    ):
+        path = tmp_path / "alice.ckpt"
+        old = populated_replica()
+        save_replica(old, path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        writer = subprocess.run(
+            [sys.executable, "-c", CRASH_WRITER, point, str(path)],
+            env=env,
+            timeout=60,
+        )
+        assert writer.returncode < 0, "the writer was meant to be killed"
+        restored, _ = load_replica(path)
+        if survivor == "old":
+            assert replica_to_state(restored) == replica_to_state(old)
+        else:
+            assert restored.outbox_count == 50
+        # The next checkpoint goes through whatever the crash left behind.
+        save_replica(old, path)
+        assert replica_to_state(load_replica(path)[0]) == replica_to_state(old)

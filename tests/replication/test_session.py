@@ -1,13 +1,10 @@
-"""Tests for the transport-agnostic session API and its deprecation shims.
+"""Tests for the transport-agnostic session API.
 
-:class:`SyncSession` / :class:`EncounterSession` are the supported way to
-run the Figure 4 exchange; ``perform_sync`` / ``perform_encounter`` must
-keep working (they shim onto the sessions, with a DeprecationWarning) and
-produce byte-identical outcomes — that equivalence is what lets every
-pre-existing caller migrate at leisure.
+:class:`SyncSession` / :class:`EncounterSession` are the one way to run
+the Figure 4 exchange: whole (``run``) with both endpoints local, or
+stepwise with one endpoint on each side of a byte transport.
 """
 
-import warnings
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -24,8 +21,6 @@ from repro.replication import (
     SyncEndpoint,
     SyncSession,
     Transport,
-    perform_encounter,
-    perform_sync,
 )
 from repro.replication.digest import DigestConfig
 from repro.replication.persistence import replica_to_state
@@ -57,19 +52,6 @@ def state_of(*replicas):
 
 
 class TestSyncSessionEquivalence:
-    def test_run_matches_perform_sync(self):
-        a1, b1 = seeded_pair()
-        a2, b2 = seeded_pair()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = perform_sync(SyncEndpoint(b1), SyncEndpoint(a1), now=5.0)
-        stats = SyncSession(
-            source=SyncEndpoint(b2), target=SyncEndpoint(a2), now=5.0
-        ).run()
-        assert stats.sent_total == legacy.sent_total
-        assert stats.sent_matching == legacy.sent_matching
-        assert state_of(a1, b1) == state_of(a2, b2)
-
     def test_stepwise_matches_run(self):
         """Driving the halves by hand reaches the same state as run()."""
         a1, b1 = seeded_pair()
@@ -117,28 +99,17 @@ class TestSyncSessionEquivalence:
 
 
 class TestEncounterSessionEquivalence:
-    def test_matches_perform_encounter_with_budget(self):
-        a1, b1 = seeded_pair()
-        a2, b2 = seeded_pair()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = perform_encounter(
-                SyncEndpoint(a1), SyncEndpoint(b1),
-                now=9.0, max_items_per_encounter=5,
-            )
+    def test_budget_is_shared_across_both_syncs(self):
+        alice, bob = seeded_pair()
         stats = EncounterSession(
-            first=SyncEndpoint(a2),
-            second=SyncEndpoint(b2),
+            first=SyncEndpoint(alice),
+            second=SyncEndpoint(bob),
             now=9.0,
             config=SessionConfig(max_items=5),
         ).run()
-        assert [s.sent_total for s in stats] == [
-            s.sent_total for s in legacy
-        ]
         # The shared-budget handoff: the second sync spends what the
         # first left over.
-        assert sum(s.sent_total for s in stats) <= 5
-        assert state_of(a1, b1) == state_of(a2, b2)
+        assert [s.sent_total for s in stats] == [4, 1]
 
     def test_begin_fires_policy_hooks_once(self):
         class Counting(Flood):
@@ -156,55 +127,10 @@ class TestEncounterSessionEquivalence:
         assert (pa.encounters, pb.encounters) == (1, 1)
 
 
-class TestDeprecationShims:
-    def test_perform_sync_warns(self):
-        alice, bob = replica("alice"), replica("bob")
-        with pytest.warns(DeprecationWarning, match="SyncSession"):
-            perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
-
-    def test_perform_encounter_warns(self):
-        alice, bob = replica("alice"), replica("bob")
-        with pytest.warns(DeprecationWarning, match="EncounterSession"):
-            perform_encounter(SyncEndpoint(alice), SyncEndpoint(bob))
-
-    def test_warning_points_at_the_caller(self):
-        """stacklevel=2: the warning names this file, not sync.py, so a
-        downstream user sees *their* call site in the deprecation notice."""
-        alice, bob = replica("alice"), replica("bob")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
-            perform_encounter(SyncEndpoint(alice), SyncEndpoint(bob))
-        assert len(caught) == 2
-        for warning in caught:
-            assert warning.filename == __file__
-
-    def test_shim_stats_equal_session_stats_field_for_field(self):
-        a1, b1 = replica("alice"), replica("bob")
-        a2, b2 = replica("alice"), replica("bob")
-        for source in (b1, b2):
-            source.create_item("x", {"destination": "alice"})
-            source.create_item("y", {"destination": "carol"})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = perform_sync(
-                SyncEndpoint(b1), SyncEndpoint(a1), now=3.0, max_items=1
-            )
-        modern = SyncSession(
-            source=SyncEndpoint(b2),
-            target=SyncEndpoint(a2),
-            now=3.0,
-            config=SessionConfig(max_items=1),
-        ).run()
-        assert vars(legacy) == vars(modern)
-
-
 class TestSessionConfig:
     def test_keyword_only(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning):
-                SessionConfig(5)
+        with pytest.raises(TypeError):
+            SessionConfig(5)
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError):

@@ -7,6 +7,7 @@ import pytest
 from repro.replication import (
     AddressFilter,
     AllFilter,
+    EncounterSession,
     Filter,
     Item,
     Priority,
@@ -14,10 +15,10 @@ from repro.replication import (
     Replica,
     ReplicaId,
     RoutingPolicy,
+    SessionConfig,
     SyncContext,
     SyncEndpoint,
-    perform_encounter,
-    perform_sync,
+    SyncSession,
 )
 from repro.replication.sync import build_batch, build_request
 
@@ -72,7 +73,10 @@ class TestBasicSync:
     def test_matching_item_is_delivered(self):
         alice, bob = replica("alice"), replica("bob")
         bob.create_item("hi", {"destination": "alice"})
-        stats = perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
+        stats = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(alice),
+        ).run()
         assert stats.sent_total == 1
         assert stats.sent_matching == 1
         assert alice.in_filter_count == 1
@@ -81,27 +85,39 @@ class TestBasicSync:
     def test_non_matching_item_not_sent_by_default(self):
         alice, bob = replica("alice"), replica("bob")
         bob.create_item("hi", {"destination": "carol"})
-        stats = perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
+        stats = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(alice),
+        ).run()
         assert stats.sent_total == 0
         assert alice.relay_count == 0
 
     def test_known_items_are_never_resent(self):
         alice, bob = replica("alice"), replica("bob")
         bob.create_item("hi", {"destination": "alice"})
-        perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
-        repeat = perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
+        SyncSession(source=SyncEndpoint(bob), target=SyncEndpoint(alice)).run()
+        repeat = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(alice),
+        ).run()
         assert repeat.sent_total == 0
 
     def test_sync_is_directional(self):
         alice, bob = replica("alice"), replica("bob")
         alice.create_item("to bob", {"destination": "bob"})
-        stats = perform_sync(source=SyncEndpoint(bob), target=SyncEndpoint(alice))
+        stats = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(alice),
+        ).run()
         assert stats.sent_total == 0
         assert not bob.in_filter_count
 
     def test_stats_identify_source_and_target(self):
         alice, bob = replica("alice"), replica("bob")
-        stats = perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
+        stats = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(alice),
+        ).run()
         assert stats.source == ReplicaId("bob")
         assert stats.target == ReplicaId("alice")
 
@@ -110,19 +126,24 @@ class TestPolicyHooks:
     def test_policy_forwards_out_of_filter_items(self):
         alice, bob = replica("alice"), replica("bob")
         bob.create_item("hi", {"destination": "carol"})
-        stats = perform_sync(
-            SyncEndpoint(bob, SendEverything()), SyncEndpoint(alice)
-        )
+        stats = SyncSession(
+            source=SyncEndpoint(bob, SendEverything()),
+            target=SyncEndpoint(alice),
+        ).run()
         assert stats.sent_relayed == 1
         assert alice.relay_count == 1
 
     def test_relayed_item_later_delivered_to_destination(self):
         alice, bob, carol = replica("alice"), replica("bob"), replica("carol")
         bob.create_item("hi", {"destination": "carol"})
-        perform_sync(SyncEndpoint(bob, SendEverything()), SyncEndpoint(alice))
-        stats = perform_sync(
-            SyncEndpoint(alice, SendNothing()), SyncEndpoint(carol)
-        )
+        SyncSession(
+            source=SyncEndpoint(bob, SendEverything()),
+            target=SyncEndpoint(alice),
+        ).run()
+        stats = SyncSession(
+            source=SyncEndpoint(alice, SendNothing()),
+            target=SyncEndpoint(carol),
+        ).run()
         assert stats.sent_matching == 1
         assert carol.in_filter_count == 1
 
@@ -130,9 +151,10 @@ class TestPolicyHooks:
         alice, bob = replica("alice"), replica("bob")
         target_policy = RecordingPolicy()
         source_policy = RecordingPolicy()
-        perform_sync(
-            SyncEndpoint(bob, source_policy), SyncEndpoint(alice, target_policy)
-        )
+        SyncSession(
+            source=SyncEndpoint(bob, source_policy),
+            target=SyncEndpoint(alice, target_policy),
+        ).run()
         assert target_policy.generated == 1
         assert source_policy.processed == [{"marker": 1}]
 
@@ -141,7 +163,10 @@ class TestPolicyHooks:
         bob.create_item("a", {"destination": "alice"})
         bob.create_item("b", {"destination": "carol"})
         policy = RecordingPolicy()
-        perform_sync(SyncEndpoint(bob, policy), SyncEndpoint(alice))
+        SyncSession(
+            source=SyncEndpoint(bob, policy),
+            target=SyncEndpoint(alice),
+        ).run()
         assert len(policy.sent_batches) == 1
         assert len(policy.sent_batches[0]) == 2
 
@@ -149,7 +174,7 @@ class TestPolicyHooks:
         alice, bob = replica("alice"), replica("bob")
         item = bob.create_item("hi", {"destination": "alice"})
         bob.adjust_local(item.with_local(secret=42))
-        perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
+        SyncSession(source=SyncEndpoint(bob), target=SyncEndpoint(alice)).run()
         received = alice.get_item(item.item_id)
         assert received.local("secret") is None
 
@@ -196,9 +221,11 @@ class TestBandwidthCap:
         alice, bob = replica("alice"), replica("bob")
         for i in range(5):
             bob.create_item(f"m{i}", {"destination": "alice"})
-        stats = perform_sync(
-            SyncEndpoint(bob), SyncEndpoint(alice), max_items=2
-        )
+        stats = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(alice),
+            config=SessionConfig(max_items=2),
+        ).run()
         assert stats.sent_total == 2
         assert stats.truncated == 3
         assert alice.in_filter_count == 2
@@ -213,9 +240,11 @@ class TestBandwidthCap:
         alice, bob = replica("alice"), replica("bob")
         bob.create_item(9.0, {"destination": "x"})
         bob.create_item(1.0, {"destination": "x"})
-        stats = perform_sync(
-            SyncEndpoint(bob, Ranked()), SyncEndpoint(alice), max_items=1
-        )
+        stats = SyncSession(
+            source=SyncEndpoint(bob, Ranked()),
+            target=SyncEndpoint(alice),
+            config=SessionConfig(max_items=1),
+        ).run()
         assert stats.sent_total == 1
         relayed = list(alice.stored_items())
         assert relayed[0].payload == 1.0
@@ -224,8 +253,16 @@ class TestBandwidthCap:
         alice, bob = replica("alice"), replica("bob")
         for i in range(3):
             bob.create_item(f"m{i}", {"destination": "alice"})
-        perform_sync(SyncEndpoint(bob), SyncEndpoint(alice), max_items=2)
-        perform_sync(SyncEndpoint(bob), SyncEndpoint(alice), max_items=2)
+        SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(alice),
+            config=SessionConfig(max_items=2),
+        ).run()
+        SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(alice),
+            config=SessionConfig(max_items=2),
+        ).run()
         assert alice.in_filter_count == 3
 
 
@@ -234,7 +271,10 @@ class TestEncounter:
         alice, bob = replica("alice"), replica("bob")
         alice.create_item("to bob", {"destination": "bob"})
         bob.create_item("to alice", {"destination": "alice"})
-        stats = perform_encounter(SyncEndpoint(alice), SyncEndpoint(bob))
+        stats = EncounterSession(
+            first=SyncEndpoint(alice),
+            second=SyncEndpoint(bob),
+        ).run()
         assert len(stats) == 2
         assert alice.in_filter_count == 1
         assert bob.in_filter_count == 1
@@ -242,7 +282,10 @@ class TestEncounter:
     def test_encounter_start_fires_once_per_side(self):
         alice, bob = replica("alice"), replica("bob")
         pa, pb = RecordingPolicy(), RecordingPolicy()
-        perform_encounter(SyncEndpoint(alice, pa), SyncEndpoint(bob, pb))
+        EncounterSession(
+            first=SyncEndpoint(alice, pa),
+            second=SyncEndpoint(bob, pb),
+        ).run()
         assert pa.encounters == 1
         assert pb.encounters == 1
 
@@ -251,9 +294,11 @@ class TestEncounter:
         alice.create_item("a1", {"destination": "bob"})
         bob.create_item("b1", {"destination": "alice"})
         bob.create_item("b2", {"destination": "alice"})
-        stats = perform_encounter(
-            SyncEndpoint(alice), SyncEndpoint(bob), max_items_per_encounter=1
-        )
+        stats = EncounterSession(
+            first=SyncEndpoint(alice),
+            second=SyncEndpoint(bob),
+            config=SessionConfig(max_items=1),
+        ).run()
         assert sum(s.sent_total for s in stats) == 1
 
     def test_eventual_consistency_through_relay_chain(self):
@@ -262,10 +307,10 @@ class TestEncounter:
         nodes = [replica(name) for name in ("a", "b", "c", "d")]
         nodes[0].create_item("chain", {"destination": "d"})
         for left, right in zip(nodes, nodes[1:]):
-            perform_encounter(
-                SyncEndpoint(left, SendEverything()),
-                SyncEndpoint(right, SendEverything()),
-            )
+            EncounterSession(
+                first=SyncEndpoint(left, SendEverything()),
+                second=SyncEndpoint(right, SendEverything()),
+            ).run()
         assert nodes[-1].in_filter_count == 1
 
 
@@ -282,4 +327,7 @@ class TestPolicyMisbehaviour:
         alice, bob = replica("alice"), replica("bob")
         bob.create_item("m", {"destination": "carol"})
         with pytest.raises(PolicyError, match="must return a Priority"):
-            perform_sync(SyncEndpoint(bob, BrokenPolicy()), SyncEndpoint(alice))
+            SyncSession(
+                source=SyncEndpoint(bob, BrokenPolicy()),
+                target=SyncEndpoint(alice),
+            ).run()

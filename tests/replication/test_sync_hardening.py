@@ -14,7 +14,7 @@ from repro.replication import (
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_sync,
+    SyncSession,
 )
 from repro.replication.codec import (
     decode_batch_frame,
@@ -128,7 +128,7 @@ class TestHandCorruptedFrame:
         assert target.replica.stored_count == 0
 
         # Next contact, clean channel: the same item is re-offered and lands.
-        retry_stats = perform_sync(source, target)
+        retry_stats = SyncSession(source=source, target=target).run()
         assert retry_stats.sent_total == 1
         assert [item.payload for item in retry_stats.delivered_items] == [
             "precious"
@@ -235,7 +235,7 @@ class TestKnowledgeValidation:
 
         # The tampering was transient (channel-level): the next honest
         # request carries real knowledge and the item is delivered.
-        retry_stats = perform_sync(source, target)
+        retry_stats = SyncSession(source=source, target=target).run()
         assert [item.payload for item in retry_stats.delivered_items] == [
             "undelivered"
         ]
@@ -339,7 +339,11 @@ class TestConfirmedDelivery:
         source, target = endpoints()
         source.policy = RecordingPolicy()
         source.replica.create_item("doomed", {"destination": "alice"})
-        stats = perform_sync(source, target, transport=CorruptEverything())
+        stats = SyncSession(
+            source=source,
+            target=target,
+            transport=CorruptEverything(),
+        ).run()
         assert stats.quarantined_entries == 1
         assert stats.received_total == 0
         assert sent_batches == [[]]
@@ -360,7 +364,11 @@ class TestConfirmedDelivery:
 
         source, target = endpoints()
         source.replica.create_item("hi", {"destination": "alice"})
-        stats = perform_sync(source, target, transport=Passthrough())
+        stats = SyncSession(
+            source=source,
+            target=target,
+            transport=Passthrough(),
+        ).run()
         assert captured
         for entry in captured:
             assert entry.checksum == item_checksum(entry.item)
