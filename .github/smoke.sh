@@ -1,0 +1,158 @@
+#!/usr/bin/env bash
+# The smoke legs of CI, one per argument value; run from the repository
+# root: bash .github/smoke.sh sweep|adversarial|digest-on|digest-off|swarm|churn
+# Each leg drives the CLI end to end and asserts on the artifact it
+# writes (uploaded by the workflow under the same file name).
+set -euo pipefail
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+leg="${1:?usage: smoke.sh <leg>}"
+
+CHURN_FLAGS="--churn-arrivals 0.15 --churn-departures 0.15
+  --churn-crashes 0.3 --churn-amnesia 0.5
+  --churn-free-riders 0.15 --reciprocity-threshold 0.4 --churn-seed 0"
+
+case "$leg" in
+sweep)
+  # Parallel sweep (2 policies x 2 seeds, 2 workers), then a resume
+  # that must skip every completed run.
+  SWEEP="python -m repro sweep --policies epidemic spray --seeds 0 1
+    --scale 0.25 --workers 2 --results-dir results/runs"
+  $SWEEP | tee sweep-first.log
+  $SWEEP | tee sweep-second.log
+  grep -q "4 reused" sweep-second.log
+  grep -q "4 ok, 0 missing, 0 failed, 0 invalid" sweep-second.log
+  ;;
+
+adversarial)
+  # Invariant harness under adversarial faults (fixed seeds):
+  # corruption, replay, fabrication, and malformed frames at p=0.2 over
+  # ~200-encounter schedules; asserts convergence, at-most-once
+  # delivery, and version-vector monotonicity.
+  python -m pytest -q \
+    tests/integration/test_adversarial_invariants.py \
+    tests/integration/test_zero_fault_equivalence.py
+  # Corruption + replay run with metrics summary.
+  python -m repro run --policy epidemic --scale 0.25 \
+    --fault-corruption 0.2 --fault-replay 0.2 --fault-seed 23 \
+    --json adversarial-metrics.json
+  python - <<'EOF'
+import json
+summary = json.load(open("adversarial-metrics.json"))["summary"]
+# The schedule must actually exercise the hardened path.
+assert summary["quarantined_entries"] > 0, summary
+assert summary["protocol_violations"] > 0, summary
+for key in ("rejected_knowledge", "quarantine_skips",
+            "peer_health_transitions"):
+    assert key in summary, key
+print("quarantined:", summary["quarantined_entries"],
+      "violations:", summary["protocol_violations"])
+EOF
+  ;;
+
+digest-on|digest-off)
+  digest="${leg#digest-}"
+  FLAGS=""
+  if [ "$digest" = "on" ]; then
+    # The digest-on leg carries the proof obligations: seeded property
+    # tests (no false negatives, bounded FP, codec strictness) and the
+    # digest-on vs digest-off differential harness over clean, faulty,
+    # and adversarial workloads (identical fixed points; tampered
+    # digests land in quarantine).
+    python -m pytest -q \
+      tests/replication/test_knowledge_digest.py \
+      tests/integration/test_digest_equivalence.py
+    FLAGS="--digest --digest-fp-rate 0.1"
+  fi
+  # Same fault plan both legs; the digest flag is the only delta.
+  python -m repro run --policy epidemic --scale 0.25 \
+    $FLAGS \
+    --fault-corruption 0.2 --fault-fabrication 0.2 --fault-seed 23 \
+    --json "digest-metrics-$digest.json"
+  python - "$digest" <<'EOF'
+import json, sys
+digest_on = sys.argv[1] == "on"
+name = f"digest-metrics-{sys.argv[1]}.json"
+summary = json.load(open(name))["summary"]
+# Both legs must exercise the hardened path...
+assert summary["protocol_violations"] > 0, summary
+# ...and carry the metadata accounting either way.
+for key in ("metadata_bytes", "digest_syncs",
+            "digest_suppressed", "fp_resends"):
+    assert key in summary, key
+assert summary["metadata_bytes"] > 0, summary
+if not digest_on:
+    assert summary["digest_syncs"] == 0, summary
+print("violations:", summary["protocol_violations"],
+      "digest syncs:", summary["digest_syncs"],
+      "metadata bytes:", summary["metadata_bytes"])
+EOF
+  ;;
+
+swarm)
+  # Live swarm replay with convergence parity: 8 real `repro serve`
+  # processes over unix sockets replay the scale-0.25 DieselNet slice,
+  # then the same config runs through the discrete-event emulator;
+  # exits 1 unless every node reaches the identical holdings/knowledge
+  # fixed point.
+  python -m repro swarm --scale 0.25 --policy epidemic --parity \
+    --output swarm-metrics.json
+  python - <<'EOF'
+import json
+artifact = json.load(open("swarm-metrics.json"))
+document = artifact["document"]
+assert document["kind"] == "swarm", document
+assert document["schema"] == 1, document
+summary = document["summary"]
+assert summary["injected"] > 0 and summary["delivered"] > 0, summary
+assert len(artifact["fixed_points"]) >= 5, "not a real swarm"
+print("nodes:", len(artifact["fixed_points"]),
+      "delivered:", summary["delivered"],
+      "transmissions:", summary["transmissions"])
+EOF
+  # Swarm parity integration tests (framing + budget legs).
+  python -m pytest -q tests/net tests/integration/test_swarm_parity.py
+  ;;
+
+churn)
+  # Emulator run under full churn. Scale 0.25 / churn seed 0 covers
+  # every lifecycle path: a late arrival, a checkpoint rejoin, an
+  # amnesiac rejoin, a graceful leave with handoff, and a
+  # reciprocity-scored free rider.
+  python -m repro run --policy epidemic --scale 0.25 \
+    $CHURN_FLAGS --json churn-metrics.json
+  python - <<'EOF'
+import json
+summary = json.load(open("churn-metrics.json"))["summary"]
+# The schedule must actually exercise the lifecycle machinery.
+assert summary["churn_crashes"] == 2, summary
+assert summary["churn_rejoins"] == 2, summary
+assert summary["churn_amnesiac_rejoins"] == 1, summary
+assert summary["churn_leaves"] == 1, summary
+assert summary["churn_handoffs"] == 1, summary
+assert summary["node_hours_online"] > 0, summary
+scores = summary["reciprocity_scores"]
+assert min(scores.values()) < 0.4, scores  # the free rider shows
+print("node-hours:", summary["node_hours_online"],
+      "scores:", scores)
+EOF
+  # Live swarm under the same churn schedule, with parity gate: the
+  # orchestrator kills, respawns, and drains 8 real `repro serve`
+  # processes per the derived schedule; exits 1 unless the swarm
+  # reaches the emulator's exact per-node fixed point.
+  python -m repro swarm --scale 0.25 --policy epidemic --parity \
+    $CHURN_FLAGS --output churn-swarm-metrics.json
+  # Churn unit + parity integration tests.
+  python -m pytest -q \
+    tests/churn \
+    tests/emulation/test_network_churn.py \
+    tests/replication/test_peer_health_cycles.py \
+    tests/net/test_reconnect_cycles.py \
+    tests/integration/test_churn_parity.py
+  ;;
+
+*)
+  echo "unknown smoke leg: $leg" >&2
+  exit 2
+  ;;
+esac

@@ -29,11 +29,14 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.faults import FaultConfig, FaultInjector
 from repro.replication.digest import DigestConfig
-from repro.replication.errors import SyncProtocolError
 from repro.replication.events import BaseReplicaObserver
 from repro.replication.items import Item
 from repro.replication.peer_health import PeerHealthTracker
-from repro.replication.session import EncounterSession, SessionConfig
+from repro.replication.session import (
+    EncounterSession,
+    SessionConfig,
+    monotone_knowledge,
+)
 
 from .encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
 from .engine import EventPriority, SimulationEngine
@@ -325,28 +328,19 @@ class Emulator:
             if injector is not None
             else None
         )
-        # Knowledge must be monotone across an encounter no matter what
-        # the channel did; a regression here means the hardening layer
-        # failed, and silently carrying on would poison the experiment.
-        before = {
-            name: self.nodes[name].replica.knowledge.copy()
-            for name in (encounter.a, encounter.b)
-        }
-        stats = EncounterSession(
-            first=first.endpoint,
-            second=second.endpoint,
-            now=now,
-            config=SessionConfig(
-                max_items=self._encounter_budget(encounter),
-                digest=self.digest,
-            ),
-            transport_factory=transport_factory,
-        ).run()
-        for name, old in before.items():
-            if not self.nodes[name].replica.knowledge.dominates(old):
-                raise SyncProtocolError(
-                    f"version vector of {name!r} regressed during an encounter"
-                )
+        with monotone_knowledge(
+            node_a.replica, node_b.replica, during="an encounter"
+        ):
+            stats = EncounterSession(
+                first=first.endpoint,
+                second=second.endpoint,
+                now=now,
+                config=SessionConfig(
+                    max_items=self._encounter_budget(encounter),
+                    digest=self.digest,
+                ),
+                transport_factory=transport_factory,
+            ).run()
         self.metrics.record_encounter()
         self._observe_syncs(encounter.a, encounter.b, stats, now)
         if injector is not None:
@@ -411,21 +405,15 @@ class Emulator:
         """Two syncs between the leaver and its handoff partner."""
         first = self.nodes[leaver]
         second = self.nodes[partner]
-        before = {
-            name: self.nodes[name].replica.knowledge.copy()
-            for name in (leaver, partner)
-        }
-        stats = EncounterSession(
-            first=first.endpoint,
-            second=second.endpoint,
-            now=now,
-            config=SessionConfig(max_items=None, digest=self.digest),
-        ).run()
-        for name, old in before.items():
-            if not self.nodes[name].replica.knowledge.dominates(old):
-                raise SyncProtocolError(
-                    f"version vector of {name!r} regressed during a handoff"
-                )
+        with monotone_knowledge(
+            first.replica, second.replica, during="a handoff"
+        ):
+            stats = EncounterSession(
+                first=first.endpoint,
+                second=second.endpoint,
+                now=now,
+                config=SessionConfig(max_items=None, digest=self.digest),
+            ).run()
         self.metrics.record_encounter()
         self.metrics.record_churn_handoff()
         self._observe_syncs(leaver, partner, stats, now)

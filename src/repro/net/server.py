@@ -58,7 +58,11 @@ from repro.replication.ids import ReplicaId
 from repro.replication.items import Item
 from repro.replication.persistence import load_replica, save_replica
 from repro.replication.routing import SyncContext
-from repro.replication.session import SessionConfig, SyncSession
+from repro.replication.session import (
+    SessionConfig,
+    SyncSession,
+    monotone_knowledge,
+)
 from repro.replication.sync import SyncEndpoint, SyncStats
 
 from .connection import (
@@ -431,7 +435,7 @@ class NodeServer:
                 "node": self.name,
                 "sim_now": self.sim_now,
                 "stored_items": self.node.replica.stored_count,
-                "delivered_messages": len(self.node.app.delivered_messages()),
+                "delivered_messages": len(self.node.app.delivered_messages),
                 "encounters": self.encounters,
                 "evictions": self._evictions.count,
                 "protocol": PROTOCOL_VERSION,
@@ -439,19 +443,6 @@ class NodeServer:
         )
 
     # -- encounters -----------------------------------------------------------
-
-    def _knowledge_guard(self):
-        """Snapshot knowledge; returns a closure asserting monotonicity."""
-        before = self.node.replica.knowledge.copy()
-
-        def check() -> None:
-            if not self.node.replica.knowledge.dominates(before):
-                raise SyncProtocolError(
-                    f"version vector of {self.name!r} regressed during a "
-                    f"live encounter"
-                )
-
-        return check
 
     async def _coordinate_encounter(
         self,
@@ -469,96 +460,97 @@ class NodeServer:
         remains of the shared per-encounter cap.
         """
         self._advance(time)
-        check = self._knowledge_guard()
-        remote = ReplicaId(peer)
-        endpoint = self.node.endpoint
-        connection = await open_connection(
-            address, read_timeout=self.config.read_timeout
-        )
-        try:
-            await connection.send(
-                {
-                    "type": "hello",
-                    "node": self.name,
-                    "protocol": PROTOCOL_VERSION,
-                }
+        with monotone_knowledge(
+            self.node.replica, during="a live encounter"
+        ):
+            remote = ReplicaId(peer)
+            endpoint = self.node.endpoint
+            connection = await open_connection(
+                address, read_timeout=self.config.read_timeout
             )
-            hello = await connection.receive()
-            if hello.get("type") != "hello" or hello.get("node") != peer:
-                raise SyncProtocolError(
-                    f"dialed {peer!r} at {address} but got {hello!r}"
+            try:
+                await connection.send(
+                    {
+                        "type": "hello",
+                        "node": self.name,
+                        "protocol": PROTOCOL_VERSION,
+                    }
                 )
-            self.node.policy.on_encounter_start(
-                SyncContext(
-                    local=endpoint.replica_id, remote=remote, now=time
+                hello = await connection.receive()
+                if hello.get("type") != "hello" or hello.get("node") != peer:
+                    raise SyncProtocolError(
+                        f"dialed {peer!r} at {address} but got {hello!r}"
+                    )
+                self.node.policy.on_encounter_start(
+                    SyncContext(
+                        local=endpoint.replica_id, remote=remote, now=time
+                    )
                 )
-            )
-            await connection.send(
-                {
-                    "type": "encounter-open",
-                    "initiator": self.name,
-                    "time": time,
-                    "budget": budget,
-                }
-            )
-            # Sync 1: we are the source; the peer opens with its request.
-            opening = await self._expect(connection, "sync-request")
-            request = decode_sync_request(opening["request"])
-            source_session = SyncSession(
-                source=endpoint,
-                peer=remote,
-                now=time,
-                config=self.session_config,
-            )
-            batch, stats_a = source_session.build_response(
-                request, max_items=budget
-            )
-            stamped = source_session.stamp(batch)
-            await connection.send(
-                {
-                    "type": "sync-batch",
-                    "frame": encode_batch_frame(stamped),
-                    "stats": stats_a.to_dict(),
-                }
-            )
-            ack = await self._expect(connection, "sync-ack")
-            stats_a = SyncStats.from_dict(ack["stats"])
-            # The ack proves the whole checksummed frame was applied
-            # intact — the confirmed set is the full batch.
-            source_session.confirm_sent(stamped)
-            # Sync 2: roles swap; spend what is left of the budget.
-            remaining = (
-                max(0, budget - stats_a.sent_total)
-                if budget is not None
-                else None
-            )
-            target_session = SyncSession(
-                target=endpoint,
-                peer=remote,
-                now=time,
-                config=self.session_config,
-            )
-            await connection.send(
-                {
-                    "type": "sync-request",
-                    "request": encode_sync_request(
-                        target_session.build_request()
-                    ),
-                    "budget": remaining,
-                }
-            )
-            delivery = await self._expect(connection, "sync-batch")
-            stats_b = SyncStats.from_dict(delivery["stats"])
-            stats_b = target_session.apply(
-                decode_batch_frame(delivery["frame"]), stats=stats_b
-            )
-            await connection.send(
-                {"type": "sync-ack", "stats": stats_b.to_dict()}
-            )
-            done = await self._expect(connection, "encounter-done")
-        finally:
-            await connection.close()
-        check()
+                await connection.send(
+                    {
+                        "type": "encounter-open",
+                        "initiator": self.name,
+                        "time": time,
+                        "budget": budget,
+                    }
+                )
+                # Sync 1: we are the source; the peer opens with its request.
+                opening = await self._expect(connection, "sync-request")
+                request = decode_sync_request(opening["request"])
+                source_session = SyncSession(
+                    source=endpoint,
+                    peer=remote,
+                    now=time,
+                    config=self.session_config,
+                )
+                batch, stats_a = source_session.build_response(
+                    request, max_items=budget
+                )
+                stamped = source_session.stamp(batch)
+                await connection.send(
+                    {
+                        "type": "sync-batch",
+                        "frame": encode_batch_frame(stamped),
+                        "stats": stats_a.to_dict(),
+                    }
+                )
+                ack = await self._expect(connection, "sync-ack")
+                stats_a = SyncStats.from_dict(ack["stats"])
+                # The ack proves the whole checksummed frame was applied
+                # intact — the confirmed set is the full batch.
+                source_session.confirm_sent(stamped)
+                # Sync 2: roles swap; spend what is left of the budget.
+                remaining = (
+                    max(0, budget - stats_a.sent_total)
+                    if budget is not None
+                    else None
+                )
+                target_session = SyncSession(
+                    target=endpoint,
+                    peer=remote,
+                    now=time,
+                    config=self.session_config,
+                )
+                await connection.send(
+                    {
+                        "type": "sync-request",
+                        "request": encode_sync_request(
+                            target_session.build_request()
+                        ),
+                        "budget": remaining,
+                    }
+                )
+                delivery = await self._expect(connection, "sync-batch")
+                stats_b = SyncStats.from_dict(delivery["stats"])
+                stats_b = target_session.apply(
+                    decode_batch_frame(delivery["frame"]), stats=stats_b
+                )
+                await connection.send(
+                    {"type": "sync-ack", "stats": stats_b.to_dict()}
+                )
+                done = await self._expect(connection, "encounter-done")
+            finally:
+                await connection.close()
         self.encounters += 1
         deliveries = self._drain_deliveries() + list(
             done.get("deliveries", ())
@@ -571,54 +563,55 @@ class NodeServer:
         """Run one encounter as the dialed side (first sync's target)."""
         time = float(opening.get("time", self.sim_now))
         self._advance(time)
-        check = self._knowledge_guard()
-        initiator = ReplicaId(str(opening["initiator"]))
-        endpoint = self.node.endpoint
-        self.node.policy.on_encounter_start(
-            SyncContext(local=endpoint.replica_id, remote=initiator, now=time)
-        )
-        # Sync 1: we are the target.
-        target_session = SyncSession(
-            target=endpoint,
-            peer=initiator,
-            now=time,
-            config=self.session_config,
-        )
-        await connection.send(
-            {
-                "type": "sync-request",
-                "request": encode_sync_request(target_session.build_request()),
-            }
-        )
-        delivery = await self._expect(connection, "sync-batch")
-        stats_a = SyncStats.from_dict(delivery["stats"])
-        stats_a = target_session.apply(
-            decode_batch_frame(delivery["frame"]), stats=stats_a
-        )
-        await connection.send({"type": "sync-ack", "stats": stats_a.to_dict()})
-        # Sync 2: we are the source, under the initiator's remaining budget.
-        opening2 = await self._expect(connection, "sync-request")
-        request = decode_sync_request(opening2["request"])
-        source_session = SyncSession(
-            source=endpoint,
-            peer=initiator,
-            now=time,
-            config=self.session_config,
-        )
-        batch, stats_b = source_session.build_response(
-            request, max_items=opening2.get("budget")
-        )
-        stamped = source_session.stamp(batch)
-        await connection.send(
-            {
-                "type": "sync-batch",
-                "frame": encode_batch_frame(stamped),
-                "stats": stats_b.to_dict(),
-            }
-        )
-        await self._expect(connection, "sync-ack")
-        source_session.confirm_sent(stamped)
-        check()
+        with monotone_knowledge(
+            self.node.replica, during="a live encounter"
+        ):
+            initiator = ReplicaId(str(opening["initiator"]))
+            endpoint = self.node.endpoint
+            self.node.policy.on_encounter_start(
+                SyncContext(local=endpoint.replica_id, remote=initiator, now=time)
+            )
+            # Sync 1: we are the target.
+            target_session = SyncSession(
+                target=endpoint,
+                peer=initiator,
+                now=time,
+                config=self.session_config,
+            )
+            await connection.send(
+                {
+                    "type": "sync-request",
+                    "request": encode_sync_request(target_session.build_request()),
+                }
+            )
+            delivery = await self._expect(connection, "sync-batch")
+            stats_a = SyncStats.from_dict(delivery["stats"])
+            stats_a = target_session.apply(
+                decode_batch_frame(delivery["frame"]), stats=stats_a
+            )
+            await connection.send({"type": "sync-ack", "stats": stats_a.to_dict()})
+            # Sync 2: we are the source, under the initiator's remaining budget.
+            opening2 = await self._expect(connection, "sync-request")
+            request = decode_sync_request(opening2["request"])
+            source_session = SyncSession(
+                source=endpoint,
+                peer=initiator,
+                now=time,
+                config=self.session_config,
+            )
+            batch, stats_b = source_session.build_response(
+                request, max_items=opening2.get("budget")
+            )
+            stamped = source_session.stamp(batch)
+            await connection.send(
+                {
+                    "type": "sync-batch",
+                    "frame": encode_batch_frame(stamped),
+                    "stats": stats_b.to_dict(),
+                }
+            )
+            await self._expect(connection, "sync-ack")
+            source_session.confirm_sent(stamped)
         self.encounters += 1
         await connection.send(
             {

@@ -119,7 +119,13 @@ from .routing import (
     RoutingPolicy,
     SyncContext,
 )
-from .session import EncounterSession, SessionConfig, SyncSession, Transport
+from .session import (
+    EncounterSession,
+    SessionConfig,
+    SyncSession,
+    Transport,
+    monotone_knowledge,
+)
 from .store import ItemStore, RelayStore
 from .sync import (
     BatchEntry,
@@ -227,6 +233,7 @@ __all__ = [
     "item_checksum",
     "knowledge_wire_size",
     "load_replica",
+    "monotone_knowledge",
     "register_routing_codec",
     "replica_from_state",
     "replica_to_state",

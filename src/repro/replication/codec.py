@@ -470,15 +470,8 @@ def item_wire_size(item: Item) -> int:
 def knowledge_wire_size(vector: VersionVector) -> int:
     """Bytes a replica's knowledge occupies in a sync request.
 
-    Memoised on the vector itself (the ``item_wire_size`` pattern): a
-    replica's knowledge is sized at every sync it opens or answers, and
-    between learning events the vector — and every copy-on-write snapshot
-    sharing its entry table — has the same encoding. The memo lives on
-    the :class:`VersionVector` (its ``_wire_size`` slot), is inherited by
-    snapshots, and every mutating path clears it.
+    Always ``wire_size(encode_knowledge(vector))``, read in O(1): the
+    vector keeps the total as it learns
+    (:meth:`~repro.replication.versions.VersionVector.wire_size`).
     """
-    size = vector._wire_size
-    if size is None:
-        size = wire_size(encode_knowledge(vector))
-        vector._wire_size = size
-    return size
+    return vector.wire_size()

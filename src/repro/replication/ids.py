@@ -16,6 +16,14 @@ The substrate names three kinds of things:
 All three are immutable, hashable, and totally ordered so they can be used
 as dict keys and sorted deterministically — determinism matters because the
 emulation must be exactly reproducible from a seed.
+
+The ids are dict keys on every store, index and knowledge lookup, so each
+computes its hash once, at construction: the value the dataclass would
+generate (``hash`` of the field tuple), kept in the ``_hash`` slot — not
+a field, so ``fields()``, ``repr`` and comparisons do not see it. The
+classes are slotted so that the stored hash costs no memory over the
+``__dict__`` it replaces. ``__reduce__`` rebuilds from the fields,
+because a string hash does not survive into another process.
 """
 
 from __future__ import annotations
@@ -32,11 +40,20 @@ class ReplicaId:
     the substrate.
     """
 
+    __slots__ = ("name", "_hash")
+
     name: str
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("ReplicaId name must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ReplicaId, (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -51,12 +68,21 @@ class ItemId:
     numbers its creations monotonically, which :class:`IdFactory` enforces.
     """
 
+    __slots__ = ("origin", "serial", "_hash")
+
     origin: ReplicaId
     serial: int
 
     def __post_init__(self) -> None:
         if self.serial < 0:
             raise ValueError("ItemId serial must be non-negative")
+        object.__setattr__(self, "_hash", hash((self.origin, self.serial)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ItemId, (self.origin, self.serial)
 
     def __str__(self) -> str:
         return f"{self.origin.name}#{self.serial}"
@@ -71,12 +97,21 @@ class Version:
     subset of the integers, compressible to ranges in a version vector.
     """
 
+    __slots__ = ("replica", "counter", "_hash")
+
     replica: ReplicaId
     counter: int
 
     def __post_init__(self) -> None:
         if self.counter < 1:
             raise ValueError("Version counter starts at 1")
+        object.__setattr__(self, "_hash", hash((self.replica, self.counter)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Version, (self.replica, self.counter)
 
     def __str__(self) -> str:
         return f"{self.replica.name}:{self.counter}"

@@ -26,14 +26,17 @@ delivery half of a live socket connection.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro._compat import keyword_only_dataclass
 
 from .digest import DigestConfig
+from .errors import SyncProtocolError
 from .ids import ReplicaId
 from .integrity import item_checksum
+from .replica import Replica
 from .routing import SyncContext
 from .sync import (
     BatchEntry,
@@ -413,3 +416,24 @@ class EncounterSession:
             transport=self._channel(self.second, self.first),
         ).run()
         return [stats_a, stats_b]
+
+
+@contextmanager
+def monotone_knowledge(*replicas: Replica, during: str) -> Iterator[None]:
+    """Assert that no replica's knowledge regresses across the block.
+
+    Knowledge must be monotone across an encounter no matter what the
+    channel did; a regression means the hardening layer failed, and
+    silently carrying on would poison the run, so it raises
+    :class:`SyncProtocolError`. The snapshots are copy-on-write and
+    ``dominates`` skips what they still share, so the guard costs what
+    the block learned. A block that raises is not checked.
+    """
+    before = [replica.knowledge.copy() for replica in replicas]
+    yield
+    for replica, old in zip(replicas, before):
+        if not replica.knowledge.dominates(old):
+            raise SyncProtocolError(
+                f"version vector of {replica.replica_id.name!r} regressed "
+                f"during {during}"
+            )

@@ -292,8 +292,8 @@ def build_request(
     With a :class:`~repro.replication.digest.DigestConfig`, the request
     opens in digest mode when the negotiation picks it: a Bloom digest is
     sent only when its estimated wire size undercuts the exact vector's
-    (memoised) encoding, so compact contiguous knowledge keeps the exact
-    path and arming digests can only shrink request metadata. Each digest
+    encoding, so compact contiguous knowledge keeps the exact path and
+    arming digests can only shrink request metadata. Each digest
     is built under a fresh per-session salt, which is what makes a false
     positive a one-contact delay instead of a permanent suppression.
     """
@@ -322,12 +322,10 @@ def _negotiate_digest(
     """Build a digest when (estimated) cheaper than exact knowledge."""
     vector = replica.knowledge
     if not config.force:
-        from .codec import knowledge_wire_size
-
         estimate = estimated_digest_wire_size(
             vector.size_in_versions(), config.fp_rate
         )
-        if estimate >= knowledge_wire_size(vector):
+        if estimate >= vector.wire_size():
             return None
     return KnowledgeDigest.build(
         vector, config.fp_rate, replica.next_digest_salt()
@@ -512,9 +510,7 @@ def build_batch(
             matches = request.filter.matches
         stats.candidates = len(unknown)
     else:
-        from .codec import knowledge_wire_size
-
-        stats.metadata_bytes = knowledge_wire_size(request.knowledge)
+        stats.metadata_bytes = request.knowledge.wire_size()
         knowledge = validate_request_knowledge(source, request, stats)
         if use_index:
             unknown = source.replica.items_unknown_to(knowledge)

@@ -18,8 +18,9 @@ target's knowledge is never retransmitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Set, Tuple
+import json
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from repro._compat import DATACLASS_SLOTS
 
@@ -79,11 +80,11 @@ class _Entry:
 
     def dominates(self, other: "_Entry") -> bool:
         """True if every counter in ``other`` is contained in ``self``."""
-        if other.prefix > self.prefix and not all(
-            self.contains(c) for c in range(self.prefix + 1, other.prefix + 1)
-        ):
+        # Canonical form: ``prefix + 1`` is never known, so a longer
+        # prefix on the other side is already a counter-example.
+        if other.prefix > self.prefix:
             return False
-        return all(self.contains(c) for c in other.extras)
+        return not other.extras or all(self.contains(c) for c in other.extras)
 
     def counters(self) -> Iterator[int]:
         """Iterate every known counter (ascending). Use sparingly: O(n)."""
@@ -93,6 +94,26 @@ class _Entry:
     @property
     def is_empty(self) -> bool:
         return self.prefix == 0 and not self.extras
+
+
+def _numbers_cost(entry: _Entry) -> int:
+    """Bytes of ``prefix,extra,...`` in the compact-JSON encoding."""
+    cost = len(str(entry.prefix))
+    if entry.extras:
+        cost += sum(len(str(counter)) + 1 for counter in entry.extras)
+    return cost
+
+
+def _entry_cost(replica: ReplicaId, entry: Optional[_Entry]) -> int:
+    """Bytes ``entry`` occupies in the compact-JSON knowledge encoding.
+
+    One ``"name":[prefix,extra,...],`` member, separator included; empty
+    entries are not encoded. The name is measured the way the codec
+    writes it (JSON-escaped, ASCII-only).
+    """
+    if entry is None or entry.is_empty:
+        return 0
+    return len(json.dumps(replica.name)) + 4 + _numbers_cost(entry)
 
 
 class VersionVector:
@@ -109,19 +130,20 @@ class VersionVector:
     table is safe; a sync request's knowledge snapshot therefore costs
     nothing unless the replica learns something mid-session.
 
-    ``_wire_size`` memoises the vector's encoded size (written by
-    :func:`repro.replication.codec.knowledge_wire_size`, the same pattern
-    as the per-item wire-size memo). Snapshots inherit it — they share
-    the entry table, so they share the size — and every mutating path
-    clears it on the side that actually wrote.
+    ``_cost`` is the running sum of :func:`_entry_cost` over the table,
+    adjusted by :meth:`_write` — the one place an entry is stored — so
+    :meth:`wire_size` is a read at every sync instead of an encoding.
     """
 
-    __slots__ = ("_entries", "_shared", "_wire_size")
+    __slots__ = ("_entries", "_shared", "_cost")
 
     def __init__(self, entries: Mapping[ReplicaId, _Entry] | None = None) -> None:
         self._entries: Dict[ReplicaId, _Entry] = dict(entries or {})
         self._shared = False
-        self._wire_size: "int | None" = None
+        self._cost = sum(
+            _entry_cost(replica, entry)
+            for replica, entry in self._entries.items()
+        )
 
     # -- construction helpers -------------------------------------------------
 
@@ -141,15 +163,21 @@ class VersionVector:
         snapshot = VersionVector.__new__(VersionVector)
         snapshot._entries = self._entries
         snapshot._shared = True
-        snapshot._wire_size = self._wire_size
+        snapshot._cost = self._cost
         self._shared = True
         return snapshot
 
-    def _detach(self) -> None:
-        """Take private ownership of the entry table before a write."""
+    def _write(self, replica: ReplicaId, entry: _Entry) -> None:
+        """Store ``entry``: detach a shared table first, keep the size."""
         if self._shared:
             self._entries = dict(self._entries)
             self._shared = False
+        old = self._entries.get(replica)
+        if old is None or old.is_empty or entry.is_empty:
+            self._cost += _entry_cost(replica, entry) - _entry_cost(replica, old)
+        else:  # the usual write, a member's numbers moving: its key cancels
+            self._cost += _numbers_cost(entry) - _numbers_cost(old)
+        self._entries[replica] = entry
 
     # -- set operations --------------------------------------------------------
 
@@ -165,9 +193,7 @@ class VersionVector:
         entry = self._entries.get(version.replica, _Entry())
         updated = entry.add(version.counter)
         if updated is not entry:
-            self._detach()
-            self._entries[version.replica] = updated
-            self._wire_size = None
+            self._write(version.replica, updated)
 
     def merge(self, other: "VersionVector") -> None:
         """Union ``other`` into this vector (in place)."""
@@ -175,9 +201,7 @@ class VersionVector:
             mine = self._entries.get(replica)
             merged = other_entry if mine is None else mine.merge(other_entry)
             if merged is not mine:
-                self._detach()
-                self._entries[replica] = merged
-                self._wire_size = None
+                self._write(replica, merged)
 
     def merged(self, other: "VersionVector") -> "VersionVector":
         """Return a new vector equal to the union of both operands."""
@@ -201,18 +225,29 @@ class VersionVector:
         ):
             return self
         clamp = self.copy()
-        clamp._detach()
-        clamp._entries[replica] = _Entry.canonical(
-            min(entry.prefix, maximum),
-            (counter for counter in entry.extras if counter <= maximum),
+        clamp._write(
+            replica,
+            _Entry.canonical(
+                min(entry.prefix, maximum),
+                (counter for counter in entry.extras if counter <= maximum),
+            ),
         )
-        clamp._wire_size = None
         return clamp
 
     def dominates(self, other: "VersionVector") -> bool:
-        """True if every version in ``other`` is contained in ``self``."""
+        """True if every version in ``other`` is contained in ``self``.
+
+        A snapshot still sharing this vector's table is dominated by
+        construction, and after a detach the untouched entries are the
+        same objects — so checking a vector against its own earlier
+        snapshot compares only the entries written in between.
+        """
+        if other._entries is self._entries:
+            return True
         for replica, other_entry in other._entries.items():
             mine = self._entries.get(replica)
+            if mine is other_entry:
+                continue
             if mine is None:
                 if not other_entry.is_empty:
                     return False
@@ -255,6 +290,14 @@ class VersionVector:
         number of replicas, not items; the metrics module samples it.
         """
         return len(self._entries)
+
+    def wire_size(self) -> int:
+        """Bytes of this vector's compact-JSON encoding; O(1).
+
+        Always ``codec.wire_size(codec.encode_knowledge(self))``: the two
+        braces plus every member, less the last member's separator.
+        """
+        return max(2, self._cost + 1)
 
     def size_in_extras(self) -> int:
         """Total non-contiguous counters retained (0 when fully compacted)."""

@@ -6,6 +6,9 @@ from repro.dtn import DirectDeliveryPolicy, EpidemicPolicy
 from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
 from repro.emulation.network import Emulator, Injection
 from repro.emulation.node import EmulatedNode
+from repro.replication.errors import SyncProtocolError
+from repro.replication.ids import ReplicaId, Version
+from repro.replication.versions import VersionVector
 
 
 def day_time(day, hour):
@@ -211,3 +214,39 @@ class TestAccounting:
         assert {k: v for k, v in first.items() if v == v} == {
             k: v for k, v in second.items() if v == v
         }
+
+
+class TestKnowledgeGuard:
+    """Both sync sites refuse to carry on past a regressed vector."""
+
+    @staticmethod
+    def emulator_with_a_forgetful_node(monkeypatch):
+        nodes = make_nodes(["a", "b"])
+        forgetful = nodes["a"]
+        # A version nobody stores: the peer cannot sync it back, so
+        # forgetting it mid-encounter stays a regression.
+        forgetful.replica.knowledge.add(Version(ReplicaId("elsewhere"), 3))
+
+        def forget_everything(context):
+            forgetful.replica.knowledge = VersionVector.empty()
+
+        monkeypatch.setattr(
+            forgetful.policy, "on_encounter_start", forget_everything
+        )
+        trace = EncounterTrace([Encounter(day_time(0, 9), "a", "b")])
+        return Emulator(trace, nodes)
+
+    def test_regressed_vector_fails_the_encounter(self, monkeypatch):
+        emulator = self.emulator_with_a_forgetful_node(monkeypatch)
+        with pytest.raises(
+            SyncProtocolError, match="'a' regressed during an encounter"
+        ):
+            emulator.run()
+        assert emulator.metrics.encounters == 0
+
+    def test_regressed_vector_fails_the_handoff(self, monkeypatch):
+        emulator = self.emulator_with_a_forgetful_node(monkeypatch)
+        with pytest.raises(
+            SyncProtocolError, match="'a' regressed during a handoff"
+        ):
+            emulator._run_handoff("a", "b", day_time(0, 8))

@@ -1,5 +1,12 @@
 """Unit tests for identifier types."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.replication.ids import IdFactory, ItemId, ReplicaId, Version
@@ -60,6 +67,68 @@ class TestVersion:
 
     def test_str(self):
         assert str(Version(ReplicaId("n"), 2)) == "n:2"
+
+
+IDS = [
+    ReplicaId("n"),
+    ItemId(ReplicaId("n"), 7),
+    Version(ReplicaId("n"), 2),
+]
+
+
+class TestHashComputedOnce:
+    """The hash is stored at construction; nothing else about the three
+    value types changes."""
+
+    @pytest.mark.parametrize("value", IDS, ids=repr)
+    def test_hash_is_the_generated_field_tuple_hash(self, value):
+        fields = dataclasses.fields(value)
+        assert hash(value) == hash(
+            tuple(getattr(value, field.name) for field in fields)
+        )
+
+    @pytest.mark.parametrize("value", IDS, ids=repr)
+    def test_stored_hash_is_not_a_field(self, value):
+        assert not hasattr(value, "__dict__")  # slotted: the hash is paid for
+        assert "_hash" not in {f.name for f in dataclasses.fields(value)}
+        assert "_hash" not in repr(value)
+        rebuilt = dataclasses.replace(value)
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+
+    @pytest.mark.parametrize("value", IDS, ids=repr)
+    def test_copies_and_pickles_compare_and_hash_equal(self, value):
+        for clone in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert clone == value
+            assert hash(clone) == hash(value)
+            assert {value: 1}[clone] == 1
+
+    def test_pickle_rehashes_in_a_process_with_another_hash_seed(self):
+        """String hashes are per-process: a stored hash must not travel."""
+        script = (
+            "import pickle, sys\n"
+            "values = pickle.loads(sys.stdin.buffer.read())\n"
+            "from repro.replication.ids import ItemId, ReplicaId, Version\n"
+            "fresh = [ReplicaId('n'), ItemId(ReplicaId('n'), 7),"
+            " Version(ReplicaId('n'), 2)]\n"
+            "assert values == fresh\n"
+            "assert [hash(v) for v in values] == [hash(v) for v in fresh]\n"
+        )
+        for seed in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-c", script],
+                input=pickle.dumps(IDS),
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.pathsep.join(sys.path),
+                },
+                check=True,
+                timeout=60,
+            )
 
 
 class TestIdFactory:

@@ -16,7 +16,13 @@ from typing import Optional
 
 import pytest
 
-from repro.replication import Replica, ReplicaId, SyncEndpoint
+from repro.replication import (
+    Replica,
+    ReplicaId,
+    SyncEndpoint,
+    SyncSession,
+    codec,
+)
 from repro.replication.filters import AddressFilter, AllFilter
 from repro.replication.routing import (
     Priority,
@@ -149,6 +155,30 @@ class TestIndexScanBatchEquivalence:
         assert stats.filter_cache_hits == 0
         assert stats.filter_cache_misses == 0
         assert len(source.replica.filter_cache) == 0
+
+
+class TestKnowledgeSizeIsARead:
+    def test_no_knowledge_encoding_across_100_sync_cycles(self, monkeypatch):
+        """``metadata_bytes`` is charged at every sync; sizing the request
+        must read the vector's running total, never encode it."""
+        encode_knowledge = codec.encode_knowledge
+
+        def encoded(vector):
+            raise AssertionError("knowledge was encoded on the sync path")
+
+        monkeypatch.setattr(codec, "encode_knowledge", encoded)
+        left = SyncEndpoint(Replica(ReplicaId("left"), AllFilter()))
+        right = SyncEndpoint(Replica(ReplicaId("right"), AllFilter()))
+        for cycle in range(100):
+            source, target = (left, right) if cycle % 2 else (right, left)
+            source.replica.create_item(payload=cycle, attributes={})
+            expected = codec.wire_size(
+                encode_knowledge(target.replica.knowledge)
+            )
+            stats = SyncSession(source=source, target=target).run()
+            assert stats.sent_total == 1
+            assert stats.metadata_bytes == expected
+        assert left.replica.knowledge == right.replica.knowledge
 
 
 @pytest.mark.skipif(

@@ -4,13 +4,23 @@ These check the DESIGN.md invariants: merge is commutative, associative,
 and idempotent; dominance is a partial order consistent with set
 containment; and the prefix+extras representation never loses or invents
 versions regardless of arrival order.
+
+The last section drives every writing operation in arbitrary interleaving
+and holds the two pieces of per-sync bookkeeping to their definitions:
+the running wire size to a real encoding, and the copy-on-write
+``dominates`` to the entry-by-entry one.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.replication.codec import (
+    encode_knowledge,
+    knowledge_wire_size,
+    wire_size,
+)
 from repro.replication.ids import ReplicaId, Version
-from repro.replication.versions import VersionVector
+from repro.replication.versions import VersionVector, _Entry
 
 replica_names = st.sampled_from(["a", "b", "c", "d"])
 versions = st.builds(
@@ -109,3 +119,85 @@ def test_contiguous_versions_fully_compact(version_list):
     ]
     vector = vector_of(contiguous)
     assert vector.size_in_extras() == 0
+
+
+# -- bookkeeping under interleaved writes -------------------------------------
+
+#: Names whose JSON encoding is longer than the name: escapes and
+#: non-ASCII (the codec writes ASCII-only JSON, so each becomes \uXXXX).
+awkward_replicas = [
+    ReplicaId(name)
+    for name in ("a", 'quo"te', "back\\slash", "tab\there", "ünï", "日本", "\U0001f68c")
+]
+#: Small counters leave gaps that later close and compact; the large ones
+#: cross digit-count boundaries.
+counters = st.integers(min_value=1, max_value=12) | st.sampled_from(
+    [99, 100, 101, 999, 1000]
+)
+slots = st.integers(min_value=0, max_value=1_000)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), slots, st.sampled_from(awkward_replicas), counters),
+        st.tuples(st.just("merge"), slots, slots),
+        st.tuples(st.just("merged"), slots, slots),
+        st.tuples(
+            st.just("clamped"), slots, st.sampled_from(awkward_replicas),
+            st.integers(min_value=0, max_value=12),
+        ),
+        st.tuples(st.just("copy"), slots),
+        st.tuples(st.just("empty-entry"), st.sampled_from(awkward_replicas)),
+    ),
+    max_size=40,
+)
+
+
+def reference_dominates(left: VersionVector, right: VersionVector) -> bool:
+    """``dominates`` as first written: every entry, counter by counter."""
+    for replica, theirs in right._entries.items():
+        mine = left._entries.get(replica)
+        if mine is None:
+            if not theirs.is_empty:
+                return False
+            continue
+        if not all(
+            mine.contains(counter)
+            for counter in range(mine.prefix + 1, theirs.prefix + 1)
+        ):
+            return False
+        if not all(mine.contains(counter) for counter in theirs.extras):
+            return False
+    return True
+
+
+@given(operations)
+@settings(max_examples=300)
+def test_bookkeeping_matches_its_definition_under_any_interleaving(ops):
+    live = [VersionVector.empty()]
+    for op, *operands in ops:
+        if op == "add":
+            slot, replica, counter = operands
+            live[slot % len(live)].add(Version(replica, counter))
+        elif op == "merge":
+            into, other = operands
+            live[into % len(live)].merge(live[other % len(live)])
+        elif op == "merged":
+            left, right = operands
+            live.append(
+                live[left % len(live)].merged(live[right % len(live)])
+            )
+        elif op == "clamped":
+            slot, replica, maximum = operands
+            live.append(live[slot % len(live)].clamped(replica, maximum))
+        elif op == "copy":
+            (slot,) = operands
+            live.append(live[slot % len(live)].copy())
+        else:
+            (replica,) = operands
+            live.append(VersionVector({replica: _Entry()}))
+        for vector in live:
+            assert knowledge_wire_size(vector) == wire_size(
+                encode_knowledge(vector)
+            )
+    for left in live:
+        for right in live:
+            assert left.dominates(right) == reference_dominates(left, right)
