@@ -1,12 +1,13 @@
-"""Framed connections over asyncio streams, with health-driven redial.
+"""Framed connections on an asyncio transport, with health-driven redial.
 
-One :class:`PeerConnection` wraps an asyncio reader/writer pair in the
-:mod:`repro.net.framing` codec: ``send`` writes one frame, ``receive``
-returns the next decoded message, applying a per-read timeout so a stalled
-peer cannot wedge the process. EOF raises :class:`ConnectionClosed`, whose
-``mid_frame`` flag distinguishes a clean close from a connection cut
-mid-frame — the live analogue of the truncation fault, and what the parity
-tests lean on.
+One :class:`PeerConnection` is an :class:`asyncio.Protocol` speaking the
+:mod:`repro.net.framing` codec: ``data_received`` feeds the decoder and
+wakes the one waiting ``receive``, whose per-read timeout (one timer
+handle, so a stalled peer cannot wedge the process) is cancelled on
+arrival; ``send`` writes one frame and waits only while the transport is
+backed up. EOF raises :class:`ConnectionClosed`, whose ``mid_frame`` flag
+distinguishes a clean close from a connection cut mid-frame — the live
+analogue of the truncation fault, and what the parity tests lean on.
 
 Addresses are strings — ``unix:/path/to.sock`` or ``tcp:host:port`` — so
 the CLI, config files, and wire messages all name endpoints the same way.
@@ -23,14 +24,13 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, Optional, Tuple
+from collections import deque
+from functools import partial
+from typing import Any, Awaitable, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.replication.peer_health import PeerHealthTracker
 
 from .framing import FrameDecoder, encode_frame
-
-#: How much to ask the socket for per read; frames span reads freely.
-READ_CHUNK = 65536
 
 #: Default per-receive timeout (seconds). Generous — control directives
 #: can legitimately take a while when the peer is mid-encounter.
@@ -79,65 +79,101 @@ def format_address(scheme: str, operand: Any) -> str:
     raise ValueError(f"unsupported scheme {scheme!r}")
 
 
-class PeerConnection:
-    """One framed, timeout-guarded connection to a peer process."""
+def _settle(future: Optional[asyncio.Future], error=None) -> None:
+    """Wake whoever parked on ``future``; stale (done) ones are skipped."""
+    if future is not None and not future.done():
+        if error is None:
+            future.set_result(None)
+        else:
+            future.set_exception(error)
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        read_timeout: float = DEFAULT_READ_TIMEOUT,
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
+
+class PeerConnection(asyncio.Protocol):
+    """One framed, timeout-guarded connection to a peer process.
+
+    Built only by :func:`open_connection` and :func:`listen` (``accepted``
+    is its per-accept hook). One task receives and one sends at a time.
+    """
+
+    def __init__(self, read_timeout: float, accepted=None) -> None:
         self.read_timeout = read_timeout
-        self._decoder = FrameDecoder()
-        self._inbox: list = []
+        self._accepted = accepted
+        #: The framing decoder (its counters are diagnostics).
+        self.decoder = FrameDecoder()
+        self._inbox: Deque[Dict[str, Any]] = deque()
+        self._loop = asyncio.get_running_loop()
+        self._transport: Optional[asyncio.Transport] = None
+        self._lost = self._loop.create_future()
+        self._receiver: Optional[asyncio.Future] = None
+        self._paused = False
+        self._sender: Optional[asyncio.Future] = None
 
-    @property
-    def decoder(self) -> FrameDecoder:
-        """The framing decoder (its counters are diagnostics)."""
-        return self._decoder
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        if self._accepted is not None:
+            self._accepted(self)
+
+    def data_received(self, data: bytes) -> None:
+        messages = self.decoder.feed(data)
+        if messages:
+            self._inbox.extend(messages)
+            _settle(self._receiver)
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        _settle(self._sender)
+
+    def connection_lost(self, error: Optional[Exception]) -> None:
+        _settle(self._lost)
+        _settle(self._receiver, self._closed())
+        _settle(self._sender, self._closed())
+
+    def _expire(self, timeout: float) -> None:
+        error = asyncio.TimeoutError(f"no frame within {timeout:.1f}s")
+        _settle(self._receiver, error)
+
+    def _closed(self) -> ConnectionClosed:
+        return ConnectionClosed(
+            "peer closed the connection", mid_frame=self.decoder.pending > 0
+        )
 
     async def send(self, message: Dict[str, Any]) -> None:
-        self.writer.write(encode_frame(message))
-        await self.writer.drain()
+        """Write one frame; waits only while the transport is backed up."""
+        if self._lost.done():
+            raise self._closed()
+        self._transport.write(encode_frame(message))
+        if self._paused:
+            self._sender = self._loop.create_future()
+            await self._sender
 
-    async def receive(
-        self, timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
+    async def receive(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Return the next message, waiting at most ``timeout`` seconds.
 
         Raises :class:`asyncio.TimeoutError` on expiry and
         :class:`ConnectionClosed` on EOF (``mid_frame`` set when the
         stream died inside a frame).
         """
-        if timeout is None:
-            timeout = self.read_timeout
-        deadline = time.monotonic() + timeout
-        while not self._inbox:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise asyncio.TimeoutError(
-                    f"no frame within {timeout:.1f}s"
-                )
-            data = await asyncio.wait_for(
-                self.reader.read(READ_CHUNK), timeout=remaining
+        if not self._inbox:
+            if self._lost.done():
+                raise self._closed()
+            if timeout is None:
+                timeout = self.read_timeout
+            self._receiver = self._loop.create_future()
+            timer = self._loop.call_at(
+                self._loop.time() + timeout, self._expire, timeout
             )
-            if not data:
-                raise ConnectionClosed(
-                    "peer closed the connection",
-                    mid_frame=self._decoder.pending > 0,
-                )
-            self._inbox.extend(self._decoder.feed(data))
-        return self._inbox.pop(0)
+            try:
+                await self._receiver
+            finally:
+                timer.cancel()
+        return self._inbox.popleft()
 
     async def close(self) -> None:
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self._transport.close()
+        await self._lost
 
 
 async def open_connection(
@@ -145,12 +181,46 @@ async def open_connection(
 ) -> PeerConnection:
     """Dial ``address`` once; raises ``OSError`` on failure."""
     scheme, operand = parse_address(address)
+    loop = asyncio.get_running_loop()
+    factory = partial(PeerConnection, read_timeout)
     if scheme == "unix":
-        reader, writer = await asyncio.open_unix_connection(operand)
+        _, connection = await loop.create_unix_connection(factory, operand)
     else:
-        host, port = operand
-        reader, writer = await asyncio.open_connection(host, port)
-    return PeerConnection(reader, writer, read_timeout=read_timeout)
+        _, connection = await loop.create_connection(factory, *operand)
+    return connection
+
+
+async def listen(
+    address: str,
+    handler: Callable[[PeerConnection], Awaitable[None]],
+    read_timeout: float = DEFAULT_READ_TIMEOUT,
+) -> asyncio.AbstractServer:
+    """Bind ``address``; run ``handler(connection)`` in a task per accept.
+
+    The connection is closed when the handler returns; a link that dies
+    under the handler ends it quietly.
+    """
+    scheme, operand = parse_address(address)
+    loop = asyncio.get_running_loop()
+    tasks: Set[asyncio.Task] = set()  # the loop holds tasks only weakly
+
+    async def serve(connection: PeerConnection) -> None:
+        try:
+            await handler(connection)
+        except (ConnectionError, asyncio.TimeoutError):
+            pass
+        finally:
+            await connection.close()
+
+    def accepted(connection: PeerConnection) -> None:
+        task = loop.create_task(serve(connection))
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    factory = partial(PeerConnection, read_timeout, accepted)
+    if scheme == "unix":
+        return await loop.create_unix_server(factory, operand)
+    return await loop.create_server(factory, *operand)
 
 
 class ReconnectDialer:

@@ -32,6 +32,11 @@ HEADER_SIZE = len(MAGIC) + 4
 #: few MB; anything claiming more is a corrupt or hostile length field.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+_LENGTH = struct.Struct(">I")
+# Built once: ``json.dumps`` with arguments builds a ``JSONEncoder`` per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_decode = json.JSONDecoder().decode
+
 
 class FramingError(ValueError):
     """A message that cannot be framed (not JSON-encodable, or oversized)."""
@@ -49,9 +54,7 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
             f"wire messages are JSON objects, got {type(message).__name__}"
         )
     try:
-        payload = json.dumps(
-            message, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        payload = _encode(message).encode("utf-8")
     except (TypeError, ValueError) as error:
         raise FramingError(f"message is not JSON-encodable: {error}") from error
     if len(payload) > MAX_FRAME_BYTES:
@@ -59,13 +62,13 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
             f"frame payload of {len(payload)} bytes exceeds "
             f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
         )
-    return MAGIC + struct.pack(">I", len(payload)) + payload
+    return b"".join((MAGIC, _LENGTH.pack(len(payload)), payload))
 
 
-def _magic_prefix_overlap(buffer: bytes) -> int:
-    """Longest tail of ``buffer`` that is a proper prefix of MAGIC."""
-    for size in range(min(len(buffer), len(MAGIC) - 1), 0, -1):
-        if buffer[-size:] == MAGIC[:size]:
+def _magic_prefix_overlap(tail: bytes) -> int:
+    """Longest suffix of ``tail`` that is a proper prefix of MAGIC."""
+    for size in range(min(len(tail), len(MAGIC) - 1), 0, -1):
+        if tail[-size:] == MAGIC[:size]:
             return size
     return 0
 
@@ -97,56 +100,55 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
         """Consume ``data``; return every message it completes."""
-        self._buffer.extend(data)
+        # Frames are parsed where they lie (in ``data`` itself when nothing
+        # is buffered, the usual case); only an unterminated tail is kept.
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
         messages: List[Dict[str, Any]] = []
-        while True:
-            if not self._resync():
-                break
-            if len(self._buffer) < HEADER_SIZE:
-                break
-            (length,) = struct.unpack_from(">I", self._buffer, len(MAGIC))
-            if length > MAX_FRAME_BYTES:
-                # A hostile/corrupt length field. Skip one byte and rescan:
-                # a real frame boundary inside what looked like a header
-                # (the magic can legitimately appear in payload bytes that
-                # were torn from their own frame) is found, not lost.
-                del self._buffer[:1]
-                self.junk_bytes += 1
-                self.resyncs += 1
-                continue
-            if len(self._buffer) < HEADER_SIZE + length:
-                break
-            payload = bytes(self._buffer[HEADER_SIZE:HEADER_SIZE + length])
-            del self._buffer[:HEADER_SIZE + length]
-            try:
-                message = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self.corrupt_frames += 1
-                continue
-            if not isinstance(message, dict):
-                self.corrupt_frames += 1
-                continue
-            messages.append(message)
+        start, end = 0, len(data)
+        with memoryview(data) as view:
+            while True:
+                index = data.find(MAGIC, start)
+                if index < 0:
+                    # No magic in sight: keep only the longest tail that
+                    # could still grow into one, so a magic split across
+                    # two reads is never thrown away.
+                    index = end - _magic_prefix_overlap(
+                        data[max(start, end - len(MAGIC) + 1):]
+                    )
+                if index != start:
+                    self.junk_bytes += index - start
+                    self.resyncs += 1
+                    start = index
+                body = start + HEADER_SIZE
+                if end < body:
+                    break
+                (length,) = _LENGTH.unpack_from(data, start + len(MAGIC))
+                if length > MAX_FRAME_BYTES:
+                    # A hostile/corrupt length field. Skip one byte and
+                    # rescan: a real frame boundary inside what looked like
+                    # a header (the magic can legitimately appear in payload
+                    # bytes that were torn from their own frame) is found,
+                    # not lost.
+                    start += 1
+                    self.junk_bytes += 1
+                    self.resyncs += 1
+                    continue
+                if end < body + length:
+                    break
+                start = body + length
+                try:
+                    message = _decode(str(view[body:start], "utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+                    message = None
+                if isinstance(message, dict):
+                    messages.append(message)
+                else:
+                    self.corrupt_frames += 1
+        if data is buffer:
+            del buffer[:start]
+        else:
+            buffer += data[start:]
         return messages
-
-    def _resync(self) -> bool:
-        """Align the buffer on the next magic; False if none is in sight.
-
-        Keeps the longest buffered tail that could still grow into a
-        magic, so a magic split across two reads is never thrown away.
-        """
-        index = self._buffer.find(MAGIC)
-        if index == 0:
-            return True
-        if index > 0:
-            self.junk_bytes += index
-            self.resyncs += 1
-            del self._buffer[:index]
-            return True
-        keep = _magic_prefix_overlap(bytes(self._buffer))
-        dropped = len(self._buffer) - keep
-        if dropped:
-            self.junk_bytes += dropped
-            self.resyncs += 1
-            del self._buffer[:dropped]
-        return False

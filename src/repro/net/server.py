@@ -69,6 +69,7 @@ from .connection import (
     DEFAULT_READ_TIMEOUT,
     ConnectionClosed,
     PeerConnection,
+    listen,
     open_connection,
     parse_address,
 )
@@ -123,6 +124,10 @@ class ServeConfig:
             read_timeout=data.get("read_timeout", DEFAULT_READ_TIMEOUT),
             amnesiac=bool(data.get("amnesiac", False)),
         )
+
+
+def _error_reply(error: Exception) -> Dict[str, Any]:
+    return {"type": "error", "error": f"{type(error).__name__}: {error}"}
 
 
 class _EvictionCounter(BaseReplicaObserver):
@@ -249,16 +254,9 @@ class NodeServer:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        scheme, operand = parse_address(self.config.listen)
-        if scheme == "unix":
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=operand
-            )
-        else:
-            host, port = operand
-            self._server = await asyncio.start_server(
-                self._on_connection, host, port
-            )
+        self._server = await listen(
+            self.config.listen, self._on_connection, self.config.read_timeout
+        )
         self._stopped = asyncio.Event()
 
     async def serve_forever(self) -> None:
@@ -287,31 +285,16 @@ class NodeServer:
 
     # -- connection handling --------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = PeerConnection(
-            reader, writer, read_timeout=self.config.read_timeout
-        )
-        try:
-            hello = await connection.receive()
-            if hello.get("type") != "hello":
-                await connection.send(
-                    {"type": "error", "error": "expected hello"}
-                )
-                return
-            await connection.send(
-                {
-                    "type": "hello",
-                    "node": self.name,
-                    "protocol": PROTOCOL_VERSION,
-                }
-            )
-            await self._serve_connection(connection)
-        except (ConnectionClosed, asyncio.TimeoutError, ConnectionError):
-            pass
-        finally:
-            await connection.close()
+    async def _on_connection(self, connection: PeerConnection) -> None:
+        hello = await connection.receive()
+        if hello.get("type") != "hello":
+            await connection.send({"type": "error", "error": "expected hello"})
+            return
+        await connection.send(self._hello())
+        await self._serve_connection(connection)
+
+    def _hello(self) -> Dict[str, Any]:
+        return {"type": "hello", "node": self.name, "protocol": PROTOCOL_VERSION}
 
     async def _serve_connection(self, connection: PeerConnection) -> None:
         while True:
@@ -319,8 +302,6 @@ class NodeServer:
                 message = await connection.receive()
             except asyncio.TimeoutError:
                 continue  # idle control channel; keep listening
-            except ConnectionClosed:
-                return
             kind = message.get("type")
             try:
                 if kind == "encounter-open":
@@ -333,28 +314,20 @@ class NodeServer:
                         {"type": "shutdown-ok", "checkpoint": checkpoint}
                     )
                     return
+                elif kind == "encounter":
+                    await connection.send(await self._handle_encounter(message))
                 else:
-                    reply = self._handle_directive(kind, message)
-                    if reply is None:
-                        reply = await self._handle_async_directive(
-                            kind, message
-                        )
-                    await connection.send(reply)
+                    await connection.send(self._handle_directive(kind, message))
             except (ConnectionClosed, asyncio.TimeoutError):
                 raise
             except Exception as error:  # report, don't die mid-swarm
-                await connection.send(
-                    {
-                        "type": "error",
-                        "error": f"{type(error).__name__}: {error}",
-                    }
-                )
+                await connection.send(_error_reply(error))
 
     # -- control directives ---------------------------------------------------
 
     def _handle_directive(
         self, kind: Optional[str], message: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
+    ) -> Dict[str, Any]:
         if kind == "status":
             return {"type": "status-ok", "document": self.status_document()}
         if kind == "assign":
@@ -406,24 +379,25 @@ class NodeServer:
                 ),
                 "evictions": self._evictions.count,
             }
-        return None
+        return {"type": "error", "error": f"unknown directive {kind!r}"}
 
-    async def _handle_async_directive(
-        self, kind: Optional[str], message: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if kind == "encounter":
+    async def _handle_encounter(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        try:
             stats, deliveries = await self._coordinate_encounter(
                 peer=message["peer"],
                 address=message["address"],
                 time=float(message.get("time", self.sim_now)),
                 budget=message.get("budget"),
             )
-            return {
-                "type": "encounter-ok",
-                "syncs": [record.to_dict() for record in stats],
-                "deliveries": deliveries,
-            }
-        return {"type": "error", "error": f"unknown directive {kind!r}"}
+        except (ConnectionError, asyncio.TimeoutError) as error:
+            # The *dialed* link closed or stalled; the control channel is
+            # fine, and its own failures are ``_serve_connection``'s to raise.
+            return _error_reply(error)
+        return {
+            "type": "encounter-ok",
+            "syncs": [record.to_dict() for record in stats],
+            "deliveries": deliveries,
+        }
 
     def status_document(self) -> Dict[str, Any]:
         experiment = self.config.experiment
@@ -469,13 +443,7 @@ class NodeServer:
                 address, read_timeout=self.config.read_timeout
             )
             try:
-                await connection.send(
-                    {
-                        "type": "hello",
-                        "node": self.name,
-                        "protocol": PROTOCOL_VERSION,
-                    }
-                )
+                await connection.send(self._hello())
                 hello = await connection.receive()
                 if hello.get("type") != "hello" or hello.get("node") != peer:
                     raise SyncProtocolError(

@@ -314,11 +314,11 @@ class _Swarm:
         for node in self.nodes.values():
             if node.process is None:
                 continue
-            try:
-                await asyncio.wait_for(node.process.wait(), timeout=10.0)
-            except asyncio.TimeoutError:
+            exiting = asyncio.ensure_future(node.process.wait())
+            exited, _ = await asyncio.wait({exiting}, timeout=10.0)
+            if not exited:
                 node.process.kill()
-                await node.process.wait()
+            await exiting
             node.process = None
         return checkpoints
 

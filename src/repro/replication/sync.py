@@ -232,20 +232,17 @@ class SyncStats:
 
         The live transport runs the source and target halves of a sync in
         different OS processes; the source's counters travel to the
-        session coordinator in this form and are merged there.
-        ``from_dict`` reconstructs an equal record.
+        session coordinator in this form and are merged there: endpoints,
+        every counter (always present) and the violations.
+        ``delivered_items`` stays process-local — the batch frame already
+        carried the items one way, and nothing reads them on the way back.
         """
-        from .codec import encode_item
-
         data: Dict[str, Any] = {
             "source": self.source.name,
             "target": self.target.name,
         }
         for name in self._COUNTER_FIELDS:
             data[name] = getattr(self, name)
-        data["delivered_items"] = [
-            encode_item(item) for item in self.delivered_items
-        ]
         data["violations"] = [
             {
                 "kind": violation.kind,
@@ -259,17 +256,12 @@ class SyncStats:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SyncStats":
-        from .codec import decode_item
-
         stats = cls(
             source=ReplicaId(data["source"]), target=ReplicaId(data["target"])
         )
         for name in cls._COUNTER_FIELDS:
             if name in data:
                 setattr(stats, name, data[name])
-        stats.delivered_items = [
-            decode_item(encoded) for encoded in data.get("delivered_items", [])
-        ]
         stats.violations = [
             ProtocolViolation(
                 kind=violation["kind"],

@@ -1,9 +1,10 @@
 """Integration tests for framed connections over real unix sockets.
 
 Everything here runs an actual asyncio server in-process and talks to it
-through the kernel's socket layer — no mocked streams — so partial
+through the kernel's socket layer — no mocked transports — so partial
 writes, torn frames, and connection cuts exercise the same code paths a
-live swarm does.
+live swarm does. Framed peers come from ``listen``; a peer that must
+misbehave below the framing (dribble, junk, a cut) is a raw stream server.
 """
 
 import asyncio
@@ -17,6 +18,7 @@ from repro.net.connection import (
     PeerConnection,
     ReconnectDialer,
     format_address,
+    listen,
     open_connection,
     parse_address,
 )
@@ -42,8 +44,24 @@ def test_format_address_round_trips():
         assert format_address(*parse_address(address)) == address
 
 
+async def _ignore(connection):
+    pass
+
+
 def _socket_path(directory):
     return f"unix:{pathlib.Path(directory) / 'peer.sock'}"
+
+
+async def _raw_server(address, handler):
+    """A stream server writing raw bytes: the peer PeerConnection faces."""
+    return await asyncio.start_unix_server(
+        handler, path=parse_address(address)[1]
+    )
+
+
+async def _closed(server):
+    server.close()
+    await server.wait_closed()
 
 
 def test_send_receive_over_unix_socket():
@@ -51,21 +69,16 @@ def test_send_receive_over_unix_socket():
         with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
             address = _socket_path(tmp)
 
-            async def echo(reader, writer):
-                connection = PeerConnection(reader, writer)
+            async def echo(connection):
                 message = await connection.receive()
                 await connection.send({"echo": message})
-                await connection.close()
 
-            server = await asyncio.start_unix_server(
-                echo, path=parse_address(address)[1]
-            )
+            server = await listen(address, echo)
             client = await open_connection(address)
             await client.send({"type": "ping", "n": 1})
             reply = await client.receive()
             await client.close()
-            server.close()
-            await server.wait_closed()
+            await _closed(server)
             return reply
 
     assert asyncio.run(scenario()) == {"echo": {"type": "ping", "n": 1}}
@@ -87,14 +100,11 @@ def test_frame_split_across_writes_reassembles():
                     await asyncio.sleep(0)
                 writer.close()
 
-            server = await asyncio.start_unix_server(
-                dribble, path=parse_address(address)[1]
-            )
+            server = await _raw_server(address, dribble)
             client = await open_connection(address)
             message = await client.receive()
             await client.close()
-            server.close()
-            await server.wait_closed()
+            await _closed(server)
             return message == payload
 
     assert asyncio.run(scenario())
@@ -110,15 +120,12 @@ def test_junk_on_wire_then_frame():
                 await writer.drain()
                 writer.close()
 
-            server = await asyncio.start_unix_server(
-                noisy, path=parse_address(address)[1]
-            )
+            server = await _raw_server(address, noisy)
             client = await open_connection(address)
             message = await client.receive()
             junk = client.decoder.junk_bytes
             await client.close()
-            server.close()
-            await server.wait_closed()
+            await _closed(server)
             return message, junk
 
     message, junk = asyncio.run(scenario())
@@ -139,9 +146,7 @@ def test_connection_cut_mid_frame_flags_interruption():
                 await writer.drain()
                 writer.close()  # crash mid-transfer
 
-            server = await asyncio.start_unix_server(
-                cut, path=parse_address(address)[1]
-            )
+            server = await _raw_server(address, cut)
             client = await open_connection(address)
             try:
                 await client.receive()
@@ -149,8 +154,7 @@ def test_connection_cut_mid_frame_flags_interruption():
                 return error.mid_frame
             finally:
                 await client.close()
-                server.close()
-                await server.wait_closed()
+                await _closed(server)
             return None
 
     assert asyncio.run(scenario()) is True
@@ -161,24 +165,22 @@ def test_clean_close_is_not_mid_frame():
         with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
             address = _socket_path(tmp)
 
-            async def close_cleanly(reader, writer):
-                writer.write(encode_frame({"bye": 1}))
-                await writer.drain()
-                writer.close()
+            async def close_cleanly(connection):
+                await connection.send({"bye": 1})
 
-            server = await asyncio.start_unix_server(
-                close_cleanly, path=parse_address(address)[1]
-            )
+            server = await listen(address, close_cleanly)
             client = await open_connection(address)
             first = await client.receive()
             try:
                 await client.receive()
             except ConnectionClosed as error:
+                # The link is gone for writes too, not silently dropped.
+                with pytest.raises(ConnectionClosed):
+                    await client.send({"late": 1})
                 return first, error.mid_frame
             finally:
                 await client.close()
-                server.close()
-                await server.wait_closed()
+                await _closed(server)
             return first, None
 
     first, mid_frame = asyncio.run(scenario())
@@ -190,25 +192,91 @@ def test_receive_timeout():
     async def scenario():
         with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
             address = _socket_path(tmp)
+            release = asyncio.Event()
 
-            async def silent(reader, writer):
-                await asyncio.sleep(5)
+            async def silent(connection):
+                await release.wait()
 
-            server = await asyncio.start_unix_server(
-                silent, path=parse_address(address)[1]
-            )
+            server = await listen(address, silent)
             client = await open_connection(address, read_timeout=0.05)
             try:
                 await client.receive()
             except asyncio.TimeoutError:
+                # The timer is per receive(): the link itself still works.
+                with pytest.raises(asyncio.TimeoutError):
+                    await client.receive(timeout=0.01)
                 return True
             finally:
+                release.set()
                 await client.close()
-                server.close()
-                await server.wait_closed()
+                await _closed(server)
             return False
 
     assert asyncio.run(scenario())
+
+
+def test_large_frame_to_a_sleeping_reader_takes_the_pause_path(monkeypatch):
+    """A multi-megabyte frame outruns the socket buffer: ``send`` must
+    park on ``pause_writing`` and the frame must still arrive whole."""
+    pauses = []
+    pause_writing = PeerConnection.pause_writing
+
+    def counting(connection):
+        pauses.append(connection)
+        pause_writing(connection)
+
+    monkeypatch.setattr(PeerConnection, "pause_writing", counting)
+    big = {"type": "sync-batch", "blob": "x" * (4 * 1024 * 1024)}
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
+            address = _socket_path(tmp)
+            received = asyncio.get_running_loop().create_future()
+
+            async def sleepy(connection):
+                await asyncio.sleep(0.1)
+                received.set_result(await connection.receive())
+
+            server = await listen(address, sleepy)
+            client = await open_connection(address)
+            await client.send(big)
+            message = await asyncio.wait_for(received, timeout=10.0)
+            await client.close()
+            await _closed(server)
+            return message, client
+
+    message, client = asyncio.run(scenario())
+    assert message == big
+    assert pauses == [client]
+
+
+def test_two_frames_in_one_read_need_no_second_wait():
+    """Frames that land in one ``data_received`` are handed out in order,
+    the second without touching the loop again."""
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
+            address = _socket_path(tmp)
+
+            async def burst(reader, writer):
+                writer.write(encode_frame({"n": 1}) + encode_frame({"n": 2}))
+                await writer.drain()
+                await reader.read()  # hold the link open until the client goes
+                writer.close()
+
+            server = await _raw_server(address, burst)
+            client = await open_connection(address)
+            first = await client.receive()
+            # Stepped by hand: the second receive() must finish without
+            # ever suspending, i.e. without a future, a timer or a read.
+            with pytest.raises(StopIteration) as finished:
+                client.receive().send(None)
+            second = finished.value.value
+            await client.close()
+            await _closed(server)
+            return first, second
+
+    assert asyncio.run(scenario()) == ({"n": 1}, {"n": 2})
 
 
 def test_reconnect_dialer_reaches_late_server():
@@ -222,17 +290,14 @@ def test_reconnect_dialer_reaches_late_server():
 
             async def start_late():
                 await asyncio.sleep(0.15)
-                holder["server"] = await asyncio.start_unix_server(
-                    lambda r, w: None, path=parse_address(address)[1]
-                )
+                holder["server"] = await listen(address, _ignore)
 
             starter = asyncio.ensure_future(start_late())
             dialer = ReconnectDialer(max_attempts=100)
             connection = await dialer.dial("peer", address)
             await connection.close()
             await starter
-            holder["server"].close()
-            await holder["server"].wait_closed()
+            await _closed(holder["server"])
             return dialer.redials, dialer.attempts
 
     redials, attempts = asyncio.run(scenario())

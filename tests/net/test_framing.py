@@ -10,6 +10,8 @@ bytes arrives, and nothing after the cut may be invented).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.framing import (
     HEADER_SIZE,
@@ -132,3 +134,107 @@ def test_encode_rejects_oversized():
 
 def test_encoding_is_canonical():
     assert encode_frame({"b": 1, "a": 2}) == encode_frame({"a": 2, "b": 1})
+
+
+def test_pathologically_nested_payload_is_corrupt_not_fatal():
+    """A frame the JSON scanner cannot recurse through is dropped, typed."""
+    payload = b"[" * 200_000
+    frame = MAGIC + len(payload).to_bytes(4, "big") + payload
+    decoder = FrameDecoder()
+    assert decoder.feed(frame + encode_frame(MESSAGES[0])) == [MESSAGES[0]]
+    assert decoder.corrupt_frames == 1
+
+
+# -- fuzz ---------------------------------------------------------------------
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+_messages = st.dictionaries(st.text(max_size=6), _json_values, max_size=4)
+
+_NOT_R = [value for value in range(256) if value != MAGIC[0]]
+#: Junk that can neither contain nor begin a magic (no ``R`` at all) ...
+_noise = st.lists(st.sampled_from(_NOT_R), min_size=1, max_size=40).map(bytes)
+#: ... and the junk that does: a magic whose length field is hostile.
+_bogus_header = st.tuples(
+    st.integers(2, 255).filter(lambda value: value != MAGIC[0]),
+    st.lists(st.sampled_from(_NOT_R), min_size=3, max_size=3),
+).map(lambda pair: MAGIC + bytes([pair[0], *pair[1]]))
+
+
+def _feed_piecewise(decoder, stream, cuts):
+    out = []
+    edges = [0, *sorted(cuts), len(stream)]
+    for low, high in zip(edges, edges[1:]):
+        out.extend(decoder.feed(stream[low:high]))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(_messages, _noise, _bogus_header), max_size=8
+    ),
+    st.data(),
+)
+def test_fuzz_intact_frames_survive_junk_cuts_and_truncation(elements, data):
+    """Frames interleaved with junk, the stream cut short anywhere and fed
+    in arbitrary pieces: exactly the frames that arrived whole come out,
+    in order; every other byte is counted as junk or left pending."""
+    pieces = [
+        encode_frame(element) if isinstance(element, dict) else element
+        for element in elements
+    ]
+    stream = b"".join(pieces)
+    cut = data.draw(st.integers(0, len(stream)), label="cut")
+    cuts = data.draw(st.lists(st.integers(0, cut), max_size=10), label="feeds")
+
+    expected, delivered_bytes, tail, position = [], 0, 0, 0
+    for element, piece in zip(elements, pieces):
+        end = position + len(piece)
+        if isinstance(element, dict) and end <= cut:
+            expected.append(element)
+            delivered_bytes += len(piece)
+        elif position < cut < end and piece.startswith(MAGIC):
+            tail = cut - position  # a torn frame, or a torn bogus header
+        position = end
+
+    decoder = FrameDecoder()
+    assert _feed_piecewise(decoder, stream[:cut], cuts) == expected
+    assert decoder.pending == tail
+    assert decoder.corrupt_frames == 0
+    assert decoder.junk_bytes == cut - delivered_bytes - tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.binary(max_size=30),
+            st.just(MAGIC),
+            st.integers(0, 40).map(lambda n: n.to_bytes(4, "big")),
+            _messages.map(encode_frame),
+        ),
+        max_size=10,
+    ).map(b"".join),
+    st.data(),
+)
+def test_fuzz_segmentation_never_changes_the_outcome(stream, data):
+    """Truly arbitrary bytes — accidental magics, small bogus lengths that
+    swallow what follows: nothing is raised, every byte is accounted for,
+    and how the stream was split changes nothing."""
+    cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=10))
+    whole, pieced = FrameDecoder(), FrameDecoder()
+    messages = whole.feed(stream)
+    assert _feed_piecewise(pieced, stream, cuts) == messages
+    assert all(isinstance(message, dict) for message in messages)
+    for name in ("pending", "junk_bytes", "corrupt_frames"):
+        assert getattr(pieced, name) == getattr(whole, name), name
+    assert whole.pending + whole.junk_bytes <= len(stream)

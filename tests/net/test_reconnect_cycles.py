@@ -13,11 +13,7 @@ import tempfile
 
 import pytest
 
-from repro.net.connection import (
-    PeerConnection,
-    ReconnectDialer,
-    parse_address,
-)
+from repro.net.connection import ReconnectDialer, listen
 from repro.replication.peer_health import PeerHealthTracker
 
 
@@ -29,22 +25,16 @@ class CrashRestartServer:
         self.server = None
         self.accepted = 0
 
-    async def _handle(self, reader, writer):
+    async def _handle(self, connection):
         self.accepted += 1
-        connection = PeerConnection(reader, writer)
-        try:
-            message = await connection.receive()
-            await connection.send({"echo": message})
-        finally:
-            await connection.close()
+        message = await connection.receive()
+        await connection.send({"echo": message})
 
     async def start(self):
         # A respawned process rebinds the same path; stale socket files
         # from the crashed incarnation must not block it.
         pathlib.Path(self.path).unlink(missing_ok=True)
-        self.server = await asyncio.start_unix_server(
-            self._handle, path=self.path
-        )
+        self.server = await listen(f"unix:{self.path}", self._handle)
 
     async def crash(self):
         """Die abruptly: stop accepting and leave the socket file behind."""

@@ -3,7 +3,10 @@
 The ``status`` directive is asked of a real ``python -m repro serve``
 process over its unix socket; the per-encounter knowledge guard is
 exercised between two servers in one event loop, so the test can reach
-in and regress a vector mid-encounter.
+in and regress a vector mid-encounter. The same two-server fixture pins
+the reply shapes the frozen bench driver and ``docs/protocol.md`` §9
+rely on, and a fake peer that closes or stalls mid-encounter checks the
+failure stays on the dialed link.
 """
 
 import asyncio
@@ -20,9 +23,13 @@ import repro
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import build_scenario
 from repro.net.connection import ReconnectDialer
+from repro.net.framing import FrameDecoder, encode_frame
+from repro.replication.codec import decode_item_id
 from repro.net.server import PROTOCOL_VERSION, NodeServer, ServeConfig
 from repro.replication.errors import SyncProtocolError
 from repro.replication.ids import ReplicaId, Version
+from repro.replication.integrity import ProtocolViolation
+from repro.replication.sync import SyncStats
 from repro.replication.versions import VersionVector
 
 EXPERIMENT = ExperimentConfig(scale=0.25, policy="epidemic")
@@ -104,21 +111,33 @@ def test_status_directive_of_a_live_serve_process():
     assert summary["stored_items"] == 0
 
 
+async def _start_server(tmp, name, **options):
+    server = NodeServer(
+        ServeConfig(
+            node=name,
+            listen=f"unix:{pathlib.Path(tmp) / (name + '.sock')}",
+            experiment=EXPERIMENT,
+            **options,
+        )
+    )
+    await server.start()
+    return server
+
+
+async def _stop_listening(*servers):
+    for server in servers:
+        server.close()
+        await server.wait_closed()
+
+
 def test_regressed_knowledge_fails_a_live_encounter(monkeypatch):
     first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
 
     async def scenario():
         with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-            servers = {}
-            for name in (first, second):
-                servers[name] = NodeServer(
-                    ServeConfig(
-                        node=name,
-                        listen=f"unix:{pathlib.Path(tmp) / (name + '.sock')}",
-                        experiment=EXPERIMENT,
-                    )
-                )
-                await servers[name].start()
+            servers = {
+                name: await _start_server(tmp, name) for name in (first, second)
+            }
             initiator = servers[first]
             # A version nobody stores: the peer cannot sync it back, so
             # forgetting it mid-encounter stays a regression.
@@ -145,8 +164,127 @@ def test_regressed_knowledge_fails_a_live_encounter(monkeypatch):
                     )
                 assert initiator.encounters == 0
             finally:
-                for server in servers.values():
-                    server._server.close()
-                    await server._server.wait_closed()
+                await _stop_listening(*(s._server for s in servers.values()))
 
     asyncio.run(scenario())
+
+
+def test_reply_shapes_the_bench_driver_and_protocol_doc_rely_on():
+    """docs/protocol.md §9.2–9.4, as the frozen ``bench/`` reads them."""
+    first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+            servers = [await _start_server(tmp, n) for n in (first, second)]
+            # ``_control`` asserts the hello echo: type, node, protocol.
+            control = await _control(first, servers[0].config.listen)
+            try:
+                await control.send(
+                    {
+                        "type": "inject", "time": 1.0, "source": first,
+                        "destination": second, "body": "m0",
+                    }
+                )
+                injected = await control.receive()
+                await control.send(
+                    {
+                        "type": "encounter", "time": 2.0, "peer": second,
+                        "address": servers[1].config.listen, "budget": None,
+                    }
+                )
+                return injected, await control.receive()
+            finally:
+                await control.close()
+                await _stop_listening(*(s._server for s in servers))
+
+    injected, encounter = asyncio.run(scenario())
+    assert injected["type"] == "inject-ok", injected
+    assert decode_item_id(injected["message_id"]).origin.name == first
+    assert injected["deliveries"] == []
+    assert encounter["type"] == "encounter-ok", encounter
+    assert {"syncs", "deliveries"} <= set(encounter)
+    wire_fields = {"source", "target", "violations", *SyncStats._COUNTER_FIELDS}
+    assert [set(sync) for sync in encounter["syncs"]] == [wire_fields] * 2
+    to_peer, from_peer = encounter["syncs"]
+    assert (to_peer["source"], to_peer["target"]) == (first, second)
+    assert (from_peer["source"], from_peer["target"]) == (second, first)
+    # The item moved (and was counted), yet did not ride back in the stats;
+    # a sync that moved nothing still spells out its zeros.
+    assert to_peer["sent_total"] == to_peer["received_total"] == 1
+    assert from_peer["sent_total"] == 0 and from_peer["violations"] == []
+
+
+def test_sync_stats_round_trip_on_every_wire_field():
+    stats = SyncStats(
+        source=ReplicaId("a"),
+        target=ReplicaId("b"),
+        digest_used=True,
+        interrupted=True,
+        violations=[
+            ProtocolViolation(
+                kind="checksum-mismatch", peer="a", observer="b", detail="x"
+            )
+        ],
+    )
+    for number, name in enumerate(SyncStats._COUNTER_FIELDS):
+        if not isinstance(getattr(stats, name), bool):
+            setattr(stats, name, number + 1)
+    wire = stats.to_dict()
+    restored = SyncStats.from_dict(wire)
+    assert restored.to_dict() == wire
+    assert restored.source == stats.source and restored.target == stats.target
+    assert restored.violations == stats.violations
+    for name in SyncStats._COUNTER_FIELDS:
+        assert getattr(restored, name) == getattr(stats, name), name
+
+
+@pytest.mark.parametrize("fate", ["closes", "stalls"])
+def test_peer_failing_mid_encounter_leaves_the_control_channel_up(fate):
+    """A peer that answers ``hello``, takes ``encounter-open`` and then
+    closes cleanly — or goes silent past ``read_timeout`` — fails the
+    *dialed* link. The initiator owes its orchestrator an ``error``
+    reply, not a hang-up."""
+    first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+            released = asyncio.Event()
+
+            async def fake_peer(reader, writer):
+                decoder = FrameDecoder()
+                for reply in (
+                    {"type": "hello", "node": second, "protocol": 1}, None,
+                ):
+                    while not decoder.feed(await reader.read(65536)):
+                        pass
+                    if reply is not None:
+                        writer.write(encode_frame(reply))
+                if fate == "stalls":
+                    await released.wait()
+                writer.close()
+
+            peer_path = str(pathlib.Path(tmp) / "peer.sock")
+            peer = await asyncio.start_unix_server(fake_peer, path=peer_path)
+            server = await _start_server(tmp, first, read_timeout=0.2)
+            control = await _control(first, server.config.listen)
+            try:
+                await control.send(
+                    {
+                        "type": "encounter", "time": 1.0, "peer": second,
+                        "address": f"unix:{peer_path}", "budget": None,
+                    }
+                )
+                reply = await control.receive()
+                await control.send({"type": "status"})
+                return reply, await control.receive()
+            finally:
+                released.set()
+                await control.close()
+                await _stop_listening(server._server, peer)
+
+    reply, status = asyncio.run(scenario())
+    assert reply["type"] == "error", reply
+    expected = "ConnectionClosed" if fate == "closes" else "TimeoutError"
+    assert expected in reply["error"]
+    assert status["type"] == "status-ok", status
+    assert status["document"]["summary"]["encounters"] == 0
