@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The smoke legs of CI, one per argument value; run from the repository
-# root: bash .github/smoke.sh sweep|adversarial|digest-on|digest-off|swarm|churn
+# root: bash .github/smoke.sh sweep|adversarial|swarm|churn
 # Each leg drives the CLI end to end and asserts on the artifact it
 # writes (uploaded by the workflow under the same file name).
 set -euo pipefail
@@ -47,45 +47,6 @@ for key in ("rejected_knowledge", "quarantine_skips",
     assert key in summary, key
 print("quarantined:", summary["quarantined_entries"],
       "violations:", summary["protocol_violations"])
-EOF
-  ;;
-
-digest-on|digest-off)
-  digest="${leg#digest-}"
-  FLAGS=""
-  if [ "$digest" = "on" ]; then
-    # The digest-on leg carries the proof obligations: seeded property
-    # tests (no false negatives, bounded FP, codec strictness) and the
-    # digest-on vs digest-off differential harness over clean, faulty,
-    # and adversarial workloads (identical fixed points; tampered
-    # digests land in quarantine).
-    python -m pytest -q \
-      tests/replication/test_knowledge_digest.py \
-      tests/integration/test_digest_equivalence.py
-    FLAGS="--digest --digest-fp-rate 0.1"
-  fi
-  # Same fault plan both legs; the digest flag is the only delta.
-  python -m repro run --policy epidemic --scale 0.25 \
-    $FLAGS \
-    --fault-corruption 0.2 --fault-fabrication 0.2 --fault-seed 23 \
-    --json "digest-metrics-$digest.json"
-  python - "$digest" <<'EOF'
-import json, sys
-digest_on = sys.argv[1] == "on"
-name = f"digest-metrics-{sys.argv[1]}.json"
-summary = json.load(open(name))["summary"]
-# Both legs must exercise the hardened path...
-assert summary["protocol_violations"] > 0, summary
-# ...and carry the metadata accounting either way.
-for key in ("metadata_bytes", "digest_syncs",
-            "digest_suppressed", "fp_resends"):
-    assert key in summary, key
-assert summary["metadata_bytes"] > 0, summary
-if not digest_on:
-    assert summary["digest_syncs"] == 0, summary
-print("violations:", summary["protocol_violations"],
-      "digest syncs:", summary["digest_syncs"],
-      "metadata bytes:", summary["metadata_bytes"])
 EOF
   ;;
 

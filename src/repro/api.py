@@ -38,12 +38,7 @@ Groups:
   :func:`check_churn_parity` the emulator-vs-swarm gate under churn
   (see ``docs/churn.md``).
 * **Integrity** — :class:`ProtocolViolation`, :class:`PeerHealthTracker`
-  (the hardened-sync layer; see ``docs/protocol.md`` §7),
-  :class:`ChecksumCache` (the content-addressed checksum cache every
-  replica carries; see ``docs/performance.md``).
-* **Knowledge digests** — :class:`DigestConfig` (arms the compact
-  Bloom-digest mode of the sync protocol) and :class:`KnowledgeDigest`
-  (the digest itself; see ``docs/protocol.md`` §8).
+  (the hardened-sync layer; see ``docs/protocol.md`` §7).
 * **Sync sessions** — the transport-agnostic sync flow:
   :class:`SyncSession` and :class:`EncounterSession` run the paper's
   Figure 4 exchange (one direction, or a full two-sync encounter) over
@@ -113,8 +108,7 @@ from repro.experiments.parity import (
 )
 from repro.faults.config import FaultConfig
 from repro.net.swarm import SwarmConfig, SwarmReport, run_swarm
-from repro.replication.digest import DigestConfig, KnowledgeDigest
-from repro.replication.integrity import ChecksumCache, ProtocolViolation
+from repro.replication.integrity import ProtocolViolation
 from repro.replication.peer_health import PeerHealthTracker
 from repro.replication.session import (
     EncounterSession,
@@ -125,17 +119,14 @@ from repro.replication.session import (
 from repro.traces.dieselnet import MetroConfig, generate_metro_trace
 
 __all__ = [
-    "ChecksumCache",
     "ChurnConfig",
     "ChurnSchedule",
     "ColumnarUnsupportedError",
-    "DigestConfig",
     "EncounterSession",
     "ExperimentConfig",
     "ExperimentResult",
     "FaultConfig",
     "FreeRiderPolicy",
-    "KnowledgeDigest",
     "LifecycleEvent",
     "MessageRecord",
     "MetricsCollector",

@@ -27,7 +27,7 @@ Usage (installed as ``python -m repro``):
 
     [--policy P] [--scale S] [--bandwidth-limit N] [--storage-limit N]
     [--filter-strategy self|random|selected] [--filter-k K]
-    [--addressing bus|user] [--digest] [--digest-fp-rate P]
+    [--addressing bus|user]
     [--churn-arrivals F] [--churn-departures F] [--churn-crashes F]
     [--churn-amnesia P] [--churn-free-riders F]
     [--reciprocity-threshold R] [--churn-seed N]
@@ -93,16 +93,6 @@ def _add_scenario_arguments(
     command.add_argument(
         "--addressing", choices=("bus", "user"), default="bus",
         help="bus = the paper's model; user = dynamic-filter extension",
-    )
-    command.add_argument(
-        "--digest", action="store_true",
-        help="arm the compact knowledge-digest mode of the sync protocol "
-             "(docs/protocol.md §8)",
-    )
-    command.add_argument(
-        "--digest-fp-rate", type=float, default=0.05, metavar="P",
-        help="digest false-positive budget per membership probe "
-             "(default 0.05)",
     )
 
 
@@ -395,15 +385,6 @@ CHURN_COUNTER_KEYS = (
 )
 
 
-#: Digest counters appended to ``repro run`` output when the digest is armed.
-DIGEST_COUNTER_KEYS = (
-    "metadata_bytes",
-    "digest_syncs",
-    "digest_suppressed",
-    "fp_resends",
-)
-
-
 def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
     knobs = {
         "encounter_drop_probability": args.fault_drop,
@@ -456,8 +437,6 @@ def _experiment_config(args: argparse.Namespace, **extra) -> ExperimentConfig:
         bandwidth_limit=args.bandwidth_limit,
         storage_limit=args.storage_limit,
         churn=_churn_config(args),
-        knowledge_digest=args.digest,
-        digest_fp_rate=args.digest_fp_rate,
         **extra,
     )
 
@@ -480,11 +459,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print()
         print(f"fault counters (fault seed {config.fault_seed}):")
         for key in FAULT_COUNTER_KEYS:
-            print(f"{key:>24} | {summary[key]:>11.0f}")
-    if config.knowledge_digest:
-        print()
-        print(f"digest counters (fp rate {config.digest_fp_rate:g}):")
-        for key in DIGEST_COUNTER_KEYS:
             print(f"{key:>24} | {summary[key]:>11.0f}")
     if churn is not None:
         print()

@@ -27,15 +27,13 @@ object engine *draw for draw* — same RNG consumption from the encounter
 rng and the fault injector rng, same batch contents and order, same
 delivery records, same metric totals.  The randomized differential
 harness in ``tests/emulation/test_columnar_equivalence.py`` enforces
-this across policies, seeds, and fault configs.  Three counters are
-deliberately not reproduced (the columnar core has nothing to cache or
-serialize): ``filter_cache_*``, ``checksum_cache_*``, and
-``metadata_bytes`` stay zero.
+this across policies, seeds, and fault configs.  One counter is
+deliberately not reproduced (the columnar core has nothing to
+serialize): ``metadata_bytes`` stays zero.
 
 Unsupported configurations raise :class:`ColumnarUnsupportedError`
 rather than silently diverging; the object engine remains the path for
-user addressing, storage limits, knowledge digests, and the adversarial
-fault models.
+user addressing, storage limits, and the adversarial fault models.
 
 Sharding: :func:`run_columnar_sharded` partitions the world by
 connected components of the encounter graph (union-find), precomputes
@@ -56,6 +54,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from dataclasses import fields
 from typing import (
     Any,
     Dict,
@@ -148,8 +147,6 @@ def columnar_unsupported_reason(config: Any) -> Optional[str]:
         return "columnar engine does not model storage limits / eviction"
     if config.delete_on_receipt:
         return "columnar engine does not model delete_on_receipt"
-    if config.knowledge_digest:
-        return "columnar engine does not model knowledge digests"
     churn = getattr(config, "churn", None)
     if churn is not None and churn.enabled:
         return "columnar engine does not model churn lifecycles"
@@ -773,17 +770,9 @@ def run_columnar(
 
 
 #: Metric counters outside the equivalence contract: the columnar core
-#: has no filter/checksum caches and never serialises metadata, so these
-#: stay at zero while the object engine counts real cache traffic.
-UNREPLICATED_COUNTERS: Tuple[str, ...] = (
-    "filter_cache_hits",
-    "filter_cache_misses",
-    "filter_cache_invalidations",
-    "checksum_cache_hits",
-    "checksum_cache_misses",
-    "checksum_cache_invalidations",
-    "metadata_bytes",
-)
+#: never serialises a knowledge vector, so this stays at zero while the
+#: object engine counts real request bytes.
+UNREPLICATED_COUNTERS: Tuple[str, ...] = ("metadata_bytes",)
 
 
 def comparable_metrics(metrics: MetricsCollector) -> Dict[str, Any]:
@@ -862,6 +851,13 @@ def plan_shards(
     return [(sorted(hosts), total // 2) for hosts, total in bins if hosts]
 
 
+#: Every ``int`` field of the collector is a counter that sums across
+#: shards; derived, so a counter added later cannot be left out.
+_SUMMED_COUNTERS: Tuple[str, ...] = tuple(
+    spec.name for spec in fields(MetricsCollector) if type(spec.default) is int
+)
+
+
 def merge_metrics(parts: Iterable[MetricsCollector]) -> MetricsCollector:
     """Deterministically merge per-shard collectors (disjoint records)."""
     merged = MetricsCollector()
@@ -873,38 +869,7 @@ def merge_metrics(parts: Iterable[MetricsCollector]) -> MetricsCollector:
                 )
             merged.records[message_id] = record
         merged.end_time = max(merged.end_time, part.end_time)
-        for name in (
-            "encounters",
-            "dropped_encounters",
-            "backoff_skips",
-            "quarantine_skips",
-            "resumed_pairs",
-            "syncs",
-            "interrupted_syncs",
-            "transmissions",
-            "matching_transmissions",
-            "relayed_transmissions",
-            "truncated_transmissions",
-            "lost_transmissions",
-            "redundant_transmissions",
-            "quarantined_entries",
-            "rejected_knowledge",
-            "evictions",
-            "crashes",
-            "store_items_at_sync",
-            "items_scanned",
-            "index_skipped",
-            "filter_cache_hits",
-            "filter_cache_misses",
-            "filter_cache_invalidations",
-            "checksum_cache_hits",
-            "checksum_cache_misses",
-            "checksum_cache_invalidations",
-            "metadata_bytes",
-            "digest_syncs",
-            "digest_suppressed",
-            "fp_resends",
-        ):
+        for name in _SUMMED_COUNTERS:
             setattr(merged, name, getattr(merged, name) + getattr(part, name))
         for kind, count in part.protocol_violations.items():
             merged.protocol_violations[kind] = (

@@ -119,30 +119,20 @@ class MetricsCollector:
     # Sync hot-path accounting (the version-index optimisation): how many
     # stored items the sources held when batches were built (what a full
     # scan would visit), how many the version index actually enumerated,
-    # how many it skipped, and how the memoised peer-filter evaluations
-    # fared. ``items_scanned`` over items sent is the figure ``bench/``
-    # reports as ``sync.candidates_per_sent``.
+    # and how many it skipped. ``items_scanned`` over items sent is the
+    # figure ``bench/`` reports as ``sync.candidates_per_sent``.
     store_items_at_sync: int = 0
     items_scanned: int = 0
     index_skipped: int = 0
+    # Always zero: the two caches they counted were removed in 1.3.0. The
+    # frozen ``bench/paper_object.py`` still reads these four names from
+    # ``summary()``; they go when it stops.
     filter_cache_hits: int = 0
     filter_cache_misses: int = 0
-    filter_cache_invalidations: int = 0
-    # Content-addressed integrity-cache accounting (zero on perfect
-    # channels, which compute no checksums): how the per-replica checksum
-    # caches fared across send-side stamping and receive-side verification.
     checksum_cache_hits: int = 0
     checksum_cache_misses: int = 0
-    checksum_cache_invalidations: int = 0
-    # Knowledge-digest accounting (all zero when the digest mode is off):
-    # request-knowledge bytes on the wire (exact vector or digest frame,
-    # whichever each session shipped), sessions opened with a digest,
-    # items a digest suppressed, and re-sends that proved an earlier
-    # suppression was a false positive.
+    # Request-knowledge bytes on the wire (the exact vector's encoding).
     metadata_bytes: int = 0
-    digest_syncs: int = 0
-    digest_suppressed: int = 0
-    fp_resends: int = 0
     end_time: float = 0.0
 
     # Memory accounting (deliberately *not* dataclass fields: to_dict()
@@ -219,19 +209,9 @@ class MetricsCollector:
         self.store_items_at_sync += stats.store_size
         self.items_scanned += stats.candidates
         self.index_skipped += stats.index_skipped
-        self.filter_cache_hits += stats.filter_cache_hits
-        self.filter_cache_misses += stats.filter_cache_misses
-        self.filter_cache_invalidations += stats.filter_cache_invalidations
-        self.checksum_cache_hits += stats.checksum_cache_hits
-        self.checksum_cache_misses += stats.checksum_cache_misses
-        self.checksum_cache_invalidations += stats.checksum_cache_invalidations
         self.quarantined_entries += stats.quarantined_entries
         self.rejected_knowledge += stats.rejected_knowledge
         self.metadata_bytes += stats.metadata_bytes
-        if stats.digest_used:
-            self.digest_syncs += 1
-        self.digest_suppressed += stats.digest_suppressed
-        self.fp_resends += stats.fp_resend
         for violation in stats.violations:
             self.record_violation(violation.kind)
         if stats.interrupted:
@@ -549,16 +529,9 @@ class MetricsCollector:
             ),
             "filter_cache_hits": float(self.filter_cache_hits),
             "filter_cache_misses": float(self.filter_cache_misses),
-            "filter_cache_invalidations": float(self.filter_cache_invalidations),
             "checksum_cache_hits": float(self.checksum_cache_hits),
             "checksum_cache_misses": float(self.checksum_cache_misses),
-            "checksum_cache_invalidations": float(
-                self.checksum_cache_invalidations
-            ),
             "metadata_bytes": float(self.metadata_bytes),
-            "digest_syncs": float(self.digest_syncs),
-            "digest_suppressed": float(self.digest_suppressed),
-            "fp_resends": float(self.fp_resends),
             "metadata_bytes_per_delivered": (
                 self.metadata_bytes / self.delivered
                 if self.delivered

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.faults import FaultConfig, FaultInjector
-from repro.replication.digest import DigestConfig
 from repro.replication.events import BaseReplicaObserver
 from repro.replication.items import Item
 from repro.replication.peer_health import PeerHealthTracker
@@ -82,7 +81,6 @@ class Emulator:
         metrics: Optional[MetricsCollector] = None,
         faults: Optional[FaultConfig] = None,
         fault_seed: int = 0,
-        digest: Optional[DigestConfig] = None,
         churn: Optional["ChurnConfig"] = None,
         churn_schedule: Optional["ChurnSchedule"] = None,
     ) -> None:
@@ -105,14 +103,6 @@ class Emulator:
           jittered backoff and recovery probes). The injector draws from
           its *own* RNG seeded by ``fault_seed``, so arming faults never
           perturbs the base experiment's random draws.
-        * ``digest`` arms the compact knowledge-digest mode of the sync
-          protocol (``docs/protocol.md`` §8): targets summarise their
-          knowledge as a Bloom digest instead of shipping the exact
-          vector whenever the digest is smaller. A false positive can
-          only *suppress* an item for one contact (never deliver a
-          duplicate), and the suppressed item is re-offered at a later
-          contact under a fresh salt — suppression is retried, never
-          lost.
         * ``churn`` arms the :mod:`repro.churn` lifecycle model: late
           arrivals, graceful leaves with a final handoff sync, abrupt
           crashes with checkpoint or amnesiac rejoin, free-riding
@@ -134,7 +124,6 @@ class Emulator:
         self.sync_failure_probability = sync_failure_probability
         self.failed_encounters = 0
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.digest = digest
         self.engine = SimulationEngine()
         self._rng = random.Random(seed)
         self._user_location: Dict[str, str] = {}
@@ -336,8 +325,7 @@ class Emulator:
                 second=second.endpoint,
                 now=now,
                 config=SessionConfig(
-                    max_items=self._encounter_budget(encounter),
-                    digest=self.digest,
+                    max_items=self._encounter_budget(encounter)
                 ),
                 transport_factory=transport_factory,
             ).run()
@@ -412,7 +400,6 @@ class Emulator:
                 first=first.endpoint,
                 second=second.endpoint,
                 now=now,
-                config=SessionConfig(max_items=None, digest=self.digest),
             ).run()
         self.metrics.record_encounter()
         self.metrics.record_churn_handoff()

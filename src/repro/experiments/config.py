@@ -97,14 +97,6 @@ class ExperimentConfig:
     # bit-for-bit equivalent to None.
     churn: Optional[ChurnConfig] = None
 
-    # Knowledge-digest mode (docs/protocol.md §8): when armed, targets
-    # summarise their knowledge as a Bloom digest whenever it beats the
-    # exact vector on the wire. ``digest_fp_rate`` is the per-probe false
-    # positive budget; a false positive suppresses an item for one
-    # contact and it is re-offered later under a fresh salt.
-    knowledge_digest: bool = False
-    digest_fp_rate: float = 0.05
-
     # Emulation engine: "object" is the executable spec
     # (repro.emulation.network); "columnar" is the flat-array core for
     # city-scale runs (repro.emulation.columnar), equivalent on its
@@ -139,8 +131,6 @@ class ExperimentConfig:
             )
         if self.storage_limit is not None and self.storage_limit < 0:
             raise ValueError("storage_limit must be >= 0 or None")
-        if not 0.0 < self.digest_fp_rate < 0.5:
-            raise ValueError("digest_fp_rate must be in (0, 0.5)")
         if self.engine not in ("object", "columnar"):
             raise ValueError("engine must be 'object' or 'columnar'")
 
@@ -188,8 +178,6 @@ class ExperimentConfig:
             parts.append("faults")
         if self.churn is not None and self.churn.enabled:
             parts.append("churn")
-        if self.knowledge_digest:
-            parts.append(f"digest@{self.digest_fp_rate:g}")
         if self.engine != "object":
             parts.append(self.engine)
         if self.trace_seed != 42:

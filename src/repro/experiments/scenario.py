@@ -39,7 +39,6 @@ from repro.dtn.registry import get_policy
 from repro.emulation.encounters import EncounterTrace
 from repro.emulation.network import Emulator, Injection
 from repro.emulation.node import EmulatedNode
-from repro.replication.digest import DigestConfig
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.traces.enron import EmailWorkloadModel, generate_enron_model
 from repro.traces.mapping import AssignmentSchedule, assign_users_daily
@@ -232,11 +231,6 @@ def build_scenario(
         seed=config.encounter_order_seed,
         faults=config.faults,
         fault_seed=config.fault_seed,
-        digest=(
-            DigestConfig(fp_rate=config.digest_fp_rate)
-            if config.knowledge_digest
-            else None
-        ),
         churn=churn,
         churn_schedule=churn_schedule,
     )

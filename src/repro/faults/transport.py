@@ -120,19 +120,10 @@ class FaultyTransport:
     def corrupt_request(self, request: SyncRequest) -> SyncRequest:
         """Possibly tamper with the request's knowledge (fabrication model).
 
-        Exact-mode requests get their vector inflated: a copy — knowledge
-        travels by value, so the target's live vector is never touched —
-        claiming counters of the *source's* own authoring range, which is
-        exactly the claim the source can validate against what it
-        actually authored.
-
-        Digest-mode requests cannot be inflated counter-by-counter, so
-        the model attacks the digest itself, alternating (by one RNG
-        draw) between the two detectable shapes: a **saturated** bitmap
-        with a consistently restamped checksum — the strongest
-        suppression attack, every membership probe hits, caught by the
-        fabrication probes — and a **bit-flipped** bitmap under the stale
-        checksum, i.e. transit damage, caught by the integrity check.
+        The vector is inflated on a copy — knowledge travels by value, so
+        the target's live vector is never touched — claiming counters of
+        the *source's* own authoring range, which is exactly the claim
+        the source can validate against what it actually authored.
         """
         if self._fabrication is None or self._source_id is None:
             return request
@@ -140,26 +131,6 @@ class FaultyTransport:
         if inflate == 0:
             return request
         self._count("fabricated_requests")
-        if request.digest is not None:
-            if self._rng.random() < 0.5:
-                tampered = request.digest.with_bits(
-                    b"\xff" * len(request.digest.bits), restamp=True
-                )
-            else:
-                damaged = bytearray(request.digest.bits)
-                damaged[self._rng.randrange(len(damaged))] ^= (
-                    1 << self._rng.randrange(8)
-                )
-                tampered = request.digest.with_bits(
-                    bytes(damaged), restamp=False
-                )
-            return SyncRequest(
-                target_id=request.target_id,
-                knowledge=request.knowledge,
-                filter=request.filter,
-                routing_state=request.routing_state,
-                digest=tampered,
-            )
         knowledge = request.knowledge.copy()
         base = max(
             knowledge.known_counter_prefix(self._source_id),
@@ -172,7 +143,6 @@ class FaultyTransport:
             knowledge=knowledge,
             filter=request.filter,
             routing_state=request.routing_state,
-            digest=request.digest,
         )
 
     # -- batch delivery ------------------------------------------------------------

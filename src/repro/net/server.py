@@ -50,7 +50,6 @@ from repro.replication.codec import (
     encode_item_id,
     encode_sync_request,
 )
-from repro.replication.digest import DigestConfig
 from repro.replication.errors import SyncProtocolError
 from repro.replication.events import BaseReplicaObserver
 from repro.replication.filters import MultiAddressFilter
@@ -58,11 +57,7 @@ from repro.replication.ids import ReplicaId
 from repro.replication.items import Item
 from repro.replication.persistence import load_replica, save_replica
 from repro.replication.routing import SyncContext
-from repro.replication.session import (
-    SessionConfig,
-    SyncSession,
-    monotone_knowledge,
-)
+from repro.replication.session import SyncSession, monotone_knowledge
 from repro.replication.sync import SyncEndpoint, SyncStats
 
 from .connection import (
@@ -151,14 +146,6 @@ class NodeServer:
             )
         self.node = scenario.nodes[config.node]
         self.name = config.node
-        experiment = config.experiment
-        self.session_config = SessionConfig(
-            digest=(
-                DigestConfig(fp_rate=experiment.digest_fp_rate)
-                if experiment.knowledge_digest
-                else None
-            ),
-        )
         #: Simulated-time high-water mark, advanced by directive times.
         self.sim_now = 0.0
         self.encounters = 0
@@ -469,7 +456,6 @@ class NodeServer:
                     source=endpoint,
                     peer=remote,
                     now=time,
-                    config=self.session_config,
                 )
                 batch, stats_a = source_session.build_response(
                     request, max_items=budget
@@ -497,7 +483,6 @@ class NodeServer:
                     target=endpoint,
                     peer=remote,
                     now=time,
-                    config=self.session_config,
                 )
                 await connection.send(
                     {
@@ -544,7 +529,6 @@ class NodeServer:
                 target=endpoint,
                 peer=initiator,
                 now=time,
-                config=self.session_config,
             )
             await connection.send(
                 {
@@ -565,7 +549,6 @@ class NodeServer:
                 source=endpoint,
                 peer=initiator,
                 now=time,
-                config=self.session_config,
             )
             batch, stats_b = source_session.build_response(
                 request, max_items=opening2.get("budget")

@@ -29,31 +29,20 @@ from .codec import (
     decode_filter,
     decode_item,
     decode_knowledge,
-    decode_knowledge_digest,
     decode_sync_request,
-    digest_wire_size,
     encode_batch,
     encode_batch_entry,
     encode_batch_frame,
     encode_filter,
     encode_item,
     encode_knowledge,
-    encode_knowledge_digest,
     encode_sync_request,
     knowledge_wire_size,
     register_routing_codec,
     wire_size,
 )
-from .digest import (
-    DigestConfig,
-    KnowledgeDigest,
-    SuppressionLedger,
-    bloom_parameters,
-    estimated_digest_wire_size,
-)
 from .integrity import (
     VIOLATION_CHECKSUM_MISMATCH,
-    VIOLATION_DIGEST,
     VIOLATION_KINDS,
     VIOLATION_KNOWLEDGE_FABRICATION,
     VIOLATION_MALFORMED_ENTRY,
@@ -134,7 +123,6 @@ from .sync import (
     SyncStats,
     build_batch,
     build_request,
-    validate_request_digest,
     validate_request_knowledge,
 )
 from .versions import VersionVector
@@ -151,7 +139,6 @@ __all__ = [
     "BaseReplicaObserver",
     "BatchEntry",
     "CodecError",
-    "DigestConfig",
     "DuplicateDeliveryError",
     "EncounterSession",
     "Filter",
@@ -165,7 +152,6 @@ __all__ = [
     "KIND_ACK",
     "KIND_MESSAGE",
     "KIND_TOMBSTONE",
-    "KnowledgeDigest",
     "MultiAddressFilter",
     "NORMAL_PRIORITY",
     "NotFilter",
@@ -190,7 +176,6 @@ __all__ = [
     "RoutingPolicy",
     "SUSPECT",
     "SessionConfig",
-    "SuppressionLedger",
     "SyncContext",
     "SyncEndpoint",
     "SyncProtocolError",
@@ -200,7 +185,6 @@ __all__ = [
     "Transport",
     "UnknownItemError",
     "VIOLATION_CHECKSUM_MISMATCH",
-    "VIOLATION_DIGEST",
     "VIOLATION_KINDS",
     "VIOLATION_KNOWLEDGE_FABRICATION",
     "VIOLATION_MALFORMED_ENTRY",
@@ -208,7 +192,6 @@ __all__ = [
     "VIOLATION_VERSION_CONFLICT",
     "Version",
     "VersionVector",
-    "bloom_parameters",
     "build_batch",
     "build_request",
     "decode_batch",
@@ -217,18 +200,14 @@ __all__ = [
     "decode_filter",
     "decode_item",
     "decode_knowledge",
-    "decode_knowledge_digest",
     "decode_sync_request",
-    "digest_wire_size",
     "encode_batch",
     "encode_batch_entry",
     "encode_batch_frame",
     "encode_filter",
     "encode_item",
     "encode_knowledge",
-    "encode_knowledge_digest",
     "encode_sync_request",
-    "estimated_digest_wire_size",
     "frame_checksum",
     "item_checksum",
     "knowledge_wire_size",
@@ -239,7 +218,6 @@ __all__ = [
     "replica_to_state",
     "save_replica",
     "validate_host_filter",
-    "validate_request_digest",
     "validate_request_knowledge",
     "wire_size",
 ]

@@ -29,8 +29,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .digest import KnowledgeDigest
-from .errors import ReplicationError
+from .errors import InvalidFilterError, ReplicationError
 from .filters import (
     AddressFilter,
     AllFilter,
@@ -54,6 +53,23 @@ class CodecError(ReplicationError):
     """A protocol object could not be encoded or decoded."""
 
 
+#: What decoding a malformed but JSON-shaped value raises underneath:
+#: missing keys and short sequences, wrong container types, out-of-range
+#: and non-finite numbers (``int(float("inf"))`` is an OverflowError),
+#: constructor validation, junk nested deeper than the interpreter
+#: recurses. Every ``decode_*`` turns all of these into
+#: :class:`CodecError`, the one exception its callers handle.
+_MALFORMED = (
+    LookupError,
+    TypeError,
+    ValueError,
+    AttributeError,
+    ArithmeticError,
+    RecursionError,
+    InvalidFilterError,
+)
+
+
 # -- identifiers -----------------------------------------------------------------
 
 
@@ -61,11 +77,18 @@ def encode_version(version: Version) -> List[Any]:
     return [version.replica.name, version.counter]
 
 
+def _replica_id(name: Any) -> ReplicaId:
+    """A replica id from the wire; names are strings, nothing else sorts."""
+    if not isinstance(name, str):
+        raise CodecError(f"bad replica name: {name!r}")
+    return ReplicaId(name)
+
+
 def decode_version(data: Any) -> Version:
     try:
         name, counter = data
-        return Version(ReplicaId(name), int(counter))
-    except (TypeError, ValueError) as error:
+        return Version(_replica_id(name), int(counter))
+    except _MALFORMED as error:
         raise CodecError(f"bad version encoding: {data!r}") from error
 
 
@@ -76,8 +99,8 @@ def encode_item_id(item_id: ItemId) -> List[Any]:
 def decode_item_id(data: Any) -> ItemId:
     try:
         name, serial = data
-        return ItemId(ReplicaId(name), int(serial))
-    except (TypeError, ValueError) as error:
+        return ItemId(_replica_id(name), int(serial))
+    except _MALFORMED as error:
         raise CodecError(f"bad item id encoding: {data!r}") from error
 
 
@@ -102,41 +125,12 @@ def decode_knowledge(data: Any) -> VersionVector:
     for name, shape in data.items():
         try:
             prefix, *extras = shape
-            entries[ReplicaId(name)] = _Entry(
+            entries[_replica_id(name)] = _Entry(
                 int(prefix), frozenset(int(e) for e in extras)
             )
-        except (TypeError, ValueError) as error:
+        except _MALFORMED as error:
             raise CodecError(f"bad knowledge entry for {name!r}") from error
     return VersionVector(entries)
-
-
-# -- knowledge digests -------------------------------------------------------------
-
-
-def encode_knowledge_digest(digest: KnowledgeDigest) -> Dict[str, Any]:
-    """Encode a Bloom knowledge digest as its compressed wire frame."""
-    return digest.to_wire()
-
-
-def decode_knowledge_digest(data: Any) -> KnowledgeDigest:
-    """Decode a digest frame, rejecting malformed shapes.
-
-    Shape malformations (missing keys, undecodable base64/zlib bitmap,
-    parameters out of range, bitmap length inconsistent with ``m``) raise
-    :class:`CodecError` here. A frame that decodes but whose integrity
-    checksum does not match is *returned* — the protocol layer verifies
-    and quarantines it as a typed ``digest-mismatch`` violation, so a
-    damaged digest costs one rejected request, not a decode failure.
-    """
-    try:
-        return KnowledgeDigest.from_wire(data)
-    except ValueError as error:
-        raise CodecError(str(error)) from error
-
-
-def digest_wire_size(digest: KnowledgeDigest) -> int:
-    """Bytes a knowledge digest occupies in a sync request."""
-    return wire_size(encode_knowledge_digest(digest))
 
 
 # -- filters -----------------------------------------------------------------------
@@ -167,25 +161,26 @@ def encode_filter(filter_: Filter) -> Dict[str, Any]:
 
 
 def decode_filter(data: Any) -> Filter:
-    if not isinstance(data, dict) or "type" not in data:
-        raise CodecError(f"bad filter encoding: {data!r}")
-    kind = data["type"]
-    if kind == "all":
-        return AllFilter()
-    if kind == "nothing":
-        return NothingFilter()
-    if kind == "address":
-        return AddressFilter(data["address"])
-    if kind == "multi-address":
-        return MultiAddressFilter(data["own"], frozenset(data["relay"]))
-    if kind == "attribute":
-        return AttributeFilter(data["name"], data["value"])
-    if kind == "and":
-        return AndFilter(tuple(decode_filter(f) for f in data["operands"]))
-    if kind == "or":
-        return OrFilter(tuple(decode_filter(f) for f in data["operands"]))
-    if kind == "not":
-        return NotFilter(decode_filter(data["operand"]))
+    try:
+        kind = data["type"]
+        if kind == "all":
+            return AllFilter()
+        if kind == "nothing":
+            return NothingFilter()
+        if kind == "address":
+            return AddressFilter(data["address"])
+        if kind == "multi-address":
+            return MultiAddressFilter(data["own"], frozenset(data["relay"]))
+        if kind == "attribute":
+            return AttributeFilter(data["name"], data["value"])
+        if kind == "and":
+            return AndFilter(tuple(decode_filter(f) for f in data["operands"]))
+        if kind == "or":
+            return OrFilter(tuple(decode_filter(f) for f in data["operands"]))
+        if kind == "not":
+            return NotFilter(decode_filter(data["operand"]))
+    except _MALFORMED as error:
+        raise CodecError(f"bad filter encoding: {data!r}") from error
     raise CodecError(f"unknown filter type: {kind!r}")
 
 
@@ -249,15 +244,15 @@ def decode_item(data: Any) -> Item:
             local_attributes=local,
             deleted=bool(data.get("deleted", False)),
         )
-    except (KeyError, TypeError, ValueError) as error:
+        declared = data.get("checksum")
+        if declared is not None and item_checksum(item) != declared:
+            raise CodecError(
+                f"item {item.item_id} fails its content checksum "
+                f"(declared {declared!r})"
+            )
+        return item
+    except _MALFORMED as error:
         raise CodecError(f"bad item encoding: {data!r}") from error
-    declared = data.get("checksum")
-    if declared is not None and item_checksum(item) != declared:
-        raise CodecError(
-            f"item {item.item_id} fails its content checksum "
-            f"(declared {declared!r})"
-        )
-    return item
 
 
 # -- routing-state registry -------------------------------------------------------------
@@ -292,45 +287,48 @@ def decode_routing_state(data: Any) -> Any:
         return None
     try:
         tag, payload = data["tag"], data["state"]
-    except (KeyError, TypeError) as error:
+    except _MALFORMED as error:
         raise CodecError(f"bad routing-state encoding: {data!r}") from error
     try:
         _, _, decoder = _ROUTING_CODECS[tag]
-    except KeyError:
+    except (KeyError, TypeError):
         raise CodecError(f"unknown routing-state tag: {tag!r}") from None
-    return decoder(payload)
+    try:
+        return decoder(payload)
+    except _MALFORMED as error:
+        raise CodecError(f"bad {tag} routing state: {payload!r}") from error
 
 
 # -- protocol messages ---------------------------------------------------------------------
 
 
 def encode_sync_request(request: SyncRequest) -> Dict[str, Any]:
-    encoded = {
+    return {
         "target": request.target_id.name,
         "knowledge": encode_knowledge(request.knowledge),
         "filter": encode_filter(request.filter),
         "routing": encode_routing_state(request.routing_state),
     }
-    if request.digest is not None:
-        encoded["digest"] = encode_knowledge_digest(request.digest)
-    return encoded
+
+
+_REQUEST_KEYS = frozenset(("target", "knowledge", "filter", "routing"))
 
 
 def decode_sync_request(data: Any) -> SyncRequest:
+    """Decode a REQUEST frame, refusing keys this version does not define:
+    a 1.2 peer's ``digest`` request carries an empty placeholder vector,
+    and ignoring the key would answer it as a target that knows nothing."""
     try:
-        digest_frame = data.get("digest")
+        unknown = data.keys() - _REQUEST_KEYS
+        if unknown:
+            raise CodecError(f"unknown sync request keys: {sorted(unknown)!r}")
         return SyncRequest(
-            target_id=ReplicaId(data["target"]),
+            target_id=_replica_id(data["target"]),
             knowledge=decode_knowledge(data["knowledge"]),
             filter=decode_filter(data["filter"]),
             routing_state=decode_routing_state(data.get("routing")),
-            digest=(
-                None
-                if digest_frame is None
-                else decode_knowledge_digest(digest_frame)
-            ),
         )
-    except (KeyError, TypeError, AttributeError) as error:
+    except _MALFORMED as error:
         raise CodecError(f"bad sync request encoding: {data!r}") from error
 
 
@@ -373,7 +371,7 @@ def decode_batch_entry(data: Any) -> BatchEntry:
             priority=Priority(PriorityClass(class_value), float(cost)),
             checksum=checksum,
         )
-    except (KeyError, TypeError, ValueError) as error:
+    except _MALFORMED as error:
         raise CodecError(f"bad batch entry: {data!r}") from error
 
 
@@ -387,6 +385,8 @@ def encode_batch(
 
 
 def decode_batch(data: Any) -> List[BatchEntry]:
+    if not isinstance(data, list):
+        raise CodecError(f"bad batch encoding: {data!r}")
     return [decode_batch_entry(element) for element in data]
 
 
@@ -420,8 +420,10 @@ def decode_batch_frame(data: Any) -> List[BatchEntry]:
     try:
         raw_entries = data["entries"]
         declared = data["checksum"]
-    except (KeyError, TypeError) as error:
+    except _MALFORMED as error:
         raise CodecError(f"bad batch frame: {data!r}") from error
+    if not isinstance(raw_entries, list):
+        raise CodecError(f"bad batch frame entries: {raw_entries!r}")
     checksums = []
     for element in raw_entries:
         checksum = element.get("checksum") if isinstance(element, dict) else None

@@ -24,13 +24,11 @@ own mail.
 
 from __future__ import annotations
 
-import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Tuple
+from typing import Any, FrozenSet, Iterable, Tuple
 
 from .errors import InvalidFilterError
-from .ids import ItemId, Version
 from .items import ATTR_DESTINATION, Item
 
 
@@ -44,39 +42,6 @@ class Filter(ABC):
     @abstractmethod
     def matches(self, item: Item) -> bool:
         """True if ``item`` should be replicated at a host with this filter."""
-
-    # Identity -------------------------------------------------------------------
-
-    def fingerprint(self) -> str:
-        """A stable, content-derived identity for this filter.
-
-        Two filters with equal content produce equal fingerprints — across
-        processes, re-decodes, and re-constructions — so a fingerprint can
-        key a match cache: a host whose filter is rebuilt identically at a
-        day boundary keeps its cached matches, while any change to the
-        selected address set yields a fresh fingerprint and the cache
-        misses cleanly (it can never serve a stale match).
-
-        The fingerprint is derived structurally from the dataclass fields
-        (sets are ordered canonically). Computed once and memoised on the
-        instance, which is safe because filters are immutable.
-        """
-        cached = getattr(self, "_fingerprint_cache", None)
-        if cached is None:
-            cached = self._compute_fingerprint()
-            object.__setattr__(self, "_fingerprint_cache", cached)
-        return cached
-
-    def _compute_fingerprint(self) -> str:
-        if dataclasses.is_dataclass(self):
-            parts = ",".join(
-                f"{f.name}={_fingerprint_value(getattr(self, f.name))}"
-                for f in dataclasses.fields(self)
-            )
-            return f"{type(self).__name__}({parts})"
-        # Non-dataclass subclasses fall back to repr; override
-        # _compute_fingerprint if their repr is not value-stable.
-        return f"{type(self).__name__}:{self!r}"
 
     # Combinator sugar -----------------------------------------------------------
 
@@ -121,9 +86,12 @@ class AddressFilter(Filter):
     def __post_init__(self) -> None:
         if not self.address:
             raise InvalidFilterError("AddressFilter requires a non-empty address")
+        # Built once: ``matches`` runs per candidate item on the sync path.
+        # Not a field, so equality, hashing and repr do not see it.
+        object.__setattr__(self, "_addresses", frozenset((self.address,)))
 
     def matches(self, item: Item) -> bool:
-        return _destination_matches(item, frozenset((self.address,)))
+        return _destination_matches(item, self._addresses)
 
 
 @dataclass(frozen=True)
@@ -143,13 +111,17 @@ class MultiAddressFilter(Filter):
         if not self.own_address:
             raise InvalidFilterError("MultiAddressFilter requires own_address")
         object.__setattr__(self, "relay_addresses", frozenset(self.relay_addresses))
+        # Built once, like ``AddressFilter._addresses``.
+        object.__setattr__(
+            self, "_addresses", self.relay_addresses | {self.own_address}
+        )
 
     @property
     def addresses(self) -> FrozenSet[str]:
-        return self.relay_addresses | {self.own_address}
+        return self._addresses
 
     def matches(self, item: Item) -> bool:
-        return _destination_matches(item, self.addresses)
+        return _destination_matches(item, self._addresses)
 
 
 @dataclass(frozen=True)
@@ -209,77 +181,6 @@ def _destination_matches(item: Item, addresses: FrozenSet[str]) -> bool:
     if isinstance(destination, Iterable):
         return any(d in addresses for d in destination)
     return False
-
-
-def _fingerprint_value(value: Any) -> str:
-    """Canonical text form of one filter field for fingerprinting."""
-    if isinstance(value, Filter):
-        return value.fingerprint()
-    if isinstance(value, (frozenset, set)):
-        return "{" + ",".join(sorted(repr(v) for v in value)) + "}"
-    if isinstance(value, tuple):
-        return "(" + ",".join(_fingerprint_value(v) for v in value) + ")"
-    return repr(value)
-
-
-_CACHE_MISS = object()
-
-
-class FilterMatchCache:
-    """Memoised filter-match decisions for one replica's stored items.
-
-    During trace replay the same peers meet over and over, so a sync
-    source re-evaluates the same ``(target filter, stored item)`` pairs at
-    every encounter. This cache keys results on
-    ``Filter.fingerprint() × item id`` and validates each entry against
-    the stored item's *version*: an item update mints a new version, so a
-    stale result can never be served — the version mismatch invalidates
-    the whole per-item entry. Day-boundary filter reassignments need no
-    invalidation at all: a changed filter has a new fingerprint and simply
-    misses.
-
-    Owners must call :meth:`forget` when an item leaves the store
-    (eviction, expunge, replacement) so the cache's footprint tracks the
-    store's; :class:`~repro.replication.replica.Replica` wires this into
-    its removal paths.
-    """
-
-    __slots__ = ("_by_item", "hits", "misses", "invalidations")
-
-    def __init__(self) -> None:
-        self._by_item: Dict[ItemId, Tuple[Version, Dict[str, bool]]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def matches(self, filter_: Filter, item: Item) -> bool:
-        """``filter_.matches(item)``, memoised."""
-        entry = self._by_item.get(item.item_id)
-        if entry is None or entry[0] != item.version:
-            if entry is not None:
-                self.invalidations += 1
-            entry = (item.version, {})
-            self._by_item[item.item_id] = entry
-        fingerprint = filter_.fingerprint()
-        cached = entry[1].get(fingerprint, _CACHE_MISS)
-        if cached is _CACHE_MISS:
-            self.misses += 1
-            result = filter_.matches(item)
-            entry[1][fingerprint] = result
-            return result
-        self.hits += 1
-        return cached  # type: ignore[return-value]
-
-    def forget(self, item_id: ItemId) -> None:
-        """Drop all cached decisions for an item that left the store."""
-        if self._by_item.pop(item_id, None) is not None:
-            self.invalidations += 1
-
-    def clear(self) -> None:
-        self._by_item.clear()
-
-    def __len__(self) -> int:
-        return len(self._by_item)
 
 
 def covers_address(filter_: Filter, address: str, probe_item_factory) -> bool:

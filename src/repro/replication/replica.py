@@ -31,15 +31,12 @@ The replica enforces the substrate's two delivery guarantees:
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
-from .digest import SuppressionLedger
 from .errors import DuplicateDeliveryError, UnknownItemError
 from .events import ObserverList, ReplicaObserver
-from .filters import Filter, FilterMatchCache
+from .filters import Filter
 from .ids import IdFactory, ItemId, ReplicaId, Version
-from .integrity import ChecksumCache
 from .items import Item
 from .store import ItemStore, RelayStore
 from .versions import VersionVector
@@ -76,29 +73,12 @@ class Replica:
         self.knowledge = VersionVector.empty()
         self._store = ItemStore()
         self._outbox = ItemStore()
+        self.observers = ObserverList()
         self._relay = RelayStore(
             capacity=relay_capacity,
-            on_evict=self._notify_evict,
+            on_evict=self.observers.on_evict,
             strategy=relay_eviction,
         )
-        self.observers = ObserverList()
-        #: Memoised peer-filter match decisions for stored items; the sync
-        #: layer consults it when building batches for repeat encounters.
-        self.filter_cache = FilterMatchCache()
-        #: Content-addressed checksum memoisation, shared across the three
-        #: stores so every eviction/removal/supersession path invalidates
-        #: it (see :class:`~repro.replication.integrity.ChecksumCache`).
-        self.checksum_cache = ChecksumCache()
-        self._store.checksum_cache = self.checksum_cache
-        self._outbox.checksum_cache = self.checksum_cache
-        self._relay.attach_checksum_cache(self.checksum_cache)
-        #: Per-peer memory of digest-suppressed versions; proves false
-        #: positives when a suppressed version is later sent (the
-        #: ``fp_resend`` counter). Accounting only — never consulted for
-        #: batch selection, and losing it (crash-restart) merely
-        #: undercounts.
-        self.suppression_ledger = SuppressionLedger()
-        self._digest_sessions = 0
 
     # -- configuration ---------------------------------------------------------
 
@@ -213,19 +193,6 @@ class Replica:
         """
         return self._ids.last_counter
 
-    def next_digest_salt(self) -> int:
-        """A fresh salt for the next knowledge digest this replica builds.
-
-        Deterministic (replica name × monotone session counter, no
-        process-global state) yet unique per session, so consecutive
-        digests decorrelate their false-positive sets — the property
-        that turns an FP into a one-contact delay instead of a
-        permanent suppression.
-        """
-        self._digest_sessions += 1
-        name_mix = zlib.crc32(self.replica_id.name.encode("utf-8"))
-        return ((name_mix << 20) ^ self._digest_sessions) & 0xFFFFFFFFFFFFFFFF
-
     # -- receiving -------------------------------------------------------------------
 
     def apply_remote(self, item: Item) -> bool:
@@ -315,24 +282,15 @@ class Replica:
         and probing ``knowledge.contains``, each store's version index
         enumerates only the counters above the peer's known prefix (see
         :meth:`~repro.replication.store.ItemStore.unknown_items`). The
-        result is identical to :meth:`items_unknown_to_scan` — same items,
-        same order — at a cost proportional to what the peer is missing.
+        result is what filtering :meth:`stored_items` through
+        ``knowledge.contains`` gives — same items, same order — at a cost
+        proportional to what the peer is missing.
         """
         return (
             self._store.unknown_items(knowledge)
             + self._outbox.unknown_items(knowledge)
             + self._relay.unknown_items(knowledge)
         )
-
-    def items_unknown_to_scan(self, knowledge: VersionVector) -> List[Item]:
-        """Reference full-scan implementation of :meth:`items_unknown_to`.
-
-        Kept as the executable specification the version index must match
-        (the equivalence tests assert it).
-        """
-        return [
-            item for item in self.stored_items() if not knowledge.contains(item.version)
-        ]
 
     def get_item(self, item_id: ItemId) -> Optional[Item]:
         return self._find(item_id)
@@ -392,11 +350,6 @@ class Replica:
         self._store.discard(item_id)
         self._outbox.discard(item_id)
         self._relay.discard(item_id)
-        self.filter_cache.forget(item_id)
-
-    def _notify_evict(self, item: Item) -> None:
-        self.filter_cache.forget(item.item_id)
-        self.observers.on_evict(item)
 
     def __repr__(self) -> str:
         return (

@@ -32,10 +32,9 @@ from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, 
 
 from repro._compat import keyword_only_dataclass
 
-from .digest import DigestConfig
 from .errors import SyncProtocolError
 from .ids import ReplicaId
-from .integrity import item_checksum
+from .integrity import cached_item_checksum
 from .replica import Replica
 from .routing import SyncContext
 from .sync import (
@@ -77,20 +76,14 @@ class Transport(Protocol):
 @keyword_only_dataclass
 @dataclass(frozen=True)
 class SessionConfig:
-    """The protocol knobs of one sync/encounter session.
+    """The protocol knob of one sync/encounter session.
 
     ``max_items`` is the bandwidth cap (per sync when given to a
     :class:`SyncSession`, per encounter when given to an
-    :class:`EncounterSession`); ``use_index``/``use_cache`` select the
-    optimised enumeration and checksum paths (the ``False`` legs exist
-    as measured baselines); ``digest`` arms the compact knowledge-digest
-    mode (``docs/protocol.md`` §8).
+    :class:`EncounterSession`).
     """
 
     max_items: Optional[int] = None
-    use_index: bool = True
-    use_cache: bool = True
-    digest: Optional[DigestConfig] = None
 
     def __post_init__(self) -> None:
         if self.max_items is not None and self.max_items < 0:
@@ -98,35 +91,11 @@ class SessionConfig:
 
     def to_dict(self) -> dict:
         """A JSON-safe dict; ``from_dict(to_dict())`` reconstructs exactly."""
-        return {
-            "max_items": self.max_items,
-            "use_index": self.use_index,
-            "use_cache": self.use_cache,
-            "digest": (
-                None
-                if self.digest is None
-                else {
-                    "fp_rate": self.digest.fp_rate,
-                    "force": self.digest.force,
-                }
-            ),
-        }
+        return {"max_items": self.max_items}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionConfig":
-        digest = data.get("digest")
-        return cls(
-            max_items=data.get("max_items"),
-            use_index=data.get("use_index", True),
-            use_cache=data.get("use_cache", True),
-            digest=(
-                None
-                if digest is None
-                else DigestConfig(
-                    fp_rate=digest["fp_rate"], force=digest.get("force", False)
-                )
-            ),
-        )
+        return cls(max_items=data.get("max_items"))
 
 
 class SyncSession:
@@ -190,9 +159,7 @@ class SyncSession:
         """Target side, step 1: open the session (knowledge + filter)."""
         if self.target is None:
             raise ValueError("build_request needs the target endpoint")
-        return build_request(
-            self.target, self._target_context(), digest=self.config.digest
-        )
+        return build_request(self.target, self._target_context())
 
     def build_response(
         self, request: SyncRequest, max_items: Optional[int] = None
@@ -207,31 +174,15 @@ class SyncSession:
             raise ValueError("build_response needs the source endpoint")
         budget = max_items if max_items is not None else self.config.max_items
         return build_batch(
-            self.source,
-            request,
-            self._source_context(),
-            max_items=budget,
-            use_index=self.config.use_index,
+            self.source, request, self._source_context(), max_items=budget
         )
 
     def stamp(self, batch: List[BatchEntry]) -> List[BatchEntry]:
-        """Source side: stamp content checksums before a real channel.
-
-        Uses the source's content-addressed checksum cache when the
-        config allows (the ``checksum_cache_*`` counters of a local run
-        are accounted in :meth:`run`; half-open sessions read the cache
-        counters directly).
-        """
+        """Source side: stamp content checksums before a real channel."""
         if self.source is None:
             raise ValueError("stamp needs the source endpoint")
-        if self.config.use_cache:
-            cache = self.source.replica.checksum_cache
-            return [
-                replace(entry, checksum=cache.checksum_outgoing(entry.item))
-                for entry in batch
-            ]
         return [
-            replace(entry, checksum=item_checksum(entry.item))
+            replace(entry, checksum=cached_item_checksum(entry.item))
             for entry in batch
         ]
 
@@ -276,7 +227,6 @@ class SyncSession:
             list(batch),
             stats,
             tolerate_duplicates=tolerate_duplicates,
-            use_cache=self.config.use_cache,
         )
 
     # -- the full local flow --------------------------------------------------
@@ -294,7 +244,6 @@ class SyncSession:
                              "halves for a networked session")
         source, target = self.source, self.target
         transport = self.transport
-        use_cache = self.config.use_cache
         request = self.build_request()
         if transport is not None and hasattr(transport, "corrupt_request"):
             request = transport.corrupt_request(request)
@@ -304,14 +253,6 @@ class SyncSession:
                 [entry.item for entry in batch], self._source_context()
             )
             return apply_batch(target, batch, stats)
-        source_cache = source.replica.checksum_cache
-        target_cache = target.replica.checksum_cache
-        if use_cache:
-            counters_before = (
-                source_cache.hits + target_cache.hits,
-                source_cache.misses + target_cache.misses,
-                source_cache.invalidations + target_cache.invalidations,
-            )
         stamped = self.stamp(batch)
         outcome = transport.deliver(stamped)
         stats.interrupted = outcome.truncated
@@ -320,26 +261,9 @@ class SyncSession:
         if confirmed is None:
             confirmed = outcome.delivered
         self.confirm_sent(confirmed)
-        apply_batch(
-            target,
-            outcome.delivered,
-            stats,
-            tolerate_duplicates=True,
-            use_cache=use_cache,
+        return apply_batch(
+            target, outcome.delivered, stats, tolerate_duplicates=True
         )
-        if use_cache:
-            stats.checksum_cache_hits = (
-                source_cache.hits + target_cache.hits - counters_before[0]
-            )
-            stats.checksum_cache_misses = (
-                source_cache.misses + target_cache.misses - counters_before[1]
-            )
-            stats.checksum_cache_invalidations = (
-                source_cache.invalidations
-                + target_cache.invalidations
-                - counters_before[2]
-            )
-        return stats
 
 
 class EncounterSession:

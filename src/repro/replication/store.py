@@ -35,7 +35,6 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Callable,
     Dict,
     Iterator,
@@ -72,17 +71,10 @@ class ItemStore:
         "_order",
         "_seq",
         "_snapshot",
-        "checksum_cache",
     )
 
     def __init__(self) -> None:
         self._items: Dict[ItemId, Item] = {}
-        #: Optional :class:`~repro.replication.integrity.ChecksumCache`
-        #: notified whenever an item (version) leaves this store, so cached
-        #: checksums can never outlive the content they describe. The
-        #: owning :class:`~repro.replication.replica.Replica` attaches one
-        #: cache shared across its three stores.
-        self.checksum_cache = None
         #: origin replica → sorted list of stored version counters.
         self._by_origin: Dict[ReplicaId, List[int]] = {}
         #: (origin replica, counter) → item id holding that version.
@@ -121,13 +113,6 @@ class ItemStore:
         previous = self._items.pop(item.item_id, None)
         if previous is not None:
             self._index_remove(previous)
-            if (
-                self.checksum_cache is not None
-                and previous.version != item.version
-            ):
-                # Version supersession: the old version's content is gone
-                # from this store, so its cached checksums must go too.
-                self.checksum_cache.forget(previous)
         self._items[item.item_id] = item
         self._index_add(item)
         self._order[item.item_id] = self._seq
@@ -145,11 +130,9 @@ class ItemStore:
             raise UnknownItemError(item.item_id)
         if previous.version != item.version:
             # Callers adjust host-local state only, so the version should
-            # never change here; keep the index and cache right regardless.
+            # never change here; keep the index right regardless.
             self._index_remove(previous)
             self._index_add(item)
-            if self.checksum_cache is not None:
-                self.checksum_cache.forget(previous)
         self._items[item.item_id] = item
         self._snapshot = None
 
@@ -160,8 +143,6 @@ class ItemStore:
         self._index_remove(item)
         self._order.pop(item_id, None)
         self._snapshot = None
-        if self.checksum_cache is not None:
-            self.checksum_cache.forget(item)
         return item
 
     def discard(self, item_id: ItemId) -> Optional[Item]:
@@ -170,8 +151,6 @@ class ItemStore:
             self._index_remove(item)
             self._order.pop(item_id, None)
             self._snapshot = None
-            if self.checksum_cache is not None:
-                self.checksum_cache.forget(item)
         return item
 
     def oldest(self) -> Optional[Item]:
@@ -193,9 +172,6 @@ class ItemStore:
         return self._snapshot
 
     def clear(self) -> None:
-        if self.checksum_cache is not None:
-            for item in self._items.values():
-                self.checksum_cache.forget(item)
         self._items.clear()
         self._by_origin.clear()
         self._version_owner.clear()
@@ -373,10 +349,6 @@ class RelayStore:
     def unknown_items(self, knowledge: VersionVector) -> List[Item]:
         """See :meth:`ItemStore.unknown_items`."""
         return self._store.unknown_items(knowledge)
-
-    def attach_checksum_cache(self, cache: Any) -> None:
-        """Route this store's invalidations into a replica-wide cache."""
-        self._store.checksum_cache = cache
 
     def clear(self) -> None:
         self._store.clear()

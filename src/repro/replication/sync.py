@@ -38,24 +38,17 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro._compat import DATACLASS_SLOTS
 
-from .digest import (
-    FABRICATION_PROBES,
-    DigestConfig,
-    KnowledgeDigest,
-    estimated_digest_wire_size,
-)
 from .errors import PolicyError
 from .filters import Filter
-from .ids import ReplicaId, Version
+from .ids import ReplicaId
 from .integrity import (
     VIOLATION_CHECKSUM_MISMATCH,
-    VIOLATION_DIGEST,
     VIOLATION_KNOWLEDGE_FABRICATION,
     VIOLATION_MALFORMED_ENTRY,
     VIOLATION_REPLAY,
     VIOLATION_VERSION_CONFLICT,
     ProtocolViolation,
-    item_checksum,
+    cached_item_checksum,
 )
 from .items import Item
 from .replica import Replica
@@ -83,20 +76,12 @@ class SyncEndpoint:
 
 @dataclass
 class SyncRequest:
-    """What the target sends to open a sync: knowledge, filter, routing state.
-
-    In digest mode ``digest`` carries a compact Bloom summary of the
-    target's knowledge *instead of* the exact vector — ``knowledge`` is
-    then an empty placeholder (the digest deliberately leaks no exact
-    counter structure alongside itself), and the source selects
-    candidates by Bloom membership rather than vector coverage.
-    """
+    """What the target sends to open a sync: knowledge, filter, routing."""
 
     target_id: ReplicaId
     knowledge: VersionVector
     filter: Filter
     routing_state: Any = None
-    digest: Optional[KnowledgeDigest] = None
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -138,28 +123,12 @@ class SyncStats:
     behind both (plus replay detections, which are counted under
     ``redundant_received`` because the item is already known).
 
-    The scan-cost fields make the hot-path optimisations observable:
+    The scan-cost fields make the version index observable:
     ``store_size`` is how many items the source held (what a full scan
     would have visited), ``candidates`` how many the version index
-    actually enumerated (the unknown items), ``index_skipped`` the
-    difference, and the ``filter_cache_*`` counters how the memoised
-    peer-filter evaluations fared while building this batch. The
-    ``checksum_cache_*`` counters do the same for the content-addressed
-    integrity cache across both ends of the session — send-side stamping
-    hits on the source's cache plus receive-side verification hits on the
-    target's (all zero on the perfect-channel path, which computes no
-    checksums at all).
-
-    The digest fields account for the compact-knowledge mode:
-    ``metadata_bytes`` is what the request's knowledge payload occupied
-    on the wire (the exact vector's encoding, or the digest frame when
-    one was sent); ``digest_used`` marks sessions opened with a digest;
-    ``digest_suppressed`` counts stored items withheld because the digest
-    claimed the target knew them (mostly true positives, occasionally
-    FPs); and ``fp_resend`` counts transmissions that *prove* an earlier
-    suppression was a false positive — the item is being sent now, so the
-    target cannot have known it then (see
-    :class:`~repro.replication.digest.SuppressionLedger`).
+    actually enumerated (the unknown items), and ``index_skipped`` the
+    difference. ``metadata_bytes`` is what the request's knowledge vector
+    occupied on the wire.
     """
 
     source: ReplicaId
@@ -167,12 +136,13 @@ class SyncStats:
     candidates: int = 0
     store_size: int = 0
     index_skipped: int = 0
+    # Always zero: the two caches they counted were removed in 1.3.0. The
+    # frozen ``bench/substrate_flood.py`` still reads these four names via
+    # ``getattr``; they go when it stops.
     filter_cache_hits: int = 0
     filter_cache_misses: int = 0
-    filter_cache_invalidations: int = 0
     checksum_cache_hits: int = 0
     checksum_cache_misses: int = 0
-    checksum_cache_invalidations: int = 0
     sent_total: int = 0
     sent_matching: int = 0
     sent_relayed: int = 0
@@ -183,9 +153,6 @@ class SyncStats:
     quarantined_entries: int = 0
     rejected_knowledge: int = 0
     metadata_bytes: int = 0
-    digest_used: bool = False
-    digest_suppressed: int = 0
-    fp_resend: int = 0
     interrupted: bool = False
     delivered_items: List[Item] = field(default_factory=list)
     violations: List[ProtocolViolation] = field(default_factory=list)
@@ -205,12 +172,6 @@ class SyncStats:
         "candidates",
         "store_size",
         "index_skipped",
-        "filter_cache_hits",
-        "filter_cache_misses",
-        "filter_cache_invalidations",
-        "checksum_cache_hits",
-        "checksum_cache_misses",
-        "checksum_cache_invalidations",
         "sent_total",
         "sent_matching",
         "sent_relayed",
@@ -221,9 +182,6 @@ class SyncStats:
         "quarantined_entries",
         "rejected_knowledge",
         "metadata_bytes",
-        "digest_used",
-        "digest_suppressed",
-        "fp_resend",
         "interrupted",
     )
 
@@ -274,53 +232,14 @@ class SyncStats:
         return stats
 
 
-def build_request(
-    target: SyncEndpoint,
-    context: SyncContext,
-    digest: Optional[DigestConfig] = None,
-) -> SyncRequest:
-    """Target side, step 1: snapshot knowledge + filter, add routing state.
-
-    With a :class:`~repro.replication.digest.DigestConfig`, the request
-    opens in digest mode when the negotiation picks it: a Bloom digest is
-    sent only when its estimated wire size undercuts the exact vector's
-    encoding, so compact contiguous knowledge keeps the exact path and
-    arming digests can only shrink request metadata. Each digest
-    is built under a fresh per-session salt, which is what makes a false
-    positive a one-contact delay instead of a permanent suppression.
-    """
+def build_request(target: SyncEndpoint, context: SyncContext) -> SyncRequest:
+    """Target side, step 1: snapshot knowledge + filter, add routing state."""
     routing_state = target.policy.generate_req(context)
-    if digest is not None:
-        knowledge_digest = _negotiate_digest(target.replica, digest)
-        if knowledge_digest is not None:
-            return SyncRequest(
-                target_id=target.replica_id,
-                knowledge=VersionVector.empty(),
-                filter=target.replica.filter,
-                routing_state=routing_state,
-                digest=knowledge_digest,
-            )
     return SyncRequest(
         target_id=target.replica_id,
         knowledge=target.replica.knowledge.copy(),
         filter=target.replica.filter,
         routing_state=routing_state,
-    )
-
-
-def _negotiate_digest(
-    replica: Replica, config: DigestConfig
-) -> Optional[KnowledgeDigest]:
-    """Build a digest when (estimated) cheaper than exact knowledge."""
-    vector = replica.knowledge
-    if not config.force:
-        estimate = estimated_digest_wire_size(
-            vector.size_in_versions(), config.fp_rate
-        )
-        if estimate >= vector.wire_size():
-            return None
-    return KnowledgeDigest.build(
-        vector, config.fp_rate, replica.next_digest_salt()
     )
 
 
@@ -370,68 +289,11 @@ def validate_request_knowledge(
     return knowledge
 
 
-def validate_request_digest(
-    source: SyncEndpoint, request: SyncRequest, stats: SyncStats
-) -> bool:
-    """Source-side protocol validation of a digest-mode request.
-
-    A digest cannot be *clamped* the way an exact vector can — membership
-    is opaque — so validation is accept-or-reject, with the same bounded
-    damage as the clamp: a rejected request yields an empty batch and the
-    session retries at the next contact, where the target's freshly
-    built request (new salt, or exact fallback) is honest again. Two
-    checks:
-
-    * **Integrity** — the frame checksum over the digest's parameters and
-      bitmap must verify; transit damage is a ``digest-mismatch``
-      violation.
-    * **Fabrication** — :data:`~repro.replication.digest.FABRICATION_PROBES`
-      counters *above* everything this replica ever authored are probed
-      for membership. An honest digest hits each with probability
-      ``fp_rate``, all of them with probability ``fp_rate**16`` —
-      negligible — so a full sweep of hits (e.g. a saturated bitmap,
-      which would suppress every transmission) is rejected as
-      ``knowledge-fabrication``.
-    """
-    digest = request.digest
-    assert digest is not None
-    own = source.replica_id
-    if not digest.verify():
-        stats.rejected_knowledge += 1
-        stats.violations.append(
-            ProtocolViolation(
-                kind=VIOLATION_DIGEST,
-                peer=request.target_id.name,
-                observer=own.name,
-                detail="knowledge digest fails its integrity checksum",
-            )
-        )
-        return False
-    authored = source.replica.last_authored_counter
-    probes = range(authored + 1, authored + 1 + FABRICATION_PROBES)
-    if all(digest.might_contain(Version(own, counter)) for counter in probes):
-        stats.rejected_knowledge += 1
-        stats.violations.append(
-            ProtocolViolation(
-                kind=VIOLATION_KNOWLEDGE_FABRICATION,
-                peer=request.target_id.name,
-                observer=own.name,
-                detail=(
-                    f"digest claims all {FABRICATION_PROBES} probed "
-                    f"counters of {own.name} above {authored}"
-                ),
-            )
-        )
-        return False
-    return True
-
-
 def build_batch(
     source: SyncEndpoint,
     request: SyncRequest,
     context: SyncContext,
     max_items: Optional[int] = None,
-    use_index: bool = True,
 ) -> Tuple[List[BatchEntry], SyncStats]:
     """Source side: select, prioritise, order, and truncate the batch.
 
@@ -442,23 +304,9 @@ def build_batch(
     to ``max_items`` when a bandwidth cap applies (via a partial sort —
     picking the same prefix a full sort-then-slice would).
 
-    With ``use_index`` (the default) the unknown items are enumerated
-    through the stores' version indexes and the target-filter evaluations
-    go through the source's :class:`~repro.replication.filters.FilterMatchCache`
-    — per-encounter cost proportional to what the target is missing.
-    ``use_index=False`` keeps the original full-store scan; it exists as
-    the reference leg of the equivalence tests, and produces identical
-    batches.
-
-    In digest mode (``request.digest`` set) the exact-knowledge machinery
-    is bypassed: the digest is validated (checksum + fabrication probes,
-    see :func:`validate_request_digest`; rejection returns an empty
-    batch), then candidates are the stored items whose versions the
-    digest does *not* claim — Bloom "no" is definite, so nothing the
-    target knows is ever sent, and a false positive merely suppresses an
-    unknown item until a later contact re-offers it. The version index
-    cannot serve Bloom membership, so digest mode always walks the full
-    store (same enumeration order as the exact scan).
+    The unknown items are enumerated through the stores' version indexes
+    (:meth:`Replica.items_unknown_to`), so per-encounter cost is
+    proportional to what the target is missing, not to the store.
 
     Building does **not** fire ``on_items_sent`` — the channel has not
     carried anything yet. :meth:`SyncSession.run` invokes the hook with the
@@ -475,48 +323,14 @@ def build_batch(
     stats = SyncStats(source=source.replica_id, target=request.target_id)
     source.policy.process_req(request.routing_state, context)
 
-    digest = request.digest
-    suppressed: List[Version] = []
-    stored_versions: set = set()
     stats.store_size = source.replica.stored_count
-    if digest is not None:
-        stats.digest_used = True
-        stats.metadata_bytes = digest.wire_size()
-        if not validate_request_digest(source, request, stats):
-            return [], stats
-        unknown = []
-        for item in source.replica.stored_items():
-            stored_versions.add(item.version)
-            if digest.might_contain(item.version):
-                suppressed.append(item.version)
-            else:
-                unknown.append(item)
-        stats.digest_suppressed = len(suppressed)
-        if use_index:
-            cache = source.replica.filter_cache
-            hits, misses, invalidations = (
-                cache.hits, cache.misses, cache.invalidations,
-            )
-            matches = lambda item: cache.matches(request.filter, item)  # noqa: E731
-        else:
-            matches = request.filter.matches
-        stats.candidates = len(unknown)
-    else:
-        stats.metadata_bytes = request.knowledge.wire_size()
-        knowledge = validate_request_knowledge(source, request, stats)
-        if use_index:
-            unknown = source.replica.items_unknown_to(knowledge)
-            cache = source.replica.filter_cache
-            hits, misses, invalidations = (
-                cache.hits, cache.misses, cache.invalidations,
-            )
-            matches = lambda item: cache.matches(request.filter, item)  # noqa: E731
-        else:
-            unknown = source.replica.items_unknown_to_scan(knowledge)
-            matches = request.filter.matches
-        stats.candidates = len(unknown)
-        stats.index_skipped = stats.store_size - stats.candidates
+    stats.metadata_bytes = request.knowledge.wire_size()
+    knowledge = validate_request_knowledge(source, request, stats)
+    unknown = source.replica.items_unknown_to(knowledge)
+    stats.candidates = len(unknown)
+    stats.index_skipped = stats.store_size - stats.candidates
 
+    matches = request.filter.matches
     entries: List[BatchEntry] = []
     for item in unknown:
         if matches(item):
@@ -533,11 +347,6 @@ def build_batch(
                     f"or None, got {type(priority).__name__}"
                 )
             entries.append(BatchEntry(item, False, priority))
-
-    if use_index:
-        stats.filter_cache_hits = cache.hits - hits
-        stats.filter_cache_misses = cache.misses - misses
-        stats.filter_cache_invalidations = cache.invalidations - invalidations
 
     # Decorate once: ``sort_key()`` is computed exactly once per entry and
     # the enumeration index breaks ties, so plain tuple comparison gives
@@ -570,18 +379,6 @@ def build_batch(
     stats.sent_matching = sum(1 for entry in prepared if entry.matched_filter)
     stats.sent_relayed = stats.sent_total - stats.sent_matching
 
-    # FP accounting: anything sent now that an earlier digest suppressed
-    # for this peer was provably unknown to the peer back then (knowledge
-    # is monotone, the digest has no false negatives) — a certain false
-    # positive. Both modes prove; only digest sessions record. The
-    # ledger never influences selection, so the zero-digest path costs
-    # one dictionary miss.
-    ledger = source.replica.suppression_ledger
-    stats.fp_resend = ledger.note_sent(
-        request.target_id, (entry.item.version for entry in prepared)
-    )
-    if digest is not None:
-        ledger.record(request.target_id, suppressed, stored_versions)
     return prepared, stats
 
 
@@ -590,7 +387,6 @@ def apply_batch(
     batch: List[BatchEntry],
     stats: SyncStats,
     tolerate_duplicates: bool = False,
-    use_cache: bool = True,
 ) -> SyncStats:
     """Target side, step 2: store every received item and update knowledge.
 
@@ -624,17 +420,13 @@ def apply_batch(
     knowledge does not cover them and the sender re-offers the real item
     at the next contact — corruption costs latency, never correctness.
 
-    ``use_cache`` (the default) routes checksum verification through the
-    target's :class:`~repro.replication.integrity.ChecksumCache`, which
-    only ever skips the hash for an object it has itself verified before —
-    verification-before-cache, so a corrupted entry can never be accepted
-    via a cache hit. ``use_cache=False`` recomputes every checksum; it is
-    the reference leg of the cached-vs-uncached equivalence tests, and
-    quarantines identically.
+    Verification uses the per-instance memo of
+    :func:`~repro.replication.integrity.cached_item_checksum`: the hash is
+    skipped only for the very object it was computed from, and a
+    corrupted copy (a different object) always recomputes.
     """
     snapshot = target.replica.knowledge.copy() if tolerate_duplicates else None
     seen_checksums: Dict[Any, Optional[str]] = {}
-    checksum_cache = target.replica.checksum_cache if use_cache else None
     for frame in batch:
         entry = frame
         if not isinstance(entry, BatchEntry):
@@ -642,24 +434,20 @@ def apply_batch(
             if entry is None:
                 continue
         checksum = entry.checksum
-        if checksum is not None:
-            if checksum_cache is not None:
-                valid = checksum_cache.verify_incoming(entry.item, checksum)
-            else:
-                valid = item_checksum(entry.item) == checksum
-            if not valid:
-                stats.quarantined_entries += 1
-                stats.violations.append(
-                    ProtocolViolation(
-                        kind=VIOLATION_CHECKSUM_MISMATCH,
-                        peer=stats.source.name,
-                        observer=target.replica_id.name,
-                        detail=(
-                            f"item {entry.item.item_id} failed its checksum"
-                        ),
-                    )
+        if (
+            checksum is not None
+            and cached_item_checksum(entry.item) != checksum
+        ):
+            stats.quarantined_entries += 1
+            stats.violations.append(
+                ProtocolViolation(
+                    kind=VIOLATION_CHECKSUM_MISMATCH,
+                    peer=stats.source.name,
+                    observer=target.replica_id.name,
+                    detail=f"item {entry.item.item_id} failed its checksum",
                 )
-                continue
+            )
+            continue
         key = (entry.item.item_id, entry.item.version)
         if tolerate_duplicates and target.replica.knowledge.contains(
             entry.item.version

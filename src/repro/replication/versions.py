@@ -303,14 +303,6 @@ class VersionVector:
         """Total non-contiguous counters retained (0 when fully compacted)."""
         return sum(len(entry.extras) for entry in self._entries.values())
 
-    def size_in_versions(self) -> int:
-        """Total versions covered — the member count a Bloom digest of
-        this vector is sized for. O(replicas), not O(versions)."""
-        return sum(
-            entry.prefix + len(entry.extras)
-            for entry in self._entries.values()
-        )
-
     # -- dunder plumbing ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -110,7 +110,6 @@ def test_final_node_state_matches_object_engine():
         (ExperimentConfig(addressing="user"), "bus addressing"),
         (ExperimentConfig(storage_limit=10), "storage"),
         (ExperimentConfig(delete_on_receipt=True), "delete_on_receipt"),
-        (ExperimentConfig(knowledge_digest=True), "digest"),
         (ExperimentConfig(policy="prophet"), "Prophet"),
         (ExperimentConfig(policy="maxprop"), "MaxProp"),
         (
@@ -130,7 +129,6 @@ def test_final_node_state_matches_object_engine():
         "user-addressing",
         "storage-limit",
         "delete-on-receipt",
-        "digest",
         "prophet",
         "maxprop",
         "crash-faults",

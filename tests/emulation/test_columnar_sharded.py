@@ -9,6 +9,8 @@ encounter-order coin flips are precomputed in global trace order.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.emulation.columnar import (
@@ -83,6 +85,28 @@ def test_merge_metrics_rejects_overlap():
     part.record_injection("m1", "alice", "bob", 0.0, "bus00")
     with pytest.raises(ValueError):
         merge_metrics([part, part])
+
+
+def test_merge_sums_every_int_counter_of_the_collector():
+    """A counter added to ``MetricsCollector`` later must not vanish from
+    sharded runs: each int field gets its own prime in each part, so a
+    field the merge skips (or adds twice) shows up by name."""
+    counters = [
+        spec.name
+        for spec in dataclasses.fields(MetricsCollector)
+        if spec.type in (int, "int")
+    ]
+    assert {"syncs", "transmissions", "metadata_bytes"} <= set(counters)
+    primes = [n for n in range(2, 400) if all(n % d for d in range(2, n))]
+    left, right = MetricsCollector(), MetricsCollector()
+    for index, name in enumerate(counters):
+        setattr(left, name, primes[2 * index])
+        setattr(right, name, primes[2 * index + 1])
+    merged = merge_metrics([left, right])
+    assert {name: getattr(merged, name) for name in counters} == {
+        name: primes[2 * index] + primes[2 * index + 1]
+        for index, name in enumerate(counters)
+    }
 
 
 def test_sharded_matches_unsharded():

@@ -180,8 +180,6 @@ SCENARIO_FLAGS = [
     ("--filter-strategy", "selected", "filter_strategy", "selected"),
     ("--filter-k", "2", "filter_k", 2),
     ("--addressing", "user", "addressing", "user"),
-    ("--digest", None, "digest", True),
-    ("--digest-fp-rate", "0.01", "digest_fp_rate", 0.01),
 ]
 
 

@@ -107,8 +107,6 @@ def _populated_collector() -> MetricsCollector:
             store_size=9,
             candidates=4,
             index_skipped=5,
-            filter_cache_hits=2,
-            filter_cache_misses=1,
         )
     )
     collector.record_eviction()

@@ -2,17 +2,14 @@
 
 Companion to ``test_fault_invariants``: many seeded mini-scenarios with
 random topologies and workloads, here stressing the *enumeration* layer.
-Two executable properties must hold throughout:
+One executable property must hold throughout:
 
 * **index/scan equivalence** — at every point, for every (holder, peer)
-  pair, ``items_unknown_to(knowledge)`` returns exactly what the
-  reference full scan ``items_unknown_to_scan`` returns, same items in
-  the same order, under random authoring, relaying, capped-store
-  evictions, expunges, deletions, and crash-restarts;
-* **no stale filter matches** — the memoised filter-match cache agrees
-  with a fresh predicate evaluation for every stored item against every
-  live filter, including straight after day-boundary address
-  reassignments rebuild the filters.
+  pair, ``items_unknown_to(knowledge)`` returns exactly what a brute-force
+  scan of the stores through ``knowledge.contains`` returns, same items
+  in the same order, under random authoring, relaying, capped-store
+  evictions, expunges, deletions, crash-restarts, and day-boundary
+  address reassignments that move items between stores.
 """
 
 import itertools
@@ -34,24 +31,15 @@ def assert_index_matches_scan(nodes, context=""):
         for peer in nodes.values():
             knowledge = peer.replica.knowledge
             indexed = holder.replica.items_unknown_to(knowledge)
-            scanned = holder.replica.items_unknown_to_scan(knowledge)
+            scanned = [
+                item
+                for item in holder.replica.stored_items()
+                if not knowledge.contains(item.version)
+            ]
             assert indexed == scanned, (
                 f"{context}: {holder.name}'s index diverges from the scan "
                 f"against {peer.name}'s knowledge: {indexed!r} != {scanned!r}"
             )
-
-
-def assert_no_stale_filter_matches(nodes, context=""):
-    """Cached match decisions agree with fresh evaluation everywhere."""
-    filters = {name: node.replica.filter for name, node in nodes.items()}
-    for holder in nodes.values():
-        cache = holder.replica.filter_cache
-        for peer_name, filter_ in filters.items():
-            for item in holder.replica.stored_items():
-                assert cache.matches(filter_, item) == filter_.matches(item), (
-                    f"{context}: {holder.name}'s cache is stale for "
-                    f"{item.item_id} against {peer_name}'s filter"
-                )
 
 
 def build_world(rng):
@@ -109,14 +97,13 @@ def test_index_matches_scan_under_churn(seed):
         if step % 6 == 0:
             assert_index_matches_scan(nodes, f"seed {seed}, step {step}")
     assert_index_matches_scan(nodes, f"seed {seed}, final")
-    assert_no_stale_filter_matches(nodes, f"seed {seed}, final")
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_day_boundary_reassignment_never_serves_stale_matches(seed):
+def test_day_boundary_reassignment_keeps_index_and_delivery(seed):
     """Users are re-distributed over nodes (the paper's day boundary);
-    filters are rebuilt, and cached match decisions from the previous
-    assignment must never leak into the new day's syncs."""
+    filters are rebuilt, items move between stores, and the new day's
+    syncs must still enumerate by index and deliver to today's hosts."""
     rng = random.Random(seed * 31 + 7)
     names = [f"n{i}" for i in range(4)]
     users = [f"u{i}" for i in range(6)]
@@ -147,17 +134,15 @@ def test_day_boundary_reassignment_never_serves_stale_matches(seed):
     for user in users:
         host = rng.choice(names)
         nodes[host].send(host, user, f"mail for {user}", now)
-    now = sweep(now + 60.0)  # warm every filter cache under day-1 filters
+    now = sweep(now + 60.0)
 
     for day in range(2, 5):
         assignment = reassign()  # day boundary: new filters everywhere
-        assert_no_stale_filter_matches(nodes, f"seed {seed}, day {day} start")
         for user in users:
             host = rng.choice(names)
             nodes[host].send(host, user, f"day-{day} mail for {user}", now)
         now = sweep(now + 60.0)
         assert_index_matches_scan(nodes, f"seed {seed}, day {day}")
-        assert_no_stale_filter_matches(nodes, f"seed {seed}, day {day}")
         # Eventual filter consistency across the reassignment: each user's
         # mail reached whichever node hosts the user today.
         for name, hosted in assignment.items():

@@ -218,7 +218,6 @@ def test_sync_stats_round_trip_on_every_wire_field():
     stats = SyncStats(
         source=ReplicaId("a"),
         target=ReplicaId("b"),
-        digest_used=True,
         interrupted=True,
         violations=[
             ProtocolViolation(

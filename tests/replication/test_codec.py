@@ -155,6 +155,19 @@ class TestSyncMessages:
         assert decoded.filter == request.filter
         assert decoded.routing_state is None
 
+    def test_request_with_an_undefined_key_is_refused(self):
+        """What a 1.2 peer in digest mode sends: a placeholder vector plus
+        a ``digest`` key. Ignoring the key would serve it the whole store."""
+        request = {
+            "target": "alice",
+            "knowledge": {},
+            "filter": {"type": "all"},
+            "routing": None,
+            "digest": {"salt": 1, "bits": ""},
+        }
+        with pytest.raises(CodecError, match="digest"):
+            decode_sync_request(request)
+
     def test_request_with_prophet_state_roundtrips(self):
         import repro.dtn  # noqa: F401 — registers the codecs
         from repro.dtn import ProphetRequest

@@ -1,5 +1,9 @@
 """Unit tests for the filter algebra."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.replication.errors import InvalidFilterError
@@ -59,6 +63,52 @@ class TestMultiAddressFilter:
     def test_requires_own_address(self):
         with pytest.raises(InvalidFilterError):
             MultiAddressFilter("")
+
+    def test_multicast_destination_matches_any_listed_address(self):
+        filter_ = MultiAddressFilter("alice", {"bob"})
+        assert filter_.matches(make_item(destination=["zed", "bob"]))
+        assert filter_.matches(make_item(destination=("alice",)))
+        assert not filter_.matches(make_item(destination=["zed", "yan"]))
+        assert not filter_.matches(make_item(destination=[]))
+        assert not filter_.matches(make_item(destination=7))
+
+
+class TestPrecomputedAddressSet:
+    """The address set is built once at construction and is not a field:
+    it must track every way a filter comes to exist and stay invisible to
+    equality, hashing, repr and pickling."""
+
+    FILTERS = [
+        AddressFilter("alice"),
+        MultiAddressFilter("alice", {"bob", "carol"}),
+    ]
+
+    @pytest.mark.parametrize("filter_", FILTERS, ids=repr)
+    def test_equality_hash_and_repr_see_only_the_fields(self, filter_):
+        rebuilt = dataclasses.replace(filter_)
+        assert rebuilt == filter_ and hash(rebuilt) == hash(filter_)
+        assert [f.name for f in dataclasses.fields(filter_)] in (
+            ["address"],
+            ["own_address", "relay_addresses"],
+        )
+        assert repr(filter_).count("=") == len(dataclasses.fields(filter_))
+
+    @pytest.mark.parametrize("filter_", FILTERS, ids=repr)
+    def test_pickle_and_copy_round_trip_still_match(self, filter_):
+        for clone in (pickle.loads(pickle.dumps(filter_)), copy.deepcopy(filter_)):
+            assert clone == filter_ and hash(clone) == hash(filter_)
+            assert clone.matches(make_item(destination="alice"))
+            assert not clone.matches(make_item(destination="zed"))
+
+    def test_replace_rebuilds_the_set(self):
+        moved = dataclasses.replace(AddressFilter("alice"), address="bob")
+        assert moved.matches(make_item(destination="bob"))
+        assert not moved.matches(make_item(destination="alice"))
+        widened = dataclasses.replace(
+            MultiAddressFilter("alice"), relay_addresses={"bob"}
+        )
+        assert widened.addresses == {"alice", "bob"}
+        assert widened.matches(make_item(destination="bob"))
 
 
 class TestExtremes:

@@ -22,7 +22,6 @@ from repro.replication import (
     SyncSession,
     Transport,
 )
-from repro.replication.digest import DigestConfig
 from repro.replication.persistence import replica_to_state
 
 
@@ -145,14 +144,9 @@ class TestSessionConfig:
         with pytest.raises(FrozenInstanceError):
             config.max_items = 3
 
-    def test_round_trip_with_digest(self):
-        config = SessionConfig(
-            max_items=7,
-            use_index=False,
-            digest=DigestConfig(fp_rate=0.01, force=True),
-        )
-        restored = SessionConfig.from_dict(config.to_dict())
-        assert restored == config
+    def test_round_trip_with_cap(self):
+        config = SessionConfig(max_items=7)
+        assert SessionConfig.from_dict(config.to_dict()) == config
 
     def test_round_trip_defaults(self):
         assert SessionConfig.from_dict(SessionConfig().to_dict()) == SessionConfig()

@@ -3,8 +3,9 @@
 Two equivalences underpin the hot-path optimisation and both are load
 bearing for reproducibility (the evaluation figures must not move):
 
-* ``build_batch(use_index=True)`` must produce the identical batch to the
-  reference full-scan path (``use_index=False``), entry for entry;
+* ``build_batch`` must offer exactly the stored items a full scan through
+  ``knowledge.contains`` would (the randomized store histories live in
+  ``tests/integration/test_sync_index_equivalence.py``);
 * truncation under a bandwidth cap uses ``heapq.nsmallest`` and must pick
   exactly the prefix a stable full sort followed by a slice would — ties
   inside a priority band resolve by enumeration order either way.
@@ -89,17 +90,6 @@ class TestTruncationPrefix:
             assert capped == full[:cap]
             assert stats.truncated == max(0, len(full) - cap)
 
-    def test_scan_path_truncates_identically(self):
-        source = populated_source(40, seed=3)
-        request = target_request()
-        context = source_context(source)
-        for cap in (5, 17):
-            indexed, _ = build_batch(source, request, context, max_items=cap)
-            scanned, _ = build_batch(
-                source, request, context, max_items=cap, use_index=False
-            )
-            assert indexed == scanned
-
     def test_cap_zero_sends_nothing(self):
         source = populated_source(8)
         batch, stats = build_batch(
@@ -109,52 +99,39 @@ class TestTruncationPrefix:
         assert stats.truncated == 8
 
 
-class TestIndexScanBatchEquivalence:
+class TestIndexedCandidates:
     @pytest.mark.parametrize("seed", range(5))
-    def test_identical_batches_and_counters(self, seed):
-        source = populated_source(30, seed=seed)
+    def test_partially_known_target_shrinks_candidates(self, seed):
+        source = populated_source(20, seed=seed)
         request = target_request()
         context = source_context(source)
-        indexed, indexed_stats = build_batch(source, request, context)
-        scanned, scanned_stats = build_batch(
-            source, request, context, use_index=False
-        )
-        assert indexed == scanned
-        assert indexed_stats.candidates == scanned_stats.candidates
-        assert indexed_stats.store_size == scanned_stats.store_size == 30
-
-    def test_partially_known_target_shrinks_candidates(self):
-        source = populated_source(20)
-        request = target_request()
-        # Target learns the first 12 items out of band.
-        for item in list(source.replica.stored_items())[:12]:
+        # Target learns 12 of the items out of band.
+        stored = list(source.replica.stored_items())
+        for item in random.Random(seed).sample(stored, 12):
             request.knowledge.add(item.version)
-        batch, stats = build_batch(source, request, source_context(source))
+        batch, stats = build_batch(source, request, context)
         assert stats.store_size == 20
         assert stats.candidates == 8
         assert stats.index_skipped == 12
-        assert len(batch) == 8
-
-    def test_repeat_encounter_hits_the_filter_cache(self):
-        source = populated_source(10)
-        request = target_request()
-        context = source_context(source)
-        _, first = build_batch(source, request, context)
-        assert first.filter_cache_misses == 10
-        assert first.filter_cache_hits == 0
-        _, second = build_batch(source, request, context)
-        assert second.filter_cache_misses == 0
-        assert second.filter_cache_hits == 10
-
-    def test_scan_path_bypasses_the_filter_cache(self):
-        source = populated_source(10)
-        request = target_request()
-        _, stats = build_batch(
-            source, request, source_context(source), use_index=False
+        # BandPolicy forwards everything, so the batch is the brute-force
+        # scan's answer in store order, stably sorted by priority band —
+        # entry for entry, and its prefix under a cap.
+        scanned = [
+            item for item in stored if not request.knowledge.contains(item.version)
+        ]
+        expected = sorted(
+            scanned,
+            key=lambda item: source.policy.to_send(
+                item, request.filter, context
+            ).sort_key(),
         )
-        assert stats.filter_cache_hits == 0
-        assert stats.filter_cache_misses == 0
-        assert len(source.replica.filter_cache) == 0
+        assert [entry.item for entry in batch] == expected
+        for cap in (3, 5):
+            capped, capped_stats = build_batch(
+                source, request, context, max_items=cap
+            )
+            assert [entry.item for entry in capped] == expected[:cap]
+            assert capped_stats.truncated == 8 - cap
 
 
 class TestKnowledgeSizeIsARead:
