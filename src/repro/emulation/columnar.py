@@ -17,9 +17,11 @@ flat, integer-interned state:
   never update an item after authoring it);
 * per-node holdings are three insertion-ordered dicts (store, outbox,
   relay) mirroring the object engine's enumeration order exactly;
-* the encounter trace is columnar (:class:`ColumnarTrace`,
-  ``array``-module columns) and the event loop is a two-pointer merge
-  over the injection and encounter columns instead of a heap.
+* the encounter trace is read as the ``array``-module columns
+  :class:`~repro.emulation.encounters.EncounterTrace` holds (no
+  ``Encounter`` object is built on this path) and the event loop is a
+  two-pointer merge over the injection and encounter columns instead of
+  a heap.
 
 Correctness contract: for any configuration accepted by
 :func:`columnar_unsupported_reason`, a columnar run reproduces the
@@ -82,7 +84,6 @@ from repro.replication.ids import ItemId, ReplicaId
 from repro.replication.routing import NullRoutingPolicy
 
 __all__ = [
-    "ColumnarTrace",
     "ColumnarUnsupportedError",
     "ColumnarWorld",
     "UNREPLICATED_COUNTERS",
@@ -167,54 +168,9 @@ def columnar_unsupported_reason(config: Any) -> Optional[str]:
     return None
 
 
-class ColumnarTrace:
-    """An encounter trace as flat columns (stdlib ``array`` module).
-
-    Hosts are interned: column ``a``/``b`` entries are indices into the
-    sorted ``hosts`` tuple.  Encounters are stored in the same order the
-    object engine processes them (time-sorted, ties in input order —
-    :class:`~repro.emulation.encounters.EncounterTrace` already sorts).
-    """
-
-    __slots__ = ("hosts", "times", "a", "b", "durations")
-
-    def __init__(
-        self,
-        hosts: Sequence[str],
-        times: array,
-        a: array,
-        b: array,
-        durations: array,
-    ) -> None:
-        self.hosts: Tuple[str, ...] = tuple(hosts)
-        self.times = times
-        self.a = a
-        self.b = b
-        self.durations = durations
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def last_day(self) -> int:
-        if not self.times:
-            return 0
-        return int(self.times[-1] // SECONDS_PER_DAY)
-
-    @classmethod
-    def from_trace(cls, trace: EncounterTrace) -> "ColumnarTrace":
-        hosts = tuple(sorted(trace.hosts))
-        host_id = {host: i for i, host in enumerate(hosts)}
-        times = array("d")
-        a = array("i")
-        b = array("i")
-        durations = array("d")
-        for encounter in trace:
-            times.append(encounter.time)
-            a.append(host_id[encounter.a])
-            b.append(host_id[encounter.b])
-            durations.append(encounter.duration)
-        return cls(hosts, times, a, b, durations)
+def _horizon(trace: EncounterTrace, extra_days: int) -> float:
+    """The object engine's end time: the last day's end (day 0's if empty)."""
+    return max(trace.duration, SECONDS_PER_DAY) + extra_days * SECONDS_PER_DAY
 
 
 class ColumnarWorld:
@@ -222,7 +178,7 @@ class ColumnarWorld:
 
     def __init__(
         self,
-        trace: ColumnarTrace,
+        trace: EncounterTrace,
         injections: Sequence[Injection],
         *,
         policy: str,
@@ -235,7 +191,7 @@ class ColumnarWorld:
         order_draws: Optional[Sequence[int]] = None,
     ) -> None:
         self.trace = trace
-        self.hosts: Tuple[str, ...] = trace.hosts
+        self.hosts: Tuple[str, ...] = trace.host_names
         n = len(self.hosts)
         self._host_id: Dict[str, int] = {h: i for i, h in enumerate(self.hosts)}
 
@@ -332,8 +288,7 @@ class ColumnarWorld:
         times = self.trace.times
         n_enc = len(times)
         if end_time is None:
-            last_day = self.trace.last_day if n_enc else 0
-            end_time = float((last_day + 1 + extra_days) * SECONDS_PER_DAY)
+            end_time = _horizon(self.trace, extra_days)
         injections = self._injections
         n_inj = len(injections)
         ii = 0
@@ -432,6 +387,11 @@ class ColumnarWorld:
         store_s = self._store[src]
         outbox_s = self._outbox[src]
         relay_s = self._relay[src]
+        if not (store_s or outbox_s or relay_s):
+            # Nothing to offer: every other counter would gain 0 and an
+            # empty batch draws nothing from the fault rng.
+            self._c_syncs += 1
+            return 0, False
         store_size = len(store_s) + len(outbox_s) + len(relay_s)
         tknow = self._knowledge[tgt]
         tmatch = self._match[tgt]
@@ -680,7 +640,7 @@ class ColumnarWorld:
 
 def _relay_sets(config: Any, trace: EncounterTrace) -> Dict[str, FrozenSet[str]]:
     """Figure 5/6 relay sets, drawing the filter rng in scenario order."""
-    hosts = sorted(trace.hosts)
+    hosts = trace.host_names
     if config.filter_strategy == "self" or config.filter_k == 0:
         return {host: frozenset() for host in hosts}
     from repro.experiments.scenario import _bus_relay_addresses
@@ -737,7 +697,7 @@ def build_world(
         raise ColumnarUnsupportedError(reason)
     trace, injections, relay_sets = _build_inputs(config, trace, model)
     world = ColumnarWorld(
-        ColumnarTrace.from_trace(trace),
+        trace,
         injections,
         policy=config.policy,
         policy_parameters=config.policy_parameters,
@@ -791,14 +751,14 @@ def comparable_metrics(metrics: MetricsCollector) -> Dict[str, Any]:
 # -- sharding --------------------------------------------------------------
 
 
-def trace_components(trace: ColumnarTrace) -> List[List[int]]:
+def trace_components(trace: EncounterTrace) -> List[List[int]]:
     """Connected components of the encounter graph (union-find).
 
-    Returns lists of host ids; hosts that never meet anyone form
-    singleton components.  Items can only travel within a component, so
-    components are the safe unit of parallel partitioning.
+    Returns lists of host ids (positions in ``trace.host_names``).
+    Items can only travel within a component, so components are the
+    safe unit of parallel partitioning.
     """
-    n = len(trace.hosts)
+    n = len(trace.host_names)
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -820,7 +780,7 @@ def trace_components(trace: ColumnarTrace) -> List[List[int]]:
 
 
 def plan_shards(
-    trace: ColumnarTrace, shards: int
+    trace: EncounterTrace, shards: int
 ) -> List[Tuple[List[int], int]]:
     """Pack trace components into ≤ ``shards`` balanced shards.
 
@@ -927,7 +887,9 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
     faults_payload = payload.get("faults")
     world = ColumnarWorld(
-        ColumnarTrace(hosts, l_times, l_a, l_b, array("d", bytes(8) * len(l_times))),
+        EncounterTrace.from_columns(
+            hosts, l_times, l_a, l_b, array("d", bytes(8) * len(l_times))
+        ),
         injections,
         policy=payload["policy"],
         policy_parameters=payload["policy_parameters"],
@@ -987,13 +949,12 @@ def run_columnar_sharded(
         )
     trace, injections, relay_sets = _build_inputs(config, trace, model)
     trace_summary = trace.summary()
-    ctrace = ColumnarTrace.from_trace(trace)
-    n_enc = len(ctrace)
-    plan = plan_shards(ctrace, shards)
+    n_enc = len(trace)
+    plan = plan_shards(trace, shards)
     if len(plan) <= 1:
         # One connected component: nothing to partition.
         world = ColumnarWorld(
-            ctrace,
+            trace,
             injections,
             policy=config.policy,
             policy_parameters=config.policy_parameters,
@@ -1020,14 +981,14 @@ def run_columnar_sharded(
             shard_of_host[h] = sid
     shard_of = bytearray(n_enc)
     for k in range(n_enc):
-        shard_of[k] = shard_of_host[ctrace.a[k]]
+        shard_of[k] = shard_of_host[trace.a[k]]
 
-    end_time = float((ctrace.last_day + 1 + extra_days) * SECONDS_PER_DAY)
+    end_time = _horizon(trace, extra_days)
 
     # Pack the shared columns: times | a | b | order | shard_of.
-    times_b = ctrace.times.tobytes()
-    a_b = ctrace.a.tobytes()
-    b_b = ctrace.b.tobytes()
+    times_b = trace.times.tobytes()
+    a_b = trace.a.tobytes()
+    b_b = trace.b.tobytes()
     offsets = []
     total = 0
     for blob in (times_b, a_b, b_b, bytes(order), bytes(shard_of)):
@@ -1041,7 +1002,7 @@ def run_columnar_sharded(
             cursor += len(blob)
 
         host_name_to_shard = {
-            ctrace.hosts[h]: sid
+            trace.host_names[h]: sid
             for sid, (host_ids, _weight) in enumerate(plan)
             for h in host_ids
         }
@@ -1065,12 +1026,12 @@ def run_columnar_sharded(
                     "n_enc": n_enc,
                     "offsets": offsets,
                     "shard_id": sid,
-                    "global_hosts": ctrace.hosts,
+                    "global_hosts": trace.host_names,
                     "host_ids": host_ids,
                     "injections": shard_injections[sid],
                     "relay_sets": {
-                        ctrace.hosts[h]: sorted(
-                            relay_sets.get(ctrace.hosts[h], frozenset())
+                        trace.host_names[h]: sorted(
+                            relay_sets.get(trace.host_names[h], frozenset())
                         )
                         for h in host_ids
                     },

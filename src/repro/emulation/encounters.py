@@ -2,10 +2,13 @@
 
 An :class:`Encounter` is one connectivity opportunity between two hosts at
 a point in simulated time (seconds from the start of the trace). An
-:class:`EncounterTrace` is an ordered collection of encounters plus the
-derived views the experiments need: the set of participating hosts, per-day
-slicing, per-host activity, and pairwise meeting frequencies (which drive
-the ``selected`` filter strategy of Figures 5 and 6).
+:class:`EncounterTrace` is an ordered collection of encounters, held as
+``array`` columns over interned host ids, plus the derived views the
+experiments need: the set of participating hosts, per-day slicing,
+per-host activity, and pairwise meeting frequencies (which drive the
+``selected`` filter strategy of Figures 5 and 6). A city-scale trace is
+built from columns, run by the columnar engine and summarised without one
+:class:`Encounter` being constructed (docs/traces.md).
 
 Time convention: day ``d`` (0-based) spans ``[d·86400, (d+1)·86400)``
 seconds; the DieselNet generator places encounters inside each day's
@@ -14,8 +17,13 @@ service window (08:00–23:00).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
+from operator import attrgetter, eq, ge, gt
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 SECONDS_PER_DAY = 86400.0
@@ -55,65 +63,145 @@ class Encounter:
 
 
 class EncounterTrace:
-    """An immutable, time-sorted sequence of encounters."""
+    """An immutable, time-sorted sequence of encounters, held as columns.
+
+    ``host_names`` is the sorted tuple of every host in the trace; row
+    ``i`` is ``(times[i], a[i], b[i], durations[i])`` with ``a``/``b``
+    positions in ``host_names``, rows ordered by that 4-tuple — ids follow
+    name order, so this is the :class:`Encounter` dataclass order. The
+    columns are what the columnar engine and the derived views read;
+    :class:`Encounter` objects are a view built on first iteration or
+    indexing and kept.
+    """
 
     def __init__(self, encounters: Iterable[Encounter]) -> None:
-        self._encounters: List[Encounter] = sorted(encounters)
+        objects = sorted(encounters, key=attrgetter("time", "a", "b", "duration"))
+        names = {e.a for e in objects}.union(e.b for e in objects)
+        self.host_names: Tuple[str, ...] = tuple(sorted(names))
+        host_id = {name: i for i, name in enumerate(self.host_names)}
+        self.times = array("d", [e.time for e in objects])
+        self.a = array("i", [host_id[e.a] for e in objects])
+        self.b = array("i", [host_id[e.b] for e in objects])
+        self.durations = array("d", [e.duration for e in objects])
+        self._encounters = objects
+
+    @classmethod
+    def from_columns(
+        cls,
+        hosts: Iterable[str],
+        times: Iterable[float],
+        a: Iterable[int],
+        b: Iterable[int],
+        durations: Iterable[float],
+    ) -> "EncounterTrace":
+        """Build a trace from columns; no :class:`Encounter` is constructed.
+
+        Checks column-wise what :class:`Encounter` checks per object and
+        what the object constructor's sort guarantees: ``hosts`` sorted,
+        distinct and each appearing in some row; equal column lengths;
+        ids in range; ``a != b``; times and durations non-negative; rows
+        in ``(time, a, b, duration)`` order. Raises :class:`ValueError`.
+        """
+        self = cls.__new__(cls)
+        self.host_names = tuple(hosts)
+        self.times = array("d", times)
+        self.a = array("i", a)
+        self.b = array("i", b)
+        self.durations = array("d", durations)
+        self._encounters = None
+        if not len(self.times) == len(self.a) == len(self.b) == len(self.durations):
+            raise ValueError("trace columns must have equal lengths")
+        if any(map(ge, self.host_names, islice(self.host_names, 1, None))):
+            raise ValueError("hosts must be sorted and distinct")
+        used = set(self.a).union(self.b)
+        if used and not 0 <= min(used) <= max(used) < len(self.host_names):
+            raise ValueError("host id out of range")
+        if len(used) != len(self.host_names):
+            raise ValueError("every host must appear in some encounter")
+        if any(map(eq, self.a, self.b)):
+            raise ValueError("an encounter needs two distinct hosts")
+        if min(self.times, default=0.0) < 0:
+            raise ValueError("encounter time must be non-negative")
+        if min(self.durations, default=0.0) < 0:
+            raise ValueError("encounter duration must be non-negative")
+        if any(map(gt, self._rows(), islice(self._rows(), 1, None))):
+            raise ValueError("encounters must be in (time, a, b, duration) order")
+        return self
+
+    def _rows(self) -> Iterator[Tuple[float, int, int, float]]:
+        return zip(self.times, self.a, self.b, self.durations)
+
+    def _objects(self) -> List[Encounter]:
+        if self._encounters is None:
+            names = self.host_names
+            self._encounters = [
+                Encounter(time, names[a], names[b], duration)
+                for time, a, b, duration in self._rows()
+            ]
+        return self._encounters
 
     def __len__(self) -> int:
-        return len(self._encounters)
+        return len(self.times)
 
     def __iter__(self) -> Iterator[Encounter]:
-        return iter(self._encounters)
+        return iter(self._objects())
 
     def __getitem__(self, index: int) -> Encounter:
-        return self._encounters[index]
+        return self._objects()[index]
 
-    @property
+    @cached_property
     def hosts(self) -> FrozenSet[str]:
         """Every host appearing anywhere in the trace."""
-        names = set()
-        for encounter in self._encounters:
-            names.add(encounter.a)
-            names.add(encounter.b)
-        return frozenset(names)
+        return frozenset(self.host_names)
+
+    @cached_property
+    def _day_rows(self) -> Dict[int, Tuple[int, int]]:
+        """Day → its half-open row range, in day order (rows are time-sorted)."""
+        rows: Dict[int, Tuple[int, int]] = {}
+        lo = 0
+        while lo < len(self.times):
+            day = int(self.times[lo] // SECONDS_PER_DAY)
+            hi = bisect_left(self.times, (day + 1) * SECONDS_PER_DAY, lo)
+            rows[day] = (lo, hi)
+            lo = hi
+        return rows
 
     @property
     def days(self) -> Tuple[int, ...]:
         """The distinct days (0-based) on which encounters occur, sorted."""
-        return tuple(sorted({encounter.day for encounter in self._encounters}))
+        return tuple(self._day_rows)
 
     @property
     def duration(self) -> float:
         """Seconds from time 0 to the end of the last encounter's day."""
-        if not self._encounters:
+        if not self.times:
             return 0.0
-        return (self._encounters[-1].day + 1) * SECONDS_PER_DAY
+        return (int(self.times[-1] // SECONDS_PER_DAY) + 1) * SECONDS_PER_DAY
 
     def on_day(self, day: int) -> "EncounterTrace":
         """The sub-trace of encounters on one day."""
-        return EncounterTrace(e for e in self._encounters if e.day == day)
+        lo, hi = self._day_rows.get(day, (0, 0))
+        return EncounterTrace(self._objects()[lo:hi])
 
     def hosts_active_on(self, day: int) -> FrozenSet[str]:
         """Hosts with at least one encounter on ``day``."""
-        names = set()
-        for encounter in self._encounters:
-            if encounter.day == day:
-                names.add(encounter.a)
-                names.add(encounter.b)
-        return frozenset(names)
+        return self._active_by_day.get(day, frozenset())
+
+    @cached_property
+    def _active_by_day(self) -> Dict[int, FrozenSet[str]]:
+        name = self.host_names.__getitem__
+        return {
+            day: frozenset(map(name, set(self.a[lo:hi]).union(self.b[lo:hi])))
+            for day, (lo, hi) in self._day_rows.items()
+        }
 
     def active_hosts_by_day(self) -> Dict[int, FrozenSet[str]]:
-        """Day → hosts active that day, in one pass."""
-        by_day: Dict[int, set] = defaultdict(set)
-        for encounter in self._encounters:
-            by_day[encounter.day].add(encounter.a)
-            by_day[encounter.day].add(encounter.b)
-        return {day: frozenset(hosts) for day, hosts in by_day.items()}
+        """Day → hosts active that day (a fresh dict over the kept sets)."""
+        return dict(self._active_by_day)
 
     def meeting_counts(self) -> Mapping[Tuple[str, str], int]:
         """Unordered pair → number of encounters across the whole trace."""
-        return Counter(encounter.pair for encounter in self._encounters)
+        return Counter(encounter.pair for encounter in self._objects())
 
     def meeting_counts_for(self, host: str) -> Dict[str, int]:
         """Other host → number of encounters with ``host``.
@@ -122,33 +210,35 @@ class EncounterTrace:
         the k other hosts that a given host will encounter most in the
         trace".
         """
+        if host not in self.hosts:
+            return {}
+        names = self.host_names
+        me = names.index(host)
         counts: Counter = Counter()
-        for encounter in self._encounters:
-            if encounter.a == host:
-                counts[encounter.b] += 1
-            elif encounter.b == host:
-                counts[encounter.a] += 1
-        return dict(counts)
+        for a, b in zip(self.a, self.b):
+            if a == me:
+                counts[b] += 1
+            elif b == me:
+                counts[a] += 1
+        return {names[other]: count for other, count in counts.items()}
 
     def restricted_to(self, hosts: Iterable[str]) -> "EncounterTrace":
         """The sub-trace touching only the given hosts."""
         keep = frozenset(hosts)
         return EncounterTrace(
-            e for e in self._encounters if e.a in keep and e.b in keep
+            e for e in self._objects() if e.a in keep and e.b in keep
         )
 
     def summary(self) -> Dict[str, float]:
         """Headline statistics, matching how the paper describes its trace."""
-        by_day = self.active_hosts_by_day()
+        by_day = self._active_by_day
         days = len(by_day)
         return {
-            "encounters": float(len(self._encounters)),
-            "hosts": float(len(self.hosts)),
+            "encounters": float(len(self)),
+            "hosts": float(len(self.host_names)),
             "days": float(days),
             "mean_hosts_per_day": (
                 sum(len(h) for h in by_day.values()) / days if days else 0.0
             ),
-            "mean_encounters_per_day": (
-                len(self._encounters) / days if days else 0.0
-            ),
+            "mean_encounters_per_day": len(self) / days if days else 0.0,
         }

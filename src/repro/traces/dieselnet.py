@@ -303,14 +303,19 @@ def generate_metro_trace(config: MetroConfig = MetroConfig()) -> EncounterTrace:
     interchange meetings.
     """
     rng = random.Random(f"metro:{config.seed}")
-    routes = metro_route_members(config)
+    members_by_route = metro_route_members(config)
+    # Buses are drawn as positions in name order, so sorting the rows
+    # is the order EncounterTrace gives the same encounters as objects.
+    names = sorted(name for members in members_by_route for name in members)
+    bus_id = {name: index for index, name in enumerate(names)}
+    routes = [[bus_id[name] for name in members] for members in members_by_route]
     window_start = config.window_start_hour * 3600.0
     window_end = config.window_end_hour * 3600.0
 
-    encounters: List[Encounter] = []
+    rows: List[Tuple[float, int, int]] = []
     for day in range(config.days):
         day_base = day * SECONDS_PER_DAY
-        active_by_route: List[List[str]] = []
+        active_by_route: List[List[int]] = []
         for members in routes:
             k = max(2, int(round(config.duty_cycle * len(members))))
             k = min(k, len(members))
@@ -326,9 +331,7 @@ def generate_metro_trace(config: MetroConfig = MetroConfig()) -> EncounterTrace:
                 if b_index >= a_index:
                     b_index += 1
                 moment = day_base + rng.uniform(window_start, window_end)
-                encounters.append(
-                    Encounter(moment, active[a_index], active[b_index])
-                )
+                rows.append((moment, active[a_index], active[b_index]))
         if config.interchange_rate > 0 and config.n_routes > 1:
             for route in range(config.n_routes):
                 if config.n_routes == 2 and route == 1:
@@ -339,14 +342,25 @@ def generate_metro_trace(config: MetroConfig = MetroConfig()) -> EncounterTrace:
                 meetings = _poisson_capped(rng, config.interchange_rate)
                 for _ in range(meetings):
                     moment = day_base + rng.uniform(window_start, window_end)
-                    encounters.append(
-                        Encounter(
+                    rows.append(
+                        (
                             moment,
                             here[rng.randrange(len(here))],
                             there[rng.randrange(len(there))],
                         )
                     )
-    return EncounterTrace(encounters)
+    rows.sort()
+    # A bus that met nobody is not a host: renumber over those that did
+    # (order-preserving, so the rows stay sorted).
+    met = sorted({a for _, a, _ in rows}.union(b for _, _, b in rows))
+    host_id = {bus: index for index, bus in enumerate(met)}
+    return EncounterTrace.from_columns(
+        [names[bus] for bus in met],
+        (time for time, _, _ in rows),
+        (host_id[a] for _, a, _ in rows),
+        (host_id[b] for _, _, b in rows),
+        [0.0] * len(rows),
+    )
 
 
 # -- interchange format ------------------------------------------------------------
@@ -395,7 +409,9 @@ def format_trace_text(trace: EncounterTrace) -> Iterator[str]:
     """Render a trace back into the interchange format, one line at a time."""
     yield "# day seconds-into-day bus-a bus-b [duration-seconds]"
     for encounter in trace:
-        seconds = encounter.time - encounter.day * SECONDS_PER_DAY
+        # Capped so the day's last 0.05 s is not rounded up to 86400.0,
+        # a seconds field parse_trace_text refuses.
+        seconds = min(encounter.time - encounter.day * SECONDS_PER_DAY, 86399.9)
         line = f"{encounter.day} {seconds:.1f} {encounter.a} {encounter.b}"
         if encounter.duration > 0:
             line += f" {encounter.duration:.1f}"

@@ -37,10 +37,12 @@ def assign_users_daily(
         rng = random.Random(f"{seed}:{day}")
         shuffled = list(users)
         rng.shuffle(shuffled)
-        per_bus: Dict[str, set] = {bus: set() for bus in buses}
-        for index, user in enumerate(shuffled):
-            per_bus[buses[index % len(buses)]].add(user)
-        schedule[day] = {bus: frozenset(assigned) for bus, assigned in per_bus.items()}
+        # Round-robin deal: bus k gets every len(buses)-th user from k on;
+        # buses past the last user share the one empty set.
+        per_bus: Dict[str, FrozenSet[str]] = dict.fromkeys(buses, frozenset())
+        for k, bus in enumerate(buses[: len(shuffled)]):
+            per_bus[bus] = frozenset(shuffled[k :: len(buses)])
+        schedule[day] = per_bus
     return schedule
 
 

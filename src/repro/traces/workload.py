@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.emulation.encounters import SECONDS_PER_DAY
 from repro.emulation.network import Injection
 
 from .enron import EmailWorkloadModel
-from .mapping import host_of, users_on_day
+from .mapping import host_of
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,18 @@ def build_injection_schedule(
     apart from the window start.
     """
     rng = random.Random(config.seed)
+    # Each day's assignment inverted once (user → first bus listing them,
+    # as host_of answers): host_of scans every active bus, and a metro
+    # day has tens of thousands.
+    bus_of: Dict[int, Dict[str, str]] = {day: {} for day in assignments}
+    for day, buses in assignments.items():
+        for bus, users in buses.items():
+            for user in users:
+                bus_of[day].setdefault(user, bus)
     candidate_days = [
         day
         for day in sorted(assignments)
-        if day < config.injection_days and users_on_day(assignments, day)
+        if day < config.injection_days and bus_of[day]
     ]
     if not candidate_days:
         raise ValueError("no injection day has any assigned users")
@@ -91,7 +99,7 @@ def build_injection_schedule(
     injections: List[Injection] = []
     sequence = 0
     for day in candidate_days:
-        riders = users_on_day(assignments, day)
+        riders = bus_of[day]
         day_start = day * SECONDS_PER_DAY + config.window_start_hour * 3600.0
         for slot in range(per_day[day]):
             sender, recipient = model.draw_pair(rng)
@@ -109,9 +117,8 @@ def build_injection_schedule(
                 recipient = rng.choice(others)
             time = day_start + slot * config.interval_seconds
             if config.addressing == "bus":
-                source_bus = host_of(assignments, day, sender)
-                destination_bus = host_of(assignments, day, recipient)
-                assert source_bus is not None  # sender is a rider by choice
+                source_bus = riders[sender]  # sender is a rider by choice
+                destination_bus = riders.get(recipient)
                 if destination_bus is None:
                     # Recipient not riding today: address the bus that will
                     # next host them; fall back to their user address.

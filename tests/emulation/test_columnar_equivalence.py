@@ -21,10 +21,12 @@ from repro.emulation.columnar import (
     columnar_unsupported_reason,
     comparable_metrics,
 )
+from repro.emulation.encounters import Encounter
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultConfig
+from repro.traces.dieselnet import MetroConfig, generate_metro_trace
 
 #: Supported faults only: drop + item-unit truncation + duplication.
 SUPPORTED_FAULTS = FaultConfig(
@@ -151,3 +153,34 @@ def test_supported_config_reports_no_reason():
 def test_disabled_faults_are_supported():
     """An all-zero FaultConfig is equivalent to None, so it must pass."""
     assert columnar_unsupported_reason(ExperimentConfig(faults=FaultConfig())) is None
+
+
+def test_columnar_metro_path_builds_no_encounter_objects(monkeypatch):
+    """A count, not a stopwatch: from generator to kernel the metro trace
+    stays columns. One ``Encounter`` per row here is what "just iterate
+    the trace" costs at city scale (685 k objects, each walked by every
+    full gc pass during world build). Sizes are ``bench/``'s tiny metro."""
+    built = []
+    init = Encounter.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Encounter, "__init__", counting_init)
+    trace = generate_metro_trace(MetroConfig(seed=42, n_buses=600, n_routes=12, days=4))
+    config = ExperimentConfig(
+        engine="columnar",
+        policy="epidemic",
+        n_users=60,
+        target_messages=120,
+        injection_days=2,
+    )
+    columnar_result = run_experiment(config, trace=trace)
+    assert len(built) == 0
+    object_result = run_experiment(replace(config, engine="object"), trace=trace)
+    assert len(built) == len(trace) > 0  # the view, built once and kept
+    assert comparable_metrics(columnar_result.metrics) == comparable_metrics(
+        object_result.metrics
+    )
+    assert columnar_result.trace_summary == object_result.trace_summary

@@ -14,7 +14,6 @@ import dataclasses
 import pytest
 
 from repro.emulation.columnar import (
-    ColumnarTrace,
     ColumnarUnsupportedError,
     merge_metrics,
     plan_shards,
@@ -48,7 +47,7 @@ def _config(**overrides) -> ExperimentConfig:
 
 def test_trace_components_follow_routes():
     """With no interchanges, each route is its own component."""
-    trace = ColumnarTrace.from_trace(_metro_trace(n_routes=4, interchange=0.0))
+    trace = _metro_trace(n_routes=4, interchange=0.0)
     components = trace_components(trace)
     assert len(components) == 4
     assert sorted(h for comp in components for h in comp) == list(
@@ -57,12 +56,12 @@ def test_trace_components_follow_routes():
 
 
 def test_interchanges_connect_routes():
-    trace = ColumnarTrace.from_trace(_metro_trace(n_routes=4, interchange=6.0))
+    trace = _metro_trace(n_routes=4, interchange=6.0)
     assert len(trace_components(trace)) == 1
 
 
 def test_plan_shards_partitions_all_hosts():
-    trace = ColumnarTrace.from_trace(_metro_trace(n_routes=6))
+    trace = _metro_trace(n_routes=6)
     plan = plan_shards(trace, 3)
     assert len(plan) == 3
     seen = [h for host_ids, _weight in plan for h in host_ids]
@@ -74,7 +73,7 @@ def test_plan_shards_partitions_all_hosts():
 
 
 def test_plan_shards_caps_at_component_count():
-    trace = ColumnarTrace.from_trace(_metro_trace(n_routes=2))
+    trace = _metro_trace(n_routes=2)
     assert len(plan_shards(trace, 8)) == 2
     with pytest.raises(ValueError):
         plan_shards(trace, 0)

@@ -1,6 +1,7 @@
 """Unit tests for encounters and encounter traces."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
 
@@ -94,3 +95,114 @@ class TestEncounterTrace:
         assert summary["hosts"] == 3.0
         assert summary["days"] == 2.0
         assert summary["mean_encounters_per_day"] == 2.0
+
+
+# -- one representation, two ways in ------------------------------------------------
+
+HOSTS = ["h0", "h1", "h2", "h3", "h4", "h5"]
+
+#: Times that collide (ties, day boundaries) next to arbitrary ones.
+times = st.one_of(
+    st.sampled_from([0.0, 9 * 3600.0, SECONDS_PER_DAY - 0.01, SECONDS_PER_DAY]),
+    st.floats(min_value=0.0, max_value=4 * SECONDS_PER_DAY, allow_nan=False),
+)
+pairs = st.tuples(st.sampled_from(HOSTS), st.sampled_from(HOSTS)).filter(
+    lambda pair: pair[0] != pair[1]
+)
+encounter_lists = st.lists(
+    st.builds(
+        lambda time, pair, duration: Encounter(time, *pair, duration),
+        times,
+        pairs,
+        st.sampled_from([0.0, 1.5, 30.0]),
+    ),
+    max_size=30,
+)
+
+
+def as_columns(encounters):
+    """The rows of ``encounters`` the way ``from_columns`` wants them."""
+    hosts = sorted({e.a for e in encounters} | {e.b for e in encounters})
+    rows = sorted(
+        (e.time, hosts.index(e.a), hosts.index(e.b), e.duration)
+        for e in encounters
+    )
+    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
+    return [hosts] + columns
+
+
+def public_surface(trace):
+    """Everything a caller can observe of a trace, as plain values."""
+    return {
+        "list": list(trace),
+        "indexed": [trace[i] for i in range(len(trace))],
+        "len": len(trace),
+        "hosts": trace.hosts,
+        "days": trace.days,
+        "duration": trace.duration,
+        "hosts_active_on": {day: trace.hosts_active_on(day) for day in range(6)},
+        "active_hosts_by_day": trace.active_hosts_by_day(),
+        "meeting_counts": trace.meeting_counts(),
+        "meeting_counts_for": {
+            host: trace.meeting_counts_for(host) for host in HOSTS + ["nobody"]
+        },
+        "on_day": {day: list(trace.on_day(day)) for day in range(6)},
+        "restricted_to": list(trace.restricted_to(HOSTS[1:5])),
+        "summary": trace.summary(),
+    }
+
+
+@given(encounter_lists)
+def test_objects_and_columns_build_the_same_trace(encounters):
+    from_objects = EncounterTrace(encounters)
+    from_columns = EncounterTrace.from_columns(*as_columns(encounters))
+    assert public_surface(from_objects) == public_surface(from_columns)
+    # The constructor's key sort is the dataclass order.
+    assert list(from_objects) == sorted(encounters)
+    # Derived views are computed once per trace object.
+    assert from_columns.hosts is from_columns.hosts
+    once, again = from_columns.active_hosts_by_day(), from_columns.active_hosts_by_day()
+    assert all(once[day] is again[day] for day in once)
+
+
+VALID = (["a", "b", "c"], [1.0, 2.0, 2.0], [0, 0, 1], [1, 2, 2], [0.0, 0.0, 5.0])
+
+
+def test_valid_columns_are_accepted():
+    trace = EncounterTrace.from_columns(*VALID)
+    assert list(trace) == [
+        Encounter(1.0, "a", "b"),
+        Encounter(2.0, "a", "c"),
+        Encounter(2.0, "b", "c", 5.0),
+    ]
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (2, [0, 2, 1], "two distinct hosts"),
+        (1, [-1.0, 2.0, 2.0], "time must be non-negative"),
+        (4, [0.0, 0.0, -5.0], "duration must be non-negative"),
+        (1, [2.0, 1.0, 2.0], "order"),
+        (2, [0, 1, 0], "order"),  # a time tie broken the wrong way round
+        (4, [0.0, 0.0], "equal lengths"),
+        (1, [1.0, 2.0], "equal lengths"),
+        (2, [0, 0, 3], "out of range"),
+        (3, [1, 2, -1], "out of range"),
+        (0, ["a", "c", "b"], "sorted and distinct"),
+        (0, ["a", "b", "b"], "sorted and distinct"),
+        (0, ["a", "b", "c", "d"], "every host must appear"),
+    ],
+)
+def test_from_columns_rejects_malformed_input(column, value, message):
+    columns = list(VALID)
+    columns[column] = value
+    with pytest.raises(ValueError, match=message):
+        EncounterTrace.from_columns(*columns)
+
+
+def test_from_columns_orders_full_ties_by_duration():
+    columns = (["a", "b"], [1.0, 1.0], [0, 0], [1, 1])
+    assert len(EncounterTrace.from_columns(*columns, [0.0, 5.0])) == 2
+    with pytest.raises(ValueError, match="order"):
+        EncounterTrace.from_columns(*columns, [5.0, 0.0])

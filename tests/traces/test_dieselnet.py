@@ -1,10 +1,12 @@
 """Unit tests for the DieselNet trace generator and interchange format."""
 
 import io
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.emulation.encounters import SECONDS_PER_DAY
+from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
 from repro.traces.dieselnet import (
     DieselNetConfig,
     bus_name,
@@ -119,6 +121,36 @@ class TestInterchangeFormat:
         for original, parsed in zip(trace, reloaded):
             assert parsed.pair == original.pair
             assert parsed.time == pytest.approx(original.time, abs=0.1)
+
+    def test_last_instant_of_a_day_stays_loadable(self):
+        """``.1f`` rounds the day's last 0.05 s to 86400.0, which the
+        parser refuses; the formatter rounds that sliver down instead."""
+        trace = EncounterTrace([Encounter(86399.97, "a", "b")])
+        assert list(format_trace_text(trace))[1] == "0 86399.9 a b"
+        assert parse_trace_text(format_trace_text(trace))[0].day == 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.floats(0.0, SECONDS_PER_DAY, exclude_max=True)
+                | st.floats(SECONDS_PER_DAY - 0.06, SECONDS_PER_DAY, exclude_max=True),
+                st.sampled_from(["a", "b"]),
+                st.sampled_from(["c", "d"]),
+            ),
+            max_size=20,
+        )
+    )
+    def test_text_roundtrip_keeps_every_day_and_pair(self, rows):
+        trace = EncounterTrace(
+            Encounter(day * SECONDS_PER_DAY + seconds, a, b)
+            for day, seconds, a, b in rows
+        )
+        reloaded = parse_trace_text(format_trace_text(trace))
+        # Compared as multisets: rounding to 0.1 s may reorder near-ties.
+        assert Counter((e.day, e.pair) for e in reloaded) == Counter(
+            (e.day, e.pair) for e in trace
+        )
 
     def test_parse_skips_comments_and_blanks(self):
         lines = [

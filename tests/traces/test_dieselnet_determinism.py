@@ -11,6 +11,8 @@ interchange wiring).
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.emulation.encounters import SECONDS_PER_DAY
@@ -98,6 +100,45 @@ class TestMetroGenerator:
             )
         )
         assert first != second
+
+    @pytest.mark.parametrize(
+        "overrides, encounters, hosts, digest",
+        [
+            (
+                dict(seed=7, n_buses=240, n_routes=8, days=3),
+                3325,
+                240,
+                "084671e88a1ee04b857d198a7da5cf59cb9734cf3e8db44e9e73afe3bee4bae0",
+            ),
+            (
+                dict(seed=7, n_buses=240, n_routes=8, days=3, interchange_rate=0.0),
+                3267,
+                240,
+                "941aef2b298e7858dfed590bec1b283a2dd5da8e4971e26fa6d84c2c868db3d1",
+            ),
+            # Sparse: 10 of the 90 buses meet nobody and are not hosts.
+            (
+                dict(
+                    seed=11, n_buses=90, n_routes=6, days=2,
+                    meetings_per_bus_per_day=1.0, interchange_rate=2.0,
+                ),
+                109,
+                80,
+                "a439a7155a41cf135c976129e3fff6f9ce70da11d8b07e608b3f7629df3173e6",
+            ),
+        ],
+        ids=["interchange", "disjoint", "sparse"],
+    )
+    def test_trace_is_pinned_to_the_float(self, overrides, encounters, hosts, digest):
+        """sha256 over every encounter's exact fields, recorded from the
+        generator that built one ``Encounter`` per row and sorted the
+        objects (``.1f`` interchange text cannot pin a float)."""
+        trace = generate_metro_trace(MetroConfig(**overrides))
+        sha = hashlib.sha256()
+        for e in trace:
+            sha.update(repr((e.time, e.a, e.b, e.duration)).encode())
+        assert (len(trace), len(trace.hosts)) == (encounters, hosts)
+        assert sha.hexdigest() == digest
 
     def test_encounters_stay_inside_service_window(self):
         config = MetroConfig(

@@ -1,5 +1,7 @@
 """Unit tests for daily user→bus assignment."""
 
+import random
+
 from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
 from repro.traces.mapping import assign_users_daily, host_of, users_on_day
 
@@ -37,6 +39,23 @@ class TestAssignment:
         day_map = schedule[0]
         seen = [user for users in day_map.values() for user in users]
         assert sorted(seen) == sorted(USERS)
+
+    def test_deal_is_round_robin_over_buses_in_name_order(self):
+        """With fewer users than buses (the metro shape) and with more:
+        the k-th shuffled user rides bus ``k mod B``, the other buses
+        ride empty, and the day's keys keep sorted bus order."""
+        trace = EncounterTrace(
+            Encounter(10.0, f"bus{i}", f"bus{i + 1}") for i in range(0, 8, 2)
+        )
+        buses = sorted(trace.hosts)
+        for users in (USERS[:3], USERS + [f"v{i}" for i in range(12)]):
+            day_map = assign_users_daily(trace, users, seed=5)[0]
+            assert list(day_map) == buses
+            shuffled = list(users)
+            random.Random("5:0").shuffle(shuffled)
+            for index, user in enumerate(shuffled):
+                assert user in day_map[buses[index % len(buses)]]
+            assert sum(len(riders) for riders in day_map.values()) == len(users)
 
     def test_deterministic_per_seed_and_day(self):
         a = assign_users_daily(trace_two_days(), USERS, seed=9)
