@@ -71,8 +71,11 @@ print("nodes:", len(artifact["fixed_points"]),
       "delivered:", summary["delivered"],
       "transmissions:", summary["transmissions"])
 EOF
-  # Swarm parity integration tests (framing + budget legs).
-  python -m pytest -q tests/net tests/integration/test_swarm_parity.py
+  # Swarm parity integration tests (framing + budget legs; fixed points
+  # and the whole metrics dump), and the unit tests of the schedule and
+  # director that carry that parity.
+  python -m pytest -q tests/net tests/emulation/test_engine.py \
+    tests/integration/test_swarm_parity.py
   ;;
 
 churn)
@@ -103,9 +106,11 @@ EOF
   # reaches the emulator's exact per-node fixed point.
   python -m repro swarm --scale 0.25 --policy epidemic --parity \
     $CHURN_FLAGS --output churn-swarm-metrics.json
-  # Churn unit + parity integration tests.
+  # Churn unit + parity integration tests (and the schedule/director
+  # unit tests: lifecycle events ride the same step list).
   python -m pytest -q \
     tests/churn \
+    tests/emulation/test_engine.py \
     tests/emulation/test_network_churn.py \
     tests/replication/test_peer_health_cycles.py \
     tests/net/test_reconnect_cycles.py \

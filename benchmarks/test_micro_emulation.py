@@ -1,27 +1,13 @@
-"""Microbenchmarks of the emulation machinery itself.
+"""Microbenchmark of the emulation machinery itself.
 
-Throughput numbers for the discrete-event engine and the end-to-end
-encounter pipeline — useful for sizing larger-than-paper scenarios.
+Throughput of the end-to-end encounter pipeline — useful for sizing
+larger-than-paper scenarios.
 """
 
 from repro.dtn import EpidemicPolicy
 from repro.emulation.encounters import Encounter, EncounterTrace
-from repro.emulation.engine import SimulationEngine
 from repro.emulation.network import Emulator, Injection
 from repro.emulation.node import EmulatedNode
-
-
-def test_engine_event_throughput(benchmark):
-    """Raw scheduler throughput: schedule + run 10k trivial events."""
-
-    def run_events():
-        engine = SimulationEngine()
-        for i in range(10_000):
-            engine.schedule(float(i), lambda: None)
-        engine.run()
-        return engine.events_processed
-
-    assert benchmark(run_events) == 10_000
 
 
 def test_encounter_pipeline_throughput(benchmark):

@@ -1,12 +1,13 @@
 """Run-time tracking of node availability under a churn schedule.
 
-One :class:`LifecycleTracker` instance drives both execution modes: the
-emulator applies each :class:`~repro.churn.schedule.LifecycleEvent` as a
-discrete event, the swarm orchestrator applies the same events as replay
-steps — the tracker answers "is this node online right now?" for both,
-and accrues the availability and recovery metrics either way. Keeping
-the bookkeeping here (rather than duplicated in the two engines) is
-what keeps the two worlds' churn metrics identical by construction.
+A :class:`LifecycleTracker` belongs to the run's
+:class:`~repro.emulation.engine.RunDirector`, whichever executor performs
+the run: the emulator restarts node objects, the swarm orchestrator kills
+and respawns processes, and both report each
+:class:`~repro.churn.schedule.LifecycleEvent` to the director. The
+tracker answers "is this node online right now?" and accrues the
+availability and recovery metrics — once, so the two worlds' churn
+metrics are identical by construction.
 """
 
 from __future__ import annotations

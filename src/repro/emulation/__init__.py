@@ -7,9 +7,9 @@ constraints, and delivery/traffic/storage metrics collection.
 """
 
 from .encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
-from .engine import EventPriority, SimulationEngine
+from .engine import AssignmentSchedule
 from .metrics import DAYS, HOURS, MessageRecord, MetricsCollector
-from .network import AssignmentSchedule, Emulator, Injection
+from .network import Emulator, Injection
 from .node import EmulatedNode
 
 __all__ = [
@@ -19,11 +19,9 @@ __all__ = [
     "EmulatedNode",
     "Encounter",
     "EncounterTrace",
-    "EventPriority",
     "HOURS",
     "Injection",
     "MessageRecord",
     "MetricsCollector",
     "SECONDS_PER_DAY",
-    "SimulationEngine",
 ]

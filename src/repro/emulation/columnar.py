@@ -21,7 +21,8 @@ flat, integer-interned state:
   :class:`~repro.emulation.encounters.EncounterTrace` holds (no
   ``Encounter`` object is built on this path) and the event loop is a
   two-pointer merge over the injection and encounter columns instead of
-  a heap.
+  the object engine's step list. The run's inputs and its end time are
+  the shared ones (``build_inputs``, ``engine.end_time``).
 
 Correctness contract: for any configuration accepted by
 :func:`columnar_unsupported_reason`, a columnar run reproduces the
@@ -75,7 +76,8 @@ from repro.dtn.epidemic import EpidemicPolicy
 from repro.dtn.first_contact import FirstContactPolicy
 from repro.dtn.registry import get_policy
 from repro.dtn.spray_wait import SprayAndWaitPolicy
-from repro.emulation.encounters import SECONDS_PER_DAY, EncounterTrace
+from repro.emulation.encounters import EncounterTrace
+from repro.emulation.engine import end_time as run_end_time
 from repro.emulation.metrics import MetricsCollector
 from repro.emulation.network import Injection
 from repro.faults.config import FaultConfig
@@ -166,11 +168,6 @@ def columnar_unsupported_reason(config: Any) -> Optional[str]:
         if faults.truncation_probability > 0.0 and faults.truncation_unit != "items":
             return "columnar engine models item-unit truncation only"
     return None
-
-
-def _horizon(trace: EncounterTrace, extra_days: int) -> float:
-    """The object engine's end time: the last day's end (day 0's if empty)."""
-    return max(trace.duration, SECONDS_PER_DAY) + extra_days * SECONDS_PER_DAY
 
 
 class ColumnarWorld:
@@ -288,16 +285,17 @@ class ColumnarWorld:
         times = self.trace.times
         n_enc = len(times)
         if end_time is None:
-            end_time = _horizon(self.trace, extra_days)
+            # Bus addressing only, so no reassignment day extends the run.
+            end_time = run_end_time(self.trace, extra_days=extra_days)
         injections = self._injections
         n_inj = len(injections)
         ii = 0
         ei = 0
         run_encounter = self._run_encounter
         inject = self._inject
-        # Two-pointer merge replicating the engine heap: injections beat
-        # encounters on time ties (INJECT < ENCOUNTER priority), events
-        # past the horizon are never processed.
+        # Two-pointer merge in the schedule's order: injections beat
+        # encounters on time ties (INJECT < ENCOUNTER band), events
+        # past the end time are never processed.
         while ii < n_inj or ei < n_enc:
             if ii < n_inj and (ei >= n_enc or injections[ii].time <= times[ei]):
                 if injections[ii].time > end_time:
@@ -638,52 +636,19 @@ class ColumnarWorld:
 # -- config-driven entry points -------------------------------------------
 
 
-def _relay_sets(config: Any, trace: EncounterTrace) -> Dict[str, FrozenSet[str]]:
-    """Figure 5/6 relay sets, drawing the filter rng in scenario order."""
-    hosts = trace.host_names
-    if config.filter_strategy == "self" or config.filter_k == 0:
-        return {host: frozenset() for host in hosts}
-    from repro.experiments.scenario import _bus_relay_addresses
-
-    filter_rng = random.Random(config.filter_seed)
-    return {
-        host: _bus_relay_addresses(host, config, trace, filter_rng)
-        for host in hosts
-    }
-
-
-def _build_inputs(
-    config: Any,
-    trace: Optional[EncounterTrace],
-    model: Optional[Any],
-) -> Tuple[EncounterTrace, List[Injection], Dict[str, FrozenSet[str]]]:
-    """Reproduce build_scenario's generator calls (same seeds, same order)."""
-    from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
-    from repro.traces.enron import generate_enron_model
-    from repro.traces.mapping import assign_users_daily
-    from repro.traces.workload import WorkloadConfig, build_injection_schedule
-
-    if trace is None:
-        trace = generate_dieselnet_trace(
-            DieselNetConfig(seed=config.trace_seed, scale=config.scale)
-        )
-    if model is None:
-        model = generate_enron_model(
-            n_users=config.effective_users, seed=config.email_seed
-        )
-    users = list(model.users)
-    assignments = assign_users_daily(trace, users, seed=config.assignment_seed)
-    injections = build_injection_schedule(
-        model,
-        assignments,
-        WorkloadConfig(
-            target_total=config.effective_messages,
-            injection_days=config.injection_days,
-            seed=config.workload_seed,
-            addressing=config.addressing,
-        ),
+def _world(config: Any, inputs: Any) -> ColumnarWorld:
+    """A :class:`ColumnarWorld` over the whole of ``inputs``."""
+    return ColumnarWorld(
+        inputs.trace,
+        inputs.injections,
+        policy=config.policy,
+        policy_parameters=config.policy_parameters,
+        relay_sets=inputs.relay_sets,
+        bandwidth_limit=config.bandwidth_limit,
+        faults=config.faults,
+        fault_seed=config.fault_seed,
+        seed=config.encounter_order_seed,
     )
-    return trace, injections, _relay_sets(config, trace)
 
 
 def build_world(
@@ -692,22 +657,14 @@ def build_world(
     model: Optional[Any] = None,
 ) -> Tuple[ColumnarWorld, EncounterTrace]:
     """Construct a ready-to-run :class:`ColumnarWorld` for ``config``."""
+    # Imported here: the experiments layer sits above this package.
+    from repro.experiments.scenario import build_inputs
+
     reason = columnar_unsupported_reason(config)
     if reason is not None:
         raise ColumnarUnsupportedError(reason)
-    trace, injections, relay_sets = _build_inputs(config, trace, model)
-    world = ColumnarWorld(
-        trace,
-        injections,
-        policy=config.policy,
-        policy_parameters=config.policy_parameters,
-        relay_sets=relay_sets,
-        bandwidth_limit=config.bandwidth_limit,
-        faults=config.faults,
-        fault_seed=config.fault_seed,
-        seed=config.encounter_order_seed,
-    )
-    return world, trace
+    inputs = build_inputs(config, trace, model)
+    return _world(config, inputs), inputs.trace
 
 
 def run_columnar(
@@ -934,6 +891,8 @@ def run_columnar_sharded(
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context, shared_memory
 
+    from repro.experiments.scenario import build_inputs
+
     reason = columnar_unsupported_reason(config)
     if reason is not None:
         raise ColumnarUnsupportedError(reason)
@@ -947,24 +906,16 @@ def run_columnar_sharded(
             'FaultConfig(rng_streams="per-link") — the default shared '
             "injector stream cannot be split across workers"
         )
-    trace, injections, relay_sets = _build_inputs(config, trace, model)
+    inputs = build_inputs(config, trace, model)
+    trace, injections, relay_sets = (
+        inputs.trace, inputs.injections, inputs.relay_sets
+    )
     trace_summary = trace.summary()
     n_enc = len(trace)
     plan = plan_shards(trace, shards)
     if len(plan) <= 1:
         # One connected component: nothing to partition.
-        world = ColumnarWorld(
-            trace,
-            injections,
-            policy=config.policy,
-            policy_parameters=config.policy_parameters,
-            relay_sets=relay_sets,
-            bandwidth_limit=config.bandwidth_limit,
-            faults=config.faults,
-            fault_seed=config.fault_seed,
-            seed=config.encounter_order_seed,
-        )
-        return world.run(extra_days=extra_days), trace_summary
+        return _world(config, inputs).run(extra_days=extra_days), trace_summary
 
     # Precompute per-encounter order draws in global order.
     rng = random.Random(config.encounter_order_seed)
@@ -983,7 +934,7 @@ def run_columnar_sharded(
     for k in range(n_enc):
         shard_of[k] = shard_of_host[trace.a[k]]
 
-    end_time = _horizon(trace, extra_days)
+    end_time = run_end_time(trace, extra_days=extra_days)
 
     # Pack the shared columns: times | a | b | order | shard_of.
     times_b = trace.times.tobytes()

@@ -1,123 +1,291 @@
-"""A deterministic discrete-event simulation engine.
+"""What a run is: the event schedule and the run director.
 
-The emulation replays a trace of timestamped events (encounters, message
-injections, day-boundary reassignments). All it needs from an engine is a
-priority queue of callbacks with a monotone clock — but determinism is a
-hard requirement (experiments must be exactly reproducible from a seed), so
-ties are broken by an explicit (priority, sequence) pair: events scheduled
-at the same instant run in a caller-controlled priority order, then in
-scheduling order.
+The paper defines its experiment once (Section VI-A); this module is
+that definition, free of any node, socket or process. The object
+emulator (:mod:`repro.emulation.network`) performs each step as object
+calls, the live swarm (:mod:`repro.net.swarm`) as awaited directives.
 
-Event priorities let the emulator guarantee, e.g., that a day's user
-reassignment happens before any encounter at the same timestamp.
+* :func:`build_schedule` fixes the **event order**. Experiments must be
+  exactly reproducible from a seed, so ties are broken explicitly: steps
+  run in ``(time, band, sequence)`` order, the band guaranteeing e.g.
+  that a day's user reassignment precedes any encounter at its instant.
+* :class:`RunDirector` owns every **decision and booking** around a step;
+  an executor asks, performs the physical act, and reports back.
+
+The columnar engine (:mod:`repro.emulation.columnar`) keeps its own
+two-pointer loop over the trace columns — a step object per encounter is
+what it exists to avoid — and shares :func:`end_time`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from enum import IntEnum
-from typing import Callable, List, Optional, Tuple
+import random
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-EventCallback = Callable[[], None]
+from .encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
+from .metrics import MetricsCollector
+
+if TYPE_CHECKING:
+    from repro.churn import ChurnConfig, ChurnSchedule, LifecycleEvent
+    from repro.replication.sync import SyncStats
+
+    from .network import Injection
+
+#: day → node name → user addresses hosted that day.
+AssignmentSchedule = Mapping[int, Mapping[str, FrozenSet[str]]]
+
+#: Step kinds; a step's ``event`` is the day number, the ``LifecycleEvent``,
+#: the ``Injection`` or the ``Encounter`` respectively.
+ASSIGN = "assign"
+LIFECYCLE = "lifecycle"
+INJECT = "inject"
+ENCOUNTER = "encounter"
+
+#: Same-timestamp ordering bands (lower runs first): control (day
+#: reassignments, then lifecycle events) < injections < encounters.
+BAND = {ASSIGN: 0, LIFECYCLE: 0, INJECT: 1, ENCOUNTER: 2}
 
 
-class EventPriority(IntEnum):
-    """Same-timestamp ordering bands (lower runs first)."""
+class Step(NamedTuple):
+    """One scheduled event: when, which kind, and the domain object."""
 
-    CONTROL = 0  # reassignments, configuration changes
-    INJECT = 1  # message sends
-    ENCOUNTER = 2  # pairwise syncs
-    SAMPLE = 3  # metrics sampling
-
-
-@dataclass(order=True)
-class _Scheduled:
     time: float
-    priority: int
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    kind: str
+    event: Any
 
 
-class SimulationEngine:
-    """Run callbacks in timestamp order with a simulated clock."""
+def end_time(
+    trace: EncounterTrace,
+    assignments: Optional[AssignmentSchedule] = None,
+    extra_days: int = 0,
+) -> float:
+    """When a run ends: the close of the last day that has an encounter
+    or a reassignment (day 0's if there is neither), plus ``extra_days``."""
+    last_assignment_day = max(assignments or (), default=0)
+    return (
+        max(trace.duration, (last_assignment_day + 1) * SECONDS_PER_DAY)
+        + extra_days * SECONDS_PER_DAY
+    )
 
-    def __init__(self) -> None:
-        self._queue: List[_Scheduled] = []
-        self._sequence = 0
-        self._now = 0.0
-        self._running = False
-        self.events_processed = 0
 
-    @property
-    def now(self) -> float:
-        """The current simulated time, in seconds."""
-        return self._now
+def build_schedule(
+    trace: EncounterTrace,
+    injections: Sequence["Injection"] = (),
+    assignments: Optional[AssignmentSchedule] = None,
+    churn_schedule: Optional["ChurnSchedule"] = None,
+    extra_days: int = 0,
+) -> Tuple[List[Step], float]:
+    """Every step of a run in execution order, plus the run's end time.
 
-    def schedule(
+    Sequence — the tie-break inside one ``(time, band)`` — is day
+    assignments by day, then lifecycle events in schedule order, then
+    injections in workload order, then encounters in trace order. An
+    executor runs no step later than the end time.
+    """
+    steps = [
+        Step(day * SECONDS_PER_DAY, ASSIGN, day)
+        for day in sorted(assignments or ())
+    ]
+    if churn_schedule is not None:
+        steps += [Step(event.time, LIFECYCLE, event) for event in churn_schedule.events]
+    steps += [Step(injection.time, INJECT, injection) for injection in injections]
+    steps += [Step(encounter.time, ENCOUNTER, encounter) for encounter in trace]
+    # The sort is stable: steps equal on (time, band) keep the sequence
+    # order they were appended in.
+    steps.sort(key=lambda step: (step.time, BAND[step.kind]))
+    return steps, end_time(trace, assignments, extra_days)
+
+
+class RunDirector:
+    """The decisions and the bookkeeping of one run, free of any IO.
+
+    Owns the run's collector, the user → node view, the encounter-order
+    coin and — when churn is armed — the lifecycle tracker and the
+    reciprocity ledger. Its methods decide and book but never touch a
+    node or a process: the emulator's and the live swarm's metrics are
+    identical by construction, not by two engines kept in step.
+    """
+
+    def __init__(
         self,
-        time: float,
-        callback: EventCallback,
-        priority: EventPriority = EventPriority.ENCOUNTER,
-    ) -> _Scheduled:
-        """Schedule ``callback`` at simulated ``time``.
+        nodes: Iterable[str],
+        assignments: Optional[AssignmentSchedule] = None,
+        churn: Optional["ChurnConfig"] = None,
+        churn_schedule: Optional["ChurnSchedule"] = None,
+        seed: int = 0,
+        metrics: Optional[MetricsCollector] = None,
+    ) -> None:
+        #: Node names in the executor's order (a dict: cheap membership).
+        self.nodes: Dict[str, None] = dict.fromkeys(nodes)
+        self.assignments = dict(assignments or {})
+        self.metrics = metrics if metrics is not None else MetricsCollector()
+        self.skipped_injections: List["Injection"] = []
+        self.failed_encounters = 0
+        self._rng = random.Random(seed)
+        self._user_location: Dict[str, str] = {}
+        self._current_day_map: Mapping[str, FrozenSet[str]] = {}
+        self.lifecycle = None
+        self.reciprocity = None
+        if churn_schedule is not None:
+            # Imported lazily: repro.emulation.__init__ pulls this module
+            # in, and repro.churn imports emulation submodules — a
+            # top-level import here would close that cycle mid-init.
+            from repro.churn import LifecycleTracker, ReciprocityLedger
 
-        Scheduling in the past raises: the engine never rewinds, so a
-        past-dated event would silently reorder history.
-        """
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule at {time} before current time {self._now}"
+            assert churn is not None
+            self.lifecycle = LifecycleTracker(sorted(self.nodes), churn_schedule)
+            self.reciprocity = ReciprocityLedger(
+                sorted(self.nodes),
+                threshold=churn.reciprocity_threshold,
+                min_taken=churn.reciprocity_min_taken,
             )
-        event = _Scheduled(time, int(priority), self._sequence, callback)
-        self._sequence += 1
-        heapq.heappush(self._queue, event)
-        return event
+            self.metrics.arm_churn()
 
-    def cancel(self, event: _Scheduled) -> None:
-        """Cancel a scheduled event (lazy removal)."""
-        event.cancelled = True
+    def online(self, name: str) -> bool:
+        return self.lifecycle is None or self.lifecycle.online(name)
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Process events in order; stop when the queue drains or ``until``.
+    # -- day boundaries ------------------------------------------------------------
 
-        Returns the final simulated time. With ``until`` set, the clock is
-        advanced to ``until`` even if the queue drained earlier, so
-        duration-based metrics line up.
+    def begin_day(self, day: int) -> Dict[str, FrozenSet[str]]:
+        """Re-deal users at a day boundary: the user set of every online node.
+
+        Offline nodes are left out — they keep their crash-time filter
+        (their next restart restores exactly the persisted state) and get
+        the current day's users when they rejoin.
         """
-        self._running = True
-        try:
-            while self._queue:
-                event = self._queue[0]
-                if event.cancelled:
-                    heapq.heappop(self._queue)
-                    continue
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(self._queue)
-                self._now = event.time
-                self.events_processed += 1
-                event.callback()
-        finally:
-            self._running = False
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        day_map = self.assignments.get(day, {})
+        self._current_day_map = day_map
+        self._user_location = {
+            user: name
+            for name, users in day_map.items()
+            for user in users
+            if self.online(name)
+        }
+        return {
+            name: frozenset(day_map.get(name, ()))
+            for name in self.nodes
+            if self.online(name)
+        }
 
-    def step(self) -> bool:
-        """Process exactly one event. Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self.events_processed += 1
-            event.callback()
-            return True
-        return False
+    # -- injections ----------------------------------------------------------------
 
-    @property
-    def pending(self) -> int:
-        """Events still queued (including lazily cancelled ones)."""
-        return len(self._queue)
+    def sender_of(self, injection: "Injection") -> Optional[str]:
+        """The node that authors ``injection``, or None when nobody does.
+
+        The source may name a node directly (bus-addressed workloads) or
+        a user, resolved through the current assignment.
+        """
+        if injection.source in self.nodes:
+            name: Optional[str] = injection.source
+        else:
+            name = self._user_location.get(injection.source)
+        if name is None:
+            # The sender's user is not riding any bus right now; the
+            # workload layer avoids this, but record rather than crash.
+            self.skipped_injections.append(injection)
+            return None
+        if not self.online(name):
+            # The sending node is down: the message is never born (its
+            # app is not running), which is a real churn cost — counted,
+            # not silently dropped.
+            self.metrics.record_churn_lost_injection()
+            return None
+        return name
+
+    # -- encounters ----------------------------------------------------------------
+
+    def encounter_roles(
+        self, encounter: Encounter, failure_probability: float = 0.0
+    ) -> Optional[Tuple[str, str]]:
+        """``(first, second)`` — ``first`` sources the first sync — or None
+        when the encounter does not happen (counted: a failed contact in
+        ``failed_encounters``, a churn skip or refusal in the collector).
+
+        The coin, then the failure draw, are consumed for *every* trace
+        encounter before any gate, so a skipped encounter never shifts
+        the draws of the ones after it.
+        """
+        order = self._rng.random() < 0.5
+        if failure_probability > 0.0 and self._rng.random() < failure_probability:
+            self.failed_encounters += 1
+            return None
+        a, b = encounter.a, encounter.b
+        if self.lifecycle is not None:
+            if not (self.lifecycle.online(a) and self.lifecycle.online(b)):
+                self.metrics.record_churn_skip()
+                return None
+            if not self.reciprocity.admit(a, b):
+                self.metrics.record_reciprocity_refusal()
+                return None
+        return (a, b) if order else (b, a)
+
+    def book_encounter(
+        self,
+        a: str,
+        b: str,
+        stats: Sequence["SyncStats"],
+        now: float,
+        handoff: bool = False,
+    ) -> None:
+        """Book one finished encounter — or a graceful leaver's hand-off
+        to its partner — from the stats of its syncs."""
+        self.metrics.record_encounter()
+        if handoff:
+            self.metrics.record_churn_handoff()
+        if self.lifecycle is not None:
+            self.lifecycle.note_encounter(a, b, now, self.metrics)
+            for sync_stats in stats:
+                self.reciprocity.observe_sync(
+                    sync_stats.source.name,
+                    sync_stats.target.name,
+                    sync_stats.sent_total,
+                )
+        for sync_stats in stats:
+            self.metrics.record_sync(sync_stats)
+
+    # -- lifecycle -----------------------------------------------------------------
+
+    def apply_lifecycle(
+        self, event: "LifecycleEvent", now: float
+    ) -> Optional[FrozenSet[str]]:
+        """Book a lifecycle event once the executor has performed it.
+
+        A node that left or crashed stops hosting its users; one that
+        arrived or rejoined hosts the current day's — returned, for the
+        executor to assign (None for a node that went down).
+        """
+        name = event.node
+        users = frozenset(self._current_day_map.get(name, ()))
+        self.lifecycle.apply(event, now, self.metrics)
+        if event.kind in ("leave", "crash"):
+            for user in users:
+                if self._user_location.get(user) == name:
+                    del self._user_location[user]
+            return None
+        for user in users:
+            self._user_location[user] = name
+        return users
+
+    # -- end of run ----------------------------------------------------------------
+
+    def finalize(self, now: float) -> None:
+        """Stamp the end time and close the churn accounts."""
+        self.metrics.end_time = now
+        if self.lifecycle is not None:
+            self.metrics.finalize_churn(
+                self.lifecycle.finalize(now),
+                self.lifecycle.departed,
+                self.reciprocity.scores(),
+            )

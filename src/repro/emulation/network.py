@@ -7,14 +7,22 @@ application simply inserts the message into the sending host's replica.
 During an encounter between two hosts, we performed two syncs between the
 corresponding replicas, alternating the source and target roles."
 
-The emulator schedules three event kinds on the discrete-event engine:
+What a run *is* — the event order, who hosts whom, which side syncs
+first, what gets booked — is defined once, in :mod:`repro.emulation.engine`.
+The emulator walks that schedule and performs each step on in-process
+node objects:
 
 * **reassignments** (day boundaries, first): each node's hosted-user set is
   replaced — filters change, relayed mail can become delivered mail;
+* **lifecycle events** (churn only): a node arrives, leaves after a final
+  hand-off sync, crashes, or restarts from durable state;
 * **injections**: a user's message enters the replica of whichever node
   currently hosts the user;
 * **encounters**: two syncs with alternating roles, optionally capped by
   the Figure 9 bandwidth constraint.
+
+What only a simulation can do also lives here: fault injection, peer
+health, and the global view that counts a message's copies network-wide.
 
 Everything is deterministic given the trace, the workload, and ``seed``
 (used only to pick which side of an encounter initiates first).
@@ -22,10 +30,9 @@ Everything is deterministic given the trace, the workload, and ``seed``
 
 from __future__ import annotations
 
-import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.faults import FaultConfig, FaultInjector
 from repro.replication.events import BaseReplicaObserver
@@ -37,8 +44,18 @@ from repro.replication.session import (
     monotone_knowledge,
 )
 
-from .encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
-from .engine import EventPriority, SimulationEngine
+from .encounters import Encounter, EncounterTrace
+from .engine import (
+    ASSIGN,
+    ENCOUNTER,
+    INJECT,
+    LIFECYCLE,
+    AssignmentSchedule,
+    RunDirector,
+    Step,
+    build_schedule,
+    end_time,
+)
 from .metrics import MetricsCollector
 from .node import EmulatedNode
 
@@ -51,10 +68,6 @@ class Injection:
     source: str
     destination: str
     body: object = None
-
-
-#: day → node name → user addresses hosted that day.
-AssignmentSchedule = Mapping[int, Mapping[str, FrozenSet[str]]]
 
 
 class _EvictionCounter(BaseReplicaObserver):
@@ -118,43 +131,37 @@ class Emulator:
         self.trace = trace
         self.nodes: Dict[str, EmulatedNode] = dict(nodes)
         self.injections = list(injections)
-        self.assignments = dict(assignments or {})
         self.bandwidth_limit = bandwidth_limit
         self.messages_per_second = messages_per_second
         self.sync_failure_probability = sync_failure_probability
-        self.failed_encounters = 0
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.engine = SimulationEngine()
-        self._rng = random.Random(seed)
-        self._user_location: Dict[str, str] = {}
-        self._current_day_map: Mapping[str, FrozenSet[str]] = {}
-        self._skipped_injections: list[Injection] = []
-        # Churn wiring (imported lazily: repro.emulation.__init__ pulls
-        # this module in, and repro.churn imports emulation submodules —
-        # a top-level import here would close that cycle mid-init).
         self.churn = churn if churn is not None and churn.enabled else None
         self.churn_schedule = None
-        self.lifecycle = None
-        self.reciprocity = None
         if self.churn is not None:
-            from repro.churn.lifecycle import LifecycleTracker
+            # Imported lazily: repro.emulation.__init__ pulls this module
+            # in, and repro.churn imports emulation submodules — a
+            # top-level import here would close that cycle mid-init.
             from repro.churn.schedule import generate_churn_schedule
-            from repro.churn.trust import ReciprocityLedger
 
             self.churn_schedule = (
                 churn_schedule
                 if churn_schedule is not None
                 else generate_churn_schedule(self.churn, trace)
             )
-            self.lifecycle = LifecycleTracker(
-                sorted(self.nodes), self.churn_schedule
-            )
-            self.reciprocity = ReciprocityLedger(
-                sorted(self.nodes),
-                threshold=self.churn.reciprocity_threshold,
-                min_taken=self.churn.reciprocity_min_taken,
-            )
-            self.metrics.arm_churn()
+        self.director = RunDirector(
+            self.nodes,
+            assignments,
+            self.churn,
+            self.churn_schedule,
+            seed=seed,
+            metrics=metrics,
+        )
+        self.assignments = self.director.assignments
+        self.metrics = self.director.metrics
+        #: The simulated clock, in seconds: the time of the step being
+        #: run, or where the last :meth:`advance` stopped.
+        self.now = 0.0
+        self._steps: Optional[List[Step]] = None
+        self._cursor = 0
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(faults, seed=fault_seed)
             if faults is not None and faults.enabled
@@ -200,53 +207,25 @@ class Emulator:
     # -- event handlers ----------------------------------------------------------
 
     def _apply_assignment(self, day: int) -> None:
-        day_map = self.assignments.get(day, {})
-        self._current_day_map = day_map
-        for name, node in self.nodes.items():
-            if self.lifecycle is not None and not self.lifecycle.online(name):
-                # Offline nodes keep their crash-time filter: their next
-                # restart restores exactly the persisted state, and the
-                # current day map is re-applied at rejoin time.
-                continue
-            users = frozenset(day_map.get(name, frozenset()))
-            node.assign_addresses(users)
-        self._user_location = {
-            user: name
-            for name, users in day_map.items()
-            for user in users
-            if self.lifecycle is None or self.lifecycle.online(name)
-        }
+        for name, users in self.director.begin_day(day).items():
+            self.nodes[name].assign_addresses(users)
 
     def _inject(self, injection: Injection) -> None:
-        # The source may name a node directly (bus-addressed workloads) or
-        # a user, resolved through the current assignment.
-        if injection.source in self.nodes:
-            node_name = injection.source
-        else:
-            node_name = self._user_location.get(injection.source)
+        node_name = self.director.sender_of(injection)
         if node_name is None:
-            # The sender's user is not riding any bus right now; the
-            # workload layer avoids this, but record rather than crash.
-            self._skipped_injections.append(injection)
-            return
-        if self.lifecycle is not None and not self.lifecycle.online(node_name):
-            # The sending node is down: the message is never born (its
-            # app is not running), which is a real churn cost — counted,
-            # not silently dropped.
-            self.metrics.record_churn_lost_injection()
             return
         node = self.nodes[node_name]
         message = node.send(
             injection.source,
             injection.destination,
             injection.body,
-            now=self.engine.now,
+            now=self.now,
         )
         self.metrics.record_injection(
             message.message_id,
             injection.source,
             injection.destination,
-            self.engine.now,
+            self.now,
             node_name,
         )
         if node.app.has_received(message.message_id):
@@ -254,7 +233,7 @@ class Emulator:
             # local filter at creation, before the injection was recorded.
             self.metrics.record_delivery(
                 message.message_id,
-                self.engine.now,
+                self.now,
                 node_name,
                 self.count_copies(message.message_id),
             )
@@ -271,29 +250,15 @@ class Emulator:
         return budget
 
     def _run_encounter(self, encounter: Encounter) -> None:
-        order = self._rng.random() < 0.5
-        if (
-            self.sync_failure_probability > 0.0
-            and self._rng.random() < self.sync_failure_probability
-        ):
-            self.failed_encounters += 1
+        roles = self.director.encounter_roles(
+            encounter, self.sync_failure_probability
+        )
+        if roles is None:
             return
-        # Churn gating comes *after* the base draws above: the coin and
-        # failure draw are consumed for every trace encounter in both
-        # execution modes (the swarm pre-draws them in schedule order),
-        # so skipping an encounter must not skip its draws.
-        if self.lifecycle is not None:
-            a_online = self.lifecycle.online(encounter.a)
-            b_online = self.lifecycle.online(encounter.b)
-            if not (a_online and b_online):
-                self.metrics.record_churn_skip()
-                return
-            assert self.reciprocity is not None
-            if not self.reciprocity.admit(encounter.a, encounter.b):
-                self.metrics.record_reciprocity_refusal()
-                return
+        # The fault gates come after the director's: a faulty channel is
+        # a property of this simulation, not of the run being executed.
         injector = self.fault_injector
-        now = self.engine.now
+        now = self.now
         if injector is not None:
             if not injector.encounter_allowed(encounter.a, encounter.b, now):
                 self.metrics.record_backoff_skip()
@@ -302,12 +267,10 @@ class Emulator:
                 self.metrics.record_quarantine_skip()
                 return
             if injector.should_drop_encounter(encounter.a, encounter.b):
-                self.failed_encounters += 1
+                self.director.failed_encounters += 1
                 self.metrics.record_dropped_encounter()
                 return
-        node_a = self.nodes[encounter.a]
-        node_b = self.nodes[encounter.b]
-        first, second = (node_a, node_b) if order else (node_b, node_a)
+        first, second = self.nodes[roles[0]], self.nodes[roles[1]]
         transport_factory = (
             (
                 lambda source_id, target_id: injector.transport(
@@ -318,7 +281,7 @@ class Emulator:
             else None
         )
         with monotone_knowledge(
-            node_a.replica, node_b.replica, during="an encounter"
+            first.replica, second.replica, during="an encounter"
         ):
             stats = EncounterSession(
                 first=first.endpoint,
@@ -329,8 +292,7 @@ class Emulator:
                 ),
                 transport_factory=transport_factory,
             ).run()
-        self.metrics.record_encounter()
-        self._observe_syncs(encounter.a, encounter.b, stats, now)
+        self.director.book_encounter(encounter.a, encounter.b, stats, now)
         if injector is not None:
             interrupted = any(sync_stats.interrupted for sync_stats in stats)
             resumed = injector.note_encounter_outcome(
@@ -338,41 +300,19 @@ class Emulator:
             )
             if resumed:
                 self.metrics.record_resumed_pair()
-        for sync_stats in stats:
-            self.metrics.record_sync(sync_stats)
-        if injector is not None:
             self._record_peer_outcomes(encounter, stats, now)
             for victim in injector.crash_victims((encounter.a, encounter.b)):
                 self.restart_node(victim)
 
-    def _observe_syncs(self, a: str, b: str, stats, now: float) -> None:
-        """Feed one completed encounter into the churn bookkeeping."""
-        if self.lifecycle is None:
-            return
-        self.lifecycle.note_encounter(a, b, now, self.metrics)
-        assert self.reciprocity is not None
-        for sync_stats in stats:
-            self.reciprocity.observe_sync(
-                sync_stats.source.name, sync_stats.target.name,
-                sync_stats.sent_total,
-            )
-
     def _apply_lifecycle(self, event) -> None:
-        """Apply one scheduled lifecycle event (arrive/leave/crash/rejoin)."""
-        assert self.lifecycle is not None
-        now = self.engine.now
-        name = event.node
-        node = self.nodes[name]
+        """Perform one scheduled lifecycle event (arrive/leave/crash/rejoin)."""
+        node = self.nodes[event.node]
         if event.kind == "leave" and event.partner is not None:
             # The graceful leaver's final handoff sync, run while both
             # sides are still up (the schedule guarantees the partner's
             # availability) — deliberate, so it bypasses the fault and
             # reciprocity gates and has fixed roles: leaver first.
-            self._run_handoff(name, event.partner, now)
-        if event.kind in ("leave", "crash"):
-            for user in node.assigned_addresses:
-                if self._user_location.get(user) == name:
-                    del self._user_location[user]
+            self._run_handoff(event.node, event.partner, self.now)
         if event.kind == "rejoin":
             if event.amnesiac:
                 node.amnesiac_restart()
@@ -382,12 +322,9 @@ class Emulator:
                 # checkpoint it would have written back then.
                 node.crash_restart()
             self._wire_node(node)
-        self.lifecycle.apply(event, now, self.metrics)
-        if event.kind in ("arrive", "rejoin"):
-            users = frozenset(self._current_day_map.get(name, frozenset()))
+        users = self.director.apply_lifecycle(event, self.now)
+        if users is not None:
             node.assign_addresses(users)
-            for user in users:
-                self._user_location[user] = name
 
     def _run_handoff(self, leaver: str, partner: str, now: float) -> None:
         """Two syncs between the leaver and its handoff partner."""
@@ -401,11 +338,7 @@ class Emulator:
                 second=second.endpoint,
                 now=now,
             ).run()
-        self.metrics.record_encounter()
-        self.metrics.record_churn_handoff()
-        self._observe_syncs(leaver, partner, stats, now)
-        for sync_stats in stats:
-            self.metrics.record_sync(sync_stats)
+        self.director.book_encounter(leaver, partner, stats, now, handoff=True)
 
     def _peers_willing(self, a: str, b: str, now: float) -> bool:
         """Do both participants accept the encounter right now?
@@ -463,7 +396,7 @@ class Emulator:
     def _on_delivery(self, node: EmulatedNode, message) -> None:
         copies = self.count_copies(message.message_id)
         self.metrics.record_delivery(
-            message.message_id, self.engine.now, node.name, copies
+            message.message_id, self.now, node.name, copies
         )
 
     # -- queries -----------------------------------------------------------------------
@@ -474,65 +407,46 @@ class Emulator:
 
     @property
     def skipped_injections(self) -> Sequence[Injection]:
-        return tuple(self._skipped_injections)
+        return tuple(self.director.skipped_injections)
 
-    def user_location(self, user: str) -> Optional[str]:
-        return self._user_location.get(user)
+    @property
+    def failed_encounters(self) -> int:
+        """Encounters whose contact happened but no sync completed."""
+        return self.director.failed_encounters
 
     # -- orchestration -----------------------------------------------------------------------
 
-    def schedule_all(self, extra_days: int = 0) -> float:
-        """Queue every event; returns the simulation end time."""
-        last_day = max(
-            [encounter.day for encounter in self.trace]
-            + list(self.assignments.keys())
-            + [0],
-        )
-        end_time = (last_day + 1 + extra_days) * SECONDS_PER_DAY
-        for day in sorted(self.assignments):
-            self.engine.schedule(
-                day * SECONDS_PER_DAY,
-                lambda _day=day: self._apply_assignment(_day),
-                EventPriority.CONTROL,
+    def advance(self, until: float) -> float:
+        """Run, in schedule order, every step not yet run that is due by
+        ``until``; returns the clock.
+
+        Resumable: a later call picks up where this one stopped. The
+        clock is moved on to ``until`` even when the last step ran
+        earlier, so duration-based metrics line up.
+        """
+        if self._steps is None:
+            self._steps, _ = build_schedule(
+                self.trace, self.injections, self.assignments, self.churn_schedule
             )
-        if self.churn_schedule is not None:
-            for event in self.churn_schedule.events:
-                self.engine.schedule(
-                    event.time,
-                    lambda _event=event: self._apply_lifecycle(_event),
-                    EventPriority.CONTROL,
-                )
-        for injection in self.injections:
-            self.engine.schedule(
-                injection.time,
-                lambda _injection=injection: self._inject(_injection),
-                EventPriority.INJECT,
-            )
-        for encounter in self.trace:
-            self.engine.schedule(
-                encounter.time,
-                lambda _encounter=encounter: self._run_encounter(_encounter),
-                EventPriority.ENCOUNTER,
-            )
-        return end_time
+        perform = {
+            ASSIGN: self._apply_assignment,
+            LIFECYCLE: self._apply_lifecycle,
+            INJECT: self._inject,
+            ENCOUNTER: self._run_encounter,
+        }
+        steps = self._steps
+        while self._cursor < len(steps) and steps[self._cursor].time <= until:
+            step = steps[self._cursor]
+            self._cursor += 1
+            self.now = step.time
+            perform[step.kind](step.event)
+        self.now = max(self.now, until)
+        return self.now
 
     def run(self, extra_days: int = 0) -> MetricsCollector:
         """Run the whole emulation and finalise metrics."""
-        end_time = self.schedule_all(extra_days=extra_days)
-        self.engine.run(until=end_time)
-        self.finalize()
-        return self.metrics
-
-    def finalize(self) -> None:
-        """Stamp end-of-experiment state (copy counts) into the metrics."""
-        self.metrics.end_time = self.engine.now
+        self.advance(end_time(self.trace, self.assignments, extra_days))
         for record in self.metrics.records.values():
             record.copies_at_end = self.count_copies(record.message_id)
-        if self.lifecycle is not None:
-            assert self.reciprocity is not None
-            node_seconds = self.lifecycle.finalize(self.engine.now)
-            self.metrics.finalize_churn(
-                node_seconds,
-                self.lifecycle.departed,
-                self.reciprocity.scores(),
-            )
+        self.director.finalize(self.now)
+        return self.metrics

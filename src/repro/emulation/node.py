@@ -21,7 +21,7 @@ bus that already carries their mail" case.
 from __future__ import annotations
 
 import json
-from typing import Callable, FrozenSet, Iterable, Optional
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional
 
 from repro.dtn.policy import DTNPolicy
 from repro.messaging.app import MessagingApp
@@ -81,10 +81,6 @@ class EmulatedNode:
         return self._assigned_addresses | {self.name}
 
     @property
-    def assigned_addresses(self) -> FrozenSet[str]:
-        return self._assigned_addresses
-
-    @property
     def static_relay_addresses(self) -> FrozenSet[str]:
         return self._static_relay
 
@@ -110,33 +106,61 @@ class EmulatedNode:
             relay_addresses=self._assigned_addresses | self._static_relay,
         )
 
-    # -- fault injection --------------------------------------------------------------
+    # -- restarts -----------------------------------------------------------------------
+
+    def adopt(
+        self,
+        replica: Replica,
+        policy_state: Optional[Dict[str, Any]] = None,
+        delivery_log: Optional[Dict[Any, Any]] = None,
+    ) -> "EmulatedNode":
+        """Come back up on a restored ``replica``: the one rewire every
+        restart shares, simulated or a real process booting from disk.
+
+        The hosted-user set is re-derived from the restored filter, so a
+        later reassignment makes the same no-op/rebuild decision whether
+        the node object lived through the crash or was built afresh:
+        every relay address that is not a static one is a hosted user,
+        and one that is both stays hosted only if this object already
+        knew it was (a checkpoint records the filter, not the
+        assignment). The policy is re-bound and reloads ``policy_state``
+        (paper §V-A: routing state is serialised to disk); the app is
+        recreated, with ``delivery_log`` when one survived so old
+        deliveries are not re-announced. Observers on the previous
+        replica and app are gone — whoever wires metrics re-attaches.
+        """
+        self.replica = replica
+        restored = replica.filter
+        if isinstance(restored, MultiAddressFilter):
+            relay = restored.relay_addresses
+            self._assigned_addresses = (relay - self._static_relay) | (
+                relay & self._assigned_addresses
+            )
+        self.policy.bind(replica, self.addresses)
+        if policy_state is not None:
+            self.policy.restore_state(policy_state)
+        self.app = MessagingApp(
+            replica, self.addresses, delete_on_receipt=self.delete_on_receipt
+        )
+        if delivery_log is not None:
+            self.app.restore_delivery_log(delivery_log)
+        self.endpoint = SyncEndpoint(replica, self.policy)
+        return self
 
     def crash_restart(self) -> "EmulatedNode":
         """Simulate a crash + reboot: only durable state survives.
 
-        The replica is serialised through the persistence layer (with a
-        JSON round-trip, exactly what disk storage would impose) and
-        rebuilt; the routing policy is re-bound to the restored replica
-        and reloads its ``persistent_state()`` through the same JSON
-        round-trip (paper §V-A: routing state is serialised to disk); the
-        messaging app is recreated with its durable delivery log, so old
-        deliveries are not re-announced. Observers registered on the
-        previous replica are gone — callers wiring metrics must re-attach
-        them (the emulator does this in ``restart_node``).
+        The replica and the policy's ``persistent_state()`` go through
+        the persistence layer with a JSON round-trip, exactly what disk
+        storage would impose; the delivery log is durable too.
         """
         replica_state = json.loads(json.dumps(replica_to_state(self.replica)))
         policy_state = json.loads(json.dumps(self.policy.persistent_state()))
-        delivery_log = self.app.delivery_log()
-        self.replica = replica_from_state(replica_state)
-        self.policy.bind(self.replica, self.addresses)
-        self.policy.restore_state(policy_state)
-        self.app = MessagingApp(
-            self.replica, self.addresses, delete_on_receipt=self.delete_on_receipt
+        return self.adopt(
+            replica_from_state(replica_state),
+            policy_state,
+            self.app.delivery_log(),
         )
-        self.app.restore_delivery_log(delivery_log)
-        self.endpoint = SyncEndpoint(self.replica, self.policy)
-        return self
 
     def amnesiac_restart(self) -> "EmulatedNode":
         """Reboot after losing all local state except identity.
@@ -158,13 +182,8 @@ class EmulatedNode:
         state = json.loads(
             json.dumps(amnesiac_replica_state(replica_to_state(self.replica)))
         )
-        self.replica = replica_from_state(state)
-        self.policy = self.policy_factory().bind(self.replica, self.addresses)
-        self.app = MessagingApp(
-            self.replica, self.addresses, delete_on_receipt=self.delete_on_receipt
-        )
-        self.endpoint = SyncEndpoint(self.replica, self.policy)
-        return self
+        self.policy = self.policy_factory()
+        return self.adopt(replica_from_state(state))
 
     # -- convenience ------------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from repro.replication.persistence import replica_to_state
 from repro.replication.replica import Replica
 
 from .config import ExperimentConfig
-from .scenario import build_scenario
+from .scenario import build_inputs, build_scenario
 from .store import canonical_json
 
 #: The replicated-state keys of a replica snapshot that define the fixed
@@ -64,12 +64,9 @@ def emulator_fixed_points(
     config: ExperimentConfig, extra_days: int = 0
 ) -> Dict[str, Dict[str, Any]]:
     """Run ``config`` through the discrete-event emulator; snapshot nodes."""
-    scenario = build_scenario(config)
-    scenario.emulator.run(extra_days=extra_days)
-    return {
-        name: replica_fixed_point(node.replica)
-        for name, node in sorted(scenario.nodes.items())
-    }
+    emulator = build_scenario(config).emulator
+    emulator.run(extra_days=extra_days)
+    return snapshot_emulator(emulator)
 
 
 def snapshot_emulator(emulator: Emulator) -> Dict[str, Dict[str, Any]]:
@@ -180,8 +177,7 @@ def check_churn_parity(
     """
     if config.churn is None or not config.churn.enabled:
         raise ValueError("check_churn_parity needs an armed ChurnConfig")
-    scenario = build_scenario(config)
-    schedule = scenario.churn_schedule
+    schedule = build_inputs(config).churn_schedule
     assert schedule is not None
     if not schedule.has_checkpoint_rejoin:
         raise ValueError(

@@ -11,6 +11,12 @@ Builds the paper's experimental scenario from an
    filter strategy, and storage constraint;
 5. wire everything into an :class:`~repro.emulation.network.Emulator`.
 
+Steps 1–3, the per-host relay sets and the churn schedule are the run's
+*inputs* (:func:`build_inputs`): every executor starts from them.
+:func:`build_scenario` adds every node and the emulator; the columnar
+engine and the swarm orchestrator build no node, a ``repro serve``
+process only its own (:func:`build_node`).
+
 Two addressing modes are supported (``config.addressing``):
 
 * **bus** (the paper's model, default): a message between two users is
@@ -31,7 +37,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.churn import ChurnSchedule, FreeRiderPolicy, generate_churn_schedule
 from repro.dtn.policy import DTNPolicy
@@ -48,21 +54,39 @@ from .config import ExperimentConfig
 
 
 @dataclass
-class Scenario:
-    """Everything needed to run (and re-run) one experiment."""
+class ScenarioInputs:
+    """What a run starts from, whichever executor performs it."""
 
     config: ExperimentConfig
     trace: EncounterTrace
     model: EmailWorkloadModel
     assignments: AssignmentSchedule
     injections: List[Injection]
+    #: Host → its Figure 5/6 static relay addresses; a host left out
+    #: (every host, under the ``self`` strategy) relays for nobody.
+    relay_sets: Dict[str, FrozenSet[str]]
+    #: Lifecycle schedule when churn is armed, else None. Derived here
+    #: (not inside an executor) so the emulator, the orchestrator and
+    #: every node server agree on the same arrivals/crashes/rejoins.
+    churn_schedule: Optional[ChurnSchedule]
+
+    @property
+    def reassignments(self) -> Optional[AssignmentSchedule]:
+        """The day-boundary reassignment events of the run.
+
+        In bus mode filters are static; the assignment schedule only
+        shaped the workload, so a run has no reassignment events.
+        """
+        return self.assignments if self.config.addressing == "user" else None
+
+
+@dataclass
+class Scenario(ScenarioInputs):
+    """Everything needed to run (and re-run) one experiment on the object
+    engine: the inputs, a node per host, and the emulator over them."""
+
     nodes: Dict[str, EmulatedNode]
     emulator: Emulator
-    #: Lifecycle schedule when churn is armed, else None. Generated here
-    #: (not inside the emulator) so the swarm's node servers — which each
-    #: rebuild the scenario from the shared config — agree on the exact
-    #: same arrivals/crashes/rejoins as the orchestrator.
-    churn_schedule: Optional[ChurnSchedule] = None
 
 
 def expected_user_meetings(
@@ -151,12 +175,12 @@ def _policy_factory(config: ExperimentConfig, free_rider: bool):
     return build
 
 
-def build_scenario(
+def build_inputs(
     config: ExperimentConfig,
     trace: Optional[EncounterTrace] = None,
     model: Optional[EmailWorkloadModel] = None,
-) -> Scenario:
-    """Construct the full scenario for ``config``.
+) -> ScenarioInputs:
+    """Derive the inputs of the run ``config`` describes.
 
     A pre-built ``trace`` (e.g. parsed from real DieselNet data) and/or
     e-mail ``model`` (e.g. the real Enron pair list) may be supplied;
@@ -183,64 +207,80 @@ def build_scenario(
         ),
     )
 
-    churn = (
-        config.churn
-        if config.churn is not None and config.churn.enabled
-        else None
-    )
-    churn_schedule = (
-        generate_churn_schedule(churn, trace) if churn is not None else None
-    )
-    free_riders = (
-        churn_schedule.free_riders if churn_schedule is not None else frozenset()
-    )
+    relay_sets: Dict[str, FrozenSet[str]] = {}
+    if config.filter_strategy != "self" and config.filter_k != 0:
+        # One rng, drawn in sorted-host order, whoever asks for the sets.
+        filter_rng = random.Random(config.filter_seed)
+        for host in trace.host_names:
+            if config.addressing == "bus":
+                relay_sets[host] = _bus_relay_addresses(
+                    host, config, trace, filter_rng
+                )
+            else:
+                relay_sets[host] = _user_relay_addresses(
+                    host, config, trace, assignments, users, filter_rng
+                )
 
-    filter_rng = random.Random(config.filter_seed)
-    nodes: Dict[str, EmulatedNode] = {}
-    for host in sorted(trace.hosts):
-        if config.filter_strategy == "self" or config.filter_k == 0:
-            relay: frozenset = frozenset()
-        elif config.addressing == "bus":
-            relay = _bus_relay_addresses(host, config, trace, filter_rng)
-        else:
-            relay = _user_relay_addresses(
-                host, config, trace, assignments, users, filter_rng
-            )
-        # The registry (via the factory) is the single supported
-        # construction path — direct policy-class instantiation here
-        # would skip the Table II defaults.
-        factory = _policy_factory(config, host in free_riders)
-        nodes[host] = EmulatedNode(
-            name=host,
-            policy=factory(),
-            relay_capacity=config.storage_limit,
-            relay_eviction=config.eviction_strategy,
-            static_relay_addresses=relay,
-            delete_on_receipt=config.delete_on_receipt,
-            policy_factory=factory,
-        )
-
-    emulator = Emulator(
-        trace=trace,
-        nodes=nodes,
-        injections=injections,
-        # In bus mode filters are static; the assignment schedule only
-        # shaped the workload, so the emulator has no reassignment events.
-        assignments=assignments if config.addressing == "user" else None,
-        bandwidth_limit=config.bandwidth_limit,
-        seed=config.encounter_order_seed,
-        faults=config.faults,
-        fault_seed=config.fault_seed,
-        churn=churn,
-        churn_schedule=churn_schedule,
-    )
-    return Scenario(
+    churn = config.churn
+    return ScenarioInputs(
         config=config,
         trace=trace,
         model=model,
         assignments=assignments,
         injections=injections,
-        nodes=nodes,
-        emulator=emulator,
-        churn_schedule=churn_schedule,
+        relay_sets=relay_sets,
+        churn_schedule=(
+            generate_churn_schedule(churn, trace)
+            if churn is not None and churn.enabled
+            else None
+        ),
     )
+
+
+def build_node(
+    config: ExperimentConfig, inputs: ScenarioInputs, host: str
+) -> EmulatedNode:
+    """The emulated node for one host of ``inputs.trace``."""
+    schedule = inputs.churn_schedule
+    # The registry (via the factory) is the single supported
+    # construction path — direct policy-class instantiation here
+    # would skip the Table II defaults.
+    factory = _policy_factory(
+        config, schedule is not None and host in schedule.free_riders
+    )
+    return EmulatedNode(
+        name=host,
+        policy=factory(),
+        relay_capacity=config.storage_limit,
+        relay_eviction=config.eviction_strategy,
+        static_relay_addresses=inputs.relay_sets.get(host, frozenset()),
+        delete_on_receipt=config.delete_on_receipt,
+        policy_factory=factory,
+    )
+
+
+def build_scenario(
+    config: ExperimentConfig,
+    trace: Optional[EncounterTrace] = None,
+    model: Optional[EmailWorkloadModel] = None,
+) -> Scenario:
+    """Construct the full scenario for ``config``: its inputs
+    (:func:`build_inputs`), every node, and the emulator over them."""
+    inputs = build_inputs(config, trace, model)
+    nodes = {
+        host: build_node(config, inputs, host)
+        for host in inputs.trace.host_names
+    }
+    emulator = Emulator(
+        trace=inputs.trace,
+        nodes=nodes,
+        injections=inputs.injections,
+        assignments=inputs.reassignments,
+        bandwidth_limit=config.bandwidth_limit,
+        seed=config.encounter_order_seed,
+        faults=config.faults,
+        fault_seed=config.fault_seed,
+        churn=config.churn,
+        churn_schedule=inputs.churn_schedule,
+    )
+    return Scenario(**vars(inputs), nodes=nodes, emulator=emulator)

@@ -5,9 +5,9 @@ process; this package runs the same protocol for real. Each replica is an
 OS process (:mod:`repro.net.server`, started by ``repro serve``) speaking
 length-prefixed JSON frames (:mod:`repro.net.framing`) over TCP or unix
 sockets (:mod:`repro.net.connection`), and a swarm orchestrator
-(:mod:`repro.net.swarm`, ``repro swarm``) spawns N of them and replays a
-trace schedule (:mod:`repro.net.schedule`) as timed encounter directives
-over a control channel.
+(:mod:`repro.net.swarm`, ``repro swarm``) spawns N of them and replays the
+run's schedule (:func:`repro.emulation.engine.build_schedule`, the list
+the emulator walks) as timed directives over a control channel.
 
 The sync flow itself is the transport-agnostic
 :class:`~repro.replication.session.SyncSession` — the same object the
@@ -28,7 +28,6 @@ from .connection import (
     parse_address,
 )
 from .framing import MAX_FRAME_BYTES, FrameDecoder, FramingError, encode_frame
-from .schedule import ScheduleStep, build_schedule
 from .server import NodeServer, ServeConfig
 from .swarm import SwarmConfig, SwarmReport, run_swarm
 
@@ -40,11 +39,9 @@ __all__ = [
     "NodeServer",
     "PeerConnection",
     "ReconnectDialer",
-    "ScheduleStep",
     "ServeConfig",
     "SwarmConfig",
     "SwarmReport",
-    "build_schedule",
     "encode_frame",
     "format_address",
     "open_connection",

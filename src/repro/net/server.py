@@ -1,9 +1,11 @@
 """One replica as a networked daemon: the ``repro serve`` process.
 
 A :class:`NodeServer` owns exactly one emulated node — replica, routing
-policy, messaging app — built from the *same* scenario construction the
-emulator uses (:func:`~repro.experiments.scenario.build_scenario`), so a
-swarm of N servers starts from state identical to an N-node emulation.
+policy, messaging app — and builds nothing else: the run's inputs
+(:func:`~repro.experiments.scenario.build_inputs`) and, from them, its
+own node (:func:`~repro.experiments.scenario.build_node`), the function
+the emulator builds every node with. A swarm of N servers therefore
+starts from state identical to an N-node emulation.
 
 It listens on one address for two kinds of framed connections:
 
@@ -30,7 +32,6 @@ Protocol framing and the message sequence are specified in
 from __future__ import annotations
 
 import asyncio
-import json
 import pathlib
 import signal
 from dataclasses import dataclass
@@ -40,10 +41,8 @@ from repro._compat import keyword_only_dataclass
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parity import replica_fixed_point
 from repro.experiments.report import run_summary_document
-from repro.experiments.scenario import build_scenario
-from repro.messaging.app import MessagingApp
+from repro.experiments.scenario import build_inputs, build_node
 from repro.replication.codec import (
-    CodecError,
     decode_batch_frame,
     decode_sync_request,
     encode_batch_frame,
@@ -52,13 +51,12 @@ from repro.replication.codec import (
 )
 from repro.replication.errors import SyncProtocolError
 from repro.replication.events import BaseReplicaObserver
-from repro.replication.filters import MultiAddressFilter
 from repro.replication.ids import ReplicaId
 from repro.replication.items import Item
 from repro.replication.persistence import load_replica, save_replica
 from repro.replication.routing import SyncContext
 from repro.replication.session import SyncSession, monotone_knowledge
-from repro.replication.sync import SyncEndpoint, SyncStats
+from repro.replication.sync import SyncStats
 
 from .connection import (
     DEFAULT_READ_TIMEOUT,
@@ -70,6 +68,9 @@ from .connection import (
 )
 
 PROTOCOL_VERSION = 1
+
+#: ``_serve_sync``'s default: take the batch cap from the sync-request.
+_OBEY_REQUEST = object()
 
 
 @keyword_only_dataclass
@@ -138,13 +139,13 @@ class NodeServer:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        scenario = build_scenario(config.experiment)
-        if config.node not in scenario.nodes:
+        inputs = build_inputs(config.experiment)
+        if config.node not in inputs.trace.hosts:
             raise ValueError(
                 f"node {config.node!r} is not in the trace "
-                f"(hosts: {sorted(scenario.nodes)})"
+                f"(hosts: {list(inputs.trace.host_names)})"
             )
-        self.node = scenario.nodes[config.node]
+        self.node = build_node(config.experiment, inputs, config.node)
         self.name = config.node
         #: Simulated-time high-water mark, advanced by directive times.
         self.sim_now = 0.0
@@ -168,53 +169,19 @@ class NodeServer:
         path = self.checkpoint_path
         if path is None or not path.exists():
             return
-        if self.config.amnesiac:
-            # An amnesiac rejoin boots from the scenario-fresh replica the
-            # constructor just built (empty stores/knowledge, pristine
-            # policy) and salvages only the id-factory counters — reusing
-            # version serials after forgetting the items they named would
-            # collide with still-circulating copies. This matches
-            # EmulatedNode.amnesiac_restart: the emulator's filter is
-            # likewise re-derived from the current assignment, not the
-            # checkpoint.
-            document = json.loads(path.read_text())
-            try:
-                replica_state = document["replica_state"]
-            except (TypeError, KeyError):
-                raise CodecError(f"not a replica checkpoint: {path}") from None
-            if replica_state.get("replica") != self.name:
-                raise ValueError(
-                    f"checkpoint {path} belongs to "
-                    f"{replica_state.get('replica')!r}, not {self.name!r}"
-                )
-            self.node.replica._ids.restore(replica_state["ids"])
-            return
         replica, policy_state = load_replica(path)
         if replica.replica_id.name != self.name:
             raise ValueError(
                 f"checkpoint {path} belongs to "
                 f"{replica.replica_id.name!r}, not {self.name!r}"
             )
-        node = self.node
-        node.replica = replica
-        # Re-derive the in-memory assigned-user set from the restored
-        # filter so a later ``assign`` directive sees the same
-        # no-op/rebuild decisions the emulator's long-lived node object
-        # would (its assigned set survives a simulated crash in memory,
-        # matching the checkpoint's filter exactly).
-        restored_filter = replica.filter
-        if isinstance(restored_filter, MultiAddressFilter):
-            node._assigned_addresses = (
-                restored_filter.relay_addresses - node.static_relay_addresses
-            )
-        node.policy.bind(node.replica, node.addresses)
-        if policy_state is not None:
-            node.policy.restore_state(policy_state)
-        node.app = MessagingApp(
-            node.replica, node.addresses,
-            delete_on_receipt=node.delete_on_receipt,
-        )
-        node.endpoint = SyncEndpoint(node.replica, node.policy)
+        self.node.adopt(replica, policy_state)
+        if self.config.amnesiac:
+            # The node lost everything but its identity: of the
+            # checkpoint only the id-factory counters survive (reusing
+            # version serials after forgetting the items they named would
+            # collide with still-circulating copies).
+            self.node.amnesiac_restart()
 
     def _wire_node(self) -> None:
         self.node.replica.register_observer(self._evictions)
@@ -414,9 +381,9 @@ class NodeServer:
     ) -> Tuple[List[SyncStats], List[Dict[str, Any]]]:
         """Run one encounter as the initiating side (first sync's source).
 
-        Mirrors :class:`~repro.replication.session.EncounterSession.run`
-        with the second endpoint living in another process: both sides
-        fire ``on_encounter_start`` once, sync 1 flows this → peer,
+        This is :class:`~repro.replication.session.EncounterSession`'s
+        flow with the second endpoint living in another process: both
+        sides fire ``on_encounter_start`` once, sync 1 flows this → peer,
         sync 2 peer → this, and the peer's second-sync budget is what
         remains of the shared per-encounter cap.
         """
@@ -425,7 +392,6 @@ class NodeServer:
             self.node.replica, during="a live encounter"
         ):
             remote = ReplicaId(peer)
-            endpoint = self.node.endpoint
             connection = await open_connection(
                 address, read_timeout=self.config.read_timeout
             )
@@ -437,9 +403,7 @@ class NodeServer:
                         f"dialed {peer!r} at {address} but got {hello!r}"
                     )
                 self.node.policy.on_encounter_start(
-                    SyncContext(
-                        local=endpoint.replica_id, remote=remote, now=time
-                    )
+                    SyncContext(local=ReplicaId(self.name), remote=remote, now=time)
                 )
                 await connection.send(
                     {
@@ -450,56 +414,18 @@ class NodeServer:
                     }
                 )
                 # Sync 1: we are the source; the peer opens with its request.
-                opening = await self._expect(connection, "sync-request")
-                request = decode_sync_request(opening["request"])
-                source_session = SyncSession(
-                    source=endpoint,
-                    peer=remote,
-                    now=time,
+                ack = await self._serve_sync(
+                    connection, remote, time, initiator_budget=budget
                 )
-                batch, stats_a = source_session.build_response(
-                    request, max_items=budget
-                )
-                stamped = source_session.stamp(batch)
-                await connection.send(
-                    {
-                        "type": "sync-batch",
-                        "frame": encode_batch_frame(stamped),
-                        "stats": stats_a.to_dict(),
-                    }
-                )
-                ack = await self._expect(connection, "sync-ack")
                 stats_a = SyncStats.from_dict(ack["stats"])
-                # The ack proves the whole checksummed frame was applied
-                # intact — the confirmed set is the full batch.
-                source_session.confirm_sent(stamped)
                 # Sync 2: roles swap; spend what is left of the budget.
                 remaining = (
                     max(0, budget - stats_a.sent_total)
                     if budget is not None
                     else None
                 )
-                target_session = SyncSession(
-                    target=endpoint,
-                    peer=remote,
-                    now=time,
-                )
-                await connection.send(
-                    {
-                        "type": "sync-request",
-                        "request": encode_sync_request(
-                            target_session.build_request()
-                        ),
-                        "budget": remaining,
-                    }
-                )
-                delivery = await self._expect(connection, "sync-batch")
-                stats_b = SyncStats.from_dict(delivery["stats"])
-                stats_b = target_session.apply(
-                    decode_batch_frame(delivery["frame"]), stats=stats_b
-                )
-                await connection.send(
-                    {"type": "sync-ack", "stats": stats_b.to_dict()}
+                stats_b = await self._request_sync(
+                    connection, remote, time, budget=remaining
                 )
                 done = await self._expect(connection, "encounter-done")
             finally:
@@ -520,49 +446,13 @@ class NodeServer:
             self.node.replica, during="a live encounter"
         ):
             initiator = ReplicaId(str(opening["initiator"]))
-            endpoint = self.node.endpoint
             self.node.policy.on_encounter_start(
-                SyncContext(local=endpoint.replica_id, remote=initiator, now=time)
+                SyncContext(local=ReplicaId(self.name), remote=initiator, now=time)
             )
-            # Sync 1: we are the target.
-            target_session = SyncSession(
-                target=endpoint,
-                peer=initiator,
-                now=time,
-            )
-            await connection.send(
-                {
-                    "type": "sync-request",
-                    "request": encode_sync_request(target_session.build_request()),
-                }
-            )
-            delivery = await self._expect(connection, "sync-batch")
-            stats_a = SyncStats.from_dict(delivery["stats"])
-            stats_a = target_session.apply(
-                decode_batch_frame(delivery["frame"]), stats=stats_a
-            )
-            await connection.send({"type": "sync-ack", "stats": stats_a.to_dict()})
-            # Sync 2: we are the source, under the initiator's remaining budget.
-            opening2 = await self._expect(connection, "sync-request")
-            request = decode_sync_request(opening2["request"])
-            source_session = SyncSession(
-                source=endpoint,
-                peer=initiator,
-                now=time,
-            )
-            batch, stats_b = source_session.build_response(
-                request, max_items=opening2.get("budget")
-            )
-            stamped = source_session.stamp(batch)
-            await connection.send(
-                {
-                    "type": "sync-batch",
-                    "frame": encode_batch_frame(stamped),
-                    "stats": stats_b.to_dict(),
-                }
-            )
-            await self._expect(connection, "sync-ack")
-            source_session.confirm_sent(stamped)
+            # Sync 1: we are the target. Sync 2: we are the source, under
+            # the initiator's remaining budget (carried on its request).
+            await self._request_sync(connection, initiator, time)
+            await self._serve_sync(connection, initiator, time)
         self.encounters += 1
         await connection.send(
             {
@@ -570,6 +460,73 @@ class NodeServer:
                 "deliveries": self._drain_deliveries(),
             }
         )
+
+    async def _serve_sync(
+        self,
+        connection: PeerConnection,
+        peer: ReplicaId,
+        time: float,
+        *,
+        initiator_budget: Any = _OBEY_REQUEST,
+    ) -> Dict[str, Any]:
+        """The source half of one §9.3 sync; returns the target's ack.
+
+        The initiator owns the encounter's budget: it caps the batch it
+        sources with ``initiator_budget`` whatever the request says, and
+        the dialed side obeys the ``budget`` the initiator's request
+        carries.
+        """
+        opening = await self._expect(connection, "sync-request")
+        session = SyncSession(source=self.node.endpoint, peer=peer, now=time)
+        batch, stats = session.build_response(
+            decode_sync_request(opening["request"]),
+            max_items=(
+                opening.get("budget")
+                if initiator_budget is _OBEY_REQUEST
+                else initiator_budget
+            ),
+        )
+        stamped = session.stamp(batch)
+        await connection.send(
+            {
+                "type": "sync-batch",
+                "frame": encode_batch_frame(stamped),
+                "stats": stats.to_dict(),
+            }
+        )
+        ack = await self._expect(connection, "sync-ack")
+        # The ack proves the whole checksummed frame was applied intact —
+        # the confirmed set is the full batch.
+        session.confirm_sent(stamped)
+        return ack
+
+    async def _request_sync(
+        self,
+        connection: PeerConnection,
+        peer: ReplicaId,
+        time: float,
+        **request_fields: Any,
+    ) -> SyncStats:
+        """The target half of one §9.3 sync; returns its final stats.
+
+        ``request_fields`` ride on the ``sync-request`` frame (the
+        initiator's ``budget`` for the sync it does not source).
+        """
+        session = SyncSession(target=self.node.endpoint, peer=peer, now=time)
+        await connection.send(
+            {
+                "type": "sync-request",
+                "request": encode_sync_request(session.build_request()),
+                **request_fields,
+            }
+        )
+        delivery = await self._expect(connection, "sync-batch")
+        stats = session.apply(
+            decode_batch_frame(delivery["frame"]),
+            stats=SyncStats.from_dict(delivery["stats"]),
+        )
+        await connection.send({"type": "sync-ack", "stats": stats.to_dict()})
+        return stats
 
     async def _expect(
         self, connection: PeerConnection, expected: str

@@ -2,23 +2,25 @@
 
 :func:`run_swarm` takes the exact :class:`ExperimentConfig` the emulator
 runs, spawns one ``repro serve`` subprocess per host in the scaled trace,
-and replays the scenario's directive schedule (:mod:`repro.net.schedule`)
-over control channels — day-boundary address reassignments, message
-injections, and encounters, in the emulator's event order. Encounters
-happen as real peer-to-peer sync sessions over unix or TCP sockets
-between the server processes; the orchestrator only tells the initiating
-side whom to dial.
+and performs the run's schedule
+(:func:`repro.emulation.engine.build_schedule` — the list the emulator
+walks) as directives over control channels: day-boundary address
+reassignments, lifecycle events, message injections, and encounters.
+Encounters happen as real peer-to-peer sync sessions over unix or TCP
+sockets between the server processes; the orchestrator only tells the
+initiating side whom to dial.
 
-The orchestrator owns the experiment's single
-:class:`~repro.emulation.metrics.MetricsCollector`, fed from directive
-replies: sync stats travel back serialized, deliveries are announced by
-the node that made them, and end-of-run copy counts come from snapshot
-directives. Two deliberate differences from the emulator's collector are
-documented where they occur: ``copies_at_delivery`` is unknowable without
-a global view, and traffic counters include live-channel checksum work
-the emulator's perfect channel skips. The replication *state* — what the
-parity harness in :mod:`repro.experiments.parity` compares — is
-bit-identical.
+Every decision and every booking is the run's
+:class:`~repro.emulation.engine.RunDirector`'s, as in the emulator; the
+orchestrator performs the physical act between its calls and feeds it
+from directive replies: sync stats travel back serialized, deliveries
+are announced by the node that made them, and end-of-run copy counts
+come from snapshot directives. Two deliberate differences from the
+emulator's collector are documented where they occur:
+``copies_at_delivery`` is unknowable without a global view, and a node
+that departs takes its eviction counter with it. The replication *state*
+— what the parity harness in :mod:`repro.experiments.parity` compares —
+is bit-identical.
 
 Replay is sequential (one directive completes before the next begins).
 That is what makes a live run deterministic and parity-comparable: the
@@ -36,16 +38,26 @@ import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import repro
 from repro._compat import keyword_only_dataclass
-from repro.churn import LifecycleEvent, LifecycleTracker, ReciprocityLedger
+from repro.churn import LifecycleEvent
+from repro.emulation.encounters import Encounter
+from repro.emulation.engine import (
+    ASSIGN,
+    ENCOUNTER,
+    INJECT,
+    LIFECYCLE,
+    RunDirector,
+    build_schedule,
+)
 from repro.emulation.metrics import MetricsCollector
+from repro.emulation.network import Injection
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parity import replica_fixed_point
 from repro.experiments.report import run_summary_document
-from repro.experiments.scenario import build_scenario
+from repro.experiments.scenario import build_inputs
 from repro.experiments.store import canonical_json, run_id_for
 from repro.replication.codec import decode_item_id
 from repro.replication.persistence import load_replica
@@ -56,7 +68,6 @@ from .connection import (
     PeerConnection,
     ReconnectDialer,
 )
-from .schedule import ScheduleStep, build_schedule
 from .server import PROTOCOL_VERSION
 
 #: Base port for ``transport="tcp"`` swarms; node i listens on base + i.
@@ -152,33 +163,28 @@ class _Node:
 class _Swarm:
     def __init__(self, config: SwarmConfig) -> None:
         self.config = config
-        self.scenario = build_scenario(config.experiment)
+        experiment = config.experiment
+        inputs = build_inputs(experiment)
         self.steps, self.end_time = build_schedule(
-            self.scenario, extra_days=config.extra_days
+            inputs.trace,
+            inputs.injections,
+            inputs.reassignments,
+            inputs.churn_schedule,
+            extra_days=config.extra_days,
         )
-        self.metrics = MetricsCollector()
-        self.skipped_injections = 0
-        self._user_location: Dict[str, str] = {}
-        self._current_day_map: Mapping[str, List[str]] = {}
-        # Churn: the orchestrator runs the *same* lifecycle/reciprocity
-        # trackers the emulator does, against the schedule the scenario
-        # derived — so encounter gating, lost injections, and reciprocity
-        # admission are identical by construction, while the processes
-        # underneath are genuinely killed and respawned.
-        self.churn_schedule = self.scenario.churn_schedule
-        self.lifecycle: Optional[LifecycleTracker] = None
-        self.reciprocity: Optional[ReciprocityLedger] = None
-        if self.churn_schedule is not None:
-            churn = self.scenario.config.churn
-            assert churn is not None
-            names = sorted(self.scenario.nodes)
-            self.lifecycle = LifecycleTracker(names, self.churn_schedule)
-            self.reciprocity = ReciprocityLedger(
-                names,
-                threshold=churn.reciprocity_threshold,
-                min_taken=churn.reciprocity_min_taken,
-            )
-            self.metrics.arm_churn()
+        names = inputs.trace.host_names
+        # The emulator's director, over the same inputs: gating, lost
+        # injections, reciprocity admission and every counter are
+        # identical by construction, while the processes underneath are
+        # genuinely spawned, killed and respawned.
+        self.director = RunDirector(
+            names,
+            inputs.reassignments,
+            experiment.churn,
+            inputs.churn_schedule,
+            seed=experiment.encounter_order_seed,
+        )
+        self.metrics = self.director.metrics
         self._owns_runtime_dir = config.runtime_dir is None
         # Unix socket paths must stay short (the kernel caps sun_path at
         # ~100 bytes), hence a fresh short tempdir rather than anything
@@ -187,7 +193,7 @@ class _Swarm:
             config.runtime_dir or tempfile.mkdtemp(prefix="repro-swarm-")
         )
         self.nodes: Dict[str, _Node] = {}
-        for index, name in enumerate(sorted(self.scenario.nodes)):
+        for index, name in enumerate(names):
             if config.transport == "unix":
                 address = f"unix:{self.runtime_dir / (name + '.sock')}"
             else:
@@ -371,144 +377,91 @@ class _Swarm:
                 None,
             )
 
-    def _online(self, name: str) -> bool:
-        return self.lifecycle is None or self.lifecycle.online(name)
+    async def _assign(self, name: str, users, now: float) -> None:
+        reply = await self._command(
+            self.nodes[name],
+            {"type": "assign", "time": now, "addresses": sorted(users)},
+            "assign-ok",
+        )
+        self._record_deliveries(reply.get("deliveries"))
 
-    def _observe_syncs(
-        self, a: str, b: str, stats: List[SyncStats], now: float
-    ) -> None:
-        """Feed one completed encounter into the churn bookkeeping."""
-        if self.lifecycle is None:
+    async def _apply_assignment(self, day: int, now: float) -> None:
+        for name, users in self.director.begin_day(day).items():
+            await self._assign(name, users, now)
+
+    async def _inject(self, injection: Injection, now: float) -> None:
+        node_name = self.director.sender_of(injection)
+        if node_name is None:
             return
-        self.lifecycle.note_encounter(a, b, now, self.metrics)
-        assert self.reciprocity is not None
-        for sync_stats in stats:
-            self.reciprocity.observe_sync(
-                sync_stats.source.name, sync_stats.target.name,
-                sync_stats.sent_total,
+        reply = await self._command(
+            self.nodes[node_name],
+            {
+                "type": "inject",
+                "time": now,
+                "source": injection.source,
+                "destination": injection.destination,
+                "body": injection.body,
+            },
+            "inject-ok",
+        )
+        self.metrics.record_injection(
+            decode_item_id(reply["message_id"]),
+            injection.source,
+            injection.destination,
+            now,
+            node_name,
+        )
+        self._record_deliveries(reply.get("deliveries"))
+
+    async def _encounter(
+        self,
+        first: str,
+        second: str,
+        now: float,
+        budget: Optional[int],
+        handoff: bool = False,
+    ) -> None:
+        """Have ``first`` dial ``second`` for two syncs; book the result."""
+        reply = await self._command(
+            self.nodes[first],
+            {
+                "type": "encounter",
+                "time": now,
+                "peer": second,
+                "address": self.nodes[second].address,
+                "budget": budget,
+            },
+            "encounter-ok",
+        )
+        stats = [SyncStats.from_dict(raw) for raw in reply["syncs"]]
+        self.director.book_encounter(first, second, stats, now, handoff=handoff)
+        self._record_deliveries(reply.get("deliveries"))
+
+    async def _run_encounter(self, encounter: Encounter, now: float) -> None:
+        roles = self.director.encounter_roles(encounter)
+        if roles is not None:
+            # Every config-built emulator's per-encounter budget is the
+            # flat Figure 9 cap (no config reaches the duration-derived one).
+            await self._encounter(
+                *roles, now, self.config.experiment.bandwidth_limit
             )
 
-    async def _replay_step(self, step: ScheduleStep) -> None:
-        if step.kind == "assign":
-            day_map = step.payload["addresses"]
-            self._current_day_map = day_map
-            # Mirror Emulator._apply_assignment: every *online* node gets
-            # its (or an empty) user set, offline nodes keep their
-            # crash-time filter until rejoin, and the user->node view is
-            # rebuilt over online nodes only.
-            for name, node in self.nodes.items():
-                if not self._online(name):
-                    continue
-                reply = await self._command(
-                    node,
-                    {
-                        "type": "assign",
-                        "time": step.time,
-                        "addresses": day_map.get(name, []),
-                    },
-                    "assign-ok",
-                )
-                self._record_deliveries(reply.get("deliveries"))
-            self._user_location = {
-                user: name
-                for name, users in day_map.items()
-                for user in users
-                if self._online(name)
-            }
-        elif step.kind == "inject":
-            source = step.payload["source"]
-            if source in self.nodes:
-                node_name: Optional[str] = source
-            else:
-                node_name = self._user_location.get(source)
-            if node_name is None:
-                self.skipped_injections += 1
-                return
-            if not self._online(node_name):
-                # Mirror Emulator._inject: the sending node is down, the
-                # message is never born — a counted churn cost.
-                self.metrics.record_churn_lost_injection()
-                return
-            node = self.nodes[node_name]
-            reply = await self._command(
-                node,
-                {
-                    "type": "inject",
-                    "time": step.time,
-                    "source": source,
-                    "destination": step.payload["destination"],
-                    "body": step.payload["body"],
-                },
-                "inject-ok",
-            )
-            self.metrics.record_injection(
-                decode_item_id(reply["message_id"]),
-                source,
-                step.payload["destination"],
-                step.time,
-                node_name,
-            )
-            self._record_deliveries(reply.get("deliveries"))
-        elif step.kind == "encounter":
-            assert step.first is not None and step.second is not None
-            if self.lifecycle is not None:
-                # Same gate order as Emulator._run_encounter (the role
-                # coin was already consumed when the schedule was built).
-                if not (
-                    self._online(step.first) and self._online(step.second)
-                ):
-                    self.metrics.record_churn_skip()
-                    return
-                assert self.reciprocity is not None
-                if not self.reciprocity.admit(step.first, step.second):
-                    self.metrics.record_reciprocity_refusal()
-                    return
-            first = self.nodes[step.first]
-            second = self.nodes[step.second]
-            reply = await self._command(
-                first,
-                {
-                    "type": "encounter",
-                    "time": step.time,
-                    "peer": second.name,
-                    "address": second.address,
-                    "budget": step.budget,
-                },
-                "encounter-ok",
-            )
-            stats = [SyncStats.from_dict(raw) for raw in reply["syncs"]]
-            self.metrics.record_encounter()
-            self._observe_syncs(step.first, step.second, stats, step.time)
-            for sync_stats in stats:
-                self.metrics.record_sync(sync_stats)
-            self._record_deliveries(reply.get("deliveries"))
-        elif step.kind == "lifecycle":
-            await self._apply_lifecycle(step)
-        else:
-            raise ValueError(f"unknown schedule step kind {step.kind!r}")
+    async def _apply_lifecycle(self, event: LifecycleEvent, now: float) -> None:
+        """Perform one churn event against the real process fleet.
 
-    async def _apply_lifecycle(self, step: ScheduleStep) -> None:
-        """Apply one churn event against the real process fleet.
-
-        Mirrors ``Emulator._apply_lifecycle``, except the state
-        transitions are physical: a graceful leaver checkpoints and exits,
-        a crash is an image of durable state followed by SIGKILL, and a
-        rejoin is a fresh ``repro serve`` process booting from (all of,
-        or — amnesiac — only the id counters of) that checkpoint.
+        The state transitions are physical: a graceful leaver hands off,
+        checkpoints and exits, a crash is an image of durable state
+        followed by SIGKILL, and a rejoin is a fresh ``repro serve``
+        process booting from (all of, or — amnesiac — only the id
+        counters of) that checkpoint.
         """
-        assert self.lifecycle is not None
-        payload = step.payload
-        kind = str(payload["kind"])
-        name = str(payload["node"])
-        node = self.nodes[name]
-        now = step.time
-        if kind == "leave" and payload.get("partner"):
-            await self._run_handoff(name, str(payload["partner"]), now)
-        if kind in ("leave", "crash"):
-            for user in self._current_day_map.get(name, []):
-                if self._user_location.get(user) == name:
-                    del self._user_location[user]
-        if kind == "leave":
+        node = self.nodes[event.node]
+        if event.kind == "leave":
+            if event.partner is not None:
+                # The leaver's final, unbudgeted sync pair: leaver first.
+                await self._encounter(
+                    event.node, event.partner, now, None, handoff=True
+                )
             assert node.control is not None
             await node.control.send({"type": "shutdown", "persist": True})
             await node.control.receive()  # shutdown-ok (checkpoint path)
@@ -517,7 +470,7 @@ class _Swarm:
             if node.process is not None:
                 await node.process.wait()
                 node.process = None
-        elif kind == "crash":
+        elif event.kind == "crash":
             # Checkpoint-then-SIGKILL is what "only what reached disk
             # survives" means for a continuously-checkpointing replica;
             # the emulator's frozen-in-place node is the same state.
@@ -529,56 +482,24 @@ class _Swarm:
                 node.process.kill()
                 await node.process.wait()
                 node.process = None
-        elif kind == "rejoin":
-            await self._spawn(node, amnesiac=bool(payload.get("amnesiac")))
+        elif event.kind == "rejoin":
+            await self._spawn(node, amnesiac=event.amnesiac)
             await self._connect(node)
-        self.lifecycle.apply(
-            LifecycleEvent(
-                time=step.time,
-                kind=kind,
-                node=name,
-                partner=payload.get("partner"),
-                amnesiac=bool(payload.get("amnesiac")),
-            ),
-            now,
-            self.metrics,
-        )
-        if kind in ("arrive", "rejoin"):
-            users = list(self._current_day_map.get(name, []))
-            reply = await self._command(
-                node,
-                {"type": "assign", "time": now, "addresses": users},
-                "assign-ok",
-            )
-            self._record_deliveries(reply.get("deliveries"))
-            for user in users:
-                self._user_location[user] = name
-
-    async def _run_handoff(self, leaver: str, partner: str, now: float) -> None:
-        """The graceful leaver's final, unbudgeted sync pair."""
-        second = self.nodes[partner]
-        reply = await self._command(
-            self.nodes[leaver],
-            {
-                "type": "encounter",
-                "time": now,
-                "peer": partner,
-                "address": second.address,
-                "budget": None,
-            },
-            "encounter-ok",
-        )
-        stats = [SyncStats.from_dict(raw) for raw in reply["syncs"]]
-        self.metrics.record_encounter()
-        self.metrics.record_churn_handoff()
-        self._observe_syncs(leaver, partner, stats, now)
-        for sync_stats in stats:
-            self.metrics.record_sync(sync_stats)
-        self._record_deliveries(reply.get("deliveries"))
+        users = self.director.apply_lifecycle(event, now)
+        if users is not None:
+            await self._assign(event.node, users, now)
 
     async def replay(self) -> None:
+        perform = {
+            ASSIGN: self._apply_assignment,
+            LIFECYCLE: self._apply_lifecycle,
+            INJECT: self._inject,
+            ENCOUNTER: self._run_encounter,
+        }
         for step in self.steps:
-            await self._replay_step(step)
+            if step.time > self.end_time:
+                break
+            await perform[step.kind](step.event, step.time)
 
     # -- end of run -----------------------------------------------------------
 
@@ -611,20 +532,12 @@ class _Swarm:
             held[name] = set(reply["held"])
             evictions += int(reply.get("evictions", 0))
         self.metrics.evictions = evictions
-        self.metrics.end_time = self.end_time
         for record in self.metrics.records.values():
             key = str(record.message_id)
             record.copies_at_end = sum(
                 1 for ids in held.values() if key in ids
             )
-        if self.lifecycle is not None:
-            assert self.reciprocity is not None
-            node_seconds = self.lifecycle.finalize(self.end_time)
-            self.metrics.finalize_churn(
-                node_seconds,
-                self.lifecycle.departed,
-                self.reciprocity.scores(),
-            )
+        self.director.finalize(self.end_time)
         return fixed_points
 
 
@@ -644,6 +557,7 @@ async def _run_swarm(
         swarm.cleanup_runtime_dir()
 
     experiment = config.experiment
+    skipped_injections = len(swarm.director.skipped_injections)
     run_id = f"swarm-{run_id_for(experiment)}"
     document = run_summary_document(
         kind="swarm",
@@ -654,8 +568,8 @@ async def _run_swarm(
             "run_id": run_id,
             "transport": config.transport,
             "nodes": len(swarm.nodes),
-            "skipped_injections": swarm.skipped_injections,
-            "churn": swarm.lifecycle is not None,
+            "skipped_injections": skipped_injections,
+            "churn": swarm.director.lifecycle is not None,
         },
     )
     report = SwarmReport(
@@ -664,7 +578,7 @@ async def _run_swarm(
         metrics=swarm.metrics,
         document=document,
         checkpoints=checkpoints,
-        skipped_injections=swarm.skipped_injections,
+        skipped_injections=skipped_injections,
     )
     if output:
         path = pathlib.Path(output)

@@ -1,116 +1,158 @@
-"""Unit tests for the discrete-event engine."""
+"""The run's event schedule, the emulator's walk over it, and the one
+end-time function (``repro.emulation.engine``)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.emulation.engine import EventPriority, SimulationEngine
+from repro.churn import ChurnSchedule, LifecycleEvent
+from repro.dtn import EpidemicPolicy
+from repro.emulation.columnar import ColumnarWorld
+from repro.emulation.encounters import SECONDS_PER_DAY as DAY
+from repro.emulation.encounters import Encounter, EncounterTrace
+from repro.emulation.engine import (
+    ASSIGN,
+    ENCOUNTER,
+    INJECT,
+    LIFECYCLE,
+    build_schedule,
+)
+from repro.emulation.network import Emulator, Injection
+from repro.emulation.node import EmulatedNode
+
+
+def churn(*events):
+    return ChurnSchedule(
+        events=tuple(events), free_riders=(), initially_offline=frozenset()
+    )
+
+
+def recording_emulator(trace, injections=()):
+    """An emulator whose steps only log ``(clock, event)`` when they run."""
+    nodes = {name: EmulatedNode(name, EpidemicPolicy()) for name in trace.hosts}
+    emulator = Emulator(trace, nodes, injections=injections)
+    ran = []
+    emulator._inject = emulator._run_encounter = lambda event: ran.append(
+        (emulator.now, event)
+    )
+    return emulator, ran
 
 
 class TestScheduling:
     def test_events_run_in_time_order(self):
-        engine = SimulationEngine()
-        order = []
-        engine.schedule(5.0, lambda: order.append("late"))
-        engine.schedule(1.0, lambda: order.append("early"))
-        engine.run()
-        assert order == ["early", "late"]
-
-    def test_clock_advances_with_events(self):
-        engine = SimulationEngine()
-        seen = []
-        engine.schedule(3.0, lambda: seen.append(engine.now))
-        engine.run()
-        assert seen == [3.0]
-        assert engine.now == 3.0
+        trace = EncounterTrace([Encounter(5.0, "a", "b"), Encounter(1.0, "a", "b")])
+        steps, _ = build_schedule(trace, [Injection(3.0, "a", "b")])
+        assert [step.time for step in steps] == [1.0, 3.0, 5.0]
 
     def test_same_time_ordered_by_priority(self):
-        engine = SimulationEngine()
-        order = []
-        engine.schedule(1.0, lambda: order.append("enc"), EventPriority.ENCOUNTER)
-        engine.schedule(1.0, lambda: order.append("ctl"), EventPriority.CONTROL)
-        engine.schedule(1.0, lambda: order.append("inj"), EventPriority.INJECT)
-        engine.run()
-        assert order == ["ctl", "inj", "enc"]
+        steps, _ = build_schedule(
+            EncounterTrace([Encounter(DAY, "a", "b")]),
+            [Injection(DAY, "a", "b")],
+            {1: {}},
+            churn(LifecycleEvent(time=DAY, kind="crash", node="a")),
+        )
+        assert [step.kind for step in steps] == [ASSIGN, LIFECYCLE, INJECT, ENCOUNTER]
 
     def test_same_time_same_priority_fifo(self):
-        engine = SimulationEngine()
-        order = []
-        for tag in ("first", "second", "third"):
-            engine.schedule(1.0, lambda t=tag: order.append(t))
-        engine.run()
-        assert order == ["first", "second", "third"]
+        injections = [Injection(1.0, "a", "b", tag) for tag in ("x", "z", "y")]
+        events = [
+            LifecycleEvent(time=0.0, kind=kind, node="b")
+            for kind in ("crash", "rejoin")
+        ]
+        steps, _ = build_schedule(
+            EncounterTrace([Encounter(1.0, "a", "c"), Encounter(1.0, "a", "b")]),
+            injections,
+            {0: {}},
+            churn(*events),
+        )
+        # Day assignment, then lifecycle events in schedule order;
+        # injections in workload order; encounters in trace order.
+        assert [step.event for step in steps] == [
+            0, *events, *injections,
+            Encounter(1.0, "a", "b"), Encounter(1.0, "a", "c"),
+        ]
 
-    def test_cannot_schedule_in_the_past(self):
-        engine = SimulationEngine()
-        engine.schedule(5.0, lambda: None)
-        engine.run()
-        with pytest.raises(ValueError):
-            engine.schedule(1.0, lambda: None)
+    def test_clock_advances_with_events(self):
+        emulator, ran = recording_emulator(
+            EncounterTrace([Encounter(3.0, "a", "b")])
+        )
+        emulator.advance(3.0)
+        assert ran == [(3.0, Encounter(3.0, "a", "b"))]
+        assert emulator.now == 3.0
 
-    def test_events_can_schedule_followups(self):
-        engine = SimulationEngine()
-        hits = []
+    @given(
+        meetings=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+                st.sampled_from(["ab", "ac", "bc"]),
+            ),
+            max_size=6,
+        ),
+        sends=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), max_size=5),
+        days=st.sets(st.integers(0, 3)),
+        lifecycle=st.lists(st.sampled_from([0.0, 1.0, 1.5]), max_size=4),
+        extra_days=st.integers(0, 2),
+    )
+    def test_schedule_is_the_tagged_sort(
+        self, meetings, sends, days, lifecycle, extra_days
+    ):
+        trace = EncounterTrace(Encounter(t * DAY, *pair) for t, pair in meetings)
+        injections = [Injection(t * DAY, "a", "b", n) for n, t in enumerate(sends)]
+        events = [
+            LifecycleEvent(time=t * DAY, kind="crash", node=f"n{n}")
+            for n, t in enumerate(lifecycle)
+        ]
+        # The reference: tag every event (time, band, sequence), sort.
+        tagged = [(day * DAY, 0, ASSIGN, day) for day in sorted(days)]
+        tagged += [(event.time, 0, LIFECYCLE, event) for event in events]
+        tagged += [(send.time, 1, INJECT, send) for send in injections]
+        tagged += [(meeting.time, 2, ENCOUNTER, meeting) for meeting in trace]
+        order = sorted(range(len(tagged)), key=lambda n: (*tagged[n][:2], n))
 
-        def recurring():
-            hits.append(engine.now)
-            if engine.now < 3.0:
-                engine.schedule(engine.now + 1.0, recurring)
-
-        engine.schedule(1.0, recurring)
-        engine.run()
-        assert hits == [1.0, 2.0, 3.0]
-
-
-class TestCancellation:
-    def test_cancelled_events_do_not_run(self):
-        engine = SimulationEngine()
-        hits = []
-        handle = engine.schedule(1.0, lambda: hits.append(1))
-        engine.cancel(handle)
-        engine.run()
-        assert hits == []
+        steps, end = build_schedule(
+            trace, injections, dict.fromkeys(days, {}), churn(*events), extra_days
+        )
+        assert steps == [(tagged[n][0], *tagged[n][2:]) for n in order]
+        last_day = max([meeting.day for meeting in trace] + sorted(days) + [0])
+        assert end == (last_day + 1 + extra_days) * DAY
 
 
 class TestRunUntil:
     def test_until_stops_before_later_events(self):
-        engine = SimulationEngine()
-        hits = []
-        engine.schedule(1.0, lambda: hits.append(1))
-        engine.schedule(10.0, lambda: hits.append(10))
-        engine.run(until=5.0)
-        assert hits == [1]
-        assert engine.now == 5.0
-        assert engine.pending == 1
+        # The trace ends with day 0; the injection is due on day 2.
+        emulator, ran = recording_emulator(
+            EncounterTrace([Encounter(1.0, "a", "b")]),
+            [Injection(2 * DAY, "a", "b")],
+        )
+        metrics = emulator.run()
+        assert ran == [(1.0, Encounter(1.0, "a", "b"))]
+        assert emulator.now == metrics.end_time == DAY
 
     def test_until_advances_clock_past_last_event(self):
-        engine = SimulationEngine()
-        engine.schedule(1.0, lambda: None)
-        engine.run(until=100.0)
-        assert engine.now == 100.0
+        emulator, _ = recording_emulator(EncounterTrace([Encounter(1.0, "a", "b")]))
+        assert emulator.advance(100.0) == emulator.now == 100.0
 
     def test_resume_after_until(self):
-        engine = SimulationEngine()
-        hits = []
-        engine.schedule(10.0, lambda: hits.append(10))
-        engine.run(until=5.0)
-        engine.run()
-        assert hits == [10]
+        emulator, ran = recording_emulator(
+            EncounterTrace([Encounter(1.0, "a", "b"), Encounter(10.0, "a", "b")])
+        )
+        emulator.advance(5.0)
+        assert [now for now, _ in ran] == [1.0]
+        emulator.advance(20.0)
+        emulator.advance(30.0)
+        assert [now for now, _ in ran] == [1.0, 10.0]
 
 
-class TestStep:
-    def test_step_processes_one_event(self):
-        engine = SimulationEngine()
-        hits = []
-        engine.schedule(1.0, lambda: hits.append("a"))
-        engine.schedule(2.0, lambda: hits.append("b"))
-        assert engine.step()
-        assert hits == ["a"]
-
-    def test_step_on_empty_queue_returns_false(self):
-        assert not SimulationEngine().step()
-
-    def test_events_processed_counter(self):
-        engine = SimulationEngine()
-        for t in (1.0, 2.0, 3.0):
-            engine.schedule(t, lambda: None)
-        engine.run()
-        assert engine.events_processed == 3
+@pytest.mark.parametrize("extra_days", [0, 2])
+def test_object_and_columnar_engines_end_together(extra_days):
+    # The last day holds a single encounter.
+    trace = EncounterTrace(
+        [Encounter(9 * 3600.0 + n, "a", "b") for n in range(3)]
+        + [Encounter(2 * DAY + 9 * 3600.0, "a", "b")]
+    )
+    emulator, _ = recording_emulator(trace)
+    world = ColumnarWorld(trace, [], policy="epidemic")
+    assert (
+        emulator.run(extra_days).end_time
+        == world.run(extra_days).end_time
+        == (3 + extra_days) * DAY
+    )

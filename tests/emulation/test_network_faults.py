@@ -124,12 +124,9 @@ class TestCrashRestart:
             nodes,
             injections=[Injection(hour(9), "a", "b", "late")],
         )
-        end = emulator.schedule_all()
-        emulator.engine.run(until=hour(10))  # injection done, encounter not yet
+        emulator.advance(hour(10))  # injection done, encounter not yet
         emulator.restart_node("b")
-        emulator.engine.run(until=end)
-        emulator.finalize()
-        assert emulator.metrics.delivered == 1
+        assert emulator.run().delivered == 1
 
 
 class TestFaultDeterminism:

@@ -115,3 +115,54 @@ class TestExpectedUserMeetings:
                 if {e.a, e.b} == {host, bus}
             )
         assert total == expected
+
+
+class TestLiveBuildsOnlyWhatItRuns:
+    """A ``repro serve`` builds its own node and the orchestrator none;
+    neither builds an emulator (a count, so it cannot flake)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.emulation.network import Emulator
+        from repro.emulation.node import EmulatedNode
+
+        counts = {"nodes": 0, "emulators": 0, "count_copies": 0}
+
+        def counting(cls, method, key):
+            original = getattr(cls, method)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        counting(EmulatedNode, "__init__", "nodes")
+        counting(Emulator, "__init__", "emulators")
+        counting(Emulator, "count_copies", "count_copies")
+        return counts
+
+    def test_a_server_builds_one_node_and_no_emulator(self, built):
+        from repro.net.server import NodeServer, ServeConfig
+
+        name = build_scenario(SMALL).trace.host_names[0]
+        built.update(nodes=0, emulators=0)
+        server = NodeServer(
+            ServeConfig(node=name, listen="unix:/unused", experiment=SMALL)
+        )
+        assert (built["nodes"], built["emulators"]) == (1, 0)
+        # A message to the served node itself: one delivery, announced by
+        # the server's own callback — no emulator's global copy count.
+        reply = server._handle_directive(
+            "inject",
+            {"time": 1.0, "source": name, "destination": name, "body": "m"},
+        )
+        assert len(reply["deliveries"]) == 1
+        assert built["count_copies"] == 0
+
+    def test_the_orchestrator_builds_neither(self, built):
+        from repro.net.swarm import SwarmConfig, _Swarm
+
+        swarm = _Swarm(SwarmConfig(experiment=SMALL))
+        swarm.cleanup_runtime_dir()
+        assert (built["nodes"], built["emulators"]) == (0, 0)

@@ -15,10 +15,12 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.parity import (
     check_churn_parity,
     compare_fixed_points,
-    emulator_fixed_points,
+    snapshot_emulator,
 )
 from repro.experiments.scenario import build_scenario
 from repro.net.swarm import SwarmConfig, run_swarm
+
+from .test_swarm_parity import live_comparable
 
 #: Scale 0.25 = 8 hosts / 24 encounters / 4 days; churn seed 0 at these
 #: fractions covers every lifecycle path: one late arrival, one
@@ -42,11 +44,16 @@ class TestChurnParity:
         assert schedule.has_amnesiac_rejoin
 
     def test_swarm_matches_emulator_under_full_churn(self):
-        emulator_points = emulator_fixed_points(CONFIG)
+        emulator = build_scenario(CONFIG).emulator
+        expected = emulator.run()
+        emulator_points = snapshot_emulator(emulator)
         assert len(emulator_points) == 8  # one OS process per host
         report = run_swarm(SwarmConfig(experiment=CONFIG))
         parity = compare_fixed_points(emulator_points, report.fixed_points)
         assert parity.equal, f"diverged: {parity.detail}"
+        # Kills, respawns and hand-offs included, the orchestrator books
+        # what the emulator books.
+        assert live_comparable(report.metrics) == live_comparable(expected)
 
         summary = report.metrics.summary()
         assert summary["churn_crashes"] == 2
