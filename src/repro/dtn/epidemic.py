@@ -69,16 +69,12 @@ class EpidemicPolicy(DTNPolicy):
 
         Applies to out-of-filter forwards; a copy that is being *delivered*
         (filter match) also gets the decrement, which is harmless — the
-        destination does not reflood unless it relays for others. When the
-        copy already carries exactly the outgoing TTL (and nothing else
-        host-local), it ships as-is — no reallocation.
+        destination does not reflood unless it relays for others. A copy
+        that already carries exactly the outgoing TTL ships as-is
+        (:meth:`~repro.replication.items.Item.wire_copy`).
         """
         stored = self.replica.get_item(item.item_id)
         ttl = self.initial_ttl if stored is None else int(
             stored.local(TTL_ATTRIBUTE, self.initial_ttl)
         )
-        outgoing_ttl = max(0, ttl - 1)
-        local = item.local_attributes
-        if len(local) == 1 and local.get(TTL_ATTRIBUTE) == outgoing_ttl:
-            return item
-        return item.without_local().with_local(**{TTL_ATTRIBUTE: outgoing_ttl})
+        return item.wire_copy(**{TTL_ATTRIBUTE: max(0, ttl - 1)})

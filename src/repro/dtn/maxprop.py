@@ -303,9 +303,8 @@ class MaxPropPolicy(DTNPolicy):
     def prepare_outgoing(self, item: Item, context: SyncContext) -> Item:
         """Extend the copy's hop list with this node before it ships.
 
-        When the copy already carries exactly the outgoing hop list (this
-        node was already recorded, nothing else host-local), it ships
-        unchanged — no reallocation.
+        A copy that already carries exactly the outgoing hop list (this
+        node was already recorded) ships unchanged.
         """
         stored = self.replica.get_item(item.item_id)
         hops: Tuple[str, ...] = ()
@@ -314,7 +313,4 @@ class MaxPropPolicy(DTNPolicy):
         me = self.replica.replica_id.name
         if me not in hops:
             hops = hops + (me,)
-        local = item.local_attributes
-        if len(local) == 1 and local.get(HOPLIST_ATTRIBUTE) == hops:
-            return item
-        return item.without_local().with_local(**{HOPLIST_ATTRIBUTE: hops})
+        return item.wire_copy(**{HOPLIST_ATTRIBUTE: hops})

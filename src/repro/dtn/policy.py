@@ -24,6 +24,7 @@ from repro.replication.filters import AddressFilter, Filter, MultiAddressFilter
 from repro.replication.items import KIND_MESSAGE, Item
 from repro.replication.replica import Replica
 from repro.replication.routing import (
+    NORMAL_PRIORITY,
     Priority,
     PriorityClass,
     RoutingPolicy,
@@ -108,4 +109,6 @@ class DTNPolicy(RoutingPolicy):
 
     @staticmethod
     def normal(cost: float = 0.0) -> Priority:
+        if not cost:
+            return NORMAL_PRIORITY  # a frozen value: one instance serves all
         return Priority(PriorityClass.NORMAL, cost)

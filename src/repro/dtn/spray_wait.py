@@ -79,12 +79,9 @@ class SprayAndWaitPolicy(DTNPolicy):
             shipped = 1
         else:
             shipped = int(copies) // 2
-        local = item.local_attributes
-        if len(local) == 1 and local.get(COPIES_ATTRIBUTE) == shipped:
-            # Identity fast path — the wait-phase common case: the stored
-            # single-copy state is exactly what goes on the wire.
-            return item
-        return item.without_local().with_local(**{COPIES_ATTRIBUTE: shipped})
+        # In the wait phase the stored single-copy state is exactly what
+        # goes on the wire, and ``wire_copy`` ships that object as it is.
+        return item.wire_copy(**{COPIES_ATTRIBUTE: shipped})
 
     def on_items_sent(self, items: List[Item], context: SyncContext) -> None:
         """Halve the stored budget of every *delivered* spray (keep ⌈n/2⌉).

@@ -92,14 +92,6 @@ class EmulatedNode:
         self._assigned_addresses = new
         self.replica.set_filter(self._build_filter())
 
-    def set_static_relay_addresses(self, addresses: Iterable[str]) -> None:
-        """Set the Figure 5/6 style extra relay addresses."""
-        new = frozenset(addresses)
-        if new == self._static_relay:
-            return
-        self._static_relay = new
-        self.replica.set_filter(self._build_filter())
-
     def _build_filter(self) -> MultiAddressFilter:
         return MultiAddressFilter(
             own_address=self.name,

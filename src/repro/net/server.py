@@ -122,6 +122,13 @@ class ServeConfig:
         )
 
 
+def _protocol_mismatch(hello: Dict[str, Any]) -> str:
+    return (
+        f"{hello.get('node')!r} speaks protocol {hello.get('protocol')!r}, "
+        f"this node speaks {PROTOCOL_VERSION}"
+    )
+
+
 def _error_reply(error: Exception) -> Dict[str, Any]:
     return {"type": "error", "error": f"{type(error).__name__}: {error}"}
 
@@ -221,18 +228,22 @@ class NodeServer:
         self._server.close()
         await self._server.wait_closed()
 
+    def _write_checkpoint(self) -> Optional[str]:
+        """Persist replica and policy state; the path written, if any."""
+        path = self.checkpoint_path
+        if path is None:
+            return None
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_replica(
+            self.node.replica,
+            path,
+            policy_state=self.node.policy.persistent_state(),
+        )
+        return str(path)
+
     def request_shutdown(self, persist: bool = True) -> Optional[str]:
         """Persist (optionally) and arrange for ``serve_forever`` to return."""
-        checkpoint = None
-        path = self.checkpoint_path
-        if persist and path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_replica(
-                self.node.replica,
-                path,
-                policy_state=self.node.policy.persistent_state(),
-            )
-            checkpoint = str(path)
+        checkpoint = self._write_checkpoint() if persist else None
         if self._stopped is not None:
             self._stopped.set()
         return checkpoint
@@ -243,6 +254,11 @@ class NodeServer:
         hello = await connection.receive()
         if hello.get("type") != "hello":
             await connection.send({"type": "error", "error": "expected hello"})
+            return
+        if hello.get("protocol") != PROTOCOL_VERSION:
+            await connection.send(
+                {"type": "error", "error": _protocol_mismatch(hello)}
+            )
             return
         await connection.send(self._hello())
         await self._serve_connection(connection)
@@ -309,19 +325,13 @@ class NodeServer:
             # durable state the instant before it kills the process, which
             # is what "only what reached disk survives the crash" means
             # for a continuously-checkpointing replica.
-            path = self.checkpoint_path
-            if path is None:
+            checkpoint = self._write_checkpoint()
+            if checkpoint is None:
                 return {
                     "type": "error",
                     "error": "no state_dir configured; cannot checkpoint",
                 }
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_replica(
-                self.node.replica,
-                path,
-                policy_state=self.node.policy.persistent_state(),
-            )
-            return {"type": "checkpoint-ok", "checkpoint": str(path)}
+            return {"type": "checkpoint-ok", "checkpoint": checkpoint}
         if kind == "snapshot":
             return {
                 "type": "snapshot-ok",
@@ -402,6 +412,8 @@ class NodeServer:
                     raise SyncProtocolError(
                         f"dialed {peer!r} at {address} but got {hello!r}"
                     )
+                if hello.get("protocol") != PROTOCOL_VERSION:
+                    raise SyncProtocolError(_protocol_mismatch(hello))
                 self.node.policy.on_encounter_start(
                     SyncContext(local=ReplicaId(self.name), remote=remote, now=time)
                 )

@@ -109,9 +109,9 @@ def cached_item_checksum(item: Item) -> str:
     construction: it never survives serialisation, ``dataclasses.replace``
     never copies it (a tampered copy made via ``replace`` starts clean and
     recomputes), and only the content-preserving derivations
-    ``Item.with_local`` / ``Item.without_local`` carry it forward — the
-    checksum excludes host-local attributes, so those derivations cannot
-    change it.
+    ``Item.with_local`` / ``without_local`` / ``wire_copy`` carry it
+    forward — the checksum excludes host-local attributes, so those
+    derivations cannot change it.
     """
     memo = getattr(item, CHECKSUM_MEMO_ATTRIBUTE, None)
     if memo is not None:

@@ -41,11 +41,12 @@ KIND_TOMBSTONE = "tombstone"
 
 #: Name of the per-instance content-checksum memo (see
 #: :func:`repro.replication.integrity.cached_item_checksum`). The memo is a
-#: non-field attribute set with ``object.__setattr__``, so
-#: ``dataclasses.replace`` never copies it — any derivation that *could*
-#: change replicated content starts clean. Only the two derivations that
-#: provably preserve replicated content (:meth:`Item.with_local`,
-#: :meth:`Item.without_local`; the checksum excludes host-local attributes)
+#: non-field attribute set with ``object.__setattr__``, so neither the
+#: constructor nor ``dataclasses.replace`` ever copies it — any derivation
+#: that *could* change replicated content starts clean. Only the
+#: derivations that provably preserve replicated content
+#: (:meth:`Item.with_local`, :meth:`Item.without_local`,
+#: :meth:`Item.wire_copy`; the checksum excludes host-local attributes)
 #: carry it over explicitly.
 CHECKSUM_MEMO_ATTRIBUTE = "_content_checksum"
 
@@ -60,14 +61,6 @@ class _OwnedDict(dict):
     """
 
     __slots__ = ()
-
-
-def _copy_content_memo(source: "Item", derived: "Item") -> "Item":
-    """Carry ``source``'s checksum memo onto a content-identical derivation."""
-    memo = getattr(source, CHECKSUM_MEMO_ATTRIBUTE, None)
-    if memo is not None:
-        object.__setattr__(derived, CHECKSUM_MEMO_ATTRIBUTE, memo)
-    return derived
 
 
 @dataclass(frozen=True)
@@ -147,20 +140,7 @@ class Item:
         stored, or a delete of an absent key), so hot paths that re-stamp
         unchanged per-copy state allocate nothing.
         """
-        merged = _OwnedDict(self.local_attributes)
-        changed = False
-        for key, value in local_changes.items():
-            if value is None:
-                if merged.pop(key, None) is not None:
-                    changed = True
-            elif merged.get(key) != value or key not in merged:
-                merged[key] = value
-                changed = True
-        if not changed:
-            return self
-        return _copy_content_memo(
-            self, replace(self, local_attributes=merged)
-        )
+        return self._restamped(_OwnedDict(self.local_attributes), local_changes)
 
     def without_local(self) -> "Item":
         """A copy stripped of host-local attributes, as sent on the wire.
@@ -171,9 +151,48 @@ class Item:
         """
         if not self.local_attributes:
             return self
-        return _copy_content_memo(
-            self, replace(self, local_attributes=_OwnedDict())
+        return self._restamped(_OwnedDict(), {})
+
+    def wire_copy(self, **local_state: Any) -> "Item":
+        """The copy one hop ships: exactly ``local_state`` as host-local state.
+
+        ``without_local()`` then ``with_local(**local_state)``, in one step
+        and one allocation: this host's per-copy state stripped, the
+        receiving host's stamped on (a decremented TTL, half the copy
+        budget; a ``None`` value carries nothing). Returns ``self`` when
+        the copy already carries exactly that state, memos and all.
+        """
+        return self._restamped(_OwnedDict(), local_state)
+
+    def _restamped(self, state: _OwnedDict, changes: Mapping[str, Any]) -> "Item":
+        """This version with ``changes`` applied to ``state`` as its
+        host-local attributes; ``self`` if that is what it carries already.
+
+        Replicated content is untouched, so the checksum memo carries
+        over; the wire-size memo, which measures host-local state too,
+        does not. Built by the constructor: every forwarded item is
+        re-stamped at every hop, and ``dataclasses.replace``'s reflection
+        was the largest single cost of moving one.
+        """
+        for key, value in changes.items():
+            if value is None:
+                state.pop(key, None)
+            else:
+                state[key] = value
+        if state == self.local_attributes:
+            return self
+        derived = Item(
+            self.item_id,
+            self.version,
+            self.payload,
+            self.attributes,
+            state,
+            self.deleted,
         )
+        memo = getattr(self, CHECKSUM_MEMO_ATTRIBUTE, None)
+        if memo is not None:
+            object.__setattr__(derived, CHECKSUM_MEMO_ATTRIBUTE, memo)
+        return derived
 
     def as_tombstone(self, version: Version) -> "Item":
         """A deletion marker for this item.

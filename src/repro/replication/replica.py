@@ -204,11 +204,10 @@ class Replica:
         the source is required to filter against our knowledge, so a
         duplicate indicates a protocol violation, not a benign race.
         """
-        if self.knowledge.contains(item.version):
+        if not self.knowledge.add(item.version):
             raise DuplicateDeliveryError(
                 f"{self.replica_id} already knows {item.version}"
             )
-        self.knowledge.add(item.version)
 
         stored = self._find(item.item_id)
         if stored is not None and not _wins(item, stored):
@@ -236,21 +235,13 @@ class Replica:
         or FIFO positions — it is invisible to the replication protocol,
         matching the paper's internal no-new-version update interface.
         """
-        for store in (self._store, self._outbox):
-            if item.item_id in store:
-                stored = store.get(item.item_id)
-                assert stored is not None
+        for store in (self._store, self._outbox, self._relay):
+            stored = store.get(item.item_id)
+            if stored is not None:
                 if stored.version != item.version:
                     raise UnknownItemError(item.item_id)
                 store.update_in_place(item)
                 return
-        if item.item_id in self._relay:
-            stored = self._relay.get(item.item_id)
-            assert stored is not None
-            if stored.version != item.version:
-                raise UnknownItemError(item.item_id)
-            self._relay.update_in_place(item)
-            return
         raise UnknownItemError(item.item_id)
 
     def expunge(self, item_id: ItemId) -> None:
@@ -340,11 +331,12 @@ class Replica:
             self._relay.put(item)
 
     def _find(self, item_id: ItemId) -> Optional[Item]:
-        for store in (self._store, self._outbox):
-            item = store.get(item_id)
-            if item is not None:
-                return item
-        return self._relay.get(item_id)
+        item = self._store.get(item_id)
+        if item is None:
+            item = self._outbox.get(item_id)
+            if item is None:
+                item = self._relay.get(item_id)
+        return item
 
     def _remove_everywhere(self, item_id: ItemId) -> None:
         self._store.discard(item_id)

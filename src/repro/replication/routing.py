@@ -76,6 +76,10 @@ class Priority:
 #: Convenience instance for "send whenever there is room, no preference".
 NORMAL_PRIORITY = Priority(PriorityClass.NORMAL)
 
+#: What the sync engine gives every item matching the target's filter.
+#: Priorities are frozen values, so one instance serves every batch entry.
+FILTER_MATCH_PRIORITY = Priority(PriorityClass.FILTER_MATCH)
+
 
 @dataclass
 class SyncContext:

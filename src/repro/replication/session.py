@@ -182,7 +182,12 @@ class SyncSession:
         if self.source is None:
             raise ValueError("stamp needs the source endpoint")
         return [
-            replace(entry, checksum=cached_item_checksum(entry.item))
+            BatchEntry(
+                entry.item,
+                entry.matched_filter,
+                entry.priority,
+                cached_item_checksum(entry.item),
+            )
             for entry in batch
         ]
 

@@ -20,11 +20,12 @@ exactly one (the latest known) version per id.
 
 Beyond the primary id index, every :class:`ItemStore` maintains a
 **version index**: per authoring replica, the stored version counters in
-sorted order. Because a peer's knowledge is a per-replica prefix plus a
-small extras set (see :mod:`repro.replication.versions`), the index lets
+sorted order and, in a parallel column, who holds each. Because a peer's
+knowledge is a per-replica prefix plus a small extras set (see
+:mod:`repro.replication.versions`), the index lets
 :meth:`ItemStore.unknown_items` enumerate exactly the stored items a
 given knowledge vector does *not* cover — a bisect to skip the known
-prefix, then a walk of the tail — instead of probing ``contains`` on
+prefix, then a slice of the tail — instead of probing ``contains`` on
 every stored item. That query is the sync hot path: one call per sync
 session, proportional to what the peer is missing rather than to the
 store size.
@@ -32,7 +33,7 @@ store size.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -44,6 +45,7 @@ from typing import (
     Tuple,
     Union,
 )
+from zlib import crc32
 
 from .errors import UnknownItemError
 from .ids import ItemId, ReplicaId
@@ -53,34 +55,37 @@ from .versions import VersionVector
 #: Callback invoked when the relay store evicts an item under pressure.
 EvictionCallback = Callable[[Item], None]
 
+#: Who holds an indexed version: ``(insertion sequence, item id)``.
+_Owner = Tuple[int, ItemId]
+
 
 class ItemStore:
     """A keyed store of the latest known version of each item.
 
     Insertion order is preserved (Python dicts are ordered), which the relay
     store's FIFO eviction relies on. Alongside the primary dict the store
-    keeps the version index (``origin replica → sorted counters``) and a
-    monotone per-insertion sequence number used to report query results in
-    insertion order; both are maintained incrementally on every mutation.
+    keeps the version index: per origin replica two parallel columns, the
+    stored counters in sorted order and beside each its *owner*, the pair
+    ``(insertion sequence, item id)``. The sequence is a monotone
+    per-insertion number (re-insertion bumps it, like the dict), so a
+    plain sort of owners is insertion order and never compares two ids.
+    The index is maintained incrementally on every mutation.
     """
 
-    __slots__ = (
-        "_items",
-        "_by_origin",
-        "_version_owner",
-        "_order",
-        "_seq",
-        "_snapshot",
-    )
+    __slots__ = ("_items", "_by_origin", "_owners", "_seq", "_snapshot", "get")
 
     def __init__(self) -> None:
         self._items: Dict[ItemId, Item] = {}
+        #: ``get(item_id)``: the stored item or ``None``. The dict's own
+        #: bound method (kept valid by :meth:`clear` emptying in place): a
+        #: forwarded item is looked up twice per hop in up to three stores.
+        self.get: Callable[[ItemId], Optional[Item]] = self._items.get
         #: origin replica → sorted list of stored version counters.
         self._by_origin: Dict[ReplicaId, List[int]] = {}
-        #: (origin replica, counter) → item id holding that version.
-        self._version_owner: Dict[Tuple[ReplicaId, int], ItemId] = {}
-        #: item id → insertion sequence (re-insertion bumps it, like the dict).
-        self._order: Dict[ItemId, int] = {}
+        #: origin replica → the owner of each counter, position for position.
+        #: A dict of its own, not a pair with the counters: a sync that
+        #: moves nothing reads only those, one object fewer per origin.
+        self._owners: Dict[ReplicaId, List[_Owner]] = {}
         self._seq = 0
         #: Cached insertion-order tuple, rebuilt lazily after mutations.
         self._snapshot: Optional[Tuple[Item, ...]] = None
@@ -93,9 +98,6 @@ class ItemStore:
 
     def __iter__(self) -> Iterator[Item]:
         return iter(self.items())
-
-    def get(self, item_id: ItemId) -> Optional[Item]:
-        return self._items.get(item_id)
 
     def require(self, item_id: ItemId) -> Item:
         item = self._items.get(item_id)
@@ -114,8 +116,7 @@ class ItemStore:
         if previous is not None:
             self._index_remove(previous)
         self._items[item.item_id] = item
-        self._index_add(item)
-        self._order[item.item_id] = self._seq
+        self._index_add(item, self._seq)
         self._seq += 1
         self._snapshot = None
 
@@ -131,8 +132,7 @@ class ItemStore:
         if previous.version != item.version:
             # Callers adjust host-local state only, so the version should
             # never change here; keep the index right regardless.
-            self._index_remove(previous)
-            self._index_add(item)
+            self._index_add(item, self._index_remove(previous))
         self._items[item.item_id] = item
         self._snapshot = None
 
@@ -141,7 +141,6 @@ class ItemStore:
         if item is None:
             raise UnknownItemError(item_id)
         self._index_remove(item)
-        self._order.pop(item_id, None)
         self._snapshot = None
         return item
 
@@ -149,7 +148,6 @@ class ItemStore:
         item = self._items.pop(item_id, None)
         if item is not None:
             self._index_remove(item)
-            self._order.pop(item_id, None)
             self._snapshot = None
         return item
 
@@ -174,34 +172,40 @@ class ItemStore:
     def clear(self) -> None:
         self._items.clear()
         self._by_origin.clear()
-        self._version_owner.clear()
-        self._order.clear()
+        self._owners.clear()
         self._snapshot = None
 
     # -- version index -----------------------------------------------------------
 
-    def _index_add(self, item: Item) -> None:
+    def _index_add(self, item: Item, sequence: int) -> None:
         version = item.version
+        counter = version.counter
+        owner = (sequence, item.item_id)
         counters = self._by_origin.get(version.replica)
         if counters is None:
-            self._by_origin[version.replica] = [version.counter]
-        elif counters and version.counter > counters[-1]:
-            counters.append(version.counter)  # common case: counters ascend
-        else:
-            insort(counters, version.counter)
-        self._version_owner[(version.replica, version.counter)] = item.item_id
-
-    def _index_remove(self, item: Item) -> None:
-        version = item.version
-        self._version_owner.pop((version.replica, version.counter), None)
-        counters = self._by_origin.get(version.replica)
-        if counters is None:
+            self._by_origin[version.replica] = [counter]
+            self._owners[version.replica] = [owner]
             return
-        index = bisect_right(counters, version.counter) - 1
-        if 0 <= index < len(counters) and counters[index] == version.counter:
-            del counters[index]
+        owners = self._owners[version.replica]
+        if counter > counters[-1]:  # common case: counters ascend
+            counters.append(counter)
+            owners.append(owner)
+        else:
+            index = bisect_right(counters, counter)
+            counters.insert(index, counter)
+            owners.insert(index, owner)
+
+    def _index_remove(self, item: Item) -> int:
+        """Unindex ``item``'s version; returns its insertion sequence."""
+        version = item.version
+        counters = self._by_origin[version.replica]
+        index = bisect_left(counters, version.counter)
+        del counters[index]
+        sequence, _ = self._owners[version.replica].pop(index)
         if not counters:
             del self._by_origin[version.replica]
+            del self._owners[version.replica]
+        return sequence
 
     def unknown_items(self, knowledge: VersionVector) -> List[Item]:
         """Stored items whose versions ``knowledge`` does not cover.
@@ -209,24 +213,30 @@ class ItemStore:
         Equivalent to filtering :meth:`items` through
         ``knowledge.contains`` — same items, same insertion order — but
         walks the version index instead: per authoring replica, a bisect
-        skips every counter inside the peer's known prefix and only the
-        tail (minus the peer's extras) is visited. Cost is proportional to
-        the number of *unknown* items, not the store size.
+        skips every counter inside the peer's known prefix and the owners
+        past it are taken as one slice (filtered only when the peer has
+        extras for that origin). Cost is proportional to the number of
+        *unknown* items, not the store size.
         """
-        found: List[Item] = []
+        found: List[_Owner] = []
         for origin, counters in self._by_origin.items():
             prefix = knowledge.known_counter_prefix(origin)
             if counters[-1] <= prefix:
                 continue  # everything from this origin is already known
-            extras = knowledge.extra_counters(origin)
+            owners = self._owners[origin]
             start = bisect_right(counters, prefix)
-            for counter in counters[start:]:
-                if counter in extras:
-                    continue
-                found.append(self._items[self._version_owner[(origin, counter)]])
-        order = self._order
-        found.sort(key=lambda item: order[item.item_id])
-        return found
+            extras = knowledge.extra_counters(origin)
+            if extras:
+                found += [
+                    owners[at]
+                    for at in range(start, len(counters))
+                    if counters[at] not in extras
+                ]
+            else:
+                found += owners[start:]
+        found.sort()  # sequences are unique: insertion order, ids untouched
+        items = self._items
+        return [items[item_id] for _, item_id in found]
 
 
 #: An eviction strategy picks the victim among currently stored items.
@@ -242,11 +252,12 @@ def evict_random(items: Sequence[Item]) -> Item:
     """Drop a deterministic pseudo-random victim (seeded by store contents).
 
     Randomised buffer management is a common DTN baseline; this variant
-    hashes the candidate ids so runs stay reproducible without threading
-    an RNG through the store.
+    digests the candidate ids so runs stay reproducible without threading
+    an RNG through the store. A CRC, not ``hash()``: ``str`` hashes are
+    salted per process, and every node of a live swarm is its own.
     """
-    index = hash(tuple(str(item.item_id) for item in items)) % len(items)
-    return items[index]
+    ids = ",".join(str(item.item_id) for item in items)
+    return items[crc32(ids.encode("utf-8")) % len(items)]
 
 
 def evict_oldest_created(items: Sequence[Item]) -> Item:
@@ -301,6 +312,8 @@ class RelayStore:
                     f"unknown eviction strategy {self.strategy!r}; "
                     f"known: {', '.join(sorted(EVICTION_STRATEGIES))}"
                 ) from None
+        #: ``get(item_id)``: the inner store's own, at the same cost.
+        self.get = self._store.get
 
     def __len__(self) -> int:
         return len(self._store)
@@ -310,9 +323,6 @@ class RelayStore:
 
     def __iter__(self) -> Iterator[Item]:
         return iter(self._store)
-
-    def get(self, item_id: ItemId) -> Optional[Item]:
-        return self._store.get(item_id)
 
     def put(self, item: Item) -> bool:
         """Store a relayed item, evicting FIFO if needed.

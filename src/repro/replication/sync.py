@@ -53,9 +53,9 @@ from .integrity import (
 from .items import Item
 from .replica import Replica
 from .routing import (
+    FILTER_MATCH_PRIORITY,
     NullRoutingPolicy,
     Priority,
-    PriorityClass,
     RoutingPolicy,
     SyncContext,
 )
@@ -334,9 +334,7 @@ def build_batch(
     entries: List[BatchEntry] = []
     for item in unknown:
         if matches(item):
-            entries.append(
-                BatchEntry(item, True, Priority(PriorityClass.FILTER_MATCH))
-            )
+            entries.append(BatchEntry(item, True, FILTER_MATCH_PRIORITY))
         else:
             priority = source.policy.to_send(item, request.filter, context)
             if priority is None:
@@ -364,17 +362,13 @@ def build_batch(
     else:
         keyed.sort()
 
+    # The selection entries are this function's own, so each goes out
+    # carrying the prepared copy in place of the stored one.
+    prepare_outgoing = source.policy.prepare_outgoing
     prepared = []
     for _, _, entry in keyed:
-        outgoing = source.policy.prepare_outgoing(entry.item, context)
-        if outgoing is entry.item:
-            # Identity fast path: the policy shipped the stored object
-            # unchanged, so the selection entry can go out as-is.
-            prepared.append(entry)
-        else:
-            prepared.append(
-                BatchEntry(outgoing, entry.matched_filter, entry.priority)
-            )
+        entry.item = prepare_outgoing(entry.item, context)
+        prepared.append(entry)
     stats.sent_total = len(prepared)
     stats.sent_matching = sum(1 for entry in prepared if entry.matched_filter)
     stats.sent_relayed = stats.sent_total - stats.sent_matching

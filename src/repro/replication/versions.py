@@ -26,12 +26,6 @@ from repro._compat import DATACLASS_SLOTS
 
 from .ids import ReplicaId, Version
 
-#: Shared empty set returned by :meth:`VersionVector.extra_counters` when a
-#: replica has no out-of-order counters — avoids allocating per lookup on
-#: the sync hot path.
-_NO_EXTRAS: FrozenSet[int] = frozenset()
-
-
 @dataclass(frozen=True, **DATACLASS_SLOTS)
 class _Entry:
     """Knowledge about one authoring replica: prefix + extras.
@@ -66,9 +60,18 @@ class _Entry:
         return counter <= self.prefix or counter in self.extras
 
     def add(self, counter: int) -> "_Entry":
-        if self.contains(counter):
+        """This entry with ``counter`` known; ``self`` if it already is."""
+        prefix = self.prefix
+        extras = self.extras
+        if counter <= prefix or counter in extras:
             return self
-        return _Entry.canonical(self.prefix, self.extras | {counter})
+        if counter != prefix + 1:
+            return _Entry(prefix, extras | {counter})  # beyond a gap
+        if not extras:
+            # The usual add: a gap-free prefix grows by one, its (empty)
+            # extras handed on untouched.
+            return _Entry(counter, extras)
+        return _Entry.canonical(counter, extras)  # a gap closes; extras fold
 
     def merge(self, other: "_Entry") -> "_Entry":
         if other.prefix <= self.prefix and all(
@@ -94,6 +97,11 @@ class _Entry:
     @property
     def is_empty(self) -> bool:
         return self.prefix == 0 and not self.extras
+
+
+#: What a vector knows of a replica it has no entry for: one shared value,
+#: so the lookups of the sync hot path neither branch nor allocate.
+_NOTHING_KNOWN = _Entry()
 
 
 def _numbers_cost(entry: _Entry) -> int:
@@ -167,15 +175,20 @@ class VersionVector:
         self._shared = True
         return snapshot
 
-    def _write(self, replica: ReplicaId, entry: _Entry) -> None:
-        """Store ``entry``: detach a shared table first, keep the size."""
+    def _write(
+        self, replica: ReplicaId, old: Optional[_Entry], entry: _Entry
+    ) -> None:
+        """Store ``entry`` where ``old`` was: detach a shared table first,
+        keep the size by what changed."""
         if self._shared:
             self._entries = dict(self._entries)
             self._shared = False
-        old = self._entries.get(replica)
         if old is None or old.is_empty or entry.is_empty:
             self._cost += _entry_cost(replica, entry) - _entry_cost(replica, old)
-        else:  # the usual write, a member's numbers moving: its key cancels
+        elif entry.extras is old.extras:
+            # Nearly every write: a prefix grew beside untouched extras.
+            self._cost += len(str(entry.prefix)) - len(str(old.prefix))
+        else:  # a member's numbers moving: its key cancels
             self._cost += _numbers_cost(entry) - _numbers_cost(old)
         self._entries[replica] = entry
 
@@ -183,17 +196,24 @@ class VersionVector:
 
     def contains(self, version: Version) -> bool:
         """True if this vector covers ``version``."""
-        entry = self._entries.get(version.replica)
-        return entry is not None and entry.contains(version.counter)
+        entry = self._entries.get(version.replica, _NOTHING_KNOWN)
+        return entry.contains(version.counter)
 
     __contains__ = contains
 
-    def add(self, version: Version) -> None:
-        """Record ``version`` as known."""
-        entry = self._entries.get(version.replica, _Entry())
-        updated = entry.add(version.counter)
-        if updated is not entry:
-            self._write(version.replica, updated)
+    def add(self, version: Version) -> bool:
+        """Record ``version`` as known; ``True`` if it was not before.
+
+        One lookup answers "is it known?" and does the write, which is
+        how :meth:`Replica.apply_remote` keeps its at-most-once guard. A
+        repeat writes nothing, so a shared table stays shared.
+        """
+        old = self._entries.get(version.replica, _NOTHING_KNOWN)
+        new = old.add(version.counter)
+        if new is old:
+            return False
+        self._write(version.replica, old, new)
+        return True
 
     def merge(self, other: "VersionVector") -> None:
         """Union ``other`` into this vector (in place)."""
@@ -201,7 +221,7 @@ class VersionVector:
             mine = self._entries.get(replica)
             merged = other_entry if mine is None else mine.merge(other_entry)
             if merged is not mine:
-                self._write(replica, merged)
+                self._write(replica, mine, merged)
 
     def merged(self, other: "VersionVector") -> "VersionVector":
         """Return a new vector equal to the union of both operands."""
@@ -227,6 +247,7 @@ class VersionVector:
         clamp = self.copy()
         clamp._write(
             replica,
+            entry,
             _Entry.canonical(
                 min(entry.prefix, maximum),
                 (counter for counter in entry.extras if counter <= maximum),
@@ -245,13 +266,8 @@ class VersionVector:
         if other._entries is self._entries:
             return True
         for replica, other_entry in other._entries.items():
-            mine = self._entries.get(replica)
-            if mine is other_entry:
-                continue
-            if mine is None:
-                if not other_entry.is_empty:
-                    return False
-            elif not mine.dominates(other_entry):
+            mine = self._entries.get(replica, _NOTHING_KNOWN)
+            if mine is not other_entry and not mine.dominates(other_entry):
                 return False
         return True
 
@@ -259,8 +275,7 @@ class VersionVector:
 
     def known_counter_prefix(self, replica: ReplicaId) -> int:
         """The contiguous prefix of counters known for ``replica``."""
-        entry = self._entries.get(replica)
-        return entry.prefix if entry is not None else 0
+        return self._entries.get(replica, _NOTHING_KNOWN).prefix
 
     def extra_counters(self, replica: ReplicaId) -> FrozenSet[int]:
         """Out-of-order counters known for ``replica`` beyond its prefix.
@@ -270,8 +285,7 @@ class VersionVector:
         enumerate only the counters this vector does *not* cover instead
         of probing :meth:`contains` per stored item.
         """
-        entry = self._entries.get(replica)
-        return entry.extras if entry is not None else _NO_EXTRAS
+        return self._entries.get(replica, _NOTHING_KNOWN).extras
 
     def replicas(self) -> Tuple[ReplicaId, ...]:
         """The authoring replicas this vector has knowledge about (sorted)."""

@@ -1,5 +1,9 @@
 """Integration tests for bandwidth and storage constraints (Figures 9/10)."""
 
+import os
+import subprocess
+import sys
+
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
@@ -90,6 +94,34 @@ class TestStorageConstraint:
         free = run("epidemic")
         capped = run("epidemic", storage_limit=2)
         assert capped.metrics.mean_copies_at_end() <= free.metrics.mean_copies_at_end()
+
+    def test_random_eviction_is_the_same_run_in_every_process(self):
+        """``str`` hashes are salted per interpreter; the "random" victim
+        must not depend on them (each node of a live swarm is a process)."""
+        script = (
+            "import json\n"
+            "from repro.experiments.config import ExperimentConfig\n"
+            "from repro.experiments.runner import run_experiment\n"
+            "config = ExperimentConfig(scale=0.3, policy='epidemic',\n"
+            "    storage_limit=2, eviction_strategy='random')\n"
+            "print(json.dumps(run_experiment(config).summary(), sort_keys=True))\n"
+        )
+        summaries = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.pathsep.join(sys.path),
+                },
+                check=True,
+                capture_output=True,
+                timeout=120,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert summaries[0] == summaries[1]
+        assert b'"evictions": 0.0' not in summaries[0]
 
 
 class TestCombinedConstraints:

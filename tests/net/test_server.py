@@ -287,3 +287,65 @@ def test_peer_failing_mid_encounter_leaves_the_control_channel_up(fate):
     assert expected in reply["error"]
     assert status["type"] == "status-ok", status
     assert status["document"]["summary"]["encounters"] == 0
+
+
+def test_a_hello_of_another_protocol_is_refused_by_both_ends():
+    """docs/protocol.md §9.2: ``protocol`` is compared. The listening side
+    answers a typed error and drops that connection only; the dialing
+    side fails the ``encounter`` directive with ``SyncProtocolError``."""
+    first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
+    newer = PROTOCOL_VERSION + 1
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+
+            async def newer_peer(reader, writer):
+                decoder = FrameDecoder()
+                while not decoder.feed(await reader.read(65536)):
+                    pass
+                writer.write(
+                    encode_frame(
+                        {"type": "hello", "node": second, "protocol": newer}
+                    )
+                )
+                await reader.read(65536)  # the dialer hangs up
+                writer.close()
+
+            peer_path = str(pathlib.Path(tmp) / "peer.sock")
+            peer = await asyncio.start_unix_server(newer_peer, path=peer_path)
+            server = await _start_server(tmp, first)
+            address = server.config.listen
+            stranger = await ReconnectDialer(read_timeout=10.0).dial(first, address)
+            try:
+                await stranger.send(
+                    {"type": "hello", "node": "test", "protocol": newer}
+                )
+                refused = await stranger.receive()
+                with pytest.raises(ConnectionError):
+                    await stranger.receive()
+            finally:
+                await stranger.close()
+            # The server keeps serving: a correct hello on a new connection.
+            control = await _control(first, address)
+            try:
+                await control.send(
+                    {
+                        "type": "encounter", "time": 1.0, "peer": second,
+                        "address": f"unix:{peer_path}", "budget": None,
+                    }
+                )
+                dialed = await control.receive()
+                await control.send({"type": "status"})
+                return refused, dialed, await control.receive()
+            finally:
+                await control.close()
+                await _stop_listening(server._server, peer)
+
+    refused, dialed, status = asyncio.run(scenario())
+    assert refused["type"] == "error", refused
+    assert f"protocol {newer}" in refused["error"]
+    assert dialed["type"] == "error", dialed
+    assert "SyncProtocolError" in dialed["error"]
+    assert f"protocol {newer}" in dialed["error"]
+    assert status["type"] == "status-ok", status
+    assert status["document"]["summary"]["encounters"] == 0

@@ -1,8 +1,15 @@
 """Unit tests for replicated items."""
 
+from dataclasses import fields, replace
+
+from hypothesis import given, settings, strategies as st
+
+from repro.replication.codec import item_wire_size
 from repro.replication.ids import ReplicaId, Version
+from repro.replication.integrity import cached_item_checksum, item_checksum
 from repro.replication.items import (
     ATTR_DESTINATION,
+    CHECKSUM_MEMO_ATTRIBUTE,
     KIND_MESSAGE,
     Item,
 )
@@ -67,6 +74,68 @@ class TestLocalAttributes:
     def test_without_local_noop_when_already_clean(self):
         item = make_item()
         assert item.without_local() is item
+
+
+#: Host-local state as the policies write it: TTLs and copy budgets
+#: (ints), hop lists (tuples of names), and ``None`` to delete a key.
+local_values = st.one_of(
+    st.integers(0, 3),
+    st.tuples(),
+    st.lists(st.sampled_from(["bus-a", "bus-b"]), max_size=3).map(tuple),
+)
+local_keys = st.sampled_from(["epidemic.ttl", "spray.copies", "maxprop.hops"])
+local_states = st.dictionaries(local_keys, local_values, max_size=3)
+local_changes = st.dictionaries(
+    local_keys, st.one_of(st.none(), local_values), max_size=3
+)
+
+
+class TestWireCopy:
+    """``wire_copy(**state)`` is ``without_local().with_local(**state)``
+    in one step — and ``self`` when the copy already carries ``state``."""
+
+    @given(held=local_states, shipped=local_changes, hashed=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_strip_then_stamp_in_every_observable_respect(
+        self, held, shipped, hashed
+    ):
+        item = make_item(payload="body").with_local(**held)
+        if hashed:
+            cached_item_checksum(item)
+        item_wire_size(item)  # bind the wire-size memo on the source
+        two_step = item.without_local().with_local(**shipped)
+        one_step = item.wire_copy(**shipped)
+
+        for field in fields(Item):
+            assert getattr(one_step, field.name) == getattr(
+                two_step, field.name
+            ), field.name
+        assert type(one_step.local_attributes) is type(two_step.local_attributes)
+        assert one_step == two_step == item
+        assert hash(one_step) == hash(two_step) == hash(item)
+        # The checksum memo rides along (content is untouched) …
+        memo = item_checksum(item) if hashed else None
+        assert getattr(one_step, CHECKSUM_MEMO_ATTRIBUTE, None) == memo
+        assert getattr(two_step, CHECKSUM_MEMO_ATTRIBUTE, None) == memo
+        # … the wire-size memo, which measures host-local state, does not.
+        if one_step is not item:
+            assert "_wire_size_memo" not in vars(one_step)
+        assert item_wire_size(one_step) == item_wire_size(two_step)
+
+        wanted = {k: v for k, v in shipped.items() if v is not None}
+        if wanted == held:
+            assert one_step is item  # nothing changes: nothing is built
+        assert item.local_attributes == held  # the source copy is untouched
+        assert one_step.wire_copy(**shipped) is one_step
+
+    def test_a_forged_copy_starts_without_a_memo(self):
+        item = make_item().wire_copy(ttl=3)
+        cached_item_checksum(item)
+        forged = replace(item, payload="tampered")
+        assert getattr(forged, CHECKSUM_MEMO_ATTRIBUTE, None) is None
+        assert forged.local("ttl") == 3
+        rebuilt = Item(item.item_id, item.version, item.payload, item.attributes)
+        assert getattr(rebuilt, CHECKSUM_MEMO_ATTRIBUTE, None) is None
 
 
 class TestTombstones:

@@ -110,6 +110,78 @@ class TestUnknownItems:
         assert [item.item_id for item in unknown] == [first.item_id, second.item_id]
         assert unknown[0].local("ttl") == 3
 
+    def test_out_of_order_arrival_then_the_middle_counter_removed(self):
+        store = ItemStore()
+        by_counter = {
+            c: make_item(replica="origin", counter=c) for c in (5, 2, 9, 4)
+        }
+        for item in by_counter.values():  # arrival order 5, 2, 9, 4
+            store.put(item)
+        store.remove(by_counter[4].item_id)  # sits mid-column, arrived last
+        arrival = [by_counter[c] for c in (5, 2, 9)]
+        assert store.unknown_items(VersionVector.empty()) == arrival
+        # Prefix 1..2 known: the bisect lands between the out-of-order 2
+        # and 5, and what is past it still reports in arrival order.
+        knowledge = knowledge_of(
+            make_version("origin", 1), make_version("origin", 2)
+        )
+        assert store.unknown_items(knowledge) == [by_counter[5], by_counter[9]]
+        assert store.unknown_items(knowledge) == reference_unknown(
+            store, knowledge
+        )
+
+    def test_update_in_place_with_a_changed_version_keeps_fifo_position(self):
+        store = ItemStore()
+        first, second, third = (
+            make_item(replica="origin", counter=c) for c in (1, 2, 3)
+        )
+        for item in (first, second, third):
+            store.put(item)
+        moved = first.with_version(make_version("elsewhere", 7))
+        store.update_in_place(moved)
+        assert store.unknown_items(VersionVector.empty()) == [moved, second, third]
+        assert list(store.items()) == [moved, second, third]
+        assert store.oldest() == moved
+        # The old version is unindexed, the new one indexed.
+        assert store.unknown_items(knowledge_of(first.version)) == [
+            moved, second, third,
+        ]
+        assert store.unknown_items(knowledge_of(moved.version)) == [second, third]
+        # A later put of the same id is a fresh arrival, as ever.
+        store.put(moved.with_local(ttl=1))
+        assert store.unknown_items(VersionVector.empty()) == [second, third, moved]
+
+    def test_clear_then_reuse(self):
+        store = ItemStore()
+        stale = [make_item(replica="origin", counter=c) for c in (1, 2, 3)]
+        for item in stale:
+            store.put(item)
+        store.clear()
+        assert len(store) == 0 and store.get(stale[0].item_id) is None
+        fresh = [make_item(replica="origin", counter=c) for c in (2, 1)]
+        for item in fresh:
+            store.put(item)
+        assert store.get(fresh[0].item_id) is fresh[0]
+        assert store.unknown_items(VersionVector.empty()) == fresh
+        assert store.unknown_items(knowledge_of(fresh[1].version)) == [fresh[0]]
+        store.remove(fresh[0].item_id)
+        assert store.unknown_items(VersionVector.empty()) == [fresh[1]]
+
+    def test_extras_for_one_origin_and_none_for_another(self):
+        store = ItemStore()
+        a = [make_item(replica="a", counter=c) for c in (1, 2, 3, 4)]
+        b = [make_item(replica="b", counter=c) for c in (1, 2, 3)]
+        for item in (a[0], b[0], a[1], b[1], a[2], b[2], a[3]):
+            store.put(item)
+        # Origin "a": prefix 1 plus the extra 3 (the filtered walk).
+        # Origin "b": prefix 1, no extras (the plain slice).
+        knowledge = knowledge_of(
+            make_version("a", 1), make_version("a", 3), make_version("b", 1)
+        )
+        assert knowledge.extra_counters(ReplicaId("a")) == {3}
+        assert not knowledge.extra_counters(ReplicaId("b"))
+        assert store.unknown_items(knowledge) == [a[1], b[1], b[2], a[3]]
+
     def test_relay_store_delegates(self):
         relay = RelayStore(capacity=2)
         items = [make_item(replica="origin", counter=c) for c in (1, 2, 3)]

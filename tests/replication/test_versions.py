@@ -75,6 +75,42 @@ class TestVersionVector:
         assert vector.contains(v("a", 1))
         assert v("a", 1) in vector
 
+    def test_add_reports_whether_the_version_was_new(self):
+        from repro.replication.codec import encode_knowledge, wire_size
+
+        vector = VersionVector.empty()
+        a = ReplicaId("a")
+        steps = [
+            # (counter, new?, prefix after, extras after)
+            (1, True, 1, set()),       # first counter of a replica
+            (2, True, 2, set()),       # a gap-free prefix extends
+            (2, False, 2, set()),      # a repeat inside the prefix
+            (5, True, 2, {5}),         # an extra beyond a gap
+            (4, True, 2, {4, 5}),      # a second extra, still a gap
+            (5, False, 2, {4, 5}),     # a repeat among the extras
+            (3, True, 5, set()),       # the gap fills; extras fold in
+            (10, True, 5, {10}),       # a two-digit extra
+        ]
+        for counter, new, prefix, extras in steps:
+            assert vector.add(v("a", counter)) is new, counter
+            assert vector.known_counter_prefix(a) == prefix
+            assert vector.extra_counters(a) == extras
+            assert vector.wire_size() == wire_size(encode_knowledge(vector))
+        for counter in range(6, 10):  # 9 -> 10 changes the prefix's digits
+            assert vector.add(v("a", counter)) is True
+            assert vector.wire_size() == wire_size(encode_knowledge(vector))
+        assert vector.known_counter_prefix(a) == 10
+
+    def test_a_repeated_add_does_not_detach_a_shared_table(self):
+        vector = VersionVector.from_versions([v("a", 1), v("a", 3)])
+        snapshot = vector.copy()
+        assert vector.add(v("a", 1)) is False
+        assert vector.add(v("a", 3)) is False
+        assert snapshot._entries is vector._entries  # still copy-on-write
+        assert vector.add(v("a", 2)) is True
+        assert snapshot._entries is not vector._entries
+        assert not snapshot.contains(v("a", 2))
+
     def test_contains_distinguishes_replicas(self):
         vector = VersionVector.from_versions([v("a", 1)])
         assert not vector.contains(v("b", 1))
