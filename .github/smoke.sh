@@ -71,6 +71,15 @@ print("nodes:", len(artifact["fixed_points"]),
       "delivered:", summary["delivered"],
       "transmissions:", summary["transmissions"])
 EOF
+  # The policies that ship routing state in the sync request, over 187
+  # encounters: a request built at the wrong moment (before the first
+  # sync's process_req) costs PROPHET 46 of 769 transmissions here and
+  # fails the gate; MaxProp ships the same kind of state and is held to
+  # the same bar, though this trace does not separate the two orders.
+  for policy in prophet maxprop; do
+    python -m repro swarm --scale 0.4 --policy "$policy" --parity \
+      --output "swarm-$policy-metrics.json"
+  done
   # Swarm parity integration tests (framing + budget legs; fixed points
   # and the whole metrics dump), and the unit tests of the schedule and
   # director that carry that parity.

@@ -1,7 +1,7 @@
 """Framed connections on an asyncio transport, with health-driven redial.
 
-One :class:`PeerConnection` is an :class:`asyncio.Protocol` speaking the
-:mod:`repro.net.framing` codec: ``data_received`` feeds the decoder and
+One :class:`PeerConnection` is an :class:`asyncio.BufferedProtocol` on the
+:mod:`repro.net.framing` codec: ``buffer_updated`` feeds the decoder and
 wakes the one waiting ``receive``, whose per-read timeout (one timer
 handle, so a stalled peer cannot wedge the process) is cancelled on
 arrival; ``send`` writes one frame and waits only while the transport is
@@ -35,6 +35,10 @@ from .framing import FrameDecoder, encode_frame
 #: Default per-receive timeout (seconds). Generous — control directives
 #: can legitimately take a while when the peer is mid-encounter.
 DEFAULT_READ_TIMEOUT = 30.0
+#: Bytes per socket read. A plain ``asyncio.Protocol`` is read with
+#: ``recv(256 KiB)``, a 256 KiB ``bytes`` allocated and shrunk per frame
+#: (docs/performance.md §8); larger frames assemble in the decoder.
+READ_BUFFER_BYTES = 32 * 1024
 
 
 class ConnectionClosed(ConnectionError):
@@ -88,7 +92,7 @@ def _settle(future: Optional[asyncio.Future], error=None) -> None:
             future.set_exception(error)
 
 
-class PeerConnection(asyncio.Protocol):
+class PeerConnection(asyncio.BufferedProtocol):
     """One framed, timeout-guarded connection to a peer process.
 
     Built only by :func:`open_connection` and :func:`listen` (``accepted``
@@ -100,6 +104,7 @@ class PeerConnection(asyncio.Protocol):
         self._accepted = accepted
         #: The framing decoder (its counters are diagnostics).
         self.decoder = FrameDecoder()
+        self._buffer = bytearray(READ_BUFFER_BYTES)
         self._inbox: Deque[Dict[str, Any]] = deque()
         self._loop = asyncio.get_running_loop()
         self._transport: Optional[asyncio.Transport] = None
@@ -113,8 +118,12 @@ class PeerConnection(asyncio.Protocol):
         if self._accepted is not None:
             self._accepted(self)
 
-    def data_received(self, data: bytes) -> None:
-        messages = self.decoder.feed(data)
+    def get_buffer(self, sizehint: int) -> bytearray:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        # The slice is a copy, so the next read may overwrite the kept buffer.
+        messages = self.decoder.feed(self._buffer[:nbytes])
         if messages:
             self._inbox.extend(messages)
             _settle(self._receiver)
@@ -128,22 +137,27 @@ class PeerConnection(asyncio.Protocol):
 
     def connection_lost(self, error: Optional[Exception]) -> None:
         _settle(self._lost)
-        _settle(self._receiver, self._closed())
-        _settle(self._sender, self._closed())
+        _settle(self._receiver, self._closed_error())
+        _settle(self._sender, self._closed_error())
 
     def _expire(self, timeout: float) -> None:
         error = asyncio.TimeoutError(f"no frame within {timeout:.1f}s")
         _settle(self._receiver, error)
 
-    def _closed(self) -> ConnectionClosed:
+    def _closed_error(self) -> ConnectionClosed:
         return ConnectionClosed(
             "peer closed the connection", mid_frame=self.decoder.pending > 0
         )
 
+    @property
+    def closed(self) -> bool:
+        """True once the link is gone, whichever end let go of it."""
+        return self._lost.done()
+
     async def send(self, message: Dict[str, Any]) -> None:
         """Write one frame; waits only while the transport is backed up."""
-        if self._lost.done():
-            raise self._closed()
+        if self.closed:
+            raise self._closed_error()
         self._transport.write(encode_frame(message))
         if self._paused:
             self._sender = self._loop.create_future()
@@ -157,8 +171,8 @@ class PeerConnection(asyncio.Protocol):
         stream died inside a frame).
         """
         if not self._inbox:
-            if self._lost.done():
-                raise self._closed()
+            if self.closed:
+                raise self._closed_error()
             if timeout is None:
                 timeout = self.read_timeout
             self._receiver = self._loop.create_future()

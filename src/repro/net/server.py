@@ -12,8 +12,8 @@ It listens on one address for two kinds of framed connections:
 * **control** — the swarm orchestrator's channel: timed directives
   (``assign``, ``inject``, ``encounter``, ``snapshot``, ``status``,
   ``shutdown``) that replay a trace schedule against the live node;
-* **peer** — another node dialing in to run an encounter. The sync flow
-  is the transport-agnostic
+* **peer** — another node dialing in, once, to run the encounters it
+  initiates with this one. The sync flow is the transport-agnostic
   :class:`~repro.replication.session.SyncSession`, driven stepwise: the
   request, batch frame, and stats travel as
   :mod:`repro.replication.codec` encodings inside
@@ -56,7 +56,7 @@ from repro.replication.items import Item
 from repro.replication.persistence import load_replica, save_replica
 from repro.replication.routing import SyncContext
 from repro.replication.session import SyncSession, monotone_knowledge
-from repro.replication.sync import SyncStats
+from repro.replication.sync import BatchEntry, SyncStats
 
 from .connection import (
     DEFAULT_READ_TIMEOUT,
@@ -68,9 +68,6 @@ from .connection import (
 )
 
 PROTOCOL_VERSION = 1
-
-#: ``_serve_sync``'s default: take the batch cap from the sync-request.
-_OBEY_REQUEST = object()
 
 
 @keyword_only_dataclass
@@ -133,6 +130,34 @@ def _error_reply(error: Exception) -> Dict[str, Any]:
     return {"type": "error", "error": f"{type(error).__name__}: {error}"}
 
 
+def _respond(
+    session: SyncSession, message: Dict[str, Any], max_items: Optional[int]
+) -> Tuple[List[BatchEntry], Dict[str, Any]]:
+    """The source half of one §9.3 sync: answer ``message["request"]``.
+
+    Returns the stamped entries, for ``confirm_sent`` once the peer's ack is
+    in (the ack proves the whole checksummed frame was applied intact: the
+    confirmed set is the full batch), and the ``sync-batch`` carrying them.
+    """
+    batch, stats = session.build_response(
+        decode_sync_request(message["request"]), max_items=max_items
+    )
+    stamped = session.stamp(batch)
+    return stamped, {
+        "type": "sync-batch",
+        "frame": encode_batch_frame(stamped),
+        "stats": stats.to_dict(),
+    }
+
+
+def _apply(session: SyncSession, delivery: Dict[str, Any]) -> SyncStats:
+    """The target half: store what a ``sync-batch`` delivered; final stats."""
+    return session.apply(
+        decode_batch_frame(delivery["frame"]),
+        stats=SyncStats.from_dict(delivery["stats"]),
+    )
+
+
 class _EvictionCounter(BaseReplicaObserver):
     def __init__(self) -> None:
         self.count = 0
@@ -161,6 +186,9 @@ class NodeServer:
         self._evictions = _EvictionCounter()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
+        #: Idle links this node dialed, by (peer, address); dials so far.
+        self._links: Dict[Tuple[str, str], PeerConnection] = {}
+        self.dials = 0
         self._restore_checkpoint()
         self._wire_node()
 
@@ -225,8 +253,15 @@ class NodeServer:
             await self.start()
         assert self._stopped is not None
         await self._stopped.wait()
+        await self.close()
+
+    async def close(self) -> None:
+        """Stop listening and close every link this node dialed."""
+        # No ``wait_closed()``: from Python 3.12 it waits for the links peers
+        # dialed here, and those are theirs, ending with their handler tasks.
         self._server.close()
-        await self._server.wait_closed()
+        while self._links:
+            await self._links.popitem()[1].close()
 
     def _write_checkpoint(self) -> Optional[str]:
         """Persist replica and policy state; the path written, if any."""
@@ -377,6 +412,8 @@ class NodeServer:
                 "encounters": self.encounters,
                 "evictions": self._evictions.count,
                 "protocol": PROTOCOL_VERSION,
+                "peer_links": sum(not link.closed for link in self._links.values()),
+                "dials": self.dials,
             },
         )
 
@@ -402,22 +439,27 @@ class NodeServer:
             self.node.replica, during="a live encounter"
         ):
             remote = ReplicaId(peer)
-            connection = await open_connection(
-                address, read_timeout=self.config.read_timeout
-            )
+            # The kept link, out of the table while in use (an overlapping
+            # directive dials its own); redialed if the peer let go of it idle.
+            link = self._links.pop((peer, address), None)
             try:
-                await connection.send(self._hello())
-                hello = await connection.receive()
-                if hello.get("type") != "hello" or hello.get("node") != peer:
-                    raise SyncProtocolError(
-                        f"dialed {peer!r} at {address} but got {hello!r}"
+                if link is None or link.closed:
+                    link = await open_connection(
+                        address, read_timeout=self.config.read_timeout
                     )
-                if hello.get("protocol") != PROTOCOL_VERSION:
-                    raise SyncProtocolError(_protocol_mismatch(hello))
+                    self.dials += 1
+                    await link.send(self._hello())
+                    hello = await link.receive()
+                    if hello.get("type") != "hello" or hello.get("node") != peer:
+                        raise SyncProtocolError(
+                            f"dialed {peer!r} at {address} but got {hello!r}"
+                        )
+                    if hello.get("protocol") != PROTOCOL_VERSION:
+                        raise SyncProtocolError(_protocol_mismatch(hello))
                 self.node.policy.on_encounter_start(
                     SyncContext(local=ReplicaId(self.name), remote=remote, now=time)
                 )
-                await connection.send(
+                await link.send(
                     {
                         "type": "encounter-open",
                         "initiator": self.name,
@@ -425,23 +467,35 @@ class NodeServer:
                         "budget": budget,
                     }
                 )
-                # Sync 1: we are the source; the peer opens with its request.
-                ack = await self._serve_sync(
-                    connection, remote, time, initiator_budget=budget
-                )
-                stats_a = SyncStats.from_dict(ack["stats"])
-                # Sync 2: roles swap; spend what is left of the budget.
-                remaining = (
-                    max(0, budget - stats_a.sent_total)
-                    if budget is not None
-                    else None
-                )
-                stats_b = await self._request_sync(
-                    connection, remote, time, budget=remaining
-                )
-                done = await self._expect(connection, "encounter-done")
-            finally:
-                await connection.close()
+                # Sync 1: we are the source, and cap the batch ourselves.
+                opening = await self._expect(link, "sync-request")
+                outbound = SyncSession(source=self.node.endpoint, peer=remote, now=time)
+                stamped, batch = _respond(outbound, opening, budget)
+                # Sync 2: roles swap; its request rides on sync 1's batch.
+                # Built only now: ``process_req`` (inside ``build_response``)
+                # moves the routing state ``generate_req`` ships, so a request
+                # built earlier, on ``encounter-open``, leaves the emulator's.
+                inbound = SyncSession(target=self.node.endpoint, peer=remote, now=time)
+                batch["request"] = encode_sync_request(inbound.build_request())
+                if budget is not None:
+                    # Sync 2 spends what is left of the shared budget.
+                    budget = max(0, budget - batch["stats"]["sent_total"])
+                batch["budget"] = budget
+                await link.send(batch)
+                delivery = await self._expect(link, "sync-batch")
+                stats_a = SyncStats.from_dict(delivery["ack"])
+                outbound.confirm_sent(stamped)
+                stats_b = _apply(inbound, delivery)
+                await link.send({"type": "sync-ack", "stats": stats_b.to_dict()})
+                done = await self._expect(link, "encounter-done")
+            except BaseException:
+                # The two ends no longer agree on which frame comes next:
+                # the link is spent, and the next encounter dials afresh.
+                if link is not None:
+                    await link.close()
+                raise
+            if self._links.setdefault((peer, address), link) is not link:
+                await link.close()  # an overlapping encounter parked its own
         self.encounters += 1
         deliveries = self._drain_deliveries() + list(
             done.get("deliveries", ())
@@ -461,10 +515,19 @@ class NodeServer:
             self.node.policy.on_encounter_start(
                 SyncContext(local=ReplicaId(self.name), remote=initiator, now=time)
             )
-            # Sync 1: we are the target. Sync 2: we are the source, under
-            # the initiator's remaining budget (carried on its request).
-            await self._request_sync(connection, initiator, time)
-            await self._serve_sync(connection, initiator, time)
+            # Sync 1: we are the target. Sync 2: we are the source, under the
+            # initiator's remaining budget; our batch carries sync 1's ack.
+            inbound = SyncSession(target=self.node.endpoint, peer=initiator, now=time)
+            request = encode_sync_request(inbound.build_request())
+            await connection.send({"type": "sync-request", "request": request})
+            delivery = await self._expect(connection, "sync-batch")
+            stats_a = _apply(inbound, delivery)
+            outbound = SyncSession(source=self.node.endpoint, peer=initiator, now=time)
+            stamped, batch = _respond(outbound, delivery, delivery.get("budget"))
+            batch["ack"] = stats_a.to_dict()
+            await connection.send(batch)
+            await self._expect(connection, "sync-ack")
+            outbound.confirm_sent(stamped)
         self.encounters += 1
         await connection.send(
             {
@@ -472,73 +535,6 @@ class NodeServer:
                 "deliveries": self._drain_deliveries(),
             }
         )
-
-    async def _serve_sync(
-        self,
-        connection: PeerConnection,
-        peer: ReplicaId,
-        time: float,
-        *,
-        initiator_budget: Any = _OBEY_REQUEST,
-    ) -> Dict[str, Any]:
-        """The source half of one §9.3 sync; returns the target's ack.
-
-        The initiator owns the encounter's budget: it caps the batch it
-        sources with ``initiator_budget`` whatever the request says, and
-        the dialed side obeys the ``budget`` the initiator's request
-        carries.
-        """
-        opening = await self._expect(connection, "sync-request")
-        session = SyncSession(source=self.node.endpoint, peer=peer, now=time)
-        batch, stats = session.build_response(
-            decode_sync_request(opening["request"]),
-            max_items=(
-                opening.get("budget")
-                if initiator_budget is _OBEY_REQUEST
-                else initiator_budget
-            ),
-        )
-        stamped = session.stamp(batch)
-        await connection.send(
-            {
-                "type": "sync-batch",
-                "frame": encode_batch_frame(stamped),
-                "stats": stats.to_dict(),
-            }
-        )
-        ack = await self._expect(connection, "sync-ack")
-        # The ack proves the whole checksummed frame was applied intact —
-        # the confirmed set is the full batch.
-        session.confirm_sent(stamped)
-        return ack
-
-    async def _request_sync(
-        self,
-        connection: PeerConnection,
-        peer: ReplicaId,
-        time: float,
-        **request_fields: Any,
-    ) -> SyncStats:
-        """The target half of one §9.3 sync; returns its final stats.
-
-        ``request_fields`` ride on the ``sync-request`` frame (the
-        initiator's ``budget`` for the sync it does not source).
-        """
-        session = SyncSession(target=self.node.endpoint, peer=peer, now=time)
-        await connection.send(
-            {
-                "type": "sync-request",
-                "request": encode_sync_request(session.build_request()),
-                **request_fields,
-            }
-        )
-        delivery = await self._expect(connection, "sync-batch")
-        stats = session.apply(
-            decode_batch_frame(delivery["frame"]),
-            stats=SyncStats.from_dict(delivery["stats"]),
-        )
-        await connection.send({"type": "sync-ack", "stats": stats.to_dict()})
-        return stats
 
     async def _expect(
         self, connection: PeerConnection, expected: str

@@ -64,6 +64,11 @@ def _opaque(value: object) -> str:
     return f"<{type(value).__name__}>"
 
 
+# Built once: ``json.dumps`` with arguments builds a ``JSONEncoder`` per call.
+_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_opaque
+).encode
+
 #: Count of actual serialise-and-hash computations performed by
 #: :func:`item_checksum` since process start. The instance memo avoids
 #: computations, it never changes results, so the counter is the honest
@@ -95,9 +100,7 @@ def item_checksum(item: Item) -> str:
         "attributes": dict(item.attributes),
         "deleted": bool(item.deleted),
     }
-    payload = json.dumps(
-        body, sort_keys=True, separators=(",", ":"), default=_opaque
-    ).encode("utf-8")
+    payload = _encode(body).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()[:_DIGEST_LENGTH]
 
 

@@ -65,6 +65,22 @@ class TestSwarmParity:
         summary = report.metrics.summary()
         assert summary["transmissions"] <= 3 * summary["encounters"]
 
+    @pytest.mark.parametrize("policy", ["prophet", "maxprop", "first-contact"])
+    def test_stateful_policies_match_emulator(self, policy):
+        """The policies whose hooks carry state between the two syncs of an
+        encounter. PROPHET and MaxProp ship from ``generate_req`` what
+        ``process_req`` just moved; First Contact releases in
+        ``on_items_sent`` what it handed off. A wire sequence that fires
+        one of a node's hooks out of the emulator's order can move an item
+        the emulator does not — PROPHET does, 198 transmissions for 208,
+        when the second request is built before the first sync's
+        ``process_req`` (docs/protocol.md §9.3) — and epidemic and spray
+        cannot tell."""
+        experiment = ExperimentConfig(scale=SCALE, policy=policy)
+        report, parity = run_parity(experiment)
+        assert parity.equal, f"diverged: {parity.detail}"
+        assert report.metrics.summary()["transmissions"] > 0
+
     def test_swarm_artifact_uses_shared_summary_schema(self, tmp_path):
         experiment = ExperimentConfig(scale=SCALE, policy="epidemic")
         output = tmp_path / "swarm.json"

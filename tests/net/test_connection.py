@@ -279,6 +279,49 @@ def test_two_frames_in_one_read_need_no_second_wait():
     assert asyncio.run(scenario()) == ({"n": 1}, {"n": 2})
 
 
+def test_burst_and_torn_frames_through_the_buffered_reader(monkeypatch):
+    """Socket reads land in the connection's kept buffer, which the next
+    read overwrites: many frames arriving in one read, then one frame
+    torn across three reads, are each handed out once, in order."""
+    reads = []
+    buffer_updated = PeerConnection.buffer_updated
+
+    def counting(connection, nbytes):
+        reads.append(nbytes)
+        buffer_updated(connection, nbytes)
+
+    monkeypatch.setattr(PeerConnection, "buffer_updated", counting)
+    burst = [{"n": n} for n in range(200)]
+    torn = {"type": "sync-batch", "blob": "x" * 1000}
+    data = encode_frame(torn)
+    pieces = [data[:5], data[5:400], data[400:]]  # mid-header, mid-payload
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
+            address = _socket_path(tmp)
+
+            async def peer(reader, writer):
+                for piece in [b"".join(map(encode_frame, burst)), *pieces]:
+                    seen = len(reads)
+                    writer.write(piece)
+                    while len(reads) == seen:  # one write, one read
+                        await asyncio.sleep(0.001)
+                await reader.read()  # hold the link open until the client goes
+                writer.close()
+
+            server = await _raw_server(address, peer)
+            client = await open_connection(address)
+            received = [await client.receive() for _ in range(len(burst) + 1)]
+            with pytest.raises(asyncio.TimeoutError):
+                await client.receive(timeout=0.05)  # nothing arrived twice
+            await client.close()
+            await _closed(server)
+            return received
+
+    assert asyncio.run(scenario()) == [*burst, torn]
+    assert reads == [sum(len(encode_frame(m)) for m in burst), *map(len, pieces)]
+
+
 def test_reconnect_dialer_reaches_late_server():
     """The dialer retries through the peer-health tracker until the
     server shows up — the swarm-startup race, in miniature."""

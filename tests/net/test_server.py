@@ -5,8 +5,13 @@ process over its unix socket; the per-encounter knowledge guard is
 exercised between two servers in one event loop, so the test can reach
 in and regress a vector mid-encounter. The same two-server fixture pins
 the reply shapes the frozen bench driver and ``docs/protocol.md`` §9
-rely on, and a fake peer that closes or stalls mid-encounter checks the
-failure stays on the dialed link.
+rely on, the order each node's policy hooks fire in against the
+emulator's, and the life of the links a node keeps to the peers it
+dialed: one dial per peer, a spare for an encounter that overlaps
+another, a fresh one after the peer was replaced or an encounter failed
+— a fake peer that closes, stalls or answers ``error`` mid-encounter
+checks the failure stays on the dialed link — and none left open at
+shutdown.
 """
 
 import asyncio
@@ -27,6 +32,7 @@ from repro.net.framing import FrameDecoder, encode_frame
 from repro.replication.codec import decode_item_id
 from repro.net.server import PROTOCOL_VERSION, NodeServer, ServeConfig
 from repro.replication.errors import SyncProtocolError
+from repro.replication.session import EncounterSession
 from repro.replication.ids import ReplicaId, Version
 from repro.replication.integrity import ProtocolViolation
 from repro.replication.sync import SyncStats
@@ -43,6 +49,8 @@ STATUS_SUMMARY_KEYS = {
     "encounters",
     "evictions",
     "protocol",
+    "peer_links",
+    "dials",
 }
 
 
@@ -112,16 +120,53 @@ def test_status_directive_of_a_live_serve_process():
 
 
 async def _start_server(tmp, name, **options):
+    options.setdefault("experiment", EXPERIMENT)
     server = NodeServer(
         ServeConfig(
             node=name,
             listen=f"unix:{pathlib.Path(tmp) / (name + '.sock')}",
-            experiment=EXPERIMENT,
             **options,
         )
     )
     await server.start()
     return server
+
+
+def _spawn_serve(tmp, name, *interpreter_flags):
+    """A real ``python -m repro serve`` for ``name``, listening under ``tmp``."""
+    config_path = pathlib.Path(tmp) / "experiment.json"
+    config_path.write_text(json.dumps(EXPERIMENT.to_dict()))
+    socket_path = pathlib.Path(tmp) / f"{name}.sock"
+    socket_path.unlink(missing_ok=True)  # a killed process leaves it behind
+    package_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [
+            sys.executable, *interpreter_flags, "-m", "repro", "serve",
+            "--node", name,
+            "--listen", f"unix:{socket_path}",
+            "--config", str(config_path),
+        ],
+        env={**os.environ, "PYTHONPATH": package_root},
+        stderr=subprocess.PIPE,
+    )
+
+
+async def _directive(control, **message):
+    await control.send(message)
+    return await control.receive()
+
+
+async def _encounter(control, peer, address, time):
+    return await _directive(
+        control, type="encounter", time=time, peer=peer, address=address,
+        budget=None,
+    )
+
+
+async def _summary(control):
+    status = await _directive(control, type="status")
+    assert status["type"] == "status-ok", status
+    return status["document"]["summary"]
 
 
 async def _stop_listening(*servers):
@@ -164,7 +209,8 @@ def test_regressed_knowledge_fails_a_live_encounter(monkeypatch):
                     )
                 assert initiator.encounters == 0
             finally:
-                await _stop_listening(*(s._server for s in servers.values()))
+                for server in servers.values():
+                    await server.close()
 
     asyncio.run(scenario())
 
@@ -195,7 +241,8 @@ def test_reply_shapes_the_bench_driver_and_protocol_doc_rely_on():
                 return injected, await control.receive()
             finally:
                 await control.close()
-                await _stop_listening(*(s._server for s in servers))
+                for server in servers:
+                    await server.close()
 
     injected, encounter = asyncio.run(scenario())
     assert injected["type"] == "inject-ok", injected
@@ -237,12 +284,13 @@ def test_sync_stats_round_trip_on_every_wire_field():
         assert getattr(restored, name) == getattr(stats, name), name
 
 
-@pytest.mark.parametrize("fate", ["closes", "stalls"])
+@pytest.mark.parametrize("fate", ["closes", "stalls", "errors"])
 def test_peer_failing_mid_encounter_leaves_the_control_channel_up(fate):
     """A peer that answers ``hello``, takes ``encounter-open`` and then
-    closes cleanly — or goes silent past ``read_timeout`` — fails the
-    *dialed* link. The initiator owes its orchestrator an ``error``
-    reply, not a hang-up."""
+    closes cleanly — or goes silent past ``read_timeout``, or answers
+    ``error`` and stays — fails the *dialed* link. The initiator owes its
+    orchestrator an ``error`` reply, not a hang-up, and the failure costs
+    the link: the next encounter dials again."""
     first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
 
     async def scenario():
@@ -258,7 +306,9 @@ def test_peer_failing_mid_encounter_leaves_the_control_channel_up(fate):
                         pass
                     if reply is not None:
                         writer.write(encode_frame(reply))
-                if fate == "stalls":
+                if fate == "errors":
+                    writer.write(encode_frame({"type": "error", "error": "no"}))
+                if fate != "closes":
                     await released.wait()
                 writer.close()
 
@@ -275,18 +325,28 @@ def test_peer_failing_mid_encounter_leaves_the_control_channel_up(fate):
                 )
                 reply = await control.receive()
                 await control.send({"type": "status"})
-                return reply, await control.receive()
+                status = await control.receive()
+                await _encounter(control, second, f"unix:{peer_path}", 2.0)
+                return reply, status, await _summary(control)
             finally:
                 released.set()
                 await control.close()
-                await _stop_listening(server._server, peer)
+                await server.close()
+                await _stop_listening(peer)
 
-    reply, status = asyncio.run(scenario())
+    reply, status, later = asyncio.run(scenario())
     assert reply["type"] == "error", reply
-    expected = "ConnectionClosed" if fate == "closes" else "TimeoutError"
+    expected = {
+        "closes": "ConnectionClosed",
+        "stalls": "TimeoutError",
+        "errors": "SyncProtocolError: peer reported: 'no'",
+    }[fate]
     assert expected in reply["error"]
     assert status["type"] == "status-ok", status
-    assert status["document"]["summary"]["encounters"] == 0
+    summary = status["document"]["summary"]
+    assert summary["encounters"] == 0
+    assert (summary["dials"], summary["peer_links"]) == (1, 0)
+    assert (later["dials"], later["peer_links"], later["encounters"]) == (2, 0, 0)
 
 
 def test_a_hello_of_another_protocol_is_refused_by_both_ends():
@@ -339,7 +399,8 @@ def test_a_hello_of_another_protocol_is_refused_by_both_ends():
                 return refused, dialed, await control.receive()
             finally:
                 await control.close()
-                await _stop_listening(server._server, peer)
+                await server.close()
+                await _stop_listening(peer)
 
     refused, dialed, status = asyncio.run(scenario())
     assert refused["type"] == "error", refused
@@ -349,3 +410,225 @@ def test_a_hello_of_another_protocol_is_refused_by_both_ends():
     assert f"protocol {newer}" in dialed["error"]
     assert status["type"] == "status-ok", status
     assert status["document"]["summary"]["encounters"] == 0
+
+
+HOOKS = (
+    "on_encounter_start", "generate_req", "process_req", "to_send",
+    "prepare_outgoing", "on_items_sent",
+)
+
+
+def _record_hooks(node, log):
+    """Append ``(node, hook)`` to ``log`` whenever the sync flow calls one."""
+    for hook in HOOKS:
+        def recording(*args, _inner=getattr(node.policy, hook), _hook=hook):
+            log.append((node.name, _hook))
+            return _inner(*args)
+
+        setattr(node.policy, hook, recording)
+
+
+def test_each_node_fires_its_hooks_in_the_emulators_order():
+    """docs/protocol.md §9.3: the six-frame sequence fires every hook at
+    the same point relative to every other hook *of the same node* as
+    ``EncounterSession.run()`` — with one transposition, the initiator's
+    ``generate_req`` ahead of its own ``on_items_sent``. PROPHET moves
+    routing state in ``process_req`` and ships it from ``generate_req``:
+    a sequence that builds the second request before the first sync's
+    ``process_req`` (on ``encounter-open``, say) diverges from the
+    emulator, and fails here."""
+    experiment = ExperimentConfig(scale=0.25, policy="prophet")
+    first, second, third = sorted(build_scenario(experiment).nodes)[:3]
+
+    def prepare(nodes):
+        """Load both stores, then log the two nodes' hooks into one list."""
+        log = []
+        for node, peer in ((nodes[first], second), (nodes[second], first)):
+            # Per sync one item the target's filter matches and one it
+            # does not, so every per-item hook has something to fire on.
+            node.send(node.name, peer, "m", now=1.0)
+            node.send(node.name, third, "m", now=1.0)
+            _record_hooks(node, log)
+        return log
+
+    nodes = build_scenario(experiment).nodes
+    emulated = prepare(nodes)
+    EncounterSession(
+        first=nodes[first].endpoint, second=nodes[second].endpoint, now=2.0
+    ).run()
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+            servers = {
+                name: await _start_server(tmp, name, experiment=experiment)
+                for name in (first, second)
+            }
+            log = prepare({name: s.node for name, s in servers.items()})
+            try:
+                await servers[first]._coordinate_encounter(
+                    peer=second, address=servers[second].config.listen,
+                    time=2.0, budget=None,
+                )
+            finally:
+                for server in servers.values():
+                    await server.close()
+            return log
+
+    def hooks_of(log, name):
+        return [hook for node, hook in log if node == name]
+
+    live = asyncio.run(scenario())
+    for name in (first, second):
+        assert set(hooks_of(emulated, name)) == set(HOOKS)
+    assert hooks_of(live, second) == hooks_of(emulated, second)
+    expected = hooks_of(emulated, first)
+    assert expected[-2:] == ["on_items_sent", "generate_req"]
+    expected[-2:] = ["generate_req", "on_items_sent"]
+    assert hooks_of(live, first) == expected
+
+
+def test_encounters_with_one_peer_share_one_dial_per_direction():
+    first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+            servers = [await _start_server(tmp, n) for n in (first, second)]
+            addresses = [server.config.listen for server in servers]
+            controls = [
+                await _control(name, address)
+                for name, address in zip((first, second), addresses)
+            ]
+            try:
+                plan = [(controls[0], second, addresses[1])] * 5
+                plan += [(controls[1], first, addresses[0])] * 2
+                for step, (control, peer, address) in enumerate(plan):
+                    reply = await _encounter(control, peer, address, float(step))
+                    assert reply["type"] == "encounter-ok", reply
+                return [await _summary(control) for control in controls]
+            finally:
+                for closing in (*controls, *servers):
+                    await closing.close()
+
+    for summary in asyncio.run(scenario()):
+        # A→B and B→A are two links: each node dialed once, for all of its.
+        assert (summary["dials"], summary["peer_links"]) == (1, 1)
+        assert summary["encounters"] == 7
+
+
+def test_overlapping_encounters_with_one_peer_never_share_a_link():
+    """A link carries one §9.3 sequence at a time. Two ``encounter``
+    directives for one peer, in flight at once over two control channels,
+    each get a link of their own — as when every encounter dialed — and
+    one of the two is kept for the encounters that follow."""
+    first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+            servers = [await _start_server(tmp, n) for n in (first, second)]
+            address = servers[1].config.listen
+            controls = [
+                await _control(first, servers[0].config.listen) for _ in range(2)
+            ]
+            try:
+                replies = [await _encounter(controls[0], second, address, 0.0)]
+                # With a link kept: both directives are written before either
+                # is answered, so both encounters want it at once.
+                replies += await asyncio.wait_for(
+                    asyncio.gather(
+                        *(_encounter(c, second, address, 1.0) for c in controls)
+                    ),
+                    timeout=10.0,
+                )
+                overlapped = await _summary(controls[0])
+                replies.append(await _encounter(controls[1], second, address, 2.0))
+                return replies, overlapped, await _summary(controls[0])
+            finally:
+                for closing in (*controls, *servers):
+                    await closing.close()
+
+    replies, overlapped, later = asyncio.run(scenario())
+    assert [reply["type"] for reply in replies] == ["encounter-ok"] * 4, replies
+    # One took the kept link, the other dialed; one of the two was kept.
+    assert (overlapped["dials"], overlapped["peer_links"]) == (2, 1)
+    assert (later["dials"], later["peer_links"], later["encounters"]) == (2, 1, 4)
+
+
+def test_a_peer_killed_and_replaced_on_its_address_is_redialed():
+    first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+            server = await _start_server(tmp, first)
+            address = f"unix:{pathlib.Path(tmp) / (second + '.sock')}"
+            control = await _control(first, server.config.listen)
+            process = None
+            try:
+                for incarnation in range(2):
+                    process = _spawn_serve(tmp, second)
+                    # Up once it greets; the dialer rides out its start-up.
+                    await (await _control(second, address)).close()
+                    for step in range(3):
+                        reply = await _encounter(
+                            control, second, address, float(3 * incarnation + step)
+                        )
+                        assert reply["type"] == "encounter-ok", reply
+                    process.kill()
+                    process.communicate()
+                    # One loop pass reads the dead link's EOF before ``status``
+                    # (or the next dial) is even written, whatever order the
+                    # selector reports ready descriptors in.
+                    await asyncio.sleep(0)
+                return await _summary(control)
+            finally:
+                if process is not None and process.poll() is None:
+                    process.kill()
+                    process.communicate()
+                await control.close()
+                await server.close()
+
+    summary = asyncio.run(scenario())
+    assert summary["encounters"] == 6
+    # One dial per incarnation; the second one's link died with it.
+    assert (summary["dials"], summary["peer_links"]) == (2, 0)
+
+
+def test_shutdown_with_links_open_in_both_directions_is_clean():
+    """Each process holds a link it dialed and one the other dialed. Both
+    exit 0 on ``shutdown`` and, in dev mode, report nothing unclosed."""
+    first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
+    flags = ("-X", "dev", "-W", "error::ResourceWarning")
+
+    async def scenario(tmp):
+        addresses = {
+            name: f"unix:{pathlib.Path(tmp) / (name + '.sock')}"
+            for name in (first, second)
+        }
+        controls = {
+            name: await _control(name, address)
+            for name, address in addresses.items()
+        }
+        try:
+            for name, peer in ((first, second), (second, first)):
+                reply = await _encounter(controls[name], peer, addresses[peer], 1.0)
+                assert reply["type"] == "encounter-ok", reply
+                assert (await _summary(controls[name]))["peer_links"] == 1
+            for control in controls.values():
+                reply = await _directive(control, type="shutdown", persist=False)
+                assert reply["type"] == "shutdown-ok", reply
+        finally:
+            for control in controls.values():
+                await control.close()
+
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+        processes = [_spawn_serve(tmp, name, *flags) for name in (first, second)]
+        try:
+            asyncio.run(scenario(tmp))
+            outcomes = [process.communicate(timeout=10.0) for process in processes]
+        finally:
+            for process in processes:
+                if process.poll() is None:
+                    process.kill()
+                    process.communicate()
+    for process, (_, stderr) in zip(processes, outcomes):
+        assert process.returncode == 0
+        assert b"Warning" not in stderr and b"Exception" not in stderr, stderr

@@ -75,6 +75,23 @@ class TestItemChecksum:
         assert item_checksum(exotic) == item_checksum(make_item(payload=object()))
         assert exotic is not None
 
+    def test_digests_are_pinned(self):
+        """Literal digests computed at 1c9c458, when every call built its
+        own encoder through ``json.dumps``: the hoisted module-level
+        encoder must serialise byte for byte the same."""
+        assert item_checksum(make_item()) == "1d12483a2cb46d88"
+        assert (
+            item_checksum(make_item(payload=None, deleted=True))
+            == "fc854fdecff2278a"
+        )
+        # Not JSON-representable: goes through ``_opaque``.
+        assert item_checksum(make_item(payload=object())) == "675a7f78d000358f"
+        # Nested, unsorted keys, a float, a null and a non-ASCII string.
+        assert (
+            item_checksum(make_item(payload={"b": [1, 2.5, None], "a": "é"}))
+            == "7bbea3e2ce312df9"
+        )
+
 
 class TestFrameChecksum:
     def test_deterministic(self):
