@@ -13,8 +13,8 @@ calls, the live swarm (:mod:`repro.net.swarm`) as awaited directives.
   an executor asks, performs the physical act, and reports back.
 
 The columnar engine (:mod:`repro.emulation.columnar`) keeps its own
-two-pointer loop over the trace columns — a step object per encounter is
-what it exists to avoid — and shares :func:`end_time`.
+loop, a slice of the trace columns per gap between injections — a step
+object per encounter is what it exists to avoid — and shares :func:`end_time`.
 """
 
 from __future__ import annotations

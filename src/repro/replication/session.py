@@ -327,21 +327,25 @@ class EncounterSession:
     def run(self) -> List[SyncStats]:
         """Run the full encounter; returns both syncs' stats in order."""
         self.begin()
-        budget = self.config.max_items
+        config = self.config
         stats_a = SyncSession(
             source=self.first,
             target=self.second,
             now=self.now,
-            config=replace(self.config, max_items=budget),
+            config=config,
             transport=self._channel(self.first, self.second),
         ).run()
-        if budget is not None:
-            budget = max(0, budget - stats_a.sent_total)
+        if config.max_items is not None and stats_a.sent_total:
+            # Only a spent budget needs a config of its own: the second
+            # sync may send what the first left.
+            config = replace(
+                config, max_items=max(0, config.max_items - stats_a.sent_total)
+            )
         stats_b = SyncSession(
             source=self.second,
             target=self.first,
             now=self.now,
-            config=replace(self.config, max_items=budget),
+            config=config,
             transport=self._channel(self.second, self.first),
         ).run()
         return [stats_a, stats_b]

@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import islice
+from operator import ge
 from typing import Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
 
 from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
@@ -312,9 +315,12 @@ def generate_metro_trace(config: MetroConfig = MetroConfig()) -> EncounterTrace:
     window_start = config.window_start_hour * 3600.0
     window_end = config.window_end_hour * 3600.0
 
-    rows: List[Tuple[float, int, int]] = []
+    # Columns, not row tuples: at city scale the tuples (with their
+    # floats and ints) were the generator's peak memory.
+    times, a_col, b_col = array("d"), array("i"), array("i")
     for day in range(config.days):
         day_base = day * SECONDS_PER_DAY
+        day_times, day_a, day_b = array("d"), array("i"), array("i")
         active_by_route: List[List[int]] = []
         for members in routes:
             k = max(2, int(round(config.duty_cycle * len(members))))
@@ -330,8 +336,9 @@ def generate_metro_trace(config: MetroConfig = MetroConfig()) -> EncounterTrace:
                 b_index = rng.randrange(k - 1)
                 if b_index >= a_index:
                     b_index += 1
-                moment = day_base + rng.uniform(window_start, window_end)
-                rows.append((moment, active[a_index], active[b_index]))
+                day_times.append(day_base + rng.uniform(window_start, window_end))
+                day_a.append(active[a_index])
+                day_b.append(active[b_index])
         if config.interchange_rate > 0 and config.n_routes > 1:
             for route in range(config.n_routes):
                 if config.n_routes == 2 and route == 1:
@@ -341,25 +348,34 @@ def generate_metro_trace(config: MetroConfig = MetroConfig()) -> EncounterTrace:
                 there = active_by_route[other]
                 meetings = _poisson_capped(rng, config.interchange_rate)
                 for _ in range(meetings):
-                    moment = day_base + rng.uniform(window_start, window_end)
-                    rows.append(
-                        (
-                            moment,
-                            here[rng.randrange(len(here))],
-                            there[rng.randrange(len(there))],
-                        )
-                    )
-    rows.sort()
+                    day_times.append(day_base + rng.uniform(window_start, window_end))
+                    day_a.append(here[rng.randrange(len(here))])
+                    day_b.append(there[rng.randrange(len(there))])
+        # A day at a time: drawn, ordered by one index sort on its times
+        # and appended (the next day's encounters are all later).
+        order = sorted(range(len(day_times)), key=day_times.__getitem__)
+        times.extend(map(day_times.__getitem__, order))
+        a_col.extend(map(day_a.__getitem__, order))
+        b_col.extend(map(day_b.__getitem__, order))
+    if any(map(ge, times, islice(times, 1, None))):
+        # Two rows share an instant, or a service window runs past
+        # midnight into the next day's after all: only then do (a, b)
+        # decide, and the whole trace is ordered by the row key.
+        order = sorted(range(len(times)), key=lambda k: (times[k], a_col[k], b_col[k]))
+        times, a_col, b_col = (
+            array(column.typecode, map(column.__getitem__, order))
+            for column in (times, a_col, b_col)
+        )
     # A bus that met nobody is not a host: renumber over those that did
     # (order-preserving, so the rows stay sorted).
-    met = sorted({a for _, a, _ in rows}.union(b for _, _, b in rows))
+    met = sorted(set(a_col).union(b_col))
     host_id = {bus: index for index, bus in enumerate(met)}
     return EncounterTrace.from_columns(
         [names[bus] for bus in met],
-        (time for time, _, _ in rows),
-        (host_id[a] for _, a, _ in rows),
-        (host_id[b] for _, _, b in rows),
-        [0.0] * len(rows),
+        times,
+        map(host_id.__getitem__, a_col),
+        map(host_id.__getitem__, b_col),
+        array("d", bytes(8 * len(times))),
     )
 
 

@@ -17,11 +17,13 @@ import pytest
 
 from repro.emulation.columnar import (
     ColumnarUnsupportedError,
+    _world,
     build_world,
     columnar_unsupported_reason,
     comparable_metrics,
 )
-from repro.emulation.encounters import Encounter
+from repro.emulation.encounters import SECONDS_PER_DAY, Encounter
+from repro.emulation.network import Injection
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenario import build_scenario
@@ -184,3 +186,113 @@ def test_columnar_metro_path_builds_no_encounter_objects(monkeypatch):
         object_result.metrics
     )
     assert columnar_result.trace_summary == object_result.trace_summary
+
+
+# -- the sparse regime: most encounters are between buses no item reached ----
+#
+# Everything above runs the 26-bus DieselNet slice, where every bus holds
+# something within hours and ≈ 0 % of encounters are idle. A metro trace
+# with a few dozen messages is the other regime — the one the columnar
+# loop skips through — so the engines are compared there too.
+
+
+@pytest.fixture(scope="module")
+def metro_trace():
+    return generate_metro_trace(
+        MetroConfig(seed=7, n_buses=960, n_routes=32, days=3, interchange_rate=0.5)
+    )
+
+
+def _sparse_config(policy: str, **overrides) -> ExperimentConfig:
+    return ExperimentConfig(
+        policy=policy, n_users=40, target_messages=24, injection_days=3, **overrides
+    )
+
+
+def _run_object(emulator, until=None):
+    """``Emulator.run()``, optionally stopped at ``until`` instead."""
+    if until is None:
+        return emulator.run()
+    emulator.advance(until)
+    for record in emulator.metrics.records.values():
+        record.copies_at_end = emulator.count_copies(record.message_id)
+    emulator.director.finalize(emulator.now)
+    return emulator.metrics
+
+
+def _assert_same_outcome(emulator, world):
+    assert comparable_metrics(emulator.metrics) == comparable_metrics(world.metrics)
+    for name, node in emulator.nodes.items():
+        assert world.knowledge_of(name) == frozenset(
+            f"{version.replica.name}:{version.counter}"
+            for version in node.replica.knowledge.versions()
+        ), name
+        assert sorted(world.holdings_of(name)) == sorted(
+            str(item.item_id) for item in node.replica.stored_items()
+        ), name
+
+
+@pytest.mark.parametrize("bandwidth_limit", [None, 2], ids=["uncapped", "bw2"])
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faults"])
+@pytest.mark.parametrize(
+    "policy", ["cimbiosys", "epidemic", "spray", "first-contact"]
+)
+def test_engines_agree_where_most_encounters_are_idle(
+    metro_trace, policy, faulted, bandwidth_limit
+):
+    config = _sparse_config(
+        policy,
+        faults=SUPPORTED_FAULTS if faulted else None,
+        bandwidth_limit=bandwidth_limit,
+    )
+    scenario = build_scenario(config, trace=metro_trace)
+    world = _world(config, scenario)
+    entered = []
+    kernel = world._encounter
+    world._encounter = lambda *row: (entered.append(row), kernel(*row))
+    _run_object(scenario.emulator)
+    world.run()
+    _assert_same_outcome(scenario.emulator, world)
+    if faulted:
+        assert len(entered) == len(metro_trace)
+    else:
+        assert len(entered) <= 0.1 * len(metro_trace)
+
+
+def test_injection_at_an_encounters_instant_precedes_it(metro_trace):
+    """The schedule's INJECT < ENCOUNTER band at a segment boundary: a
+    message authored on bus a for bus b at the very instant the two meet
+    is handed over in that encounter, on both engines."""
+    config = _sparse_config("cimbiosys")
+    scenario = build_scenario(config, trace=metro_trace)
+    row = len(metro_trace) // 2
+    moment = metro_trace.times[row]
+    hosts = metro_trace.host_names
+    source, destination = hosts[metro_trace.a[row]], hosts[metro_trace.b[row]]
+    for injections in (scenario.injections, scenario.emulator.injections):
+        injections.append(Injection(moment, source, destination))
+    world = _world(config, scenario)
+    _run_object(scenario.emulator)
+    world.run()
+    _assert_same_outcome(scenario.emulator, world)
+    (record,) = [
+        r for r in world.metrics.records.values() if r.injected_at == moment
+    ]
+    assert record.delivered_at == moment
+
+
+@pytest.mark.parametrize("policy", ["epidemic", "first-contact"])
+def test_end_time_cuts_the_trace_mid_day(metro_trace, policy):
+    """Nothing past the end time runs — encounter or injection — and what
+    does not run is not counted."""
+    config = _sparse_config(policy)
+    scenario = build_scenario(config, trace=metro_trace)
+    cut = 1.5 * SECONDS_PER_DAY
+    assert any(injection.time > cut for injection in scenario.injections)
+    world = _world(config, scenario)
+    _run_object(scenario.emulator, until=cut)
+    world.run(end_time=cut)
+    _assert_same_outcome(scenario.emulator, world)
+    ran = sum(1 for time in metro_trace.times if time <= cut)
+    assert 0 < ran < len(metro_trace)
+    assert world.metrics.encounters == ran

@@ -133,3 +133,19 @@ def test_sharded_rejects_enabled_faults():
     config = _config(faults=FaultConfig(encounter_drop_probability=0.1))
     with pytest.raises(ColumnarUnsupportedError):
         run_columnar_sharded(config, trace=_metro_trace(), shards=2)
+
+
+def test_more_shards_than_a_byte_can_name_are_refused_before_any_spawn(monkeypatch):
+    """300 disjoint routes, 300 shards: the plan used to be built, then
+    ``shard_of[k] = 256`` on a ``bytearray`` raised a bare byte-range
+    error. Refused typed, with no shared memory or process created."""
+    from multiprocessing import shared_memory
+
+    def no_shared_memory(*args, **kwargs):
+        raise AssertionError("shared memory created for a refused plan")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", no_shared_memory)
+    trace = _metro_trace(n_routes=300, n_buses=600, days=2)
+    assert len(trace_components(trace)) == 300
+    with pytest.raises(ValueError, match="at most 256 shards"):
+        run_columnar_sharded(_config(), trace=trace, shards=300)

@@ -110,6 +110,42 @@ class TestEncounterSessionEquivalence:
         # first left over.
         assert [s.sent_total for s in stats] == [4, 1]
 
+    def test_second_sync_cap_is_what_the_first_left(self, monkeypatch):
+        """Sync 2 is capped at ``max(0, budget - sent_1)``, and only a
+        spent budget costs a new ``SessionConfig``: an uncapped encounter
+        (every one of the paper's runs but Figure 9's) builds none."""
+        built = []
+        post_init = SessionConfig.__post_init__
+
+        def counting_post_init(config):
+            built.append(config.max_items)
+            post_init(config)
+
+        monkeypatch.setattr(SessionConfig, "__post_init__", counting_post_init)
+        caps = []
+        init = SyncSession.__init__
+
+        def recording_init(session, **kwargs):
+            caps.append(kwargs["config"].max_items)
+            init(session, **kwargs)
+
+        monkeypatch.setattr(SyncSession, "__init__", recording_init)
+
+        def encounter(budget):
+            alice, bob = seeded_pair()
+            session = EncounterSession(
+                first=SyncEndpoint(alice),
+                second=SyncEndpoint(bob),
+                config=SessionConfig(max_items=budget),
+            )
+            del built[:], caps[:]
+            return [s.sent_total for s in session.run()]
+
+        assert encounter(5) == [4, 1] and caps == [5, 1] and built == [1]
+        assert encounter(3) == [3, 0] and caps == [3, 0] and built == [0]
+        assert encounter(0) == [0, 0] and caps == [0, 0] and built == []
+        assert encounter(None) == [4, 4] and caps == [None, None] and built == []
+
     def test_begin_fires_policy_hooks_once(self):
         class Counting(Flood):
             def __init__(self):

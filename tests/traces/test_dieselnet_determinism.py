@@ -12,6 +12,7 @@ interchange wiring).
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -204,3 +205,34 @@ class TestMetroGenerator:
         # Half of each 20-bus route sits out each day (plus interchange
         # partners are drawn from the active sample only).
         assert len(active) <= 20 + 4  # duty sample is clamped to >= 2
+
+    def test_equal_times_fall_back_to_the_row_key(self, monkeypatch):
+        """A day is ordered by its times alone; only when two rows share
+        an instant do the buses decide. With every draw of ``uniform``
+        the same constant, every time in a day is equal and the rows
+        must still come out in ``(time, a, b)`` order."""
+        monkeypatch.setattr(
+            random.Random, "uniform", lambda self, low, high: 30000.0
+        )
+        trace = generate_metro_trace(
+            MetroConfig(seed=5, n_buses=60, n_routes=4, days=3)
+        )
+        rows = list(zip(trace.times, trace.a, trace.b))
+        assert len(set(trace.times)) == 3 < len(rows)
+        assert rows == sorted(rows)
+        assert len(set(rows)) > 100  # many distinct pairs per instant
+
+    def test_a_window_past_midnight_still_yields_ordered_rows(self):
+        """Days are generated one at a time and appended; a service
+        window that runs into the next day's must not leave the rows
+        out of order (``from_columns`` would refuse them)."""
+        trace = generate_metro_trace(
+            MetroConfig(
+                seed=5, n_buses=60, n_routes=4, days=3,
+                window_start_hour=20.0, window_end_hour=30.0,
+            )
+        )
+        rows = list(zip(trace.times, trace.a, trace.b))
+        assert rows == sorted(rows)
+        late = [t for t in trace.times if t % SECONDS_PER_DAY < 6 * 3600.0]
+        assert late and len(late) < len(rows)
