@@ -284,7 +284,9 @@ class MaxPropPolicy(DTNPolicy):
         if not self.is_routable_message(item):
             return None
         if item.item_id in self.acks:
-            self._expunge_if_relayed(item.item_id)
+            # Only a relay copy can be expunged; most acked copies are not one.
+            if self.replica.relays(item.item_id):
+                self._expunge_if_relayed(item.item_id)
             return None
         hops = len(item.local(HOPLIST_ATTRIBUTE, ()))
         if hops < self.hop_threshold:

@@ -35,6 +35,7 @@ import asyncio
 import pathlib
 import signal
 from dataclasses import dataclass
+from resource import RUSAGE_SELF, getrusage
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro._compat import keyword_only_dataclass
@@ -414,6 +415,7 @@ class NodeServer:
                 "protocol": PROTOCOL_VERSION,
                 "peer_links": sum(not link.closed for link in self._links.values()),
                 "dials": self.dials,
+                "peak_rss_mb": round(getrusage(RUSAGE_SELF).ru_maxrss / 1024.0, 1),
             },
         )
 

@@ -43,7 +43,7 @@ from .filters import (
 )
 from .ids import ItemId, ReplicaId, Version
 from .integrity import cached_item_checksum, frame_checksum, item_checksum
-from .items import Item
+from .items import WIRE_SIZE_MEMO_ATTRIBUTE, Item
 from .sync import BatchEntry, SyncRequest
 from .routing import Priority, PriorityClass
 from .versions import VersionVector, _Entry
@@ -445,15 +445,6 @@ def wire_size(encoded: Any) -> int:
     return len(json.dumps(encoded, separators=(",", ":"), sort_keys=True).encode())
 
 
-#: Per-instance memo for :func:`item_wire_size`. Unlike the content
-#: checksum, the wire encoding *includes* host-local attributes (they are
-#: legitimately carried per copy), so this memo is never propagated across
-#: derivations — ``with_local``/``without_local`` produce new objects that
-#: re-measure. It is only ever bound next to an actual encoding of the
-#: exact object it describes.
-_WIRE_SIZE_MEMO = "_wire_size_memo"
-
-
 def item_wire_size(item: Item) -> int:
     """``wire_size(encode_item(item))``, memoised on the item instance.
 
@@ -461,11 +452,18 @@ def item_wire_size(item: Item) -> int:
     paper's overhead measurements) asks for the same object's size
     repeatedly — re-offers after interrupted transfers, duplicated
     deliveries, replay pools; one encoding per object covers them all.
+
+    Unlike the content checksum, the wire encoding *includes* host-local
+    attributes (they are legitimately carried per copy), so this memo (the
+    item's ``WIRE_SIZE_MEMO_ATTRIBUTE`` slot) is never propagated across
+    derivations — ``with_local``/``without_local`` produce new objects that
+    re-measure. It is only ever bound next to an actual encoding of the
+    exact object it describes.
     """
-    size = getattr(item, _WIRE_SIZE_MEMO, None)
+    size = getattr(item, WIRE_SIZE_MEMO_ATTRIBUTE, None)
     if size is None:
         size = wire_size(encode_item(item))
-        object.__setattr__(item, _WIRE_SIZE_MEMO, size)
+        object.__setattr__(item, WIRE_SIZE_MEMO_ATTRIBUTE, size)
     return size
 
 

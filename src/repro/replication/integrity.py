@@ -20,7 +20,7 @@ Because that content is immutable per ``(item_id, version)``, hashing it
 once per hop is pure waste on the hot path. :func:`cached_item_checksum`
 removes it without weakening a single check: it binds the computed
 checksum to the exact :class:`Item` *instance* it was computed from (a
-non-field attribute, never serialised, never copied by
+non-field slot, never serialised, never copied by ``copy``, ``pickle`` or
 ``dataclasses.replace`` — see
 :data:`~repro.replication.items.CHECKSUM_MEMO_ATTRIBUTE`). A corrupted
 copy is a different object and always recomputes. Send-side stamping and
@@ -107,8 +107,8 @@ def item_checksum(item: Item) -> str:
 def cached_item_checksum(item: Item) -> str:
     """:func:`item_checksum`, memoised on the item instance.
 
-    The memo is bound with ``object.__setattr__`` to the exact (frozen,
-    slot-less) object whose content was hashed, so it is trustworthy by
+    The memo is bound with ``object.__setattr__`` to a slot of the exact
+    (frozen) object whose content was hashed, so it is trustworthy by
     construction: it never survives serialisation, ``dataclasses.replace``
     never copies it (a tampered copy made via ``replace`` starts clean and
     recomputes), and only the content-preserving derivations

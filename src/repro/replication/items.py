@@ -17,12 +17,22 @@ Items are value objects from the protocol's point of view but expose an
 explicit :meth:`Item.with_local` so policies can adjust per-copy state
 without version churn, mirroring Cimbiosys's internal no-new-version update
 interface that the paper relies on for Spray and Wait.
+
+A stored copy is one small ``Item`` shell (slotted where the interpreter
+allows) around shared parts: ids, payload and ``attributes`` are the author's
+objects, and ``local_attributes`` is *the* mapping :func:`per_copy_state`
+keeps for that state (every copy whose TTL is 7 holds one
+``{"epidemic.ttl": 7}``). That is safe: both mappings refuse every mutating
+method, and one handed in from outside is copied before an item binds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Mapping
+
+from repro._compat import DATACLASS_SLOTS
 
 from .ids import ItemId, Version
 
@@ -41,7 +51,7 @@ KIND_TOMBSTONE = "tombstone"
 
 #: Name of the per-instance content-checksum memo (see
 #: :func:`repro.replication.integrity.cached_item_checksum`). The memo is a
-#: non-field attribute set with ``object.__setattr__``, so neither the
+#: non-field slot set with ``object.__setattr__``, so neither the
 #: constructor nor ``dataclasses.replace`` ever copies it — any derivation
 #: that *could* change replicated content starts clean. Only the
 #: derivations that provably preserve replicated content
@@ -49,22 +59,54 @@ KIND_TOMBSTONE = "tombstone"
 #: :meth:`Item.wire_copy`; the checksum excludes host-local attributes)
 #: carry it over explicitly.
 CHECKSUM_MEMO_ATTRIBUTE = "_content_checksum"
+WIRE_SIZE_MEMO_ATTRIBUTE = "_wire_size_memo"  # bound by codec.item_wire_size only
 
 
 class _OwnedDict(dict):
-    """A mapping an :class:`Item` constructor created and owns.
+    """A read-only mapping an :class:`Item` constructor created and owns.
 
-    ``__post_init__`` copies incoming mappings defensively; mappings of
-    this type were built inside this module, are never mutated after being
-    bound to an item, and can therefore be adopted (and shared between
-    items) without another copy.
+    ``__post_init__`` copies incoming mappings defensively; one of this
+    type was built inside this module and refuses every mutating method
+    (reads stay the C ``dict``'s), so items adopt and share it as it is.
     """
 
     __slots__ = ()
 
+    def _refuse(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("an item's mappings are read-only; derive a new item")
 
-@dataclass(frozen=True)
-class Item:
+    __setitem__ = __delitem__ = __ior__ = update = _refuse
+    pop = popitem = clear = setdefault = _refuse
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _shared_state(**state: Any) -> _OwnedDict:
+    # ``typed`` keeps ``1``, ``1.0`` and ``True`` apart but not ``0.0`` from ``-0.0``
+    # nor ``(1,)`` from ``(True,)``: only ints, strings, bools and hop lists share.
+    for value in state.values():
+        hop_list = type(value) is tuple and set(map(type, value)) <= {str}
+        if not hop_list and type(value) not in (int, str, bool):
+            raise TypeError(f"per-copy state {value!r} is not shared")
+    return _OwnedDict(state)
+
+
+def per_copy_state(state: Mapping[str, Any]) -> _OwnedDict:
+    """*The* read-only mapping for ``state``, its keys sorted; one built fresh
+    if the state cannot be shared or the bounded table has forgotten it."""
+    try:
+        state = dict(sorted(state.items())) if len(state) > 1 else state
+        return _shared_state(**state)
+    except TypeError:  # a float, an unhashable list, a key that is not a name
+        return _OwnedDict(state)
+
+
+class _Memos:
+    #: A slotted dataclass can declare no slot that is not a field; its base can.
+    __slots__ = (CHECKSUM_MEMO_ATTRIBUTE, WIRE_SIZE_MEMO_ATTRIBUTE)
+
+
+@dataclass(frozen=True, **DATACLASS_SLOTS)
+class Item(_Memos):
     """One version of one replicated item.
 
     Instances are immutable; updates produce new instances. Equality and
@@ -92,6 +134,10 @@ class Item:
             object.__setattr__(
                 self, "local_attributes", _OwnedDict(self.local_attributes)
             )
+
+    def __reduce__(self) -> tuple:  # copies rebuild by the constructor: no memo travels
+        mappings = dict(self.attributes), dict(self.local_attributes)
+        return Item, (self.item_id, self.version, self.payload, *mappings, self.deleted)
 
     # -- identity ---------------------------------------------------------------
 
@@ -136,11 +182,11 @@ class Item:
 
         This is the no-new-version update path: the result compares equal to
         the original, so knowledge and sync behaviour are unaffected.
-        Returns ``self`` when every change is a no-op (the value already
-        stored, or a delete of an absent key), so hot paths that re-stamp
-        unchanged per-copy state allocate nothing.
+        Returns ``self`` when every change is a no-op on state stamped here
+        (the value already stored, a delete of an absent key), so hot paths
+        that re-stamp unchanged per-copy state allocate nothing.
         """
-        return self._restamped(_OwnedDict(self.local_attributes), local_changes)
+        return self._restamped({**self.local_attributes, **local_changes})
 
     def without_local(self) -> "Item":
         """A copy stripped of host-local attributes, as sent on the wire.
@@ -151,7 +197,7 @@ class Item:
         """
         if not self.local_attributes:
             return self
-        return self._restamped(_OwnedDict(), {})
+        return self._restamped({})
 
     def wire_copy(self, **local_state: Any) -> "Item":
         """The copy one hop ships: exactly ``local_state`` as host-local state.
@@ -160,13 +206,13 @@ class Item:
         and one allocation: this host's per-copy state stripped, the
         receiving host's stamped on (a decremented TTL, half the copy
         budget; a ``None`` value carries nothing). Returns ``self`` when
-        the copy already carries exactly that state, memos and all.
+        the copy already carries that state's shared mapping, memos and all.
         """
-        return self._restamped(_OwnedDict(), local_state)
+        return self._restamped(local_state)
 
-    def _restamped(self, state: _OwnedDict, changes: Mapping[str, Any]) -> "Item":
-        """This version with ``changes`` applied to ``state`` as its
-        host-local attributes; ``self`` if that is what it carries already.
+    def _restamped(self, state: Mapping[str, Any]) -> "Item":
+        """This version with ``state`` as its host-local attributes; ``self``
+        if it carries that very mapping (``1`` and ``1.0`` are different states).
 
         Replicated content is untouched, so the checksum memo carries
         over; the wire-size memo, which measures host-local state too,
@@ -174,19 +220,17 @@ class Item:
         re-stamped at every hop, and ``dataclasses.replace``'s reflection
         was the largest single cost of moving one.
         """
-        for key, value in changes.items():
-            if value is None:
-                state.pop(key, None)
-            else:
-                state[key] = value
-        if state == self.local_attributes:
+        if None in state.values():  # "a ``None`` value carries nothing"
+            state = {key: value for key, value in state.items() if value is not None}
+        shared = per_copy_state(state)
+        if shared is self.local_attributes:
             return self
         derived = Item(
             self.item_id,
             self.version,
             self.payload,
             self.attributes,
-            state,
+            shared,
             self.deleted,
         )
         memo = getattr(self, CHECKSUM_MEMO_ATTRIBUTE, None)

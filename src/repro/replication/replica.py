@@ -289,6 +289,10 @@ class Replica:
     def holds(self, item_id: ItemId) -> bool:
         return self._find(item_id) is not None
 
+    def relays(self, item_id: ItemId) -> bool:
+        """Whether the copy held is a relay copy: out of filter, authored elsewhere."""
+        return item_id in self._relay
+
     @property
     def in_filter_count(self) -> int:
         return len(self._store)

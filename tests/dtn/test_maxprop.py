@@ -224,6 +224,65 @@ class TestAcknowledgements:
         assert item.item_id in b_policy.acks
 
 
+class TestAckedCopiesAreNotRedecided:
+    """``to_send`` asks ``_expunge_if_relayed`` only about a copy that can
+    be expunged: one the relay store holds."""
+
+    @staticmethod
+    def counted(policy):
+        calls = []
+        inner = policy._expunge_if_relayed
+
+        def counting(item_id):
+            calls.append(item_id)
+            inner(item_id)
+
+        policy._expunge_if_relayed = counting
+        return calls
+
+    def test_no_call_for_an_acked_copy_in_the_filter_store_or_outbox(self):
+        replica, policy = make_node("a")
+        other = Replica(ReplicaId("b"), AddressFilter("b"))
+        delivered = other.create_item("m", {"destination": "a"})
+        replica.apply_remote(delivered)  # in-filter store; acked on arrival
+        authored = replica.create_item("n", {"destination": "carol"})  # outbox
+        policy.acks.add(authored.item_id)
+        assert not replica.relays(delivered.item_id)
+        assert not replica.relays(authored.item_id)
+        calls = self.counted(policy)
+        for item in (delivered, authored):
+            assert policy.to_send(item, AddressFilter("b"), ctx()) is None
+            assert replica.holds(item.item_id)
+        assert calls == []
+
+    def test_an_acked_copy_demoted_to_relay_goes_on_the_next_to_send(self):
+        replica, policy = make_node("a")
+        other = Replica(ReplicaId("b"), AddressFilter("b"))
+        item = other.create_item("m", {"destination": "a"})
+        replica.apply_remote(item)
+        assert item.item_id in policy.acks
+        calls = self.counted(policy)
+        assert policy.to_send(item, AddressFilter("b"), ctx()) is None
+        assert calls == [] and replica.holds(item.item_id)
+        replica.set_filter(AddressFilter("elsewhere"))  # demotes it
+        assert replica.relays(item.item_id)
+        assert policy.to_send(item, AddressFilter("b"), ctx()) is None
+        assert calls == [item.item_id]
+        assert not replica.holds(item.item_id)
+        assert not replica.relays(item.item_id)
+
+    def test_a_relay_copy_that_arrives_after_its_ack_is_expunged(self):
+        replica, policy = make_node("a")
+        other = Replica(ReplicaId("b"), AddressFilter("b"))
+        item = other.create_item("m", {"destination": "carol"})
+        policy.process_req(peer_request("b", acks=frozenset({item.item_id})), ctx())
+        replica.apply_remote(item)
+        assert replica.relays(item.item_id)
+        stored = replica.get_item(item.item_id)
+        assert policy.to_send(stored, AddressFilter("b"), ctx()) is None
+        assert not replica.holds(item.item_id)
+
+
 class TestEndToEnd:
     def test_three_node_relay_delivery(self):
         src_replica, src_policy = make_node("src")

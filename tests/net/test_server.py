@@ -51,6 +51,7 @@ STATUS_SUMMARY_KEYS = {
     "protocol",
     "peer_links",
     "dials",
+    "peak_rss_mb",
 }
 
 
@@ -117,6 +118,8 @@ def test_status_directive_of_a_live_serve_process():
     assert summary["protocol"] == PROTOCOL_VERSION
     assert summary["delivered_messages"] == 0
     assert summary["stored_items"] == 0
+    # What the node weighs, from inside: an interpreter is tens of MB.
+    assert 10.0 < summary["peak_rss_mb"] < 10_000.0
 
 
 async def _start_server(tmp, name, **options):
