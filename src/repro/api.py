@@ -50,6 +50,8 @@ Groups:
   (``repro serve`` / ``repro swarm``), and
   :func:`check_convergence_parity` asserts a live swarm reaches the
   emulator's exact per-node fixed point (see ``docs/deployment.md``).
+  ``run_swarm`` and its two classes resolve on first use: they bring
+  asyncio and ssl (5 MB), which a run that opens no socket never needs.
 * **Columnar engine** — select with ``ExperimentConfig(engine="columnar")``;
   :exc:`ColumnarUnsupportedError` and :func:`columnar_unsupported_reason`
   report configs outside the verified subset, :func:`run_columnar_sharded`
@@ -107,7 +109,6 @@ from repro.experiments.parity import (
     replica_fixed_point,
 )
 from repro.faults.config import FaultConfig
-from repro.net.swarm import SwarmConfig, SwarmReport, run_swarm
 from repro.replication.integrity import ProtocolViolation
 from repro.replication.peer_health import PeerHealthTracker
 from repro.replication.session import (
@@ -167,3 +168,17 @@ __all__ = [
     "run_sweep",
     "sweep_id_for",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562. Of ``__all__`` only ``SwarmConfig``, ``SwarmReport`` and
+    # ``run_swarm`` are not bound above, so only they can get here.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.net import swarm
+
+    return getattr(swarm, name)
+
+
+def __dir__() -> list:
+    return sorted(set(__all__).union(globals()))

@@ -22,8 +22,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import attrgetter, eq, ge, gt
+from itertools import compress, count, islice
+from operator import attrgetter, eq, ge
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 SECONDS_PER_DAY = 86400.0
@@ -96,6 +96,11 @@ class EncounterTrace:
     ) -> "EncounterTrace":
         """Build a trace from columns; no :class:`Encounter` is constructed.
 
+        A column that already is an ``array`` of its typecode (``"d"``
+        times and durations, ``"i"`` ids) is adopted and the caller gives
+        it up — a later write to it would go unchecked; anything else is
+        copied. At city scale the four copies were the generator's peak.
+
         Checks column-wise what :class:`Encounter` checks per object and
         what the object constructor's sort guarantees: ``hosts`` sorted,
         distinct and each appearing in some row; equal column lengths;
@@ -104,16 +109,18 @@ class EncounterTrace:
         """
         self = cls.__new__(cls)
         self.host_names = tuple(hosts)
-        self.times = array("d", times)
-        self.a = array("i", a)
-        self.b = array("i", b)
-        self.durations = array("d", durations)
+        self.times, self.a, self.b, self.durations = (
+            column if isinstance(column, array) and column.typecode == code
+            else array(code, column)
+            for code, column in zip("diid", (times, a, b, durations))
+        )
         self._encounters = None
         if not len(self.times) == len(self.a) == len(self.b) == len(self.durations):
             raise ValueError("trace columns must have equal lengths")
         if any(map(ge, self.host_names, islice(self.host_names, 1, None))):
             raise ValueError("hosts must be sorted and distinct")
-        used = set(self.a).union(self.b)
+        used = set(self.a)
+        used.update(self.b)  # in place: ``union`` would hold two sets
         if used and not 0 <= min(used) <= max(used) < len(self.host_names):
             raise ValueError("host id out of range")
         if len(used) != len(self.host_names):
@@ -124,19 +131,21 @@ class EncounterTrace:
             raise ValueError("encounter time must be non-negative")
         if min(self.durations, default=0.0) < 0:
             raise ValueError("encounter duration must be non-negative")
-        if any(map(gt, self._rows(), islice(self._rows(), 1, None))):
+        # Pairwise over the time column; whole rows only where it does not rise.
+        late = compress(count(1), map(ge, self.times, islice(self.times, 1, None)))
+        columns = (self.times, self.a, self.b, self.durations)
+        if any([c[k - 1] for c in columns] > [c[k] for c in columns] for k in late):
             raise ValueError("encounters must be in (time, a, b, duration) order")
         return self
-
-    def _rows(self) -> Iterator[Tuple[float, int, int, float]]:
-        return zip(self.times, self.a, self.b, self.durations)
 
     def _objects(self) -> List[Encounter]:
         if self._encounters is None:
             names = self.host_names
             self._encounters = [
                 Encounter(time, names[a], names[b], duration)
-                for time, a, b, duration in self._rows()
+                for time, a, b, duration in zip(
+                    self.times, self.a, self.b, self.durations
+                )
             ]
         return self._encounters
 

@@ -304,41 +304,60 @@ def generate_metro_trace(config: MetroConfig = MetroConfig()) -> EncounterTrace:
     per day, first every route's duty sample, then every route's
     in-route meeting count and pairs, then every adjacent route pair's
     interchange meetings.
+
+    It holds little more than what it returns while it runs (1.3 x at city
+    scale): ids, not names; a day's draws at a time; columns handed over.
     """
     rng = random.Random(f"metro:{config.seed}")
+    rand, bits = rng.random, rng.getrandbits
     members_by_route = metro_route_members(config)
     # Buses are drawn as positions in name order, so sorting the rows
     # is the order EncounterTrace gives the same encounters as objects.
     names = sorted(name for members in members_by_route for name in members)
     bus_id = {name: index for index, name in enumerate(names)}
     routes = [[bus_id[name] for name in members] for members in members_by_route]
+    del members_by_route, names, bus_id  # 10 MB at city scale no draw reads
     window_start = config.window_start_hour * 3600.0
-    window_end = config.window_end_hour * 3600.0
+    span = config.window_end_hour * 3600.0 - window_start
 
     # Columns, not row tuples: at city scale the tuples (with their
     # floats and ints) were the generator's peak memory.
     times, a_col, b_col = array("d"), array("i"), array("i")
     for day in range(config.days):
         day_base = day * SECONDS_PER_DAY
-        day_times, day_a, day_b = array("d"), array("i"), array("i")
         active_by_route: List[List[int]] = []
         for members in routes:
             k = max(2, int(round(config.duty_cycle * len(members))))
             k = min(k, len(members))
             active_by_route.append(sorted(rng.sample(members, k)))
+        # A day is drawn into time slices of about 128 rows. The draw u that
+        # becomes a meeting's time also picks its slice, both monotone in u
+        # (u < 1.0): slices ordered one by one concatenate in time order.
+        expected = config.meetings_per_bus_per_day * sum(map(len, active_by_route)) / 2
+        n_slices = 1 + int(expected + config.interchange_rate * config.n_routes) // 128
+        slices = [(array("d"), array("i"), array("i")) for _ in range(n_slices)]
         for active in active_by_route:
             k = len(active)
             meetings = _poisson_capped(
                 rng, config.meetings_per_bus_per_day * k / 2.0
             )
+            # randrange(k) is getrandbits until below k, uniform(lo, hi) is
+            # lo + (hi - lo) * random(): spelled out, three frames a call less.
+            k_bits, k_less, k_less_bits = k.bit_length(), k - 1, (k - 1).bit_length()
             for _ in range(meetings):
-                a_index = rng.randrange(k)
-                b_index = rng.randrange(k - 1)
+                a_index = bits(k_bits)
+                while a_index >= k:
+                    a_index = bits(k_bits)
+                b_index = bits(k_less_bits)
+                while b_index >= k_less:
+                    b_index = bits(k_less_bits)
                 if b_index >= a_index:
                     b_index += 1
-                day_times.append(day_base + rng.uniform(window_start, window_end))
-                day_a.append(active[a_index])
-                day_b.append(active[b_index])
+                u = rand()
+                slice_times, slice_a, slice_b = slices[int(u * n_slices)]
+                slice_times.append(day_base + (window_start + span * u))
+                slice_a.append(active[a_index])
+                slice_b.append(active[b_index])
         if config.interchange_rate > 0 and config.n_routes > 1:
             for route in range(config.n_routes):
                 if config.n_routes == 2 and route == 1:
@@ -348,15 +367,19 @@ def generate_metro_trace(config: MetroConfig = MetroConfig()) -> EncounterTrace:
                 there = active_by_route[other]
                 meetings = _poisson_capped(rng, config.interchange_rate)
                 for _ in range(meetings):
-                    day_times.append(day_base + rng.uniform(window_start, window_end))
-                    day_a.append(here[rng.randrange(len(here))])
-                    day_b.append(there[rng.randrange(len(there))])
-        # A day at a time: drawn, ordered by one index sort on its times
-        # and appended (the next day's encounters are all later).
-        order = sorted(range(len(day_times)), key=day_times.__getitem__)
-        times.extend(map(day_times.__getitem__, order))
-        a_col.extend(map(day_a.__getitem__, order))
-        b_col.extend(map(day_b.__getitem__, order))
+                    u = rand()
+                    slice_times, slice_a, slice_b = slices[int(u * n_slices)]
+                    slice_times.append(day_base + (window_start + span * u))
+                    slice_a.append(here[rng.randrange(len(here))])
+                    slice_b.append(there[rng.randrange(len(there))])
+        # Each slice is ordered by one index sort on its times — range(m) is
+        # cached small ints, nothing boxed outlives it — and appended.
+        for slice_times, slice_a, slice_b in slices:
+            order = sorted(range(len(slice_times)), key=slice_times.__getitem__)
+            times.extend(map(slice_times.__getitem__, order))
+            a_col.extend(map(slice_a.__getitem__, order))
+            b_col.extend(map(slice_b.__getitem__, order))
+    del routes, active_by_route, slices
     if any(map(ge, times, islice(times, 1, None))):
         # Two rows share an instant, or a service window runs past
         # midnight into the next day's after all: only then do (a, b)
@@ -367,15 +390,18 @@ def generate_metro_trace(config: MetroConfig = MetroConfig()) -> EncounterTrace:
             for column in (times, a_col, b_col)
         )
     # A bus that met nobody is not a host: renumber over those that did
-    # (order-preserving, so the rows stay sorted).
-    met = sorted(set(a_col).union(b_col))
-    host_id = {bus: index for index, bus in enumerate(met)}
+    # (order-preserving, so the rows stay sorted), a column at a time.
+    names = sorted(name for members in metro_route_members(config) for name in members)
+    met = array("i", sorted(set(a_col).union(b_col)))
+    if len(met) < len(names):  # else the ids already are host positions
+        host_id = array("i", [0]) * len(names)
+        for index, bus in enumerate(met):
+            host_id[bus] = index
+        a_col = array("i", map(host_id.__getitem__, a_col))
+        b_col = array("i", map(host_id.__getitem__, b_col))
+        names = [names[bus] for bus in met]
     return EncounterTrace.from_columns(
-        [names[bus] for bus in met],
-        times,
-        map(host_id.__getitem__, a_col),
-        map(host_id.__getitem__, b_col),
-        array("d", bytes(8 * len(times))),
+        names, times, a_col, b_col, array("d", [0.0]) * len(times)
     )
 
 

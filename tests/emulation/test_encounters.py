@@ -1,5 +1,7 @@
 """Unit tests for encounters and encounter traces."""
 
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -177,23 +179,24 @@ def test_valid_columns_are_accepted():
     ]
 
 
-@pytest.mark.parametrize(
-    "column, value, message",
-    [
-        (2, [0, 2, 1], "two distinct hosts"),
-        (1, [-1.0, 2.0, 2.0], "time must be non-negative"),
-        (4, [0.0, 0.0, -5.0], "duration must be non-negative"),
-        (1, [2.0, 1.0, 2.0], "order"),
-        (2, [0, 1, 0], "order"),  # a time tie broken the wrong way round
-        (4, [0.0, 0.0], "equal lengths"),
-        (1, [1.0, 2.0], "equal lengths"),
-        (2, [0, 0, 3], "out of range"),
-        (3, [1, 2, -1], "out of range"),
-        (0, ["a", "c", "b"], "sorted and distinct"),
-        (0, ["a", "b", "b"], "sorted and distinct"),
-        (0, ["a", "b", "c", "d"], "every host must appear"),
-    ],
-)
+#: One column of ``VALID`` replaced, and what ``from_columns`` must say.
+MALFORMED = [
+    (2, [0, 2, 1], "two distinct hosts"),
+    (1, [-1.0, 2.0, 2.0], "time must be non-negative"),
+    (4, [0.0, 0.0, -5.0], "duration must be non-negative"),
+    (1, [2.0, 1.0, 2.0], "order"),
+    (2, [0, 1, 0], "order"),  # a time tie broken the wrong way round
+    (4, [0.0, 0.0], "equal lengths"),
+    (1, [1.0, 2.0], "equal lengths"),
+    (2, [0, 0, 3], "out of range"),
+    (3, [1, 2, -1], "out of range"),
+    (0, ["a", "c", "b"], "sorted and distinct"),
+    (0, ["a", "b", "b"], "sorted and distinct"),
+    (0, ["a", "b", "c", "d"], "every host must appear"),
+]
+
+
+@pytest.mark.parametrize("column, value, message", MALFORMED)
 def test_from_columns_rejects_malformed_input(column, value, message):
     columns = list(VALID)
     columns[column] = value
@@ -206,3 +209,66 @@ def test_from_columns_orders_full_ties_by_duration():
     assert len(EncounterTrace.from_columns(*columns, [0.0, 5.0])) == 2
     with pytest.raises(ValueError, match="order"):
         EncounterTrace.from_columns(*columns, [5.0, 0.0])
+
+
+# -- columns handed over ---------------------------------------------------------------
+
+#: Typecodes of the times, a, b and durations columns.
+TYPECODES = "diid"
+
+
+def as_arrays(columns):
+    """``[hosts, times, a, b, durations]`` with each column the array
+    ``from_columns`` adopts instead of copying."""
+    return [columns[0]] + [
+        array(typecode, column) for typecode, column in zip(TYPECODES, columns[1:])
+    ]
+
+
+def test_arrays_of_the_right_typecode_are_adopted_not_copied():
+    hosts, times, a, b, durations = as_arrays(VALID)
+    trace = EncounterTrace.from_columns(hosts, times, a, b, durations)
+    assert trace.times is times and trace.durations is durations
+    assert trace.a is a and trace.b is b
+    assert list(trace) == list(EncounterTrace.from_columns(*VALID))
+
+
+@pytest.mark.parametrize(
+    "handed",
+    [
+        lambda column, typecode: list(column),
+        lambda column, typecode: iter(list(column)),
+        # An array, but not of the column's typecode.
+        lambda column, typecode: array({"d": "f", "i": "q"}[typecode], column),
+    ],
+    ids=["lists", "generators", "wrong-typecodes"],
+)
+def test_anything_else_is_copied_into_the_column_typecode(handed):
+    handed_over = [handed(column, code) for code, column in zip(TYPECODES, VALID[1:])]
+    trace = EncounterTrace.from_columns(VALID[0], *handed_over)
+    kept = (trace.times, trace.a, trace.b, trace.durations)
+    for column, code, original, values in zip(kept, TYPECODES, handed_over, VALID[1:]):
+        assert column is not original
+        assert column.typecode == code and list(column) == values
+
+
+def test_the_object_path_owns_its_columns():
+    encounters = [Encounter(1.0, "a", "b"), Encounter(2.0, "a", "c", 5.0)]
+    one, other = EncounterTrace(encounters), EncounterTrace(encounters)
+    assert one.times is not other.times and one.a is not other.a
+    assert (one.times.typecode, one.a.typecode) == ("d", "i")
+
+
+@pytest.mark.parametrize("column, value, message", MALFORMED)
+def test_adopted_columns_get_every_check(column, value, message):
+    columns = list(VALID)
+    columns[column] = value
+    with pytest.raises(ValueError, match=message):
+        EncounterTrace.from_columns(*as_arrays(columns))
+
+
+def test_adopted_columns_order_full_ties_by_duration():
+    columns = (["a", "b"], [1.0, 1.0], [0, 0], [1, 1])
+    assert len(EncounterTrace.from_columns(*as_arrays([*columns, [0.0, 5.0]]))) == 2
+    with pytest.raises(ValueError, match="order"):
+        EncounterTrace.from_columns(*as_arrays([*columns, [5.0, 0.0]]))

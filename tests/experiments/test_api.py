@@ -1,5 +1,10 @@
 """Tests for the curated ``repro.api`` facade."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import repro
 import repro.api as api
 
@@ -29,6 +34,48 @@ class TestFacade:
 
     def test_package_advertises_api(self):
         assert "api" in repro.__all__
+
+    def test_asyncio_arrives_with_the_swarm_names_not_with_the_import(self):
+        """A run that opens no socket pays for no event loop: the three
+        ``repro.net.swarm`` names resolve on first use (docs/api.md)."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro.api as api
+
+            trace = api.generate_metro_trace(
+                api.MetroConfig(seed=1, n_buses=40, n_routes=2, days=2)
+            )
+            config = api.ExperimentConfig(
+                engine="columnar", policy="epidemic",
+                n_users=10, target_messages=10, injection_days=1,
+            )
+            assert api.run_experiment(config, trace=trace).summary()["encounters"]
+            late = {"SwarmConfig", "SwarmReport", "run_swarm"}
+            assert late <= set(api.__all__) <= set(dir(api))
+            assert not late & set(vars(api))
+            assert "asyncio" not in sys.modules and "repro.net" not in sys.modules
+            api.run_swarm
+            assert "asyncio" in sys.modules
+            from repro.api import SwarmConfig, SwarmReport, run_swarm
+            import repro.net.swarm as home
+            assert (SwarmConfig, SwarmReport, run_swarm) == (
+                home.SwarmConfig, home.SwarmReport, home.run_swarm
+            )
+            try:
+                api.no_such_name
+            except AttributeError as error:
+                assert "no_such_name" in str(error)
+            else:
+                raise AssertionError("unknown names must raise AttributeError")
+            """
+        )
+        subprocess.run(
+            [sys.executable, "-c", script],
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
 
 
 class TestPolicyRegistryContract:

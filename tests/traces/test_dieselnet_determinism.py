@@ -11,8 +11,11 @@ interchange wiring).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -26,6 +29,19 @@ from repro.traces.dieselnet import (
     metro_bus_name,
     metro_route_members,
 )
+
+
+#: What every ``random()`` returns when a test forces a day's times equal.
+TIE_DRAW = 0.37
+
+
+def column_digest(trace) -> str:
+    """sha256 over the columns' bytes (native little-endian) and the hosts."""
+    sha = hashlib.sha256()
+    for column in (trace.times, trace.a, trace.b):
+        sha.update(column.tobytes())
+    sha.update("\n".join(trace.host_names).encode())
+    return sha.hexdigest()
 
 
 class TestClassicDeterminism:
@@ -208,12 +224,12 @@ class TestMetroGenerator:
 
     def test_equal_times_fall_back_to_the_row_key(self, monkeypatch):
         """A day is ordered by its times alone; only when two rows share
-        an instant do the buses decide. With every draw of ``uniform``
-        the same constant, every time in a day is equal and the rows
-        must still come out in ``(time, a, b)`` order."""
-        monkeypatch.setattr(
-            random.Random, "uniform", lambda self, low, high: 30000.0
-        )
+        an instant do the buses decide. With every draw of ``random`` the
+        same constant (the generator spells ``uniform`` as the ``random()``
+        expression it is; ``_poisson`` still terminates and ``sample``
+        draws bits), every time in a day is equal and the rows must still
+        come out in ``(time, a, b)`` order."""
+        monkeypatch.setattr(random.Random, "random", lambda self: TIE_DRAW)
         trace = generate_metro_trace(
             MetroConfig(seed=5, n_buses=60, n_routes=4, days=3)
         )
@@ -236,3 +252,133 @@ class TestMetroGenerator:
         assert rows == sorted(rows)
         late = [t for t in trace.times if t % SECONDS_PER_DAY < 6 * 3600.0]
         assert late and len(late) < len(rows)
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="digests are over native bytes")
+class TestMetroIdentity:
+    """The columns, byte for byte, as the generator of issue 23 made them
+    (whole-day index sort, ``randrange``/``uniform`` calls, columns copied
+    by ``from_columns``): recorded from that commit before the generator
+    learned to order a day a slice at a time and hand its columns over."""
+
+    PINS = {
+        # Every bus meets someone: ids already are host positions.
+        "plain": (
+            dict(seed=7, n_buses=240, n_routes=8, days=3),
+            (3325, 240),
+            "91e460d5b515fc22d0e99a08ff4249173114d0a0bfc468a57d339cc87769f321",
+        ),
+        # 22 time slices a day.
+        "many-slices": (
+            dict(seed=7, n_buses=600, n_routes=12, days=4),
+            (10935, 600),
+            "728478e09fa13f507154fbb1478d8fc3611b1c094810bd9c18c4d660a9ba6604",
+        ),
+        "past-midnight": (
+            dict(
+                seed=5, n_buses=60, n_routes=4, days=3,
+                window_start_hour=20.0, window_end_hour=30.0,
+            ),
+            (853, 60),
+            "9e55c19ed4edf33c3da63933a5c2d8561e8cbddf8827beae0efe2f6b42847b91",
+        ),
+        "two-routes": (
+            dict(seed=9, n_buses=40, n_routes=2, days=2),
+            (385, 38),
+            "93a451d5c9b620ab5ace58c137736a40006ba8159a462bfaa9d1cde16205010a",
+        ),
+        "one-route": (
+            dict(seed=9, n_buses=40, n_routes=1, days=2),
+            (343, 39),
+            "f7dfb827f27872ccb7087f86e995c33f188532f9e313b479989c3e7c93c7df7f",
+        ),
+        "disjoint": (
+            dict(seed=7, n_buses=240, n_routes=8, days=3, interchange_rate=0.0),
+            (3267, 240),
+            "96f3fa5cf7783c01d33c0fa08a5ddd0200b7e9f0515ceadad8a4251611f08fe0",
+        ),
+        # 10 of the 90 buses meet nobody: both id columns are renumbered.
+        "renumbered": (
+            dict(
+                seed=11, n_buses=90, n_routes=6, days=2,
+                meetings_per_bus_per_day=1.0, interchange_rate=2.0,
+            ),
+            (109, 80),
+            "62c76cd15d0d8e1865ecc2fd0ac4615ab35db8a3bc52390d873cd433a7c015b6",
+        ),
+        # No in-route meeting: a day is one slice.
+        "interchange-only": (
+            dict(
+                seed=5, n_buses=60, n_routes=5, days=2,
+                meetings_per_bus_per_day=0.0, interchange_rate=3.0,
+            ),
+            (35, 41),
+            "c445573a72271719c3c2018020fcd831e954ae8316dab019f3af9aa6f6c42181",
+        ),
+        "half-duty": (
+            dict(seed=7, n_buses=40, n_routes=2, days=1, duty_cycle=0.5),
+            (111, 20),
+            "6f6723b5fd8fbb762b3f7455fd8fa74656b5c89d61c71328a236a57c963c8120",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_columns_are_pinned_to_the_byte(self, name):
+        overrides, shape, digest = self.PINS[name]
+        trace = generate_metro_trace(MetroConfig(**overrides))
+        assert (len(trace), len(trace.host_names)) == shape
+        assert column_digest(trace) == digest
+
+    def test_forced_ties_are_pinned_to_the_byte(self, monkeypatch):
+        """Every time of a day equal: the row-key fallback decides all of
+        the order, whichever slices the rows were drawn into."""
+        monkeypatch.setattr(random.Random, "random", lambda self: TIE_DRAW)
+        trace = generate_metro_trace(
+            MetroConfig(seed=5, n_buses=60, n_routes=4, days=3)
+        )
+        assert (len(trace), len(trace.host_names), len(set(trace.times))) == (888, 60, 3)
+        assert column_digest(trace) == (
+            "974170daab3e877f172fc6ea9ff01547c9a9ceb7b1043a65f254a3cab0b59103"
+        )
+
+
+class TestMetroMemory:
+    def test_generating_costs_little_more_than_the_trace(self):
+        """Traced peak while generating <= 1.6 x the bytes live afterwards
+        (3.4 x before issue 24: four columns copied, a whole day's index
+        sort boxed, name tables held throughout). A reintroduced copy of
+        one column is +0.3 x."""
+        config = MetroConfig(seed=42, n_buses=5000, n_routes=100, days=3)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            gc.collect()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            trace = generate_metro_trace(config)
+            gc.collect()
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(trace) == 68778
+        assert peak - before <= 1.6 * (live - before)
+
+    def test_the_last_draw_below_one_lands_in_the_last_slice(self, monkeypatch):
+        """``int(u * slices)`` for the largest double below 1.0 is the
+        last slice's index, never one past it (an ``IndexError``)."""
+        top = 1.0 - 2.0 ** -53
+        assert top < 1.0 and all(int(top * n) == n - 1 for n in range(1, 5000))
+
+        def draw(self):
+            # ``_poisson`` multiplies draws until they fall below a
+            # threshold: it never would with draws this close to 1.
+            drawn_for = sys._getframe(1).f_code.co_name
+            return 0.5 if drawn_for == "_poisson" else top
+
+        monkeypatch.setattr(random.Random, "random", draw)
+        # 2 700 expected rows a day: 22 slices.
+        trace = generate_metro_trace(
+            MetroConfig(seed=7, n_buses=600, n_routes=12, days=2)
+        )
+        assert len(set(trace.times)) == 2 and len(trace) > 2000
