@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping
 
-from repro._compat import keyword_only_dataclass
 
 #: How a free-riding node under-serves its peers.
 #:
@@ -31,8 +30,7 @@ from repro._compat import keyword_only_dataclass
 FREE_RIDER_MODES = ("receive-only", "budget-lie")
 
 
-@keyword_only_dataclass
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ChurnConfig:
     """Knobs for node lifecycle dynamics and trust/reciprocity scoring.
 

@@ -132,7 +132,6 @@ class RunDirector:
         self.assignments = dict(assignments or {})
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.skipped_injections: List["Injection"] = []
-        self.failed_encounters = 0
         self._rng = random.Random(seed)
         self._user_location: Dict[str, str] = {}
         self._current_day_map: Mapping[str, FrozenSet[str]] = {}
@@ -206,21 +205,15 @@ class RunDirector:
 
     # -- encounters ----------------------------------------------------------------
 
-    def encounter_roles(
-        self, encounter: Encounter, failure_probability: float = 0.0
-    ) -> Optional[Tuple[str, str]]:
+    def encounter_roles(self, encounter: Encounter) -> Optional[Tuple[str, str]]:
         """``(first, second)`` — ``first`` sources the first sync — or None
-        when the encounter does not happen (counted: a failed contact in
-        ``failed_encounters``, a churn skip or refusal in the collector).
+        when the encounter does not happen (a churn skip or refusal,
+        counted in the collector).
 
-        The coin, then the failure draw, are consumed for *every* trace
-        encounter before any gate, so a skipped encounter never shifts
-        the draws of the ones after it.
+        The coin is drawn for *every* trace encounter before any gate, so
+        a skipped encounter never shifts the draws of the ones after it.
         """
         order = self._rng.random() < 0.5
-        if failure_probability > 0.0 and self._rng.random() < failure_probability:
-            self.failed_encounters += 1
-            return None
         a, b = encounter.a, encounter.b
         if self.lifecycle is not None:
             if not (self.lifecycle.online(a) and self.lifecycle.online(b)):

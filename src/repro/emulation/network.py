@@ -88,8 +88,6 @@ class Emulator:
         injections: Sequence[Injection] = (),
         assignments: Optional[AssignmentSchedule] = None,
         bandwidth_limit: Optional[int] = None,
-        messages_per_second: Optional[float] = None,
-        sync_failure_probability: float = 0.0,
         seed: int = 0,
         metrics: Optional[MetricsCollector] = None,
         faults: Optional[FaultConfig] = None,
@@ -99,14 +97,6 @@ class Emulator:
     ) -> None:
         """Realism knobs beyond the paper's Figure 9/10 limits:
 
-        * ``messages_per_second`` derives a per-encounter transfer budget
-          from the encounter's radio-contact ``duration`` (encounters
-          without a recorded duration stay unlimited); it composes with
-          ``bandwidth_limit`` by taking the tighter of the two.
-        * ``sync_failure_probability`` drops whole encounters at random
-          (the radio contact happened but no sync completed), seeded and
-          deterministic. The substrate's crash-safety makes this purely a
-          performance effect, never a correctness one.
         * ``faults`` + ``fault_seed`` arm the :mod:`repro.faults`
           subsystem: encounter drops, mid-batch truncation, duplicated
           delivery, crash-restarts, and the adversarial channel models
@@ -124,16 +114,11 @@ class Emulator:
           ``churn_schedule`` to reuse an already-derived one); arming
           churn consumes none of the base experiment's random draws.
         """
-        if not 0.0 <= sync_failure_probability <= 1.0:
-            raise ValueError("sync_failure_probability must be in [0, 1]")
-        if messages_per_second is not None and messages_per_second <= 0:
-            raise ValueError("messages_per_second must be positive")
         self.trace = trace
         self.nodes: Dict[str, EmulatedNode] = dict(nodes)
         self.injections = list(injections)
         self.bandwidth_limit = bandwidth_limit
-        self.messages_per_second = messages_per_second
-        self.sync_failure_probability = sync_failure_probability
+        self._session_config = SessionConfig(max_items=bandwidth_limit)
         self.churn = churn if churn is not None and churn.enabled else None
         self.churn_schedule = None
         if self.churn is not None:
@@ -238,21 +223,8 @@ class Emulator:
                 self.count_copies(message.message_id),
             )
 
-    def _encounter_budget(self, encounter: Encounter) -> Optional[int]:
-        """The transfer budget for one encounter: the tighter of the flat
-        Figure 9 cap and the duration-derived capacity."""
-        budget = self.bandwidth_limit
-        if self.messages_per_second is not None and encounter.duration > 0:
-            by_duration = max(
-                1, int(encounter.duration * self.messages_per_second)
-            )
-            budget = by_duration if budget is None else min(budget, by_duration)
-        return budget
-
     def _run_encounter(self, encounter: Encounter) -> None:
-        roles = self.director.encounter_roles(
-            encounter, self.sync_failure_probability
-        )
+        roles = self.director.encounter_roles(encounter)
         if roles is None:
             return
         # The fault gates come after the director's: a faulty channel is
@@ -267,7 +239,6 @@ class Emulator:
                 self.metrics.record_quarantine_skip()
                 return
             if injector.should_drop_encounter(encounter.a, encounter.b):
-                self.director.failed_encounters += 1
                 self.metrics.record_dropped_encounter()
                 return
         first, second = self.nodes[roles[0]], self.nodes[roles[1]]
@@ -287,9 +258,7 @@ class Emulator:
                 first=first.endpoint,
                 second=second.endpoint,
                 now=now,
-                config=SessionConfig(
-                    max_items=self._encounter_budget(encounter)
-                ),
+                config=self._session_config,
                 transport_factory=transport_factory,
             ).run()
         self.director.book_encounter(encounter.a, encounter.b, stats, now)
@@ -412,7 +381,7 @@ class Emulator:
     @property
     def failed_encounters(self) -> int:
         """Encounters whose contact happened but no sync completed."""
-        return self.director.failed_encounters
+        return self.metrics.dropped_encounters
 
     # -- orchestration -----------------------------------------------------------------------
 

@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
-from repro._compat import keyword_only_dataclass
 from repro.churn.config import ChurnConfig
 from repro.faults import FaultConfig
 
@@ -38,8 +37,7 @@ def configured_scale() -> float:
     return value
 
 
-@keyword_only_dataclass
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Full description of one emulation run.
 

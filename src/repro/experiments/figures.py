@@ -1,8 +1,8 @@
 """Per-figure reproduction harnesses.
 
 Each ``figure_N`` function runs the emulations behind one figure of the
-paper's evaluation section and returns structured series data; the
-``benchmarks/`` suite calls these and prints paper-style rows (see
+paper's evaluation section and returns structured series data;
+``tests/paper`` and ``repro figure`` render them as paper-style rows (see
 :mod:`repro.experiments.report` for the renderer).
 
 Runs are cached per (config, trace-identity) inside the process: Figures 7

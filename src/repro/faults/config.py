@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping, Optional
 
-from repro._compat import keyword_only_dataclass
 
 #: Truncation budgets may be expressed in batch entries or in wire bytes.
 TRUNCATION_UNITS = ("items", "bytes")
@@ -29,8 +28,7 @@ TRUNCATION_UNITS = ("items", "bytes")
 RNG_STREAM_MODES = ("shared", "per-link")
 
 
-@keyword_only_dataclass
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FaultConfig:
     """Knobs for every fault model plus the retry/backoff policy.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.replication.ids import ReplicaId
@@ -65,19 +65,6 @@ class FaultCounters:
     def note(self, counter: str, amount: int = 1) -> None:
         """Increment one counter by name (the transport's callback)."""
         setattr(self, counter, getattr(self, counter) + amount)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "dropped_encounters": self.dropped_encounters,
-            "backoff_skips": self.backoff_skips,
-            "interrupted_syncs": self.interrupted_syncs,
-            "resumed_pairs": self.resumed_pairs,
-            "crashes": self.crashes,
-            "corrupted_entries": self.corrupted_entries,
-            "malformed_entries": self.malformed_entries,
-            "replayed_entries": self.replayed_entries,
-            "fabricated_requests": self.fabricated_requests,
-        }
 
 
 @dataclass

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from resource import RUSAGE_SELF, getrusage
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro._compat import keyword_only_dataclass
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parity import replica_fixed_point
 from repro.experiments.report import run_summary_document
@@ -71,8 +70,7 @@ from .connection import (
 PROTOCOL_VERSION = 1
 
 
-@keyword_only_dataclass
-@dataclass
+@dataclass(kw_only=True)
 class ServeConfig:
     """Configuration of one ``repro serve`` daemon."""
 
@@ -110,14 +108,9 @@ class ServeConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServeConfig":
-        return cls(
-            node=data["node"],
-            listen=data["listen"],
-            experiment=ExperimentConfig.from_dict(data["experiment"]),
-            state_dir=data.get("state_dir"),
-            read_timeout=data.get("read_timeout", DEFAULT_READ_TIMEOUT),
-            amnesiac=bool(data.get("amnesiac", False)),
-        )
+        payload = dict(data)
+        payload["experiment"] = ExperimentConfig.from_dict(payload["experiment"])
+        return cls(**payload)
 
 
 def _protocol_mismatch(hello: Dict[str, Any]) -> str:

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 import repro
-from repro._compat import keyword_only_dataclass
 from repro.churn import LifecycleEvent
 from repro.emulation.encounters import Encounter
 from repro.emulation.engine import (
@@ -74,8 +73,7 @@ from .server import PROTOCOL_VERSION
 DEFAULT_BASE_PORT = 42640
 
 
-@keyword_only_dataclass
-@dataclass
+@dataclass(kw_only=True)
 class SwarmConfig:
     """Configuration of one live swarm run."""
 
@@ -440,8 +438,7 @@ class _Swarm:
     async def _run_encounter(self, encounter: Encounter, now: float) -> None:
         roles = self.director.encounter_roles(encounter)
         if roles is not None:
-            # Every config-built emulator's per-encounter budget is the
-            # flat Figure 9 cap (no config reaches the duration-derived one).
+            # The per-encounter budget is the flat Figure 9 cap.
             await self._encounter(
                 *roles, now, self.config.experiment.bandwidth_limit
             )

@@ -35,8 +35,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from repro._compat import DATACLASS_SLOTS
-
 from .items import CHECKSUM_MEMO_ATTRIBUTE, Item
 
 #: Violation kinds, as they appear in metrics and logs.
@@ -134,7 +132,7 @@ def frame_checksum(entry_checksums: Iterable[str]) -> str:
     return hashlib.sha256(joined).hexdigest()[:_DIGEST_LENGTH]
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class ProtocolViolation:
     """One detected act of peer misbehaviour, as seen by one replica.
 

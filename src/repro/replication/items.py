@@ -18,9 +18,8 @@ explicit :meth:`Item.with_local` so policies can adjust per-copy state
 without version churn, mirroring Cimbiosys's internal no-new-version update
 interface that the paper relies on for Spray and Wait.
 
-A stored copy is one small ``Item`` shell (slotted where the interpreter
-allows) around shared parts: ids, payload and ``attributes`` are the author's
-objects, and ``local_attributes`` is *the* mapping :func:`per_copy_state`
+A stored copy is one small slotted ``Item`` shell around shared parts: ids,
+payload and ``attributes`` are the author's objects, and ``local_attributes`` is *the* mapping :func:`per_copy_state`
 keeps for that state (every copy whose TTL is 7 holds one
 ``{"epidemic.ttl": 7}``). That is safe: both mappings refuse every mutating
 method, and one handed in from outside is copied before an item binds it.
@@ -31,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any, Mapping
-
-from repro._compat import DATACLASS_SLOTS
 
 from .ids import ItemId, Version
 
@@ -105,7 +102,7 @@ class _Memos:
     __slots__ = (CHECKSUM_MEMO_ATTRIBUTE, WIRE_SIZE_MEMO_ATTRIBUTE)
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class Item(_Memos):
     """One version of one replicated item.
 

@@ -114,10 +114,6 @@ class Replica:
                 else:
                     self._relay.put(item)
 
-    def set_relay_capacity(self, capacity: Optional[int]) -> None:
-        """Adjust the relay-store cap (Figure 10's storage constraint)."""
-        self._relay.capacity = capacity
-
     def register_observer(self, observer: ReplicaObserver) -> None:
         self.observers.register(observer)
 

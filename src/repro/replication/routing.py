@@ -27,8 +27,6 @@ from enum import IntEnum
 from functools import total_ordering
 from typing import Any, Optional
 
-from repro._compat import DATACLASS_SLOTS
-
 from .filters import Filter
 from .ids import ReplicaId
 from .items import Item
@@ -52,7 +50,7 @@ class PriorityClass(IntEnum):
 
 
 @total_ordering
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class Priority:
     """A transmission priority: a class band plus a real-valued cost tiebreak.
 

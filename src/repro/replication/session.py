@@ -30,7 +30,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
-from repro._compat import keyword_only_dataclass
 
 from .errors import SyncProtocolError
 from .ids import ReplicaId
@@ -73,8 +72,7 @@ class Transport(Protocol):
         ...
 
 
-@keyword_only_dataclass
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SessionConfig:
     """The protocol knob of one sync/encounter session.
 
@@ -95,7 +93,7 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionConfig":
-        return cls(max_items=data.get("max_items"))
+        return cls(**data)
 
 
 class SyncSession:

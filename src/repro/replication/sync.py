@@ -36,8 +36,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro._compat import DATACLASS_SLOTS
-
 from .errors import PolicyError
 from .filters import Filter
 from .ids import ReplicaId
@@ -84,7 +82,7 @@ class SyncRequest:
     routing_state: Any = None
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class BatchEntry:
     """One item scheduled for transmission, with its priority.
 

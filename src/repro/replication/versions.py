@@ -22,11 +22,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
-from repro._compat import DATACLASS_SLOTS
-
 from .ids import ReplicaId, Version
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class _Entry:
     """Knowledge about one authoring replica: prefix + extras.
 

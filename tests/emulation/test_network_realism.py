@@ -1,4 +1,4 @@
-"""Tests for the emulator's realism knobs: durations and sync failures."""
+"""Tests for the emulator's realism: encounter durations and dropped syncs."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from repro.dtn import DirectDeliveryPolicy, EpidemicPolicy
 from repro.emulation.encounters import Encounter, EncounterTrace
 from repro.emulation.network import Emulator, Injection
 from repro.emulation.node import EmulatedNode
+from repro.faults import FaultConfig
 
 
 def nodes_for(names, policy=DirectDeliveryPolicy):
@@ -24,20 +25,6 @@ class TestEncounterDurations:
         with pytest.raises(ValueError):
             Encounter(10.0, "a", "b", duration=-1.0)
 
-    def test_duration_derives_transfer_budget(self):
-        # 2-second contact at 1 msg/s → 2 messages max.
-        trace = EncounterTrace([Encounter(hour(12), "a", "b", duration=2.0)])
-        emulator = Emulator(
-            trace,
-            nodes_for(["a", "b"]),
-            injections=[
-                Injection(hour(9) + i, "a", "b", f"m{i}") for i in range(5)
-            ],
-            messages_per_second=1.0,
-        )
-        metrics = emulator.run()
-        assert metrics.delivered == 2
-
     def test_zero_duration_means_unlimited(self):
         trace = EncounterTrace([Encounter(hour(12), "a", "b")])
         emulator = Emulator(
@@ -46,37 +33,8 @@ class TestEncounterDurations:
             injections=[
                 Injection(hour(9) + i, "a", "b", f"m{i}") for i in range(5)
             ],
-            messages_per_second=1.0,
         )
         assert emulator.run().delivered == 5
-
-    def test_flat_cap_composes_with_duration(self):
-        trace = EncounterTrace([Encounter(hour(12), "a", "b", duration=100.0)])
-        emulator = Emulator(
-            trace,
-            nodes_for(["a", "b"]),
-            injections=[
-                Injection(hour(9) + i, "a", "b", f"m{i}") for i in range(5)
-            ],
-            messages_per_second=1.0,
-            bandwidth_limit=1,  # tighter than the 100 msgs by duration
-        )
-        assert emulator.run().delivered == 1
-
-    def test_minimum_one_message_for_tiny_contacts(self):
-        trace = EncounterTrace([Encounter(hour(12), "a", "b", duration=0.01)])
-        emulator = Emulator(
-            trace,
-            nodes_for(["a", "b"]),
-            injections=[Injection(hour(9), "a", "b", "m")],
-            messages_per_second=1.0,
-        )
-        assert emulator.run().delivered == 1
-
-    def test_invalid_rate_rejected(self):
-        trace = EncounterTrace([Encounter(hour(12), "a", "b")])
-        with pytest.raises(ValueError):
-            Emulator(trace, nodes_for(["a", "b"]), messages_per_second=0.0)
 
 
 class TestSyncFailures:
@@ -88,8 +46,8 @@ class TestSyncFailures:
             trace,
             nodes_for(["a", "b"], EpidemicPolicy),
             injections=[Injection(hour(8), "a", "b", "m")],
-            sync_failure_probability=probability,
-            seed=seed,
+            faults=FaultConfig(encounter_drop_probability=probability),
+            fault_seed=seed,
         )
 
     def test_probability_validated(self):

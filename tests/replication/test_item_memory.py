@@ -15,7 +15,6 @@ import gc
 import json
 import pickle
 import random
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -45,9 +44,6 @@ from repro.replication.items import (
     per_copy_state,
 )
 from tests.conftest import make_item
-
-SLOTTED = sys.version_info >= (3, 10)
-
 
 def memos_of(item):
     return (
@@ -365,7 +361,6 @@ class TestWhatAStoredCopyCosts:
         assert checksum_computations() - before == 2  # memoised once, spec once
         assert forged.local_attributes is item.local_attributes
 
-    @pytest.mark.skipif(not SLOTTED, reason="dataclass slots need 3.10")
     def test_an_item_has_no_dict(self):
         item = make_item()
         assert not hasattr(item, "__dict__")

@@ -12,7 +12,6 @@ bearing for reproducibility (the evaluation figures must not move):
 """
 
 import random
-import sys
 from typing import Optional
 
 import pytest
@@ -158,9 +157,6 @@ class TestKnowledgeSizeIsARead:
         assert left.replica.knowledge == right.replica.knowledge
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 10), reason="dataclass slots need Python 3.10+"
-)
 class TestSlottedHotPathTypes:
     def test_batch_entry_and_priority_have_no_dict(self):
         entry = BatchEntry(make_item(), True, Priority(PriorityClass.NORMAL))
