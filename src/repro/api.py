@@ -54,8 +54,7 @@ Groups:
   asyncio and ssl (5 MB), which a run that opens no socket never needs.
 * **Columnar engine** — select with ``ExperimentConfig(engine="columnar")``;
   :exc:`ColumnarUnsupportedError` and :func:`columnar_unsupported_reason`
-  report configs outside the verified subset, :func:`run_columnar_sharded`
-  partitions a run across worker processes, :func:`comparable_metrics`
+  report configs outside the verified subset, :func:`comparable_metrics`
   is the engine-equivalence view of a metrics dict, and
   :class:`MetroConfig` / :func:`generate_metro_trace` build the
   city-scale metro-DieselNet traces it is benchmarked on (see
@@ -75,7 +74,6 @@ from repro.emulation.columnar import (
     ColumnarUnsupportedError,
     columnar_unsupported_reason,
     comparable_metrics,
-    run_columnar_sharded,
 )
 from repro.emulation.metrics import MessageRecord, MetricsCollector
 from repro.experiments.config import ExperimentConfig, configured_scale
@@ -161,7 +159,6 @@ __all__ = [
     "get_policy",
     "register_policy",
     "replica_fixed_point",
-    "run_columnar_sharded",
     "run_experiment",
     "run_id_for",
     "run_swarm",

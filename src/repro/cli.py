@@ -7,8 +7,7 @@ Usage (installed as ``python -m repro``):
                         [--fault-duplication P] [--fault-crash P]
                         [--fault-corruption P] [--fault-replay P]
                         [--fault-fabrication P] [--fault-malformed P]
-                        [--fault-seed N] [--fault-rng-streams MODE]
-                        [--json PATH]
+                        [--fault-seed N] [--json PATH]
     python -m repro serve --node NAME --listen ADDR --config PATH
                           [--state-dir DIR] [--read-timeout S] [--amnesiac]
     python -m repro swarm [SCENARIO] [--transport unix|tcp] [--base-port N]
@@ -192,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--fault-seed", type=int, default=23,
         help="seed for the fault injector's RNG (default 23)",
-    )
-    faults.add_argument(
-        "--fault-rng-streams", choices=("shared", "per-link"),
-        default="shared",
-        help="'per-link' derives an independent child RNG per node pair "
-             "(required for sharded columnar runs with faults)",
     )
     _add_churn_arguments(run)
     run.add_argument(
@@ -398,9 +391,7 @@ def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
     }
     if all(value == 0.0 for value in knobs.values()):
         return None
-    return FaultConfig(
-        **knobs, rng_streams=getattr(args, "fault_rng_streams", "shared")
-    )
+    return FaultConfig(**knobs)
 
 
 def _churn_config(args: argparse.Namespace) -> Optional[ChurnConfig]:

@@ -43,20 +43,6 @@ serialize): ``metadata_bytes`` stays zero.
 Unsupported configurations raise :class:`ColumnarUnsupportedError`
 rather than silently diverging; the object engine remains the path for
 user addressing, storage limits, and the adversarial fault models.
-
-Sharding: :func:`run_columnar_sharded` partitions the world by
-connected components of the encounter graph (union-find), precomputes
-the encounter-order coin flips so every shard consumes exactly the
-draws it would have seen in a global run, ships the trace columns to
-workers through ``multiprocessing.shared_memory``, and merges the
-per-shard :class:`~repro.emulation.metrics.MetricsCollector` results
-deterministically.  Because items never cross shard boundaries (shards
-are unions of trace components), the merged result is identical to an
-unsharded run.  In the default ``rng_streams="shared"`` mode fault
-injection draws from one global rng stream, so the sharded path then
-requires ``faults=None``; ``rng_streams="per-link"`` gives every host
-pair its own seeded child stream, making armed transport faults safe to
-shard (a pair never crosses a component).
 """
 
 from __future__ import annotations
@@ -64,12 +50,10 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import fields
 from typing import (
     Any,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -100,11 +84,7 @@ __all__ = [
     "UNREPLICATED_COUNTERS",
     "columnar_unsupported_reason",
     "comparable_metrics",
-    "merge_metrics",
-    "plan_shards",
     "run_columnar",
-    "run_columnar_sharded",
-    "trace_components",
 ]
 
 
@@ -212,7 +192,6 @@ class ColumnarWorld:
         faults: Optional[FaultConfig] = None,
         fault_seed: int = 0,
         seed: int = 0,
-        order_draws: Optional[Sequence[int]] = None,
     ) -> None:
         self.trace = trace
         self.hosts: Tuple[str, ...] = trace.host_names
@@ -243,16 +222,11 @@ class ColumnarWorld:
         self.bandwidth_limit = bandwidth_limit
         self._rng = random.Random(seed)
         # One order coin per trace encounter, in trace order, whether or
-        # not the encounter can move anything; a shard is handed the
-        # coins a global run would have drawn for its encounters.
-        self._orders: Iterator[Any] = (
-            iter(order_draws)
-            if order_draws is not None
-            else map((0.5).__gt__, iter(self._rng.random, None))
+        # not the encounter can move anything.
+        self._orders: Iterator[bool] = map(
+            (0.5).__gt__, iter(self._rng.random, None)
         )
         self._injections = sorted(injections, key=lambda inj: inj.time)
-        self.skipped_injections: List[Injection] = []
-        self.failed_encounters = 0
 
         self._injector: Optional[FaultInjector] = (
             FaultInjector(faults, seed=fault_seed)
@@ -353,8 +327,7 @@ class ColumnarWorld:
         nid = self._host_id.get(injection.source)
         if nid is None:
             # Bus-addressed workloads always name a node; mirror the
-            # object engine's record-rather-than-crash behaviour.
-            self.skipped_injections.append(injection)
+            # object engine's skip-rather-than-crash behaviour.
             return
         bus = self._buses[nid]
         if bus is None:
@@ -396,8 +369,7 @@ class ColumnarWorld:
             if not injector.encounter_allowed(name_a, name_b, now):
                 self.metrics.record_backoff_skip()
                 return
-            if injector.should_drop_encounter(name_a, name_b):
-                self.failed_encounters += 1
+            if injector.should_drop_encounter():
                 self.metrics.record_dropped_encounter()
                 return
         first, second = (ai, bi) if order else (bi, ai)
@@ -515,7 +487,7 @@ class ColumnarWorld:
         if self._transport_armed and batch:
             injector = self._injector
             assert injector is not None
-            rng = injector.rng_for(self.hosts[src], self.hosts[tgt])
+            rng = injector.rng
             truncation = injector._truncation
             if truncation is not None:
                 cut = truncation.plan_cut([1] * sent_total, rng)
@@ -715,319 +687,3 @@ def comparable_metrics(metrics: MetricsCollector) -> Dict[str, Any]:
         data.pop(key, None)
     return data
 
-
-# -- sharding --------------------------------------------------------------
-
-
-def trace_components(trace: EncounterTrace) -> List[List[int]]:
-    """Connected components of the encounter graph (union-find).
-
-    Returns lists of host ids (positions in ``trace.host_names``).
-    Items can only travel within a component, so components are the
-    safe unit of parallel partitioning.
-    """
-    n = len(trace.host_names)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in zip(trace.a, trace.b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: Dict[int, List[int]] = {}
-    for host in range(n):
-        groups.setdefault(find(host), []).append(host)
-    return sorted(groups.values())
-
-
-def plan_shards(
-    trace: EncounterTrace, shards: int
-) -> List[Tuple[List[int], int]]:
-    """Pack trace components into ≤ ``shards`` balanced shards.
-
-    Returns ``[(host_ids, encounter_count), ...]``; balancing greedily
-    assigns the heaviest components (by encounter count) first.
-    """
-    components = trace_components(trace)
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    enc_per_host: Dict[int, int] = {}
-    for a, b in zip(trace.a, trace.b):
-        enc_per_host[a] = enc_per_host.get(a, 0) + 1
-        enc_per_host[b] = enc_per_host.get(b, 0) + 1
-    weighted = sorted(
-        (
-            (sum(enc_per_host.get(h, 0) for h in comp), comp)
-            for comp in components
-        ),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    n_shards = min(shards, len(components))
-    bins: List[Tuple[List[int], int]] = [([], 0) for _ in range(n_shards)]
-    for weight, comp in weighted:
-        lightest = min(range(n_shards), key=lambda i: bins[i][1])
-        hosts, total = bins[lightest]
-        hosts.extend(comp)
-        bins[lightest] = (hosts, total + weight)
-    return [(sorted(hosts), total // 2) for hosts, total in bins if hosts]
-
-
-#: Every ``int`` field of the collector is a counter that sums across
-#: shards; derived, so a counter added later cannot be left out.
-_SUMMED_COUNTERS: Tuple[str, ...] = tuple(
-    spec.name for spec in fields(MetricsCollector) if type(spec.default) is int
-)
-
-
-def merge_metrics(parts: Iterable[MetricsCollector]) -> MetricsCollector:
-    """Deterministically merge per-shard collectors (disjoint records)."""
-    merged = MetricsCollector()
-    for part in parts:
-        for message_id, record in part.records.items():
-            if message_id in merged.records:
-                raise ValueError(
-                    f"shards overlap on message {message_id}"
-                )
-            merged.records[message_id] = record
-        merged.end_time = max(merged.end_time, part.end_time)
-        for name in _SUMMED_COUNTERS:
-            setattr(merged, name, getattr(merged, name) + getattr(part, name))
-        for kind, count in part.protocol_violations.items():
-            merged.protocol_violations[kind] = (
-                merged.protocol_violations.get(kind, 0) + count
-            )
-        for label, count in part.peer_health_transitions.items():
-            merged.peer_health_transitions[label] = (
-                merged.peer_health_transitions.get(label, 0) + count
-            )
-    return merged
-
-
-#: Shard ids cross to the workers as one byte per encounter.
-_MAX_SHARDS = 256
-
-
-def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one shard inside a worker process (spawn-safe, module level)."""
-    from multiprocessing import shared_memory
-
-    # Workers are spawned by the pool, so they share the parent's
-    # resource tracker: attaching here neither re-registers nor unlinks
-    # the segment — the parent alone owns cleanup.
-    shm = shared_memory.SharedMemory(name=payload["shm"])
-    try:
-        n_enc = payload["n_enc"]
-        buf = shm.buf
-        off_times, off_a, off_b, off_order, off_shard = payload["offsets"]
-        times = buf[off_times : off_times + 8 * n_enc].cast("d")
-        enc_a = buf[off_a : off_a + 4 * n_enc].cast("i")
-        enc_b = buf[off_b : off_b + 4 * n_enc].cast("i")
-        order = buf[off_order : off_order + n_enc]
-        shard_of = buf[off_shard : off_shard + n_enc]
-        shard_id = payload["shard_id"]
-        global_hosts = payload["global_hosts"]
-        host_ids = payload["host_ids"]
-        local_of = {g: l for l, g in enumerate(host_ids)}
-        hosts = tuple(global_hosts[g] for g in host_ids)
-
-        l_times = array("d")
-        l_a = array("i")
-        l_b = array("i")
-        l_order = array("b")
-        for k in range(n_enc):
-            if shard_of[k] != shard_id:
-                continue
-            l_times.append(times[k])
-            l_a.append(local_of[enc_a[k]])
-            l_b.append(local_of[enc_b[k]])
-            l_order.append(order[k])
-        del times, enc_a, enc_b, order, shard_of, buf
-    finally:
-        shm.close()
-
-    injections = [Injection(*tup) for tup in payload["injections"]]
-    relay_sets = {
-        host: frozenset(addresses)
-        for host, addresses in payload["relay_sets"].items()
-    }
-    faults_payload = payload.get("faults")
-    world = ColumnarWorld(
-        EncounterTrace.from_columns(
-            hosts, l_times, l_a, l_b, array("d", bytes(8) * len(l_times))
-        ),
-        injections,
-        policy=payload["policy"],
-        policy_parameters=payload["policy_parameters"],
-        relay_sets=relay_sets,
-        bandwidth_limit=payload["bandwidth_limit"],
-        faults=(
-            FaultConfig.from_dict(faults_payload)
-            if faults_payload is not None
-            else None
-        ),
-        fault_seed=payload.get("fault_seed", 0),
-        seed=0,
-        order_draws=l_order,
-    )
-    metrics = world.run(end_time=payload["end_time"])
-    return {
-        "metrics": metrics.to_dict(),
-        "skipped": len(world.skipped_injections),
-        "knowledge": None,
-    }
-
-
-def run_columnar_sharded(
-    config: Any,
-    trace: Optional[EncounterTrace] = None,
-    model: Optional[Any] = None,
-    extra_days: int = 0,
-    shards: int = 2,
-) -> Tuple[MetricsCollector, Dict[str, float]]:
-    """Run ``config`` partitioned across worker processes.
-
-    Shards are unions of encounter-graph components, the trace columns
-    travel via shared memory, and the encounter-order coin flips are
-    precomputed in global trace order so each shard consumes exactly
-    the draws a global run would have given it.  Armed faults require
-    ``FaultConfig(rng_streams="per-link")``: every fault decision then
-    draws from a per-host-pair child stream, and since a pair never
-    crosses a component (hence never a shard), each worker makes
-    exactly the draws a global run would.  The default "shared" mode
-    keeps one global injector stream, which cannot be split.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context, shared_memory
-
-    from repro.experiments.scenario import build_inputs
-
-    reason = columnar_unsupported_reason(config)
-    if reason is not None:
-        raise ColumnarUnsupportedError(reason)
-    if (
-        config.faults is not None
-        and config.faults.enabled
-        and config.faults.rng_streams != "per-link"
-    ):
-        raise ColumnarUnsupportedError(
-            "sharded columnar runs with faults require "
-            'FaultConfig(rng_streams="per-link") — the default shared '
-            "injector stream cannot be split across workers"
-        )
-    inputs = build_inputs(config, trace, model)
-    trace, injections, relay_sets = (
-        inputs.trace, inputs.injections, inputs.relay_sets
-    )
-    trace_summary = trace.summary()
-    n_enc = len(trace)
-    plan = plan_shards(trace, shards)
-    if len(plan) > _MAX_SHARDS:
-        raise ValueError(
-            f"at most {_MAX_SHARDS} shards (an encounter's shard id travels "
-            f"as one byte); the plan has {len(plan)}"
-        )
-    if len(plan) <= 1:
-        # One connected component: nothing to partition.
-        return _world(config, inputs).run(extra_days=extra_days), trace_summary
-
-    # Precompute per-encounter order draws in global order.
-    rng = random.Random(config.encounter_order_seed)
-    order = bytearray(n_enc)
-    for k in range(n_enc):
-        if rng.random() < 0.5:
-            order[k] = 1
-
-    # Shard membership per encounter (every encounter stays inside one
-    # component, hence one shard).
-    shard_of_host: Dict[int, int] = {}
-    for sid, (host_ids, _weight) in enumerate(plan):
-        for h in host_ids:
-            shard_of_host[h] = sid
-    shard_of = bytearray(n_enc)
-    for k in range(n_enc):
-        shard_of[k] = shard_of_host[trace.a[k]]
-
-    end_time = run_end_time(trace, extra_days=extra_days)
-
-    # Pack the shared columns: times | a | b | order | shard_of.
-    times_b = trace.times.tobytes()
-    a_b = trace.a.tobytes()
-    b_b = trace.b.tobytes()
-    offsets = []
-    total = 0
-    for blob in (times_b, a_b, b_b, bytes(order), bytes(shard_of)):
-        offsets.append(total)
-        total += len(blob)
-    shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-    try:
-        cursor = 0
-        for blob in (times_b, a_b, b_b, bytes(order), bytes(shard_of)):
-            shm.buf[cursor : cursor + len(blob)] = blob
-            cursor += len(blob)
-
-        host_name_to_shard = {
-            trace.host_names[h]: sid
-            for sid, (host_ids, _weight) in enumerate(plan)
-            for h in host_ids
-        }
-        shard_injections: List[List[Tuple[float, str, str, Any]]] = [
-            [] for _ in plan
-        ]
-        skipped = 0
-        for inj in injections:
-            sid = host_name_to_shard.get(inj.source)
-            if sid is None:
-                skipped += 1
-                continue
-            shard_injections[sid].append(
-                (inj.time, inj.source, inj.destination, inj.body)
-            )
-        payloads = []
-        for sid, (host_ids, _weight) in enumerate(plan):
-            payloads.append(
-                {
-                    "shm": shm.name,
-                    "n_enc": n_enc,
-                    "offsets": offsets,
-                    "shard_id": sid,
-                    "global_hosts": trace.host_names,
-                    "host_ids": host_ids,
-                    "injections": shard_injections[sid],
-                    "relay_sets": {
-                        trace.host_names[h]: sorted(
-                            relay_sets.get(trace.host_names[h], frozenset())
-                        )
-                        for h in host_ids
-                    },
-                    "policy": config.policy,
-                    "policy_parameters": dict(config.policy_parameters),
-                    "bandwidth_limit": config.bandwidth_limit,
-                    "faults": (
-                        config.faults.to_dict()
-                        if config.faults is not None and config.faults.enabled
-                        else None
-                    ),
-                    "fault_seed": config.fault_seed,
-                    "end_time": end_time,
-                }
-            )
-        context = get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=len(payloads), mp_context=context
-        ) as pool:
-            results = list(pool.map(_shard_worker, payloads))
-    finally:
-        shm.close()
-        shm.unlink()
-
-    parts = [MetricsCollector.from_dict(r["metrics"]) for r in results]
-    merged = merge_metrics(parts)
-    merged.end_time = end_time
-    return merged, trace_summary

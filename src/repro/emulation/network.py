@@ -238,7 +238,7 @@ class Emulator:
             if not self._peers_willing(encounter.a, encounter.b, now):
                 self.metrics.record_quarantine_skip()
                 return
-            if injector.should_drop_encounter(encounter.a, encounter.b):
+            if injector.should_drop_encounter():
                 self.metrics.record_dropped_encounter()
                 return
         first, second = self.nodes[roles[0]], self.nodes[roles[1]]

@@ -22,11 +22,6 @@ from typing import Any, Dict, Mapping, Optional
 #: Truncation budgets may be expressed in batch entries or in wire bytes.
 TRUNCATION_UNITS = ("items", "bytes")
 
-#: How the injector organises its randomness: one global stream (the
-#: original layout, byte-compatible with every pre-existing run) or one
-#: seeded child stream per host pair (splittable across shard workers).
-RNG_STREAM_MODES = ("shared", "per-link")
-
 
 @dataclass(frozen=True, kw_only=True)
 class FaultConfig:
@@ -96,12 +91,6 @@ class FaultConfig:
     quarantine_backoff_max: float = 3600.0
     quarantine_jitter: float = 0.1
     recovery_probes: int = 2
-    # RNG organisation: "shared" draws every fault decision from one
-    # global stream (byte-identical to all pre-existing runs); "per-link"
-    # derives a seeded child stream per host pair, so a run partitioned
-    # across shard workers makes exactly the draws a global run would —
-    # the mode that unlocks transport faults on sharded columnar runs.
-    rng_streams: str = "shared"
 
     def __post_init__(self) -> None:
         for name in (
@@ -150,11 +139,6 @@ class FaultConfig:
             raise ValueError("quarantine_jitter must be in [0, 1)")
         if self.recovery_probes < 1:
             raise ValueError("recovery_probes must be >= 1")
-        if self.rng_streams not in RNG_STREAM_MODES:
-            raise ValueError(
-                f"rng_streams must be one of {RNG_STREAM_MODES}, "
-                f"got {self.rng_streams!r}"
-            )
 
     @property
     def enabled(self) -> bool:
@@ -205,16 +189,8 @@ class FaultConfig:
     # -- serialization (the repro.api round-trip contract) ------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict; ``from_dict(to_dict())`` reconstructs exactly.
-
-        ``rng_streams`` is omitted at its default ("shared") so the
-        serialized form — and therefore every content-addressed run id
-        derived from it — is unchanged for configs predating the knob.
-        """
-        data = asdict(self)
-        if data.get("rng_streams") == "shared":
-            del data["rng_streams"]
-        return data
+        """A JSON-safe dict; ``from_dict(to_dict())`` reconstructs exactly."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultConfig":

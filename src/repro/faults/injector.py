@@ -21,11 +21,11 @@ Decision points, in the order the emulation consults them per encounter:
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.replication.ids import ReplicaId
+from repro.replication.peer_health import capped_backoff
 
 from .config import FaultConfig
 from .models import (
@@ -101,8 +101,9 @@ class ResumeTracker:
     def record_interruption(self, pair: Pair, now: float) -> RetryState:
         state = self._pending.setdefault(pair, RetryState())
         state.attempts += 1
-        delay = min(self.base * self.factor ** (state.attempts - 1), self.maximum)
-        state.next_attempt = now + delay
+        state.next_attempt = now + capped_backoff(
+            self.base, self.factor, state.attempts - 1, self.maximum
+        )
         return state
 
     def record_completion(self, pair: Pair) -> bool:
@@ -122,10 +123,7 @@ class FaultInjector:
 
     def __init__(self, config: FaultConfig, seed: int = 0) -> None:
         self.config = config
-        self.seed = seed
         self.rng = random.Random(seed)
-        self._per_link = getattr(config, "rng_streams", "shared") == "per-link"
-        self._link_rngs: Dict[Pair, random.Random] = {}
         self.counters = FaultCounters()
         self.tracker = ResumeTracker(
             base=config.retry_backoff_base,
@@ -182,33 +180,6 @@ class FaultInjector:
         #: actually carried.
         self._replay_pools: Dict[Tuple[str, str], List[object]] = {}
 
-    # -- rng organisation ----------------------------------------------------------
-
-    def rng_for(
-        self, a: Optional[str] = None, b: Optional[str] = None
-    ) -> random.Random:
-        """The stream a fault decision about the (a, b) link draws from.
-
-        In "shared" mode (the default, byte-compatible with every run
-        recorded before the knob existed) this is always the one global
-        stream. In "per-link" mode each order-normalised host pair gets
-        its own child stream, seeded from (injector seed, pair name) — so
-        any partition of the pairs across processes makes exactly the
-        draws a single-process run would, which is what lets sharded
-        columnar runs arm transport faults.
-        """
-        if not self._per_link or a is None or b is None:
-            return self.rng
-        pair = pair_key(a, b)
-        rng = self._link_rngs.get(pair)
-        if rng is None:
-            child_seed = (self.seed << 32) ^ zlib.crc32(
-                f"{pair[0]}|{pair[1]}".encode("utf-8")
-            )
-            rng = random.Random(child_seed)
-            self._link_rngs[pair] = rng
-        return rng
-
     # -- per-encounter decision points --------------------------------------------
 
     def encounter_allowed(self, a: str, b: str, now: float) -> bool:
@@ -218,10 +189,8 @@ class FaultInjector:
         self.counters.backoff_skips += 1
         return False
 
-    def should_drop_encounter(
-        self, a: Optional[str] = None, b: Optional[str] = None
-    ) -> bool:
-        if self._drop is not None and self._drop.should_drop(self.rng_for(a, b)):
+    def should_drop_encounter(self) -> bool:
+        if self._drop is not None and self._drop.should_drop(self.rng):
             self.counters.dropped_encounters += 1
             return True
         return False
@@ -253,7 +222,7 @@ class FaultInjector:
         if self._replay is not None and source is not None and target is not None:
             pool = self._replay_pools.setdefault((source, target), [])
         return FaultyTransport(
-            self.rng_for(source, target),
+            self.rng,
             truncation=self._truncation,
             duplication=self._duplication,
             corruption=self._corruption,

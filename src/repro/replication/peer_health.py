@@ -35,6 +35,18 @@ QUARANTINED = "quarantined"
 PEER_STATES = (HEALTHY, SUSPECT, QUARANTINED)
 
 
+def capped_backoff(
+    base: float, factor: float, retries: int, maximum: float
+) -> float:
+    """``min(base * factor ** retries, maximum)``, also once the power
+    is too large for a float (``factor >= 1``: it is then past the cap)."""
+    try:
+        growth = factor ** retries
+    except OverflowError:
+        return maximum
+    return min(base * growth, maximum)
+
+
 @dataclass
 class PeerRecord:
     """Everything the tracker knows about one peer."""
@@ -240,9 +252,8 @@ class PeerHealthTracker:
         up to ±``jitter`` (one seeded RNG draw — the only randomness in
         the tracker, consumed exclusively when a quarantine is imposed).
         """
-        delay = min(
-            self.backoff_base * self.backoff_factor ** (quarantines - 1),
-            self.backoff_max,
+        delay = capped_backoff(
+            self.backoff_base, self.backoff_factor, quarantines - 1, self.backoff_max
         )
         if self.jitter > 0.0:
             delay *= 1.0 + self.jitter * (self._rng.random() * 2.0 - 1.0)

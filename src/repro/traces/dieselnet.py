@@ -229,8 +229,8 @@ class MetroConfig:
     * adjacent routes (a ring, like the classic model) exchange
       ``interchange_rate`` expected meetings per day at transfer
       stations. With ``interchange_rate=0`` routes are disjoint
-      connected components — the shape the sharded columnar runner
-      partitions across workers.
+      connected components, and no item ever leaves the route it was
+      injected on.
 
     Everything derives from ``seed``; the same config always yields a
     byte-identical trace.

@@ -9,13 +9,10 @@ themselves are pinned against the object engine in
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.emulation.columnar import ColumnarWorld, build_world
+from repro.emulation.columnar import build_world
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scenario import build_inputs
 from repro.faults import FaultConfig
 from repro.traces.dieselnet import MetroConfig, generate_metro_trace
 
@@ -90,25 +87,6 @@ def test_only_buses_an_item_reached_have_state(trace):
     never = next(host for host in hosts if host not in set(reached))
     assert world.knowledge_of(never) == frozenset()
     assert world.holdings_of(never) == ()
-
-
-def test_supplied_order_draws_leave_the_rng_alone(trace):
-    """A shard is handed the coins a global run would have drawn for its
-    encounters (here: all of them); it must not also draw its own."""
-    config = _config()
-    inputs = build_inputs(config, trace)
-    coins = random.Random(config.encounter_order_seed)
-    handed = ColumnarWorld(
-        trace,
-        inputs.injections,
-        policy=config.policy,
-        policy_parameters=config.policy_parameters,
-        relay_sets=inputs.relay_sets,
-        order_draws=bytes(coins.random() < 0.5 for _ in range(len(trace))),
-    )
-    untouched = handed._rng.getstate()
-    assert handed.run().to_dict() == _world(trace).run().to_dict()
-    assert handed._rng.getstate() == untouched
 
 
 def test_an_armed_injector_sees_every_encounter(trace):

@@ -118,6 +118,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "encounter_drop_probability" in err
 
+    def test_removed_fault_rng_streams_flag_rejected(self, capsys):
+        # argparse refuses the flag itself, so the 2 arrives as SystemExit.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--fault-rng-streams", "per-link"])
+        assert excinfo.value.code == 2
+        assert "--fault-rng-streams" in capsys.readouterr().err
+
 
 class TestFigureCommand:
     def test_single_figure(self, capsys):

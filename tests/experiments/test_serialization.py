@@ -42,8 +42,11 @@ class TestFaultConfigRoundTrip:
         assert rebuilt.to_dict() == data
 
     def test_unknown_field_named_in_error(self):
-        with pytest.raises(TypeError, match="bogus_knob"):
-            FaultConfig.from_dict({"bogus_knob": 1.0})
+        # rng_streams was a field until 1.5.0: an artifact that still
+        # carries it fails loudly rather than running with it ignored.
+        for name, value in (("bogus_knob", 1.0), ("rng_streams", "per-link")):
+            with pytest.raises(TypeError, match=name):
+                FaultConfig.from_dict({name: value})
 
 
 class TestExperimentConfigRoundTrip:
@@ -83,6 +86,12 @@ class TestExperimentConfigRoundTrip:
         data = ExperimentConfig(scale=0.5).to_dict()
         data["frob_level"] = 11
         with pytest.raises(TypeError, match="frob_level"):
+            ExperimentConfig.from_dict(data)
+        data = ExperimentConfig(scale=0.5).with_faults(
+            encounter_drop_probability=0.1
+        ).to_dict()
+        data["faults"]["rng_streams"] = "per-link"
+        with pytest.raises(TypeError, match="rng_streams"):
             ExperimentConfig.from_dict(data)
 
 

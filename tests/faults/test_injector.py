@@ -76,6 +76,16 @@ class TestResumeTracker:
         state = tracker.record_interruption(("a", "b"), now=0.0)
         assert state.next_attempt == 200.0
 
+    def test_backoff_stays_at_cap_past_float_range(self):
+        """2.0 ** 1024 overflows a float: the 1 025th interruption in a
+        row used to raise OverflowError instead of waiting the cap."""
+        tracker = ResumeTracker(base=60.0, factor=2.0, maximum=3600.0)
+        for _ in range(2000):
+            state = tracker.record_interruption(("a", "b"), now=0.0)
+            assert state.next_attempt <= 3600.0
+        assert state.attempts == 2000
+        assert state.next_attempt == 3600.0
+
     def test_completion_clears_and_reports_resume(self):
         tracker = ResumeTracker()
         tracker.record_interruption(("a", "b"), now=0.0)

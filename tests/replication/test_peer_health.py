@@ -108,6 +108,20 @@ class TestQuarantineBackoff:
         record = t.record("mallory")
         assert record.next_probe - now == pytest.approx(1000.0)
 
+    def test_backoff_stays_at_cap_past_float_range(self):
+        """2.0 ** 1024 overflows a float: the 1 025th quarantine in a row
+        used to raise OverflowError instead of waiting the cap."""
+        t = tracker(jitter=0.1)
+        t.record_outcome("mallory", 6, now=0.0)
+        now = 0.0
+        for _ in range(1099):
+            now = t.record("mallory").next_probe
+            assert t.allowed("mallory", now)
+            t.record_outcome("mallory", 1, now=now)
+        record = t.record("mallory")
+        assert record.quarantines == 1100
+        assert 900.0 <= record.next_probe - now <= 1100.0
+
     def test_recovery_probes_restore_health(self):
         t = tracker()
         t.record_outcome("mallory", 6, now=0.0)
