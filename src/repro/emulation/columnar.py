@@ -12,11 +12,16 @@ flat, integer-interned state:
 * every item authored during a run gets one integer index; the item
   table is a handful of parallel arrays (destination address id, origin
   node, per-origin serial, live holder count);
-* per-node knowledge is a plain ``set`` of item indices (the paper's
-  version vectors degenerate to membership sets because emulated runs
-  never update an item after authoring it);
-* per-node holdings are three insertion-ordered dicts (store, outbox,
-  relay) mirroring the object engine's enumeration order exactly;
+* per-node knowledge and policy state are one *column* indexed by item:
+  0 is unknown, 1 known and never stamped, ``v + 2`` known with epidemic
+  TTL or spray copy count ``v`` (the paper's version vectors degenerate
+  to membership because emulated runs never update an item after
+  authoring it). Under epidemic, which floods, the column is a
+  ``bytearray`` with a slot per injection (an ``array`` of wider slots
+  if the TTL needs them); every other supported policy keeps a few
+  copies of an item, and its column is a ``dict`` of the known slots;
+* per-node holdings are three lists of item indices (store, outbox,
+  relay) in the object engine's enumeration order;
 * a node has that state only once it is *live* — from the first item
   that reaches it, by injection or delivery. In a city-scale epidemic
   most buses never are (1 389 of 49 954 on the benchmark's metro run);
@@ -50,8 +55,10 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import compress, count
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -159,19 +166,32 @@ def columnar_unsupported_reason(config: Any) -> Optional[str]:
     return None
 
 
+def _dense_column(top: int, size: int) -> Any:
+    """``size`` zeroed slots of the narrowest unsigned type that holds
+    ``0..top``: a ``bytearray`` (11-19 % cheaper to index than an
+    ``array("B")``) unless a value needs wider slots."""
+    if top < 256:
+        return bytearray(size)
+    for code in "HI":
+        if top < 1 << 8 * array(code).itemsize:
+            return array(code, [0]) * size
+    return array("Q", [0]) * size
+
+
 class _Bus(NamedTuple):
     """The replication state of one live node."""
 
-    knowledge: Set[int]
+    # Knowledge and policy-local state in one slot per item: 0 unknown,
+    # 1 known and never stamped (None in the object engine's
+    # item.local()), v + 2 known with epidemic TTL or spray copies v.
+    # Epidemic's column is dense (a bytearray or a wider array); any
+    # other policy's is a dict of the known slots, asked by membership.
+    column: Any
     # Holdings in the object engine's store → outbox → relay enumeration
-    # order; values are unused (insertion-ordered set semantics).
-    store: Dict[int, None]
-    outbox: Dict[int, None]
-    relay: Dict[int, None]
-    # Policy-local attribute per held item: epidemic TTL or spray copy
-    # count.  One run has one policy, so a single dict suffices; absence
-    # means "never stamped" (None in the object engine's item.local()).
-    local: Dict[int, int]
+    # order; an item is appended once, when it becomes known.
+    store: List[int]
+    outbox: List[int]
+    relay: List[int]
     # Filter match set: {own address} ∪ relay addresses, mirroring
     # MultiAddressFilter.
     match: Set[int]
@@ -198,10 +218,10 @@ class ColumnarWorld:
         n = len(self.hosts)
         self._host_id: Dict[str, int] = {h: i for i, h in enumerate(self.hosts)}
 
-        # Address interning.  Host names take ids 0..n-1 (node id ==
-        # address id for a node's own name); any other destination
-        # address seen in the workload is appended on demand.
-        self._addr_id: Dict[str, int] = dict(self._host_id)
+        # Address interning.  A host name's address id is its node id;
+        # any other destination address seen in the workload is given
+        # the next id from n on demand.
+        self._addr_id: Dict[str, int] = {}
         self._relay_sets = relay_sets or {}
 
         # Per-node replication state, None until the node is live. It is
@@ -227,6 +247,15 @@ class ColumnarWorld:
             (0.5).__gt__, iter(self._rng.random, None)
         )
         self._injections = sorted(injections, key=lambda inj: inj.time)
+        # A live node's column. A dense one costs a slot per injection
+        # (an item per injection at most), filled or not, and a dict
+        # 42 to 73 B per known slot, so only epidemic, which fills one
+        # slot in 11 on the metro run, gets the dense one; spray,
+        # first-contact and direct delivery fill one in 100 to 400 there.
+        self._new_column: Callable[[], Any] = dict
+        if self._kind == _EPIDEMIC:
+            blank = _dense_column(self._policy_param + 2, len(self._injections))
+            self._new_column = lambda: blank[:]
 
         self._injector: Optional[FaultInjector] = (
             FaultInjector(faults, seed=fault_seed)
@@ -260,10 +289,11 @@ class ColumnarWorld:
     # -- interning ---------------------------------------------------------
 
     def _intern_address(self, address: str) -> int:
-        addr_id = self._addr_id.get(address)
+        addr_id = self._host_id.get(address)
         if addr_id is None:
-            addr_id = len(self._addr_id)
-            self._addr_id[address] = addr_id
+            addr_id = self._addr_id.setdefault(
+                address, len(self.hosts) + len(self._addr_id)
+            )
         return addr_id
 
     # -- event loop --------------------------------------------------------
@@ -317,11 +347,14 @@ class ColumnarWorld:
         self._c_encounters += idle
         self._c_syncs += 2 * idle
 
-    def _new_bus(self, nid: int) -> _Bus:
+    def _match(self, nid: int) -> Set[int]:
         match = {nid}
         for address in self._relay_sets.get(self.hosts[nid], ()):
             match.add(self._intern_address(address))
-        return _Bus(set(), {}, {}, {}, {}, match)
+        return match
+
+    def _new_bus(self, match: Set[int]) -> _Bus:
+        return _Bus(self._new_column(), [], [], [], match)
 
     def _inject(self, injection: Injection) -> None:
         nid = self._host_id.get(injection.source)
@@ -331,7 +364,7 @@ class ColumnarWorld:
             return
         bus = self._buses[nid]
         if bus is None:
-            bus = self._buses[nid] = self._new_bus(nid)
+            bus = self._buses[nid] = self._new_bus(self._match(nid))
         serial = self._serials[nid]
         self._serials[nid] = serial + 1
         idx = len(self._item_ids)
@@ -341,11 +374,11 @@ class ColumnarWorld:
         self._item_dest.append(dest)
         self._item_origin.append(nid)
         self._holders.append(1)
-        bus.knowledge.add(idx)
+        bus.column[idx] = 1
         if dest in bus.match:
-            bus.store[idx] = None
+            bus.store.append(idx)
         else:
-            bus.outbox[idx] = None
+            bus.outbox.append(idx)
         self.metrics.record_injection(
             item_id,
             injection.source,
@@ -396,11 +429,7 @@ class ColumnarWorld:
             # fault rng.
             self._c_syncs += 1
             return 0, False
-        _, store_s, outbox_s, relay_s, attr, _ = source
-        # A target goes live on its first delivery, below; until then it
-        # knows nothing and its state is rebuilt per sync.
-        target = self._buses[tgt] or self._new_bus(tgt)
-        tknow, tstore, _, trelay, tattr, tmatch = target
+        attr, store_s, outbox_s, relay_s, _ = source
         store_size = len(store_s) + len(outbox_s) + len(relay_s)
         dest = self._item_dest
         kind = self._kind
@@ -408,12 +437,30 @@ class ColumnarWorld:
         # Candidate enumeration: store → outbox → relay insertion order,
         # skipping what the target already knows (the object engine's
         # items_unknown_to fast path yields exactly this sequence).
-        unknown = [
-            i
-            for holding in (store_s, outbox_s, relay_s)
-            for i in holding
-            if i not in tknow
-        ]
+        target = self._buses[tgt]
+        if target is None:
+            # No item has reached the target, so it knows none. It goes
+            # live on its first delivery, below; until then its match
+            # set is rebuilt per sync.
+            tknow, tmatch = None, self._match(tgt)
+            unknown = [*store_s, *outbox_s, *relay_s]
+        elif kind == _EPIDEMIC:
+            tknow, _, _, _, tmatch = target
+            unknown = [
+                i
+                for holding in (store_s, outbox_s, relay_s)
+                for i in holding
+                if not tknow[i]
+            ]
+        else:
+            tknow, _, _, _, tmatch = target
+            unknown = [
+                i
+                for holding in (store_s, outbox_s, relay_s)
+                for i in holding
+                if i not in tknow
+            ]
+
         candidates = len(unknown)
         matched_ids: List[int] = []
         normal_ids: List[int] = []
@@ -429,18 +476,18 @@ class ColumnarWorld:
                     normal_ids.append(i)
         else:
             # Forwardable while an epidemic TTL is above 0, while a
-            # spray entry has at least 2 copies.
-            initial = self._policy_param
-            least = 1 if kind == _EPIDEMIC else 2
+            # spray entry has at least 2 copies (column values + 2).
+            stamped = self._policy_param + 2
+            least = 3 if kind == _EPIDEMIC else 4
             for i in unknown:
                 if dest[i] in tmatch:
                     matched_ids.append(i)
                 else:
-                    value = attr.get(i)
-                    if value is None:
+                    value = attr[i]
+                    if value == 1:
                         # Lazy stamp on first policy inspection,
                         # mirroring EpidemicPolicy._current_ttl.
-                        value = attr[i] = initial
+                        value = attr[i] = stamped
                     if value >= least:
                         normal_ids.append(i)
 
@@ -463,27 +510,34 @@ class ColumnarWorld:
             sent_matching = n_matched
         sent_total = len(batch)
 
-        # prepare_outgoing: snapshot shipped policy attributes before
-        # any on_items_sent mutation (spray halves *after* shipping).
+        # prepare_outgoing: snapshot shipped policy attributes, as the
+        # target's column values, before any on_items_sent mutation
+        # (spray halves *after* shipping).
         shipped: Optional[List[int]] = None
         if kind == _EPIDEMIC and batch:
-            initial = self._policy_param
-            shipped = [max(0, attr.get(i, initial) - 1) for i in batch]
+            # TTL - 1, never below 0; an unstamped copy ships initial - 1.
+            unstamped = self._policy_param + 1
+            shipped = [
+                max(2, value - 1) if value > 1 else unstamped
+                for value in map(attr.__getitem__, batch)
+            ]
         elif kind == _SPRAY and batch:
-            shipped = []
-            for i in batch:
-                copies = attr.get(i)
-                shipped.append(
-                    1 if copies is None or copies < 2 else copies // 2
-                )
+            # Half of c ≥ 2 copies; an unstamped or single copy ships 1.
+            shipped = [
+                2 + (value - 2) // 2 if value >= 4 else 3
+                for value in map(attr.__getitem__, batch)
+            ]
 
         # Transport: replicate FaultyTransport.deliver's draw order on
         # the injector rng (truncation plan, then one duplication draw
         # per surviving stream entry).  An empty batch draws nothing.
+        # A duplicated frame arrives next to its first, which the target
+        # has just applied (the batch holds each item once and the target
+        # knew none), so the object engine tolerates it as redundant.
         interrupted = False
         lost = 0
+        redundant = 0
         delivered_n = sent_total
-        dup_mask: Optional[List[bool]] = None
         if self._transport_armed and batch:
             injector = self._injector
             assert injector is not None
@@ -497,62 +551,54 @@ class ColumnarWorld:
                     delivered_n = cut
             duplication = injector._duplication
             if duplication is not None and delivered_n:
-                dup_mask = duplication.duplicate_mask(delivered_n, rng)
+                redundant = sum(duplication.duplicate_mask(delivered_n, rng))
 
         # Source-side confirmation (each delivered entry once), *before*
         # the target applies — SyncSession.run's order, which matters for
         # first-contact holder counts at delivery time.
         if kind == _SPRAY and delivered_n:
-            for pos in range(delivered_n):
-                i = batch[pos]
-                copies = attr.get(i)
-                if copies is not None and copies >= 2:
-                    attr[i] = copies - copies // 2
+            for i in batch[:delivered_n]:
+                value = attr[i]
+                if value >= 4:
+                    # c ≥ 2 copies keep c - c // 2.
+                    attr[i] = value - (value - 2) // 2
         elif kind == _FIRST_CONTACT and delivered_n:
             holders = self._holders
-            for pos in range(delivered_n):
-                i = batch[pos]
-                if i in store_s:
-                    del store_s[i]
-                elif i in outbox_s:
-                    del outbox_s[i]
-                elif i in relay_s:
-                    del relay_s[i]
+            origin = self._item_origin
+            smatch = source.match
+            for i in batch[:delivered_n]:
+                # The one list _inject or the apply below put it in.
+                if dest[i] in smatch:
+                    store_s.remove(i)
+                elif origin[i] == src:
+                    outbox_s.remove(i)
                 else:
-                    continue
+                    relay_s.remove(i)
                 holders[i] -= 1
 
-        # Target-side apply.  Duplicated frames arrive adjacent; with a
-        # faulty transport the object engine tolerates them as redundant
-        # (knowledge already contains the version).
-        redundant = 0
+        # Target-side apply.
+        if delivered_n:
+            if target is None:
+                target = self._buses[tgt] = self._new_bus(tmatch)
+                tknow = target.column
+            tstore, trelay = target.store, target.relay
         holders = self._holders
         metrics = self.metrics
         item_ids = self._item_ids
         tgt_name = self.hosts[tgt]
-        tolerate = self._transport_armed
         for pos in range(delivered_n):
             i = batch[pos]
-            repeats = 2 if dup_mask is not None and dup_mask[pos] else 1
-            for _ in range(repeats):
-                if tolerate and i in tknow:
-                    redundant += 1
-                    continue
-                tknow.add(i)
-                if shipped is not None:
-                    tattr[i] = shipped[pos]
-                holders[i] += 1
-                if dest[i] in tmatch:
-                    tstore[i] = None
-                    if dest[i] == tgt:
-                        metrics.record_delivery(
-                            item_ids[i], now, tgt_name, holders[i]
-                        )
-                else:
-                    trelay[i] = None
+            tknow[i] = 1 if shipped is None else shipped[pos]
+            holders[i] += 1
+            if dest[i] in tmatch:
+                tstore.append(i)
+                if dest[i] == tgt:
+                    metrics.record_delivery(
+                        item_ids[i], now, tgt_name, holders[i]
+                    )
+            else:
+                trelay.append(i)
 
-        if delivered_n:
-            self._buses[tgt] = target
         self._c_syncs += 1
         self._c_transmissions += sent_total
         self._c_matching += sent_matching
@@ -594,13 +640,16 @@ class ColumnarWorld:
     def knowledge_of(self, host: str) -> FrozenSet[str]:
         """Known versions of ``host`` as ``"origin:counter"`` strings."""
         bus = self._buses[self._host_id[host]]
+        if bus is None:
+            return frozenset()
+        column = bus.column
+        known = column if isinstance(column, dict) else compress(count(), column)
         origin = self._item_origin
         item_ids = self._item_ids
         # Versions replicate IdFactory: the k-th item authored at a node
         # carries counter k+1 (serial k).
         return frozenset(
-            f"{self.hosts[origin[i]]}:{item_ids[i].serial + 1}"
-            for i in (bus.knowledge if bus is not None else ())
+            f"{self.hosts[origin[i]]}:{item_ids[i].serial + 1}" for i in known
         )
 
     def holdings_of(self, host: str) -> Tuple[str, ...]:

@@ -74,17 +74,55 @@ def test_engines_agree(policy, faulted):
         dict(filter_strategy="random", filter_k=3, bandwidth_limit=2),
         dict(trace_seed=7, workload_seed=3, encounter_order_seed=101),
         dict(policy_parameters={"initial_copies": 4}),
+        dict(policy_parameters={"initial_ttl": 10_000}),
+        dict(policy_parameters={"initial_copies": 1_000}),
     ],
-    ids=["bandwidth", "selected", "random+bw", "reseeded", "spray4"],
+    ids=[
+        "bandwidth",
+        "selected",
+        "random+bw",
+        "reseeded",
+        "spray4",
+        "ttl10000",
+        "copies1000",
+    ],
 )
 def test_engines_agree_across_knobs(overrides):
-    """Relay filters, bandwidth caps, and reseeding all stay equivalent."""
-    policy = "spray" if "policy_parameters" in overrides else "epidemic"
+    """Relay filters, bandwidth caps, reseeding, and policy parameters
+    wider than a byte all stay equivalent."""
+    parameters = overrides.get("policy_parameters", {})
+    policy = "spray" if "initial_copies" in parameters else "epidemic"
     config = _config(policy, faults=SUPPORTED_FAULTS, **overrides)
     object_result, columnar_result = _both_engines(config)
     assert comparable_metrics(object_result.metrics) == comparable_metrics(
         columnar_result.metrics
     )
+
+
+@pytest.mark.parametrize(
+    ("policy", "parameters", "slot_bytes"),
+    [
+        ("epidemic", {}, 1),
+        ("epidemic", {"initial_ttl": 10_000}, 2),
+        ("spray", {"initial_copies": 1_000}, None),
+        ("cimbiosys", {}, None),
+        ("first-contact", {}, None),
+    ],
+    ids=["epidemic", "ttl10000", "copies1000", "cimbiosys", "first-contact"],
+)
+def test_column_layout_follows_the_policy(policy, parameters, slot_bytes):
+    """Epidemic floods, so its column is dense, a slot per injection, of
+    the narrowest unsigned type that holds ``initial_ttl + 2``. Every
+    other policy keeps a few copies of an item and stores known slots
+    only: at the metro run's fill a dense column would cost more."""
+    world, _ = build_world(_config(policy, policy_parameters=parameters))
+    column = world._new_column()
+    assert column is not world._new_column()
+    if slot_bytes is None:
+        assert isinstance(column, dict) and not column
+    else:
+        assert memoryview(column).itemsize == slot_bytes
+        assert list(column) == [0] * len(world._injections)
 
 
 def test_final_node_state_matches_object_engine():
@@ -257,6 +295,23 @@ def test_engines_agree_where_most_encounters_are_idle(
         assert len(entered) == len(metro_trace)
     else:
         assert len(entered) <= 0.1 * len(metro_trace)
+
+
+@pytest.mark.parametrize(
+    ("policy", "parameters"),
+    [("epidemic", {"initial_ttl": 10_000}), ("spray", {"initial_copies": 1_000})],
+    ids=["ttl10000", "copies1000"],
+)
+def test_engines_agree_on_wide_policy_parameters_where_most_encounters_are_idle(
+    metro_trace, policy, parameters
+):
+    """A TTL or copy count a byte cannot hold, on the metro trace."""
+    config = _sparse_config(policy, policy_parameters=parameters)
+    scenario = build_scenario(config, trace=metro_trace)
+    world = _world(config, scenario)
+    _run_object(scenario.emulator)
+    world.run()
+    _assert_same_outcome(scenario.emulator, world)
 
 
 def test_injection_at_an_encounters_instant_precedes_it(metro_trace):

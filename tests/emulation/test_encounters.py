@@ -161,10 +161,13 @@ def test_objects_and_columns_build_the_same_trace(encounters):
     assert public_surface(from_objects) == public_surface(from_columns)
     # The constructor's key sort is the dataclass order.
     assert list(from_objects) == sorted(encounters)
-    # Derived views are computed once per trace object.
+    # Derived views are computed once per trace object; the per-day view
+    # is kept as id arrays and its name sets are built per call.
     assert from_columns.hosts is from_columns.hosts
-    once, again = from_columns.active_hosts_by_day(), from_columns.active_hosts_by_day()
-    assert all(once[day] is again[day] for day in once)
+    assert from_columns.active_hosts_by_day() == from_columns.active_hosts_by_day()
+    kept = from_columns._active_by_day
+    assert all(isinstance(ids, array) for ids in kept.values())
+    assert all(list(ids) == sorted(set(ids)) for ids in kept.values())
 
 
 VALID = (["a", "b", "c"], [1.0, 2.0, 2.0], [0, 0, 1], [1, 2, 2], [0.0, 0.0, 5.0])
