@@ -16,7 +16,7 @@ from .reachability import (
     foremost_arrival_times,
     reachable,
 )
-from .stats import empirical_cdf, histogram, mean, median, percentile
+from .stats import mean, median, percentile
 
 __all__ = [
     "TraceProfile",
@@ -25,10 +25,8 @@ __all__ = [
     "delivery_oracle",
     "distinct_partners",
     "earliest_delivery_time",
-    "empirical_cdf",
     "encounter_concentration",
     "foremost_arrival_times",
-    "histogram",
     "inter_contact_summary",
     "inter_contact_times",
     "mean",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -35,40 +35,3 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
 
 def median(values: Sequence[float]) -> float:
     return percentile(sorted(values), 0.5)
-
-
-def empirical_cdf(
-    sorted_values: Sequence[float], points: Sequence[float], total: int | None = None
-) -> List[Tuple[float, float]]:
-    """(x, F(x)) pairs of the empirical CDF evaluated at ``points``.
-
-    ``total`` overrides the denominator — pass the number of *injected*
-    messages to get the paper's delivery-CDF convention where undelivered
-    messages weigh the curve down.
-    """
-    denominator = total if total is not None else len(sorted_values)
-    if denominator <= 0:
-        return [(point, 0.0) for point in points]
-    result: List[Tuple[float, float]] = []
-    index = 0
-    for point in sorted(points):
-        while index < len(sorted_values) and sorted_values[index] <= point:
-            index += 1
-        result.append((point, index / denominator))
-    return result
-
-
-def histogram(
-    values: Sequence[float], edges: Sequence[float]
-) -> List[Tuple[Tuple[float, float], int]]:
-    """Counts of values in half-open bins ``[edges[i], edges[i+1])``."""
-    if len(edges) < 2:
-        raise ValueError("need at least two bin edges")
-    bins = [((edges[i], edges[i + 1]), 0) for i in range(len(edges) - 1)]
-    counts = [0] * (len(edges) - 1)
-    for value in values:
-        for i in range(len(edges) - 1):
-            if edges[i] <= value < edges[i + 1]:
-                counts[i] += 1
-                break
-    return [((edges[i], edges[i + 1]), counts[i]) for i in range(len(edges) - 1)]

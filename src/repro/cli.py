@@ -95,40 +95,76 @@ def _add_scenario_arguments(
     )
 
 
+#: ``repro run``'s fault flags: flag → (``FaultConfig`` field, metavar, help).
+FAULT_FLAGS = {
+    "--fault-drop": ("encounter_drop_probability", "P",
+        "probability an encounter is dropped entirely"),
+    "--fault-truncation": ("truncation_probability", "P",
+        "probability a sync batch is cut mid-transfer"),
+    "--fault-duplication": ("duplication_probability", "P",
+        "probability a delivered batch entry arrives twice"),
+    "--fault-crash": ("crash_probability", "P",
+        "probability an encounter participant crash-restarts"),
+    "--fault-corruption": ("corruption_probability", "P",
+        "probability a delivered entry's payload is corrupted"),
+    "--fault-replay": ("replay_probability", "P",
+        "probability a sync session replays earlier frames"),
+    "--fault-fabrication": ("fabrication_probability", "P",
+        "probability a sync request's knowledge is inflated in transit"),
+    "--fault-malformed": ("malformed_probability", "P",
+        "probability a delivered entry becomes an undecodable frame"),
+}
+
+#: The churn flags ``run`` and ``swarm`` share, in the same shape.
+CHURN_FLAGS = {
+    "--churn-arrivals": ("arrival_fraction", "F",
+        "fraction of hosts that arrive late instead of at t=0"),
+    "--churn-departures": ("departure_fraction", "F",
+        "fraction of hosts that leave gracefully (with a handoff sync)"),
+    "--churn-crashes": ("crash_fraction", "F",
+        "fraction of hosts that crash abruptly and later rejoin"),
+    "--churn-amnesia": ("amnesia_probability", "P",
+        "probability a crashed host rejoins amnesiac (lost its "
+        "checkpoint) rather than from durable state (default 0.5)"),
+    "--churn-free-riders": ("free_rider_fraction", "F",
+        "fraction of hosts that receive but never (or barely) send"),
+    "--reciprocity-threshold": ("reciprocity_threshold", "R",
+        "refuse encounters with peers whose taken/given ratio "
+        "exceeds R (0 disables the gate)"),
+    "--churn-seed": ("seed", None,
+        "seed for the lifecycle schedule RNG (default 0)"),
+}
+
+
+def _add_config_flags(group, cls, flags) -> None:
+    """One flag per table row; its type and default are the field's."""
+    defaults = cls()
+    for flag, (field, metavar, help_text) in flags.items():
+        default = getattr(defaults, field)
+        group.add_argument(
+            flag, type=type(default), default=default, metavar=metavar,
+            help=help_text,
+        )
+
+
 def _add_churn_arguments(command: argparse.ArgumentParser) -> None:
     churn = command.add_argument_group(
         "node churn", "seeded lifecycle model (see docs/churn.md)"
     )
-    churn.add_argument(
-        "--churn-arrivals", type=float, default=0.0, metavar="F",
-        help="fraction of hosts that arrive late instead of at t=0",
-    )
-    churn.add_argument(
-        "--churn-departures", type=float, default=0.0, metavar="F",
-        help="fraction of hosts that leave gracefully (with a handoff sync)",
-    )
-    churn.add_argument(
-        "--churn-crashes", type=float, default=0.0, metavar="F",
-        help="fraction of hosts that crash abruptly and later rejoin",
-    )
-    churn.add_argument(
-        "--churn-amnesia", type=float, default=0.5, metavar="P",
-        help="probability a crashed host rejoins amnesiac (lost its "
-             "checkpoint) rather than from durable state (default 0.5)",
-    )
-    churn.add_argument(
-        "--churn-free-riders", type=float, default=0.0, metavar="F",
-        help="fraction of hosts that receive but never (or barely) send",
-    )
-    churn.add_argument(
-        "--reciprocity-threshold", type=float, default=0.0, metavar="R",
-        help="refuse encounters with peers whose taken/given ratio "
-             "exceeds R (0 disables the gate)",
-    )
-    churn.add_argument(
-        "--churn-seed", type=int, default=0,
-        help="seed for the lifecycle schedule RNG (default 0)",
-    )
+    _add_config_flags(churn, ChurnConfig, CHURN_FLAGS)
+
+
+def _config_from_flags(cls, flags, args: argparse.Namespace):
+    """The config the flags describe, or None when it is not enabled.
+
+    Every value is validated, so an out-of-range one is refused even
+    when nothing else in its group is set.
+    """
+    config = cls(**{
+        field: getattr(args, flag[2:].replace("-", "_"))
+        for flag, (field, _, _) in flags.items()
+    })
+    return config if config.enabled else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,38 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults = run.add_argument_group(
         "fault injection", "seeded fault models (see docs/faults.md)"
     )
-    faults.add_argument(
-        "--fault-drop", type=float, default=0.0, metavar="P",
-        help="probability an encounter is dropped entirely",
-    )
-    faults.add_argument(
-        "--fault-truncation", type=float, default=0.0, metavar="P",
-        help="probability a sync batch is cut mid-transfer",
-    )
-    faults.add_argument(
-        "--fault-duplication", type=float, default=0.0, metavar="P",
-        help="probability a delivered batch entry arrives twice",
-    )
-    faults.add_argument(
-        "--fault-crash", type=float, default=0.0, metavar="P",
-        help="probability an encounter participant crash-restarts",
-    )
-    faults.add_argument(
-        "--fault-corruption", type=float, default=0.0, metavar="P",
-        help="probability a delivered entry's payload is corrupted",
-    )
-    faults.add_argument(
-        "--fault-replay", type=float, default=0.0, metavar="P",
-        help="probability a sync session replays earlier frames",
-    )
-    faults.add_argument(
-        "--fault-fabrication", type=float, default=0.0, metavar="P",
-        help="probability a sync request's knowledge is inflated in transit",
-    )
-    faults.add_argument(
-        "--fault-malformed", type=float, default=0.0, metavar="P",
-        help="probability a delivered entry becomes an undecodable frame",
-    )
+    _add_config_flags(faults, FaultConfig, FAULT_FLAGS)
     faults.add_argument(
         "--fault-seed", type=int, default=23,
         help="seed for the fault injector's RNG (default 23)",
@@ -378,42 +383,6 @@ CHURN_COUNTER_KEYS = (
 )
 
 
-def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
-    knobs = {
-        "encounter_drop_probability": args.fault_drop,
-        "truncation_probability": args.fault_truncation,
-        "duplication_probability": args.fault_duplication,
-        "crash_probability": args.fault_crash,
-        "corruption_probability": args.fault_corruption,
-        "replay_probability": args.fault_replay,
-        "fabrication_probability": args.fault_fabrication,
-        "malformed_probability": args.fault_malformed,
-    }
-    if all(value == 0.0 for value in knobs.values()):
-        return None
-    return FaultConfig(**knobs)
-
-
-def _churn_config(args: argparse.Namespace) -> Optional[ChurnConfig]:
-    fractions = {
-        "arrival_fraction": args.churn_arrivals,
-        "departure_fraction": args.churn_departures,
-        "crash_fraction": args.churn_crashes,
-        "free_rider_fraction": args.churn_free_riders,
-    }
-    if (
-        all(value == 0.0 for value in fractions.values())
-        and args.reciprocity_threshold == 0.0
-    ):
-        return None
-    return ChurnConfig(
-        **fractions,
-        seed=args.churn_seed,
-        amnesia_probability=args.churn_amnesia,
-        reciprocity_threshold=args.reciprocity_threshold,
-    )
-
-
 def _experiment_config(args: argparse.Namespace, **extra) -> ExperimentConfig:
     """The config the scenario (and churn) flags describe.
 
@@ -427,14 +396,14 @@ def _experiment_config(args: argparse.Namespace, **extra) -> ExperimentConfig:
         filter_k=args.filter_k,
         bandwidth_limit=args.bandwidth_limit,
         storage_limit=args.storage_limit,
-        churn=_churn_config(args),
+        churn=_config_from_flags(ChurnConfig, CHURN_FLAGS, args),
         **extra,
     )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        faults = _fault_config(args)
+        faults = _config_from_flags(FaultConfig, FAULT_FLAGS, args)
         config = _experiment_config(
             args, faults=faults, fault_seed=args.fault_seed
         )

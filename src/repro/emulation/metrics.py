@@ -493,6 +493,8 @@ class MetricsCollector:
         """
         mean_delay_hours = self.mean_delay_hours()
         max_delay = self.max_delay()
+        copies_at_delivery = self.mean_copies_at_delivery()
+        copies_at_end = self.mean_copies_at_end()
         summary: Dict[str, Any] = {
             "injected": float(self.injected),
             "delivered": float(self.delivered),
@@ -538,9 +540,11 @@ class MetricsCollector:
                 else float(self.metadata_bytes)
             ),
             "mean_copies_at_delivery": (
-                self.mean_copies_at_delivery() or float("nan")
+                copies_at_delivery if copies_at_delivery is not None else float("nan")
             ),
-            "mean_copies_at_end": (self.mean_copies_at_end() or float("nan")),
+            "mean_copies_at_end": (
+                copies_at_end if copies_at_end is not None else float("nan")
+            ),
             "peak_rss_bytes": float(self.peak_rss_bytes),
             "tracemalloc_peak_bytes": float(self.tracemalloc_peak_bytes),
         }

@@ -237,15 +237,18 @@ def figure_8(
     inputs: SharedScenarioInputs,
     policies: Sequence[str] = PAPER_POLICY_ORDER,
 ) -> Dict[str, Dict[str, float]]:
-    """Average stored copies per message, at delivery time and at the end."""
-    sweep = policy_sweep(inputs, policies)
-    return {
-        policy: {
-            "at_delivery": result.metrics.mean_copies_at_delivery() or float("nan"),
-            "at_end": result.metrics.mean_copies_at_end() or float("nan"),
+    """Average stored copies per message, at delivery time and at the end.
+
+    NaN where no message has the count, as in ``MetricsCollector.summary``.
+    """
+    copies: Dict[str, Dict[str, float]] = {}
+    for policy, result in policy_sweep(inputs, policies).items():
+        summary = result.metrics.summary()
+        copies[policy] = {
+            "at_delivery": summary["mean_copies_at_delivery"],
+            "at_end": summary["mean_copies_at_end"],
         }
-        for policy, result in sweep.items()
-    }
+    return copies
 
 
 def figure_9(

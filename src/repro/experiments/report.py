@@ -104,28 +104,6 @@ def render_figure_8(copies: Mapping[str, Mapping[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def render_cdf_plot(
-    title: str,
-    x_label: str,
-    series: Mapping[str, Sequence[Tuple[float, float]]],
-    width: int = 60,
-    y_max: float = 100.0,
-) -> str:
-    """An ASCII rendition of a CDF family, one row per (series, x) point.
-
-    Each row draws a bar proportional to the y value, giving a quick
-    terminal read of the figures without a plotting stack.
-    """
-    lines = [title]
-    for name, points in series.items():
-        lines.append(f"  {name}")
-        for x, y in points:
-            filled = int(round((min(max(y, 0.0), y_max) / y_max) * width))
-            bar = "█" * filled + "·" * (width - filled)
-            lines.append(f"    {x_label}={x:>6g} |{bar}| {y:6.1f}")
-    return "\n".join(lines)
-
-
 def render_table_1() -> str:
     """Table I, as printed in the paper."""
     lines = ["Table I: summary of policies for DTN routing protocols", ""]

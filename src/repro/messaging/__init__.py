@@ -6,24 +6,11 @@ application inherits reliable, at-most-once, eventually consistent delivery
 from the substrate.
 """
 
-from .addressing import (
-    flooding_filter,
-    random_k_filter,
-    relay_set,
-    selected_k_filter,
-    self_only_filter,
-)
-from .app import DeliveryCallback, DeliveryReceipt, MessagingApp
+from .app import DeliveryCallback, MessagingApp
 from .message import Message
 
 __all__ = [
     "DeliveryCallback",
-    "DeliveryReceipt",
     "Message",
     "MessagingApp",
-    "flooding_filter",
-    "random_k_filter",
-    "relay_set",
-    "selected_k_filter",
-    "self_only_filter",
 ]

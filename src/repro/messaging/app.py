@@ -16,7 +16,6 @@ message and invokes any registered delivery callbacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
 from repro.replication.events import BaseReplicaObserver
@@ -28,13 +27,6 @@ from .message import Message
 
 DeliveryCallback = Callable[[Message], None]
 AddressProvider = Callable[[], FrozenSet[str]]
-
-
-@dataclass(frozen=True)
-class DeliveryReceipt:
-    """A message delivery as observed by the application."""
-
-    message: Message
 
 
 class _StoreWatcher(BaseReplicaObserver):

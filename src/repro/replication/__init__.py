@@ -23,14 +23,12 @@ Typical use::
 
 from .codec import (
     CodecError,
-    decode_batch,
     decode_batch_entry,
     decode_batch_frame,
     decode_filter,
     decode_item,
     decode_knowledge,
     decode_sync_request,
-    encode_batch,
     encode_batch_entry,
     encode_batch_frame,
     encode_filter,
@@ -60,7 +58,6 @@ from .peer_health import (
     PeerHealthTracker,
     PeerRecord,
 )
-from .hierarchy import FilterTree, PushUpPolicy
 from .persistence import (
     load_replica,
     replica_from_state,
@@ -142,7 +139,6 @@ __all__ = [
     "DuplicateDeliveryError",
     "EncounterSession",
     "Filter",
-    "FilterTree",
     "HEALTHY",
     "IdFactory",
     "InvalidFilterError",
@@ -165,7 +161,6 @@ __all__ = [
     "PolicyError",
     "Priority",
     "ProtocolViolation",
-    "PushUpPolicy",
     "PriorityClass",
     "QUARANTINED",
     "RelayStore",
@@ -194,14 +189,12 @@ __all__ = [
     "VersionVector",
     "build_batch",
     "build_request",
-    "decode_batch",
     "decode_batch_entry",
     "decode_batch_frame",
     "decode_filter",
     "decode_item",
     "decode_knowledge",
     "decode_sync_request",
-    "encode_batch",
     "encode_batch_entry",
     "encode_batch_frame",
     "encode_filter",

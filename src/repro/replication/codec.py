@@ -375,21 +375,6 @@ def decode_batch_entry(data: Any) -> BatchEntry:
         raise CodecError(f"bad batch entry: {data!r}") from error
 
 
-def encode_batch(
-    batch: List[BatchEntry], with_checksums: bool = False
-) -> List[Dict[str, Any]]:
-    return [
-        encode_batch_entry(entry, with_checksum=with_checksums)
-        for entry in batch
-    ]
-
-
-def decode_batch(data: Any) -> List[BatchEntry]:
-    if not isinstance(data, list):
-        raise CodecError(f"bad batch encoding: {data!r}")
-    return [decode_batch_entry(element) for element in data]
-
-
 def encode_batch_frame(batch: List[BatchEntry]) -> Dict[str, Any]:
     """Encode a whole batch as one integrity-protected frame.
 

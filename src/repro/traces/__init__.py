@@ -24,10 +24,6 @@ from .enron import (
     parse_pairs_csv,
     user_name,
 )
-from .mobility import (
-    RandomWaypointConfig,
-    generate_random_waypoint_trace,
-)
 from .mapping import AssignmentSchedule, assign_users_daily, host_of, users_on_day
 from .workload import (
     WorkloadConfig,
@@ -40,7 +36,6 @@ __all__ = [
     "DieselNetConfig",
     "EmailWorkloadModel",
     "EmpiricalEmailModel",
-    "RandomWaypointConfig",
     "SyntheticEmailModel",
     "WorkloadConfig",
     "assign_users_daily",
@@ -50,7 +45,6 @@ __all__ = [
     "format_trace_text",
     "generate_dieselnet_trace",
     "generate_enron_model",
-    "generate_random_waypoint_trace",
     "host_of",
     "injection_days_used",
     "load_trace",

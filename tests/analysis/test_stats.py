@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.stats import empirical_cdf, histogram, mean, median, percentile
+from repro.analysis.stats import mean, median, percentile
 
 
 class TestMean:
@@ -36,35 +36,3 @@ class TestPercentile:
 
     def test_median_helper(self):
         assert median([3.0, 1.0, 2.0]) == 2.0
-
-
-class TestEmpiricalCdf:
-    def test_fractions_at_points(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 5.0])
-        assert cdf == [(0.0, 0.0), (2.0, 0.5), (5.0, 1.0)]
-
-    def test_total_override_weighs_down(self):
-        cdf = empirical_cdf([1.0], [2.0], total=4)
-        assert cdf == [(2.0, 0.25)]
-
-    def test_empty_data(self):
-        assert empirical_cdf([], [1.0]) == [(1.0, 0.0)]
-
-    def test_monotone(self):
-        cdf = empirical_cdf([1.0, 5.0, 9.0], [0.0, 2.0, 6.0, 10.0])
-        fractions = [f for _, f in cdf]
-        assert fractions == sorted(fractions)
-
-
-class TestHistogram:
-    def test_counts_in_half_open_bins(self):
-        bins = histogram([1.0, 2.0, 2.5, 3.0], [1.0, 2.0, 3.0])
-        assert bins == [((1.0, 2.0), 1), ((2.0, 3.0), 2)]
-
-    def test_values_outside_edges_dropped(self):
-        bins = histogram([-1.0, 10.0], [0.0, 1.0])
-        assert bins == [((0.0, 1.0), 0)]
-
-    def test_needs_two_edges(self):
-        with pytest.raises(ValueError):
-            histogram([1.0], [1.0])

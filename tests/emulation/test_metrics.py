@@ -96,6 +96,16 @@ class TestAggregates:
         assert math.isnan(summary["mean_delay_hours"])
         assert summary["within_12h"] == 0.0
 
+    def test_summary_reports_a_zero_copy_mean_as_zero(self):
+        # Under delete_on_receipt every copy can be gone by the end: a
+        # mean of 0.0 is a measurement, and only a missing one is NaN.
+        metrics = collector_with([(0.0, 1.0)])
+        metrics.records[mid(0)].copies_at_end = 0
+        summary = metrics.summary()
+        assert metrics.mean_copies_at_end() == 0.0
+        assert summary["mean_copies_at_end"] == 0.0
+        assert math.isnan(collector_with([(0.0, None)]).summary()["mean_copies_at_end"])
+
     def test_max_delay(self):
         metrics = collector_with([(0.0, 10.0), (0.0, 99.0)])
         assert metrics.max_delay() == 99.0

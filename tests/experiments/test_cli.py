@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.churn import ChurnConfig
+from repro.cli import CHURN_FLAGS, FAULT_FLAGS, _config_from_flags, build_parser, main
+from repro.faults import FaultConfig
 
 
 class TestParser:
@@ -215,6 +217,43 @@ class TestScenarioFlags:
     def test_invalid_scenario_exits_2(self, command, capsys):
         assert main([command, "--scale", "0.25", "--filter-k", "2"]) == 2
         assert "filter_k" in capsys.readouterr().err
+
+
+class TestConfigFlags:
+    """The fault and churn flags are declared once, as field tables."""
+
+    @pytest.mark.parametrize(
+        "cls,flags,command",
+        [(FaultConfig, FAULT_FLAGS, "run"),
+         (ChurnConfig, CHURN_FLAGS, "run"),
+         (ChurnConfig, CHURN_FLAGS, "swarm")],
+    )
+    def test_each_flag_sets_its_field(self, cls, flags, command):
+        def dest(flag):
+            return flag[2:].replace("-", "_")
+
+        for flag, (field, _, _) in flags.items():
+            default = getattr(cls(), field)
+            assert vars(build_parser().parse_args([command]))[dest(flag)] == default
+            value = type(default)(7 if isinstance(default, int) else 0.25)
+            args = build_parser().parse_args([command, flag, str(value)])
+            built = cls(**{
+                name: getattr(args, dest(other))
+                for other, (name, _, _) in flags.items()
+            })
+            assert getattr(built, field) == value
+
+    def test_nothing_set_is_no_config(self):
+        args = build_parser().parse_args(["run"])
+        assert _config_from_flags(FaultConfig, FAULT_FLAGS, args) is None
+        assert _config_from_flags(ChurnConfig, CHURN_FLAGS, args) is None
+
+    @pytest.mark.parametrize("command", ["run", "swarm"])
+    def test_out_of_range_value_refused_alone(self, command, capsys):
+        # Nothing else in the churn group is set, so the config would be
+        # disabled; the value is still checked.
+        assert main([command, "--scale", "0.25", "--churn-amnesia", "1.5"]) == 2
+        assert "amnesia_probability" in capsys.readouterr().err
 
 
 def test_bench_is_not_a_command():

@@ -1,10 +1,16 @@
 """Unit tests for scenario construction."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dtn import EpidemicPolicy
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scenario import build_scenario, expected_user_meetings
+from repro.experiments.scenario import (
+    build_inputs,
+    build_scenario,
+    expected_user_meetings,
+)
 
 SMALL = ExperimentConfig(scale=0.25)
 
@@ -42,8 +48,6 @@ class TestBuild:
         assert scenario.emulator.assignments == {}
 
     def test_user_mode_wires_assignments(self):
-        from dataclasses import replace
-
         scenario = build_scenario(replace(SMALL, addressing="user"))
         assert scenario.emulator.assignments
 
@@ -82,8 +86,6 @@ class TestFilterStrategies:
             assert min(chosen_counts) >= max(unchosen)
 
     def test_selected_user_mode_ranks_users(self):
-        from dataclasses import replace
-
         config = replace(
             SMALL.with_filters("selected", 3), addressing="user"
         )
@@ -92,6 +94,39 @@ class TestFilterStrategies:
         for node in scenario.nodes.values():
             assert node.static_relay_addresses <= users
             assert len(node.static_relay_addresses) == 3
+
+    @pytest.mark.parametrize("strategy", ["random", "selected"])
+    def test_k_beyond_the_population_relays_for_every_other_bus(self, strategy):
+        inputs = build_inputs(SMALL.with_filters(strategy, 10_000))
+        for host in inputs.trace.hosts:
+            assert inputs.relay_sets[host] == inputs.trace.hosts - {host}
+
+    @pytest.mark.parametrize("strategy", ["random", "selected"])
+    def test_k_beyond_the_population_relays_for_every_user(self, strategy):
+        config = replace(SMALL.with_filters(strategy, 10_000), addressing="user")
+        inputs = build_inputs(config)
+        for host in inputs.trace.hosts:
+            assert inputs.relay_sets[host] == frozenset(inputs.model.users)
+
+    def test_random_sets_follow_the_filter_seed(self):
+        config = SMALL.with_filters("random", 2)
+        first = build_inputs(config).relay_sets
+        assert build_inputs(config).relay_sets == first
+        reseeded = replace(config, filter_seed=config.filter_seed + 1)
+        assert build_inputs(reseeded).relay_sets != first
+
+    def test_selected_breaks_equal_meeting_counts_by_name(self):
+        inputs = build_inputs(SMALL.with_filters("selected", 3))
+        ties = 0
+        for host, chosen in inputs.relay_sets.items():
+            counts = inputs.trace.meeting_counts_for(host)
+            for pick in chosen:
+                for other in inputs.trace.hosts - chosen - {host}:
+                    assert (-counts.get(pick, 0), pick) < (
+                        -counts.get(other, 0), other
+                    )
+                    ties += counts.get(pick, 0) == counts.get(other, 0)
+        assert ties  # the order is decided by name somewhere
 
 
 class TestExpectedUserMeetings:

@@ -25,9 +25,9 @@ from repro.replication import (
     SyncEndpoint,
 )
 from repro.replication.codec import (
-    decode_batch,
+    decode_batch_frame,
     decode_sync_request,
-    encode_batch,
+    encode_batch_frame,
     encode_sync_request,
     wire_size,
 )
@@ -44,8 +44,8 @@ def sync_over_wire(source: SyncEndpoint, target: SyncEndpoint, now=0.0):
     request = decode_sync_request(json.loads(request_bytes))
 
     batch, stats = build_batch(source, request, source_context)
-    batch_bytes = json.dumps(encode_batch(batch)).encode()
-    received = decode_batch(json.loads(batch_bytes))
+    batch_bytes = json.dumps(encode_batch_frame(batch)).encode()
+    received = decode_batch_frame(json.loads(batch_bytes))
 
     # The wire hop delivered everything; confirm the batch to the policy
     # (``SyncSession.run`` does this with the delivered entries).

@@ -18,7 +18,7 @@ from repro.replication import (
 )
 from repro.replication.codec import (
     CodecError,
-    decode_batch,
+    decode_batch_frame,
     decode_filter,
     decode_item,
     decode_item_id,
@@ -26,7 +26,7 @@ from repro.replication.codec import (
     decode_routing_state,
     decode_sync_request,
     decode_version,
-    encode_batch,
+    encode_batch_frame,
     encode_filter,
     encode_item,
     encode_item_id,
@@ -201,7 +201,7 @@ class TestSyncMessages:
             BatchEntry(make_item(), True, Priority(PriorityClass.FILTER_MATCH)),
             BatchEntry(make_item(), False, Priority(PriorityClass.NORMAL, 0.3)),
         ]
-        decoded = decode_batch(encode_batch(batch))
+        decoded = decode_batch_frame(encode_batch_frame(batch))
         assert [e.item for e in decoded] == [e.item for e in batch]
         assert [e.priority for e in decoded] == [e.priority for e in batch]
         assert [e.matched_filter for e in decoded] == [True, False]

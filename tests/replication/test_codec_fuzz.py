@@ -38,7 +38,6 @@ from repro.replication import (
 )
 from repro.replication.codec import (
     CodecError,
-    decode_batch,
     decode_batch_entry,
     decode_batch_frame,
     decode_filter,
@@ -48,7 +47,6 @@ from repro.replication.codec import (
     decode_routing_state,
     decode_sync_request,
     decode_version,
-    encode_batch,
     encode_batch_entry,
     encode_batch_frame,
     encode_item,
@@ -69,7 +67,6 @@ DECODERS = [
     decode_routing_state,
     decode_sync_request,
     decode_batch_entry,
-    decode_batch,
     decode_batch_frame,
 ]
 
@@ -182,7 +179,6 @@ honest_frames = st.one_of(
     st.tuples(st.just(decode_knowledge), knowledge.map(encode_knowledge)),
     st.tuples(st.just(decode_sync_request), requests.map(encode_sync_request)),
     st.tuples(st.just(decode_batch_entry), entries.map(encode_batch_entry)),
-    st.tuples(st.just(decode_batch), batches.map(encode_batch)),
     st.tuples(st.just(decode_batch_frame), batches.map(encode_batch_frame)),
 )
 
@@ -220,7 +216,7 @@ cases = st.tuples(st.sampled_from(DECODERS), junk) | damaged_frames()
 # The three reported leaks: AttributeError, TypeError, OverflowError.
 @example(case=(decode_item, 5))
 @example(case=(decode_item, []))
-@example(case=(decode_batch, None))
+@example(case=(decode_batch_frame, None))
 @example(
     case=(
         decode_sync_request,
