@@ -12,8 +12,8 @@ engines:
   ``(config, trace)`` alone, so every process computes the same plan;
 * :class:`LifecycleTracker` — run-time availability + recovery
   bookkeeping shared by the emulator and the swarm orchestrator;
-* :class:`ReciprocityLedger` — per-node trust trackers and the
-  population-wide generosity scores;
+* :class:`ReciprocityLedger` — per-pair transfer tallies, the
+  tit-for-tat admission gate and the population-wide generosity scores;
 * :class:`FreeRiderPolicy` — selfish serving behaviours layered over
   any honest routing policy.
 

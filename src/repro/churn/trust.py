@@ -1,13 +1,12 @@
 """Trust and reciprocity scoring over the whole population.
 
-:class:`ReciprocityLedger` is the run-level view of the per-replica
-trust machinery in :mod:`repro.replication.peer_health`: every node gets
-its own :class:`~repro.replication.peer_health.PeerHealthTracker` armed
-with the config's reciprocity knobs, encounters are admitted only when
-*both* sides consider the other reciprocal (tit-for-tat), and a global
-given/taken tally per node yields the population-wide reciprocity
-scores that land in ``MetricsCollector.summary()`` — the signal that
-separates free-riders from honest peers.
+:class:`ReciprocityLedger` keeps, for every ordered pair of nodes, how
+many items one side sent the other. From it each node scores each of its
+peers, and encounters are admitted only when *both* sides consider the
+other reciprocal (tit-for-tat). A global given/taken tally per node
+yields the population-wide reciprocity scores that land in
+``MetricsCollector.summary()`` — the signal that separates free-riders
+from honest peers.
 
 Like the lifecycle tracker, one ledger implementation drives both the
 emulator and the swarm orchestrator, fed the same per-sync ``sent``
@@ -16,13 +15,11 @@ totals in the same order, so both worlds gate and score identically.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
-
-from repro.replication.peer_health import PeerHealthTracker
+from typing import Dict, Iterable, Tuple
 
 
 class ReciprocityLedger:
-    """Per-node trust trackers plus the global generosity tally."""
+    """Per-pair transfer tallies plus the global generosity tally."""
 
     def __init__(
         self,
@@ -31,36 +28,48 @@ class ReciprocityLedger:
         min_taken: int = 25,
     ) -> None:
         self.threshold = threshold
-        self.trackers: Dict[str, PeerHealthTracker] = {
-            name: PeerHealthTracker(
-                reciprocity_threshold=threshold,
-                reciprocity_min_taken=min_taken,
-            )
-            for name in sorted(nodes)
-        }
-        self._given: Dict[str, int] = {name: 0 for name in self.trackers}
-        self._taken: Dict[str, int] = {name: 0 for name in self.trackers}
+        self.min_taken = min_taken
+        #: (source, target) → items the source has sent the target.
+        self._sent: Dict[Tuple[str, str], int] = {}
+        self._given: Dict[str, int] = {name: 0 for name in sorted(nodes)}
+        self._taken: Dict[str, int] = dict(self._given)
 
-    # -- encounter admission --------------------------------------------------------
+    # -- per-pair trust ---------------------------------------------------------------
+
+    def reciprocity(self, observer: str, peer: str) -> float:
+        """``observer``'s trust score for ``peer``: items the peer sent the
+        observer over items it took from the observer, add-one smoothed
+        so a brand-new peer starts at exactly 1.0 (neutral). A peer the
+        observer only ever uploads to scores toward zero, and a generous
+        peer scores above 1."""
+        taken = self._sent.get((peer, observer), 0)
+        given = self._sent.get((observer, peer), 0)
+        return (taken + 1) / (given + 1)
+
+    def reciprocal(self, observer: str, peer: str) -> bool:
+        """Does ``peer`` pull its weight in ``observer``'s eyes?
+
+        Disabled (always True) when ``threshold`` is zero. A peer the
+        observer has given fewer than ``min_taken`` items is still
+        inside its grace window — refusing a stranger before any history
+        exists would deadlock two honest nodes.
+        """
+        if self.threshold <= 0.0:
+            return True
+        if self._sent.get((observer, peer), 0) < self.min_taken:
+            return True
+        return self.reciprocity(observer, peer) >= self.threshold
 
     def admit(self, a: str, b: str) -> bool:
-        """Would both sides agree to sync? (Symmetric, side-effect free.)
-
-        Both views are evaluated without short-circuiting so the call
-        pattern stays identical regardless of which side would refuse —
-        the same discipline ``Emulator._peers_willing`` applies to the
-        health trackers.
-        """
-        a_willing = self.trackers[a].reciprocal(b)
-        b_willing = self.trackers[b].reciprocal(a)
-        return a_willing and b_willing
+        """Would both sides agree to sync? (Symmetric, side-effect free.)"""
+        return self.reciprocal(a, b) and self.reciprocal(b, a)
 
     # -- accounting -----------------------------------------------------------------
 
     def observe_sync(self, source: str, target: str, sent: int) -> None:
         """Fold one directed sync's delivered item count into the ledger."""
-        self.trackers[source].record_exchange(target, given=sent)
-        self.trackers[target].record_exchange(source, taken=sent)
+        link = (source, target)
+        self._sent[link] = self._sent.get(link, 0) + sent
         self._given[source] += sent
         self._taken[target] += sent
 
@@ -73,5 +82,5 @@ class ReciprocityLedger:
         """
         return {
             name: (self._given[name] + 1) / (self._taken[name] + 1)
-            for name in self.trackers
+            for name in self._given
         }

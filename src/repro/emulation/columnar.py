@@ -82,6 +82,7 @@ from repro.emulation.metrics import MetricsCollector
 from repro.emulation.network import Injection
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
+from repro.faults.models import mask, plan_cut
 from repro.replication.ids import ItemId, ReplicaId
 from repro.replication.routing import NullRoutingPolicy
 
@@ -265,9 +266,9 @@ class ColumnarWorld:
         # The object engine routes every sync through FaultyTransport
         # whenever any channel model is armed; within the supported
         # subset that means truncation and/or duplication.
-        self._transport_armed = self._injector is not None and (
-            self._injector._truncation is not None
-            or self._injector._duplication is not None
+        self._transport_armed = (
+            self._injector is not None
+            and self._injector.config.has_transport_faults
         )
 
         self.metrics = MetricsCollector()
@@ -530,7 +531,8 @@ class ColumnarWorld:
 
         # Transport: replicate FaultyTransport.deliver's draw order on
         # the injector rng (truncation plan, then one duplication draw
-        # per surviving stream entry).  An empty batch draws nothing.
+        # per surviving stream entry); an unarmed model and an empty
+        # batch draw nothing.
         # A duplicated frame arrives next to its first, which the target
         # has just applied (the batch holds each item once and the target
         # knew none), so the object engine tolerates it as redundant.
@@ -541,17 +543,16 @@ class ColumnarWorld:
         if self._transport_armed and batch:
             injector = self._injector
             assert injector is not None
-            rng = injector.rng
-            truncation = injector._truncation
-            if truncation is not None:
-                cut = truncation.plan_cut([1] * sent_total, rng)
-                if cut is not None:
-                    interrupted = True
-                    lost = sent_total - cut
-                    delivered_n = cut
-            duplication = injector._duplication
-            if duplication is not None and delivered_n:
-                redundant = sum(duplication.duplicate_mask(delivered_n, rng))
+            config, rng = injector.config, injector.rng
+            cut = plan_cut(config, [1] * sent_total, rng)
+            if cut is not None:
+                interrupted = True
+                lost = sent_total - cut
+                delivered_n = cut
+            if delivered_n:
+                redundant = sum(
+                    mask(config.duplication_probability, delivered_n, rng)
+                )
 
         # Source-side confirmation (each delivered entry once), *before*
         # the target applies — SyncSession.run's order, which matters for

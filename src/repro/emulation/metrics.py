@@ -23,6 +23,24 @@ from repro.replication.sync import SyncStats
 HOURS = 3600.0
 DAYS = 86400.0
 
+#: The lifecycle state a churning run's ``to_dict()`` carries as ``churn``.
+_CHURN_STATE = (
+    "churn_arrivals",
+    "churn_leaves",
+    "churn_crashes",
+    "churn_rejoins",
+    "churn_amnesiac_rejoins",
+    "churn_handoffs",
+    "churn_skipped_encounters",
+    "churn_lost_injections",
+    "reciprocity_refusals",
+    "node_seconds_online",
+    "rejoin_recovery_seconds",
+    "rejoin_recoveries",
+    "lost_to_departure",
+    "reciprocity_scores",
+)
+
 
 @dataclass
 class MessageRecord:
@@ -144,14 +162,15 @@ class MetricsCollector:
     peak_rss_bytes = 0.0
     tracemalloc_peak_bytes = 0.0
 
-    # Churn/lifecycle accounting — also non-field class attributes, for
-    # the same reason as the memory stamps: churn-disabled run artifacts
-    # must stay byte-identical to pre-churn ones, so these keys enter
-    # neither to_dict() nor (unless churn_armed) summary().  A churning
-    # run sets churn_armed and the counters via the record_churn_*
-    # methods; reciprocity_scores is always *replaced* with a fresh dict
-    # (assignment creates an instance attribute — mutating the class
-    # attribute in place would leak state across collectors).
+    # Churn/lifecycle accounting — also non-field class attributes, so
+    # that churn-disabled run artifacts stay byte-identical to pre-churn
+    # ones: unless churn_armed, these keys enter neither to_dict() nor
+    # summary(). A churning run sets churn_armed and the counters via the
+    # record_churn_* methods, and its to_dict() carries them in a
+    # ``churn`` block (_CHURN_STATE); reciprocity_scores is always
+    # *replaced* with a fresh dict (assignment creates an instance
+    # attribute — mutating the class attribute in place would leak state
+    # across collectors).
     churn_armed = False
     churn_arrivals = 0
     churn_leaves = 0
@@ -255,8 +274,9 @@ class MetricsCollector:
     def arm_churn(self) -> None:
         """Mark this collector as belonging to a churning run.
 
-        Arming makes ``summary()`` include the lifecycle block; it does
-        not touch ``to_dict()``, so artifacts keep their schema.
+        Arming makes ``summary()`` include the lifecycle block and
+        ``to_dict()`` carry it as ``churn``; a churn-free dump has no
+        such key.
         """
         self.churn_armed = True
 
@@ -469,6 +489,8 @@ class MetricsCollector:
                 # form never depends on detection order.
                 value = {key: value[key] for key in sorted(value)}
             data[spec.name] = value
+        if self.churn_armed:
+            data["churn"] = {name: getattr(self, name) for name in _CHURN_STATE}
         return data
 
     @classmethod
@@ -477,10 +499,15 @@ class MetricsCollector:
         records = [
             MessageRecord.from_dict(raw) for raw in payload.pop("records")
         ]
+        churn = payload.pop("churn", None)
         collector = cls(
             records={record.message_id: record for record in records},
             **payload,
         )
+        if churn is not None:
+            collector.arm_churn()
+            for name in _CHURN_STATE:
+                setattr(collector, name, churn[name])
         return collector
 
     def summary(self) -> Dict[str, Any]:

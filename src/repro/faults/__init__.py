@@ -7,7 +7,9 @@ if it survives actual faults. This package provides the faults:
 * :class:`FaultConfig` — declarative, validated description of a failure
   environment (drop/truncation/duplication/crash probabilities plus the
   retry backoff policy);
-* the pluggable fault models in :mod:`repro.faults.models`;
+* the fault draws in :mod:`repro.faults.models` — ``fires``, ``mask``,
+  ``plan_cut``, ``plan_replay`` and ``inflate_by``, each a function of
+  the config and the injector's rng;
 * :class:`FaultyTransport` — the lossy channel the sync engine routes
   batches through;
 * :class:`FaultInjector` — seeded orchestration with its own RNG stream
@@ -21,25 +23,7 @@ schedules.
 """
 
 from .config import TRUNCATION_UNITS, FaultConfig
-from .injector import (
-    FaultCounters,
-    FaultInjector,
-    Pair,
-    ResumeTracker,
-    RetryState,
-    pair_key,
-)
-from .models import (
-    BatchTruncation,
-    BernoulliEncounterDrop,
-    CrashRestart,
-    EntryDuplication,
-    FaultModel,
-    FrameReplay,
-    KnowledgeFabrication,
-    MalformedFrame,
-    PayloadCorruption,
-)
+from .injector import FaultInjector, Pair, ResumeTracker, RetryState, pair_key
 from .transport import (
     CORRUPTED_PAYLOAD,
     REPLAY_POOL_LIMIT,
@@ -48,22 +32,12 @@ from .transport import (
 )
 
 __all__ = [
-    "BatchTruncation",
-    "BernoulliEncounterDrop",
     "CORRUPTED_PAYLOAD",
-    "CrashRestart",
     "DeliveryOutcome",
-    "EntryDuplication",
     "FaultConfig",
-    "FaultCounters",
     "FaultInjector",
-    "FaultModel",
     "FaultyTransport",
-    "FrameReplay",
-    "KnowledgeFabrication",
-    "MalformedFrame",
     "Pair",
-    "PayloadCorruption",
     "REPLAY_POOL_LIMIT",
     "ResumeTracker",
     "RetryState",

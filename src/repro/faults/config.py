@@ -173,19 +173,6 @@ class FaultConfig:
             )
         )
 
-    @property
-    def has_adversarial_faults(self) -> bool:
-        """True when a content-level (adversarial) fault model is armed."""
-        return any(
-            probability > 0.0
-            for probability in (
-                self.corruption_probability,
-                self.replay_probability,
-                self.fabrication_probability,
-                self.malformed_probability,
-            )
-        )
-
     # -- serialization (the repro.api round-trip contract) ------------------------
 
     def to_dict(self) -> Dict[str, Any]:

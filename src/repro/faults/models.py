@@ -1,240 +1,87 @@
-"""The pluggable fault models.
+"""The fault draws: each decision is a function of a FaultConfig and an rng.
 
-Each model is a small, stateless decision procedure: it is handed the
-injector's RNG at every decision point and draws from it in a fixed
-order, so a (config, seed) pair replays the exact same fault schedule.
-Models never touch replicas or metrics themselves — the injector and the
-emulation layer act on their decisions — which keeps them unit-testable
-and lets alternative models plug in without touching the sync engine.
+The injector hands its own seeded rng to these functions at every
+decision point, and each draws from it in a fixed order, so a (config,
+seed) pair replays the exact same fault schedule. A probability of zero
+draws nothing, so arming one model never moves another's draws. The
+functions never touch replicas or metrics themselves: the injector, the
+transport and the emulation layer act on what they return.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
+
+from .config import FaultConfig
+
+#: A firing replay re-delivers between one and this many pool entries.
+REPLAY_MAX_ENTRIES = 3
+
+#: A firing fabrication claims between one and this many extra counters.
+FABRICATION_MAX_INFLATION = 5
 
 
-class FaultModel:
-    """Base class: a named fault model with a firing probability."""
-
-    name = "fault"
-
-    def __init__(self, probability: float) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability!r}")
-        self.probability = probability
-
-    def fires(self, rng: random.Random) -> bool:
-        """One Bernoulli draw. Zero-probability models never consume RNG."""
-        if self.probability <= 0.0:
-            return False
-        return rng.random() < self.probability
-
-    def describe(self) -> Dict[str, object]:
-        return {"model": self.name, "probability": self.probability}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(p={self.probability})"
+def fires(probability: float, rng: random.Random) -> bool:
+    """One Bernoulli draw; none at all when ``probability`` is zero."""
+    if probability <= 0.0:
+        return False
+    return rng.random() < probability
 
 
-class BernoulliEncounterDrop(FaultModel):
-    """Drop a whole encounter: contact established, no sync completed."""
+def mask(probability: float, count: int, rng: random.Random) -> List[bool]:
+    """One independent draw per entry, in stream order (duplication,
+    corruption and malformed frames)."""
+    if probability <= 0.0:
+        return [False] * count
+    return [rng.random() < probability for _ in range(count)]
 
-    name = "encounter-drop"
 
-    def should_drop(self, rng: random.Random) -> bool:
-        return self.fires(rng)
+def plan_cut(
+    config: FaultConfig, entry_sizes: Sequence[int], rng: random.Random
+) -> Optional[int]:
+    """How many leading batch entries survive truncation, or None.
 
-
-class BatchTruncation(FaultModel):
-    """Cut a sync batch after K entries (or bytes): connection died mid-batch.
-
-    ``minimum``/``maximum`` bound the delivered budget; ``unit`` selects
-    whether the budget counts batch entries (``"items"``) or wire bytes
-    (``"bytes"``). With ``maximum=None`` the budget ranges up to one unit
-    short of the full batch, so a firing truncation always loses something.
+    ``entry_sizes`` gives the cost of each entry in the config's
+    ``truncation_unit`` (all 1 for items, wire bytes otherwise). The
+    budget K is drawn uniformly from ``[truncation_min, truncation_max]``,
+    clamped so that a cut always loses something, and the delivered
+    prefix is the longest one whose total size fits within K.
     """
-
-    name = "batch-truncation"
-
-    def __init__(
-        self,
-        probability: float,
-        minimum: int = 0,
-        maximum: Optional[int] = None,
-        unit: str = "items",
-    ) -> None:
-        super().__init__(probability)
-        if minimum < 0:
-            raise ValueError("minimum must be >= 0")
-        if maximum is not None and maximum < minimum:
-            raise ValueError("maximum must be >= minimum or None")
-        if unit not in ("items", "bytes"):
-            raise ValueError(f"unit must be 'items' or 'bytes', got {unit!r}")
-        self.minimum = minimum
-        self.maximum = maximum
-        self.unit = unit
-
-    def plan_cut(
-        self, entry_sizes: Sequence[int], rng: random.Random
-    ) -> Optional[int]:
-        """Decide how many leading entries survive, or None for no fault.
-
-        ``entry_sizes`` gives the cost of each batch entry in this model's
-        unit (all 1 for item counting, wire bytes otherwise). The budget K
-        is drawn uniformly from ``[minimum, maximum]`` (clamped so the cut
-        is a strict truncation), and the delivered prefix is the longest
-        one whose total size fits within K.
-        """
-        if not entry_sizes or not self.fires(rng):
-            return None
-        total = sum(entry_sizes)
-        high = total - 1 if self.maximum is None else min(self.maximum, total - 1)
-        if high < 0:
-            return None
-        low = min(self.minimum, high)
-        budget = rng.randint(low, high)
-        delivered = 0
-        consumed = 0
-        for size in entry_sizes:
-            if consumed + size > budget:
-                break
-            consumed += size
-            delivered += 1
-        if delivered >= len(entry_sizes):
-            return None
-        return delivered
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {"minimum": self.minimum, "maximum": self.maximum, "unit": self.unit}
-        )
-        return description
+    if not entry_sizes or not fires(config.truncation_probability, rng):
+        return None
+    total = sum(entry_sizes)
+    maximum = config.truncation_max
+    high = total - 1 if maximum is None else min(maximum, total - 1)
+    if high < 0:
+        return None
+    budget = rng.randint(min(config.truncation_min, high), high)
+    delivered = 0
+    consumed = 0
+    for size in entry_sizes:
+        if consumed + size > budget:
+            break
+        consumed += size
+        delivered += 1
+    if delivered >= len(entry_sizes):
+        return None
+    return delivered
 
 
-class EntryDuplication(FaultModel):
-    """Deliver some batch entries twice: retransmission without dedup."""
-
-    name = "entry-duplication"
-
-    def duplicate_mask(self, count: int, rng: random.Random) -> List[bool]:
-        """One independent draw per delivered entry, in batch order."""
-        if self.probability <= 0.0:
-            return [False] * count
-        return [rng.random() < self.probability for _ in range(count)]
-
-
-class CrashRestart(FaultModel):
-    """Crash a node after an encounter; it restarts from durable state."""
-
-    name = "crash-restart"
-
-    def pick_victims(
-        self, participants: Sequence[str], rng: random.Random
-    ) -> List[str]:
-        """Independent per-participant draws, in the given (stable) order."""
-        return [name for name in participants if self.fires(rng)]
+def plan_replay(
+    config: FaultConfig, pool_size: int, rng: random.Random
+) -> List[int]:
+    """Sorted indices into the link's replay pool to re-deliver (may be
+    empty); at most one replay per session."""
+    if pool_size <= 0 or not fires(config.replay_probability, rng):
+        return []
+    count = rng.randint(1, min(REPLAY_MAX_ENTRIES, pool_size))
+    return sorted(rng.sample(range(pool_size), count))
 
 
-# -- adversarial models -----------------------------------------------------------
-#
-# The four models below attack the *content* of the protocol rather than
-# its timing: flipped payload bytes, garbage frames, replayed batches,
-# and fabricated knowledge. They exercise the hardened receive path
-# (checksums, per-entry quarantine, request validation) the way the
-# transport models exercise resume/backoff.
-
-
-class PayloadCorruption(FaultModel):
-    """Flip a delivered entry's payload in transit: bit rot on the link.
-
-    The corrupted copy still carries the sender's checksum, so the
-    receiver's integrity check catches it and quarantines the entry; the
-    real item retries at a later contact.
-    """
-
-    name = "payload-corruption"
-
-    def corrupt_mask(self, count: int, rng: random.Random) -> List[bool]:
-        """One independent draw per delivered copy, in stream order."""
-        if self.probability <= 0.0:
-            return [False] * count
-        return [rng.random() < self.probability for _ in range(count)]
-
-
-class MalformedFrame(FaultModel):
-    """Replace a delivered entry with an undecodable garbage frame.
-
-    Models framing-level damage (or a buggy/hostile peer) severe enough
-    that the entry cannot even be parsed; the hardened receive path must
-    skip it without aborting the rest of the batch.
-    """
-
-    name = "malformed-frame"
-
-    def malform_mask(self, count: int, rng: random.Random) -> List[bool]:
-        """One independent draw per delivered copy, in stream order."""
-        if self.probability <= 0.0:
-            return [False] * count
-        return [rng.random() < self.probability for _ in range(count)]
-
-
-class FrameReplay(FaultModel):
-    """Re-deliver entries from an earlier session on the same link.
-
-    Fires at most once per sync session; when it does, between one and
-    ``maximum_entries`` previously delivered entries (sampled from the
-    link's replay pool) are appended to the stream. The receiver already
-    knows their versions, so an honest-source contract makes them
-    detectable as replays — and at-most-once delivery must hold anyway.
-    """
-
-    name = "frame-replay"
-
-    def __init__(self, probability: float, maximum_entries: int = 3) -> None:
-        super().__init__(probability)
-        if maximum_entries < 1:
-            raise ValueError("maximum_entries must be >= 1")
-        self.maximum_entries = maximum_entries
-
-    def plan_replay(self, pool_size: int, rng: random.Random) -> List[int]:
-        """Indices into the replay pool to re-deliver (may be empty)."""
-        if pool_size <= 0 or not self.fires(rng):
-            return []
-        count = rng.randint(1, min(self.maximum_entries, pool_size))
-        return sorted(rng.sample(range(pool_size), count))
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description["maximum_entries"] = self.maximum_entries
-        return description
-
-
-class KnowledgeFabrication(FaultModel):
-    """Inflate the knowledge in a sync request beyond what its sender has.
-
-    Models a tampered (or lying) target that claims to already know
-    versions it never received — an unguarded source would then withhold
-    real items forever. Fires at most once per session; the inflation
-    amount is drawn uniformly from ``[1, maximum_inflation]``.
-    """
-
-    name = "knowledge-fabrication"
-
-    def __init__(self, probability: float, maximum_inflation: int = 5) -> None:
-        super().__init__(probability)
-        if maximum_inflation < 1:
-            raise ValueError("maximum_inflation must be >= 1")
-        self.maximum_inflation = maximum_inflation
-
-    def inflate_by(self, rng: random.Random) -> int:
-        """How many counters to fabricate this session (0 = no fault)."""
-        if not self.fires(rng):
-            return 0
-        return rng.randint(1, self.maximum_inflation)
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description["maximum_inflation"] = self.maximum_inflation
-        return description
+def inflate_by(config: FaultConfig, rng: random.Random) -> int:
+    """How many counters a sync request's knowledge is inflated by this
+    session (0 = no fault)."""
+    if not fires(config.fabrication_probability, rng):
+        return 0
+    return rng.randint(1, FABRICATION_MAX_INFLATION)

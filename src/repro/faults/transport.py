@@ -25,21 +25,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.replication.codec import item_wire_size
 from repro.replication.ids import ReplicaId, Version
 from repro.replication.integrity import item_checksum
 from repro.replication.sync import BatchEntry, SyncRequest
 
-from .models import (
-    BatchTruncation,
-    EntryDuplication,
-    FrameReplay,
-    KnowledgeFabrication,
-    MalformedFrame,
-    PayloadCorruption,
-)
+from .config import FaultConfig
+from .models import inflate_by, mask, plan_cut, plan_replay
 
 #: Payload substituted into corrupted copies — recognisable in debugging
 #: dumps, and guaranteed to differ from any honest JSON payload.
@@ -75,45 +69,28 @@ class DeliveryOutcome:
 
 
 class FaultyTransport:
-    """Applies the armed channel-fault models to each transmitted batch.
+    """Applies the config's armed channel faults to each transmitted batch.
 
     One transport instance mediates one sync session; the injector mints a
     fresh one per session so per-session decisions stay independent while
     sharing the injector's seeded RNG stream. ``replay_pool`` (when
     given) is the injector-owned pool of previously confirmed entries for
     this directed link — the transport draws replays from it and feeds
-    newly confirmed entries back into it. ``on_fault`` (when given) is
-    called with a counter name each time a fault actually fires, which is
-    how the injector's bookkeeping sees channel-level events.
+    newly confirmed entries back into it.
     """
 
     def __init__(
         self,
+        config: FaultConfig,
         rng: random.Random,
-        truncation: Optional[BatchTruncation] = None,
-        duplication: Optional[EntryDuplication] = None,
-        corruption: Optional[PayloadCorruption] = None,
-        malformed: Optional[MalformedFrame] = None,
-        replay: Optional[FrameReplay] = None,
-        fabrication: Optional[KnowledgeFabrication] = None,
+        *,
         source_id: Optional[ReplicaId] = None,
         replay_pool: Optional[List[BatchEntry]] = None,
-        on_fault: Optional[Callable[[str, int], None]] = None,
     ) -> None:
+        self._config = config
         self._rng = rng
-        self._truncation = truncation
-        self._duplication = duplication
-        self._corruption = corruption
-        self._malformed = malformed
-        self._replay = replay
-        self._fabrication = fabrication
         self._source_id = source_id
         self._replay_pool = replay_pool
-        self._on_fault = on_fault
-
-    def _count(self, counter: str, amount: int = 1) -> None:
-        if self._on_fault is not None and amount:
-            self._on_fault(counter, amount)
 
     # -- request tampering ---------------------------------------------------------
 
@@ -125,12 +102,11 @@ class FaultyTransport:
         the *source's* own authoring range, which is exactly the claim
         the source can validate against what it actually authored.
         """
-        if self._fabrication is None or self._source_id is None:
+        if self._source_id is None:
             return request
-        inflate = self._fabrication.inflate_by(self._rng)
+        inflate = inflate_by(self._config, self._rng)
         if inflate == 0:
             return request
-        self._count("fabricated_requests")
         knowledge = request.knowledge.copy()
         base = max(
             knowledge.known_counter_prefix(self._source_id),
@@ -147,14 +123,6 @@ class FaultyTransport:
 
     # -- batch delivery ------------------------------------------------------------
 
-    def _entry_sizes(self, batch: Sequence[Any]) -> List[int]:
-        assert self._truncation is not None
-        if self._truncation.unit == "bytes":
-            # Memoised per item object: re-offers of the same stored copy
-            # across retried sessions skip the re-encoding.
-            return [item_wire_size(entry.item) for entry in batch]
-        return [1] * len(batch)
-
     def deliver(self, batch: Sequence[Any]) -> DeliveryOutcome:
         """Run one batch through the channel, in order.
 
@@ -162,10 +130,18 @@ class FaultyTransport:
         malformed frames → replay) so a (config, seed) pair replays the
         exact same fault schedule.
         """
+        config = self._config
+        rng = self._rng
         outcome = DeliveryOutcome(sent=len(batch))
         delivered: List[Any] = list(batch)
-        if self._truncation is not None and delivered:
-            cut = self._truncation.plan_cut(self._entry_sizes(delivered), self._rng)
+        if config.truncation_probability > 0.0 and delivered:
+            if config.truncation_unit == "bytes":
+                # Memoised per item object: re-offers of the same stored
+                # copy across retried sessions skip the re-encoding.
+                sizes = [item_wire_size(entry.item) for entry in delivered]
+            else:
+                sizes = [1] * len(delivered)
+            cut = plan_cut(config, sizes, rng)
             if cut is not None:
                 outcome.truncated = True
                 outcome.lost = len(delivered) - cut
@@ -175,31 +151,28 @@ class FaultyTransport:
         # survives only while the wire copy is intact, so the confirmed
         # set falls out of the surviving left-hand sides.
         stream = [(entry, entry) for entry in delivered]
-        if self._duplication is not None and stream:
-            mask = self._duplication.duplicate_mask(len(stream), self._rng)
+        if stream:
             doubled = []
-            for pair, again in zip(stream, mask):
+            for pair, again in zip(
+                stream, mask(config.duplication_probability, len(stream), rng)
+            ):
                 doubled.append(pair)
                 if again:
                     doubled.append(pair)
                     outcome.duplicated += 1
             stream = doubled
-        if self._corruption is not None and stream:
-            mask = self._corruption.corrupt_mask(len(stream), self._rng)
-            for index, hit in enumerate(mask):
+            hits = mask(config.corruption_probability, len(stream), rng)
+            for index, hit in enumerate(hits):
                 if hit:
                     stream[index] = (None, _corrupt_copy(stream[index][1]))
                     outcome.corrupted += 1
-        if self._malformed is not None and stream:
-            mask = self._malformed.malform_mask(len(stream), self._rng)
-            for index, hit in enumerate(mask):
+            hits = mask(config.malformed_probability, len(stream), rng)
+            for index, hit in enumerate(hits):
                 if hit:
                     stream[index] = (None, {"malformed-frame": index})
                     outcome.malformed += 1
-        if self._replay is not None and self._replay_pool:
-            for index in self._replay.plan_replay(
-                len(self._replay_pool), self._rng
-            ):
+        if self._replay_pool:
+            for index in plan_replay(config, len(self._replay_pool), rng):
                 stream.append((None, self._replay_pool[index]))
                 outcome.replayed += 1
 
@@ -217,9 +190,6 @@ class FaultyTransport:
                 entry for entry in confirmed if isinstance(entry, BatchEntry)
             )
             del self._replay_pool[:-REPLAY_POOL_LIMIT]
-        self._count("corrupted_entries", outcome.corrupted)
-        self._count("malformed_entries", outcome.malformed)
-        self._count("replayed_entries", outcome.replayed)
         return outcome
 
 

@@ -57,11 +57,6 @@ class PeerRecord:
     quarantines: int = 0
     next_probe: float = 0.0
     probing: bool = False
-    # Reciprocity ledger: items this replica sent to the peer vs items
-    # the peer sent back.  Fed by record_exchange; consulted by the
-    # reciprocal() gate when a trust threshold is armed.
-    given: int = 0
-    taken: int = 0
 
 
 class PeerHealthTracker:
@@ -82,8 +77,6 @@ class PeerHealthTracker:
         jitter: float = 0.1,
         recovery_probes: int = 2,
         seed: int = 0,
-        reciprocity_threshold: float = 0.0,
-        reciprocity_min_taken: int = 25,
     ) -> None:
         if suspect_threshold < 1:
             raise ValueError("suspect_threshold must be >= 1")
@@ -101,10 +94,6 @@ class PeerHealthTracker:
             raise ValueError("jitter must be in [0, 1)")
         if recovery_probes < 1:
             raise ValueError("recovery_probes must be >= 1")
-        if reciprocity_threshold < 0.0:
-            raise ValueError("reciprocity_threshold must be >= 0")
-        if reciprocity_min_taken < 0:
-            raise ValueError("reciprocity_min_taken must be >= 0")
         self.suspect_threshold = suspect_threshold
         self.quarantine_threshold = quarantine_threshold
         self.backoff_base = backoff_base
@@ -112,8 +101,6 @@ class PeerHealthTracker:
         self.backoff_max = backoff_max
         self.jitter = jitter
         self.recovery_probes = recovery_probes
-        self.reciprocity_threshold = reciprocity_threshold
-        self.reciprocity_min_taken = reciprocity_min_taken
         self._rng = random.Random(seed)
         self._peers: Dict[str, PeerRecord] = {}
 
@@ -146,50 +133,6 @@ class PeerHealthTracker:
             record.probing = True
             return True
         return False
-
-    # -- reciprocity (trust scoring) ------------------------------------------------
-
-    def reciprocity(self, peer: str) -> float:
-        """This replica's trust score for ``peer``: items the peer sent
-        us over items it took from us, add-one smoothed so a brand-new
-        peer starts at exactly 1.0 (neutral).
-
-        ``given``/``taken`` are from *our* point of view (``given`` is
-        what we sent the peer), so a peer we only ever upload to —
-        ``given`` high, ``taken`` zero — scores toward zero, and a
-        generous peer scores above 1.
-        """
-        record = self._peers.get(peer)
-        if record is None:
-            return 1.0
-        return (record.taken + 1) / (record.given + 1)
-
-    def reciprocal(self, peer: str) -> bool:
-        """Does ``peer`` pull its weight (tit-for-tat admission gate)?
-
-        Disabled (always True) when ``reciprocity_threshold`` is zero.
-        A peer we have given fewer than ``reciprocity_min_taken`` items
-        is still inside its grace window — refusing a stranger before
-        any history exists would deadlock two honest nodes.
-        """
-        if self.reciprocity_threshold <= 0.0:
-            return True
-        record = self._peers.get(peer)
-        if record is None or record.given < self.reciprocity_min_taken:
-            return True
-        return self.reciprocity(peer) >= self.reciprocity_threshold
-
-    def record_exchange(self, peer: str, given: int = 0, taken: int = 0) -> None:
-        """Fold one sync's transfer totals into the reciprocity ledger.
-
-        ``given`` = items this replica sent to ``peer``; ``taken`` =
-        items ``peer`` sent to this replica.  Item counts are the
-        substrate's transfer unit (each batch entry is one replicated
-        item), so they are the fair-exchange currency here too.
-        """
-        record = self.record(peer)
-        record.given += given
-        record.taken += taken
 
     # -- updates --------------------------------------------------------------------
 

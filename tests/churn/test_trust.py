@@ -1,45 +1,45 @@
-"""ReciprocityLedger and the PeerHealthTracker reciprocity extensions."""
+"""ReciprocityLedger: per-pair trust, the admission gate and the scores."""
 
 import pytest
 
 from repro.churn.trust import ReciprocityLedger
-from repro.replication.peer_health import PeerHealthTracker
+
+
+def pair_ledger(given=0, taken=0, **knobs):
+    """A two-node ledger where "me" gave ``given`` items to "peer" and
+    took ``taken`` back."""
+    ledger = ReciprocityLedger(["me", "peer"], **knobs)
+    ledger.observe_sync("me", "peer", sent=given)
+    ledger.observe_sync("peer", "me", sent=taken)
+    return ledger
 
 
 class TestTrackerReciprocity:
     def test_stranger_scores_neutral(self):
-        assert PeerHealthTracker().reciprocity("peer") == pytest.approx(1.0)
+        assert pair_ledger().reciprocity("me", "peer") == pytest.approx(1.0)
 
     def test_add_one_smoothed_ratio(self):
-        tracker = PeerHealthTracker()
-        tracker.record_exchange("peer", given=9, taken=4)
-        assert tracker.reciprocity("peer") == pytest.approx(0.5)
+        ledger = pair_ledger(given=9, taken=4)
+        assert ledger.reciprocity("me", "peer") == pytest.approx(0.5)
+        assert ledger.reciprocity("peer", "me") == pytest.approx(2.0)
 
     def test_leech_decays_toward_zero(self):
-        tracker = PeerHealthTracker()
-        tracker.record_exchange("peer", given=99, taken=0)
-        assert tracker.reciprocity("peer") == pytest.approx(0.01)
+        ledger = pair_ledger(given=99)
+        assert ledger.reciprocity("me", "peer") == pytest.approx(0.01)
 
     def test_gate_disabled_at_zero_threshold(self):
-        tracker = PeerHealthTracker()
-        tracker.record_exchange("peer", given=1000, taken=0)
-        assert tracker.reciprocal("peer")
+        ledger = pair_ledger(given=1000)
+        assert ledger.reciprocal("me", "peer")
 
     def test_grace_window_before_min_taken(self):
-        tracker = PeerHealthTracker(
-            reciprocity_threshold=0.5, reciprocity_min_taken=25
-        )
-        tracker.record_exchange("peer", given=24, taken=0)
-        assert tracker.reciprocal("peer")  # still inside the grace window
-        tracker.record_exchange("peer", given=1)
-        assert not tracker.reciprocal("peer")
+        ledger = pair_ledger(given=24, threshold=0.5, min_taken=25)
+        assert ledger.reciprocal("me", "peer")  # still inside the grace window
+        ledger.observe_sync("me", "peer", sent=1)
+        assert not ledger.reciprocal("me", "peer")
 
     def test_generous_peer_passes_the_gate(self):
-        tracker = PeerHealthTracker(
-            reciprocity_threshold=0.5, reciprocity_min_taken=10
-        )
-        tracker.record_exchange("peer", given=40, taken=30)
-        assert tracker.reciprocal("peer")
+        ledger = pair_ledger(given=40, taken=30, threshold=0.5, min_taken=10)
+        assert ledger.reciprocal("me", "peer")
 
 
 class TestLedgerAdmission:

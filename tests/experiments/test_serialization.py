@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.churn import ChurnConfig
 from repro.emulation.metrics import MessageRecord, MetricsCollector
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
@@ -186,3 +187,27 @@ class TestExperimentResultRoundTrip:
         rebuilt = ExperimentResult.from_dict(json_hop(result.to_dict()))
         hours = [0.0, 6.0, 12.0]
         assert rebuilt.delay_cdf_hours(hours) == result.delay_cdf_hours(hours)
+
+    def test_churn_run_keeps_its_lifecycle_block(self):
+        config = ExperimentConfig(
+            scale=0.25,
+            policy="epidemic",
+            churn=ChurnConfig(
+                departure_fraction=0.2,
+                crash_fraction=0.2,
+                reciprocity_threshold=0.3,
+            ),
+        )
+        result = run_experiment(config)
+        data = result.to_dict()
+        rebuilt = ExperimentResult.from_dict(json_hop(data))
+        assert rebuilt.to_dict() == data
+        # json text comparison so NaN metrics compare equal.
+        assert json.dumps(rebuilt.summary(), sort_keys=True) == json.dumps(
+            result.summary(), sort_keys=True
+        )
+        assert "churn_leaves" in rebuilt.summary()
+
+    def test_churn_free_dump_has_no_churn_block(self):
+        result = run_experiment(ExperimentConfig(scale=0.25, policy="epidemic"))
+        assert "churn" not in result.to_dict()["metrics"]

@@ -1,4 +1,4 @@
-"""Unit tests for the adversarial fault models and their transport wiring."""
+"""Unit tests for the adversarial fault draws and their transport wiring."""
 
 import random
 
@@ -10,10 +10,13 @@ from repro.faults import (
     FaultConfig,
     FaultInjector,
     FaultyTransport,
-    FrameReplay,
-    KnowledgeFabrication,
-    MalformedFrame,
-    PayloadCorruption,
+)
+from repro.faults.models import (
+    FABRICATION_MAX_INFLATION,
+    REPLAY_MAX_ENTRIES,
+    inflate_by,
+    mask,
+    plan_replay,
 )
 from repro.replication import (
     AddressFilter,
@@ -55,81 +58,69 @@ def make_batch(count=3, source_name="bob", target_name="alice"):
 
 class TestModels:
     @pytest.mark.parametrize(
-        "model, method, args",
+        "draw",
         [
-            (PayloadCorruption(0.0), "corrupt_mask", (5,)),
-            (MalformedFrame(0.0), "malform_mask", (5,)),
-            (FrameReplay(0.0), "plan_replay", (5,)),
+            lambda rng: mask(FaultConfig().corruption_probability, 5, rng),
+            lambda rng: mask(FaultConfig().malformed_probability, 5, rng),
+            lambda rng: plan_replay(FaultConfig(), 5, rng),
         ],
+        ids=["corruption", "malformed", "replay"],
     )
-    def test_zero_probability_draws_nothing(self, model, method, args):
+    def test_zero_probability_draws_nothing(self, draw):
         rng = random.Random(1)
         before = rng.getstate()
-        result = getattr(model, method)(*args, rng)
-        assert not any(result) if isinstance(result, list) else True
+        assert not any(draw(rng))
         assert rng.getstate() == before
 
     def test_fabrication_zero_probability_draws_nothing(self):
         rng = random.Random(1)
         before = rng.getstate()
-        assert KnowledgeFabrication(0.0).inflate_by(rng) == 0
+        assert inflate_by(FaultConfig(), rng) == 0
         assert rng.getstate() == before
 
     def test_corruption_certain_hits_every_copy(self):
-        mask = PayloadCorruption(1.0).corrupt_mask(4, random.Random(2))
-        assert mask == [True] * 4
+        assert mask(1.0, 4, random.Random(2)) == [True] * 4
 
     def test_replay_sample_is_sorted_in_range_and_bounded(self):
-        model = FrameReplay(1.0, maximum_entries=3)
+        config = FaultConfig(replay_probability=1.0)
         rng = random.Random(3)
+        sizes = set()
         for _ in range(50):
-            plan = model.plan_replay(10, rng)
+            plan = plan_replay(config, 10, rng)
             assert plan == sorted(plan)
-            assert 1 <= len(plan) <= 3
+            assert 1 <= len(plan) <= REPLAY_MAX_ENTRIES
             assert all(0 <= index < 10 for index in plan)
             assert len(set(plan)) == len(plan)
+            sizes.add(len(plan))
+        assert max(sizes) == REPLAY_MAX_ENTRIES
 
     def test_replay_empty_pool_never_fires(self):
-        assert FrameReplay(1.0).plan_replay(0, random.Random(1)) == []
+        config = FaultConfig(replay_probability=1.0)
+        assert plan_replay(config, 0, random.Random(1)) == []
 
     def test_fabrication_inflation_bounded(self):
-        model = KnowledgeFabrication(1.0, maximum_inflation=4)
+        config = FaultConfig(fabrication_probability=1.0)
         rng = random.Random(5)
-        draws = {model.inflate_by(rng) for _ in range(100)}
-        assert draws <= {1, 2, 3, 4}
-        assert len(draws) > 1
-
-    def test_describe_carries_knobs(self):
-        assert FrameReplay(0.5, maximum_entries=7).describe()[
-            "maximum_entries"
-        ] == 7
-        assert KnowledgeFabrication(0.5, maximum_inflation=9).describe()[
-            "maximum_inflation"
-        ] == 9
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: FrameReplay(0.5, maximum_entries=0),
-            lambda: KnowledgeFabrication(0.5, maximum_inflation=0),
-            lambda: PayloadCorruption(1.5),
-        ],
-    )
-    def test_invalid_knobs_rejected(self, build):
-        with pytest.raises(ValueError):
-            build()
+        draws = {inflate_by(config, rng) for _ in range(100)}
+        assert draws == set(range(1, FABRICATION_MAX_INFLATION + 1))
 
 
 class TestConfig:
     def test_adversarial_probabilities_arm_the_config(self):
-        config = FaultConfig(corruption_probability=0.1)
-        assert config.enabled
-        assert config.has_adversarial_faults
-        assert config.has_transport_faults
+        for knob in (
+            "corruption_probability",
+            "replay_probability",
+            "fabrication_probability",
+            "malformed_probability",
+        ):
+            config = FaultConfig(**{knob: 0.1})
+            assert config.enabled
+            assert config.has_transport_faults
 
     def test_defaults_are_disarmed(self):
         config = FaultConfig()
-        assert not config.has_adversarial_faults
+        assert not config.enabled
+        assert not config.has_transport_faults
 
     @pytest.mark.parametrize(
         "overrides",
@@ -156,7 +147,7 @@ class TestTransportPipeline:
     def test_corruption_damages_copies_but_keeps_checksums(self):
         batch, *_ = make_batch(3)
         transport = FaultyTransport(
-            random.Random(1), corruption=PayloadCorruption(1.0)
+            FaultConfig(corruption_probability=1.0), random.Random(1)
         )
         outcome = transport.deliver(batch)
         assert outcome.corrupted == 3
@@ -169,7 +160,7 @@ class TestTransportPipeline:
     def test_malformed_frames_are_undecodable_garbage(self):
         batch, *_ = make_batch(2)
         transport = FaultyTransport(
-            random.Random(1), malformed=MalformedFrame(1.0)
+            FaultConfig(malformed_probability=1.0), random.Random(1)
         )
         outcome = transport.deliver(batch)
         assert outcome.malformed == 2
@@ -181,8 +172,8 @@ class TestTransportPipeline:
         stale, *_ = make_batch(1, source_name="bob", target_name="carol")
         pool = list(stale)
         transport = FaultyTransport(
+            FaultConfig(replay_probability=1.0),
             random.Random(1),
-            replay=FrameReplay(1.0),
             replay_pool=pool,
         )
         outcome = transport.deliver(batch)
@@ -196,8 +187,9 @@ class TestTransportPipeline:
     def test_replay_pool_is_bounded(self):
         pool = []
         transport = FaultyTransport(
+            # Armed, but effectively never fires.
+            FaultConfig(replay_probability=0.0001),
             random.Random(1),
-            replay=FrameReplay(0.0001),  # armed, but effectively never fires
             replay_pool=pool,
         )
         for _ in range(10):
@@ -208,8 +200,8 @@ class TestTransportPipeline:
     def test_corrupt_request_inflates_only_a_copy(self):
         batch, source, target, request = make_batch(1)
         transport = FaultyTransport(
+            FaultConfig(fabrication_probability=1.0),
             random.Random(1),
-            fabrication=KnowledgeFabrication(1.0, maximum_inflation=3),
             source_id=source.replica_id,
         )
         before = request.knowledge.copy()
@@ -222,7 +214,7 @@ class TestTransportPipeline:
                 default=0,
             ),
         )
-        assert claimed >= 1
+        assert 1 <= claimed <= FABRICATION_MAX_INFLATION
         # The original request object and vector are untouched.
         assert request.knowledge == before
         assert not request.knowledge.contains(Version(source.replica_id, 1))
@@ -234,14 +226,14 @@ class TestTransportPipeline:
         injector = FaultInjector(config, seed=3)
         transport = injector.transport("bob", "alice")
         batch, source, target, request = make_batch(2)
-        transport.corrupt_request(request)
-        transport.deliver(batch)
-        assert injector.counters.fabricated_requests == 1
-        assert injector.counters.corrupted_entries == 2
+        assert transport.corrupt_request(request) is not request
+        outcome = transport.deliver(batch)
+        assert outcome.corrupted == 2
+        assert outcome.confirmed == []
 
     def test_injector_without_link_names_still_works(self):
-        """Backward compatibility: truncation/duplication-only callers pass
-        no link names and must keep getting a transport."""
+        """Truncation/duplication-only callers pass no link names and
+        still get a transport."""
         config = FaultConfig(truncation_probability=0.5)
         injector = FaultInjector(config, seed=1)
         assert injector.transport() is not None

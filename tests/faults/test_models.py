@@ -1,112 +1,101 @@
-"""Unit tests for the individual fault models."""
+"""Unit tests for the fault draws, one class per fault model."""
 
 import random
 
-import pytest
+from repro.faults import FaultConfig, FaultInjector
+from repro.faults.models import fires, mask, plan_cut
 
-from repro.faults import (
-    BatchTruncation,
-    BernoulliEncounterDrop,
-    CrashRestart,
-    EntryDuplication,
-)
+
+def truncation(**knobs):
+    return FaultConfig(truncation_probability=1.0, **knobs)
 
 
 class TestBernoulliEncounterDrop:
     def test_zero_probability_never_drops_and_draws_nothing(self):
         rng = random.Random(1)
         before = rng.getstate()
-        assert not BernoulliEncounterDrop(0.0).should_drop(rng)
+        assert not fires(0.0, rng)
         assert rng.getstate() == before
 
     def test_certain_drop(self):
-        assert BernoulliEncounterDrop(1.0).should_drop(random.Random(1))
+        assert fires(1.0, random.Random(1))
 
     def test_rate_roughly_matches_probability(self):
         rng = random.Random(7)
-        model = BernoulliEncounterDrop(0.3)
-        drops = sum(model.should_drop(rng) for _ in range(2000))
+        drops = sum(fires(0.3, rng) for _ in range(2000))
         assert 450 < drops < 750
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            BernoulliEncounterDrop(2.0)
 
 
 class TestBatchTruncation:
     def test_never_fires_at_zero_probability(self):
-        model = BatchTruncation(0.0)
-        assert model.plan_cut([1, 1, 1], random.Random(1)) is None
+        rng = random.Random(1)
+        before = rng.getstate()
+        assert plan_cut(FaultConfig(), [1, 1, 1], rng) is None
+        assert rng.getstate() == before
 
     def test_empty_batch_never_cut(self):
-        model = BatchTruncation(1.0)
-        assert model.plan_cut([], random.Random(1)) is None
+        assert plan_cut(truncation(), [], random.Random(1)) is None
 
     def test_cut_is_strict_truncation(self):
-        model = BatchTruncation(1.0)
+        config = truncation()
         rng = random.Random(3)
         for _ in range(100):
-            cut = model.plan_cut([1] * 10, rng)
+            cut = plan_cut(config, [1] * 10, rng)
             assert cut is not None and 0 <= cut < 10
 
     def test_fixed_budget_items(self):
-        model = BatchTruncation(1.0, minimum=4, maximum=4)
-        assert model.plan_cut([1] * 10, random.Random(1)) == 4
+        config = truncation(truncation_min=4, truncation_max=4)
+        assert plan_cut(config, [1] * 10, random.Random(1)) == 4
 
     def test_budget_clamped_to_strict_truncation(self):
         # A 3-entry batch cannot lose-nothing "after 7 items": the budget
         # clamps to one entry short of the batch.
-        model = BatchTruncation(1.0, minimum=7, maximum=9)
-        assert model.plan_cut([1, 1, 1], random.Random(1)) == 2
+        config = truncation(truncation_min=7, truncation_max=9)
+        assert plan_cut(config, [1, 1, 1], random.Random(1)) == 2
 
     def test_single_entry_batch_cut_to_zero(self):
-        model = BatchTruncation(1.0)
-        assert model.plan_cut([1], random.Random(1)) == 0
+        assert plan_cut(truncation(), [1], random.Random(1)) == 0
 
     def test_bytes_budget_counts_sizes(self):
         # Entries of 40 bytes each against a 100-byte budget: 2 survive.
-        model = BatchTruncation(1.0, minimum=100, maximum=100, unit="bytes")
-        assert model.plan_cut([40, 40, 40, 40], random.Random(1)) == 2
+        config = truncation(
+            truncation_min=100, truncation_max=100, truncation_unit="bytes"
+        )
+        assert plan_cut(config, [40, 40, 40, 40], random.Random(1)) == 2
 
     def test_bytes_budget_smaller_than_first_entry(self):
-        model = BatchTruncation(1.0, minimum=10, maximum=10, unit="bytes")
-        assert model.plan_cut([40, 40], random.Random(1)) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchTruncation(0.5, minimum=-1)
-        with pytest.raises(ValueError):
-            BatchTruncation(0.5, minimum=3, maximum=2)
-        with pytest.raises(ValueError):
-            BatchTruncation(0.5, unit="frames")
+        config = truncation(
+            truncation_min=10, truncation_max=10, truncation_unit="bytes"
+        )
+        assert plan_cut(config, [40, 40], random.Random(1)) == 0
 
 
 class TestEntryDuplication:
     def test_zero_probability_is_all_false_without_draws(self):
         rng = random.Random(1)
         before = rng.getstate()
-        assert EntryDuplication(0.0).duplicate_mask(5, rng) == [False] * 5
+        assert mask(0.0, 5, rng) == [False] * 5
         assert rng.getstate() == before
 
     def test_certain_duplication(self):
-        assert EntryDuplication(1.0).duplicate_mask(4, random.Random(1)) == [True] * 4
+        assert mask(1.0, 4, random.Random(1)) == [True] * 4
 
     def test_mask_length_matches(self):
-        assert len(EntryDuplication(0.5).duplicate_mask(7, random.Random(2))) == 7
+        assert len(mask(0.5, 7, random.Random(2))) == 7
 
 
 class TestCrashRestart:
+    def victims(self, probability, participants, seed=1):
+        config = FaultConfig(crash_probability=probability)
+        return FaultInjector(config, seed=seed).crash_victims(participants)
+
     def test_no_victims_at_zero(self):
-        assert CrashRestart(0.0).pick_victims(["a", "b"], random.Random(1)) == []
+        assert self.victims(0.0, ["a", "b"]) == []
 
     def test_everyone_at_one(self):
-        assert CrashRestart(1.0).pick_victims(["a", "b"], random.Random(1)) == [
-            "a",
-            "b",
-        ]
+        assert self.victims(1.0, ["a", "b"]) == ["a", "b"]
 
     def test_deterministic_given_seed(self):
-        model = CrashRestart(0.5)
-        first = model.pick_victims(["a", "b", "c"], random.Random(9))
-        second = model.pick_victims(["a", "b", "c"], random.Random(9))
+        first = self.victims(0.5, ["a", "b", "c"], seed=9)
+        second = self.victims(0.5, ["a", "b", "c"], seed=9)
         assert first == second

@@ -3,6 +3,7 @@ a sync truncated after K batch entries commits knowledge for exactly the
 delivered prefix."""
 
 import random
+from dataclasses import replace
 
 from repro.dtn import (
     COPIES_ATTRIBUTE,
@@ -11,7 +12,7 @@ from repro.dtn import (
     FirstContactPolicy,
     SprayAndWaitPolicy,
 )
-from repro.faults import BatchTruncation, EntryDuplication, FaultyTransport
+from repro.faults import FaultConfig, FaultyTransport
 from repro.replication import (
     AddressFilter,
     Replica,
@@ -28,6 +29,11 @@ def host(name, policy_factory=EpidemicPolicy):
     return replica, SyncEndpoint(replica, policy)
 
 
+def truncating(k):
+    """A config whose truncation always keeps exactly ``k`` entries."""
+    return FaultConfig(truncation_probability=1.0, truncation_min=k, truncation_max=k)
+
+
 class FakeEntry:
     def __init__(self, tag):
         self.tag = tag
@@ -36,7 +42,7 @@ class FakeEntry:
 class TestDeliverMechanics:
     def test_perfect_channel_when_no_models(self):
         batch = [FakeEntry(i) for i in range(5)]
-        outcome = FaultyTransport(random.Random(1)).deliver(batch)
+        outcome = FaultyTransport(FaultConfig(), random.Random(1)).deliver(batch)
         assert outcome.delivered == batch
         assert outcome.sent == 5
         assert not outcome.truncated
@@ -45,7 +51,7 @@ class TestDeliverMechanics:
     def test_truncation_keeps_prefix_in_order(self):
         batch = [FakeEntry(i) for i in range(6)]
         transport = FaultyTransport(
-            random.Random(1), truncation=BatchTruncation(1.0, minimum=2, maximum=2)
+            truncating(2), random.Random(1)
         )
         outcome = transport.deliver(batch)
         assert outcome.truncated
@@ -55,7 +61,7 @@ class TestDeliverMechanics:
     def test_duplication_inserts_copy_immediately_after(self):
         batch = [FakeEntry(i) for i in range(3)]
         transport = FaultyTransport(
-            random.Random(1), duplication=EntryDuplication(1.0)
+            FaultConfig(duplication_probability=1.0), random.Random(1)
         )
         outcome = transport.deliver(batch)
         assert outcome.duplicated == 3
@@ -64,9 +70,8 @@ class TestDeliverMechanics:
     def test_duplication_applies_to_delivered_prefix_only(self):
         batch = [FakeEntry(i) for i in range(4)]
         transport = FaultyTransport(
+            replace(truncating(2), duplication_probability=1.0),
             random.Random(1),
-            truncation=BatchTruncation(1.0, minimum=2, maximum=2),
-            duplication=EntryDuplication(1.0),
         )
         outcome = transport.deliver(batch)
         assert [entry.tag for entry in outcome.delivered] == [0, 0, 1, 1]
@@ -84,7 +89,7 @@ class TestPrefixCommit:
             sender.create_item(f"m{i}", {"destination": "bob"}) for i in range(8)
         ]
         transport = FaultyTransport(
-            random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
+            truncating(k), random.Random(1)
         )
         stats = SyncSession(
             source=sender_ep,
@@ -113,7 +118,7 @@ class TestPrefixCommit:
         for i in range(8):
             sender.create_item(f"m{i}", {"destination": "bob"})
         transport = FaultyTransport(
-            random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
+            truncating(k), random.Random(1)
         )
         SyncSession(
             source=sender_ep,
@@ -132,7 +137,7 @@ class TestPrefixCommit:
         for i in range(4):
             sender.create_item(f"m{i}", {"destination": "bob"})
         transport = FaultyTransport(
-            random.Random(1), duplication=EntryDuplication(1.0)
+            FaultConfig(duplication_probability=1.0), random.Random(1)
         )
         stats = SyncSession(
             source=sender_ep,
@@ -151,8 +156,8 @@ class TestPrefixCommit:
         for i in range(6):
             sender.create_item(f"m{i}", {"destination": "bob"})
         transport = FaultyTransport(
+            FaultConfig(truncation_probability=1.0, truncation_unit="bytes"),
             random.Random(1),
-            truncation=BatchTruncation(1.0, minimum=0, maximum=None, unit="bytes"),
         )
         stats = SyncSession(
             source=sender_ep,
@@ -186,7 +191,7 @@ class TestDeliveryConfirmedHook:
         for i in range(8):
             sender.create_item(f"m{i}", {"destination": "bob"})
         transport = FaultyTransport(
-            random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
+            truncating(k), random.Random(1)
         )
         SyncSession(
             source=sender_ep,
@@ -206,7 +211,7 @@ class TestDeliveryConfirmedHook:
         for i in range(4):
             sender.create_item(f"m{i}", {"destination": "bob"})
         transport = FaultyTransport(
-            random.Random(1), duplication=EntryDuplication(1.0)
+            FaultConfig(duplication_probability=1.0), random.Random(1)
         )
         SyncSession(
             source=sender_ep,
@@ -237,7 +242,7 @@ class TestFirstContactUnderFaults:
             carrier.create_item(f"m{i}", {"destination": "dst"}) for i in range(5)
         ]
         transport = FaultyTransport(
-            random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
+            truncating(k), random.Random(1)
         )
         stats = SyncSession(
             source=carrier_ep,
@@ -262,7 +267,7 @@ class TestFirstContactUnderFaults:
             carrier.create_item(f"m{i}", {"destination": "dst"}) for i in range(5)
         ]
         transport = FaultyTransport(
-            random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
+            truncating(k), random.Random(1)
         )
         SyncSession(
             source=carrier_ep,
@@ -297,7 +302,7 @@ class TestSprayBudgetUnderFaults:
             sender.create_item(f"m{i}", {"destination": "dst"}) for i in range(5)
         ]
         transport = FaultyTransport(
-            random.Random(1), truncation=BatchTruncation(1.0, minimum=k, maximum=k)
+            truncating(k), random.Random(1)
         )
         SyncSession(
             source=sender_ep,
@@ -318,7 +323,7 @@ class TestSprayBudgetUnderFaults:
         receiver, receiver_ep = host("bob", SprayAndWaitPolicy)
         item = sender.create_item("m", {"destination": "dst"})
         transport = FaultyTransport(
-            random.Random(1), duplication=EntryDuplication(1.0)
+            FaultConfig(duplication_probability=1.0), random.Random(1)
         )
         SyncSession(
             source=sender_ep,

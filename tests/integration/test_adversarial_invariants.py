@@ -137,11 +137,12 @@ def test_adversarial_schedule_actually_fires_and_is_observed():
     """Guard against a silently disarmed harness: over the acceptance
     schedule the models must fire and the hardened path must see them."""
     emulator = run_adversarial_scenario(0)
-    counters = emulator.fault_injector.counters
-    assert counters.corrupted_entries > 0
-    assert counters.malformed_entries > 0
-    assert counters.fabricated_requests > 0
     metrics = emulator.metrics
+    violations = metrics.protocol_violations
+    assert violations.get("checksum-mismatch", 0) > 0
+    assert violations.get("malformed-entry", 0) > 0
+    assert violations.get("knowledge-fabrication", 0) > 0
+    assert metrics.rejected_knowledge > 0
     assert metrics.quarantined_entries > 0
     assert sum(metrics.protocol_violations.values()) > 0
     summary = metrics.summary()

@@ -69,7 +69,7 @@ def stamped_entry(payload="precious"):
 
 
 def corrupted(entry):
-    """What PayloadCorruption does: damage the payload, keep the honest
+    """What payload corruption does: damage the payload, keep the honest
     declared checksum. ``replace`` drops the instance memo, which is the
     property the receive path's soundness stands on."""
     return replace(entry, item=replace(entry.item, payload=CORRUPTED_PAYLOAD))

@@ -192,9 +192,9 @@ class TestTransportProtocol:
     def test_runtime_checkable_against_fault_transport(self):
         import random
 
-        from repro.faults.transport import FaultyTransport
+        from repro.faults import FaultConfig, FaultyTransport
 
-        transport = FaultyTransport(random.Random(1))
+        transport = FaultyTransport(FaultConfig(), random.Random(1))
         assert isinstance(transport, Transport)
 
     def test_rejects_non_transports(self):
