@@ -160,8 +160,9 @@ class MaxPropPolicy(DTNPolicy):
     def _merge_gossip(self, peer: MaxPropRequest) -> None:
         # The peer's own vector is authoritative for the peer.
         self.known_vectors[peer.node] = dict(peer.vectors.get(peer.node, {}))
+        own = self.replica.replica_id.name
         for node, vector in peer.vectors.items():
-            if node == peer.node or node == self.replica.replica_id.name:
+            if node == peer.node or node == own:
                 continue
             # Second-hand vectors: accept when we have nothing better.
             if node not in self.known_vectors:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, FrozenSet, Optional
 
 from repro.replication.filters import AddressFilter, Filter, MultiAddressFilter
-from repro.replication.items import KIND_MESSAGE, Item
+from repro.replication.items import ATTR_KIND, KIND_MESSAGE, Item
 from repro.replication.replica import Replica
 from repro.replication.routing import (
     NORMAL_PRIORITY,
@@ -105,7 +105,8 @@ class DTNPolicy(RoutingPolicy):
     @staticmethod
     def is_routable_message(item: Item) -> bool:
         """True for live application messages (not tombstones, not acks)."""
-        return not item.deleted and item.kind == KIND_MESSAGE
+        kind = item.attributes.get(ATTR_KIND, KIND_MESSAGE)  # ``item.kind``
+        return not item.deleted and kind == KIND_MESSAGE
 
     @staticmethod
     def normal(cost: float = 0.0) -> Priority:

@@ -53,7 +53,7 @@ class SprayAndWaitPolicy(DTNPolicy):
 
     def _current_copies(self, item: Item) -> int:
         """Read the stored copy's budget, stamping the initial value if absent."""
-        copies = item.local(COPIES_ATTRIBUTE)
+        copies = item.local_attributes.get(COPIES_ATTRIBUTE)
         if copies is None:
             copies = self.initial_copies
             self.replica.adjust_local(item.with_local(**{COPIES_ATTRIBUTE: copies}))

@@ -73,6 +73,18 @@ class NothingFilter(Filter):
         return False
 
 
+def _matches_addresses(self: Filter, item: Item) -> bool:
+    """``matches`` of both address filters, which runs per candidate item on
+    the sync path: a unicast (``str``) destination is one set lookup in the
+    filter's ``_addresses``; a multicast one matches if any address does."""
+    destination = item.attributes.get(ATTR_DESTINATION)
+    if isinstance(destination, str):
+        return destination in self._addresses
+    if not isinstance(destination, Iterable):  # None included
+        return False
+    return any(d in self._addresses for d in destination)
+
+
 @dataclass(frozen=True)
 class AddressFilter(Filter):
     """Matches items whose destination attribute equals ``address``.
@@ -90,8 +102,7 @@ class AddressFilter(Filter):
         # Not a field, so equality, hashing and repr do not see it.
         object.__setattr__(self, "_addresses", frozenset((self.address,)))
 
-    def matches(self, item: Item) -> bool:
-        return _destination_matches(item, self._addresses)
+    matches = _matches_addresses
 
 
 @dataclass(frozen=True)
@@ -120,8 +131,7 @@ class MultiAddressFilter(Filter):
     def addresses(self) -> FrozenSet[str]:
         return self._addresses
 
-    def matches(self, item: Item) -> bool:
-        return _destination_matches(item, self._addresses)
+    matches = _matches_addresses
 
 
 @dataclass(frozen=True)
@@ -169,18 +179,6 @@ class NotFilter(Filter):
 
     def matches(self, item: Item) -> bool:
         return not self.operand.matches(item)
-
-
-def _destination_matches(item: Item, addresses: FrozenSet[str]) -> bool:
-    """Shared destination test handling unicast and multicast items."""
-    destination = item.attribute(ATTR_DESTINATION)
-    if destination is None:
-        return False
-    if isinstance(destination, str):
-        return destination in addresses
-    if isinstance(destination, Iterable):
-        return any(d in addresses for d in destination)
-    return False
 
 
 def covers_address(filter_: Filter, address: str, probe_item_factory) -> bool:

@@ -17,22 +17,48 @@ All three are immutable, hashable, and totally ordered so they can be used
 as dict keys and sorted deterministically — determinism matters because the
 emulation must be exactly reproducible from a seed.
 
-The ids are dict keys on every store, index and knowledge lookup, so each
-computes its hash once, at construction: the value the dataclass would
-generate (``hash`` of the field tuple), kept in the ``_hash`` slot — not
-a field, so ``fields()``, ``repr`` and comparisons do not see it. The
-classes are slotted so that the stored hash costs no memory over the
-``__dict__`` it replaces. ``__reduce__`` rebuilds from the fields,
-because a string hash does not survive into another process.
+The ids are dict keys on every store, index and knowledge lookup, so
+they are tuple-backed value types: each is a ``collections.namedtuple``
+of its fields whose ``__hash__`` is ``tuple.__hash__``, which CPython
+calls straight in C. That hash is the hash of the field tuple, the value
+a frozen dataclass of the same fields generates, so a dict or set of ids
+iterates exactly as it always has. Equality stays type-strict
+(:class:`_Value`): an id never equals a plain tuple or an id of another
+kind.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True, order=True)
-class ReplicaId:
+class _Value:
+    """Type-strict equality over a tuple-backed id, hashed in C.
+
+    ``tuple`` equality would let ``ReplicaId("n") == ("n",)`` and an
+    :class:`ItemId` equal the :class:`Version` with the same fields; only
+    an id of the same class compares by its fields. The hash stays
+    ``tuple``'s (``__eq__`` defined here would otherwise unset it).
+    """
+
+    __slots__ = ()
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # False, not NotImplemented: a plain tuple asked next would compare
+        # by fields.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:  # not ``tuple.__ne__``'s fields
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+
+class ReplicaId(_Value, namedtuple("ReplicaId", "name")):
     """Identity of a replica (one per device/host).
 
     The wrapped ``name`` must be non-empty. Replica ids are compared and
@@ -40,27 +66,18 @@ class ReplicaId:
     the substrate.
     """
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ()
 
-    name: str
-
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str) -> "ReplicaId":
+        if not name:
             raise ValueError("ReplicaId name must be non-empty")
-        object.__setattr__(self, "_hash", hash((self.name,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return ReplicaId, (self.name,)
+        return tuple.__new__(cls, (name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class ItemId:
+class ItemId(_Value, namedtuple("ItemId", "origin serial")):
     """Globally unique identity of a replicated item.
 
     ``origin`` is the replica that created the item and ``serial`` is that
@@ -68,28 +85,18 @@ class ItemId:
     numbers its creations monotonically, which :class:`IdFactory` enforces.
     """
 
-    __slots__ = ("origin", "serial", "_hash")
+    __slots__ = ()
 
-    origin: ReplicaId
-    serial: int
-
-    def __post_init__(self) -> None:
-        if self.serial < 0:
+    def __new__(cls, origin: ReplicaId, serial: int) -> "ItemId":
+        if serial < 0:
             raise ValueError("ItemId serial must be non-negative")
-        object.__setattr__(self, "_hash", hash((self.origin, self.serial)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return ItemId, (self.origin, self.serial)
+        return tuple.__new__(cls, (origin, serial))
 
     def __str__(self) -> str:
         return f"{self.origin.name}#{self.serial}"
 
 
-@dataclass(frozen=True, order=True)
-class Version:
+class Version(_Value, namedtuple("Version", "replica counter")):
     """A single authored version: ``(replica, counter)``.
 
     ``counter`` values are per-replica and strictly increasing, so the set
@@ -97,21 +104,12 @@ class Version:
     subset of the integers, compressible to ranges in a version vector.
     """
 
-    __slots__ = ("replica", "counter", "_hash")
+    __slots__ = ()
 
-    replica: ReplicaId
-    counter: int
-
-    def __post_init__(self) -> None:
-        if self.counter < 1:
+    def __new__(cls, replica: ReplicaId, counter: int) -> "Version":
+        if counter < 1:
             raise ValueError("Version counter starts at 1")
-        object.__setattr__(self, "_hash", hash((self.replica, self.counter)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Version, (self.replica, self.counter)
+        return tuple.__new__(cls, (replica, counter))
 
     def __str__(self) -> str:
         return f"{self.replica.name}:{self.counter}"

@@ -38,7 +38,7 @@ from .events import ObserverList, ReplicaObserver
 from .filters import Filter
 from .ids import IdFactory, ItemId, ReplicaId, Version
 from .items import Item
-from .store import ItemStore, RelayStore
+from .store import ItemStore, RelayStore, VersionIndex
 from .versions import VersionVector
 
 
@@ -71,13 +71,17 @@ class Replica:
         self._filter = filter_
         self._ids = IdFactory(replica_id)
         self.knowledge = VersionVector.empty()
-        self._store = ItemStore()
-        self._outbox = ItemStore()
+        #: One version index over all three stores, ranked in the order
+        #: :meth:`stored_items` visits them.
+        self._index = VersionIndex()
+        self._store = ItemStore(self._index, rank=0)
+        self._outbox = ItemStore(self._index, rank=1)
         self.observers = ObserverList()
         self._relay = RelayStore(
             capacity=relay_capacity,
             on_evict=self.observers.on_evict,
             strategy=relay_eviction,
+            index=self._index,
         )
 
     # -- configuration ---------------------------------------------------------
@@ -266,18 +270,14 @@ class Replica:
         """Stored items whose versions the given knowledge does not cover.
 
         This is the sync hot path: instead of scanning every stored item
-        and probing ``knowledge.contains``, each store's version index
+        and probing ``knowledge.contains``, the replica's version index
         enumerates only the counters above the peer's known prefix (see
-        :meth:`~repro.replication.store.ItemStore.unknown_items`). The
+        :meth:`~repro.replication.store.VersionIndex.unknown_items`). The
         result is what filtering :meth:`stored_items` through
         ``knowledge.contains`` gives — same items, same order — at a cost
         proportional to what the peer is missing.
         """
-        return (
-            self._store.unknown_items(knowledge)
-            + self._outbox.unknown_items(knowledge)
-            + self._relay.unknown_items(knowledge)
-        )
+        return self._index.unknown_items(knowledge)
 
     def get_item(self, item_id: ItemId) -> Optional[Item]:
         return self._find(item_id)

@@ -18,12 +18,13 @@ eviction it prescribes applies to the relay store alone.
 Both stores index items by :class:`~repro.replication.ids.ItemId` and hold
 exactly one (the latest known) version per id.
 
-Beyond the primary id index, every :class:`ItemStore` maintains a
-**version index**: per authoring replica, the stored version counters in
-sorted order and, in a parallel column, who holds each. Because a peer's
+Beyond the primary id index, every store writes into a
+**version index** (:class:`VersionIndex`; a replica's three stores share
+one): per authoring replica, the held version counters in sorted order
+and, in a parallel column, the copy holding each. Because a peer's
 knowledge is a per-replica prefix plus a small extras set (see
 :mod:`repro.replication.versions`), the index lets
-:meth:`ItemStore.unknown_items` enumerate exactly the stored items a
+:meth:`VersionIndex.unknown_items` enumerate exactly the held items a
 given knowledge vector does *not* cover — a bisect to skip the known
 prefix, then a slice of the tail — instead of probing ``contains`` on
 every stored item. That query is the sync hot path: one call per sync
@@ -34,7 +35,7 @@ store size.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -55,37 +56,128 @@ from .versions import VersionVector
 #: Callback invoked when the relay store evicts an item under pressure.
 EvictionCallback = Callable[[Item], None]
 
-#: Who holds an indexed version: ``(insertion sequence, item id)``.
-_Owner = Tuple[int, ItemId]
+#: Who holds an indexed version: ``(key, item)``, the stored copy itself.
+_Owner = Tuple[int, Item]
+
+#: Bits of a store's insertion sequence below its rank in an owner key.
+_RANK_SHIFT = 48
+
+
+class VersionIndex:
+    """Per authoring replica, the held version counters and who holds each.
+
+    Two parallel columns per origin: the counters in sorted order and,
+    position for position, each counter's *owner* ``(key, item)``. The
+    key is the holding store's rank shifted above that store's insertion
+    sequence, so one plain sort of owners is the stores' concatenated
+    insertion order, decided by unique ints: two items are never
+    compared. The owner holds the stored :class:`Item`, so a walk hands
+    back items without looking a single id up. A :class:`Replica` shares
+    one index among its three stores; a standalone store has its own.
+    """
+
+    __slots__ = ("_counters", "_owners")
+
+    def __init__(self) -> None:
+        #: origin replica → sorted list of held version counters.
+        self._counters: Dict[ReplicaId, List[int]] = {}
+        #: origin replica → the owner of each counter, position for position.
+        #: A dict of its own, not a pair with the counters: a sync that
+        #: moves nothing reads only those, one object fewer per origin.
+        self._owners: Dict[ReplicaId, List[_Owner]] = {}
+
+    def add(self, item: Item, key: int) -> None:
+        version = item.version
+        origin = version.replica
+        counter = version.counter
+        counters = self._counters.get(origin)
+        if counters is None:
+            self._counters[origin] = [counter]
+            self._owners[origin] = [(key, item)]
+        elif counter > counters[-1]:  # common case: counters ascend
+            counters.append(counter)
+            self._owners[origin].append((key, item))
+        else:
+            at = bisect_right(counters, counter)
+            counters.insert(at, counter)
+            self._owners[origin].insert(at, (key, item))
+
+    def remove(self, item: Item) -> int:
+        """Unindex ``item``'s version; returns its key."""
+        version = item.version
+        origin = version.replica
+        counters = self._counters[origin]
+        at = bisect_left(counters, version.counter)
+        del counters[at]
+        key, _ = self._owners[origin].pop(at)
+        if not counters:
+            del self._counters[origin]
+            del self._owners[origin]
+        return key
+
+    def unknown_items(self, knowledge: VersionVector) -> List[Item]:
+        """Held items whose versions ``knowledge`` does not cover.
+
+        Equivalent to filtering the stores' insertion-order snapshots,
+        one store after another, through ``knowledge.contains`` — same
+        items, same order — but walks the index instead: per authoring
+        replica one lookup of the peer's entry, a bisect past its known
+        prefix, and the owners beyond taken as one slice (filtered only
+        when the peer has extras for that origin). Cost is proportional
+        to the number of *unknown* items, not to what is held.
+        """
+        found: List[_Owner] = []
+        known = knowledge.entries().get
+        owners = self._owners
+        for origin, counters in self._counters.items():
+            entry = known(origin)
+            if entry is None:
+                found += owners[origin]  # nothing known from this origin
+                continue
+            prefix = entry.prefix
+            if counters[-1] <= prefix:
+                continue  # everything from this origin is already known
+            start = bisect_right(counters, prefix)
+            extras = entry.extras
+            if extras:
+                column = owners[origin]
+                found += [
+                    column[at]
+                    for at in range(start, len(counters))
+                    if counters[at] not in extras
+                ]
+            else:
+                found += owners[origin][start:]
+        found.sort()  # keys are unique: store order, items untouched
+        return [item for _, item in found]
 
 
 class ItemStore:
     """A keyed store of the latest known version of each item.
 
     Insertion order is preserved (Python dicts are ordered), which the relay
-    store's FIFO eviction relies on. Alongside the primary dict the store
-    keeps the version index: per origin replica two parallel columns, the
-    stored counters in sorted order and beside each its *owner*, the pair
-    ``(insertion sequence, item id)``. The sequence is a monotone
-    per-insertion number (re-insertion bumps it, like the dict), so a
-    plain sort of owners is insertion order and never compares two ids.
-    The index is maintained incrementally on every mutation.
+    store's FIFO eviction relies on. Every mutation is written through to a
+    :class:`VersionIndex` under the key ``rank << 48 | sequence``: the
+    sequence is a monotone per-insertion number (re-insertion bumps it,
+    like the dict) and ``rank`` places this store among the others that
+    share the index.
     """
 
-    __slots__ = ("_items", "_by_origin", "_owners", "_seq", "_snapshot", "get")
+    __slots__ = ("_items", "index", "_rank", "_seq", "_snapshot", "get")
 
-    def __init__(self) -> None:
+    def __init__(self, index: Optional[VersionIndex] = None, rank: int = 0) -> None:
         self._items: Dict[ItemId, Item] = {}
         #: ``get(item_id)``: the stored item or ``None``. The dict's own
         #: bound method (kept valid by :meth:`clear` emptying in place): a
         #: forwarded item is looked up twice per hop in up to three stores.
         self.get: Callable[[ItemId], Optional[Item]] = self._items.get
-        #: origin replica → sorted list of stored version counters.
-        self._by_origin: Dict[ReplicaId, List[int]] = {}
-        #: origin replica → the owner of each counter, position for position.
-        #: A dict of its own, not a pair with the counters: a sync that
-        #: moves nothing reads only those, one object fewer per origin.
-        self._owners: Dict[ReplicaId, List[_Owner]] = {}
+        #: The version index this store writes into: its replica's, or
+        #: one of its own.
+        self.index = VersionIndex() if index is None else index
+        #: Owner keys are ``_rank | _seq``: an ``|`` allocates the key at its
+        #: size, where ``+=`` on the shifted key would allocate it a third
+        #: digit it never uses (16 B more per held copy, in pymalloc).
+        self._rank = rank << _RANK_SHIFT
         self._seq = 0
         #: Cached insertion-order tuple, rebuilt lazily after mutations.
         self._snapshot: Optional[Tuple[Item, ...]] = None
@@ -114,9 +206,9 @@ class ItemStore:
         """
         previous = self._items.pop(item.item_id, None)
         if previous is not None:
-            self._index_remove(previous)
+            self.index.remove(previous)
         self._items[item.item_id] = item
-        self._index_add(item, self._seq)
+        self.index.add(item, self._rank | self._seq)
         self._seq += 1
         self._snapshot = None
 
@@ -124,15 +216,14 @@ class ItemStore:
         """Replace a stored item without touching its FIFO position.
 
         Used for host-local attribute adjustments (TTL decrements, copy
-        halving) which must not look like fresh arrivals.
+        halving) which must not look like fresh arrivals. The index hands
+        out ``item`` from now on: a stale copy there would show a policy
+        old per-copy state.
         """
         previous = self._items.get(item.item_id)
         if previous is None:
             raise UnknownItemError(item.item_id)
-        if previous.version != item.version:
-            # Callers adjust host-local state only, so the version should
-            # never change here; keep the index right regardless.
-            self._index_add(item, self._index_remove(previous))
+        self.index.add(item, self.index.remove(previous))  # the old key
         self._items[item.item_id] = item
         self._snapshot = None
 
@@ -140,14 +231,14 @@ class ItemStore:
         item = self._items.pop(item_id, None)
         if item is None:
             raise UnknownItemError(item_id)
-        self._index_remove(item)
+        self.index.remove(item)
         self._snapshot = None
         return item
 
     def discard(self, item_id: ItemId) -> Optional[Item]:
         item = self._items.pop(item_id, None)
         if item is not None:
-            self._index_remove(item)
+            self.index.remove(item)
             self._snapshot = None
         return item
 
@@ -170,73 +261,10 @@ class ItemStore:
         return self._snapshot
 
     def clear(self) -> None:
+        for item in self._items.values():
+            self.index.remove(item)
         self._items.clear()
-        self._by_origin.clear()
-        self._owners.clear()
         self._snapshot = None
-
-    # -- version index -----------------------------------------------------------
-
-    def _index_add(self, item: Item, sequence: int) -> None:
-        version = item.version
-        counter = version.counter
-        owner = (sequence, item.item_id)
-        counters = self._by_origin.get(version.replica)
-        if counters is None:
-            self._by_origin[version.replica] = [counter]
-            self._owners[version.replica] = [owner]
-            return
-        owners = self._owners[version.replica]
-        if counter > counters[-1]:  # common case: counters ascend
-            counters.append(counter)
-            owners.append(owner)
-        else:
-            index = bisect_right(counters, counter)
-            counters.insert(index, counter)
-            owners.insert(index, owner)
-
-    def _index_remove(self, item: Item) -> int:
-        """Unindex ``item``'s version; returns its insertion sequence."""
-        version = item.version
-        counters = self._by_origin[version.replica]
-        index = bisect_left(counters, version.counter)
-        del counters[index]
-        sequence, _ = self._owners[version.replica].pop(index)
-        if not counters:
-            del self._by_origin[version.replica]
-            del self._owners[version.replica]
-        return sequence
-
-    def unknown_items(self, knowledge: VersionVector) -> List[Item]:
-        """Stored items whose versions ``knowledge`` does not cover.
-
-        Equivalent to filtering :meth:`items` through
-        ``knowledge.contains`` — same items, same insertion order — but
-        walks the version index instead: per authoring replica, a bisect
-        skips every counter inside the peer's known prefix and the owners
-        past it are taken as one slice (filtered only when the peer has
-        extras for that origin). Cost is proportional to the number of
-        *unknown* items, not the store size.
-        """
-        found: List[_Owner] = []
-        for origin, counters in self._by_origin.items():
-            prefix = knowledge.known_counter_prefix(origin)
-            if counters[-1] <= prefix:
-                continue  # everything from this origin is already known
-            owners = self._owners[origin]
-            start = bisect_right(counters, prefix)
-            extras = knowledge.extra_counters(origin)
-            if extras:
-                found += [
-                    owners[at]
-                    for at in range(start, len(counters))
-                    if counters[at] not in extras
-                ]
-            else:
-                found += owners[start:]
-        found.sort()  # sequences are unique: insertion order, ids untouched
-        items = self._items
-        return [items[item_id] for _, item_id in found]
 
 
 #: An eviction strategy picks the victim among currently stored items.
@@ -299,9 +327,11 @@ class RelayStore:
     capacity: Optional[int] = None
     on_evict: Optional[EvictionCallback] = None
     strategy: Union[str, EvictionStrategy] = "fifo"
-    _store: ItemStore = field(default_factory=ItemStore, init=False)
+    #: The version index to write into (a replica's); ``None``: its own.
+    index: InitVar[Optional[VersionIndex]] = None
+    _store: ItemStore = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, index: Optional[VersionIndex]) -> None:
         if self.capacity is not None and self.capacity < 0:
             raise ValueError("relay store capacity must be >= 0 or None")
         if isinstance(self.strategy, str):
@@ -312,6 +342,8 @@ class RelayStore:
                     f"unknown eviction strategy {self.strategy!r}; "
                     f"known: {', '.join(sorted(EVICTION_STRATEGIES))}"
                 ) from None
+        # Rank 2: a replica's relay copies come after its store and outbox.
+        self._store = ItemStore(index, rank=2)
         #: ``get(item_id)``: the inner store's own, at the same cost.
         self.get = self._store.get
 
@@ -355,10 +387,6 @@ class RelayStore:
 
     def items(self) -> Sequence[Item]:
         return self._store.items()
-
-    def unknown_items(self, knowledge: VersionVector) -> List[Item]:
-        """See :meth:`ItemStore.unknown_items`."""
-        return self._store.unknown_items(knowledge)
 
     def clear(self) -> None:
         self._store.clear()

@@ -276,14 +276,13 @@ class VersionVector:
         return self._entries.get(replica, _NOTHING_KNOWN).prefix
 
     def extra_counters(self, replica: ReplicaId) -> FrozenSet[int]:
-        """Out-of-order counters known for ``replica`` beyond its prefix.
-
-        Together with :meth:`known_counter_prefix` this exposes the exact
-        shape of an entry, which is what lets a version-indexed store
-        enumerate only the counters this vector does *not* cover instead
-        of probing :meth:`contains` per stored item.
-        """
+        """Out-of-order counters known for ``replica`` beyond its prefix."""
         return self._entries.get(replica, _NOTHING_KNOWN).extras
+
+    def entries(self) -> Mapping[ReplicaId, _Entry]:
+        """The per-replica entry table itself, for reading only: what lets a
+        version index skip, per origin, the counters this vector covers."""
+        return self._entries
 
     def replicas(self) -> Tuple[ReplicaId, ...]:
         """The authoring replicas this vector has knowledge about (sorted)."""

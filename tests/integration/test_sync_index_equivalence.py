@@ -6,8 +6,8 @@ One executable property must hold throughout:
 
 * **index/scan equivalence** — at every point, for every (holder, peer)
   pair, ``items_unknown_to(knowledge)`` returns exactly what a brute-force
-  scan of the stores through ``knowledge.contains`` returns, same items
-  in the same order, under random authoring, relaying, capped-store
+  scan of the stores through ``knowledge.contains`` returns, the same item
+  objects in the same order, under random authoring, relaying, capped-store
   evictions, expunges, deletions, crash-restarts, and day-boundary
   address reassignments that move items between stores.
 """
@@ -36,7 +36,11 @@ def assert_index_matches_scan(nodes, context=""):
                 for item in holder.replica.stored_items()
                 if not knowledge.contains(item.version)
             ]
-            assert indexed == scanned, (
+            # Identity too: ``Item`` equality sees only ``(item_id,
+            # version)``, and a stale copy would carry old per-copy state.
+            assert indexed == scanned and all(
+                a is b for a, b in zip(indexed, scanned)
+            ), (
                 f"{context}: {holder.name}'s index diverges from the scan "
                 f"against {peer.name}'s knowledge: {indexed!r} != {scanned!r}"
             )

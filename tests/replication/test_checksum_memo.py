@@ -27,6 +27,7 @@ from repro.replication import (
     ReplicaId,
     SyncEndpoint,
     SyncSession,
+    Version,
 )
 from repro.replication.events import BaseReplicaObserver
 from repro.replication.integrity import (
@@ -155,7 +156,7 @@ class TestMemoPropagation:
     def test_content_changing_derivations_start_clean(self):
         item = self._item()
         cached_item_checksum(item)
-        new_version = replace(item.version, counter=item.version.counter + 1)
+        new_version = Version(item.version.replica, item.version.counter + 1)
         assert memo_of(item.with_version(new_version)) is None
         assert memo_of(item.with_version(new_version, payload="x")) is None
         assert memo_of(item.as_tombstone(new_version)) is None

@@ -1,7 +1,6 @@
 """Unit tests for identifier types."""
 
 import copy
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -77,23 +76,55 @@ IDS = [
 
 
 class TestHashComputedOnce:
-    """The hash is stored at construction; nothing else about the three
-    value types changes."""
+    """The ids are tuple-backed value types hashed in C: the hash is the
+    field tuple's, computed once per ``hash()`` call with no Python frame,
+    and everything else about the three value types behaves as before."""
+
+    def test_hash_is_the_field_tuple_hash_of_each_kind(self):
+        replica = ReplicaId("n")
+        assert hash(replica) == hash(("n",))
+        assert hash(ItemId(replica, 7)) == hash((replica, 7))
+        assert hash(Version(replica, 2)) == hash((replica, 2))
 
     @pytest.mark.parametrize("value", IDS, ids=repr)
     def test_hash_is_the_generated_field_tuple_hash(self, value):
-        fields = dataclasses.fields(value)
         assert hash(value) == hash(
-            tuple(getattr(value, field.name) for field in fields)
+            tuple(getattr(value, name) for name in value._fields)
         )
 
     @pytest.mark.parametrize("value", IDS, ids=repr)
     def test_stored_hash_is_not_a_field(self, value):
-        assert not hasattr(value, "__dict__")  # slotted: the hash is paid for
-        assert "_hash" not in {f.name for f in dataclasses.fields(value)}
+        assert not hasattr(value, "__dict__")  # no per-instance dict
+        assert "_hash" not in value._fields
         assert "_hash" not in repr(value)
-        rebuilt = dataclasses.replace(value)
+        rebuilt = value._replace()
         assert rebuilt == value and hash(rebuilt) == hash(value)
+
+    @pytest.mark.parametrize("value", IDS, ids=repr)
+    def test_never_equal_to_a_plain_tuple(self, value):
+        plain = tuple(value)
+        assert plain == tuple(getattr(value, name) for name in value._fields)
+        assert value != plain and plain != value
+        assert not value == plain and not plain == value
+        assert {value: 1}.get(plain) is None
+
+    def test_ids_of_different_kinds_never_compare_equal(self):
+        replica = ReplicaId("n")
+        item_id, version = ItemId(replica, 1), Version(replica, 1)
+        assert item_id != version and version != item_id
+        assert not item_id == version and not version == item_id
+        assert len({item_id, version}) == 2
+
+    def test_repr_and_str_are_unchanged(self):
+        replica = ReplicaId("n")
+        assert repr(replica) == "ReplicaId(name='n')"
+        assert repr(ItemId(replica, 7)) == (
+            "ItemId(origin=ReplicaId(name='n'), serial=7)"
+        )
+        assert repr(Version(replica, 2)) == (
+            "Version(replica=ReplicaId(name='n'), counter=2)"
+        )
+        assert [str(value) for value in IDS] == ["n", "n#7", "n:2"]
 
     @pytest.mark.parametrize("value", IDS, ids=repr)
     def test_copies_and_pickles_compare_and_hash_equal(self, value):
@@ -105,6 +136,8 @@ class TestHashComputedOnce:
             assert clone == value
             assert hash(clone) == hash(value)
             assert {value: 1}[clone] == 1
+            assert type(clone) is type(value)
+            assert repr(clone) == repr(value) and str(clone) == str(value)
 
     def test_pickle_rehashes_in_a_process_with_another_hash_seed(self):
         """String hashes are per-process: a stored hash must not travel."""

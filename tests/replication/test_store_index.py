@@ -1,16 +1,24 @@
-"""Unit tests for the ItemStore version index and snapshot iteration.
+"""Unit tests for the version index and store snapshot iteration.
 
-The index is pure plumbing: ``unknown_items(knowledge)`` must return
-exactly what filtering the insertion-order snapshot through
-``knowledge.contains`` would — same items, same order — under every
-mutation the store supports (insert, replace, remove, clear, in-place
-update). A randomized churn test drives all of them against the
-reference predicate.
+The index is pure plumbing: ``VersionIndex.unknown_items(knowledge)``
+must return exactly what filtering the stores' insertion-order snapshots
+through ``knowledge.contains`` would — the same item objects, in the same
+order — under every mutation a store supports (insert, replace, remove,
+clear, in-place update). A standalone store has an index of its own; a
+replica's three stores share one, so the cases at the end drive the
+replica operations that move copies between stores. A randomized churn
+test drives all of them against the reference predicate.
 """
 
+import json
 import random
 
+from repro.dtn import EpidemicPolicy
+from repro.emulation.node import EmulatedNode
+from repro.replication.filters import AddressFilter, MultiAddressFilter
 from repro.replication.ids import ReplicaId
+from repro.replication.replica import Replica
+from repro.replication.persistence import replica_from_state, replica_to_state
 from repro.replication.store import ItemStore, RelayStore
 from repro.replication.versions import VersionVector
 from tests.conftest import make_item, make_version
@@ -19,6 +27,31 @@ from tests.conftest import make_item, make_version
 def reference_unknown(store, knowledge):
     """The executable spec: insertion-order scan through ``contains``."""
     return [item for item in store.items() if not knowledge.contains(item.version)]
+
+
+def unknown(store, knowledge):
+    return store.index.unknown_items(knowledge)
+
+
+def assert_same_objects(found, expected):
+    """Equal lists of the very same objects: ``Item`` equality sees only
+    ``(item_id, version)``, so a stale copy would compare equal."""
+    assert found == expected
+    assert all(a is b for a, b in zip(found, expected))
+
+
+def assert_replica_matches_scan(replica, knowledge=None):
+    for probe in (knowledge, VersionVector.empty(), replica.knowledge):
+        if probe is None:
+            continue
+        assert_same_objects(
+            replica.items_unknown_to(probe),
+            [
+                item
+                for item in replica.stored_items()
+                if not probe.contains(item.version)
+            ],
+        )
 
 
 def knowledge_of(*versions):
@@ -30,14 +63,14 @@ def knowledge_of(*versions):
 
 class TestUnknownItems:
     def test_empty_store_yields_nothing(self):
-        assert ItemStore().unknown_items(VersionVector.empty()) == []
+        assert unknown(ItemStore(), VersionVector.empty()) == []
 
     def test_empty_knowledge_yields_everything_in_insertion_order(self):
         store = ItemStore()
         items = [make_item(replica="a"), make_item(replica="b"), make_item(replica="a")]
         for item in items:
             store.put(item)
-        assert store.unknown_items(VersionVector.empty()) == items
+        assert unknown(store, VersionVector.empty()) == items
 
     def test_known_prefix_is_skipped(self):
         store = ItemStore()
@@ -45,7 +78,7 @@ class TestUnknownItems:
         for item in items:
             store.put(item)
         knowledge = knowledge_of(*(item.version for item in items[:2]))
-        assert store.unknown_items(knowledge) == items[2:]
+        assert unknown(store, knowledge) == items[2:]
 
     def test_extras_beyond_prefix_are_skipped(self):
         store = ItemStore()
@@ -57,7 +90,7 @@ class TestUnknownItems:
             make_version("origin", 1), make_version("origin", 2),
             make_version("origin", 4),
         )
-        assert store.unknown_items(knowledge) == [items[2], items[4]]
+        assert unknown(store, knowledge) == [items[2], items[4]]
 
     def test_fully_known_origin_short_circuits(self):
         store = ItemStore()
@@ -65,7 +98,7 @@ class TestUnknownItems:
         for item in items:
             store.put(item)
         knowledge = knowledge_of(*(item.version for item in items))
-        assert store.unknown_items(knowledge) == []
+        assert unknown(store, knowledge) == []
 
     def test_result_interleaves_origins_by_insertion_order(self):
         store = ItemStore()
@@ -76,7 +109,7 @@ class TestUnknownItems:
             store.put(item)
         # Counter order within origin "a" is (a1, a2) but insertion order
         # interleaves b1 between them; the query must report store order.
-        assert store.unknown_items(VersionVector.empty()) == [a1, b1, a2]
+        assert unknown(store, VersionVector.empty()) == [a1, b1, a2]
 
     def test_replacement_reindexes_old_version(self):
         store = ItemStore()
@@ -84,10 +117,10 @@ class TestUnknownItems:
         store.put(item)
         newer = item.with_version(make_version("origin", 7))
         store.put(newer)
-        assert store.unknown_items(VersionVector.empty()) == [newer]
+        assert unknown(store, VersionVector.empty()) == [newer]
         # Knowing only the replaced version must not hide the new one.
-        assert store.unknown_items(knowledge_of(item.version)) == [newer]
-        assert store.unknown_items(knowledge_of(newer.version)) == []
+        assert unknown(store, knowledge_of(item.version)) == [newer]
+        assert unknown(store, knowledge_of(newer.version)) == []
 
     def test_remove_discard_clear_unindex(self):
         store = ItemStore()
@@ -96,9 +129,9 @@ class TestUnknownItems:
             store.put(item)
         store.remove(items[0].item_id)
         store.discard(items[1].item_id)
-        assert store.unknown_items(VersionVector.empty()) == [items[2]]
+        assert unknown(store, VersionVector.empty()) == [items[2]]
         store.clear()
-        assert store.unknown_items(VersionVector.empty()) == []
+        assert unknown(store, VersionVector.empty()) == []
 
     def test_update_in_place_keeps_index_and_order(self):
         store = ItemStore()
@@ -106,9 +139,10 @@ class TestUnknownItems:
         store.put(first)
         store.put(second)
         store.update_in_place(first.with_local(ttl=3))
-        unknown = store.unknown_items(VersionVector.empty())
-        assert [item.item_id for item in unknown] == [first.item_id, second.item_id]
-        assert unknown[0].local("ttl") == 3
+        found = unknown(store, VersionVector.empty())
+        assert [item.item_id for item in found] == [first.item_id, second.item_id]
+        assert found[0].local("ttl") == 3
+        assert found[0] is store.get(first.item_id)  # the adjusted copy itself
 
     def test_out_of_order_arrival_then_the_middle_counter_removed(self):
         store = ItemStore()
@@ -119,14 +153,14 @@ class TestUnknownItems:
             store.put(item)
         store.remove(by_counter[4].item_id)  # sits mid-column, arrived last
         arrival = [by_counter[c] for c in (5, 2, 9)]
-        assert store.unknown_items(VersionVector.empty()) == arrival
+        assert unknown(store, VersionVector.empty()) == arrival
         # Prefix 1..2 known: the bisect lands between the out-of-order 2
         # and 5, and what is past it still reports in arrival order.
         knowledge = knowledge_of(
             make_version("origin", 1), make_version("origin", 2)
         )
-        assert store.unknown_items(knowledge) == [by_counter[5], by_counter[9]]
-        assert store.unknown_items(knowledge) == reference_unknown(
+        assert unknown(store, knowledge) == [by_counter[5], by_counter[9]]
+        assert unknown(store, knowledge) == reference_unknown(
             store, knowledge
         )
 
@@ -139,17 +173,17 @@ class TestUnknownItems:
             store.put(item)
         moved = first.with_version(make_version("elsewhere", 7))
         store.update_in_place(moved)
-        assert store.unknown_items(VersionVector.empty()) == [moved, second, third]
+        assert unknown(store, VersionVector.empty()) == [moved, second, third]
         assert list(store.items()) == [moved, second, third]
         assert store.oldest() == moved
         # The old version is unindexed, the new one indexed.
-        assert store.unknown_items(knowledge_of(first.version)) == [
+        assert unknown(store, knowledge_of(first.version)) == [
             moved, second, third,
         ]
-        assert store.unknown_items(knowledge_of(moved.version)) == [second, third]
+        assert unknown(store, knowledge_of(moved.version)) == [second, third]
         # A later put of the same id is a fresh arrival, as ever.
         store.put(moved.with_local(ttl=1))
-        assert store.unknown_items(VersionVector.empty()) == [second, third, moved]
+        assert unknown(store, VersionVector.empty()) == [second, third, moved]
 
     def test_clear_then_reuse(self):
         store = ItemStore()
@@ -162,10 +196,10 @@ class TestUnknownItems:
         for item in fresh:
             store.put(item)
         assert store.get(fresh[0].item_id) is fresh[0]
-        assert store.unknown_items(VersionVector.empty()) == fresh
-        assert store.unknown_items(knowledge_of(fresh[1].version)) == [fresh[0]]
+        assert unknown(store, VersionVector.empty()) == fresh
+        assert unknown(store, knowledge_of(fresh[1].version)) == [fresh[0]]
         store.remove(fresh[0].item_id)
-        assert store.unknown_items(VersionVector.empty()) == [fresh[1]]
+        assert unknown(store, VersionVector.empty()) == [fresh[1]]
 
     def test_extras_for_one_origin_and_none_for_another(self):
         store = ItemStore()
@@ -180,7 +214,7 @@ class TestUnknownItems:
         )
         assert knowledge.extra_counters(ReplicaId("a")) == {3}
         assert not knowledge.extra_counters(ReplicaId("b"))
-        assert store.unknown_items(knowledge) == [a[1], b[1], b[2], a[3]]
+        assert unknown(store, knowledge) == [a[1], b[1], b[2], a[3]]
 
     def test_relay_store_delegates(self):
         relay = RelayStore(capacity=2)
@@ -188,7 +222,7 @@ class TestUnknownItems:
         for item in items:
             relay.put(item)  # capacity 2: FIFO evicts items[0]
         knowledge = knowledge_of(items[1].version)
-        assert relay.unknown_items(knowledge) == [items[2]]
+        assert unknown(relay._store, knowledge) == [items[2]]
 
 
 class TestRandomizedIndexEquivalence:
@@ -234,10 +268,101 @@ class TestRandomizedIndexEquivalence:
                     for counter in range(1, counters[origin] + 1):
                         if rng.random() < 0.6:
                             knowledge.add(make_version(origin, counter))
-                assert store.unknown_items(knowledge) == reference_unknown(
-                    store, knowledge
-                ), f"index/scan divergence at step {step}"
-        assert store.unknown_items(VersionVector.empty()) == list(store.items())
+                assert_same_objects(
+                    unknown(store, knowledge), reference_unknown(store, knowledge)
+                )
+        assert_same_objects(
+            unknown(store, VersionVector.empty()), list(store.items())
+        )
+
+
+def populated_replica(relay_capacity=None):
+    """Replica ``r`` holding one copy in each store: its own mail (in
+    filter), mail it wrote to ``x`` (outbox) and ``o``'s mail to ``x``
+    (relay), interleaved by origin."""
+    replica = Replica(
+        ReplicaId("r"), AddressFilter("r"), relay_capacity=relay_capacity
+    )
+    replica.apply_remote(make_item(destination="x", replica="o", counter=1))
+    replica.create_item("out", {"destination": "x"})
+    replica.apply_remote(make_item(destination="r", replica="o", counter=2))
+    replica.create_item("mine", {"destination": "r"})
+    replica.apply_remote(make_item(destination="x", replica="o", counter=3))
+    return replica
+
+
+class TestReplicaIndex:
+    """One index over a replica's three stores: store → outbox → relay,
+    each in insertion order, and always the copy the store holds now."""
+
+    def test_order_is_store_then_outbox_then_relay(self):
+        replica = populated_replica()
+        found = replica.items_unknown_to(VersionVector.empty())
+        assert [item.destination for item in found] == ["r", "r", "x", "x", "x"]
+        assert [item.version.replica.name for item in found] == [
+            "o", "r", "r", "o", "o",
+        ]
+        assert_replica_matches_scan(replica)
+
+    def test_adjust_local_hands_back_the_adjusted_copy(self):
+        replica = populated_replica()
+        for stored in list(replica.stored_items()):
+            adjusted = stored.with_local(ttl=7)
+            replica.adjust_local(adjusted)
+            found = replica.items_unknown_to(VersionVector.empty())
+            assert any(item is adjusted for item in found)
+            assert not any(item is stored for item in found)
+            assert_replica_matches_scan(replica)
+
+    def test_set_filter_promotion_and_demotion_keep_store_order(self):
+        replica = populated_replica()
+        before = replica.items_unknown_to(VersionVector.empty())
+        replica.set_filter(MultiAddressFilter("r", frozenset({"x"})))
+        assert replica.relay_count == replica.outbox_count == 0
+        promoted = replica.items_unknown_to(VersionVector.empty())
+        assert promoted[:2] == before[:2] and promoted != before
+        assert_replica_matches_scan(replica)
+        replica.set_filter(AddressFilter("r"))
+        assert (replica.in_filter_count, replica.outbox_count) == (2, 1)
+        assert replica.relay_count == 2
+        assert_replica_matches_scan(replica)
+        knowledge = knowledge_of(make_version("o", 1), make_version("r", 1))
+        assert_replica_matches_scan(replica, knowledge)
+
+    def test_capacity_eviction_leaves_the_index_equal_to_the_scan(self):
+        replica = populated_replica(relay_capacity=1)
+        assert replica.relay_count == 1  # o:1 was evicted for o:3
+        assert_replica_matches_scan(replica)
+        replica.apply_remote(make_item(destination="y", replica="p", counter=1))
+        assert [item.version for item in replica.stored_items()][-1] == (
+            make_version("p", 1)
+        )
+        assert_replica_matches_scan(replica, knowledge_of(make_version("o", 2)))
+
+    def test_restored_replica_indexes_what_persistence_put_back(self):
+        replica = populated_replica()
+        replica.adjust_local(
+            replica.get_item(next(iter(replica.stored_items())).item_id)
+            .with_local(ttl=3)
+        )
+        restored = replica_from_state(
+            json.loads(json.dumps(replica_to_state(replica)))
+        )
+        assert restored.items_unknown_to(VersionVector.empty()) == (
+            replica.items_unknown_to(VersionVector.empty())
+        )
+        assert_replica_matches_scan(restored, knowledge_of(make_version("o", 1)))
+
+    def test_crash_restart_of_a_node_keeps_the_index(self):
+        node = EmulatedNode("r", EpidemicPolicy(), relay_capacity=2)
+        for counter in (1, 2, 3):
+            node.replica.apply_remote(
+                make_item(destination="x", replica="o", counter=counter)
+            )
+        node.replica.create_item("out", {"destination": "x"})
+        node.crash_restart()
+        assert node.replica.relay_count == 2
+        assert_replica_matches_scan(node.replica, knowledge_of(make_version("o", 2)))
 
 
 class TestSnapshotIteration:
