@@ -22,9 +22,9 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from operator import attrgetter, eq, ge
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 SECONDS_PER_DAY = 86400.0
 
@@ -68,7 +68,8 @@ class EncounterTrace:
     ``host_names`` is the sorted tuple of every host in the trace; row
     ``i`` is ``(times[i], a[i], b[i], durations[i])`` with ``a``/``b``
     positions in ``host_names``, rows ordered by that 4-tuple — ids follow
-    name order, so this is the :class:`Encounter` dataclass order. The
+    name order, so this is the :class:`Encounter` dataclass order.
+    ``durations`` is None when every contact is instantaneous. The
     columns are what the columnar engine and the derived views read;
     :class:`Encounter` objects are a view built on first iteration or
     indexing and kept.
@@ -92,7 +93,7 @@ class EncounterTrace:
         times: Iterable[float],
         a: Iterable[int],
         b: Iterable[int],
-        durations: Iterable[float],
+        durations: Optional[Iterable[float]] = None,
     ) -> "EncounterTrace":
         """Build a trace from columns; no :class:`Encounter` is constructed.
 
@@ -100,6 +101,8 @@ class EncounterTrace:
         times and durations, ``"i"`` ids) is adopted and the caller gives
         it up — a later write to it would go unchecked; anything else is
         copied. At city scale the four copies were the generator's peak.
+        ``durations=None`` keeps no durations column: every contact is
+        instantaneous (``duration == 0.0``), as in a generated metro trace.
 
         Checks column-wise what :class:`Encounter` checks per object and
         what the object constructor's sort guarantees: ``hosts`` sorted,
@@ -109,13 +112,16 @@ class EncounterTrace:
         """
         self = cls.__new__(cls)
         self.host_names = tuple(hosts)
-        self.times, self.a, self.b, self.durations = (
+        given = (times, a, b) if durations is None else (times, a, b, durations)
+        columns = [
             column if isinstance(column, array) and column.typecode == code
             else array(code, column)
-            for code, column in zip("diid", (times, a, b, durations))
-        )
+            for code, column in zip("diid", given)
+        ]
+        self.times, self.a, self.b = columns[:3]
+        self.durations = columns[3] if durations is not None else None
         self._encounters = None
-        if not len(self.times) == len(self.a) == len(self.b) == len(self.durations):
+        if len(set(map(len, columns))) > 1:
             raise ValueError("trace columns must have equal lengths")
         if any(map(ge, self.host_names, islice(self.host_names, 1, None))):
             raise ValueError("hosts must be sorted and distinct")
@@ -129,11 +135,10 @@ class EncounterTrace:
             raise ValueError("an encounter needs two distinct hosts")
         if min(self.times, default=0.0) < 0:
             raise ValueError("encounter time must be non-negative")
-        if min(self.durations, default=0.0) < 0:
+        if min(self.durations or (), default=0.0) < 0:
             raise ValueError("encounter duration must be non-negative")
         # Pairwise over the time column; whole rows only where it does not rise.
         late = compress(count(1), map(ge, self.times, islice(self.times, 1, None)))
-        columns = (self.times, self.a, self.b, self.durations)
         if any([c[k - 1] for c in columns] > [c[k] for c in columns] for k in late):
             raise ValueError("encounters must be in (time, a, b, duration) order")
         return self
@@ -144,7 +149,7 @@ class EncounterTrace:
             self._encounters = [
                 Encounter(time, names[a], names[b], duration)
                 for time, a, b, duration in zip(
-                    self.times, self.a, self.b, self.durations
+                    self.times, self.a, self.b, self.durations or repeat(0.0)
                 )
             ]
         return self._encounters
@@ -188,20 +193,28 @@ class EncounterTrace:
         return (int(self.times[-1] // SECONDS_PER_DAY) + 1) * SECONDS_PER_DAY
 
     def on_day(self, day: int) -> "EncounterTrace":
-        """The sub-trace of encounters on one day."""
+        """The sub-trace of encounters on one day, sliced from the columns."""
         lo, hi = self._day_rows.get(day, (0, 0))
-        return EncounterTrace(self._objects()[lo:hi])
+        ids = self.active_ids_by_day.get(day, ())
+        renumber = dict(zip(ids, count()))
+        return EncounterTrace.from_columns(
+            map(self.host_names.__getitem__, ids),
+            self.times[lo:hi],
+            map(renumber.__getitem__, self.a[lo:hi]),
+            map(renumber.__getitem__, self.b[lo:hi]),
+            None if self.durations is None else self.durations[lo:hi],
+        )
 
     def hosts_active_on(self, day: int) -> FrozenSet[str]:
         """Hosts with at least one encounter on ``day``."""
-        ids = self._active_by_day.get(day, ())
+        ids = self.active_ids_by_day.get(day, ())
         return frozenset(map(self.host_names.__getitem__, ids))
 
     @cached_property
-    def _active_by_day(self) -> Dict[int, array]:
+    def active_ids_by_day(self) -> Mapping[int, array]:
         """Day → ids of the hosts active that day, sorted, so in name
-        order. Ids, not names: at city scale name sets are 6 MB kept for
-        the life of the trace, ids 0.5 MB."""
+        order; days in order. Ids, not names: at city scale name sets are
+        6 MB kept for the life of the trace, ids 0.5 MB. Read-only."""
         active = {}
         for day, (lo, hi) in self._day_rows.items():
             ids = set(self.a[lo:hi])
@@ -212,9 +225,8 @@ class EncounterTrace:
     def active_hosts_by_day(self) -> Dict[int, FrozenSet[str]]:
         """Day → hosts active that day (name sets built per call)."""
         name = self.host_names.__getitem__
-        return {
-            day: frozenset(map(name, ids)) for day, ids in self._active_by_day.items()
-        }
+        by_day = self.active_ids_by_day
+        return {day: frozenset(map(name, ids)) for day, ids in by_day.items()}
 
     def meeting_counts(self) -> Mapping[Tuple[str, str], int]:
         """Unordered pair → number of encounters across the whole trace."""
@@ -223,9 +235,9 @@ class EncounterTrace:
     def meeting_counts_for(self, host: str) -> Dict[str, int]:
         """Other host → number of encounters with ``host``.
 
-        This is the oracle the ``selected`` filter strategy uses: "picks
-        the k other hosts that a given host will encounter most in the
-        trace".
+        The counts the ``selected`` filter strategy ranks by ("picks the k
+        other hosts that a given host will encounter most in the trace"),
+        for one host; ``build_inputs`` counts every host's in one pass.
         """
         if host not in self.hosts:
             return {}
@@ -248,7 +260,7 @@ class EncounterTrace:
 
     def summary(self) -> Dict[str, float]:
         """Headline statistics, matching how the paper describes its trace."""
-        by_day = self._active_by_day
+        by_day = self.active_ids_by_day
         days = len(by_day)
         return {
             "encounters": float(len(self)),

@@ -35,14 +35,17 @@ Two addressing modes are supported (``config.addressing``):
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count, islice
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.churn import ChurnSchedule, FreeRiderPolicy, generate_churn_schedule
 from repro.dtn.policy import DTNPolicy
 from repro.dtn.registry import get_policy
-from repro.emulation.encounters import EncounterTrace
+from repro.emulation.encounters import SECONDS_PER_DAY, EncounterTrace
 from repro.emulation.network import Emulator, Injection
 from repro.emulation.node import EmulatedNode
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
@@ -96,16 +99,20 @@ def expected_user_meetings(
 
     The ``selected`` filter strategy's oracle in *user* addressing mode:
     encounters between ``host`` and the user's daily bus, summed over the
-    trace.
+    trace; ``host``'s rows are found in C and no per-day trace is built.
     """
+    names = trace.host_names
+    me = bisect_left(names, host)
+    if names[me : me + 1] != (host,):
+        return {}
+    by_day: Dict[int, Counter] = {}
+    for mine, theirs in ((trace.a, trace.b), (trace.b, trace.a)):
+        for row in compress(count(), map(me.__eq__, mine)):
+            day = int(trace.times[row] // SECONDS_PER_DAY)
+            by_day.setdefault(day, Counter())[names[theirs[row]]] += 1
     totals: Counter = Counter()
     for day, day_assignments in assignments.items():
-        day_counts: Counter = Counter()
-        for encounter in trace.on_day(day):
-            if encounter.a == host:
-                day_counts[encounter.b] += 1
-            elif encounter.b == host:
-                day_counts[encounter.a] += 1
+        day_counts = by_day.get(day)
         if not day_counts:
             continue
         for bus, users in day_assignments.items():
@@ -116,21 +123,36 @@ def expected_user_meetings(
     return dict(totals)
 
 
-def _bus_relay_addresses(
-    host: str,
-    config: ExperimentConfig,
-    trace: EncounterTrace,
-    rng: random.Random,
-) -> frozenset:
-    """Figure 5/6 relay sets in bus addressing mode."""
-    others = sorted(trace.hosts - {host})
-    k = min(config.filter_k, len(others))
+def _bus_relay_sets(
+    config: ExperimentConfig, trace: EncounterTrace, rng: random.Random
+) -> Dict[str, FrozenSet[str]]:
+    """Figure 5/6 relay sets in bus addressing mode, one per host.
+
+    ``random`` samples positions among a host's n - 1 others, skipping its
+    own: ``rng.sample`` reads only length and positions, so this draws what
+    a list of the others drew. ``selected`` ranks the hosts this one meets
+    by ``(-count, id)`` (ids follow names), then those it never meets."""
+    names = trace.host_names
+    k = min(config.filter_k, len(names) - 1)
     if config.filter_strategy == "random":
-        return frozenset(rng.sample(others, k))
-    # "selected": the k hosts this host meets most across the whole trace.
-    counts = trace.meeting_counts_for(host)
-    ranked = sorted(others, key=lambda bus: (-counts.get(bus, 0), bus))
-    return frozenset(ranked[:k])
+        others = range(len(names) - 1)
+        return {
+            host: frozenset(names[i + (i >= me)] for i in rng.sample(others, k))
+            for me, host in enumerate(names)
+        }
+    # Every host's partner in each of its encounters: the trace read once.
+    partners = [array("i") for _ in names]
+    for a, b in zip(trace.a, trace.b):
+        partners[a].append(b)
+        partners[b].append(a)
+    relay_sets = {}
+    for me, host in enumerate(names):
+        counts = Counter(partners[me])
+        picked = sorted(counts, key=lambda other: (-counts[other], other))[:k]
+        strangers = (i for i in range(len(names)) if i != me and i not in counts)
+        picked.extend(islice(strangers, k - len(picked)))
+        relay_sets[host] = frozenset(map(names.__getitem__, picked))
+    return relay_sets
 
 
 def _user_relay_addresses(
@@ -211,12 +233,10 @@ def build_inputs(
     if config.filter_strategy != "self" and config.filter_k != 0:
         # One rng, drawn in sorted-host order, whoever asks for the sets.
         filter_rng = random.Random(config.filter_seed)
-        for host in trace.host_names:
-            if config.addressing == "bus":
-                relay_sets[host] = _bus_relay_addresses(
-                    host, config, trace, filter_rng
-                )
-            else:
+        if config.addressing == "bus":
+            relay_sets = _bus_relay_sets(config, trace, filter_rng)
+        else:
+            for host in trace.host_names:
                 relay_sets[host] = _user_relay_addresses(
                     host, config, trace, assignments, users, filter_rng
                 )

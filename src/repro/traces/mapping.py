@@ -29,11 +29,10 @@ def assign_users_daily(
     other days exist, so sub-traces stay consistent with full traces.
     """
     schedule: AssignmentSchedule = {}
-    active_by_day = trace.active_hosts_by_day()
-    for day in sorted(active_by_day):
-        buses = sorted(active_by_day[day])
-        if not buses:
-            continue
+    # Each day's active ids are sorted, so its names come out sorted: no
+    # per-day name set is built.
+    for day, ids in trace.active_ids_by_day.items():
+        buses = list(map(trace.host_names.__getitem__, ids))
         rng = random.Random(f"{seed}:{day}")
         shuffled = list(users)
         rng.shuffle(shuffled)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
+import operator
 import random
 import sys
 import tracemalloc
@@ -27,6 +29,7 @@ from repro.traces.dieselnet import (
     generate_dieselnet_trace,
     generate_metro_trace,
     metro_bus_name,
+    metro_bus_order,
     metro_route_members,
 )
 
@@ -340,6 +343,37 @@ class TestMetroIdentity:
         assert column_digest(trace) == (
             "974170daab3e877f172fc6ea9ff01547c9a9ceb7b1043a65f254a3cab0b59103"
         )
+
+
+class TestMetroHoldsOnlyItsColumns:
+    """A generated trace is its three columns and its host names: no
+    durations column, and names built for the buses that met."""
+
+    CONFIG = MetroConfig(seed=7, n_buses=240, n_routes=8, days=3)
+
+    def test_no_durations_column_and_every_contact_instantaneous(self):
+        trace = generate_metro_trace(self.CONFIG)
+        assert trace.durations is None and trace.on_day(1).durations is None
+        assert {encounter.duration for encounter in trace} == {0.0}
+
+    def test_text_is_pinned_to_the_byte(self):
+        """Recorded while the generator still carried a zero durations column."""
+        text = "\n".join(format_trace_text(generate_metro_trace(self.CONFIG)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "536074d347df3e6ec94b439ae96510e8634c3258a9b64d426671a669b525ee75"
+        )
+
+    def test_names_past_a_million_buses_come_in_sorted_order(self):
+        """Names are zero-padded to six digits only: a seven-digit one
+        sorts among the six-digit ones, and ids follow sorted order."""
+        n = 10**6 + 100
+        one, two = itertools.tee(map(metro_bus_name, metro_bus_order(n)))
+        assert all(map(operator.lt, one, itertools.islice(two, 1, None)))
+        order = metro_bus_order(n)
+        assert list(itertools.islice(order, 99_999, 100_003)) == [
+            99_999, 100_000, 1_000_000, 1_000_001,
+        ]
+        assert sum(1 for _ in order) == n - 100_003
 
 
 class TestMetroMemory:
