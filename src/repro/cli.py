@@ -72,6 +72,7 @@ from repro.traces.dieselnet import (
     format_trace_text,
     generate_dieselnet_trace,
 )
+from repro.traces.workload import WorkloadError
 
 
 def _add_scenario_arguments(
@@ -331,14 +332,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(reason: object) -> int:
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
+
+
 def _scale(value: Optional[float]) -> float:
-    return value if value is not None else configured_scale()
+    """``--scale``, else ``REPRO_SCALE``, else the default; in (0, 1]."""
+    scale = value if value is not None else configured_scale()
+    if not 0.0 < scale <= 1.0:
+        raise ValueError("scale must be in (0, 1]")
+    return scale
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.analysis.contacts import TraceProfile
 
-    config = DieselNetConfig(seed=args.seed, scale=_scale(args.scale))
+    config = DieselNetConfig(seed=args.seed, scale=args.scale)
     trace = generate_dieselnet_trace(config)
     print(TraceProfile.of(trace).render())
     if args.export is not None:
@@ -389,7 +399,7 @@ def _experiment_config(args: argparse.Namespace, **extra) -> ExperimentConfig:
     ``extra`` carries what only one command has (``run``'s fault knobs).
     """
     return ExperimentConfig(
-        scale=_scale(args.scale),
+        scale=args.scale,
         policy=args.policy,
         addressing=args.addressing,
         filter_strategy=args.filter_strategy,
@@ -408,8 +418,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             args, faults=faults, fault_seed=args.fault_seed
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     churn = config.churn
     result = run_experiment(config)
     summary = result.summary()
@@ -463,8 +472,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             amnesiac=args.amnesiac,
         )
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     print(
         f"serving node {config.node} on {config.listen} "
         f"({config.experiment.label()})",
@@ -490,8 +498,7 @@ def cmd_swarm(args: argparse.Namespace) -> int:
             base_port=args.base_port,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     output = args.output or pathlib.Path(f"swarm-{run_id_for(config)}.json")
     print(
         f"swarm: {config.label()}  (scale {config.scale}, "
@@ -559,7 +566,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     f"unknown policy {policy!r}; registered policies: "
                     f"{', '.join(available_policies())}"
                 )
-        base = ExperimentConfig(scale=_scale(args.scale))
+        base = ExperimentConfig(scale=args.scale)
         grid = expand_grid(
             base,
             policies=args.policies,
@@ -568,13 +575,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             seeds=args.seeds,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if args.filter:
         grid = filter_by_label(grid, args.filter)
     if not grid:
-        print("error: the grid is empty after filtering", file=sys.stderr)
-        return 2
+        return _usage_error("the grid is empty after filtering")
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     store = RunStore(args.results_dir)
     try:
@@ -588,8 +593,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             timeout_s=args.timeout,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     print(
         f"sweep {report.sweep_id}: {len(report.outcomes)} runs — "
         f"{report.completed} completed, {report.reused} reused, "
@@ -638,7 +642,7 @@ def _emit(text: str, name: str, output_dir: Optional[pathlib.Path]) -> None:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    inputs = SharedScenarioInputs.at_scale(_scale(args.scale))
+    inputs = SharedScenarioInputs.at_scale(args.scale)
     if args.results_dir is not None:
         from repro.experiments.figures import RESULT_CACHE
         from repro.experiments.store import RunStore
@@ -730,7 +734,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "figure": cmd_figure,
         "tables": cmd_tables,
     }
-    return handlers[args.command](args)
+    # A bad scale, or one too small to generate a workload at, is a
+    # usage error on every command that takes one.
+    try:
+        if "scale" in args:
+            args.scale = _scale(args.scale)
+    except ValueError as exc:
+        return _usage_error(exc)
+    try:
+        return handlers[args.command](args)
+    except WorkloadError as exc:
+        return _usage_error(exc)
 
 
 if __name__ == "__main__":

@@ -23,11 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.replication.filters import Filter
-from repro.replication.items import Item
-from repro.replication.routing import Priority, SyncContext
-
-from .policy import DTNPolicy
+from .policy import CopyBudgetPolicy
 
 #: Host-local attribute holding the remaining hop budget of a stored copy.
 TTL_ATTRIBUTE = "epidemic.ttl"
@@ -36,45 +32,20 @@ TTL_ATTRIBUTE = "epidemic.ttl"
 DEFAULT_TTL = 10
 
 
-class EpidemicPolicy(DTNPolicy):
+class EpidemicPolicy(CopyBudgetPolicy):
     """Bounded flooding: forward every message whose hop budget remains."""
 
     name = "epidemic"
+    attribute = TTL_ATTRIBUTE
+    least_forwarded = 1
 
     def __init__(self, initial_ttl: int = DEFAULT_TTL) -> None:
-        super().__init__()
-        if initial_ttl < 1:
-            raise ValueError("initial_ttl must be >= 1")
-        self.initial_ttl = initial_ttl
+        super().__init__(initial_ttl, "initial_ttl")
 
-    def _current_ttl(self, item: Item) -> int:
-        """Read the stored copy's TTL, stamping the default if absent."""
-        ttl = item.local(TTL_ATTRIBUTE)
-        if ttl is None:
-            ttl = self.initial_ttl
-            self.replica.adjust_local(item.with_local(**{TTL_ATTRIBUTE: ttl}))
-        return int(ttl)
+    @property
+    def initial_ttl(self) -> int:
+        return self.initial
 
-    def to_send(
-        self, item: Item, target_filter: Filter, context: SyncContext
-    ) -> Optional[Priority]:
-        if not self.is_routable_message(item):
-            return None
-        if self._current_ttl(item) > 0:
-            return self.normal()
-        return None
-
-    def prepare_outgoing(self, item: Item, context: SyncContext) -> Item:
-        """Ship the copy with a decremented hop budget.
-
-        Applies to out-of-filter forwards; a copy that is being *delivered*
-        (filter match) also gets the decrement, which is harmless — the
-        destination does not reflood unless it relays for others. A copy
-        that already carries exactly the outgoing TTL ships as-is
-        (:meth:`~repro.replication.items.Item.wire_copy`).
-        """
-        stored = self.replica.get_item(item.item_id)
-        ttl = self.initial_ttl if stored is None else int(
-            stored.local(TTL_ATTRIBUTE, self.initial_ttl)
-        )
-        return item.wire_copy(**{TTL_ATTRIBUTE: max(0, ttl - 1)})
+    def shipped(self, budget: Optional[int]) -> int:
+        """``TTL − 1``, never below 0 — on a delivery too, which is harmless."""
+        return max(0, (self.initial if budget is None else budget) - 1)

@@ -18,7 +18,8 @@ its "persistent routing state" in the paper's terms (Table I, column 2).
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Optional
+from abc import abstractmethod
+from typing import Callable, ClassVar, FrozenSet, List, Optional
 
 from repro.replication.filters import AddressFilter, Filter, MultiAddressFilter
 from repro.replication.items import ATTR_KIND, KIND_MESSAGE, Item
@@ -113,3 +114,66 @@ class DTNPolicy(RoutingPolicy):
         if not cost:
             return NORMAL_PRIORITY  # a frozen value: one instance serves all
         return Priority(PriorityClass.NORMAL, cost)
+
+
+class CopyBudgetPolicy(DTNPolicy):
+    """A protocol whose whole state is one integer per stored copy.
+
+    Epidemic's TTL and Spray and Wait's copy count are one mechanism
+    (Table I): a host-local budget, stamped with :attr:`initial` on the
+    stored copy the first time :meth:`to_send` considers it (through
+    ``adjust_local``, so the item never looks updated). A subclass
+    declares only its rules: :attr:`attribute`, the budget's key;
+    :attr:`least_forwarded`, the smallest budget forwarded;
+    :meth:`shipped`; and :attr:`kept`, the stored budget after a
+    confirmed send (``None``: a send leaves it as it is). The columnar
+    engine runs the same rules on its flat columns.
+    """
+
+    attribute: ClassVar[str]
+    least_forwarded: ClassVar[int]
+    kept: Optional[Callable[[int], int]] = None
+
+    def __init__(self, initial: int, keyword: str) -> None:
+        super().__init__()
+        if initial < 1:
+            raise ValueError(f"{keyword} must be >= 1")
+        self.initial = initial
+
+    @abstractmethod
+    def shipped(self, budget: Optional[int]) -> int:
+        """The budget a sent copy carries; ``budget`` is the stored one."""
+
+    def to_send(
+        self, item: Item, target_filter: Filter, context: SyncContext
+    ) -> Optional[Priority]:
+        if not self.is_routable_message(item):
+            return None
+        budget = item.local_attributes.get(self.attribute)
+        if budget is None:
+            budget = self.initial
+            self.replica.adjust_local(item.with_local(**{self.attribute: budget}))
+        return self.normal() if budget >= self.least_forwarded else None
+
+    def prepare_outgoing(self, item: Item, context: SyncContext) -> Item:
+        """The wire copy carries :meth:`shipped` of the stored budget."""
+        stored = self.replica.get_item(item.item_id)
+        budget = None if stored is None else stored.local(self.attribute)
+        return item.wire_copy(**{self.attribute: self.shipped(budget)})
+
+    def on_items_sent(self, items: List[Item], context: SyncContext) -> None:
+        """Rewrite the stored budget of every confirmed send to :attr:`kept`.
+        A send a faulty transport lost never reaches this hook, so no
+        budget is spent without a replica receiving it."""
+        kept = self.kept
+        if kept is None:
+            return
+        for sent in items:
+            stored = self.replica.get_item(sent.item_id)
+            if stored is None or stored.version != sent.version:
+                continue
+            budget = stored.local(self.attribute)
+            if budget is not None and kept(budget) != budget:
+                self.replica.adjust_local(
+                    stored.with_local(**{self.attribute: kept(budget)})
+                )

@@ -16,22 +16,20 @@ Implementation notes:
   stored copy when the policy first considers the message, through the
   no-new-version interface (the paper calls out that this local adjustment
   must not make the item look updated).
-* On a forward of a copy holding ``n``: the in-batch copy carries
-  ``⌊n/2⌋`` and the stored copy is rewritten to ``⌈n/2⌉``, conserving the
-  total budget exactly (an invariant the property tests check).
-* Deliveries (filter-matched sends) do not halve the budget: the wait-phase
-  single copy may always be handed to its destination.
+* On a confirmed send of a copy holding ``n ≥ 2``: the in-batch copy
+  carries ``⌊n/2⌋`` and the stored copy keeps ``⌈n/2⌉``, conserving the
+  total budget exactly (an invariant the property tests check). This
+  holds whether or not the send matched the target's filter: a copy
+  holding 8 that meets its destination keeps 4 and ships 4.
+* A copy holding one is never forwarded, but may always be handed to its
+  destination: it ships one copy and keeps its own.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.replication.filters import Filter
-from repro.replication.items import Item
-from repro.replication.routing import Priority, SyncContext
-
-from .policy import DTNPolicy
+from .policy import CopyBudgetPolicy
 
 #: Host-local attribute holding the logical copy budget of a stored copy.
 COPIES_ATTRIBUTE = "spray.copies"
@@ -40,64 +38,24 @@ COPIES_ATTRIBUTE = "spray.copies"
 DEFAULT_COPIES = 8
 
 
-class SprayAndWaitPolicy(DTNPolicy):
+class SprayAndWaitPolicy(CopyBudgetPolicy):
     """Binary spray: forward while holding at least two logical copies."""
 
     name = "spray"
+    attribute = COPIES_ATTRIBUTE
+    least_forwarded = 2
 
     def __init__(self, initial_copies: int = DEFAULT_COPIES) -> None:
-        super().__init__()
-        if initial_copies < 1:
-            raise ValueError("initial_copies must be >= 1")
-        self.initial_copies = initial_copies
+        super().__init__(initial_copies, "initial_copies")
 
-    def _current_copies(self, item: Item) -> int:
-        """Read the stored copy's budget, stamping the initial value if absent."""
-        copies = item.local_attributes.get(COPIES_ATTRIBUTE)
-        if copies is None:
-            copies = self.initial_copies
-            self.replica.adjust_local(item.with_local(**{COPIES_ATTRIBUTE: copies}))
-        return int(copies)
+    @property
+    def initial_copies(self) -> int:
+        return self.initial
 
-    def to_send(
-        self, item: Item, target_filter: Filter, context: SyncContext
-    ) -> Optional[Priority]:
-        if not self.is_routable_message(item):
-            return None
-        if self._current_copies(item) >= 2:
-            return self.normal()
-        return None
+    def shipped(self, budget: Optional[int]) -> int:
+        """Half of ``n ≥ 2`` copies, else one terminal copy."""
+        return 1 if budget is None or budget < 2 else budget // 2
 
-    def prepare_outgoing(self, item: Item, context: SyncContext) -> Item:
-        stored = self.replica.get_item(item.item_id)
-        if stored is None:
-            return item.without_local()
-        copies = stored.local(COPIES_ATTRIBUTE)
-        if copies is None or int(copies) < 2:
-            # A delivery (or a message never sprayed): hand over a single
-            # terminal copy; the stored budget is untouched.
-            shipped = 1
-        else:
-            shipped = int(copies) // 2
-        # In the wait phase the stored single-copy state is exactly what
-        # goes on the wire, and ``wire_copy`` ships that object as it is.
-        return item.wire_copy(**{COPIES_ATTRIBUTE: shipped})
-
-    def on_items_sent(self, items: List[Item], context: SyncContext) -> None:
-        """Halve the stored budget of every *delivered* spray (keep ⌈n/2⌉).
-
-        Entries a faulty transport lost never reach this hook, so their
-        budget stays intact locally — no copies are destroyed without a
-        replica receiving them, keeping the total budget conserved.
-        """
-        for sent in items:
-            stored = self.replica.get_item(sent.item_id)
-            if stored is None or stored.version != sent.version:
-                continue
-            copies = stored.local(COPIES_ATTRIBUTE)
-            if copies is None or int(copies) < 2:
-                continue
-            remaining = int(copies) - int(copies) // 2
-            self.replica.adjust_local(
-                stored.with_local(**{COPIES_ATTRIBUTE: remaining})
-            )
+    def kept(self, budget: int) -> int:
+        """``⌈n/2⌉``: with :meth:`shipped` the total budget is conserved."""
+        return budget - budget // 2

@@ -6,20 +6,20 @@ spec: every node owns a :class:`~repro.replication.replica.Replica` with
 walks those objects.  That is the right shape for protocol work, but it
 tops out around fifty nodes — far short of the paper's metro ambitions.
 
-This module re-implements the *supported subset* of that machinery on
-flat, integer-interned state:
+This module runs the *supported subset* of that machinery on flat,
+integer-interned state:
 
 * every item authored during a run gets one integer index; the item
   table is a handful of parallel arrays (destination address id, origin
   node, per-origin serial, live holder count);
 * per-node knowledge and policy state are one *column* indexed by item:
-  0 is unknown, 1 known and never stamped, ``v + 2`` known with epidemic
-  TTL or spray copy count ``v`` (the paper's version vectors degenerate
-  to membership because emulated runs never update an item after
-  authoring it). Under epidemic, which floods, the column is a
-  ``bytearray`` with a slot per injection (an ``array`` of wider slots
-  if the TTL needs them); every other supported policy keeps a few
-  copies of an item, and its column is a ``dict`` of the known slots;
+  0 is unknown, 1 known and never stamped, ``v + 2`` known with copy
+  budget ``v`` (the paper's version vectors degenerate to membership
+  because emulated runs never update an item after authoring it). Under
+  epidemic, which floods, the column is a ``bytearray`` with a slot per
+  injection (an ``array`` of wider slots if the TTL needs them); every
+  other supported policy keeps a few copies of an item, and its column
+  is a ``dict`` of the known slots;
 * per-node holdings are three lists of item indices (store, outbox,
   relay) in the object engine's enumeration order;
 * a node has that state only once it is *live* — from the first item
@@ -32,8 +32,8 @@ flat, integer-interned state:
   injections are one ``zip`` over column slices, and an encounter
   between two buses that are not live — 97.8 % of them on that run —
   draws its order coin and is counted without entering the kernel. The
-  run's inputs and its end time are the shared ones (``build_inputs``,
-  ``engine.end_time``).
+  run's inputs, end time and order coins are the shared ones
+  (``build_inputs``, ``engine.end_time``, ``engine.order_coins``).
 
 Correctness contract: for any configuration accepted by
 :func:`columnar_unsupported_reason`, a columnar run reproduces the
@@ -52,16 +52,14 @@ user addressing, storage limits, and the adversarial fault models.
 
 from __future__ import annotations
 
-import random
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import compress, count
+from itertools import chain, compress, count, filterfalse
 from typing import (
     Any,
     Callable,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -75,9 +73,10 @@ from repro.dtn.direct import DirectDeliveryPolicy
 from repro.dtn.epidemic import EpidemicPolicy
 from repro.dtn.first_contact import FirstContactPolicy
 from repro.dtn.registry import get_policy
-from repro.dtn.spray_wait import SprayAndWaitPolicy
+from repro.dtn.policy import CopyBudgetPolicy
 from repro.emulation.encounters import EncounterTrace
 from repro.emulation.engine import end_time as run_end_time
+from repro.emulation.engine import order_coins
 from repro.emulation.metrics import MetricsCollector
 from repro.emulation.network import Injection
 from repro.faults.config import FaultConfig
@@ -100,13 +99,11 @@ class ColumnarUnsupportedError(ValueError):
     """The configuration needs machinery the columnar core does not model."""
 
 
-# Policy kinds the flat hot loop implements inline.  The selection /
-# prepare / on-sent semantics of each are transcribed from the policy
-# classes in repro.dtn — the equivalence harness keeps them honest.
+# Policy kinds of the flat hot loop. A copy budget's rules are the
+# policy's own (CopyBudgetPolicy); the other two keep no per-copy state.
 _DIRECT = 0
-_EPIDEMIC = 1
-_SPRAY = 2
-_FIRST_CONTACT = 3
+_BUDGET = 1
+_FIRST_CONTACT = 2
 
 #: Adversarial fault channels the columnar transport does not model.
 _UNSUPPORTED_FAULTS = (
@@ -118,16 +115,14 @@ _UNSUPPORTED_FAULTS = (
 )
 
 
-def _policy_kind(policy: Any) -> Tuple[int, int]:
-    """Map a policy instance to ``(kind, parameter)`` or raise."""
-    if isinstance(policy, EpidemicPolicy):
-        return _EPIDEMIC, int(policy.initial_ttl)
-    if isinstance(policy, SprayAndWaitPolicy):
-        return _SPRAY, int(policy.initial_copies)
+def _policy_kind(policy: Any) -> int:
+    """Map a policy instance to its kind or raise."""
+    if isinstance(policy, CopyBudgetPolicy):
+        return _BUDGET
     if isinstance(policy, FirstContactPolicy):
-        return _FIRST_CONTACT, 0
+        return _FIRST_CONTACT
     if isinstance(policy, (DirectDeliveryPolicy, NullRoutingPolicy)):
-        return _DIRECT, 0
+        return _DIRECT
     raise ColumnarUnsupportedError(
         f"policy {type(policy).__name__} is not implemented by the "
         "columnar engine (supported: cimbiosys/direct, epidemic, spray, "
@@ -170,13 +165,14 @@ def columnar_unsupported_reason(config: Any) -> Optional[str]:
 def _dense_column(top: int, size: int) -> Any:
     """``size`` zeroed slots of the narrowest unsigned type that holds
     ``0..top``: a ``bytearray`` (11-19 % cheaper to index than an
-    ``array("B")``) unless a value needs wider slots."""
+    ``array("B")``) unless a value needs wider slots; None if no slot
+    type is wide enough."""
     if top < 256:
         return bytearray(size)
-    for code in "HI":
+    for code in "HIQ":
         if top < 1 << 8 * array(code).itemsize:
             return array(code, [0]) * size
-    return array("Q", [0]) * size
+    return None
 
 
 class _Bus(NamedTuple):
@@ -184,9 +180,9 @@ class _Bus(NamedTuple):
 
     # Knowledge and policy-local state in one slot per item: 0 unknown,
     # 1 known and never stamped (None in the object engine's
-    # item.local()), v + 2 known with epidemic TTL or spray copies v.
-    # Epidemic's column is dense (a bytearray or a wider array); any
-    # other policy's is a dict of the known slots, asked by membership.
+    # item.local()), v + 2 known with copy budget v. Epidemic's column
+    # is dense (a bytearray or a wider array) if a slot holds its TTL;
+    # any other is a dict of the known slots, asked by membership.
     column: Any
     # Holdings in the object engine's store → outbox → relay enumeration
     # order; an item is appended once, when it becomes known.
@@ -236,16 +232,13 @@ class ColumnarWorld:
         self._holders = array("i")
         self._item_ids: List[ItemId] = []
 
-        policy_instance = get_policy(policy, **dict(policy_parameters or {}))
-        self._kind, self._policy_param = _policy_kind(policy_instance)
+        self._policy = get_policy(policy, **dict(policy_parameters or {}))
+        self._kind = _policy_kind(self._policy)
 
         self.bandwidth_limit = bandwidth_limit
-        self._rng = random.Random(seed)
         # One order coin per trace encounter, in trace order, whether or
         # not the encounter can move anything.
-        self._orders: Iterator[bool] = map(
-            (0.5).__gt__, iter(self._rng.random, None)
-        )
+        self._orders = order_coins(seed)
         self._injections = sorted(injections, key=lambda inj: inj.time)
         # A live node's column. A dense one costs a slot per injection
         # (an item per injection at most), filled or not, and a dict
@@ -253,9 +246,11 @@ class ColumnarWorld:
         # slot in 11 on the metro run, gets the dense one; spray,
         # first-contact and direct delivery fill one in 100 to 400 there.
         self._new_column: Callable[[], Any] = dict
-        if self._kind == _EPIDEMIC:
-            blank = _dense_column(self._policy_param + 2, len(self._injections))
-            self._new_column = lambda: blank[:]
+        if isinstance(self._policy, EpidemicPolicy):
+            blank = _dense_column(self._policy.initial + 2, len(self._injections))
+            if blank is not None:
+                self._new_column = lambda: blank[:]
+        self._dense = self._new_column is not dict
 
         self._injector: Optional[FaultInjector] = (
             FaultInjector(faults, seed=fault_seed)
@@ -271,20 +266,6 @@ class ColumnarWorld:
         )
 
         self.metrics = MetricsCollector()
-        # Sync counters accumulate locally and flush once in _finalize —
-        # a SyncStats object per sync would dominate the hot loop.
-        self._c_syncs = 0
-        self._c_encounters = 0
-        self._c_transmissions = 0
-        self._c_matching = 0
-        self._c_relayed = 0
-        self._c_truncated = 0
-        self._c_lost = 0
-        self._c_redundant = 0
-        self._c_interrupted = 0
-        self._c_store_items = 0
-        self._c_scanned = 0
-        self._c_index_skipped = 0
 
     # -- interning ---------------------------------------------------------
 
@@ -325,8 +306,15 @@ class ColumnarWorld:
             self._inject(injection)
             lo = hi
         self._run_segment(lo, stop)
-        self._finalize(end_time)
-        return self.metrics
+        metrics = self.metrics
+        metrics.end_time = end_time
+        holders = self._holders
+        index_of = {item_id: i for i, item_id in enumerate(self._item_ids)}
+        for record in metrics.records.values():
+            idx = index_of.get(record.message_id)
+            if idx is not None:
+                record.copies_at_end = int(holders[idx])
+        return metrics
 
     def _run_segment(self, lo: int, hi: int) -> None:
         """Trace encounters ``lo..hi``, which no injection falls among."""
@@ -350,8 +338,9 @@ class ColumnarWorld:
                 encounter(now, a, b, order)
         # Between two buses no item has reached nothing can move: one
         # encounter and two syncs that offer nothing, counted in bulk.
-        self._c_encounters += idle
-        self._c_syncs += 2 * idle
+        metrics = self.metrics
+        metrics.encounters += idle
+        metrics.syncs += 2 * idle
 
     def _match(self, nid: int) -> Set[int]:
         match = {nid}
@@ -402,14 +391,15 @@ class ColumnarWorld:
 
     def _encounter(self, now: float, ai: int, bi: int, order: Any) -> None:
         injector = self._injector
+        metrics = self.metrics
         if injector is not None:
             name_a = self.hosts[ai]
             name_b = self.hosts[bi]
             if not injector.encounter_allowed(name_a, name_b, now):
-                self.metrics.record_backoff_skip()
+                metrics.record_backoff_skip()
                 return
             if injector.should_drop_encounter():
-                self.metrics.record_dropped_encounter()
+                metrics.record_dropped_encounter()
                 return
         first, second = (ai, bi) if order else (bi, ai)
         budget = self.bandwidth_limit
@@ -417,28 +407,30 @@ class ColumnarWorld:
         if budget is not None:
             budget = max(0, budget - sent_a)
         _, interrupted_b = self._sync(second, first, now, budget)
-        self._c_encounters += 1
+        metrics.encounters += 1
         if injector is not None:
             if injector.note_encounter_outcome(
                 name_a, name_b, now, interrupted=interrupted_a or interrupted_b
             ):
-                self.metrics.record_resumed_pair()
+                metrics.record_resumed_pair()
 
     def _sync(
         self, src: int, tgt: int, now: float, budget: Optional[int]
     ) -> Tuple[int, bool]:
         """One directed sync; returns (sent_total, interrupted)."""
+        metrics = self.metrics
         source = self._buses[src]
         if source is None:
             # No item ever reached the source: every other counter
             # would gain 0 and an empty batch draws nothing from the
             # fault rng.
-            self._c_syncs += 1
+            metrics.syncs += 1
             return 0, False
         attr, store_s, outbox_s, relay_s, _ = source
         store_size = len(store_s) + len(outbox_s) + len(relay_s)
         dest = self._item_dest
         kind = self._kind
+        policy = self._policy
 
         # Candidate enumeration: store → outbox → relay insertion order,
         # skipping what the target already knows (the object engine's
@@ -450,22 +442,10 @@ class ColumnarWorld:
             # set is rebuilt per sync.
             tknow, tmatch = None, self._match(tgt)
             unknown = [*store_s, *outbox_s, *relay_s]
-        elif kind == _EPIDEMIC:
-            tknow, _, _, _, tmatch = target
-            unknown = [
-                i
-                for holding in (store_s, outbox_s, relay_s)
-                for i in holding
-                if not tknow[i]
-            ]
         else:
             tknow, _, _, _, tmatch = target
-            unknown = [
-                i
-                for holding in (store_s, outbox_s, relay_s)
-                for i in holding
-                if i not in tknow
-            ]
+            known = tknow.__getitem__ if self._dense else tknow.__contains__
+            unknown = list(filterfalse(known, chain(store_s, outbox_s, relay_s)))
 
         candidates = len(unknown)
         matched_ids: List[int] = []
@@ -481,18 +461,16 @@ class ColumnarWorld:
                     # this node itself (local_addresses()).
                     normal_ids.append(i)
         else:
-            # Forwardable while an epidemic TTL is above 0, while a
-            # spray entry has at least 2 copies (column values + 2).
-            stamped = self._policy_param + 2
-            least = 3 if kind == _EPIDEMIC else 4
+            # CopyBudgetPolicy.to_send on column values (budget + 2).
+            stamped = policy.initial + 2
+            least = policy.least_forwarded + 2
             for i in unknown:
                 if dest[i] in tmatch:
                     matched_ids.append(i)
                 else:
                     value = attr[i]
                     if value == 1:
-                        # Lazy stamp on first policy inspection,
-                        # mirroring EpidemicPolicy._current_ttl.
+                        # Lazy stamp on first policy inspection.
                         value = attr[i] = stamped
                     if value >= least:
                         normal_ids.append(i)
@@ -516,21 +494,14 @@ class ColumnarWorld:
             sent_matching = n_matched
         sent_total = len(batch)
 
-        # prepare_outgoing: snapshot shipped policy attributes, as the
-        # target's column values, before any on_items_sent mutation
-        # (spray halves *after* shipping).
+        # prepare_outgoing: snapshot shipped budgets, as the target's
+        # column values, before any on_items_sent mutation (spray halves
+        # *after* shipping).
         shipped: Optional[List[int]] = None
-        if kind == _EPIDEMIC and batch:
-            # TTL - 1, never below 0; an unstamped copy ships initial - 1.
-            unstamped = self._policy_param + 1
+        if kind == _BUDGET and batch:
+            ship = policy.shipped
             shipped = [
-                max(2, value - 1) if value > 1 else unstamped
-                for value in map(attr.__getitem__, batch)
-            ]
-        elif kind == _SPRAY and batch:
-            # Half of c ≥ 2 copies; an unstamped or single copy ships 1.
-            shipped = [
-                2 + (value - 2) // 2 if value >= 4 else 3
+                ship(value - 2 if value > 1 else None) + 2
                 for value in map(attr.__getitem__, batch)
             ]
 
@@ -562,12 +533,11 @@ class ColumnarWorld:
         # Source-side confirmation (each delivered entry once), *before*
         # the target applies — SyncSession.run's order, which matters for
         # first-contact holder counts at delivery time.
-        if kind == _SPRAY and delivered_n:
+        if kind == _BUDGET and delivered_n and policy.kept is not None:
             for i in batch[:delivered_n]:
                 value = attr[i]
-                if value >= 4:
-                    # c ≥ 2 copies keep c - c // 2.
-                    attr[i] = value - (value - 2) // 2
+                if value > 1:
+                    attr[i] = policy.kept(value - 2) + 2
         elif kind == _FIRST_CONTACT and delivered_n:
             holders = self._holders
             origin = self._item_origin
@@ -589,7 +559,6 @@ class ColumnarWorld:
                 tknow = target.column
             tstore, trelay = target.store, target.relay
         holders = self._holders
-        metrics = self.metrics
         item_ids = self._item_ids
         tgt_name = self.hosts[tgt]
         for pos in range(delivered_n):
@@ -605,41 +574,19 @@ class ColumnarWorld:
             else:
                 trelay.append(i)
 
-        self._c_syncs += 1
-        self._c_transmissions += sent_total
-        self._c_matching += sent_matching
-        self._c_relayed += sent_total - sent_matching
-        self._c_truncated += truncated
-        self._c_lost += lost
-        self._c_redundant += redundant
-        self._c_store_items += store_size
-        self._c_scanned += candidates
-        self._c_index_skipped += store_size - candidates
+        metrics.syncs += 1
+        metrics.transmissions += sent_total
+        metrics.matching_transmissions += sent_matching
+        metrics.relayed_transmissions += sent_total - sent_matching
+        metrics.truncated_transmissions += truncated
+        metrics.lost_transmissions += lost
+        metrics.redundant_transmissions += redundant
+        metrics.store_items_at_sync += store_size
+        metrics.items_scanned += candidates
+        metrics.index_skipped += store_size - candidates
         if interrupted:
-            self._c_interrupted += 1
+            metrics.interrupted_syncs += 1
         return sent_total, interrupted
-
-    def _finalize(self, end_time: float) -> None:
-        m = self.metrics
-        m.syncs += self._c_syncs
-        m.encounters += self._c_encounters
-        m.transmissions += self._c_transmissions
-        m.matching_transmissions += self._c_matching
-        m.relayed_transmissions += self._c_relayed
-        m.truncated_transmissions += self._c_truncated
-        m.lost_transmissions += self._c_lost
-        m.redundant_transmissions += self._c_redundant
-        m.interrupted_syncs += self._c_interrupted
-        m.store_items_at_sync += self._c_store_items
-        m.items_scanned += self._c_scanned
-        m.index_skipped += self._c_index_skipped
-        m.end_time = end_time
-        holders = self._holders
-        index_of = {item_id: i for i, item_id in enumerate(self._item_ids)}
-        for record in m.records.values():
-            idx = index_of.get(record.message_id)
-            if idx is not None:
-                record.copies_at_end = int(holders[idx])
 
     # -- introspection (tests / equivalence harness) -----------------------
 

@@ -14,7 +14,8 @@ calls, the live swarm (:mod:`repro.net.swarm`) as awaited directives.
 
 The columnar engine (:mod:`repro.emulation.columnar`) keeps its own
 loop, a slice of the trace columns per gap between injections — a step
-object per encounter is what it exists to avoid — and shares :func:`end_time`.
+object per encounter is what it exists to avoid — and shares
+:func:`end_time` and :func:`order_coins`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -64,6 +66,12 @@ class Step(NamedTuple):
     time: float
     kind: str
     event: Any
+
+
+def order_coins(seed: int) -> Iterator[bool]:
+    """One coin per trace encounter, True when its ``a`` sources the first
+    sync (``random() < 0.5``); both engines order encounters by it."""
+    return map((0.5).__gt__, iter(random.Random(seed).random, None))
 
 
 def end_time(
@@ -132,7 +140,7 @@ class RunDirector:
         self.assignments = dict(assignments or {})
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.skipped_injections: List["Injection"] = []
-        self._rng = random.Random(seed)
+        self._orders = order_coins(seed)
         self._user_location: Dict[str, str] = {}
         self._current_day_map: Mapping[str, FrozenSet[str]] = {}
         self.lifecycle = None
@@ -213,7 +221,7 @@ class RunDirector:
         The coin is drawn for *every* trace encounter before any gate, so
         a skipped encounter never shifts the draws of the ones after it.
         """
-        order = self._rng.random() < 0.5
+        order = next(self._orders)
         a, b = encounter.a, encounter.b
         if self.lifecycle is not None:
             if not (self.lifecycle.online(a) and self.lifecycle.online(b)):

@@ -63,6 +63,10 @@ class WorkloadConfig:
             raise ValueError("addressing must be 'bus' or 'user'")
 
 
+class WorkloadError(ValueError):
+    """No injection day has a rider to send (too small a scale)."""
+
+
 def build_injection_schedule(
     model: EmailWorkloadModel,
     assignments: Mapping[int, Mapping[str, frozenset]],
@@ -90,7 +94,7 @@ def build_injection_schedule(
         if day < config.injection_days and bus_of[day]
     ]
     if not candidate_days:
-        raise ValueError("no injection day has any assigned users")
+        raise WorkloadError("no injection day has any assigned users")
 
     per_day = {day: config.target_total // len(candidate_days) for day in candidate_days}
     for day in candidate_days[: config.target_total % len(candidate_days)]:

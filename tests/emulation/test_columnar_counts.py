@@ -51,9 +51,9 @@ def _count_kernel_entries(world):
     kernel = world._encounter
 
     def counting(now, a, b, order):
-        before = world._c_transmissions
+        before = world.metrics.transmissions
         kernel(now, a, b, order)
-        entries.append((now, a, b, world._c_transmissions > before))
+        entries.append((now, a, b, world.metrics.transmissions > before))
 
     world._encounter = counting
     return entries

@@ -75,6 +75,8 @@ def test_engines_agree(policy, faulted):
         dict(trace_seed=7, workload_seed=3, encounter_order_seed=101),
         dict(policy_parameters={"initial_copies": 4}),
         dict(policy_parameters={"initial_ttl": 10_000}),
+        # No array slot holds 2**64 + 2: the column falls back to a dict.
+        dict(policy_parameters={"initial_ttl": 2**64}),
         dict(policy_parameters={"initial_copies": 1_000}),
     ],
     ids=[
@@ -84,6 +86,7 @@ def test_engines_agree(policy, faulted):
         "reseeded",
         "spray4",
         "ttl10000",
+        "ttl2**64",
         "copies1000",
     ],
 )

@@ -213,10 +213,39 @@ class TestScenarioFlags:
         assert differing == {"policy"}
         assert (run["policy"], swarm["policy"]) == ("cimbiosys", "epidemic")
 
-    @pytest.mark.parametrize("command", ["run", "swarm"])
-    def test_invalid_scenario_exits_2(self, command, capsys):
-        assert main([command, "--scale", "0.25", "--filter-k", "2"]) == 2
-        assert "filter_k" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv,env_scale,message",
+        [
+            (["run", "--scale", "0.25", "--filter-k", "2"], None, "filter_k"),
+            (["swarm", "--scale", "0.25", "--filter-k", "2"], None, "filter_k"),
+            (["trace", "--scale", "2"], None, "scale must be in (0, 1]"),
+            (["figure", "5", "--scale", "2"], None, "scale must be in (0, 1]"),
+            (["figure", "5"], "2", "REPRO_SCALE must be in (0, 1]"),
+            (["run", "--scale", "0.1"], None, "no injection day"),
+            (["swarm", "--scale", "0.1"], None, "no injection day"),
+            (["figure", "8", "--scale", "0.1"], None, "no injection day"),
+        ],
+        ids=[
+            "run",
+            "swarm",
+            "trace-scale",
+            "figure-scale",
+            "figure-env-scale",
+            "run-no-workload",
+            "swarm-no-workload",
+            "figure-no-workload",
+        ],
+    )
+    def test_invalid_scenario_exits_2(
+        self, argv, env_scale, message, capsys, monkeypatch
+    ):
+        """A bad scenario, scale, or a scale too small to generate a
+        workload at, is ``error: …`` and exit 2 on every command."""
+        if env_scale is not None:
+            monkeypatch.setenv("REPRO_SCALE", env_scale)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestConfigFlags:

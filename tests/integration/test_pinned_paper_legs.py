@@ -1,4 +1,6 @@
-"""Cross-commit pins of clean runs: the paper's nine evaluation legs.
+"""Cross-commit pins of clean runs: the paper's nine evaluation legs,
+first-contact, a bandwidth-capped spray, and the columnar engine's
+answer to each leg it runs.
 
 ``results/*.txt`` pins summary rows and ``TestPinnedFaultSchedules`` pins
 faulted runs; neither would notice a change in candidate enumeration
@@ -62,6 +64,57 @@ LEGS = {
             ),
         ),
         "6d4e11afb50187835cb0ff24ac5265fcb95c3ee286485c094335403527a2a49d",
+    ),
+    "first-contact": (
+        dict(policy="first-contact"),
+        "59cd5b076975ccffd75e7dbebff88cb8acc32771873ef63298f85edd47fc4ea0",
+    ),
+    "spray.bandwidth1": (
+        dict(policy="spray", bandwidth_limit=1),
+        "3d55ec6383c056edc2393867253b01ce4a37591168167ab1eaf8448ab0ff9ab2",
+    ),
+    # The columnar engine, which answers the object engine draw for draw
+    # but keeps its own copy of the sync flow.
+    "columnar.fig7.cimbiosys": (
+        dict(policy="cimbiosys", engine="columnar"),
+        "0ecdab7b1d1507de9d3fe848bad36915a96000419ce7a6a1579189283ccf39a6",
+    ),
+    "columnar.fig7.epidemic": (
+        dict(policy="epidemic", engine="columnar"),
+        "f205a1455ad2a0c84216492082eb60c896be3c6f77c9b206c35c8c6048f1d7ce",
+    ),
+    "columnar.fig7.spray": (
+        dict(policy="spray", engine="columnar"),
+        "51d2770bd85f100c6b63d6645e7cb86572358d67127d3e756aee35808d0ece66",
+    ),
+    "columnar.fig5.selected4": (
+        dict(
+            policy="cimbiosys",
+            filter_strategy="selected",
+            filter_k=4,
+            engine="columnar",
+        ),
+        "f49314b79d43d91031d62792e5635cc0455570a87283e42175328918b4c41367",
+    ),
+    "columnar.faults.epidemic": (
+        dict(
+            policy="epidemic",
+            faults=FaultConfig(
+                encounter_drop_probability=0.1,
+                truncation_probability=0.2,
+                duplication_probability=0.1,
+            ),
+            engine="columnar",
+        ),
+        "01fedb6b08e4412c91983177e1267dbc9260a50cb48d56c9ec36e7e68091a247",
+    ),
+    "columnar.first-contact": (
+        dict(policy="first-contact", engine="columnar"),
+        "1d261f7411783367537f54416599e058dccebd9986b7afd744ac4947d7d809f7",
+    ),
+    "columnar.spray.bandwidth1": (
+        dict(policy="spray", bandwidth_limit=1, engine="columnar"),
+        "55a51d5f57a8976aeecb90a0b68f919239255afb133f15f0b28bf6af64a49f07",
     ),
 }
 
