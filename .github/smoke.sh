@@ -77,7 +77,10 @@ EOF
   # sync's process_req) costs PROPHET 46 of 769 transmissions here and
   # fails the gate; MaxProp ships the same kind of state and is held to
   # the same bar, though this trace does not separate the two orders.
-  for policy in prophet maxprop; do
+  # Spray and cimbiosys are the policies whose refusals park: a parked
+  # copy leaves the sync walk (RoutingPolicy.refuses_for_good), and the
+  # live side must still send what the emulator sends.
+  for policy in prophet maxprop spray cimbiosys; do
     python -m repro swarm --scale 0.4 --policy "$policy" --parity \
       --output "swarm-$policy-metrics.json"
   done

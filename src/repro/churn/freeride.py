@@ -75,6 +75,9 @@ class FreeRiderPolicy(DTNPolicy):
     ) -> Optional[Priority]:
         return self.inner.to_send(item, target_filter, context)
 
+    def refuses_for_good(self, item: Item) -> bool:
+        return self.inner.refuses_for_good(item)
+
     def on_encounter_start(self, context: SyncContext) -> None:
         self.inner.on_encounter_start(context)
 

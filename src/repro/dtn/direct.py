@@ -26,3 +26,6 @@ class DirectDeliveryPolicy(DTNPolicy):
         self, item: Item, target_filter: Filter, context: SyncContext
     ) -> Optional[Priority]:
         return None
+
+    def refuses_for_good(self, item: Item) -> bool:
+        return True

@@ -303,6 +303,13 @@ class MaxPropPolicy(DTNPolicy):
             return Priority(PriorityClass.LOW, float(hops))
         return Priority(PriorityClass.NORMAL, cost)
 
+    def refuses_for_good(self, item: Item) -> bool:
+        """A non-message, or an acked copy that is not a relay copy: acks
+        only grow, and ``to_send`` expunges an acked relay copy instead."""
+        return not self.is_routable_message(item) or (
+            item.item_id in self.acks and not self.replica.relays(item.item_id)
+        )
+
     def prepare_outgoing(self, item: Item, context: SyncContext) -> Item:
         """Extend the copy's hop list with this node before it ships.
 

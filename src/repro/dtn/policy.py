@@ -155,6 +155,15 @@ class CopyBudgetPolicy(DTNPolicy):
             self.replica.adjust_local(item.with_local(**{self.attribute: budget}))
         return self.normal() if budget >= self.least_forwarded else None
 
+    def refuses_for_good(self, item: Item) -> bool:
+        """A non-message, or a stamped budget below :attr:`least_forwarded`
+        (Spray's wait phase, Epidemic's TTL 0): only ``adjust_local``
+        changes a budget, and that replaces the copy."""
+        budget = item.local_attributes.get(self.attribute)
+        return not self.is_routable_message(item) or (
+            budget is not None and budget < self.least_forwarded
+        )
+
     def prepare_outgoing(self, item: Item, context: SyncContext) -> Item:
         """The wire copy carries :meth:`shipped` of the stored budget."""
         stored = self.replica.get_item(item.item_id)

@@ -136,9 +136,10 @@ class MetricsCollector:
     peer_health_transitions: Dict[str, int] = field(default_factory=dict)
     # Sync hot-path accounting (the version-index optimisation): how many
     # stored items the sources held when batches were built (what a full
-    # scan would visit), how many the version index actually enumerated,
-    # and how many it skipped. ``items_scanned`` over items sent is the
-    # figure ``bench/`` reports as ``sync.candidates_per_sent``.
+    # scan would visit), how many of them the targets did not know
+    # (parked ones too, which the walk skips), and how many the index
+    # skipped. ``items_scanned`` over items sent is the figure ``bench/``
+    # reports as ``sync.candidates_per_sent``.
     store_items_at_sync: int = 0
     items_scanned: int = 0
     index_skipped: int = 0

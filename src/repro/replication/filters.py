@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import Any, FrozenSet, Iterable, Optional, Tuple
 
 from .errors import InvalidFilterError
 from .items import ATTR_DESTINATION, Item
@@ -132,6 +132,14 @@ class MultiAddressFilter(Filter):
         return self._addresses
 
     matches = _matches_addresses
+
+
+def address_set(filter_: Filter) -> Optional[FrozenSet[str]]:
+    """The addresses ``filter_`` selects if it is an address filter whose
+    ``matches`` is not overridden, else ``None``."""
+    if type(filter_).matches is _matches_addresses:
+        return filter_._addresses
+    return None
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ The replica enforces the substrate's two delivery guarantees:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import AbstractSet, Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import DuplicateDeliveryError, UnknownItemError
 from .events import ObserverList, ReplicaObserver
@@ -269,15 +269,26 @@ class Replica:
     def items_unknown_to(self, knowledge: VersionVector) -> List[Item]:
         """Stored items whose versions the given knowledge does not cover.
 
-        This is the sync hot path: instead of scanning every stored item
-        and probing ``knowledge.contains``, the replica's version index
-        enumerates only the counters above the peer's known prefix (see
-        :meth:`~repro.replication.store.VersionIndex.unknown_items`). The
+        The replica's version index enumerates only the counters above
+        the peer's known prefix (see
+        :meth:`~repro.replication.store.VersionIndex.candidates`). The
         result is what filtering :meth:`stored_items` through
         ``knowledge.contains`` gives — same items, same order — at a cost
         proportional to what the peer is missing.
         """
-        return self._index.unknown_items(knowledge)
+        return self._index.candidates(knowledge)[0]
+
+    def sync_candidates(
+        self, knowledge: VersionVector, addresses: Optional[AbstractSet[str]]
+    ) -> Tuple[List[Item], int]:
+        """What a sync walks and how many held items ``knowledge`` does
+        not cover (:meth:`~repro.replication.store.VersionIndex.candidates`)."""
+        return self._index.candidates(knowledge, addresses)
+
+    def park(self, item: Item) -> None:
+        """Take a copy its policy refuses for good out of the sync walk
+        (:meth:`~repro.replication.store.VersionIndex.park`)."""
+        self._index.park(item)
 
     def get_item(self, item_id: ItemId) -> Optional[Item]:
         return self._find(item_id)

@@ -10,7 +10,8 @@ a sync source should forward to the target, and in what order:
 * :meth:`RoutingPolicy.process_req` — called on the **source** when the
   request arrives; typically persists the peer's routing state.
 * :meth:`RoutingPolicy.to_send` — called on the source once per stored item
-  that the target does not know and whose filter does not match; returns a
+  that the target does not know and whose filter does not match, unless
+  :meth:`RoutingPolicy.refuses_for_good` parked it; returns a
   :class:`Priority` to include the item in the batch or ``None`` to skip it.
 
 The platform (this module and :mod:`repro.replication.sync`) defines the
@@ -138,6 +139,20 @@ class RoutingPolicy(ABC):
         :attr:`PriorityClass.FILTER_MATCH`.
         """
 
+    def refuses_for_good(self, item: Item) -> bool:
+        """Whether the refusal :meth:`to_send` just gave ``item`` stands.
+
+        ``True`` parks the stored copy: later syncs reach it only when it
+        matches the target's filter. Answer ``True`` only if, for as long
+        as the store holds this very object, ``to_send`` would return
+        ``None`` for it at every later sync, whatever the peer, context or
+        policy state, and a call to it would change nothing. Any
+        replacement of the stored copy ends the mark (a newer version,
+        ``adjust_local``, a store move, an eviction, an expunge); a
+        restored replica is a fresh one, with no marks.
+        """
+        return False
+
     def on_encounter_start(self, context: SyncContext) -> None:
         """Hook invoked once per *encounter* (before the pair of syncs).
 
@@ -192,3 +207,6 @@ class NullRoutingPolicy(RoutingPolicy):
         self, item: Item, target_filter: Filter, context: SyncContext
     ) -> Optional[Priority]:
         return None
+
+    def refuses_for_good(self, item: Item) -> bool:
+        return True

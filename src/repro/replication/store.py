@@ -24,7 +24,7 @@ one): per authoring replica, the held version counters in sorted order
 and, in a parallel column, the copy holding each. Because a peer's
 knowledge is a per-replica prefix plus a small extras set (see
 :mod:`repro.replication.versions`), the index lets
-:meth:`VersionIndex.unknown_items` enumerate exactly the held items a
+:meth:`VersionIndex.candidates` enumerate exactly the held items a
 given knowledge vector does *not* cover — a bisect to skip the known
 prefix, then a slice of the tail — instead of probing ``contains`` on
 every stored item. That query is the sync hot path: one call per sync
@@ -37,6 +37,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from typing import (
+    AbstractSet,
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -49,8 +51,8 @@ from typing import (
 from zlib import crc32
 
 from .errors import UnknownItemError
-from .ids import ItemId, ReplicaId
-from .items import Item
+from .ids import ItemId, ReplicaId, Version
+from .items import ATTR_DESTINATION, Item
 from .versions import VersionVector
 
 #: Callback invoked when the relay store evicts an item under pressure.
@@ -63,73 +65,58 @@ _Owner = Tuple[int, Item]
 _RANK_SHIFT = 48
 
 
-class VersionIndex:
-    """Per authoring replica, the held version counters and who holds each.
+class _Columns:
+    """One partition of a :class:`VersionIndex`: per origin, the held
+    counters in sorted order and, position for position, their owners.
+    Two dicts, not a pair per origin: a sync that moves nothing reads
+    only the counters, one object fewer per origin."""
 
-    Two parallel columns per origin: the counters in sorted order and,
-    position for position, each counter's *owner* ``(key, item)``. The
-    key is the holding store's rank shifted above that store's insertion
-    sequence, so one plain sort of owners is the stores' concatenated
-    insertion order, decided by unique ints: two items are never
-    compared. The owner holds the stored :class:`Item`, so a walk hands
-    back items without looking a single id up. A :class:`Replica` shares
-    one index among its three stores; a standalone store has its own.
-    """
-
-    __slots__ = ("_counters", "_owners")
+    __slots__ = ("counters", "owners")
 
     def __init__(self) -> None:
-        #: origin replica → sorted list of held version counters.
-        self._counters: Dict[ReplicaId, List[int]] = {}
-        #: origin replica → the owner of each counter, position for position.
-        #: A dict of its own, not a pair with the counters: a sync that
-        #: moves nothing reads only those, one object fewer per origin.
-        self._owners: Dict[ReplicaId, List[_Owner]] = {}
+        self.counters: Dict[ReplicaId, List[int]] = {}
+        self.owners: Dict[ReplicaId, List[_Owner]] = {}
 
-    def add(self, item: Item, key: int) -> None:
-        version = item.version
-        origin = version.replica
-        counter = version.counter
-        counters = self._counters.get(origin)
+    def insert(self, version: Version, owner: _Owner) -> None:
+        origin, counter = version
+        counters = self.counters.get(origin)
         if counters is None:
-            self._counters[origin] = [counter]
-            self._owners[origin] = [(key, item)]
+            self.counters[origin] = [counter]
+            self.owners[origin] = [owner]
         elif counter > counters[-1]:  # common case: counters ascend
             counters.append(counter)
-            self._owners[origin].append((key, item))
+            self.owners[origin].append(owner)
         else:
             at = bisect_right(counters, counter)
             counters.insert(at, counter)
-            self._owners[origin].insert(at, (key, item))
+            self.owners[origin].insert(at, owner)
 
-    def remove(self, item: Item) -> int:
-        """Unindex ``item``'s version; returns its key."""
-        version = item.version
-        origin = version.replica
-        counters = self._counters[origin]
-        at = bisect_left(counters, version.counter)
+    def take(self, version: Version, item: Optional[Item] = None) -> Optional[_Owner]:
+        """Unindex ``version``; its owner, or ``None`` (nothing touched) if
+        it is not held here or, given ``item``, held by another copy."""
+        origin, counter = version
+        counters = self.counters.get(origin)
+        if counters is None:
+            return None
+        at = bisect_left(counters, counter)
+        if at == len(counters) or counters[at] != counter:
+            return None
+        owners = self.owners[origin]
+        if item is not None and owners[at][1] is not item:
+            return None
         del counters[at]
-        key, _ = self._owners[origin].pop(at)
+        owner = owners.pop(at)
         if not counters:
-            del self._counters[origin]
-            del self._owners[origin]
-        return key
+            del self.counters[origin]
+            del self.owners[origin]
+        return owner
 
-    def unknown_items(self, knowledge: VersionVector) -> List[Item]:
-        """Held items whose versions ``knowledge`` does not cover.
-
-        Equivalent to filtering the stores' insertion-order snapshots,
-        one store after another, through ``knowledge.contains`` — same
-        items, same order — but walks the index instead: per authoring
-        replica one lookup of the peer's entry, a bisect past its known
-        prefix, and the owners beyond taken as one slice (filtered only
-        when the peer has extras for that origin). Cost is proportional
-        to the number of *unknown* items, not to what is held.
-        """
-        found: List[_Owner] = []
-        known = knowledge.entries().get
-        owners = self._owners
-        for origin, counters in self._counters.items():
+    def unknown(self, found: List[_Owner], known: Callable[[ReplicaId], Any]) -> None:
+        """Append to ``found`` the owners ``known`` does not cover: per
+        origin one lookup, a bisect past the known prefix, and the owners
+        beyond as one slice (filtered only when there are extras)."""
+        owners = self.owners
+        for origin, counters in self.counters.items():
             entry = known(origin)
             if entry is None:
                 found += owners[origin]  # nothing known from this origin
@@ -148,8 +135,115 @@ class VersionIndex:
                 ]
             else:
                 found += owners[origin][start:]
+
+    def count_unknown(self, known: Callable[[ReplicaId], Any]) -> int:
+        """How many owners :meth:`unknown` would find, not enumerated:
+        extras lie above the prefix, so one C-level intersection."""
+        count = 0
+        for origin, counters in self.counters.items():
+            entry = known(origin)
+            if entry is None:
+                count += len(counters)
+            elif counters[-1] > entry.prefix:
+                count += len(counters) - bisect_right(counters, entry.prefix)
+                if entry.extras:
+                    count -= len(entry.extras.intersection(counters))
+        return count
+
+
+class VersionIndex:
+    """Per authoring replica, the held version counters and who holds each.
+
+    Two parallel columns per origin: the counters in sorted order and,
+    position for position, each counter's *owner* ``(key, item)``. The
+    key is the holding store's rank shifted above that store's insertion
+    sequence, so one plain sort of owners is the stores' concatenated
+    insertion order, decided by unique ints: two items are never
+    compared. The owner holds the stored :class:`Item`, so a walk hands
+    back items without looking a single id up. A :class:`Replica` shares
+    one index among its three stores; a standalone store has its own.
+
+    A sync walks the *open* columns. A copy its routing policy refuses
+    for good (:meth:`~repro.replication.routing.RoutingPolicy.refuses_for_good`)
+    is :meth:`park`-ed in a second pair, which a sync reaches only by
+    the target filter's addresses and counts without enumerating. Any
+    :meth:`remove` ends the mark; a store that keeps the copy adds it
+    back open.
+    """
+
+    __slots__ = ("_open", "_parked", "_destined")
+
+    def __init__(self) -> None:
+        self._open = _Columns()
+        self._parked = _Columns()
+        #: destination address → the parked owners addressed there.
+        self._destined: Dict[str, Dict[Version, _Owner]] = {}
+
+    def add(self, item: Item, key: int) -> None:
+        self._open.insert(item.version, (key, item))
+
+    def remove(self, item: Item) -> int:
+        """Unindex ``item``'s version, open or parked; returns its key.
+        Raises :class:`KeyError`, the index untouched, if neither holds it."""
+        version = item.version
+        owner = self._open.take(version)
+        if owner is None:
+            owner = self._parked.take(version)
+            if owner is None:
+                raise KeyError(f"version {version} is not indexed")
+            destination = owner[1].attributes[ATTR_DESTINATION]
+            parked = self._destined[destination]
+            del parked[version]
+            if not parked:
+                del self._destined[destination]
+        return owner[0]
+
+    def park(self, item: Item) -> None:
+        """Move ``item`` out of the walk. A no-op unless it is the very
+        copy held open for its version (not one a policy has since
+        restamped or expunged) and its destination is one address."""
+        destination = item.attributes.get(ATTR_DESTINATION)
+        if isinstance(destination, str):
+            owner = self._open.take(item.version, item)
+            if owner is not None:
+                self._parked.insert(item.version, owner)
+                self._destined.setdefault(destination, {})[item.version] = owner
+
+    def candidates(
+        self, knowledge: VersionVector, addresses: Optional[AbstractSet[str]] = None
+    ) -> Tuple[List[Item], int]:
+        """The uncovered items a sync must consider, in store order, and
+        how many held items ``knowledge`` does not cover, parked or not.
+
+        The items are the open ones plus the parked ones addressed to one
+        of ``addresses`` (``None``: every parked one). A parked item
+        addressed elsewhere neither matches such a filter nor goes out
+        through the policy, so leaving it out changes no batch.
+        """
+        found: List[_Owner] = []
+        known = knowledge.entries().get
+        self._open.unknown(found, known)
+        if addresses is None:
+            self._parked.unknown(found, known)
+            count = len(found)
+        else:
+            count = len(found) + self._parked.count_unknown(known)
+            if self._destined:
+                contains = knowledge.contains
+                for address in addresses:
+                    parked = self._destined.get(address)
+                    if parked is not None:
+                        found += [
+                            owner
+                            for version, owner in parked.items()
+                            if not contains(version)
+                        ]
         found.sort()  # keys are unique: store order, items untouched
-        return [item for _, item in found]
+        return [item for _, item in found], count
+
+    def unknown_items(self, knowledge: VersionVector) -> List[Item]:
+        """Every held item whose version ``knowledge`` does not cover."""
+        return self.candidates(knowledge)[0]
 
 
 class ItemStore:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import PolicyError
-from .filters import Filter
+from .filters import Filter, address_set
 from .ids import ReplicaId
 from .integrity import (
     VIOLATION_CHECKSUM_MISMATCH,
@@ -123,10 +123,10 @@ class SyncStats:
 
     The scan-cost fields make the version index observable:
     ``store_size`` is how many items the source held (what a full scan
-    would have visited), ``candidates`` how many the version index
-    actually enumerated (the unknown items), and ``index_skipped`` the
-    difference. ``metadata_bytes`` is what the request's knowledge vector
-    occupied on the wire.
+    would have visited), ``candidates`` how many of those the target does
+    not know (parked ones too, which the walk skips), and ``index_skipped``
+    the difference. ``metadata_bytes`` is what the request's knowledge
+    vector occupied on the wire.
     """
 
     source: ReplicaId
@@ -302,9 +302,10 @@ def build_batch(
     to ``max_items`` when a bandwidth cap applies (via a partial sort —
     picking the same prefix a full sort-then-slice would).
 
-    The unknown items are enumerated through the stores' version indexes
-    (:meth:`Replica.items_unknown_to`), so per-encounter cost is
-    proportional to what the target is missing, not to the store.
+    The unknown items are enumerated through the replica's version index
+    (:meth:`Replica.sync_candidates`), at a cost proportional to what the
+    target is missing; a copy whose refusal stands (``refuses_for_good``)
+    is parked there, out of later walks but for filter matches.
 
     Building does **not** fire ``on_items_sent`` — the channel has not
     carried anything yet. :meth:`SyncSession.run` invokes the hook with the
@@ -324,11 +325,12 @@ def build_batch(
     stats.store_size = source.replica.stored_count
     stats.metadata_bytes = request.knowledge.wire_size()
     knowledge = validate_request_knowledge(source, request, stats)
-    unknown = source.replica.items_unknown_to(knowledge)
-    stats.candidates = len(unknown)
+    addresses = address_set(request.filter)
+    unknown, stats.candidates = source.replica.sync_candidates(knowledge, addresses)
     stats.index_skipped = stats.store_size - stats.candidates
 
     matches = request.filter.matches
+    refuses_for_good = getattr(source.policy, "refuses_for_good", None)
     entries: List[BatchEntry] = []
     for item in unknown:
         if matches(item):
@@ -336,6 +338,8 @@ def build_batch(
         else:
             priority = source.policy.to_send(item, request.filter, context)
             if priority is None:
+                if refuses_for_good is not None and refuses_for_good(item):
+                    source.replica.park(item)
                 continue
             if not isinstance(priority, Priority):
                 raise PolicyError(

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.api import ExperimentConfig, FaultConfig, run_experiment
+from repro.api import ChurnConfig, ExperimentConfig, FaultConfig, run_experiment
 
 SEED = 42
 
@@ -72,6 +72,38 @@ LEGS = {
     "spray.bandwidth1": (
         dict(policy="spray", bandwidth_limit=1),
         "3d55ec6383c056edc2393867253b01ce4a37591168167ab1eaf8448ab0ff9ab2",
+    ),
+    # Legs whose policies park standing refusals out of the sync walk
+    # (``RoutingPolicy.refuses_for_good``), and whose parked copies later
+    # leave the index: evicted, replaced, moved by ``set_filter``, expunged
+    # or dropped by a crash restart.
+    "spray.storage2": (
+        dict(policy="spray", storage_limit=2),
+        "597d127e1c0f29a526962451c0fc8fcc4ec5a8379ce23863b7ec1b6d4c6cd479",
+    ),
+    "maxprop.user": (
+        dict(policy="maxprop", addressing="user"),
+        "3dbc42f986d06b4480f0b0096e6df6ae3e6a1319ef8ab707cc623efd3561dbee",
+    ),
+    "epidemic.ttl2": (
+        dict(policy="epidemic", policy_parameters={"initial_ttl": 2}),
+        "cfbbf4c10411095a6a945d9ad66d219f3decc0ee693d796a625d905be3da6fb7",
+    ),
+    "epidemic.delete_on_receipt": (
+        dict(policy="epidemic", delete_on_receipt=True),
+        "2f05fb883a96aa92f1451450a30205a3772202e0adcf81555bd51dc629bca372",
+    ),
+    "maxprop.churn": (
+        dict(
+            policy="maxprop",
+            churn=ChurnConfig(
+                seed=0,
+                crash_fraction=0.3,
+                departure_fraction=0.2,
+                free_rider_fraction=0.15,
+            ),
+        ),
+        "916d1a7d7707271cd8ae3eef96c8176f351afcd1f31684f439e949a3f7c41847",
     ),
     # The columnar engine, which answers the object engine draw for draw
     # but keeps its own copy of the sync flow.

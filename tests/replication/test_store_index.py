@@ -13,13 +13,18 @@ test drives all of them against the reference predicate.
 import json
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.dtn import EpidemicPolicy
 from repro.emulation.node import EmulatedNode
 from repro.replication.filters import AddressFilter, MultiAddressFilter
-from repro.replication.ids import ReplicaId
+from repro.replication.ids import ItemId, ReplicaId, Version
+from repro.replication.items import Item
 from repro.replication.replica import Replica
 from repro.replication.persistence import replica_from_state, replica_to_state
-from repro.replication.store import ItemStore, RelayStore
+from repro.replication.store import ItemStore, RelayStore, VersionIndex
 from repro.replication.versions import VersionVector
 from tests.conftest import make_item, make_version
 
@@ -363,6 +368,219 @@ class TestReplicaIndex:
         node.crash_restart()
         assert node.replica.relay_count == 2
         assert_replica_matches_scan(node.replica, knowledge_of(make_version("o", 2)))
+
+
+class TestRemove:
+    def test_removing_a_version_the_index_does_not_hold_raises(self):
+        r = ReplicaId("a")
+        index = VersionIndex()
+        held = Item(
+            item_id=ItemId(r, 1), version=Version(r, 2), payload=None,
+            attributes={},
+        )
+        index.add(held, 7)
+        stranger = Item(
+            item_id=ItemId(r, 2), version=Version(r, 1), payload=None,
+            attributes={},
+        )
+        with pytest.raises(KeyError, match="a:1"):
+            index.remove(stranger)
+        assert_same_objects(index.unknown_items(VersionVector.empty()), [held])
+        assert index.remove(held) == 7
+
+
+class TestPark:
+    def test_a_parked_copy_is_reached_by_destination_and_counted(self):
+        replica = populated_replica()
+        everything = replica.items_unknown_to(VersionVector.empty())
+        relayed = everything[-1]  # o:3, relayed for "x"
+        replica.park(relayed)
+        assert_same_objects(
+            replica.items_unknown_to(VersionVector.empty()), everything
+        )
+        found, count = replica.sync_candidates(VersionVector.empty(), {"r"})
+        assert_same_objects(found, everything[:-1])
+        assert count == 5
+        for addresses in ({"x"}, {"r", "x"}, None):
+            found, count = replica.sync_candidates(
+                VersionVector.empty(), addresses
+            )
+            assert_same_objects(found, everything)
+            assert count == 5
+        known = knowledge_of(relayed.version, make_version("o", 1))
+        found, count = replica.sync_candidates(known, {"x"})
+        assert relayed not in found and count == 3
+        # Replacing the copy (here a host-local adjustment) ends the mark.
+        adjusted = relayed.with_local(ttl=0)
+        replica.adjust_local(adjusted)
+        found, count = replica.sync_candidates(VersionVector.empty(), {"r"})
+        assert found[-1] is adjusted and count == 5
+
+    def test_parking_a_stale_or_multicast_copy_does_nothing(self):
+        replica = populated_replica()
+        stale = [i for i in replica.stored_items() if i.version.counter == 3][0]
+        replica.adjust_local(stale.with_local(ttl=1))
+        replica.park(stale)  # no longer the copy the store holds
+        multicast = make_item(destination=("x", "y"), replica="p", counter=1)
+        replica.apply_remote(multicast)
+        replica.park(multicast)
+        found, count = replica.sync_candidates(VersionVector.empty(), {"r"})
+        assert_same_objects(
+            found, replica.items_unknown_to(VersionVector.empty())
+        )
+        assert count == len(found) == 6
+
+
+#: The destinations a parked-index case draws from: single addresses of
+#: a small alphabet, multicast tuples and none at all.
+ALPHABET = ("a", "b", "c", "d")
+DESTINATIONS = st.one_of(
+    st.sampled_from(ALPHABET),
+    st.none(),
+    st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=2, unique=True)
+    .map(tuple),
+)
+ORIGINS = ("o", "p", "r")
+MAX_COUNTER = 12
+
+
+def _where(replica, item_id):
+    """Which of the replica's three stores holds ``item_id``, by rank."""
+    for rank, store in enumerate(
+        (replica._store, replica._outbox, replica._relay)
+    ):
+        if item_id in store:
+            return rank
+    return None
+
+
+def _random_knowledge(rng):
+    """A vector over the three origins with prefixes and, often, extras."""
+    vector = VersionVector.empty()
+    for origin in ORIGINS:
+        for counter in range(1, MAX_COUNTER + 1):
+            if rng.random() < 0.45:
+                vector.add(make_version(origin, counter))
+    return vector
+
+
+class TestParkedIndexAgainstBruteForce:
+    """Whatever a replica does to its copies, ``candidates`` returns the
+    uncovered held items in store order, less the parked ones addressed
+    outside the target's addresses, and counts every uncovered one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_candidates_match_the_scan_under_every_operation(self, data):
+        replica = Replica(ReplicaId("r"), AddressFilter("a"), relay_capacity=3)
+        used = {origin: set() for origin in ("o", "p")}
+        seen = []  # every item ever offered: held, replaced or dropped
+        parked = {}  # item id → (the parked copy, the rank of its store)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))  # the probes
+
+        def held():
+            return list(replica.stored_items())
+
+        for step in range(data.draw(st.integers(1, 25))):
+            op = data.draw(
+                st.sampled_from(
+                    ("create", "remote", "remote", "adjust", "expunge",
+                     "delete", "set_filter", "park", "park")
+                )
+            )
+            current = held()
+            if op == "create":
+                destination = data.draw(DESTINATIONS)
+                attributes = {} if destination is None else {
+                    "destination": destination
+                }
+                if replica.last_authored_counter < MAX_COUNTER:
+                    seen.append(replica.create_item(step, attributes))
+            elif op == "remote":
+                origin = data.draw(st.sampled_from(("o", "p")))
+                free = sorted(
+                    set(range(1, MAX_COUNTER + 1)) - used[origin]
+                )
+                if not free:
+                    continue
+                counter = data.draw(st.sampled_from(free))
+                used[origin].add(counter)
+                version = make_version(origin, counter)
+                ours = [i for i in seen if i.item_id.origin.name == origin]
+                if ours and data.draw(st.booleans()):
+                    earlier = data.draw(st.sampled_from(ours))
+                    if data.draw(st.booleans()):
+                        item = earlier.as_tombstone(version)
+                    else:
+                        item = earlier.with_version(version)
+                else:
+                    destination = data.draw(DESTINATIONS)
+                    item = Item(
+                        item_id=ItemId(ReplicaId(origin), counter),
+                        version=version,
+                        payload=step,
+                        attributes={} if destination is None else {
+                            "destination": destination
+                        },
+                    )
+                seen.append(item)
+                replica.apply_remote(item)
+            elif op == "adjust" and current:
+                target = data.draw(st.sampled_from(current))
+                replica.adjust_local(target.with_local(touched=step))
+                seen.append(target)  # now a stale copy of a held version
+            elif op == "expunge" and current:
+                replica.expunge(data.draw(st.sampled_from(current)).item_id)
+            elif op == "delete" and current:
+                if replica.last_authored_counter < MAX_COUNTER:
+                    target = data.draw(st.sampled_from(current))
+                    seen.append(replica.delete_item(target.item_id))
+            elif op == "set_filter":
+                relays = data.draw(st.frozensets(st.sampled_from(ALPHABET[1:])))
+                replica.set_filter(
+                    MultiAddressFilter("a", relays) if relays
+                    else AddressFilter("a")
+                )
+            elif op == "park":
+                pool = current + seen
+                if not pool:
+                    continue
+                item = data.draw(st.sampled_from(pool))
+                was_open = (
+                    replica.get_item(item.item_id) is item
+                    and item.item_id not in parked
+                )
+                replica.park(item)
+                if was_open and isinstance(item.destination, str):
+                    parked[item.item_id] = (item, _where(replica, item.item_id))
+
+            # A mark ends when its copy leaves the store that held it.
+            parked = {
+                item_id: (item, rank)
+                for item_id, (item, rank) in parked.items()
+                if replica.get_item(item_id) is item
+                and _where(replica, item_id) == rank
+            }
+            current = held()
+            for _ in range(3):
+                knowledge = _random_knowledge(rng)
+                addresses = rng.choice(
+                    (None, frozenset(rng.sample(ALPHABET, rng.randrange(5))))
+                )
+                uncovered = [
+                    item for item in current
+                    if not knowledge.contains(item.version)
+                ]
+                expected = [
+                    item for item in uncovered
+                    if addresses is None
+                    or item.item_id not in parked
+                    or item.destination in addresses
+                ]
+                found, count = replica.sync_candidates(knowledge, addresses)
+                assert_same_objects(found, expected)
+                assert count == len(uncovered)
+                assert_same_objects(replica.items_unknown_to(knowledge), uncovered)
 
 
 class TestSnapshotIteration:
