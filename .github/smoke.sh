@@ -84,6 +84,11 @@ EOF
     python -m repro swarm --scale 0.4 --policy "$policy" --parity \
       --output "swarm-$policy-metrics.json"
   done
+  # The live path where destinations are user addresses, which change
+  # hosts daily: every destination reader (filters, PROPHET's to_send,
+  # delivery) sees the addresses the emulator's nodes see.
+  python -m repro swarm --scale 0.4 --policy prophet --addressing user \
+    --parity --output swarm-prophet-user-metrics.json
   # Swarm parity integration tests (framing + budget legs; fixed points
   # and the whole metrics dump), and the unit tests of the schedule and
   # director that carry that parity.

@@ -168,20 +168,11 @@ class ProphetPolicy(DTNPolicy):
         if not self.is_routable_message(item) or self._peer is None:
             return None
         destination = item.destination
-        if isinstance(destination, str):
-            destinations = (destination,)
-        elif isinstance(destination, (tuple, list)) and destination:
-            destinations = tuple(destination)  # multicast: any recipient
-        else:
+        if not isinstance(destination, str):
             return None
-        best = None
-        for address in destinations:
-            peer_p = self._peer.predictabilities.get(address, 0.0)
-            if peer_p > self.predictability(address):
-                if best is None or peer_p > best:
-                    best = peer_p
-        if best is not None:
+        peer_p = self._peer.predictabilities.get(destination, 0.0)
+        if peer_p > self.predictability(destination):
             # Higher peer predictability transmits first (negated cost:
             # Priority sorts ascending by cost inside a class).
-            return Priority(PriorityClass.NORMAL, -best)
+            return Priority(PriorityClass.NORMAL, -peer_p)
         return None

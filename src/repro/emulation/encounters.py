@@ -251,13 +251,6 @@ class EncounterTrace:
                 counts[a] += 1
         return {names[other]: count for other, count in counts.items()}
 
-    def restricted_to(self, hosts: Iterable[str]) -> "EncounterTrace":
-        """The sub-trace touching only the given hosts."""
-        keep = frozenset(hosts)
-        return EncounterTrace(
-            e for e in self._objects() if e.a in keep and e.b in keep
-        )
-
     def summary(self) -> Dict[str, float]:
         """Headline statistics, matching how the paper describes its trace."""
         by_day = self.active_ids_by_day

@@ -431,40 +431,6 @@ class MetricsCollector:
             return None
         return sum(values) / len(values)
 
-    def injections_by_day(self) -> Dict[int, int]:
-        """Day (0-based) → messages injected that day."""
-        counts: Dict[int, int] = {}
-        for record in self.records.values():
-            day = int(record.injected_at // DAYS)
-            counts[day] = counts.get(day, 0) + 1
-        return counts
-
-    def deliveries_by_day(self) -> Dict[int, int]:
-        """Day (0-based) → messages first delivered that day."""
-        counts: Dict[int, int] = {}
-        for record in self.records.values():
-            if record.delivered_at is None:
-                continue
-            day = int(record.delivered_at // DAYS)
-            counts[day] = counts.get(day, 0) + 1
-        return counts
-
-    def backlog_by_day(self) -> Dict[int, int]:
-        """Day → messages injected but not yet delivered at day end.
-
-        The day-by-day view of convergence: the paper's Figure 7(b)
-        plateau corresponds to this reaching (near) zero.
-        """
-        injected = self.injections_by_day()
-        delivered = self.deliveries_by_day()
-        days = sorted(set(injected) | set(delivered))
-        backlog: Dict[int, int] = {}
-        outstanding = 0
-        for day in range(days[0], days[-1] + 1) if days else []:
-            outstanding += injected.get(day, 0) - delivered.get(day, 0)
-            backlog[day] = outstanding
-        return backlog
-
     # -- serialization (the repro.api round-trip contract) ------------------------
 
     def to_dict(self) -> Dict[str, Any]:

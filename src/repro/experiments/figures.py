@@ -23,6 +23,7 @@ from repro.traces.enron import EmailWorkloadModel, generate_enron_model
 
 from .config import ExperimentConfig
 from .runner import ExperimentResult, run_experiment
+from .store import config_digest
 
 #: k values on the x-axis of Figures 5 and 6 ("Self" is k = 0).
 FIGURE_5_K_VALUES: Tuple[int, ...] = (0, 1, 2, 4, 8, 16)
@@ -61,7 +62,9 @@ class SharedScenarioInputs:
 
 
 class _ResultCache:
-    """Process-wide memo of experiment runs keyed by config identity.
+    """Process-wide memo of experiment runs, keyed by the trace object and
+    the config digest (the content address a run store files a run
+    under), so configs that differ in any field never share a run.
 
     With a :class:`~repro.experiments.store.RunStore` attached (the
     ``repro figure --results-dir`` path, and how figures share runs with
@@ -74,7 +77,7 @@ class _ResultCache:
     """
 
     def __init__(self) -> None:
-        self._results: Dict[Tuple, ExperimentResult] = {}
+        self._results: Dict[Tuple[int, str], ExperimentResult] = {}
         self._store = None
 
     def attach_store(self, store) -> None:
@@ -94,16 +97,7 @@ class _ResultCache:
     def run(
         self, config: ExperimentConfig, inputs: SharedScenarioInputs
     ) -> ExperimentResult:
-        key = (
-            id(inputs.trace),
-            config.scale,
-            config.policy,
-            tuple(sorted(config.policy_parameters.items())),
-            config.filter_strategy,
-            config.filter_k,
-            config.bandwidth_limit,
-            config.storage_limit,
-        )
+        key = (id(inputs.trace), config_digest(config))
         if key not in self._results:
             stored = self._from_store(config, inputs)
             if stored is not None:
@@ -115,9 +109,6 @@ class _ResultCache:
                 if self._store is not None:
                     self._store.save_result(self._results[key])
         return self._results[key]
-
-    def clear(self) -> None:
-        self._results.clear()
 
 
 RESULT_CACHE = _ResultCache()

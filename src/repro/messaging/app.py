@@ -16,7 +16,7 @@ message and invokes any registered delivery callbacks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, List
 
 from repro.replication.events import BaseReplicaObserver
 from repro.replication.ids import ItemId
@@ -90,28 +90,6 @@ class MessagingApp:
         assert message is not None
         return message
 
-    def send_multicast(
-        self, destinations, body: Any, now: float = 0.0
-    ) -> Message:
-        """Send one message to a set of recipients.
-
-        A single replicated item carries the whole recipient set; each
-        recipient's filter matches it, and every host records its own
-        delivery exactly once (the knowledge mechanism dedups per host,
-        not per recipient set).
-        """
-        addresses = sorted(self._addresses())
-        source = addresses[0] if addresses else self.replica.replica_id.name
-        item = self.replica.create_item(
-            payload=body,
-            attributes=Message.multicast_attributes_for(
-                source, destinations, now
-            ),
-        )
-        message = Message.from_item(item)
-        assert message is not None
-        return message
-
     # -- receiving -------------------------------------------------------------------
 
     def on_delivery(self, callback: DeliveryCallback) -> None:
@@ -140,24 +118,13 @@ class MessagingApp:
         """Restore a :meth:`delivery_log` snapshot (no callbacks fire)."""
         self._delivered.update(log)
 
-    def re_scan(self) -> None:
-        """Re-check stored items against the current address set.
-
-        Call after the host's address set grows without a filter change
-        (normally the node layer changes the filter, which re-fires store
-        events; this is a safety net for custom integrations).
-        """
-        for item in self.replica.stored_items():
-            self._consider_delivery(item)
-
     # -- internals ----------------------------------------------------------------------
 
     def _consider_delivery(self, item: Item) -> None:
         message = Message.from_item(item)
         if message is None:
             return
-        local = self._addresses()
-        if not any(address in local for address in message.destinations):
+        if message.destination not in self._addresses():
             return
         if item.item_id in self._delivered:
             return

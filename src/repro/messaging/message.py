@@ -19,7 +19,7 @@ Message field         Item representation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional
 
 from repro.replication.ids import ItemId
 from repro.replication.items import (
@@ -34,15 +34,11 @@ from repro.replication.items import (
 
 @dataclass(frozen=True)
 class Message:
-    """One application message, as sent or received.
-
-    ``destination`` is a single address (unicast) or a tuple of addresses
-    (multicast).
-    """
+    """One application message, as sent or received, to one recipient."""
 
     message_id: ItemId
     source: str
-    destination: Union[str, Tuple[str, ...]]
+    destination: str
     body: Any
     created_at: float
 
@@ -58,51 +54,16 @@ class Message:
             ATTR_CREATED_AT: created_at,
         }
 
-    @property
-    def destinations(self) -> tuple:
-        """All destination addresses (one for unicast, several for multicast)."""
-        if isinstance(self.destination, str):
-            return (self.destination,)
-        return tuple(self.destination)
-
-    @property
-    def is_multicast(self) -> bool:
-        return not isinstance(self.destination, str)
-
-    @classmethod
-    def multicast_attributes_for(
-        cls, source: str, destinations, created_at: float
-    ) -> Dict[str, Any]:
-        """Attribute dict for a message with a *set* of recipients.
-
-        The paper's DTNs "deliver a message from a sender to a specific
-        recipient or possibly a set of recipients"; a multicast item's
-        destination attribute is a tuple and matches every recipient's
-        filter.
-        """
-        recipients = tuple(dict.fromkeys(destinations))  # dedupe, keep order
-        if not recipients:
-            raise ValueError("multicast needs at least one destination")
-        return {
-            ATTR_KIND: KIND_MESSAGE,
-            ATTR_SOURCE: source,
-            ATTR_DESTINATION: recipients,
-            ATTR_CREATED_AT: created_at,
-        }
-
     @classmethod
     def from_item(cls, item: Item) -> Optional["Message"]:
-        """Decode an item into a message; None for non-message items."""
+        """Decode an item into a message; None for non-message items and
+        for a source or destination that is not one address."""
         if item.deleted or item.attribute(ATTR_KIND, KIND_MESSAGE) != KIND_MESSAGE:
             return None
         source = item.attribute(ATTR_SOURCE)
         destination = item.attribute(ATTR_DESTINATION)
-        if not isinstance(source, str):
+        if not isinstance(source, str) or not isinstance(destination, str):
             return None
-        if not isinstance(destination, str):
-            if not isinstance(destination, (tuple, list)) or not destination:
-                return None
-            destination = tuple(destination)
         return cls(
             message_id=item.item_id,
             source=source,

@@ -83,7 +83,6 @@ from .filters import (
     NotFilter,
     NothingFilter,
     OrFilter,
-    validate_host_filter,
 )
 from .ids import IdFactory, ItemId, ReplicaId, Version
 from .items import (
@@ -210,7 +209,6 @@ __all__ = [
     "replica_from_state",
     "replica_to_state",
     "save_replica",
-    "validate_host_filter",
     "validate_request_knowledge",
     "wire_size",
 ]

@@ -16,17 +16,18 @@ everything the paper needs:
 * :class:`AttributeFilter` — generic equality test on any attribute;
 * :class:`AndFilter` / :class:`OrFilter` / :class:`NotFilter` — combinators.
 
-The one structural rule, enforced by :func:`validate_host_filter`, comes
-straight from the paper: *a host's filter must select messages addressed to
-the host itself* — otherwise eventual filter consistency cannot deliver its
-own mail.
+The one structural rule comes straight from the paper: *a host's filter
+must select messages addressed to the host itself* — otherwise eventual
+filter consistency cannot deliver its own mail. The address filters hold
+it by construction: :class:`MultiAddressFilter` always includes its
+``own_address``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Optional, Tuple
+from typing import Any, FrozenSet, Optional, Tuple
 
 from .errors import InvalidFilterError
 from .items import ATTR_DESTINATION, Item
@@ -75,23 +76,16 @@ class NothingFilter(Filter):
 
 def _matches_addresses(self: Filter, item: Item) -> bool:
     """``matches`` of both address filters, which runs per candidate item on
-    the sync path: a unicast (``str``) destination is one set lookup in the
-    filter's ``_addresses``; a multicast one matches if any address does."""
+    the sync path: one set lookup in the filter's ``_addresses``. A
+    destination that is not one address (``str``) is malformed input and
+    matches nothing."""
     destination = item.attributes.get(ATTR_DESTINATION)
-    if isinstance(destination, str):
-        return destination in self._addresses
-    if not isinstance(destination, Iterable):  # None included
-        return False
-    return any(d in self._addresses for d in destination)
+    return isinstance(destination, str) and destination in self._addresses
 
 
 @dataclass(frozen=True)
 class AddressFilter(Filter):
-    """Matches items whose destination attribute equals ``address``.
-
-    Destinations may be a single address or a collection (multicast); both
-    are handled.
-    """
+    """Matches items whose destination attribute equals ``address``."""
 
     address: str
 
@@ -187,31 +181,3 @@ class NotFilter(Filter):
 
     def matches(self, item: Item) -> bool:
         return not self.operand.matches(item)
-
-
-def covers_address(filter_: Filter, address: str, probe_item_factory) -> bool:
-    """Best-effort structural check that ``filter_`` selects mail for ``address``.
-
-    ``probe_item_factory`` builds a representative item addressed to
-    ``address``; the check simply evaluates the filter on it. Structural
-    inspection short-circuits the common cases.
-    """
-    if isinstance(filter_, AllFilter):
-        return True
-    if isinstance(filter_, AddressFilter):
-        return filter_.address == address
-    if isinstance(filter_, MultiAddressFilter):
-        return address in filter_.addresses
-    return bool(filter_.matches(probe_item_factory(address)))
-
-
-def validate_host_filter(filter_: Filter, own_address: str, probe_item_factory) -> None:
-    """Enforce the paper's rule: a host's filter must include its own address.
-
-    Raises :class:`InvalidFilterError` when the filter demonstrably fails to
-    select a message addressed to the host itself.
-    """
-    if not covers_address(filter_, own_address, probe_item_factory):
-        raise InvalidFilterError(
-            f"host filter must select messages addressed to {own_address!r}"
-        )

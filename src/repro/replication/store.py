@@ -285,12 +285,6 @@ class ItemStore:
     def __iter__(self) -> Iterator[Item]:
         return iter(self.items())
 
-    def require(self, item_id: ItemId) -> Item:
-        item = self._items.get(item_id)
-        if item is None:
-            raise UnknownItemError(item_id)
-        return item
-
     def put(self, item: Item) -> None:
         """Insert or replace the stored version of ``item``.
 

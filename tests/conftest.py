@@ -51,11 +51,6 @@ def make_item(
     )
 
 
-def make_probe_item(address: str) -> Item:
-    """Probe used by filter validation helpers."""
-    return make_item(destination=address)
-
-
 @pytest.fixture
 def alice() -> Replica:
     return Replica(ReplicaId("alice"), AddressFilter("alice"))

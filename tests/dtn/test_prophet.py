@@ -220,30 +220,3 @@ class TestEndToEnd:
         ).run()
         assert dst.in_filter_count == 1
 
-
-class TestMulticast:
-    def test_forwards_when_any_recipient_improves(self):
-        replica, policy = make_policy("a")
-        item = replica.create_item(
-            "m", {"destination": ("far", "near")}
-        )
-        peer = ProphetRequest(
-            addresses=frozenset({"b"}),
-            predictabilities={"near": 0.8},
-        )
-        policy.process_req(peer, ctx())
-        decision = policy.to_send(item, AddressFilter("b"), ctx())
-        assert decision is not None
-        # Cost reflects the best (highest) improving recipient.
-        assert decision.cost == pytest.approx(-0.8)
-
-    def test_holds_when_no_recipient_improves(self):
-        replica, policy = make_policy("a")
-        policy.predictabilities.update({"x": 0.9, "y": 0.9})
-        item = replica.create_item("m", {"destination": ("x", "y")})
-        peer = ProphetRequest(
-            addresses=frozenset({"b"}),
-            predictabilities={"x": 0.1, "y": 0.2},
-        )
-        policy.process_req(peer, ctx())
-        assert policy.to_send(item, AddressFilter("b"), ctx()) is None

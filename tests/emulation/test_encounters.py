@@ -86,11 +86,6 @@ class TestEncounterTrace:
         counts = self.make_trace().meeting_counts_for("a")
         assert counts == {"b": 2, "c": 1}
 
-    def test_restricted_to(self):
-        restricted = self.make_trace().restricted_to({"a", "b"})
-        assert len(restricted) == 2
-        assert restricted.hosts == {"a", "b"}
-
     def test_summary(self):
         summary = self.make_trace().summary()
         assert summary["encounters"] == 4.0
@@ -152,7 +147,6 @@ def public_surface(trace):
             host: trace.meeting_counts_for(host) for host in HOSTS + ["nobody"]
         },
         "on_day": {day: list(trace.on_day(day)) for day in range(6)},
-        "restricted_to": list(trace.restricted_to(HOSTS[1:5])),
         "summary": trace.summary(),
     }
 

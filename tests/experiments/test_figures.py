@@ -5,10 +5,14 @@ here we run everything tiny and assert structure plus the cheap shape
 facts that survive downscaling.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
     CDF_HOURS,
+    RESULT_CACHE,
     FIGURE_5_K_VALUES,
     SharedScenarioInputs,
     figure_5,
@@ -20,6 +24,7 @@ from repro.experiments.figures import (
     multiaddress_sweep,
     policy_sweep,
 )
+from repro.experiments.runner import run_experiment
 
 K_VALUES = (0, 1, 2)
 POLICIES = ("cimbiosys", "epidemic")
@@ -82,6 +87,18 @@ class TestPolicySweep:
         second = policy_sweep(inputs, POLICIES)
         for policy in POLICIES:
             assert first[policy] is second[policy]
+
+
+class TestResultCache:
+    def test_configs_that_differ_in_any_field_do_not_share_a_run(self, inputs):
+        config = ExperimentConfig(scale=inputs.scale, policy="epidemic")
+        other = dataclasses.replace(config, workload_seed=config.workload_seed + 1)
+        first = RESULT_CACHE.run(config, inputs)
+        cached = RESULT_CACHE.run(other, inputs)
+        assert cached is not first
+        assert cached.config == other
+        fresh = run_experiment(other, trace=inputs.trace, model=inputs.model)
+        assert cached.metrics.to_dict() == fresh.metrics.to_dict()
 
 
 class TestFigure7:

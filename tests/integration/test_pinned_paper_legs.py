@@ -105,6 +105,21 @@ LEGS = {
         ),
         "916d1a7d7707271cd8ae3eef96c8176f351afcd1f31684f439e949a3f7c41847",
     ),
+    # Legs whose policies read each copy's destination on the sync path:
+    # PROPHET's per-destination comparison, First Contact's own-address
+    # check, under user addresses that move between hosts daily.
+    "prophet.user": (
+        dict(policy="prophet", addressing="user"),
+        "60662e351601e9585d2c66a01f0d059e02df0f6d6bd0e8c4ebc6c7308ce7fa36",
+    ),
+    "prophet.bandwidth1": (
+        dict(policy="prophet", bandwidth_limit=1),
+        "f1e68e9fb825410bf5274d3251dabb4bc30f9ae5cb68113924d46ca03428e6fb",
+    ),
+    "first-contact.user": (
+        dict(policy="first-contact", addressing="user"),
+        "dbe574d8458fccb604e3fcb2ce14f7c719825fbc895b2464c03f738724d50e55",
+    ),
     # The columnar engine, which answers the object engine draw for draw
     # but keeps its own copy of the sync flow.
     "columnar.fig7.cimbiosys": (

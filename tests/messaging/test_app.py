@@ -110,22 +110,6 @@ class TestDelivery:
         replica.set_filter(MultiAddressFilter("bus", frozenset({"user1"})))
         assert app.has_received(message.message_id)
 
-    def test_re_scan_catches_quiet_address_growth(self):
-        current = {"addresses": frozenset({"bus"})}
-        replica = Replica(
-            ReplicaId("bus"), MultiAddressFilter("bus", frozenset({"user1"}))
-        )
-        app = MessagingApp(replica, lambda: current["addresses"])
-        sender_replica, sender_app = make_app("alice")
-        message = sender_app.send("user1", "hi")
-        SyncSession(
-            source=SyncEndpoint(sender_replica),
-            target=SyncEndpoint(replica),
-        ).run()
-        current["addresses"] = frozenset({"bus", "user1"})
-        app.re_scan()
-        assert app.has_received(message.message_id)
-
 
 class TestDeleteOnReceipt:
     def test_destination_deletes_item_after_processing(self):

@@ -16,10 +16,8 @@ from repro.replication.filters import (
     NotFilter,
     NothingFilter,
     OrFilter,
-    covers_address,
-    validate_host_filter,
 )
-from tests.conftest import make_item, make_probe_item
+from tests.conftest import make_item
 
 
 class TestAddressFilter:
@@ -35,10 +33,6 @@ class TestAddressFilter:
         no_dest = make_item()
         object.__setattr__(no_dest, "attributes", {})
         assert not AddressFilter("alice").matches(no_dest)
-
-    def test_matches_multicast_destination_list(self):
-        item = make_item(destination=["bob", "alice"])
-        assert AddressFilter("alice").matches(item)
 
     def test_requires_nonempty_address(self):
         with pytest.raises(InvalidFilterError):
@@ -63,14 +57,6 @@ class TestMultiAddressFilter:
     def test_requires_own_address(self):
         with pytest.raises(InvalidFilterError):
             MultiAddressFilter("")
-
-    def test_multicast_destination_matches_any_listed_address(self):
-        filter_ = MultiAddressFilter("alice", {"bob"})
-        assert filter_.matches(make_item(destination=["zed", "bob"]))
-        assert filter_.matches(make_item(destination=("alice",)))
-        assert not filter_.matches(make_item(destination=["zed", "yan"]))
-        assert not filter_.matches(make_item(destination=[]))
-        assert not filter_.matches(make_item(destination=7))
 
 
 class TestPrecomputedAddressSet:
@@ -159,23 +145,3 @@ class TestCombinators:
         assert AddressFilter("a") == AddressFilter("a")
         assert NotFilter(AllFilter()) == NotFilter(AllFilter())
 
-
-class TestHostFilterValidation:
-    def test_covers_address_structural_cases(self):
-        assert covers_address(AllFilter(), "x", make_probe_item)
-        assert covers_address(AddressFilter("x"), "x", make_probe_item)
-        assert covers_address(
-            MultiAddressFilter("y", frozenset({"x"})), "x", make_probe_item
-        )
-        assert not covers_address(AddressFilter("y"), "x", make_probe_item)
-
-    def test_covers_address_behavioural_fallback(self):
-        either = AddressFilter("x") | AddressFilter("y")
-        assert covers_address(either, "x", make_probe_item)
-
-    def test_validate_accepts_self_selecting_filter(self):
-        validate_host_filter(AddressFilter("me"), "me", make_probe_item)
-
-    def test_validate_rejects_filter_missing_own_address(self):
-        with pytest.raises(InvalidFilterError):
-            validate_host_filter(AddressFilter("you"), "me", make_probe_item)

@@ -19,10 +19,6 @@ class TestItemStore:
     def test_get_missing_returns_none(self):
         assert ItemStore().get(make_item().item_id) is None
 
-    def test_require_missing_raises(self):
-        with pytest.raises(UnknownItemError):
-            ItemStore().require(make_item().item_id)
-
     def test_put_replaces_same_id(self):
         store = ItemStore()
         item = make_item()
