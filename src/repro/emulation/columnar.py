@@ -19,7 +19,9 @@ integer-interned state:
   epidemic, which floods, the column is a ``bytearray`` with a slot per
   injection (an ``array`` of wider slots if the TTL needs them); every
   other supported policy keeps a few copies of an item, and its column
-  is a ``dict`` of the known slots;
+  is a ``dict`` of the known slots. A copy budget's ``shipped`` and
+  ``kept`` rules take a handful of values, so each is evaluated once
+  per distinct column value and a batch maps through the answers;
 * per-node holdings are three lists of item indices (store, outbox,
   relay) in the object engine's enumeration order;
 * a node has that state only once it is *live* — from the first item
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain, compress, count, filterfalse
+from itertools import chain, compress, count, filterfalse, repeat
 from typing import (
     Any,
     Callable,
@@ -175,6 +177,17 @@ def _dense_column(top: int, size: int) -> Any:
     return None
 
 
+class _Memo(dict):
+    """A pure rule's answers, evaluated once per distinct argument."""
+
+    def __init__(self, rule: Callable[[int], int]) -> None:
+        self.rule = rule
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.rule(key)
+        return value
+
+
 class _Bus(NamedTuple):
     """The replication state of one live node."""
 
@@ -251,6 +264,18 @@ class ColumnarWorld:
             if blank is not None:
                 self._new_column = lambda: blank[:]
         self._dense = self._new_column is not dict
+        # A copy budget's rules on column values (budget + 2; 1 is
+        # unstamped), once per distinct value: a batch maps through them.
+        self._ship: Optional[_Memo] = None
+        self._keep: Optional[_Memo] = None
+        if self._kind == _BUDGET:
+            budget_policy = self._policy
+            self._ship = _Memo(
+                lambda v: budget_policy.shipped(v - 2 if v > 1 else None) + 2
+            )
+            kept = budget_policy.kept
+            if kept is not None:
+                self._keep = _Memo(lambda v: kept(v - 2) + 2 if v > 1 else v)
 
         self._injector: Optional[FaultInjector] = (
             FaultInjector(faults, seed=fault_seed)
@@ -497,13 +522,12 @@ class ColumnarWorld:
         # prepare_outgoing: snapshot shipped budgets, as the target's
         # column values, before any on_items_sent mutation (spray halves
         # *after* shipping).
-        shipped: Optional[List[int]] = None
-        if kind == _BUDGET and batch:
-            ship = policy.shipped
-            shipped = [
-                ship(value - 2 if value > 1 else None) + 2
-                for value in map(attr.__getitem__, batch)
-            ]
+        ship = self._ship
+        shipped = (
+            repeat(1)
+            if ship is None
+            else list(map(ship.__getitem__, map(attr.__getitem__, batch)))
+        )
 
         # Transport: replicate FaultyTransport.deliver's draw order on
         # the injector rng (truncation plan, then one duplication draw
@@ -533,11 +557,10 @@ class ColumnarWorld:
         # Source-side confirmation (each delivered entry once), *before*
         # the target applies — SyncSession.run's order, which matters for
         # first-contact holder counts at delivery time.
-        if kind == _BUDGET and delivered_n and policy.kept is not None:
+        keep = self._keep
+        if keep is not None and delivered_n:
             for i in batch[:delivered_n]:
-                value = attr[i]
-                if value > 1:
-                    attr[i] = policy.kept(value - 2) + 2
+                attr[i] = keep[attr[i]]
         elif kind == _FIRST_CONTACT and delivered_n:
             holders = self._holders
             origin = self._item_origin
@@ -552,27 +575,26 @@ class ColumnarWorld:
                     relay_s.remove(i)
                 holders[i] -= 1
 
-        # Target-side apply.
+        # Target-side apply. The batch is its filter matches, then the
+        # rest: the delivered prefix's matches go to the store, the
+        # remainder to the relay.
         if delivered_n:
             if target is None:
                 target = self._buses[tgt] = self._new_bus(tmatch)
                 tknow = target.column
-            tstore, trelay = target.store, target.relay
-        holders = self._holders
-        item_ids = self._item_ids
-        tgt_name = self.hosts[tgt]
-        for pos in range(delivered_n):
-            i = batch[pos]
-            tknow[i] = 1 if shipped is None else shipped[pos]
-            holders[i] += 1
-            if dest[i] in tmatch:
-                tstore.append(i)
+            delivered = batch[:delivered_n]
+            stored = delivered[:sent_matching]
+            target.store.extend(stored)
+            target.relay.extend(delivered[sent_matching:])
+            holders = self._holders
+            for i, value in zip(delivered, shipped):
+                tknow[i] = value
+                holders[i] += 1
+            item_ids = self._item_ids
+            tgt_name = self.hosts[tgt]
+            for i in stored:
                 if dest[i] == tgt:
-                    metrics.record_delivery(
-                        item_ids[i], now, tgt_name, holders[i]
-                    )
-            else:
-                trelay.append(i)
+                    metrics.record_delivery(item_ids[i], now, tgt_name, holders[i])
 
         metrics.syncs += 1
         metrics.transmissions += sent_total

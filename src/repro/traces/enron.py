@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
@@ -61,18 +62,25 @@ class SyntheticEmailModel(EmailWorkloadModel):
     contact_sets: Dict[str, List[str]]
     contact_locality: float = 0.8
 
+    def __post_init__(self) -> None:
+        # choices(weights=w) accumulates w on every call and then draws
+        # exactly as choices(cum_weights=accumulate(w)) does, so summing
+        # once here leaves every draw unchanged.
+        self._sender_cum = list(accumulate(self.sender_weights))
+        self._recipient_cum = list(accumulate(self.recipient_weights))
+
     @property
     def users(self) -> Sequence[str]:
         return self._users
 
     def draw_pair(self, rng: random.Random) -> Tuple[str, str]:
-        sender = rng.choices(self._users, weights=self.sender_weights, k=1)[0]
+        sender = rng.choices(self._users, cum_weights=self._sender_cum, k=1)[0]
         contacts = self.contact_sets.get(sender, [])
         if contacts and rng.random() < self.contact_locality:
             recipient = rng.choice(contacts)
         else:
             recipient = rng.choices(
-                self._users, weights=self.recipient_weights, k=1
+                self._users, cum_weights=self._recipient_cum, k=1
             )[0]
         while recipient == sender:
             recipient = rng.choice(self._users)
@@ -94,10 +102,14 @@ def generate_enron_model(
     users = [user_name(i) for i in range(n_users)]
     recipient_weights = _zipf_weights(n_users, recipient_exponent)
     contact_sets: Dict[str, List[str]] = {}
-    for user in users:
+    for index, user in enumerate(users):
         size = max(1, min(n_users - 1, int(rng.expovariate(1.0 / mean_contacts)) + 1))
-        others = [u for u in users if u != user]
-        contact_sets[user] = rng.sample(others, min(size, len(others)))
+        # sample() picks positions from the population's length and k
+        # alone, so positions in the n - 1 others, each mapped past the
+        # user's own index, are the contacts sampling a list of them gave.
+        contact_sets[user] = [
+            users[j + (j >= index)] for j in rng.sample(range(n_users - 1), size)
+        ]
     return SyntheticEmailModel(
         _users=users,
         sender_weights=_zipf_weights(n_users, sender_exponent),

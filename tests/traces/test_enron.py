@@ -1,5 +1,7 @@
 """Unit tests for the Enron-like e-mail workload model."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -57,6 +59,25 @@ class TestSyntheticModel:
             if recipient in model.contact_sets[sender]:
                 in_contacts += 1
         assert in_contacts > total * 0.5
+
+    @pytest.mark.parametrize(
+        "n_users, seed, digest",
+        [
+            (10, 3, "2c76791d9e89e99c47894f95aff659b5b54b136d02e2af6efcfb720748313e59"),
+            (100, 7, "8e603b6140aac863d20cac8042d5d1f1374a5afe73eccfa705abef24c0ddbec3"),
+            (1000, 42, "39fd146c040add6de3f035bd39bae98d7e36098cb6d7036c93acacf4eeb9818c"),
+        ],
+    )
+    def test_contacts_and_draws_are_pinned(self, n_users, seed, digest):
+        """Every run's workload comes from this model: its contact sets
+        and its first 2 000 draws, hashed, are fixed values."""
+        model = generate_enron_model(n_users=n_users, seed=seed)
+        rng = random.Random(seed)
+        draws = [list(model.draw_pair(rng)) for _ in range(2000)]
+        payload = json.dumps(
+            {"contacts": model.contact_sets, "draws": draws}, sort_keys=True
+        )
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 class TestEmpiricalModel:
