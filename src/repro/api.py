@@ -34,9 +34,8 @@ Groups:
   (arrivals, graceful leaves with handoff, crash/rejoin, free riders,
   reciprocity-gated admission); :class:`ChurnSchedule` /
   :class:`LifecycleEvent` / :func:`generate_churn_schedule` expose the
-  derived schedule, :class:`FreeRiderPolicy` the selfish wrapper, and
-  :func:`check_churn_parity` the emulator-vs-swarm gate under churn
-  (see ``docs/churn.md``).
+  derived schedule, and :func:`check_churn_parity` the
+  emulator-vs-swarm gate under churn (see ``docs/churn.md``).
 * **Integrity** — :class:`ProtocolViolation`, :class:`PeerHealthTracker`
   (the hardened-sync layer; see ``docs/protocol.md`` §7).
 * **Sync sessions** — the transport-agnostic sync flow:
@@ -95,7 +94,6 @@ from repro.experiments.sweep import (
 from repro.churn import (
     ChurnConfig,
     ChurnSchedule,
-    FreeRiderPolicy,
     LifecycleEvent,
     generate_churn_schedule,
 )
@@ -125,7 +123,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FaultConfig",
-    "FreeRiderPolicy",
     "LifecycleEvent",
     "MessageRecord",
     "MetricsCollector",

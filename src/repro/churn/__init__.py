@@ -13,15 +13,16 @@ engines:
 * :class:`LifecycleTracker` — run-time availability + recovery
   bookkeeping shared by the emulator and the swarm orchestrator;
 * :class:`ReciprocityLedger` — per-pair transfer tallies, the
-  tit-for-tat admission gate and the population-wide generosity scores;
-* :class:`FreeRiderPolicy` — selfish serving behaviours layered over
-  any honest routing policy.
+  tit-for-tat admission gate and the population-wide generosity scores.
+
+A free rider routes with the same policy as an honest node; it only
+serves fewer items per sync, a cap set on its sync endpoint
+(:attr:`~repro.replication.sync.SyncEndpoint.serves_at_most`).
 
 See ``docs/churn.md`` for the model and its live-mode semantics.
 """
 
 from .config import FREE_RIDER_MODES, ChurnConfig
-from .freeride import FreeRiderPolicy
 from .lifecycle import LifecycleTracker
 from .schedule import (
     ARRIVE,
@@ -44,7 +45,6 @@ __all__ = [
     "REJOIN",
     "ChurnConfig",
     "ChurnSchedule",
-    "FreeRiderPolicy",
     "LifecycleEvent",
     "LifecycleTracker",
     "ReciprocityLedger",

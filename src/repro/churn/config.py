@@ -23,7 +23,7 @@ from typing import Any, Dict, Mapping
 #: How a free-riding node under-serves its peers.
 #:
 #: * ``receive-only`` — the classic leech: accepts every item offered
-#:   but never sends one back (its source budget is always zero).
+#:   but never sends one back (it serves at most zero items a sync).
 #: * ``budget-lie`` — subtler: advertises cooperation but caps every
 #:   batch it serves at ``free_rider_budget`` items, regardless of the
 #:   session's real bandwidth budget.
@@ -53,8 +53,7 @@ class ChurnConfig:
 
     Trust: when ``reciprocity_threshold`` is positive, every node
     scores its peers by items-received over items-given (add-one
-    smoothed, see
-    :meth:`~repro.replication.peer_health.PeerHealthTracker.reciprocity`)
+    smoothed, see :meth:`~repro.churn.trust.ReciprocityLedger.reciprocity`)
     and refuses encounters with peers scoring below the threshold —
     after a grace window of ``reciprocity_min_taken`` items, so
     strangers are not refused before any history exists.

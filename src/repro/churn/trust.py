@@ -67,7 +67,12 @@ class ReciprocityLedger:
     # -- accounting -----------------------------------------------------------------
 
     def observe_sync(self, source: str, target: str, sent: int) -> None:
-        """Fold one directed sync's delivered item count into the ledger."""
+        """Fold one directed sync into the ledger.
+
+        ``sent`` is the number of items the source put in its batch
+        (``SyncStats.sent_total``): under transit faults some may not
+        arrive, and they count as given all the same.
+        """
         link = (source, target)
         self._sent[link] = self._sent.get(link, 0) + sent
         self._given[source] += sent

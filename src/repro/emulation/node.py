@@ -48,6 +48,7 @@ class EmulatedNode:
         static_relay_addresses: Iterable[str] = (),
         delete_on_receipt: bool = False,
         policy_factory: Optional[Callable[[], DTNPolicy]] = None,
+        serves_at_most: Optional[int] = None,
     ) -> None:
         self.name = name
         self._assigned_addresses: FrozenSet[str] = frozenset()
@@ -58,6 +59,9 @@ class EmulatedNode:
         #: amnesia event is supposed to destroy). Optional: nodes in
         #: churn-free runs never need one.
         self.policy_factory = policy_factory
+        #: The most items this node serves per sync (a free rider's
+        #: cap), set on every endpoint it builds; ``None`` is honest.
+        self.serves_at_most = serves_at_most
         self.replica = Replica(
             ReplicaId(name),
             self._build_filter(),
@@ -68,7 +72,7 @@ class EmulatedNode:
         self.app = MessagingApp(
             self.replica, self.addresses, delete_on_receipt=delete_on_receipt
         )
-        self.endpoint = SyncEndpoint(self.replica, self.policy)
+        self.endpoint = SyncEndpoint(self.replica, self.policy, serves_at_most)
 
     # -- addressing ---------------------------------------------------------------
 
@@ -136,7 +140,7 @@ class EmulatedNode:
         )
         if delivery_log is not None:
             self.app.restore_delivery_log(delivery_log)
-        self.endpoint = SyncEndpoint(replica, self.policy)
+        self.endpoint = SyncEndpoint(replica, self.policy, self.serves_at_most)
         return self
 
     def crash_restart(self) -> "EmulatedNode":

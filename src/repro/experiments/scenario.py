@@ -39,11 +39,11 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, count, islice
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from repro.churn import ChurnSchedule, FreeRiderPolicy, generate_churn_schedule
-from repro.dtn.policy import DTNPolicy
+from repro.churn import ChurnSchedule, generate_churn_schedule
 from repro.dtn.registry import get_policy
 from repro.emulation.encounters import SECONDS_PER_DAY, EncounterTrace
 from repro.emulation.network import Emulator, Injection
@@ -172,31 +172,6 @@ def _user_relay_addresses(
     return frozenset(ranked[:k])
 
 
-def _policy_factory(config: ExperimentConfig, free_rider: bool):
-    """A zero-argument builder for one node's routing policy.
-
-    Used both to construct the node's initial policy and — stored on the
-    node — to rebuild a pristine instance after an amnesiac restart.
-    Free riders get their configured policy wrapped in a
-    :class:`~repro.churn.FreeRiderPolicy`, so the selfish behaviour
-    survives restarts too (it is who the node *is*, not soft state).
-    """
-
-    def build() -> DTNPolicy:
-        policy = get_policy(config.policy, **config.policy_parameters)
-        if free_rider:
-            churn = config.churn
-            assert churn is not None  # free riders only exist with churn armed
-            policy = FreeRiderPolicy(
-                policy,
-                mode=churn.free_rider_mode,
-                budget=churn.free_rider_budget,
-            )
-        return policy
-
-    return build
-
-
 def build_inputs(
     config: ExperimentConfig,
     trace: Optional[EncounterTrace] = None,
@@ -260,14 +235,21 @@ def build_inputs(
 def build_node(
     config: ExperimentConfig, inputs: ScenarioInputs, host: str
 ) -> EmulatedNode:
-    """The emulated node for one host of ``inputs.trace``."""
+    """The emulated node for one host of ``inputs.trace``.
+
+    A free rider routes with the same policy as every other node and
+    differs only in how many items it serves per sync: none when
+    ``receive-only``, ``free_rider_budget`` when ``budget-lie``.
+    """
     schedule = inputs.churn_schedule
-    # The registry (via the factory) is the single supported
-    # construction path — direct policy-class instantiation here
-    # would skip the Table II defaults.
-    factory = _policy_factory(
-        config, schedule is not None and host in schedule.free_riders
-    )
+    serves_at_most = None
+    if schedule is not None and host in schedule.free_riders:
+        churn = config.churn
+        receive_only = churn.free_rider_mode == "receive-only"
+        serves_at_most = 0 if receive_only else churn.free_rider_budget
+    # The registry is the single supported construction path — direct
+    # policy-class instantiation here would skip the Table II defaults.
+    factory = partial(get_policy, config.policy, **config.policy_parameters)
     return EmulatedNode(
         name=host,
         policy=factory(),
@@ -276,6 +258,7 @@ def build_node(
         static_relay_addresses=inputs.relay_sets.get(host, frozenset()),
         delete_on_receipt=config.delete_on_receipt,
         policy_factory=factory,
+        serves_at_most=serves_at_most,
     )
 
 

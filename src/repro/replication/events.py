@@ -62,9 +62,6 @@ class ObserverList(BaseReplicaObserver):
     def register(self, observer: ReplicaObserver) -> None:
         self._observers.append(observer)
 
-    def unregister(self, observer: ReplicaObserver) -> None:
-        self._observers.remove(observer)
-
     def on_store(self, item: Item, matched_filter: bool) -> None:
         for observer in self._observers:
             observer.on_store(item, matched_filter)

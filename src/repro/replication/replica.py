@@ -31,7 +31,7 @@ The replica enforces the substrate's two delivery guarantees:
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Any, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import DuplicateDeliveryError, UnknownItemError
 from .events import ObserverList, ReplicaObserver
@@ -311,16 +311,6 @@ class Replica:
     @property
     def relay_count(self) -> int:
         return len(self._relay)
-
-    def storage_footprint(self) -> Dict[str, int]:
-        """Per-store item counts plus knowledge size, for the metrics layer."""
-        return {
-            "in_filter": len(self._store),
-            "outbox": len(self._outbox),
-            "relay": len(self._relay),
-            "knowledge_entries": self.knowledge.size_in_entries(),
-            "knowledge_extras": self.knowledge.size_in_extras(),
-        }
 
     # -- internals -------------------------------------------------------------------------
 

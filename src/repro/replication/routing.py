@@ -181,18 +181,6 @@ class RoutingPolicy(ABC):
         """
         return item.without_local()
 
-    def source_budget(self, max_items: Optional[int]) -> Optional[int]:
-        """The batch-size cap this source is *willing* to honour.
-
-        ``max_items`` is the platform's cap for the session (bandwidth
-        budget, or ``None`` for unlimited); the return value replaces
-        it.  The default is honest — send everything the cap allows.
-        Selfish behaviours (``repro.churn.freeride``) override this to
-        under-serve peers: unlike :meth:`to_send`, which is never asked
-        about filter-matching items, this cap governs the whole batch.
-        """
-        return max_items
-
 
 class NullRoutingPolicy(RoutingPolicy):
     """The no-forwarding policy: unmodified Cimbiosys behaviour.

@@ -62,10 +62,16 @@ from .versions import VersionVector
 
 @dataclass
 class SyncEndpoint:
-    """A replica paired with its routing policy, as seen by the sync engine."""
+    """A replica paired with its routing policy, as seen by the sync engine.
+
+    ``serves_at_most`` caps the items this endpoint sends per sync as a
+    source, whatever the session's bandwidth allows: 0 for a free rider
+    that only takes, ``None`` for an honest node.
+    """
 
     replica: Replica
     policy: RoutingPolicy = field(default_factory=NullRoutingPolicy)
+    serves_at_most: Optional[int] = None
 
     @property
     def replica_id(self) -> ReplicaId:
@@ -299,8 +305,9 @@ def build_batch(
     :attr:`PriorityClass.FILTER_MATCH`; for each remaining unknown item the
     policy's ``to_send`` is consulted. The final batch is sorted by
     priority (stable, so equal priorities keep store order) and truncated
-    to ``max_items`` when a bandwidth cap applies (via a partial sort —
-    picking the same prefix a full sort-then-slice would).
+    to ``max_items`` or the source's ``serves_at_most``, whichever is
+    smaller, when either applies (via a partial sort — picking the same
+    prefix a full sort-then-slice would).
 
     The unknown items are enumerated through the replica's version index
     (:meth:`Replica.sync_candidates`), at a cost proportional to what the
@@ -312,13 +319,11 @@ def build_batch(
     entries that were actually delivered; callers assembling the protocol
     by hand must do the same once delivery is confirmed.
     """
-    # The policy may tighten (never widen) the platform's cap — the one
-    # choke point through which selfish source behaviours under-serve a
-    # peer, since filter-matching items bypass to_send entirely. Looked
-    # up tolerantly: duck-typed policies predating the hook stay valid.
-    budget_hook = getattr(source.policy, "source_budget", None)
-    if budget_hook is not None:
-        max_items = budget_hook(max_items)
+    # The endpoint's serving cap tightens (never widens) the session's:
+    # it governs the whole batch, filter matches included.
+    cap = source.serves_at_most
+    if cap is not None:
+        max_items = cap if max_items is None else min(max_items, cap)
     stats = SyncStats(source=source.replica_id, target=request.target_id)
     source.policy.process_req(request.routing_state, context)
 

@@ -294,14 +294,6 @@ class VersionVector:
             for counter in self._entries[replica].counters():
                 yield Version(replica, counter)
 
-    def size_in_entries(self) -> int:
-        """Metadata footprint: number of (replica, entry) pairs stored.
-
-        The paper's "compact metadata" claim is that this grows with the
-        number of replicas, not items; the metrics module samples it.
-        """
-        return len(self._entries)
-
     def wire_size(self) -> int:
         """Bytes of this vector's compact-JSON encoding; O(1).
 

@@ -1,9 +1,7 @@
 """Which refusals stand: each policy's ``refuses_for_good``, and a sync
 that parks a copy still sending it where its filter says it goes."""
 
-from repro.churn.freeride import FreeRiderPolicy
 from repro.dtn import (
-    DirectDeliveryPolicy,
     EpidemicPolicy,
     MaxPropPolicy,
     ProphetPolicy,
@@ -62,8 +60,6 @@ def test_peer_dependent_policies_keep_the_default_and_wrappers_delegate():
     replica, prophet = bound(ProphetPolicy())
     item = replica.create_item("m", {"destination": "z"})
     assert not prophet.refuses_for_good(item)
-    _, rider = bound(FreeRiderPolicy(DirectDeliveryPolicy()))
-    assert rider.refuses_for_good(item)
 
 
 def test_a_parked_wait_phase_copy_still_goes_to_its_destination():

@@ -105,6 +105,33 @@ LEGS = {
         ),
         "916d1a7d7707271cd8ae3eef96c8176f351afcd1f31684f439e949a3f7c41847",
     ),
+    # Free riders that serve a few items per sync, under the session's
+    # own bandwidth cap or none.
+    "spray.budget_lie": (
+        dict(
+            policy="spray",
+            churn=ChurnConfig(
+                seed=0,
+                free_rider_fraction=0.3,
+                free_rider_mode="budget-lie",
+                free_rider_budget=1,
+            ),
+        ),
+        "176b31ff5077a8d14a3bcd306c20cf577da6fd78a72f03a1cf970bd2b2787f02",
+    ),
+    "epidemic.budget_lie.bandwidth3": (
+        dict(
+            policy="epidemic",
+            bandwidth_limit=3,
+            churn=ChurnConfig(
+                seed=0,
+                free_rider_fraction=0.3,
+                free_rider_mode="budget-lie",
+                free_rider_budget=2,
+            ),
+        ),
+        "75f538b92decf946fae20898801d01836177b4fc5aa9dbca987c6469938c7053",
+    ),
     # Legs whose policies read each copy's destination on the sync path:
     # PROPHET's per-destination comparison, First Contact's own-address
     # check, under user addresses that move between hosts daily.

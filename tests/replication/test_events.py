@@ -29,14 +29,6 @@ class TestObserverList:
         assert first.calls == [("store", item, True)]
         assert second.calls == [("store", item, True)]
 
-    def test_unregister_stops_notifications(self):
-        fanout = ObserverList()
-        recorder = Recorder()
-        fanout.register(recorder)
-        fanout.unregister(recorder)
-        fanout.on_evict(make_item())
-        assert recorder.calls == []
-
     def test_all_event_kinds_forwarded(self):
         fanout = ObserverList()
         recorder = Recorder()

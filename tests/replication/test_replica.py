@@ -271,13 +271,3 @@ class TestQueries:
         assert alice.items_unknown_to(bob.knowledge) == [item]
         bob.apply_remote(item)
         assert alice.items_unknown_to(bob.knowledge) == []
-
-    def test_storage_footprint_keys(self):
-        footprint = replica().storage_footprint()
-        assert set(footprint) == {
-            "in_filter",
-            "outbox",
-            "relay",
-            "knowledge_entries",
-            "knowledge_extras",
-        }

@@ -169,12 +169,6 @@ class TestVersionVector:
         vector = VersionVector.from_versions(originals)
         assert sorted(vector.versions()) == sorted(originals)
 
-    def test_size_in_entries_tracks_replicas_not_items(self):
-        vector = VersionVector.empty()
-        for counter in range(1, 100):
-            vector.add(v("a", counter))
-        assert vector.size_in_entries() == 1
-
     def test_replicas_sorted(self):
         vector = VersionVector.from_versions([v("b", 1), v("a", 1)])
         assert [r.name for r in vector.replicas()] == ["a", "b"]
