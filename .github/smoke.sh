@@ -105,6 +105,7 @@ churn)
     $CHURN_FLAGS --json churn-metrics.json
   python - <<'EOF'
 import json
+from repro.emulation.metrics import ChurnCounts
 summary = json.load(open("churn-metrics.json"))["summary"]
 # The schedule must actually exercise the lifecycle machinery.
 assert summary["churn_crashes"] == 2, summary
@@ -112,7 +113,10 @@ assert summary["churn_rejoins"] == 2, summary
 assert summary["churn_amnesiac_rejoins"] == 1, summary
 assert summary["churn_leaves"] == 1, summary
 assert summary["churn_handoffs"] == 1, summary
-assert summary["node_hours_online"] > 0, summary
+# Every churn counter the report prints must move.
+for key in ChurnCounts().summary():
+    if key != "reciprocity_scores":
+        assert summary[key] > 0, (key, summary)
 scores = summary["reciprocity_scores"]
 assert min(scores.values()) < 0.4, scores  # the free rider shows
 print("node-hours:", summary["node_hours_online"],

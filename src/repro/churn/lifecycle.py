@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Set
 
-from repro.emulation.metrics import MetricsCollector
+from repro.emulation.metrics import ChurnCounts
 
 from .schedule import ARRIVE, CRASH, LEAVE, REJOIN, ChurnSchedule, LifecycleEvent
 
@@ -49,35 +49,33 @@ class LifecycleTracker:
 
     # -- state changes --------------------------------------------------------------
 
-    def apply(
-        self, event: LifecycleEvent, now: float, metrics: MetricsCollector
-    ) -> None:
-        """Fold one lifecycle event into availability state and metrics."""
+    def apply(self, event: LifecycleEvent, now: float, churn: ChurnCounts) -> None:
+        """Fold one lifecycle event into availability state and ``churn``."""
         name = event.node
         if event.kind == ARRIVE:
             if not self._online.get(name, False):
                 self._online[name] = True
                 self._online_since[name] = now
-            metrics.record_churn_arrival()
+            churn.churn_arrivals += 1
         elif event.kind == LEAVE:
             self._go_offline(name, now)
             self._departed.add(name)
-            metrics.record_churn_leave()
+            churn.churn_leaves += 1
         elif event.kind == CRASH:
             self._go_offline(name, now)
-            metrics.record_churn_crash()
+            churn.churn_crashes += 1
         elif event.kind == REJOIN:
             if not self._online.get(name, False):
                 self._online[name] = True
                 self._online_since[name] = now
             self._awaiting_recovery[name] = now
-            metrics.record_churn_rejoin(amnesiac=event.amnesiac)
+            churn.churn_rejoins += 1
+            if event.amnesiac:
+                churn.churn_amnesiac_rejoins += 1
         else:
             raise ValueError(f"unknown lifecycle event kind {event.kind!r}")
 
-    def note_encounter(
-        self, a: str, b: str, now: float, metrics: MetricsCollector
-    ) -> None:
+    def note_encounter(self, a: str, b: str, now: float, churn: ChurnCounts) -> None:
         """Record that an encounter between ``a`` and ``b`` completed.
 
         A rejoined node's first completed encounter marks its recovery —
@@ -87,7 +85,8 @@ class LifecycleTracker:
         for name in (a, b):
             rejoined_at = self._awaiting_recovery.pop(name, None)
             if rejoined_at is not None:
-                metrics.record_rejoin_recovery(now - rejoined_at)
+                churn.rejoin_recovery_seconds += now - rejoined_at
+                churn.rejoin_recoveries += 1
 
     def finalize(self, end_time: float) -> float:
         """Close out availability accounting; returns total node-seconds."""

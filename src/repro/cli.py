@@ -48,6 +48,7 @@ from typing import Optional, Sequence
 from repro.dtn.registry import PAPER_POLICY_ORDER, available_policies
 from repro.experiments.config import ExperimentConfig, configured_scale
 from repro.experiments.figures import (
+    FIGURE_TITLES,
     SharedScenarioInputs,
     figure_5,
     figure_6,
@@ -376,23 +377,6 @@ FAULT_COUNTER_KEYS = (
 )
 
 
-#: Churn counters appended to ``repro run`` output when churn is armed.
-CHURN_COUNTER_KEYS = (
-    "churn_arrivals",
-    "churn_leaves",
-    "churn_crashes",
-    "churn_rejoins",
-    "churn_amnesiac_rejoins",
-    "churn_handoffs",
-    "churn_skipped_encounters",
-    "churn_lost_injections",
-    "reciprocity_refusals",
-    "node_hours_online",
-    "lost_to_departure",
-    "mean_rejoin_recovery_hours",
-)
-
-
 def _experiment_config(args: argparse.Namespace, **extra) -> ExperimentConfig:
     """The config the scenario (and churn) flags describe.
 
@@ -419,7 +403,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         return _usage_error(exc)
-    churn = config.churn
     result = run_experiment(config)
     summary = result.summary()
     print(f"experiment: {config.label()}  (scale {config.scale})")
@@ -429,12 +412,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"fault counters (fault seed {config.fault_seed}):")
         for key in FAULT_COUNTER_KEYS:
             print(f"{key:>24} | {summary[key]:>11.0f}")
-    if churn is not None:
+    if result.metrics.churn is not None:
         print()
-        print(f"churn counters (churn seed {churn.seed}):")
-        for key in CHURN_COUNTER_KEYS:
-            print(f"{key:>26} | {summary[key]:>11.2f}")
-        scores = summary.get("reciprocity_scores", {})
+        print(f"churn counters (churn seed {config.churn.seed}):")
+        counts = result.metrics.churn.summary()
+        scores = counts.pop("reciprocity_scores")
+        for key, value in counts.items():
+            print(f"{key:>26} | {value:>11.2f}")
         if scores:
             print(f"{'reciprocity scores':>26} | " + ", ".join(
                 f"{name}={value:.2f}" for name, value in sorted(scores.items())
@@ -651,68 +635,23 @@ def cmd_figure(args: argparse.Namespace) -> int:
     which = args.which
     out = args.output_dir
 
+    def series(name: str, axis: str, data) -> None:
+        _emit(render_series_table(FIGURE_TITLES[name], axis, data), name, out)
+
     if which in ("5", "all"):
-        _emit(
-            render_series_table(
-                "Figure 5: average message delay (hours) vs addresses in filter",
-                "k",
-                figure_5(inputs),
-            ),
-            "fig5",
-            out,
-        )
+        series("fig5", "k", figure_5(inputs))
     if which in ("6", "all"):
-        _emit(
-            render_series_table(
-                "Figure 6: % delivered within 12 hours vs addresses in filter",
-                "k",
-                figure_6(inputs),
-            ),
-            "fig6",
-            out,
-        )
+        series("fig6", "k", figure_6(inputs))
     if which in ("7", "all"):
         curves = figure_7(inputs)
-        _emit(
-            render_series_table(
-                "Figure 7(a): % delivered vs delay (hours), unconstrained",
-                "hours",
-                {p: curves[p]["hours"] for p in PAPER_POLICY_ORDER},
-            ),
-            "fig7a",
-            out,
-        )
-        _emit(
-            render_series_table(
-                "Figure 7(b): % delivered vs delay (days), unconstrained",
-                "days",
-                {p: curves[p]["days"] for p in PAPER_POLICY_ORDER},
-            ),
-            "fig7b",
-            out,
-        )
+        for name, axis in (("fig7a", "hours"), ("fig7b", "days")):
+            series(name, axis, {p: curves[p][axis] for p in PAPER_POLICY_ORDER})
     if which in ("8", "all"):
         _emit(render_figure_8(figure_8(inputs)), "fig8", out)
     if which in ("9", "all"):
-        _emit(
-            render_series_table(
-                "Figure 9: % delivered vs delay (hours), bandwidth-constrained",
-                "hours",
-                figure_9(inputs),
-            ),
-            "fig9",
-            out,
-        )
+        series("fig9", "hours", figure_9(inputs))
     if which in ("10", "all"):
-        _emit(
-            render_series_table(
-                "Figure 10: % delivered vs delay (hours), storage-constrained",
-                "hours",
-                figure_10(inputs),
-            ),
-            "fig10",
-            out,
-        )
+        series("fig10", "hours", figure_10(inputs))
     return 0
 
 

@@ -421,10 +421,10 @@ class ColumnarWorld:
             name_a = self.hosts[ai]
             name_b = self.hosts[bi]
             if not injector.encounter_allowed(name_a, name_b, now):
-                metrics.record_backoff_skip()
+                metrics.backoff_skips += 1
                 return
             if injector.should_drop_encounter():
-                metrics.record_dropped_encounter()
+                metrics.dropped_encounters += 1
                 return
         first, second = (ai, bi) if order else (bi, ai)
         budget = self.bandwidth_limit
@@ -437,7 +437,7 @@ class ColumnarWorld:
             if injector.note_encounter_outcome(
                 name_a, name_b, now, interrupted=interrupted_a or interrupted_b
             ):
-                metrics.record_resumed_pair()
+                metrics.resumed_pairs += 1
 
     def _sync(
         self, src: int, tgt: int, now: float, budget: Optional[int]

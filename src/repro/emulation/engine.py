@@ -37,7 +37,7 @@ from typing import (
 )
 
 from .encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
-from .metrics import MetricsCollector
+from .metrics import ChurnCounts, MetricsCollector
 
 if TYPE_CHECKING:
     from repro.churn import ChurnConfig, ChurnSchedule, LifecycleEvent
@@ -158,7 +158,7 @@ class RunDirector:
                 threshold=churn.reciprocity_threshold,
                 min_taken=churn.reciprocity_min_taken,
             )
-            self.metrics.arm_churn()
+            self.metrics.churn = ChurnCounts()
 
     def online(self, name: str) -> bool:
         return self.lifecycle is None or self.lifecycle.online(name)
@@ -207,7 +207,7 @@ class RunDirector:
             # The sending node is down: the message is never born (its
             # app is not running), which is a real churn cost — counted,
             # not silently dropped.
-            self.metrics.record_churn_lost_injection()
+            self.metrics.churn.churn_lost_injections += 1
             return None
         return name
 
@@ -225,10 +225,10 @@ class RunDirector:
         a, b = encounter.a, encounter.b
         if self.lifecycle is not None:
             if not (self.lifecycle.online(a) and self.lifecycle.online(b)):
-                self.metrics.record_churn_skip()
+                self.metrics.churn.churn_skipped_encounters += 1
                 return None
             if not self.reciprocity.admit(a, b):
-                self.metrics.record_reciprocity_refusal()
+                self.metrics.churn.reciprocity_refusals += 1
                 return None
         return (a, b) if order else (b, a)
 
@@ -242,11 +242,11 @@ class RunDirector:
     ) -> None:
         """Book one finished encounter — or a graceful leaver's hand-off
         to its partner — from the stats of its syncs."""
-        self.metrics.record_encounter()
+        self.metrics.encounters += 1
         if handoff:
-            self.metrics.record_churn_handoff()
+            self.metrics.churn.churn_handoffs += 1
         if self.lifecycle is not None:
-            self.lifecycle.note_encounter(a, b, now, self.metrics)
+            self.lifecycle.note_encounter(a, b, now, self.metrics.churn)
             for sync_stats in stats:
                 self.reciprocity.observe_sync(
                     sync_stats.source.name,
@@ -269,7 +269,7 @@ class RunDirector:
         """
         name = event.node
         users = frozenset(self._current_day_map.get(name, ()))
-        self.lifecycle.apply(event, now, self.metrics)
+        self.lifecycle.apply(event, now, self.metrics.churn)
         if event.kind in ("leave", "crash"):
             for user in users:
                 if self._user_location.get(user) == name:

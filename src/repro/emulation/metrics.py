@@ -14,7 +14,7 @@ delivered messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.replication.ids import ItemId, ReplicaId
@@ -22,25 +22,6 @@ from repro.replication.sync import SyncStats
 
 HOURS = 3600.0
 DAYS = 86400.0
-
-#: The lifecycle state a churning run's ``to_dict()`` carries as ``churn``.
-_CHURN_STATE = (
-    "churn_arrivals",
-    "churn_leaves",
-    "churn_crashes",
-    "churn_rejoins",
-    "churn_amnesiac_rejoins",
-    "churn_handoffs",
-    "churn_skipped_encounters",
-    "churn_lost_injections",
-    "reciprocity_refusals",
-    "node_seconds_online",
-    "rejoin_recovery_seconds",
-    "rejoin_recoveries",
-    "lost_to_departure",
-    "reciprocity_scores",
-)
-
 
 @dataclass
 class MessageRecord:
@@ -100,6 +81,60 @@ class MessageRecord:
 
 
 @dataclass
+class ChurnCounts:
+    """Lifecycle accounting of a churning run (``MetricsCollector.churn``).
+
+    The engine's director and :class:`~repro.churn.LifecycleTracker` add
+    to the counters as events happen; ``node_seconds_online``,
+    ``lost_to_departure`` and ``reciprocity_scores`` are stamped once by
+    :meth:`MetricsCollector.finalize_churn`. The field order is the key
+    order of a run artifact's ``churn`` block.
+    """
+
+    churn_arrivals: int = 0
+    churn_leaves: int = 0
+    churn_crashes: int = 0
+    churn_rejoins: int = 0
+    churn_amnesiac_rejoins: int = 0
+    # A leaver's final sync with its handoff partner actually ran.
+    churn_handoffs: int = 0
+    # Encounters skipped because a participant was offline.
+    churn_skipped_encounters: int = 0
+    # Injections that fell on an offline node (the message is never born).
+    churn_lost_injections: int = 0
+    # Encounters refused by the tit-for-tat reciprocity gate.
+    reciprocity_refusals: int = 0
+    node_seconds_online: float = 0.0
+    # Rejoined nodes' latency to their first post-rejoin encounter.
+    rejoin_recovery_seconds: float = 0.0
+    rejoin_recoveries: int = 0
+    lost_to_departure: int = 0
+    reciprocity_scores: Dict[str, float] = field(default_factory=dict)
+
+    def summary(self) -> Dict[str, Any]:
+        """The lifecycle block a churning run's ``summary()`` appends."""
+        return {
+            "churn_arrivals": float(self.churn_arrivals),
+            "churn_leaves": float(self.churn_leaves),
+            "churn_crashes": float(self.churn_crashes),
+            "churn_rejoins": float(self.churn_rejoins),
+            "churn_amnesiac_rejoins": float(self.churn_amnesiac_rejoins),
+            "churn_handoffs": float(self.churn_handoffs),
+            "churn_skipped_encounters": float(self.churn_skipped_encounters),
+            "churn_lost_injections": float(self.churn_lost_injections),
+            "reciprocity_refusals": float(self.reciprocity_refusals),
+            "node_hours_online": self.node_seconds_online / HOURS,
+            "lost_to_departure": float(self.lost_to_departure),
+            "mean_rejoin_recovery_hours": (
+                self.rejoin_recovery_seconds / self.rejoin_recoveries / HOURS
+                if self.rejoin_recoveries
+                else float("nan")
+            ),
+            "reciprocity_scores": dict(self.reciprocity_scores),
+        }
+
+
+@dataclass
 class MetricsCollector:
     """Accumulates per-message records and aggregate traffic counters."""
 
@@ -153,6 +188,9 @@ class MetricsCollector:
     # Request-knowledge bytes on the wire (the exact vector's encoding).
     metadata_bytes: int = 0
     end_time: float = 0.0
+    # Lifecycle accounting, set only in a churning run: a churn-free
+    # run's to_dict() and summary() carry no churn keys at all.
+    churn: Optional[ChurnCounts] = None
 
     # Memory accounting (deliberately *not* dataclass fields: to_dict()
     # iterates fields(), and run artifacts must stay byte-identical and
@@ -162,31 +200,6 @@ class MetricsCollector:
     # record_memory() before reading summary().
     peak_rss_bytes = 0.0
     tracemalloc_peak_bytes = 0.0
-
-    # Churn/lifecycle accounting — also non-field class attributes, so
-    # that churn-disabled run artifacts stay byte-identical to pre-churn
-    # ones: unless churn_armed, these keys enter neither to_dict() nor
-    # summary(). A churning run sets churn_armed and the counters via the
-    # record_churn_* methods, and its to_dict() carries them in a
-    # ``churn`` block (_CHURN_STATE); reciprocity_scores is always
-    # *replaced* with a fresh dict (assignment creates an instance
-    # attribute — mutating the class attribute in place would leak state
-    # across collectors).
-    churn_armed = False
-    churn_arrivals = 0
-    churn_leaves = 0
-    churn_crashes = 0
-    churn_rejoins = 0
-    churn_amnesiac_rejoins = 0
-    churn_handoffs = 0
-    churn_skipped_encounters = 0
-    churn_lost_injections = 0
-    reciprocity_refusals = 0
-    node_seconds_online = 0.0
-    rejoin_recovery_seconds = 0.0
-    rejoin_recoveries = 0
-    lost_to_departure = 0
-    reciprocity_scores = {}  # Mapping[str, float] once finalize_churn ran
 
     # -- recording ------------------------------------------------------------------
 
@@ -237,29 +250,6 @@ class MetricsCollector:
         if stats.interrupted:
             self.interrupted_syncs += 1
 
-    def record_encounter(self) -> None:
-        self.encounters += 1
-
-    def record_eviction(self) -> None:
-        self.evictions += 1
-
-    def record_dropped_encounter(self) -> None:
-        self.dropped_encounters += 1
-
-    def record_backoff_skip(self) -> None:
-        self.backoff_skips += 1
-
-    def record_resumed_pair(self) -> None:
-        """One pair's first complete encounter after an interruption."""
-        self.resumed_pairs += 1
-
-    def record_crash(self) -> None:
-        self.crashes += 1
-
-    def record_quarantine_skip(self) -> None:
-        """An encounter refused because a side had quarantined its peer."""
-        self.quarantine_skips += 1
-
     def record_violation(self, kind: str) -> None:
         """One detected protocol violation, tallied by kind."""
         self.protocol_violations[kind] = self.protocol_violations.get(kind, 0) + 1
@@ -270,71 +260,26 @@ class MetricsCollector:
             self.peer_health_transitions.get(label, 0) + 1
         )
 
-    # -- churn recording (no-ops unless a churning engine drives them) --------------
-
-    def arm_churn(self) -> None:
-        """Mark this collector as belonging to a churning run.
-
-        Arming makes ``summary()`` include the lifecycle block and
-        ``to_dict()`` carry it as ``churn``; a churn-free dump has no
-        such key.
-        """
-        self.churn_armed = True
-
-    def record_churn_arrival(self) -> None:
-        self.churn_arrivals += 1
-
-    def record_churn_leave(self) -> None:
-        self.churn_leaves += 1
-
-    def record_churn_crash(self) -> None:
-        self.churn_crashes += 1
-
-    def record_churn_rejoin(self, amnesiac: bool = False) -> None:
-        self.churn_rejoins += 1
-        if amnesiac:
-            self.churn_amnesiac_rejoins += 1
-
-    def record_churn_handoff(self) -> None:
-        """A leaver's final sync with its handoff partner actually ran."""
-        self.churn_handoffs += 1
-
-    def record_churn_skip(self) -> None:
-        """An encounter skipped because a participant was offline."""
-        self.churn_skipped_encounters += 1
-
-    def record_churn_lost_injection(self) -> None:
-        """An injection that fell on an offline node (message never born)."""
-        self.churn_lost_injections += 1
-
-    def record_reciprocity_refusal(self) -> None:
-        """An encounter refused by the tit-for-tat reciprocity gate."""
-        self.reciprocity_refusals += 1
-
-    def record_rejoin_recovery(self, seconds: float) -> None:
-        """A rejoined node completed its first post-rejoin encounter."""
-        self.rejoin_recovery_seconds += seconds
-        self.rejoin_recoveries += 1
-
     def finalize_churn(
         self,
         node_seconds_online: float,
         departed: frozenset,
         scores: Mapping[str, float],
     ) -> None:
-        """Stamp end-of-run lifecycle aggregates onto the collector.
+        """Stamp end-of-run lifecycle aggregates onto ``churn``.
 
         ``lost_to_departure`` counts injected-but-undelivered messages
         whose destination node left for good — deliveries churn has
         taken off the table, as opposed to ones merely still in flight.
         """
-        self.node_seconds_online = node_seconds_online
-        self.lost_to_departure = sum(
+        churn = self.churn
+        churn.node_seconds_online = node_seconds_online
+        churn.lost_to_departure = sum(
             1
             for record in self.records.values()
             if not record.delivered and record.destination in departed
         )
-        self.reciprocity_scores = dict(sorted(scores.items()))
+        churn.reciprocity_scores = dict(sorted(scores.items()))
 
     def record_memory(self) -> None:
         """Stamp current peak memory usage onto this collector (opt-in).
@@ -448,7 +393,7 @@ class MetricsCollector:
             ],
         }
         for spec in fields(self):
-            if spec.name == "records":
+            if spec.name in ("records", "churn"):
                 continue
             value = getattr(self, spec.name)
             if isinstance(value, dict):
@@ -456,8 +401,8 @@ class MetricsCollector:
                 # form never depends on detection order.
                 value = {key: value[key] for key in sorted(value)}
             data[spec.name] = value
-        if self.churn_armed:
-            data["churn"] = {name: getattr(self, name) for name in _CHURN_STATE}
+        if self.churn is not None:
+            data["churn"] = asdict(self.churn)
         return data
 
     @classmethod
@@ -467,23 +412,19 @@ class MetricsCollector:
             MessageRecord.from_dict(raw) for raw in payload.pop("records")
         ]
         churn = payload.pop("churn", None)
-        collector = cls(
+        return cls(
             records={record.message_id: record for record in records},
+            churn=None if churn is None else ChurnCounts(**churn),
             **payload,
         )
-        if churn is not None:
-            collector.arm_churn()
-            for name in _CHURN_STATE:
-                setattr(collector, name, churn[name])
-        return collector
 
     def summary(self) -> Dict[str, Any]:
         """Headline numbers for reports and experiment assertions.
 
-        Churning runs (``churn_armed``) append a lifecycle block —
-        availability, losses to departure, rejoin recovery latency, and
-        the per-node ``reciprocity_scores`` map; churn-free summaries
-        are unchanged.
+        Churning runs append ``churn.summary()`` — availability, losses
+        to departure, rejoin recovery latency, and the per-node
+        ``reciprocity_scores`` map; churn-free summaries have no such
+        keys.
         """
         mean_delay_hours = self.mean_delay_hours()
         max_delay = self.max_delay()
@@ -542,28 +483,6 @@ class MetricsCollector:
             "peak_rss_bytes": float(self.peak_rss_bytes),
             "tracemalloc_peak_bytes": float(self.tracemalloc_peak_bytes),
         }
-        if self.churn_armed:
-            summary["churn_arrivals"] = float(self.churn_arrivals)
-            summary["churn_leaves"] = float(self.churn_leaves)
-            summary["churn_crashes"] = float(self.churn_crashes)
-            summary["churn_rejoins"] = float(self.churn_rejoins)
-            summary["churn_amnesiac_rejoins"] = float(
-                self.churn_amnesiac_rejoins
-            )
-            summary["churn_handoffs"] = float(self.churn_handoffs)
-            summary["churn_skipped_encounters"] = float(
-                self.churn_skipped_encounters
-            )
-            summary["churn_lost_injections"] = float(
-                self.churn_lost_injections
-            )
-            summary["reciprocity_refusals"] = float(self.reciprocity_refusals)
-            summary["node_hours_online"] = self.node_seconds_online / HOURS
-            summary["lost_to_departure"] = float(self.lost_to_departure)
-            summary["mean_rejoin_recovery_hours"] = (
-                self.rejoin_recovery_seconds / self.rejoin_recoveries / HOURS
-                if self.rejoin_recoveries
-                else float("nan")
-            )
-            summary["reciprocity_scores"] = dict(self.reciprocity_scores)
+        if self.churn is not None:
+            summary.update(self.churn.summary())
         return summary

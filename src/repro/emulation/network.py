@@ -75,7 +75,7 @@ class _EvictionCounter(BaseReplicaObserver):
         self._metrics = metrics
 
     def on_evict(self, item: Item) -> None:
-        self._metrics.record_eviction()
+        self._metrics.evictions += 1
 
 
 class Emulator:
@@ -233,13 +233,13 @@ class Emulator:
         now = self.now
         if injector is not None:
             if not injector.encounter_allowed(encounter.a, encounter.b, now):
-                self.metrics.record_backoff_skip()
+                self.metrics.backoff_skips += 1
                 return
             if not self._peers_willing(encounter.a, encounter.b, now):
-                self.metrics.record_quarantine_skip()
+                self.metrics.quarantine_skips += 1
                 return
             if injector.should_drop_encounter():
-                self.metrics.record_dropped_encounter()
+                self.metrics.dropped_encounters += 1
                 return
         first, second = self.nodes[roles[0]], self.nodes[roles[1]]
         transport_factory = (
@@ -268,7 +268,7 @@ class Emulator:
                 encounter.a, encounter.b, now, interrupted
             )
             if resumed:
-                self.metrics.record_resumed_pair()
+                self.metrics.resumed_pairs += 1
             self._record_peer_outcomes(encounter, stats, now)
             for victim in injector.crash_victims((encounter.a, encounter.b)):
                 self.restart_node(victim)
@@ -359,7 +359,7 @@ class Emulator:
         node = self.nodes[name]
         node.crash_restart()
         self._wire_node(node)
-        self.metrics.record_crash()
+        self.metrics.crashes += 1
         return node
 
     def _on_delivery(self, node: EmulatedNode, message) -> None:

@@ -34,6 +34,19 @@ CDF_HOURS: Tuple[float, ...] = tuple(float(h) for h in range(0, 13))
 #: Day points for the Figure 7(b) CDF.
 CDF_DAYS: Tuple[float, ...] = tuple(float(d) for d in range(1, 11))
 
+#: The title line of each figure's rendered rows, by ``results/`` name;
+#: Figure 8's is in :func:`~repro.experiments.report.render_figure_8`.
+FIGURE_TITLES: Dict[str, str] = {
+    "fig5": "Figure 5: average message delay (hours) vs addresses in filter",
+    "fig6": "Figure 6: % messages delivered within 12 hours vs addresses in filter",
+    "fig7a": "Figure 7(a): % delivered vs delay (hours), unconstrained",
+    "fig7b": "Figure 7(b): % delivered vs delay (days), unconstrained",
+    "fig9": "Figure 9: % delivered vs delay (hours), bandwidth-constrained "
+    "(1 message per encounter)",
+    "fig10": "Figure 10: % delivered vs delay (hours), storage-constrained "
+    "(max 2 relayed messages per node, FIFO eviction)",
+}
+
 
 @dataclass
 class SharedScenarioInputs:

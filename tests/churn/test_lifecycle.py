@@ -4,7 +4,7 @@ import pytest
 
 from repro.churn.lifecycle import LifecycleTracker
 from repro.churn.schedule import ChurnSchedule, LifecycleEvent
-from repro.emulation.metrics import MetricsCollector
+from repro.emulation.metrics import ChurnCounts
 
 
 def make_tracker(nodes=("a", "b", "c"), initially_offline=()):
@@ -31,18 +31,18 @@ class TestAvailability:
 
     def test_arrive_brings_node_up(self):
         tracker = make_tracker(initially_offline=["b"])
-        tracker.apply(event("arrive", "b", 100.0), 100.0, MetricsCollector())
+        tracker.apply(event("arrive", "b", 100.0), 100.0, ChurnCounts())
         assert tracker.online("b")
 
     def test_leave_is_permanent(self):
         tracker = make_tracker()
-        tracker.apply(event("leave", "a", 50.0), 50.0, MetricsCollector())
+        tracker.apply(event("leave", "a", 50.0), 50.0, ChurnCounts())
         assert not tracker.online("a")
         assert tracker.departed == frozenset({"a"})
 
     def test_crash_then_rejoin_cycles_availability(self):
         tracker = make_tracker()
-        metrics = MetricsCollector()
+        metrics = ChurnCounts()
         tracker.apply(event("crash", "a", 10.0), 10.0, metrics)
         assert not tracker.online("a")
         tracker.apply(event("rejoin", "a", 20.0), 20.0, metrics)
@@ -52,14 +52,14 @@ class TestAvailability:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown lifecycle"):
             make_tracker().apply(
-                event("hibernate", "a"), 0.0, MetricsCollector()
+                event("hibernate", "a"), 0.0, ChurnCounts()
             )
 
 
 class TestMetricsCounters:
     def test_each_kind_hits_its_counter(self):
         tracker = make_tracker(initially_offline=["c"])
-        metrics = MetricsCollector()
+        metrics = ChurnCounts()
         tracker.apply(event("arrive", "c", 5.0), 5.0, metrics)
         tracker.apply(event("crash", "a", 10.0), 10.0, metrics)
         tracker.apply(event("rejoin", "a", 20.0, amnesiac=True), 20.0, metrics)
@@ -82,7 +82,7 @@ class TestNodeSeconds:
         tracker = make_tracker(
             nodes=("a", "b", "c"), initially_offline=["b"]
         )
-        metrics = MetricsCollector()
+        metrics = ChurnCounts()
         tracker.apply(event("crash", "c", 20.0), 20.0, metrics)
         tracker.apply(event("arrive", "b", 40.0), 40.0, metrics)
         tracker.apply(event("rejoin", "c", 70.0), 70.0, metrics)
@@ -90,7 +90,7 @@ class TestNodeSeconds:
 
     def test_departed_node_stops_accruing(self):
         tracker = make_tracker(nodes=("a", "b"))
-        metrics = MetricsCollector()
+        metrics = ChurnCounts()
         tracker.apply(event("leave", "a", 25.0), 25.0, metrics)
         assert tracker.finalize(100.0) == pytest.approx(125.0)
 
@@ -98,7 +98,7 @@ class TestNodeSeconds:
 class TestRecoveryLatency:
     def test_first_encounter_after_rejoin_marks_recovery(self):
         tracker = make_tracker()
-        metrics = MetricsCollector()
+        metrics = ChurnCounts()
         tracker.apply(event("rejoin", "a", 100.0), 100.0, metrics)
         tracker.note_encounter("a", "b", 160.0, metrics)
         assert metrics.rejoin_recoveries == 1
@@ -106,7 +106,7 @@ class TestRecoveryLatency:
 
     def test_recovery_recorded_once(self):
         tracker = make_tracker()
-        metrics = MetricsCollector()
+        metrics = ChurnCounts()
         tracker.apply(event("rejoin", "a", 100.0), 100.0, metrics)
         tracker.note_encounter("a", "b", 160.0, metrics)
         tracker.note_encounter("a", "c", 200.0, metrics)
@@ -114,6 +114,6 @@ class TestRecoveryLatency:
 
     def test_never_rejoined_never_recovers(self):
         tracker = make_tracker()
-        metrics = MetricsCollector()
+        metrics = ChurnCounts()
         tracker.note_encounter("a", "b", 50.0, metrics)
         assert metrics.rejoin_recoveries == 0

@@ -40,12 +40,12 @@ class TestChurnRun:
         scenario, metrics = run_scenario(churn_config())
         events = scenario.churn_schedule.events
         by_kind = lambda kind: sum(1 for e in events if e.kind == kind)
-        assert metrics.churn_armed
-        assert metrics.churn_arrivals == by_kind(ARRIVE) == 1
-        assert metrics.churn_crashes == by_kind(CRASH) == 2
-        assert metrics.churn_rejoins == by_kind(REJOIN) == 2
-        assert metrics.churn_leaves == by_kind(LEAVE) == 1
-        assert metrics.churn_amnesiac_rejoins == 1
+        assert metrics.churn is not None
+        assert metrics.churn.churn_arrivals == by_kind(ARRIVE) == 1
+        assert metrics.churn.churn_crashes == by_kind(CRASH) == 2
+        assert metrics.churn.churn_rejoins == by_kind(REJOIN) == 2
+        assert metrics.churn.churn_leaves == by_kind(LEAVE) == 1
+        assert metrics.churn.churn_amnesiac_rejoins == 1
 
     def test_both_rejoin_flavours_are_exercised(self):
         scenario, _ = run_scenario(churn_config())
@@ -55,7 +55,7 @@ class TestChurnRun:
 
     def test_handoff_runs_for_the_graceful_leaver(self):
         _, metrics = run_scenario(churn_config())
-        assert metrics.churn_handoffs == 1
+        assert metrics.churn.churn_handoffs == 1
 
     def test_offline_nodes_skip_encounters(self):
         _, metrics = run_scenario(churn_config())
@@ -63,11 +63,11 @@ class TestChurnRun:
         # encounters must be skipped. Every trace encounter is either
         # run, skipped for an offline participant, or refused by the
         # reciprocity gate; the handoff is an extra, non-trace encounter.
-        assert metrics.churn_skipped_encounters > 0
-        ran_from_trace = metrics.encounters - metrics.churn_handoffs
+        assert metrics.churn.churn_skipped_encounters > 0
+        ran_from_trace = metrics.encounters - metrics.churn.churn_handoffs
         assert (
-            ran_from_trace + metrics.churn_skipped_encounters
-            + metrics.reciprocity_refusals == 24
+            ran_from_trace + metrics.churn.churn_skipped_encounters
+            + metrics.churn.reciprocity_refusals == 24
         )
 
     def test_node_hours_are_positive_and_below_full_attendance(self):
@@ -140,7 +140,7 @@ class TestZeroChurnEquivalence:
 
     def test_no_churn_keys_leak_into_plain_artifacts(self):
         _, plain = run_scenario(ExperimentConfig(scale=0.25))
-        assert not plain.churn_armed
+        assert plain.churn is None
         summary = plain.summary()
         assert "churn_arrivals" not in summary
         assert "reciprocity_scores" not in summary

@@ -104,7 +104,7 @@ def _populated_collector() -> MetricsCollector:
     collector.record_injection(delivered, "alice", "bob", 10.0, "bus-01")
     collector.record_injection(undelivered, "carol", "dave", 20.0, "bus-02")
     collector.record_delivery(delivered, 500.0, "bus-03", copies=4)
-    collector.record_encounter()
+    collector.encounters += 1
     collector.record_sync(
         SyncStats(
             source=ReplicaId("bus-01"),
@@ -119,9 +119,9 @@ def _populated_collector() -> MetricsCollector:
             index_skipped=5,
         )
     )
-    collector.record_eviction()
-    collector.record_resumed_pair()
-    collector.record_crash()
+    collector.evictions += 1
+    collector.resumed_pairs += 1
+    collector.crashes += 1
     collector.end_time = 86400.0
     return collector
 
@@ -207,6 +207,22 @@ class TestExperimentResultRoundTrip:
             result.summary(), sort_keys=True
         )
         assert "churn_leaves" in rebuilt.summary()
+        assert list(data["metrics"]["churn"]) == [
+            "churn_arrivals",
+            "churn_leaves",
+            "churn_crashes",
+            "churn_rejoins",
+            "churn_amnesiac_rejoins",
+            "churn_handoffs",
+            "churn_skipped_encounters",
+            "churn_lost_injections",
+            "reciprocity_refusals",
+            "node_seconds_online",
+            "rejoin_recovery_seconds",
+            "rejoin_recoveries",
+            "lost_to_departure",
+            "reciprocity_scores",
+        ]
 
     def test_churn_free_dump_has_no_churn_block(self):
         result = run_experiment(ExperimentConfig(scale=0.25, policy="epidemic"))

@@ -132,6 +132,37 @@ LEGS = {
         ),
         "75f538b92decf946fae20898801d01836177b4fc5aa9dbca987c6469938c7053",
     ),
+    # Churn paths the legs above miss: late arrivals, amnesiac rejoins and
+    # the reciprocity gate (every churn counter moves here), and user
+    # addresses re-dealt to hosts that crash, leave and come back.
+    "epidemic.churn.reciprocity": (
+        dict(
+            policy="epidemic",
+            churn=ChurnConfig(
+                seed=0,
+                arrival_fraction=0.15,
+                departure_fraction=0.15,
+                crash_fraction=0.3,
+                amnesia_probability=0.5,
+                free_rider_fraction=0.15,
+                reciprocity_threshold=0.4,
+            ),
+        ),
+        "c519932cf6caade7f3fcf49f35c32934c49eef296628da60f5168cf9229a8a67",
+    ),
+    "prophet.user.churn": (
+        dict(
+            policy="prophet",
+            addressing="user",
+            churn=ChurnConfig(
+                seed=0,
+                arrival_fraction=0.15,
+                departure_fraction=0.15,
+                crash_fraction=0.3,
+            ),
+        ),
+        "e51616e93d5c1e85c603e70414051b90ca42850ed664b32693fea459d10bdbcb",
+    ),
     # Legs whose policies read each copy's destination on the sync path:
     # PROPHET's per-destination comparison, First Contact's own-address
     # check, under user addresses that move between hosts daily.

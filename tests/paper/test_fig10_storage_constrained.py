@@ -7,7 +7,12 @@ the DTN policies lose some of their edge but still beat the baseline.
 """
 
 from repro.dtn.registry import PAPER_POLICY_ORDER
-from repro.experiments.figures import figure_7, figure_10, policy_sweep
+from repro.experiments.figures import (
+    FIGURE_TITLES,
+    figure_7,
+    figure_10,
+    policy_sweep,
+)
 from repro.experiments.report import render_series_table
 
 STORAGE_LIMIT = 2
@@ -18,8 +23,7 @@ def test_figure_10_storage_constrained(inputs, check_results):
     check_results(
         "fig10",
         render_series_table(
-            "Figure 10: % delivered vs delay (hours), storage-constrained "
-            "(max 2 relayed messages per node, FIFO eviction)",
+            FIGURE_TITLES["fig10"],
             "hours",
             curves,
         ),

@@ -7,7 +7,7 @@ choice at small k, with the advantage vanishing as k approaches the
 network size.
 """
 
-from repro.experiments.figures import figure_5
+from repro.experiments.figures import FIGURE_TITLES, figure_5
 from repro.experiments.report import render_series_table
 
 K_VALUES = (0, 1, 2, 4, 8, 16)
@@ -18,7 +18,7 @@ def test_figure_5_multiaddress_mean_delay(inputs, check_results):
     check_results(
         "fig5",
         render_series_table(
-            "Figure 5: average message delay (hours) vs addresses in filter",
+            FIGURE_TITLES["fig5"],
             "k",
             series,
         ),

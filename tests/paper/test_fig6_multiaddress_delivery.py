@@ -6,7 +6,7 @@ delivery climbs as more addresses join the filter; selected ≥ random for
 small k.
 """
 
-from repro.experiments.figures import figure_6
+from repro.experiments.figures import FIGURE_TITLES, figure_6
 from repro.experiments.report import render_series_table
 
 K_VALUES = (0, 1, 2, 4, 8, 16)
@@ -17,7 +17,7 @@ def test_figure_6_multiaddress_delivery(inputs, check_results):
     check_results(
         "fig6",
         render_series_table(
-            "Figure 6: % messages delivered within 12 hours vs addresses in filter",
+            FIGURE_TITLES["fig6"],
             "k",
             series,
         ),

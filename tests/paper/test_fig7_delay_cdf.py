@@ -12,7 +12,7 @@ Paper anchors:
 """
 
 from repro.dtn.registry import PAPER_POLICY_ORDER
-from repro.experiments.figures import figure_7, policy_sweep
+from repro.experiments.figures import FIGURE_TITLES, figure_7, policy_sweep
 from repro.experiments.report import render_series_table
 
 
@@ -21,7 +21,7 @@ def test_figure_7_delay_cdfs(inputs, check_results):
     check_results(
         "fig7a",
         render_series_table(
-            "Figure 7(a): % delivered vs delay (hours), unconstrained",
+            FIGURE_TITLES["fig7a"],
             "hours",
             {policy: curves[policy]["hours"] for policy in PAPER_POLICY_ORDER},
         ),
@@ -29,7 +29,7 @@ def test_figure_7_delay_cdfs(inputs, check_results):
     check_results(
         "fig7b",
         render_series_table(
-            "Figure 7(b): % delivered vs delay (days), unconstrained",
+            FIGURE_TITLES["fig7b"],
             "days",
             {policy: curves[policy]["days"] for policy in PAPER_POLICY_ORDER},
         ),

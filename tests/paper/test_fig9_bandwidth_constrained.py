@@ -8,7 +8,12 @@ count.
 """
 
 from repro.dtn.registry import PAPER_POLICY_ORDER
-from repro.experiments.figures import figure_7, figure_9, policy_sweep
+from repro.experiments.figures import (
+    FIGURE_TITLES,
+    figure_7,
+    figure_9,
+    policy_sweep,
+)
 from repro.experiments.report import render_series_table
 
 BANDWIDTH_LIMIT = 1
@@ -19,8 +24,7 @@ def test_figure_9_bandwidth_constrained(inputs, check_results):
     check_results(
         "fig9",
         render_series_table(
-            "Figure 9: % delivered vs delay (hours), bandwidth-constrained "
-            "(1 message per encounter)",
+            FIGURE_TITLES["fig9"],
             "hours",
             curves,
         ),
