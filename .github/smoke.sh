@@ -79,8 +79,11 @@ EOF
   # the same bar, though this trace does not separate the two orders.
   # Spray and cimbiosys are the policies whose refusals park: a parked
   # copy leaves the sync walk (RoutingPolicy.refuses_for_good), and the
-  # live side must still send what the emulator sends.
-  for policy in prophet maxprop spray cimbiosys; do
+  # live side must still send what the emulator sends. First Contact is
+  # the one policy whose on_items_sent releases the stored copy, and the
+  # live path confirms a send at a different point than the in-process
+  # encounter does.
+  for policy in prophet maxprop spray cimbiosys first-contact; do
     python -m repro swarm --scale 0.4 --policy "$policy" --parity \
       --output "swarm-$policy-metrics.json"
   done

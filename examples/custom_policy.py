@@ -15,16 +15,16 @@ Run:  python examples/custom_policy.py
 
 from typing import Optional
 
-from repro.dtn import DTNPolicy, register_policy
+from repro.dtn import register_policy
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.figures import SharedScenarioInputs
-from repro.replication import Filter, Item, Priority, SyncContext
+from repro.replication import Filter, Item, Priority, RoutingPolicy, SyncContext
 
 #: Host-local marker: set on copies held by relays (not the source).
 RELAYED_MARKER = "twohop.relayed"
 
 
-class TwoHopRelayPolicy(DTNPolicy):
+class TwoHopRelayPolicy(RoutingPolicy):
     """Source sprays to everyone; relays only deliver directly.
 
     ``to_send`` is only consulted for items that do NOT match the target's

@@ -1,14 +1,17 @@
 """Pluggable DTN routing policies for the replication substrate.
 
-Implements the paper's Section V: the ``IDTNPolicy`` binding
-(:class:`DTNPolicy`) and the four representative routing protocols —
-Epidemic routing, Spray and Wait, PROPHET, and MaxProp — plus the
-direct-delivery baseline (unmodified Cimbiosys behaviour) and a registry
-keyed by policy name with Table II parameter defaults.
+Implements the paper's Section V on the platform's ``IDTNPolicy`` plug
+(:class:`~repro.replication.routing.RoutingPolicy`): the four
+representative routing protocols — Epidemic routing, Spray and Wait,
+PROPHET, and MaxProp — plus First Contact and a registry keyed by policy
+name with Table II parameter defaults. The direct-delivery baseline
+(unmodified Cimbiosys behaviour) is the platform's own and is re-exported
+here.
 """
 
+from repro.replication.routing import AddressProvider, DirectDeliveryPolicy
+
 from . import codec as _codec  # registers PROPHET/MaxProp wire codecs
-from .direct import DirectDeliveryPolicy
 from .first_contact import FirstContactPolicy
 from .epidemic import DEFAULT_TTL, TTL_ATTRIBUTE, EpidemicPolicy
 from .maxprop import (
@@ -17,7 +20,6 @@ from .maxprop import (
     MaxPropPolicy,
     MaxPropRequest,
 )
-from .policy import AddressProvider, DTNPolicy, filter_addresses
 from .prophet import (
     DEFAULT_AGING_UNIT,
     DEFAULT_BETA,
@@ -46,7 +48,6 @@ __all__ = [
     "DEFAULT_HOP_THRESHOLD",
     "DEFAULT_P_INIT",
     "DEFAULT_TTL",
-    "DTNPolicy",
     "DirectDeliveryPolicy",
     "EpidemicPolicy",
     "FirstContactPolicy",
@@ -61,7 +62,6 @@ __all__ = [
     "TTL_ATTRIBUTE",
     "available_policies",
     "default_parameters",
-    "filter_addresses",
     "get_policy",
     "register_policy",
 ]

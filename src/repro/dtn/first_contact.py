@@ -29,12 +29,10 @@ from typing import List, Optional
 
 from repro.replication.filters import Filter
 from repro.replication.items import Item
-from repro.replication.routing import Priority, SyncContext
-
-from .policy import DTNPolicy
+from repro.replication.routing import Priority, RoutingPolicy, SyncContext
 
 
-class FirstContactPolicy(DTNPolicy):
+class FirstContactPolicy(RoutingPolicy):
     """Single-copy random-walk forwarding."""
 
     name = "first-contact"

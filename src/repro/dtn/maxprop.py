@@ -44,9 +44,13 @@ from repro.replication.filters import Filter
 from repro.replication.ids import ItemId
 from repro.replication.items import Item
 from repro.replication.replica import Replica
-from repro.replication.routing import Priority, PriorityClass, SyncContext
-
-from .policy import AddressProvider, DTNPolicy
+from repro.replication.routing import (
+    AddressProvider,
+    Priority,
+    PriorityClass,
+    RoutingPolicy,
+    SyncContext,
+)
 
 #: Host-local attribute carrying the hop list of a copy (tuple of node names).
 HOPLIST_ATTRIBUTE = "maxprop.hops"
@@ -80,7 +84,7 @@ class _DeliveryWatcher(BaseReplicaObserver):
             self._policy.note_possible_delivery(item)
 
 
-class MaxPropPolicy(DTNPolicy):
+class MaxPropPolicy(RoutingPolicy):
     """History-gossiping, cost-ranked flooding with delivery acks."""
 
     name = "maxprop"

@@ -35,9 +35,12 @@ from typing import Any, Dict, FrozenSet, Optional
 
 from repro.replication.filters import Filter
 from repro.replication.items import Item
-from repro.replication.routing import Priority, PriorityClass, SyncContext
-
-from .policy import DTNPolicy
+from repro.replication.routing import (
+    Priority,
+    PriorityClass,
+    RoutingPolicy,
+    SyncContext,
+)
 
 #: Table II: PROPHET parameters.
 DEFAULT_P_INIT = 0.75
@@ -56,7 +59,7 @@ class ProphetRequest:
     predictabilities: Dict[str, float] = field(default_factory=dict)
 
 
-class ProphetPolicy(DTNPolicy):
+class ProphetPolicy(RoutingPolicy):
     """Probabilistic forwarding by delivery predictability."""
 
     name = "prophet"

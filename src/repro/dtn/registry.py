@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Tuple
 
-from .direct import DirectDeliveryPolicy
+from repro.replication.routing import DirectDeliveryPolicy, RoutingPolicy
+
 from .epidemic import DEFAULT_TTL, EpidemicPolicy
 from .first_contact import FirstContactPolicy
 from .maxprop import DEFAULT_HOP_THRESHOLD, MaxPropPolicy
-from .policy import DTNPolicy
 from .prophet import (
     DEFAULT_BETA,
     DEFAULT_GAMMA,
@@ -27,7 +27,7 @@ from .prophet import (
 )
 from .spray_wait import DEFAULT_COPIES, SprayAndWaitPolicy
 
-PolicyFactory = Callable[..., DTNPolicy]
+PolicyFactory = Callable[..., RoutingPolicy]
 
 _REGISTRY: Dict[str, PolicyFactory] = {}
 
@@ -68,7 +68,7 @@ def available_policies() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def get_policy(name: str, **parameters: Any) -> DTNPolicy:
+def get_policy(name: str, **parameters: Any) -> RoutingPolicy:
     """Instantiate the policy registered under ``name``.
 
     The single supported lookup path: resolves the (case-insensitive)
@@ -96,9 +96,7 @@ def default_parameters(name: str) -> Mapping[str, Any]:
 
 register_policy("cimbiosys", DirectDeliveryPolicy)
 register_policy("first-contact", FirstContactPolicy)
-register_policy("direct", DirectDeliveryPolicy)
 register_policy("epidemic", EpidemicPolicy)
 register_policy("spray", SprayAndWaitPolicy)
-register_policy("spray-and-wait", SprayAndWaitPolicy)
 register_policy("prophet", ProphetPolicy)
 register_policy("maxprop", MaxPropPolicy)

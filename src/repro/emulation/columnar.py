@@ -71,7 +71,6 @@ from typing import (
     Tuple,
 )
 
-from repro.dtn.direct import DirectDeliveryPolicy
 from repro.dtn.epidemic import EpidemicPolicy
 from repro.dtn.first_contact import FirstContactPolicy
 from repro.dtn.registry import get_policy
@@ -85,7 +84,7 @@ from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.models import mask, plan_cut
 from repro.replication.ids import ItemId, ReplicaId
-from repro.replication.routing import NullRoutingPolicy
+from repro.replication.routing import DirectDeliveryPolicy
 
 __all__ = [
     "ColumnarUnsupportedError",
@@ -123,11 +122,11 @@ def _policy_kind(policy: Any) -> int:
         return _BUDGET
     if isinstance(policy, FirstContactPolicy):
         return _FIRST_CONTACT
-    if isinstance(policy, (DirectDeliveryPolicy, NullRoutingPolicy)):
+    if isinstance(policy, DirectDeliveryPolicy):
         return _DIRECT
     raise ColumnarUnsupportedError(
         f"policy {type(policy).__name__} is not implemented by the "
-        "columnar engine (supported: cimbiosys/direct, epidemic, spray, "
+        "columnar engine (supported: cimbiosys, epidemic, spray, "
         "first-contact)"
     )
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional
 
-from repro.dtn.policy import DTNPolicy
 from repro.messaging.app import MessagingApp
 from repro.replication.filters import MultiAddressFilter
 from repro.replication.ids import ReplicaId
@@ -33,6 +32,7 @@ from repro.replication.persistence import (
     replica_to_state,
 )
 from repro.replication.replica import Replica
+from repro.replication.routing import RoutingPolicy
 from repro.replication.sync import SyncEndpoint
 
 
@@ -42,12 +42,12 @@ class EmulatedNode:
     def __init__(
         self,
         name: str,
-        policy: DTNPolicy,
+        policy: RoutingPolicy,
         relay_capacity: Optional[int] = None,
         relay_eviction: object = "fifo",
         static_relay_addresses: Iterable[str] = (),
         delete_on_receipt: bool = False,
-        policy_factory: Optional[Callable[[], DTNPolicy]] = None,
+        policy_factory: Optional[Callable[[], RoutingPolicy]] = None,
         serves_at_most: Optional[int] = None,
     ) -> None:
         self.name = name

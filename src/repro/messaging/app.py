@@ -16,17 +16,17 @@ message and invokes any registered delivery callbacks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List
+from typing import Any, Callable, Dict, List
 
 from repro.replication.events import BaseReplicaObserver
 from repro.replication.ids import ItemId
 from repro.replication.items import Item
 from repro.replication.replica import Replica
+from repro.replication.routing import AddressProvider
 
 from .message import Message
 
 DeliveryCallback = Callable[[Message], None]
-AddressProvider = Callable[[], FrozenSet[str]]
 
 
 class _StoreWatcher(BaseReplicaObserver):

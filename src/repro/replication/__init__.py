@@ -98,7 +98,7 @@ from .items import (
 from .replica import Replica
 from .routing import (
     NORMAL_PRIORITY,
-    NullRoutingPolicy,
+    DirectDeliveryPolicy,
     Priority,
     PriorityClass,
     RoutingPolicy,
@@ -135,6 +135,7 @@ __all__ = [
     "BaseReplicaObserver",
     "BatchEntry",
     "CodecError",
+    "DirectDeliveryPolicy",
     "DuplicateDeliveryError",
     "EncounterSession",
     "Filter",
@@ -151,7 +152,6 @@ __all__ = [
     "NORMAL_PRIORITY",
     "NotFilter",
     "NothingFilter",
-    "NullRoutingPolicy",
     "ObserverList",
     "OrFilter",
     "PEER_STATES",

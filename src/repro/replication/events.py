@@ -8,7 +8,7 @@ a small observer interface.
 
 Observers must be cheap and must not mutate the replica re-entrantly during
 a sync; they are notification hooks, not extension points (DTN routing
-extension goes through :mod:`repro.dtn.policy` instead).
+extension goes through :mod:`repro.replication.routing` instead).
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class ReplicaObserver(Protocol):
     def on_evict(self, item: Item) -> None:
         """A relayed item was evicted under storage pressure."""
 
-    def on_delete(self, item: Item) -> None:
-        """An item was locally deleted (a tombstone will replicate)."""
-
 
 class BaseReplicaObserver:
     """No-op observer; subclass and override what you need."""
@@ -47,9 +44,6 @@ class BaseReplicaObserver:
         pass
 
     def on_evict(self, item: Item) -> None:  # noqa: D102
-        pass
-
-    def on_delete(self, item: Item) -> None:  # noqa: D102
         pass
 
 
@@ -69,7 +63,3 @@ class ObserverList(BaseReplicaObserver):
     def on_evict(self, item: Item) -> None:
         for observer in self._observers:
             observer.on_evict(item)
-
-    def on_delete(self, item: Item) -> None:
-        for observer in self._observers:
-            observer.on_delete(item)

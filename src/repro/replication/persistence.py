@@ -12,7 +12,7 @@ operation is invoked". This module provides both halves:
 * :func:`save_replica` / :func:`load_replica` — the same, to/from a file,
   optionally bundling a routing policy's persistent state alongside
   (policies expose ``persistent_state()`` / ``restore_state()``; see
-  :class:`repro.dtn.policy.DTNPolicy`).
+  :class:`repro.replication.routing.RoutingPolicy`).
 
 Restoring produces a replica that is protocol-indistinguishable from the
 one saved: same knowledge, same stored versions, same future ids — so a

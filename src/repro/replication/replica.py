@@ -180,7 +180,6 @@ class Replica:
         tombstone = current.as_tombstone(self._ids.next_version())
         self.knowledge.add(tombstone.version)
         self._replace(tombstone)
-        self.observers.on_delete(tombstone)
         return tombstone
 
     @property

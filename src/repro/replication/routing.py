@@ -14,10 +14,15 @@ a sync source should forward to the target, and in what order:
   :meth:`RoutingPolicy.refuses_for_good` parked it; returns a
   :class:`Priority` to include the item in the batch or ``None`` to skip it.
 
-The platform (this module and :mod:`repro.replication.sync`) defines the
-interface; concrete protocols live in :mod:`repro.dtn`. This mirrors the
-paper's layering, where Cimbiosys exposes ``IDTNPolicy`` and the four case
-studies implement it.
+:class:`RoutingPolicy` is the one base class every policy subclasses: it
+also binds a policy to its host **replica** (for host-local per-copy state,
+adjusted through :meth:`~repro.replication.replica.Replica.adjust_local`)
+and to an **address provider** — a callable returning the addresses the
+host currently answers to, which change daily as users are re-assigned to
+buses. The platform's own behaviour, forwarding nothing, is
+:class:`DirectDeliveryPolicy`; the case studies live in :mod:`repro.dtn`.
+This mirrors the paper's layering, where Cimbiosys exposes ``IDTNPolicy``
+and the four case studies implement it.
 """
 
 from __future__ import annotations
@@ -26,11 +31,15 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import total_ordering
-from typing import Any, Optional
+from typing import Any, Callable, FrozenSet, Optional
 
-from .filters import Filter
+from .filters import AddressFilter, Filter, MultiAddressFilter
 from .ids import ReplicaId
-from .items import Item
+from .items import ATTR_KIND, KIND_MESSAGE, Item
+from .replica import Replica
+
+#: What a policy calls for its host's current address set.
+AddressProvider = Callable[[], FrozenSet[str]]
 
 
 class PriorityClass(IntEnum):
@@ -104,11 +113,77 @@ class RoutingPolicy(ABC):
 
     Subclasses must implement :meth:`to_send`; the request hooks default to
     no-ops because the two simplest protocols (Epidemic, Spray and Wait)
-    need neither.
+    need neither. Subclasses read :attr:`replica` for store access and call
+    :meth:`local_addresses` for the host's current address set; ``bind``
+    is invoked by the node layer when the policy is attached, and an
+    unbound policy that reads its replica raises rather than misroutes.
     """
 
     #: Human-readable protocol name, used in experiment reports.
     name: str = "policy"
+
+    _replica: Optional[Replica] = None
+    _addresses: Optional[AddressProvider] = None
+
+    def bind(
+        self, replica: Replica, addresses: Optional[AddressProvider] = None
+    ) -> "RoutingPolicy":
+        """Attach this policy to its host. Returns self for chaining."""
+        self._replica = replica
+        self._addresses = addresses
+        return self
+
+    @property
+    def replica(self) -> Replica:
+        if self._replica is None:
+            raise RuntimeError(f"{type(self).__name__} is not bound to a replica")
+        return self._replica
+
+    @property
+    def is_bound(self) -> bool:
+        return self._replica is not None
+
+    def local_addresses(self) -> FrozenSet[str]:
+        """Addresses this host currently answers to.
+
+        Without a provider from bind time, the replica filter's own
+        address: a multi-address filter's relay addresses are hosts it
+        carries mail for, not destinations it answers to.
+        """
+        if self._addresses is not None:
+            return self._addresses()
+        filter_ = self.replica.filter
+        if isinstance(filter_, AddressFilter):
+            return frozenset((filter_.address,))
+        if isinstance(filter_, MultiAddressFilter):
+            return frozenset((filter_.own_address,))
+        return frozenset()
+
+    def persistent_state(self) -> dict:
+        """The policy's routing state, as a JSON-representable dict.
+
+        Section V-A: "DTN routing policies can define persistent data
+        structures which are serialized to disk and retrieved whenever a
+        synchronization operation is invoked." The default is empty —
+        Epidemic's and Spray-and-Wait's per-copy state lives on the items
+        themselves and persists with the replica's stores.
+        """
+        return {}
+
+    def restore_state(self, state: dict) -> None:
+        """Restore routing state from :meth:`persistent_state` output."""
+
+    @staticmethod
+    def is_routable_message(item: Item) -> bool:
+        """True for live application messages (not tombstones, not acks)."""
+        kind = item.attributes.get(ATTR_KIND, KIND_MESSAGE)  # ``item.kind``
+        return not item.deleted and kind == KIND_MESSAGE
+
+    @staticmethod
+    def normal(cost: float = 0.0) -> Priority:
+        if not cost:
+            return NORMAL_PRIORITY  # a frozen value: one instance serves all
+        return Priority(PriorityClass.NORMAL, cost)
 
     def generate_req(self, context: SyncContext) -> Any:
         """Produce routing state for a sync request this replica initiates.
@@ -182,11 +257,13 @@ class RoutingPolicy(ABC):
         return item.without_local()
 
 
-class NullRoutingPolicy(RoutingPolicy):
+class DirectDeliveryPolicy(RoutingPolicy):
     """The no-forwarding policy: unmodified Cimbiosys behaviour.
 
-    Only items matching the target's filter are transferred; this is the
-    paper's baseline (``cimbiosys`` lines in Figures 5–10, ``k = 0``).
+    Only items matching the target's filter are transferred; with
+    self-address filters that means delivery happens only on direct
+    sender→recipient encounters. This is the paper's baseline
+    (``cimbiosys`` lines in Figures 5–10, ``k = 0``).
     """
 
     name = "cimbiosys"

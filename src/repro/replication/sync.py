@@ -52,7 +52,7 @@ from .items import Item
 from .replica import Replica
 from .routing import (
     FILTER_MATCH_PRIORITY,
-    NullRoutingPolicy,
+    DirectDeliveryPolicy,
     Priority,
     RoutingPolicy,
     SyncContext,
@@ -70,7 +70,7 @@ class SyncEndpoint:
     """
 
     replica: Replica
-    policy: RoutingPolicy = field(default_factory=NullRoutingPolicy)
+    policy: RoutingPolicy = field(default_factory=DirectDeliveryPolicy)
     serves_at_most: Optional[int] = None
 
     @property
@@ -335,7 +335,7 @@ def build_batch(
     stats.index_skipped = stats.store_size - stats.candidates
 
     matches = request.filter.matches
-    refuses_for_good = getattr(source.policy, "refuses_for_good", None)
+    refuses_for_good = source.policy.refuses_for_good
     entries: List[BatchEntry] = []
     for item in unknown:
         if matches(item):
@@ -343,7 +343,7 @@ def build_batch(
         else:
             priority = source.policy.to_send(item, request.filter, context)
             if priority is None:
-                if refuses_for_good is not None and refuses_for_good(item):
+                if refuses_for_good(item):
                     source.replica.park(item)
                 continue
             if not isinstance(priority, Priority):

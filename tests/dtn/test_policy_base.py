@@ -1,29 +1,17 @@
-"""Unit tests for the DTN policy base class and helpers."""
+"""Unit tests for the routing-policy base class and its host bindings."""
 
 import pytest
 
-from repro.dtn.direct import DirectDeliveryPolicy
-from repro.dtn.policy import filter_addresses
+from repro.dtn import DirectDeliveryPolicy, get_policy
 from repro.replication import (
     AddressFilter,
-    AllFilter,
+    EncounterSession,
     MultiAddressFilter,
     Replica,
     ReplicaId,
+    SyncEndpoint,
 )
 from tests.conftest import make_item
-
-
-class TestFilterAddresses:
-    def test_address_filter(self):
-        assert filter_addresses(AddressFilter("x")) == {"x"}
-
-    def test_multi_address_filter(self):
-        filter_ = MultiAddressFilter("x", frozenset({"y", "z"}))
-        assert filter_addresses(filter_) == {"x", "y", "z"}
-
-    def test_opaque_filter_yields_empty(self):
-        assert filter_addresses(AllFilter()) == frozenset()
 
 
 class TestBinding:
@@ -48,9 +36,33 @@ class TestBinding:
         assert policy.local_addresses() == {"n", "user1"}
 
     def test_local_addresses_falls_back_to_filter(self):
+        # Relay addresses are hosts the filter carries mail for, not
+        # destinations this host answers to.
         replica = Replica(ReplicaId("n"), MultiAddressFilter("n", {"m"}))
         policy = DirectDeliveryPolicy().bind(replica)
-        assert policy.local_addresses() == {"n", "m"}
+        assert policy.local_addresses() == {"n"}
+
+
+@pytest.mark.parametrize("name", ["first-contact", "maxprop"])
+def test_a_relay_for_the_destination_is_not_the_destination(name):
+    """a → x → c → b, where x relays for b, with policies bound without an
+    address provider: x neither ends the walk nor acks, and b receives."""
+    filters = {
+        "a": AddressFilter("a"),
+        "x": MultiAddressFilter("x", {"b"}),
+        "c": AddressFilter("c"),
+        "b": AddressFilter("b"),
+    }
+    endpoints = {}
+    for host, filter_ in filters.items():
+        replica = Replica(ReplicaId(host), filter_)
+        endpoints[host] = SyncEndpoint(replica, get_policy(name).bind(replica))
+    message = endpoints["a"].replica.create_item("m", {"destination": "b"})
+    for first, second in (("a", "x"), ("x", "c"), ("c", "b")):
+        EncounterSession(first=endpoints[first], second=endpoints[second]).run()
+    assert endpoints["b"].replica.get_item(message.item_id) is not None
+    if name == "maxprop":
+        assert message.item_id not in endpoints["x"].policy.acks
 
 
 class TestHelpers:

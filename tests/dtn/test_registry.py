@@ -21,10 +21,8 @@ class TestLookup:
         "name,expected_type",
         [
             ("cimbiosys", DirectDeliveryPolicy),
-            ("direct", DirectDeliveryPolicy),
             ("epidemic", EpidemicPolicy),
             ("spray", SprayAndWaitPolicy),
-            ("spray-and-wait", SprayAndWaitPolicy),
             ("prophet", ProphetPolicy),
             ("maxprop", MaxPropPolicy),
         ],
@@ -49,6 +47,10 @@ class TestLookup:
         names = available_policies()
         assert list(names) == sorted(names)
         assert "maxprop" in names
+
+    @pytest.mark.parametrize("name", available_policies())
+    def test_each_name_is_the_policys_own(self, name):
+        assert get_policy(name).name == name
 
 
 class TestTableIIDefaults:

@@ -14,9 +14,6 @@ class Recorder(BaseReplicaObserver):
     def on_evict(self, item):
         self.calls.append(("evict", item))
 
-    def on_delete(self, item):
-        self.calls.append(("delete", item))
-
 
 class TestObserverList:
     def test_fans_out_in_registration_order(self):
@@ -36,12 +33,10 @@ class TestObserverList:
         item = make_item()
         fanout.on_store(item, False)
         fanout.on_evict(item)
-        fanout.on_delete(item)
-        assert [c[0] for c in recorder.calls] == ["store", "evict", "delete"]
+        assert [c[0] for c in recorder.calls] == ["store", "evict"]
 
     def test_base_observer_is_noop(self):
         base = BaseReplicaObserver()
         item = make_item()
         base.on_store(item, True)
-        base.on_evict(item)
-        base.on_delete(item)  # nothing raised
+        base.on_evict(item)  # nothing raised

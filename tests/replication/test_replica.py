@@ -25,16 +25,12 @@ class Recorder(BaseReplicaObserver):
     def __init__(self):
         self.stored = []
         self.evicted = []
-        self.deleted = []
 
     def on_store(self, item, matched_filter):
         self.stored.append((item, matched_filter))
 
     def on_evict(self, item):
         self.evicted.append(item)
-
-    def on_delete(self, item):
-        self.deleted.append(item)
 
 
 class TestAuthoring:

@@ -1,14 +1,16 @@
-"""Unit tests for Priority ordering and the null policy."""
+"""Unit tests for Priority ordering and the no-forwarding policy."""
 
 from repro.replication.routing import (
     NORMAL_PRIORITY,
-    NullRoutingPolicy,
+    DirectDeliveryPolicy,
     Priority,
     PriorityClass,
     SyncContext,
 )
 from repro.replication.filters import AddressFilter
 from repro.replication.ids import ReplicaId
+from repro.replication.replica import Replica
+from repro.replication.sync import SyncEndpoint
 from tests.conftest import make_item
 
 
@@ -55,19 +57,27 @@ class TestPriority:
 
 
 class TestNullPolicy:
+    """Unmodified Cimbiosys: :class:`DirectDeliveryPolicy` forwards nothing."""
+
     def test_never_sends(self):
-        policy = NullRoutingPolicy()
+        policy = DirectDeliveryPolicy()
         assert policy.to_send(make_item(), AddressFilter("x"), ctx()) is None
 
     def test_request_hooks_are_noops(self):
-        policy = NullRoutingPolicy()
+        policy = DirectDeliveryPolicy()
         assert policy.generate_req(ctx()) is None
         policy.process_req({"anything": 1}, ctx())  # must not raise
 
     def test_prepare_outgoing_strips_locals(self):
-        policy = NullRoutingPolicy()
+        policy = DirectDeliveryPolicy()
         item = make_item().with_local(ttl=3)
         assert policy.prepare_outgoing(item, ctx()).local("ttl") is None
 
     def test_name(self):
-        assert NullRoutingPolicy.name == "cimbiosys"
+        assert DirectDeliveryPolicy.name == "cimbiosys"
+
+    def test_is_the_sync_endpoints_default(self):
+        policy = SyncEndpoint(Replica(ReplicaId("a"), AddressFilter("a"))).policy
+        assert type(policy) is DirectDeliveryPolicy
+        assert policy.name == "cimbiosys"
+        assert policy.refuses_for_good(make_item())

@@ -13,6 +13,7 @@ from repro.replication import (
     AddressFilter,
     Replica,
     ReplicaId,
+    RoutingPolicy,
     SyncEndpoint,
     SyncSession,
 )
@@ -301,14 +302,8 @@ class TestConfirmedDelivery:
 
         sent_batches = []
 
-        class RecordingPolicy:
+        class RecordingPolicy(RoutingPolicy):
             name = "recording"
-
-            def generate_req(self, context):
-                return None
-
-            def process_req(self, routing_state, context):
-                pass
 
             def to_send(self, item, target_filter, context):
                 return None
@@ -318,9 +313,6 @@ class TestConfirmedDelivery:
 
             def on_items_sent(self, items, context):
                 sent_batches.append(list(items))
-
-            def on_encounter_start(self, context):
-                pass
 
         class CorruptEverything:
             def deliver(self, batch):
