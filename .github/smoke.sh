@@ -139,7 +139,6 @@ EOF
     tests/emulation/test_network_churn.py \
     tests/replication/test_peer_health_cycles.py \
     tests/replication/test_serving_cap.py \
-    tests/net/test_reconnect_cycles.py \
     tests/integration/test_churn_parity.py
   ;;
 

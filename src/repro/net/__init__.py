@@ -22,7 +22,6 @@ wire format.
 from .connection import (
     ConnectionClosed,
     PeerConnection,
-    ReconnectDialer,
     format_address,
     open_connection,
     parse_address,
@@ -38,7 +37,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "NodeServer",
     "PeerConnection",
-    "ReconnectDialer",
     "ServeConfig",
     "SwarmConfig",
     "SwarmReport",

@@ -1,4 +1,4 @@
-"""Framed connections on an asyncio transport, with health-driven redial.
+"""Framed connections on an asyncio transport.
 
 One :class:`PeerConnection` is an :class:`asyncio.BufferedProtocol` on the
 :mod:`repro.net.framing` codec: ``buffer_updated`` feeds the decoder and
@@ -11,24 +11,14 @@ analogue of the truncation fault, and what the parity tests lean on.
 
 Addresses are strings — ``unix:/path/to.sock`` or ``tcp:host:port`` — so
 the CLI, config files, and wire messages all name endpoints the same way.
-
-:class:`ReconnectDialer` puts the PR-4 peer-health state machine in charge
-of redial pacing: every failed dial is an outcome with one strike, every
-success an outcome with zero, and while the tracker quarantines the peer
-the dialer sleeps until the tracker's own ``next_probe`` — so transport
-backoff and protocol-level misbehaviour share one notion of "leave that
-peer alone for a while".
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import deque
 from functools import partial
 from typing import Any, Awaitable, Callable, Deque, Dict, Optional, Set, Tuple
-
-from repro.replication.peer_health import PeerHealthTracker
 
 from .framing import FrameDecoder, encode_frame
 
@@ -236,58 +226,3 @@ async def listen(
         return await loop.create_unix_server(factory, operand)
     return await loop.create_server(factory, *operand)
 
-
-class ReconnectDialer:
-    """Dial peers with reconnect backoff from the peer-health tracker.
-
-    The tracker (:mod:`repro.replication.peer_health`) already encodes
-    strike thresholds, exponential quarantine windows, and recovery
-    probes; the dialer just feeds it dial outcomes and obeys its
-    ``allowed``/``next_probe`` verdicts. A connection refused N times in
-    a row therefore backs off on exactly the curve a misbehaving sync
-    peer does.
-    """
-
-    def __init__(
-        self,
-        tracker: Optional[PeerHealthTracker] = None,
-        max_attempts: int = 8,
-        read_timeout: float = DEFAULT_READ_TIMEOUT,
-        clock=time.monotonic,
-    ) -> None:
-        self.tracker = tracker if tracker is not None else PeerHealthTracker()
-        self.max_attempts = max_attempts
-        self.read_timeout = read_timeout
-        self.clock = clock
-        self.attempts = 0
-        self.redials = 0
-
-    async def dial(self, peer: str, address: str) -> PeerConnection:
-        """Connect to ``peer`` at ``address``, retrying with backoff."""
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.max_attempts):
-            now = self.clock()
-            if not self.tracker.allowed(peer, now):
-                wait = max(0.0, self.tracker.record(peer).next_probe - now)
-                # The tracker's quarantine windows are sized for multi-day
-                # emulated time; on a live dial loop, cap the sleep so a
-                # swarm starting up converges in wall-clock seconds.
-                await asyncio.sleep(min(wait, 0.05 * (attempt + 1)))
-            try:
-                connection = await open_connection(
-                    address, read_timeout=self.read_timeout
-                )
-            except OSError as error:
-                last_error = error
-                self.attempts += 1
-                self.redials += 1
-                self.tracker.record_outcome(peer, 1, self.clock())
-                await asyncio.sleep(0.02 * (attempt + 1))
-                continue
-            self.attempts += 1
-            self.tracker.record_outcome(peer, 0, self.clock())
-            return connection
-        raise ConnectionError(
-            f"could not reach {peer} at {address} after "
-            f"{self.max_attempts} attempts: {last_error}"
-        )

@@ -62,11 +62,7 @@ from repro.replication.codec import decode_item_id
 from repro.replication.persistence import load_replica
 from repro.replication.sync import SyncStats
 
-from .connection import (
-    DEFAULT_READ_TIMEOUT,
-    PeerConnection,
-    ReconnectDialer,
-)
+from .connection import DEFAULT_READ_TIMEOUT, PeerConnection, open_connection
 from .server import PROTOCOL_VERSION
 
 #: Base port for ``transport="tcp"`` swarms; node i listens on base + i.
@@ -252,33 +248,30 @@ class _Swarm:
     async def _connect(
         self, node: _Node, deadline: Optional[float] = None
     ) -> None:
-        # The dialer drives redial pacing through the peer-health state
-        # machine; generous attempts because N interpreters are cold-
-        # starting concurrently.
+        # The process and the deadline are checked before every dial, so
+        # a serve process that dies while booting (a rejoin from a torn
+        # checkpoint) fails the run at once.
+        loop = asyncio.get_running_loop()
         if deadline is None:
-            deadline = (
-                asyncio.get_running_loop().time()
-                + self.config.startup_timeout
-            )
-        dialer = ReconnectDialer(
-            max_attempts=200, read_timeout=self.config.read_timeout
-        )
+            deadline = loop.time() + self.config.startup_timeout
         while True:
             if node.process is not None and node.process.returncode is not None:
                 raise RuntimeError(
                     f"serve process for {node.name!r} exited with "
                     f"{node.process.returncode} during startup"
                 )
+            if loop.time() > deadline:
+                raise RuntimeError(
+                    f"could not reach {node.name!r} at {node.address} "
+                    f"within {self.config.startup_timeout:.0f}s"
+                )
             try:
-                node.control = await dialer.dial(node.name, node.address)
+                node.control = await open_connection(
+                    node.address, read_timeout=self.config.read_timeout
+                )
                 break
-            except (ConnectionError, OSError):
-                if asyncio.get_running_loop().time() > deadline:
-                    raise RuntimeError(
-                        f"could not reach {node.name!r} at "
-                        f"{node.address} within "
-                        f"{self.config.startup_timeout:.0f}s"
-                    )
+            except OSError:
+                await asyncio.sleep(0.05)
         await node.control.send(
             {
                 "type": "hello",

@@ -9,20 +9,22 @@ misbehave below the framing (dribble, junk, a cut) is a raw stream server.
 
 import asyncio
 import pathlib
+import sys
 import tempfile
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
 from repro.net.connection import (
     ConnectionClosed,
     PeerConnection,
-    ReconnectDialer,
     format_address,
     listen,
     open_connection,
     parse_address,
 )
 from repro.net.framing import encode_frame
+from repro.net.swarm import SwarmConfig, _Node, _Swarm
 
 
 def test_parse_address_unix():
@@ -42,10 +44,6 @@ def test_parse_address_rejects(bad):
 def test_format_address_round_trips():
     for address in ("unix:/tmp/a.sock", "tcp:localhost:1234"):
         assert format_address(*parse_address(address)) == address
-
-
-async def _ignore(connection):
-    pass
 
 
 def _socket_path(directory):
@@ -322,53 +320,28 @@ def test_burst_and_torn_frames_through_the_buffered_reader(monkeypatch):
     assert reads == [sum(len(encode_frame(m)) for m in burst), *map(len, pieces)]
 
 
-def test_reconnect_dialer_reaches_late_server():
-    """The dialer retries through the peer-health tracker until the
-    server shows up — the swarm-startup race, in miniature."""
+def test_swarm_fails_fast_on_a_serve_process_that_dies_while_booting(tmp_path):
+    """The orchestrator checks the process and its startup deadline
+    before every dial, not between runs of a long retry loop."""
+    swarm = _Swarm(
+        SwarmConfig(
+            experiment=ExperimentConfig(scale=0.25),
+            runtime_dir=str(tmp_path),
+            startup_timeout=5.0,
+        )
+    )
 
     async def scenario():
-        with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
-            address = _socket_path(tmp)
-            holder = {}
+        node = _Node("dies", _socket_path(str(tmp_path)))
+        node.process = await asyncio.create_subprocess_exec(
+            sys.executable, "-c", "raise SystemExit(3)"
+        )
+        with pytest.raises(RuntimeError, match="exited with 3 during startup"):
+            await asyncio.wait_for(swarm._connect(node), 10)
+        await node.process.wait()
+        never = _Node("never", _socket_path(str(tmp_path)))
+        deadline = asyncio.get_running_loop().time() + 0.2
+        with pytest.raises(RuntimeError, match="could not reach"):
+            await asyncio.wait_for(swarm._connect(never, deadline), 10)
 
-            async def start_late():
-                await asyncio.sleep(0.15)
-                holder["server"] = await listen(address, _ignore)
-
-            starter = asyncio.ensure_future(start_late())
-            dialer = ReconnectDialer(max_attempts=100)
-            connection = await dialer.dial("peer", address)
-            await connection.close()
-            await starter
-            await _closed(holder["server"])
-            return dialer.redials, dialer.attempts
-
-    redials, attempts = asyncio.run(scenario())
-    assert redials >= 1  # at least one dial failed before the bind
-    assert attempts == redials + 1  # ... and exactly one succeeded
-
-
-def test_reconnect_dialer_gives_up():
-    async def scenario():
-        dialer = ReconnectDialer(max_attempts=3)
-        try:
-            await dialer.dial("ghost", "unix:/nonexistent/definitely/not.sock")
-        except ConnectionError:
-            return dialer.attempts
-        return None
-
-    assert asyncio.run(scenario()) == 3
-
-
-def test_dialer_records_outcomes_in_tracker():
-    """Dial failures feed the PR-4 peer-health state machine."""
-
-    async def scenario():
-        dialer = ReconnectDialer(max_attempts=2)
-        try:
-            await dialer.dial("ghost", "unix:/nonexistent/nope.sock")
-        except ConnectionError:
-            pass
-        return dialer.tracker.record("ghost").strikes
-
-    assert asyncio.run(scenario()) >= 1
+    asyncio.run(scenario())

@@ -27,7 +27,7 @@ import pytest
 import repro
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import build_scenario
-from repro.net.connection import ReconnectDialer
+from repro.net.connection import open_connection
 from repro.net.framing import FrameDecoder, encode_frame
 from repro.replication.codec import decode_item_id
 from repro.net.server import PROTOCOL_VERSION, NodeServer, ServeConfig
@@ -55,12 +55,22 @@ STATUS_SUMMARY_KEYS = {
 }
 
 
+async def _dial(address):
+    """Dial ``address``, waiting up to 35 s for the node to bind it: that
+    covers interpreter start-up of a process under test."""
+    deadline = asyncio.get_running_loop().time() + 35.0
+    while True:
+        try:
+            return await open_connection(address, read_timeout=10.0)
+        except OSError:
+            if asyncio.get_running_loop().time() > deadline:
+                raise
+            await asyncio.sleep(0.05)
+
+
 async def _control(name, address):
     """Dial a node's control channel and exchange hellos."""
-    # The dialer's own paced retries (~35 s in all) cover interpreter
-    # start-up of the process under test.
-    dialer = ReconnectDialer(max_attempts=60, read_timeout=10.0)
-    control = await dialer.dial(name, address)
+    control = await _dial(address)
     await control.send(
         {"type": "hello", "node": "test", "protocol": PROTOCOL_VERSION}
     )
@@ -378,7 +388,7 @@ def test_a_hello_of_another_protocol_is_refused_by_both_ends():
             peer = await asyncio.start_unix_server(newer_peer, path=peer_path)
             server = await _start_server(tmp, first)
             address = server.config.listen
-            stranger = await ReconnectDialer(read_timeout=10.0).dial(first, address)
+            stranger = await _dial(address)
             try:
                 await stranger.send(
                     {"type": "hello", "node": "test", "protocol": newer}

@@ -5,8 +5,7 @@ A crash-restarting peer looks exactly like this to its neighbours: a
 burst of failures, a quiet window, clean contacts again — over and over.
 The tracker must come back to healthy every time, keep its backoff curve
 monotone until the cap, and stay bit-for-bit reproducible for a given
-seed (the swarm's redial pacing inherits all three properties via
-ReconnectDialer).
+seed.
 """
 
 import pytest
