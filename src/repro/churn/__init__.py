@@ -16,13 +16,13 @@ engines:
   tit-for-tat admission gate and the population-wide generosity scores.
 
 A free rider routes with the same policy as an honest node; it only
-serves fewer items per sync, a cap set on its sync endpoint
+serves nothing, a cap of zero items per sync set on its sync endpoint
 (:attr:`~repro.replication.sync.SyncEndpoint.serves_at_most`).
 
 See ``docs/churn.md`` for the model and its live-mode semantics.
 """
 
-from .config import FREE_RIDER_MODES, ChurnConfig
+from .config import ChurnConfig
 from .lifecycle import LifecycleTracker
 from .schedule import (
     ARRIVE,
@@ -40,7 +40,6 @@ __all__ = [
     "ARRIVE",
     "CRASH",
     "EVENT_KINDS",
-    "FREE_RIDER_MODES",
     "LEAVE",
     "REJOIN",
     "ChurnConfig",

@@ -3,7 +3,7 @@
 A :class:`ChurnConfig` declaratively describes the population dynamics
 of a run: what fraction of nodes arrive late, leave gracefully (with a
 final-sync handoff), crash and later rejoin (with or without their
-persisted state), or free-ride, plus the trust knobs that gate
+persisted state), or free-ride, plus the trust threshold that gates
 encounters on reciprocity. Like :class:`~repro.faults.config.FaultConfig`
 it is frozen and fully validated at construction — a config plus its
 seed is a complete, reproducible description of every lifecycle event
@@ -20,16 +20,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping
 
 
-#: How a free-riding node under-serves its peers.
-#:
-#: * ``receive-only`` — the classic leech: accepts every item offered
-#:   but never sends one back (it serves at most zero items a sync).
-#: * ``budget-lie`` — subtler: advertises cooperation but caps every
-#:   batch it serves at ``free_rider_budget`` items, regardless of the
-#:   session's real bandwidth budget.
-FREE_RIDER_MODES = ("receive-only", "budget-lie")
-
-
 @dataclass(frozen=True, kw_only=True)
 class ChurnConfig:
     """Knobs for node lifecycle dynamics and trust/reciprocity scoring.
@@ -40,23 +30,23 @@ class ChurnConfig:
     * ``arrival_fraction`` — nodes absent at the start that join partway
       through the run (no state; a genuinely new participant).
     * ``departure_fraction`` — nodes that leave gracefully: a final
-      *handoff* sync with their best-connected online peer (when
-      ``handoff`` is True), then gone for the rest of the run.
+      *handoff* sync with their best-connected online peer, then gone
+      for the rest of the run.
     * ``crash_fraction`` — nodes that die without warning mid-run and
-      rejoin after an offline window of ``min_offline_days`` to
-      ``max_offline_days``. With probability ``amnesia_probability``
-      the rejoin is *amnesiac* — local state was lost and the node
-      restarts empty; otherwise it restores its persisted checkpoint
+      rejoin after an offline window of a quarter of a day to a day.
+      With probability ``amnesia_probability`` the rejoin is *amnesiac*
+      — local state was lost and the node restarts empty; otherwise it
+      restores its persisted checkpoint
       (:mod:`repro.replication.persistence`).
-    * ``free_rider_fraction`` — nodes present the whole run but selfish
-      (see :data:`FREE_RIDER_MODES`).
+    * ``free_rider_fraction`` — nodes present the whole run that take
+      every item offered and serve none.
 
     Trust: when ``reciprocity_threshold`` is positive, every node
     scores its peers by items-received over items-given (add-one
     smoothed, see :meth:`~repro.churn.trust.ReciprocityLedger.reciprocity`)
     and refuses encounters with peers scoring below the threshold —
-    after a grace window of ``reciprocity_min_taken`` items, so
-    strangers are not refused before any history exists.
+    after a grace window of 25 items, so strangers are not refused
+    before any history exists.
     """
 
     seed: int = 0
@@ -64,14 +54,8 @@ class ChurnConfig:
     departure_fraction: float = 0.0
     crash_fraction: float = 0.0
     amnesia_probability: float = 0.5
-    min_offline_days: float = 0.25
-    max_offline_days: float = 1.0
-    handoff: bool = True
     free_rider_fraction: float = 0.0
-    free_rider_mode: str = "receive-only"
-    free_rider_budget: int = 1
     reciprocity_threshold: float = 0.0
-    reciprocity_min_taken: int = 25
 
     def __post_init__(self) -> None:
         for name in (
@@ -95,21 +79,8 @@ class ChurnConfig:
                 "lifecycle roles are disjoint: arrival + departure + crash "
                 f"+ free-rider fractions must sum to <= 1, got {role_total}"
             )
-        if self.min_offline_days < 0:
-            raise ValueError("min_offline_days must be >= 0")
-        if self.max_offline_days < self.min_offline_days:
-            raise ValueError("max_offline_days must be >= min_offline_days")
-        if self.free_rider_mode not in FREE_RIDER_MODES:
-            raise ValueError(
-                f"free_rider_mode must be one of {FREE_RIDER_MODES}, "
-                f"got {self.free_rider_mode!r}"
-            )
-        if self.free_rider_budget < 0:
-            raise ValueError("free_rider_budget must be >= 0")
         if self.reciprocity_threshold < 0.0:
             raise ValueError("reciprocity_threshold must be >= 0")
-        if self.reciprocity_min_taken < 0:
-            raise ValueError("reciprocity_min_taken must be >= 0")
 
     @property
     def enabled(self) -> bool:

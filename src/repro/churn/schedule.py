@@ -35,13 +35,18 @@ REJOIN = "rejoin"
 
 EVENT_KINDS = (ARRIVE, CRASH, LEAVE, REJOIN)
 
+#: A crashed node stays offline for a uniform draw between these (days).
+MIN_OFFLINE_DAYS = 0.25
+MAX_OFFLINE_DAYS = 1.0
+
 
 @dataclass(frozen=True)
 class LifecycleEvent:
     """One scheduled change to a node's availability.
 
-    ``partner`` is set only on graceful leaves with a handoff: the
-    best-connected online peer that receives the leaver's final sync.
+    ``partner`` is set only on graceful leaves: the best-connected
+    online peer that receives the leaver's final sync (None when no peer
+    the leaver ever met is online at the leave time).
     ``amnesiac`` is set only on rejoins: True means the node lost its
     persisted state and restarts empty (keeping only its identity).
     """
@@ -142,14 +147,11 @@ def generate_churn_schedule(
         leave_times[node] = rng.uniform(0.55, 0.90) * span
     for node in crashers:
         crash_time = rng.uniform(0.15, 0.60) * span
-        offline = (
-            rng.uniform(config.min_offline_days, config.max_offline_days)
-            * SECONDS_PER_DAY
-        )
+        offline = rng.uniform(MIN_OFFLINE_DAYS, MAX_OFFLINE_DAYS)
         # Clamp the rejoin inside the trace span so both execution modes
         # (the emulator's run-until horizon and the swarm's replay of
         # every step) process the full schedule.
-        rejoin_time = min(crash_time + offline, span - 1.0)
+        rejoin_time = min(crash_time + offline * SECONDS_PER_DAY, span - 1.0)
         amnesiac = rng.random() < config.amnesia_probability
         events.append(LifecycleEvent(time=crash_time, kind=CRASH, node=node))
         events.append(
@@ -183,15 +185,13 @@ def generate_churn_schedule(
     for node in leavers:
         when = leave_times[node]
         partner: Optional[str] = None
-        if config.handoff:
-            candidates = sorted(
-                meetings.get(node, {}).items(),
-                key=lambda pair: (-pair[1], pair[0]),
-            )
-            for peer, _count in candidates:
-                if peer != node and online_at(peer, when):
-                    partner = peer
-                    break
+        candidates = sorted(
+            meetings.get(node, {}).items(), key=lambda pair: (-pair[1], pair[0])
+        )
+        for peer, _count in candidates:
+            if peer != node and online_at(peer, when):
+                partner = peer
+                break
         events.append(
             LifecycleEvent(time=when, kind=LEAVE, node=node, partner=partner)
         )

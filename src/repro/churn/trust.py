@@ -82,8 +82,8 @@ class ReciprocityLedger:
         """Population-wide reciprocity score per node.
 
         Items the node contributed over items it consumed, add-one
-        smoothed — honest peers hover around 1.0, receive-only
-        free-riders decay toward zero as they keep taking.
+        smoothed — honest peers hover around 1.0, free riders decay
+        toward zero as they keep taking.
         """
         return {
             name: (self._given[name] + 1) / (self._taken[name] + 1)

@@ -129,7 +129,7 @@ CHURN_FLAGS = {
         "probability a crashed host rejoins amnesiac (lost its "
         "checkpoint) rather than from durable state (default 0.5)"),
     "--churn-free-riders": ("free_rider_fraction", "F",
-        "fraction of hosts that receive but never (or barely) send"),
+        "fraction of hosts that receive but never send"),
     "--reciprocity-threshold": ("reciprocity_threshold", "R",
         "refuse encounters with peers whose taken/given ratio "
         "exceeds R (0 disables the gate)"),

@@ -1,4 +1,4 @@
-"""Policy registry: name → factory, with the paper's Table II defaults.
+"""Policy registry: name → factory, and the paper's Table II as data.
 
 Experiment configs refer to policies by name (``"epidemic"``, ``"spray"``,
 ``"prophet"``, ``"maxprop"``, ``"cimbiosys"``); the registry turns a name
@@ -6,8 +6,9 @@ plus optional parameter overrides into a fresh, unbound policy instance.
 Every emulated node gets its own instance — policies hold per-host state.
 
 :func:`get_policy` is the single supported entry point for turning a name
-into an instance (names are case-insensitive). Constructing policy classes
-directly still works but skips the Table II defaults.
+into an instance (names are case-insensitive). Each policy class's own
+constructor defaults are the Table II values, so constructing a class
+directly gives the same policy as looking its name up.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def get_policy(name: str, **parameters: Any) -> RoutingPolicy:
     """Instantiate the policy registered under ``name``.
 
     The single supported lookup path: resolves the (case-insensitive)
-    name, applies the paper's Table II defaults, then the caller's
-    ``parameters`` on top. Unknown names raise :class:`KeyError` listing
-    every registered policy.
+    name and passes the caller's ``parameters`` to its factory, whose
+    defaults are the paper's Table II values. Unknown names raise
+    :class:`KeyError` listing every registered policy.
     """
     key = name.lower()
     try:
@@ -84,9 +85,7 @@ def get_policy(name: str, **parameters: Any) -> RoutingPolicy:
             f"unknown policy {name!r}; registered policies: "
             f"{', '.join(available_policies())}"
         ) from None
-    merged: Dict[str, Any] = dict(TABLE_II_PARAMETERS.get(key, {}))
-    merged.update(parameters)
-    return factory(**merged)
+    return factory(**parameters)
 
 
 def default_parameters(name: str) -> Mapping[str, Any]:

@@ -151,15 +151,13 @@ def columnar_unsupported_reason(config: Any) -> Optional[str]:
     except ColumnarUnsupportedError as exc:
         return str(exc)
     faults = config.faults
-    if faults is not None and faults.enabled:
+    if faults is not None:
         for field in _UNSUPPORTED_FAULTS:
             if getattr(faults, field) > 0.0:
                 return (
                     f"columnar engine does not model {field.split('_')[0]} "
                     "faults"
                 )
-        if faults.truncation_probability > 0.0 and faults.truncation_unit != "items":
-            return "columnar engine models item-unit truncation only"
     return None
 
 
@@ -543,7 +541,7 @@ class ColumnarWorld:
             injector = self._injector
             assert injector is not None
             config, rng = injector.config, injector.rng
-            cut = plan_cut(config, [1] * sent_total, rng)
+            cut = plan_cut(config, sent_total, rng)
             if cut is not None:
                 interrupted = True
                 lost = sent_total - cut

@@ -154,9 +154,7 @@ class RunDirector:
             assert churn is not None
             self.lifecycle = LifecycleTracker(sorted(self.nodes), churn_schedule)
             self.reciprocity = ReciprocityLedger(
-                sorted(self.nodes),
-                threshold=churn.reciprocity_threshold,
-                min_taken=churn.reciprocity_min_taken,
+                sorted(self.nodes), threshold=churn.reciprocity_threshold
             )
             self.metrics.churn = ChurnCounts()
 

@@ -158,16 +158,8 @@ class Emulator:
         #: the zero-fault path preserves byte-identical behaviour.
         self.peer_health: Dict[str, PeerHealthTracker] = {}
         if self.fault_injector is not None:
-            assert faults is not None
             for name in sorted(nodes):
                 self.peer_health[name] = PeerHealthTracker(
-                    suspect_threshold=faults.suspect_threshold,
-                    quarantine_threshold=faults.quarantine_threshold,
-                    backoff_base=faults.quarantine_backoff_base,
-                    backoff_factor=faults.quarantine_backoff_factor,
-                    backoff_max=faults.quarantine_backoff_max,
-                    jitter=faults.quarantine_jitter,
-                    recovery_probes=faults.recovery_probes,
                     # Stable across Python processes (unlike hash()) and
                     # decorrelated from the injector's stream.
                     seed=zlib.crc32(name.encode("utf-8"))

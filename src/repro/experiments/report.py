@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .runner import ExperimentResult
 from .tables import TABLE_I, TABLE_II, measured_policy_table
 
 #: Version of the JSON summary documents emitted by ``repro run --json``,
@@ -129,16 +130,16 @@ def render_store_summary(store, label_filter: Optional[str] = None) -> str:
 
     Reads the content-addressed artifacts (see ``docs/sweeps.md``), so a
     finished — or interrupted — sweep can be summarized without holding
-    any live experiment state.
+    any live experiment state. Artifacts the store refuses are skipped;
+    :func:`render_measured_table` counts them.
     """
     summaries: Dict[str, Mapping[str, float]] = {}
-    for run_id in store.list_run_ids():
-        artifact = store.load_artifact(run_id)
+    for artifact in store.readable_artifacts():
         label = artifact["label"]
         if label_filter and label_filter.lower() not in label.lower():
             continue
-        name = label if label not in summaries else run_id
-        summaries[name] = store.load_result(run_id).summary()
+        name = label if label not in summaries else artifact["run_id"]
+        summaries[name] = ExperimentResult.from_dict(artifact["result"]).summary()
     if not summaries:
         return "(no run artifacts)"
     return render_summary_rows(summaries)
@@ -148,11 +149,16 @@ def render_measured_table(store) -> str:
     """Per-policy measured means over every stored replicate.
 
     The artifact-store counterpart of Table II: what the runs *measured*,
-    aggregated per policy across seeds and constraint settings.
+    aggregated per policy across seeds and constraint settings. Ends with
+    a line counting the artifacts the store refused, if it refused any.
     """
     rows = measured_policy_table(store)
+    # The table counts each artifact it read as one run of its policy.
+    read = sum(int(row["runs"]) for row in rows.values())
+    refused = len(store.list_run_ids()) - read
+    skipped = [f"skipped {refused} unreadable run artifact(s)"] if refused else []
     if not rows:
-        return "(no run artifacts)"
+        return "\n".join(["(no run artifacts)", *skipped])
     header = (
         f"{'policy':>12} | {'runs':>5} | {'delivery':>9} | "
         f"{'mean delay (h)':>14} | {'transmissions':>13}"
@@ -169,7 +175,7 @@ def render_measured_table(store) -> str:
             f"{row['mean_delay_hours']:>14.2f} | "
             f"{row['transmissions']:>13.0f}"
         )
-    return "\n".join(lines)
+    return "\n".join(lines + skipped)
 
 
 def render_summary_rows(summaries: Mapping[str, Mapping[str, float]]) -> str:

@@ -238,17 +238,13 @@ def build_node(
     """The emulated node for one host of ``inputs.trace``.
 
     A free rider routes with the same policy as every other node and
-    differs only in how many items it serves per sync: none when
-    ``receive-only``, ``free_rider_budget`` when ``budget-lie``.
+    differs only in serving nothing: its sync endpoint serves at most
+    zero items.
     """
     schedule = inputs.churn_schedule
-    serves_at_most = None
-    if schedule is not None and host in schedule.free_riders:
-        churn = config.churn
-        receive_only = churn.free_rider_mode == "receive-only"
-        serves_at_most = 0 if receive_only else churn.free_rider_budget
-    # The registry is the single supported construction path — direct
-    # policy-class instantiation here would skip the Table II defaults.
+    free_rider = schedule is not None and host in schedule.free_riders
+    # Names resolve through the registry; the policy classes' own
+    # defaults are the Table II values.
     factory = partial(get_policy, config.policy, **config.policy_parameters)
     return EmulatedNode(
         name=host,
@@ -258,7 +254,7 @@ def build_node(
         static_relay_addresses=inputs.relay_sets.get(host, frozenset()),
         delete_on_receipt=config.delete_on_receipt,
         policy_factory=factory,
-        serves_at_most=serves_at_most,
+        serves_at_most=0 if free_rider else None,
     )
 
 

@@ -163,6 +163,21 @@ class RunStore:
             )
         return artifact
 
+    def readable_artifacts(self) -> List[Dict[str, Any]]:
+        """Every artifact :meth:`load_artifact` accepts, in run-id order.
+
+        A report over the whole store reads these and skips the rest
+        (say, an artifact whose config names a field that no longer
+        exists).
+        """
+        artifacts: List[Dict[str, Any]] = []
+        for run_id in self.list_run_ids():
+            try:
+                artifacts.append(self.load_artifact(run_id))
+            except StoreError:
+                continue
+        return artifacts
+
     def load_result(
         self, key: Union[str, ExperimentConfig]
     ) -> ExperimentResult:

@@ -21,6 +21,8 @@ from typing import Dict, Tuple
 
 from repro.dtn.registry import TABLE_II_PARAMETERS
 
+from .runner import ExperimentResult
+
 
 @dataclass(frozen=True)
 class PolicySummaryRow:
@@ -90,14 +92,15 @@ def measured_policy_table(store) -> Dict[str, Dict[str, float]]:
 
     Reads completed runs back from their JSON artifacts (not live metric
     objects) and averages :data:`MEASURED_METRICS` per policy, across
-    seeds and constraint settings; NaN metrics (e.g. mean delay with zero
-    deliveries) are skipped per-metric. Returns
+    seeds and constraint settings; artifacts the store refuses are
+    skipped, and so are NaN metrics (e.g. mean delay with zero
+    deliveries), per metric. Returns
     ``{policy: {"runs": n, metric: mean, ...}}`` with policies sorted.
     """
     accumulated: Dict[str, Dict[str, list]] = {}
     counts: Dict[str, int] = {}
-    for run_id in store.list_run_ids():
-        result = store.load_result(run_id)
+    for artifact in store.readable_artifacts():
+        result = ExperimentResult.from_dict(artifact["result"])
         policy = result.config.policy
         counts[policy] = counts.get(policy, 0) + 1
         summary = result.summary()

@@ -5,8 +5,7 @@ interrupted sync make durable, monotone progress — is only worth stating
 if it survives actual faults. This package provides the faults:
 
 * :class:`FaultConfig` — declarative, validated description of a failure
-  environment (drop/truncation/duplication/crash probabilities plus the
-  retry backoff policy);
+  environment (one probability per fault model);
 * the fault draws in :mod:`repro.faults.models` — ``fires``, ``mask``,
   ``plan_cut``, ``plan_replay`` and ``inflate_by``, each a function of
   the config and the injector's rng;
@@ -22,7 +21,7 @@ harness that checks the substrate's guarantees under mixed fault
 schedules.
 """
 
-from .config import TRUNCATION_UNITS, FaultConfig
+from .config import FaultConfig
 from .injector import FaultInjector, Pair, ResumeTracker, RetryState, pair_key
 from .transport import (
     CORRUPTED_PAYLOAD,
@@ -41,6 +40,5 @@ __all__ = [
     "REPLAY_POOL_LIMIT",
     "ResumeTracker",
     "RetryState",
-    "TRUNCATION_UNITS",
     "pair_key",
 ]

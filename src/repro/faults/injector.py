@@ -89,11 +89,7 @@ class FaultInjector:
     def __init__(self, config: FaultConfig, seed: int = 0) -> None:
         self.config = config
         self.rng = random.Random(seed)
-        self.tracker = ResumeTracker(
-            base=config.retry_backoff_base,
-            factor=config.retry_backoff_factor,
-            maximum=config.retry_backoff_max,
-        )
+        self.tracker = ResumeTracker()
         #: Previously confirmed entries per *directed* link, feeding the
         #: replay model: a replayed frame can only contain what that link
         #: actually carried.
@@ -108,31 +104,19 @@ class FaultInjector:
     def should_drop_encounter(self) -> bool:
         return fires(self.config.encounter_drop_probability, self.rng)
 
-    def transport(
-        self, source: Optional[str] = None, target: Optional[str] = None
-    ) -> Optional[FaultyTransport]:
-        """A fresh lossy channel for one sync session (None = perfect).
-
-        ``source``/``target`` name the session's directed link; they are
-        required for the replay model (which keys its pools by link) and
-        the fabrication model (which tampers with claims about the
-        source's own versions), and optional otherwise.
-        """
+    def transport(self, source: str, target: str) -> Optional[FaultyTransport]:
+        """A fresh lossy channel for one sync session from ``source`` to
+        ``target`` (None = perfect). The replay model keys its pools by
+        that directed link; the fabrication model tampers with claims
+        about the source's own versions."""
         config = self.config
         if not config.has_transport_faults:
             return None
         pool: Optional[List[object]] = None
-        if (
-            config.replay_probability > 0.0
-            and source is not None
-            and target is not None
-        ):
+        if config.replay_probability > 0.0:
             pool = self._replay_pools.setdefault((source, target), [])
         return FaultyTransport(
-            config,
-            self.rng,
-            source_id=ReplicaId(source) if source is not None else None,
-            replay_pool=pool,
+            config, self.rng, source_id=ReplicaId(source), replay_pool=pool
         )
 
     def note_encounter_outcome(

@@ -11,7 +11,7 @@ transport and the emulation layer act on what they return.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .config import FaultConfig
 
@@ -38,34 +38,14 @@ def mask(probability: float, count: int, rng: random.Random) -> List[bool]:
 
 
 def plan_cut(
-    config: FaultConfig, entry_sizes: Sequence[int], rng: random.Random
+    config: FaultConfig, entries: int, rng: random.Random
 ) -> Optional[int]:
-    """How many leading batch entries survive truncation, or None.
-
-    ``entry_sizes`` gives the cost of each entry in the config's
-    ``truncation_unit`` (all 1 for items, wire bytes otherwise). The
-    budget K is drawn uniformly from ``[truncation_min, truncation_max]``,
-    clamped so that a cut always loses something, and the delivered
-    prefix is the longest one whose total size fits within K.
-    """
-    if not entry_sizes or not fires(config.truncation_probability, rng):
+    """How many of a batch's ``entries`` leading entries survive
+    truncation, or None: a firing cut keeps between none and all but
+    one of them, uniformly."""
+    if not entries or not fires(config.truncation_probability, rng):
         return None
-    total = sum(entry_sizes)
-    maximum = config.truncation_max
-    high = total - 1 if maximum is None else min(maximum, total - 1)
-    if high < 0:
-        return None
-    budget = rng.randint(min(config.truncation_min, high), high)
-    delivered = 0
-    consumed = 0
-    for size in entry_sizes:
-        if consumed + size > budget:
-            break
-        consumed += size
-        delivered += 1
-    if delivered >= len(entry_sizes):
-        return None
-    return delivered
+    return rng.randint(0, entries - 1)
 
 
 def plan_replay(

@@ -27,7 +27,6 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, List, Optional, Sequence
 
-from repro.replication.codec import item_wire_size
 from repro.replication.ids import ReplicaId, Version
 from repro.replication.integrity import item_checksum
 from repro.replication.sync import BatchEntry, SyncRequest
@@ -134,18 +133,11 @@ class FaultyTransport:
         rng = self._rng
         outcome = DeliveryOutcome(sent=len(batch))
         delivered: List[Any] = list(batch)
-        if config.truncation_probability > 0.0 and delivered:
-            if config.truncation_unit == "bytes":
-                # Memoised per item object: re-offers of the same stored
-                # copy across retried sessions skip the re-encoding.
-                sizes = [item_wire_size(entry.item) for entry in delivered]
-            else:
-                sizes = [1] * len(delivered)
-            cut = plan_cut(config, sizes, rng)
-            if cut is not None:
-                outcome.truncated = True
-                outcome.lost = len(delivered) - cut
-                delivered = delivered[:cut]
+        cut = plan_cut(config, len(delivered), rng)
+        if cut is not None:
+            outcome.truncated = True
+            outcome.lost = len(delivered) - cut
+            delivered = delivered[:cut]
 
         # From here on, track (original, wire copy) pairs: ``original``
         # survives only while the wire copy is intact, so the confirmed

@@ -43,7 +43,7 @@ from .filters import (
 )
 from .ids import ItemId, ReplicaId, Version
 from .integrity import cached_item_checksum, frame_checksum, item_checksum
-from .items import WIRE_SIZE_MEMO_ATTRIBUTE, Item
+from .items import Item
 from .sync import BatchEntry, SyncRequest
 from .routing import Priority, PriorityClass
 from .versions import VersionVector, _Entry
@@ -428,28 +428,6 @@ def decode_batch_frame(data: Any) -> List[BatchEntry]:
 def wire_size(encoded: Any) -> int:
     """Size in bytes of an encoded object on the wire (compact JSON)."""
     return len(json.dumps(encoded, separators=(",", ":"), sort_keys=True).encode())
-
-
-def item_wire_size(item: Item) -> int:
-    """``wire_size(encode_item(item))``, memoised on the item instance.
-
-    The metadata-overhead accounting (byte-unit truncation planning, the
-    paper's overhead measurements) asks for the same object's size
-    repeatedly — re-offers after interrupted transfers, duplicated
-    deliveries, replay pools; one encoding per object covers them all.
-
-    Unlike the content checksum, the wire encoding *includes* host-local
-    attributes (they are legitimately carried per copy), so this memo (the
-    item's ``WIRE_SIZE_MEMO_ATTRIBUTE`` slot) is never propagated across
-    derivations — ``with_local``/``without_local`` produce new objects that
-    re-measure. It is only ever bound next to an actual encoding of the
-    exact object it describes.
-    """
-    size = getattr(item, WIRE_SIZE_MEMO_ATTRIBUTE, None)
-    if size is None:
-        size = wire_size(encode_item(item))
-        object.__setattr__(item, WIRE_SIZE_MEMO_ATTRIBUTE, size)
-    return size
 
 
 def knowledge_wire_size(vector: VersionVector) -> int:

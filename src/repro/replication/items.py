@@ -56,7 +56,6 @@ KIND_TOMBSTONE = "tombstone"
 #: :meth:`Item.wire_copy`; the checksum excludes host-local attributes)
 #: carry it over explicitly.
 CHECKSUM_MEMO_ATTRIBUTE = "_content_checksum"
-WIRE_SIZE_MEMO_ATTRIBUTE = "_wire_size_memo"  # bound by codec.item_wire_size only
 
 
 class _OwnedDict(dict):
@@ -99,7 +98,7 @@ def per_copy_state(state: Mapping[str, Any]) -> _OwnedDict:
 
 class _Memos:
     #: A slotted dataclass can declare no slot that is not a field; its base can.
-    __slots__ = (CHECKSUM_MEMO_ATTRIBUTE, WIRE_SIZE_MEMO_ATTRIBUTE)
+    __slots__ = (CHECKSUM_MEMO_ATTRIBUTE,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,8 +211,7 @@ class Item(_Memos):
         if it carries that very mapping (``1`` and ``1.0`` are different states).
 
         Replicated content is untouched, so the checksum memo carries
-        over; the wire-size memo, which measures host-local state too,
-        does not. Built by the constructor: every forwarded item is
+        over. Built by the constructor: every forwarded item is
         re-stamped at every hop, and ``dataclasses.replace``'s reflection
         was the largest single cost of moving one.
         """

@@ -34,25 +34,9 @@ class TestValidation:
                 crash_fraction=0.4,
             )
 
-    def test_offline_window_ordering(self):
-        with pytest.raises(ValueError, match="max_offline_days"):
-            ChurnConfig(min_offline_days=2.0, max_offline_days=1.0)
-        with pytest.raises(ValueError, match="min_offline_days"):
-            ChurnConfig(min_offline_days=-0.5)
-
-    def test_free_rider_mode_is_checked(self):
-        with pytest.raises(ValueError, match="free_rider_mode"):
-            ChurnConfig(free_rider_mode="parasite")
-
-    def test_free_rider_budget_non_negative(self):
-        with pytest.raises(ValueError, match="free_rider_budget"):
-            ChurnConfig(free_rider_budget=-1)
-
     def test_reciprocity_knobs_non_negative(self):
         with pytest.raises(ValueError, match="reciprocity_threshold"):
             ChurnConfig(reciprocity_threshold=-0.1)
-        with pytest.raises(ValueError, match="reciprocity_min_taken"):
-            ChurnConfig(reciprocity_min_taken=-1)
 
 
 class TestEnabled:
@@ -69,10 +53,6 @@ class TestEnabled:
     def test_any_armed_knob_enables(self, knobs):
         assert ChurnConfig(**knobs).enabled
 
-    def test_offline_window_alone_does_not_enable(self):
-        # Offline windows only matter once someone crashes.
-        assert not ChurnConfig(min_offline_days=0.5, max_offline_days=2.0).enabled
-
 
 class TestSerialization:
     def test_round_trip(self):
@@ -83,10 +63,7 @@ class TestSerialization:
             crash_fraction=0.3,
             amnesia_probability=0.4,
             free_rider_fraction=0.1,
-            free_rider_mode="budget-lie",
-            free_rider_budget=2,
             reciprocity_threshold=0.5,
-            reciprocity_min_taken=10,
         )
         assert ChurnConfig.from_dict(config.to_dict()) == config
 

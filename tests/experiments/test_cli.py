@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.churn import ChurnConfig
@@ -271,6 +273,14 @@ class TestConfigFlags:
                 for other, (name, _, _) in flags.items()
             })
             assert getattr(built, field) == value
+
+    @pytest.mark.parametrize(
+        "cls,flags", [(FaultConfig, FAULT_FLAGS), (ChurnConfig, CHURN_FLAGS)]
+    )
+    def test_a_config_field_exists_only_if_a_flag_sets_it(self, cls, flags):
+        assert {spec.name for spec in fields(cls)} == {
+            field for field, _, _ in flags.values()
+        }
 
     def test_nothing_set_is_no_config(self):
         args = build_parser().parse_args(["run"])

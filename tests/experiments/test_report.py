@@ -1,12 +1,24 @@
 """Unit tests for the text report renderers."""
 
+import json
+
+import pytest
+
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import (
     render_figure_8,
+    render_measured_table,
     render_series_table,
+    render_store_summary,
     render_summary_rows,
     render_table_1,
     render_table_2,
 )
+from repro.experiments.runner import run_experiment
+from repro.experiments.store import RunStore
+from repro.experiments.tables import measured_policy_table
+
+SKIPPED_ONE = "skipped 1 unreadable run artifact(s)"
 
 
 class TestSeriesTable:
@@ -63,3 +75,46 @@ class TestSummaryRows:
         )
         assert "cimbiosys" in text and "epidemic" in text
         assert "delivery_ratio" in text
+
+
+class TestStoreReports:
+    """A report over a whole store skips the artifacts the store refuses."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_experiment(ExperimentConfig(scale=0.25, policy="epidemic"))
+
+    @pytest.fixture()
+    def store(self, tmp_path, result):
+        store = RunStore(tmp_path / "runs")
+        store.save_result(result)
+        return store
+
+    @pytest.fixture()
+    def stale_store(self, store):
+        """The store plus a faulted artifact whose config names a knob
+        that no longer exists, as one written before 1.10 does."""
+        (path,) = store.root.glob("*.json")
+        artifact = json.loads(path.read_text())
+        artifact["result"]["config"]["faults"] = {
+            "truncation_probability": 0.3,
+            "truncation_min": 1,
+        }
+        (store.root / "epidemic-0123456789abcdef.json").write_text(
+            json.dumps(artifact)
+        )
+        return store
+
+    def test_the_summary_skips_a_refused_artifact(self, stale_store):
+        text = render_store_summary(stale_store)
+        assert "epidemic" in text and "delivery_ratio" in text
+
+    def test_the_measured_table_skips_it_and_ends_saying_so(self, stale_store):
+        assert measured_policy_table(stale_store)["epidemic"]["runs"] == 1
+        lines = render_measured_table(stale_store).splitlines()
+        assert lines[-1] == SKIPPED_ONE
+        assert sum("skipped" in line for line in lines) == 1
+
+    def test_nothing_extra_when_nothing_is_refused(self, store):
+        assert "skipped" not in render_store_summary(store)
+        assert "skipped" not in render_measured_table(store)

@@ -65,16 +65,12 @@ def build_adversarial_world(seed, mix_transport_faults=False):
         replay_probability=ADVERSARIAL_P,
         fabrication_probability=ADVERSARIAL_P,
         malformed_probability=ADVERSARIAL_P,
-        quarantine_backoff_base=600.0,
-        quarantine_backoff_max=7200.0,
     )
     if mix_transport_faults:
         knobs.update(
             truncation_probability=rng.uniform(0.1, 0.5),
             duplication_probability=rng.uniform(0.0, 0.4),
             crash_probability=rng.uniform(0.0, 0.15),
-            retry_backoff_base=30.0,
-            retry_backoff_max=900.0,
         )
     emulator = Emulator(
         trace,

@@ -19,7 +19,6 @@ FAULTS = FaultConfig(
     truncation_probability=0.5,
     duplication_probability=0.25,
     crash_probability=0.05,
-    retry_backoff_base=120.0,
 )
 
 CONFIG = ExperimentConfig(

@@ -59,8 +59,6 @@ def build_world(seed, policy_factory=EpidemicPolicy):
         truncation_probability=rng.uniform(0.1, 0.8),
         duplication_probability=rng.uniform(0.0, 0.5),
         crash_probability=rng.uniform(0.0, 0.2),
-        retry_backoff_base=30.0,
-        retry_backoff_max=900.0,
     )
     emulator = Emulator(
         trace,

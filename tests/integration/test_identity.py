@@ -21,6 +21,22 @@ table's diff, which names exactly the configs that moved::
 To add a row, append a line with a new ``name`` and its ``config`` (the
 ``sha256`` may be left out) and run the same command; it also trims each
 config to the knobs that differ from the defaults.
+
+To show which rows a change moves, and that each moved digest is what
+the parent commit computes: edit the rows the change must touch (drop a
+removed knob, rename, delete), regenerate the table under the parent's
+``src/`` and diff it against the committed table, then rerun the rows
+under the change's own code::
+
+    parent=$(mktemp -d)
+    git archive <parent-commit> src | tar -x -C "$parent"
+    PYTHONPATH="$parent/src" python -m tests.integration.test_identity
+    git diff tests/integration/identity.json
+    PYTHONPATH=src python -m pytest -q tests/integration/test_identity.py
+
+The diff names every row the edits moved, each with the parent's new
+digest; the last command must pass, so the change computes what the
+parent computes for every row.
 ``test_the_table_covers_every_policy_and_model`` fails when a registered
 policy, a policy the columnar engine accepts, a fault model, churn, user
 addressing or a resource limit appears in no row.

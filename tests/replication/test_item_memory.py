@@ -30,7 +30,7 @@ from repro.replication import (
     ReplicaId,
     SyncEndpoint,
 )
-from repro.replication.codec import encode_item, item_wire_size
+from repro.replication.codec import encode_item
 from repro.replication.integrity import (
     cached_item_checksum,
     checksum_computations,
@@ -38,18 +38,14 @@ from repro.replication.integrity import (
 )
 from repro.replication.items import (
     CHECKSUM_MEMO_ATTRIBUTE,
-    WIRE_SIZE_MEMO_ATTRIBUTE,
     Item,
     _shared_state,
     per_copy_state,
 )
 from tests.conftest import make_item
 
-def memos_of(item):
-    return (
-        getattr(item, CHECKSUM_MEMO_ATTRIBUTE, None),
-        getattr(item, WIRE_SIZE_MEMO_ATTRIBUTE, None),
-    )
+def memo_of(item):
+    return getattr(item, CHECKSUM_MEMO_ATTRIBUTE, None)
 
 
 def typed(mapping):
@@ -157,7 +153,6 @@ class TestSharedStateNeverConflates:
         assert typed(item.local_attributes) == typed(held)
         if hashed:
             cached_item_checksum(item)
-        item_wire_size(item)
         one_step = item.wire_copy(**shipped)
         two_step = item.without_local().with_local(**shipped)
         wanted = {k: v for k, v in shipped.items() if v is not None}
@@ -173,8 +168,8 @@ class TestSharedStateNeverConflates:
         assert one_step == two_step == item
         assert hash(one_step) == hash(two_step) == hash(item)
         memo = item_checksum(item) if hashed else None
-        assert memos_of(two_step)[0] == memo
-        assert memos_of(one_step) == (memo, None) or one_step is item
+        assert memo_of(two_step) == memo
+        assert memo_of(one_step) == memo
         assert typed(item.local_attributes) == typed(held)  # source untouched
 
     @given(state=states)
@@ -351,10 +346,9 @@ class TestWhatAStoredCopyCosts:
     def test_a_replaced_copy_carries_no_memo_and_recomputes(self):
         item = make_item().wire_copy(ttl=3)
         cached_item_checksum(item)
-        item_wire_size(item)
-        assert None not in memos_of(item)
+        assert memo_of(item) is not None
         forged = replace(item, payload="tampered")
-        assert memos_of(forged) == (None, None)
+        assert memo_of(forged) is None
         before = checksum_computations()
         assert cached_item_checksum(forged) == item_checksum(forged)
         assert cached_item_checksum(forged) != cached_item_checksum(item)
@@ -375,10 +369,9 @@ class TestWhatAStoredCopyCosts:
     def test_copies_and_pickles_compare_equal_and_drop_the_memos(self, clone):
         item = make_item(payload="body").wire_copy(ttl=3, hops=("a", "b"))
         cached_item_checksum(item)
-        item_wire_size(item)
         twin = clone(item)
         assert twin is not item and twin == item and hash(twin) == hash(item)
-        assert memos_of(twin) == (None, None)
+        assert memo_of(twin) is None
         assert wire_bytes(twin) == wire_bytes(item)
         assert typed(twin.local_attributes) == typed(item.local_attributes)
         assert cached_item_checksum(twin) == cached_item_checksum(item)

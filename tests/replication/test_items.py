@@ -4,7 +4,6 @@ from dataclasses import fields, replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.replication.codec import item_wire_size
 from repro.replication.ids import ReplicaId, Version
 from repro.replication.integrity import cached_item_checksum, item_checksum
 from repro.replication.items import (
@@ -102,7 +101,6 @@ class TestWireCopy:
         item = make_item(payload="body").with_local(**held)
         if hashed:
             cached_item_checksum(item)
-        item_wire_size(item)  # bind the wire-size memo on the source
         two_step = item.without_local().with_local(**shipped)
         one_step = item.wire_copy(**shipped)
 
@@ -113,14 +111,10 @@ class TestWireCopy:
         assert type(one_step.local_attributes) is type(two_step.local_attributes)
         assert one_step == two_step == item
         assert hash(one_step) == hash(two_step) == hash(item)
-        # The checksum memo rides along (content is untouched) …
+        # The checksum memo rides along (content is untouched).
         memo = item_checksum(item) if hashed else None
         assert getattr(one_step, CHECKSUM_MEMO_ATTRIBUTE, None) == memo
         assert getattr(two_step, CHECKSUM_MEMO_ATTRIBUTE, None) == memo
-        # … the wire-size memo, which measures host-local state, does not.
-        if one_step is not item:
-            assert getattr(one_step, "_wire_size_memo", None) is None
-        assert item_wire_size(one_step) == item_wire_size(two_step)
 
         wanted = {k: v for k, v in shipped.items() if v is not None}
         if wanted == held:
