@@ -90,6 +90,22 @@ class TestChurnRun:
         for name in free_riders:
             assert scores[name] < min(honest.values())
 
+    def test_a_free_rider_serves_nothing(self):
+        scenario, _ = run_scenario(churn_config())
+        ledger = scenario.emulator.director.reciprocity
+        free_riders = scenario.churn_schedule.free_riders
+        assert free_riders
+        for name in free_riders:
+            assert scenario.emulator.nodes[name].serves_at_most == 0
+            assert ledger._given[name] == 0
+            assert ledger._taken[name] > 0
+
+    def test_strangers_get_a_grace_window_of_25_items(self):
+        scenario, _ = run_scenario(churn_config())
+        ledger = scenario.emulator.director.reciprocity
+        assert ledger.threshold == 0.4
+        assert ledger.min_taken == 25
+
     def test_summary_has_the_lifecycle_block(self):
         _, metrics = run_scenario(churn_config())
         summary = metrics.summary()
