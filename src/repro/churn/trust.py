@@ -17,18 +17,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
+#: Items an observer gives a peer before it judges the peer's reciprocity.
+MIN_TAKEN = 25
+
 
 class ReciprocityLedger:
     """Per-pair transfer tallies plus the global generosity tally."""
 
-    def __init__(
-        self,
-        nodes: Iterable[str],
-        threshold: float = 0.0,
-        min_taken: int = 25,
-    ) -> None:
+    def __init__(self, nodes: Iterable[str], threshold: float = 0.0) -> None:
         self.threshold = threshold
-        self.min_taken = min_taken
         #: (source, target) → items the source has sent the target.
         self._sent: Dict[Tuple[str, str], int] = {}
         self._given: Dict[str, int] = {name: 0 for name in sorted(nodes)}
@@ -50,13 +47,13 @@ class ReciprocityLedger:
         """Does ``peer`` pull its weight in ``observer``'s eyes?
 
         Disabled (always True) when ``threshold`` is zero. A peer the
-        observer has given fewer than ``min_taken`` items is still
+        observer has given fewer than :data:`MIN_TAKEN` items is still
         inside its grace window — refusing a stranger before any history
         exists would deadlock two honest nodes.
         """
         if self.threshold <= 0.0:
             return True
-        if self._sent.get((observer, peer), 0) < self.min_taken:
+        if self._sent.get((observer, peer), 0) < MIN_TAKEN:
             return True
         return self.reciprocity(observer, peer) >= self.threshold
 

@@ -44,7 +44,7 @@ class EmulatedNode:
         name: str,
         policy: RoutingPolicy,
         relay_capacity: Optional[int] = None,
-        relay_eviction: object = "fifo",
+        relay_eviction: str = "fifo",
         static_relay_addresses: Iterable[str] = (),
         delete_on_receipt: bool = False,
         policy_factory: Optional[Callable[[], RoutingPolicy]] = None,

@@ -35,6 +35,13 @@ from .transport import FaultyTransport
 Pair = Tuple[str, str]
 
 
+#: An interrupted pair's n-th retry waits ``RETRY_BASE * RETRY_FACTOR **
+#: (n - 1)`` seconds, capped at ``RETRY_MAX``: a minute doubling to an hour.
+RETRY_BASE = 60.0
+RETRY_FACTOR = 2.0
+RETRY_MAX = 3600.0
+
+
 def pair_key(a: str, b: str) -> Pair:
     return (a, b) if a <= b else (b, a)
 
@@ -58,12 +65,7 @@ class ResumeTracker:
     tracker's job is purely scheduling and accounting.
     """
 
-    def __init__(
-        self, base: float = 60.0, factor: float = 2.0, maximum: float = 3600.0
-    ) -> None:
-        self.base = base
-        self.factor = factor
-        self.maximum = maximum
+    def __init__(self) -> None:
         self._pending: Dict[Pair, RetryState] = {}
 
     def can_attempt(self, pair: Pair, now: float) -> bool:
@@ -74,7 +76,7 @@ class ResumeTracker:
         state = self._pending.setdefault(pair, RetryState())
         state.attempts += 1
         state.next_attempt = now + capped_backoff(
-            self.base, self.factor, state.attempts - 1, self.maximum
+            RETRY_BASE, RETRY_FACTOR, state.attempts - 1, RETRY_MAX
         )
         return state
 

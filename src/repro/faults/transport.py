@@ -48,23 +48,16 @@ class DeliveryOutcome:
     """What the channel did to one batch.
 
     ``delivered`` is the stream the target receives (possibly containing
-    corrupted entries and garbage frames); ``confirmed`` — when the
-    transport computes it — lists the original entries that arrived
-    intact at least once, which is what delivery confirmation
-    (``on_items_sent``) must be based on. ``None`` means the transport
-    does not distinguish (perfect-content channels), and the consumer
-    falls back to ``delivered``.
+    corrupted entries and garbage frames); ``truncated`` says whether a
+    cut fired and ``lost`` how many entries it dropped; ``confirmed``
+    lists the original entries that arrived intact at least once, which
+    is what delivery confirmation (``on_items_sent``) must be based on.
     """
 
     delivered: List[object] = field(default_factory=list)
-    sent: int = 0
     truncated: bool = False
     lost: int = 0
-    duplicated: int = 0
-    corrupted: int = 0
-    malformed: int = 0
-    replayed: int = 0
-    confirmed: Optional[List[object]] = None
+    confirmed: List[object] = field(default_factory=list)
 
 
 class FaultyTransport:
@@ -72,10 +65,11 @@ class FaultyTransport:
 
     One transport instance mediates one sync session; the injector mints a
     fresh one per session so per-session decisions stay independent while
-    sharing the injector's seeded RNG stream. ``replay_pool`` (when
-    given) is the injector-owned pool of previously confirmed entries for
-    this directed link — the transport draws replays from it and feeds
-    newly confirmed entries back into it.
+    sharing the injector's seeded RNG stream. ``source_id`` is the
+    replica whose batches it carries, the one a fabricated claim names.
+    ``replay_pool`` (when given) is the injector-owned pool of previously
+    confirmed entries for this directed link — the transport draws
+    replays from it and feeds newly confirmed entries back into it.
     """
 
     def __init__(
@@ -83,7 +77,7 @@ class FaultyTransport:
         config: FaultConfig,
         rng: random.Random,
         *,
-        source_id: Optional[ReplicaId] = None,
+        source_id: ReplicaId,
         replay_pool: Optional[List[BatchEntry]] = None,
     ) -> None:
         self._config = config
@@ -101,8 +95,6 @@ class FaultyTransport:
         the *source's* own authoring range, which is exactly the claim
         the source can validate against what it actually authored.
         """
-        if self._source_id is None:
-            return request
         inflate = inflate_by(self._config, self._rng)
         if inflate == 0:
             return request
@@ -131,7 +123,7 @@ class FaultyTransport:
         """
         config = self._config
         rng = self._rng
-        outcome = DeliveryOutcome(sent=len(batch))
+        outcome = DeliveryOutcome()
         delivered: List[Any] = list(batch)
         cut = plan_cut(config, len(delivered), rng)
         if cut is not None:
@@ -151,22 +143,18 @@ class FaultyTransport:
                 doubled.append(pair)
                 if again:
                     doubled.append(pair)
-                    outcome.duplicated += 1
             stream = doubled
             hits = mask(config.corruption_probability, len(stream), rng)
             for index, hit in enumerate(hits):
                 if hit:
                     stream[index] = (None, _corrupt_copy(stream[index][1]))
-                    outcome.corrupted += 1
             hits = mask(config.malformed_probability, len(stream), rng)
             for index, hit in enumerate(hits):
                 if hit:
                     stream[index] = (None, {"malformed-frame": index})
-                    outcome.malformed += 1
         if self._replay_pool:
             for index in plan_replay(config, len(self._replay_pool), rng):
                 stream.append((None, self._replay_pool[index]))
-                outcome.replayed += 1
 
         outcome.delivered = [wire for _, wire in stream]
         confirmed: List[object] = []

@@ -6,15 +6,16 @@ spending contact time on it. This module implements the three-state
 tracker the emulator consults before each encounter:
 
 * **healthy** — sync freely.
-* **suspect** — the peer has accumulated ``suspect_threshold`` strikes;
-  syncing continues, but the state is observable and a clean streak of
-  ``recovery_probes`` encounters clears it back to healthy.
-* **quarantined** — strikes reached ``quarantine_threshold``. Sync
+* **suspect** — the peer has accumulated :data:`SUSPECT_THRESHOLD`
+  strikes; syncing continues, but the state is observable and a clean
+  streak of :data:`RECOVERY_PROBES` encounters clears it back to healthy.
+* **quarantined** — strikes reached :data:`QUARANTINE_THRESHOLD`. Sync
   attempts are refused until an exponential-backoff window (with seeded
   jitter, so simultaneous quarantines do not re-probe in lockstep)
-  expires; then the peer gets *recovery probes* — if ``recovery_probes``
-  consecutive probe encounters come back clean, the peer is restored to
-  healthy; one more violation re-quarantines it with a longer backoff.
+  expires; then the peer gets *recovery probes* — if
+  :data:`RECOVERY_PROBES` consecutive probe encounters come back clean,
+  the peer is restored to healthy; one more violation re-quarantines it
+  with a longer backoff.
 
 The tracker is deliberately deterministic: jitter is drawn from its own
 seeded RNG, and draws happen only when a quarantine is actually imposed,
@@ -33,6 +34,18 @@ SUSPECT = "suspect"
 QUARANTINED = "quarantined"
 
 PEER_STATES = (HEALTHY, SUSPECT, QUARANTINED)
+
+#: Strikes that make a healthy peer suspect, then quarantine it.
+SUSPECT_THRESHOLD = 3
+QUARANTINE_THRESHOLD = 6
+#: The n-th quarantine lasts ``BACKOFF_BASE * BACKOFF_FACTOR ** (n - 1)``
+#: seconds, capped at ``BACKOFF_MAX``, then jittered by up to ±``JITTER``.
+BACKOFF_BASE = 120.0
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 3600.0
+JITTER = 0.1
+#: Consecutive clean encounters that restore a suspect or probing peer.
+RECOVERY_PROBES = 2
 
 
 def capped_backoff(
@@ -67,40 +80,7 @@ class PeerHealthTracker:
     it; ``allowed(peer, now)`` gates the *next* encounter. Both are O(1).
     """
 
-    def __init__(
-        self,
-        suspect_threshold: int = 3,
-        quarantine_threshold: int = 6,
-        backoff_base: float = 120.0,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 3600.0,
-        jitter: float = 0.1,
-        recovery_probes: int = 2,
-        seed: int = 0,
-    ) -> None:
-        if suspect_threshold < 1:
-            raise ValueError("suspect_threshold must be >= 1")
-        if quarantine_threshold < suspect_threshold:
-            raise ValueError(
-                "quarantine_threshold must be >= suspect_threshold"
-            )
-        if backoff_base <= 0:
-            raise ValueError("backoff_base must be positive")
-        if backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if backoff_max < backoff_base:
-            raise ValueError("backoff_max must be >= backoff_base")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if recovery_probes < 1:
-            raise ValueError("recovery_probes must be >= 1")
-        self.suspect_threshold = suspect_threshold
-        self.quarantine_threshold = quarantine_threshold
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_max = backoff_max
-        self.jitter = jitter
-        self.recovery_probes = recovery_probes
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
         self._peers: Dict[str, PeerRecord] = {}
 
@@ -157,16 +137,10 @@ class PeerHealthTracker:
                     record.next_probe = now + self._backoff(record.quarantines)
                     transitions.append(f"{QUARANTINED}->{QUARANTINED}")
                 return transitions
-            if (
-                record.state == HEALTHY
-                and record.strikes >= self.suspect_threshold
-            ):
+            if record.state == HEALTHY and record.strikes >= SUSPECT_THRESHOLD:
                 record.state = SUSPECT
                 transitions.append(f"{HEALTHY}->{SUSPECT}")
-            if (
-                record.state == SUSPECT
-                and record.strikes >= self.quarantine_threshold
-            ):
+            if record.state == SUSPECT and record.strikes >= QUARANTINE_THRESHOLD:
                 record.state = QUARANTINED
                 record.probing = False
                 record.quarantines += 1
@@ -176,13 +150,13 @@ class PeerHealthTracker:
 
         record.clean_streak += 1
         if record.state == QUARANTINED:
-            if record.probing and record.clean_streak >= self.recovery_probes:
+            if record.probing and record.clean_streak >= RECOVERY_PROBES:
                 record.state = HEALTHY
                 record.strikes = 0
                 record.probing = False
                 transitions.append(f"{QUARANTINED}->{HEALTHY}")
         elif record.state == SUSPECT:
-            if record.clean_streak >= self.recovery_probes:
+            if record.clean_streak >= RECOVERY_PROBES:
                 record.state = HEALTHY
                 record.strikes = 0
                 transitions.append(f"{SUSPECT}->{HEALTHY}")
@@ -192,12 +166,10 @@ class PeerHealthTracker:
         """The backoff delay for the ``quarantines``-th quarantine.
 
         Exponential in the number of quarantines, capped, then jittered by
-        up to ±``jitter`` (one seeded RNG draw — the only randomness in
+        up to ±:data:`JITTER` (one seeded RNG draw — the only randomness in
         the tracker, consumed exclusively when a quarantine is imposed).
         """
         delay = capped_backoff(
-            self.backoff_base, self.backoff_factor, quarantines - 1, self.backoff_max
+            BACKOFF_BASE, BACKOFF_FACTOR, quarantines - 1, BACKOFF_MAX
         )
-        if self.jitter > 0.0:
-            delay *= 1.0 + self.jitter * (self._rng.random() * 2.0 - 1.0)
-        return delay
+        return delay * (1.0 + JITTER * (self._rng.random() * 2.0 - 1.0))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import warnings
 from typing import Any, Dict, Optional, Union
 
 from .codec import (
@@ -38,33 +37,9 @@ from .codec import (
 )
 from .ids import ReplicaId
 from .replica import Replica
-from .store import EVICTION_STRATEGIES
 
 #: Format marker so future layout changes can be detected on load.
 STATE_FORMAT = "repro.replica-state.v1"
-
-
-def _eviction_strategy_name(replica: Replica) -> Optional[str]:
-    """The registered name of the relay store's eviction strategy.
-
-    Custom callables have no serialisable name and checkpoint as None;
-    loading falls back to the default (FIFO) strategy. That silently
-    changes eviction behaviour across a crash-restart, so checkpointing
-    an unregistered strategy warns — register the callable in
-    :data:`~repro.replication.store.EVICTION_STRATEGIES` to keep it.
-    """
-    strategy = replica._relay.strategy
-    for name, registered in EVICTION_STRATEGIES.items():
-        if registered is strategy:
-            return name
-    warnings.warn(
-        f"replica {replica.replica_id.name!r} uses an eviction strategy "
-        f"({strategy!r}) not registered in EVICTION_STRATEGIES; the "
-        "checkpoint cannot name it and a restore will fall back to FIFO. "
-        "Register the strategy under a name to preserve it across restarts.",
-        stacklevel=3,
-    )
-    return None
 
 
 def replica_to_state(replica: Replica) -> Dict[str, Any]:
@@ -74,7 +49,7 @@ def replica_to_state(replica: Replica) -> Dict[str, Any]:
         "replica": replica.replica_id.name,
         "filter": encode_filter(replica.filter),
         "relay_capacity": replica._relay.capacity,
-        "relay_eviction": _eviction_strategy_name(replica),
+        "relay_eviction": replica._relay.strategy,
         "knowledge": encode_knowledge(replica.knowledge),
         "ids": replica._ids.snapshot(),
         "in_filter": [encode_item(item) for item in replica._store.items()],
@@ -97,7 +72,7 @@ def replica_from_state(state: Dict[str, Any]) -> Replica:
         ReplicaId(state["replica"]),
         decode_filter(state["filter"]),
         relay_capacity=state.get("relay_capacity"),
-        relay_eviction=state.get("relay_eviction") or "fifo",
+        relay_eviction=state["relay_eviction"],
     )
     replica._ids.restore(state["ids"])
     replica.knowledge = decode_knowledge(state["knowledge"])
@@ -130,7 +105,7 @@ def amnesiac_replica_state(state: Dict[str, Any]) -> Dict[str, Any]:
             ReplicaId(state["replica"]),
             decode_filter(state["filter"]),
             relay_capacity=state.get("relay_capacity"),
-            relay_eviction=state.get("relay_eviction") or "fifo",
+            relay_eviction=state["relay_eviction"],
         )
     )
     fresh["ids"] = state["ids"]

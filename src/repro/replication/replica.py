@@ -65,7 +65,7 @@ class Replica:
         replica_id: ReplicaId,
         filter_: Filter,
         relay_capacity: Optional[int] = None,
-        relay_eviction: object = "fifo",
+        relay_eviction: str = "fifo",
     ) -> None:
         self.replica_id = replica_id
         self._filter = filter_

@@ -46,7 +46,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 from zlib import crc32
 
@@ -355,10 +354,6 @@ class ItemStore:
         self._snapshot = None
 
 
-#: An eviction strategy picks the victim among currently stored items.
-EvictionStrategy = Callable[[Sequence[Item]], Item]
-
-
 def evict_fifo(items: Sequence[Item]) -> Item:
     """Drop the item that arrived first (the paper's Figure 10 policy)."""
     return items[0]
@@ -392,7 +387,9 @@ def evict_oldest_created(items: Sequence[Item]) -> Item:
     )
 
 
-EVICTION_STRATEGIES = {
+#: Eviction strategy name → the function picking the victim among the
+#: currently stored items.
+EVICTION_STRATEGIES: Dict[str, Callable[[Sequence[Item]], Item]] = {
     "fifo": evict_fifo,
     "random": evict_random,
     "oldest-created": evict_oldest_created,
@@ -407,14 +404,13 @@ class RelayStore:
     When a put would exceed capacity, ``strategy`` picks a victim among
     the stored items (FIFO by default — the paper's Figure 10 policy) and
     ``on_evict`` (if set) is told, so the emulation can count drops. A
-    capacity of 0 disables relaying entirely. ``strategy`` accepts a
-    name from :data:`EVICTION_STRATEGIES` or any callable mapping the
-    stored-item sequence to the victim.
+    capacity of 0 disables relaying entirely. ``strategy`` is a name from
+    :data:`EVICTION_STRATEGIES`, so a checkpoint can record it.
     """
 
     capacity: Optional[int] = None
     on_evict: Optional[EvictionCallback] = None
-    strategy: Union[str, EvictionStrategy] = "fifo"
+    strategy: str = "fifo"
     #: The version index to write into (a replica's); ``None``: its own.
     index: InitVar[Optional[VersionIndex]] = None
     _store: ItemStore = field(init=False)
@@ -422,14 +418,11 @@ class RelayStore:
     def __post_init__(self, index: Optional[VersionIndex]) -> None:
         if self.capacity is not None and self.capacity < 0:
             raise ValueError("relay store capacity must be >= 0 or None")
-        if isinstance(self.strategy, str):
-            try:
-                self.strategy = EVICTION_STRATEGIES[self.strategy]
-            except KeyError:
-                raise ValueError(
-                    f"unknown eviction strategy {self.strategy!r}; "
-                    f"known: {', '.join(sorted(EVICTION_STRATEGIES))}"
-                ) from None
+        if self.strategy not in EVICTION_STRATEGIES:
+            raise ValueError(
+                f"unknown eviction strategy {self.strategy!r}; "
+                f"known: {', '.join(sorted(EVICTION_STRATEGIES))}"
+            )
         # Rank 2: a replica's relay copies come after its store and outbox.
         self._store = ItemStore(index, rank=2)
         #: ``get(item_id)``: the inner store's own, at the same cost.
@@ -460,7 +453,7 @@ class RelayStore:
         ):
             candidates = self._store.items()
             if candidates:
-                victim = self.strategy(candidates)  # type: ignore[operator]
+                victim = EVICTION_STRATEGIES[self.strategy](candidates)
                 self._store.remove(victim.item_id)
                 if self.on_evict is not None:
                     self.on_evict(victim)

@@ -15,7 +15,7 @@ is not redistributable here, so this module provides both:
   one encounter per line, ``<day> <seconds-into-day> <bus-a> <bus-b>``,
   ``#`` comments allowed.
 
-The generator's route model: buses are spread over ``n_routes`` circular
+The generator's route model: buses are spread over ``N_ROUTES`` circular
 routes; per active day, each unordered pair of active buses meets a
 Poisson-distributed number of times whose mean depends on route
 relationship (same route ≫ adjacent routes > otherwise), at uniformly
@@ -36,71 +36,70 @@ from typing import Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple
 from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
 
 
+# The campus fleet and its calibration. These values make the full-scale
+# trace reproduce both the paper's published trace statistics (≈23 active
+# buses/day, 17 days, encounters inside an 08:00–23:00 service window,
+# ~10⁴ encounters) and the *behavioural* anchors of the evaluation: direct
+# sender→recipient delivery averages ≈70 hours with ≈30–40% within 12
+# hours, while epidemic flooding needs ≈4 days for its last deliveries.
+# Three trace features produce that behaviour:
+#
+# * route concentration — same-route buses meet tens of times a day,
+#   cross-route buses rarely (the ``*_ROUTE_RATE`` meetings per day);
+# * daily schedule churn — each day a bus keeps its route only with
+#   probability ``DieselNetConfig.route_stickiness``, which is what mixes
+#   the network across days (and what defeats PROPHET's history, per the
+#   paper's footnote);
+# * daily shift windows — each active bus serves a window starting
+#   between ``SHIFT_START_MIN`` and ``SHIFT_START_MAX``; a
+#   ``SHORT_SHIFT_PROBABILITY`` fraction of shifts are short
+#   (``SHORT_SHIFT_HOURS``), so some buses leave service before same-day
+#   flooding can reach them — the source of the multi-day delivery tails
+#   in Figure 7(b).
+N_BUSES = 35
+N_ROUTES = 8
+DAYS = 17
+BUSES_PER_DAY = 23
+WINDOW_START_HOUR = 8.0
+WINDOW_END_HOUR = 23.0
+SAME_ROUTE_RATE = 45.0
+ADJACENT_ROUTE_RATE = 0.6
+OTHER_ROUTE_RATE = 0.8
+SHIFT_START_MIN = 8.0
+SHIFT_START_MAX = 10.0
+SHORT_SHIFT_PROBABILITY = 0.25
+SHORT_SHIFT_HOURS = (1.5, 4.0)
+LONG_SHIFT_HOURS = (6.0, 14.0)
+
+
 @dataclass(frozen=True)
 class DieselNetConfig:
-    """Parameters of the synthetic DieselNet generator.
-
-    Defaults were calibrated so that the full-scale trace reproduces both
-    the paper's published trace statistics (≈23 active buses/day, 17 days,
-    encounters inside an 08:00–23:00 service window, ~10⁴ encounters) and
-    the *behavioural* anchors of the evaluation: direct sender→recipient
-    delivery averages ≈70 hours with ≈30–40% within 12 hours, while
-    epidemic flooding needs ≈4 days for its last deliveries. Three trace
-    features produce that behaviour:
-
-    * **route concentration** — same-route buses meet tens of times a day,
-      cross-route buses rarely (``*_route_rate``);
-    * **daily schedule churn** — each day a bus keeps its route only with
-      probability ``route_stickiness``, which is what mixes the network
-      across days (and what defeats PROPHET's history, per the paper's
-      footnote);
-    * **daily shift windows** — each active bus serves a window starting
-      between ``shift_start_min/max``; a ``short_shift_probability``
-      fraction of shifts are short (``short_shift_hours``), so some buses
-      leave service before same-day flooding can reach them — the source
-      of the multi-day delivery tails in Figure 7(b).
-
-    ``scale`` shrinks the whole scenario proportionally for fast tests
-    (0 < scale ≤ 1).
+    """What a run sets of the synthetic DieselNet generator: the seed, the
+    daily route churn (``route_stickiness``, swept by the stickiness
+    ablation) and ``scale``, which shrinks the whole scenario
+    proportionally for fast tests (0 < scale ≤ 1). The fleet and its
+    calibration are the module constants above.
     """
 
     seed: int = 42
-    n_buses: int = 35
-    n_routes: int = 8
-    days: int = 17
-    buses_per_day: int = 23
-    window_start_hour: float = 8.0
-    window_end_hour: float = 23.0
-    same_route_rate: float = 45.0
-    adjacent_route_rate: float = 0.6
-    other_route_rate: float = 0.8
     route_stickiness: float = 0.3
-    shift_start_min: float = 8.0
-    shift_start_max: float = 10.0
-    short_shift_probability: float = 0.25
-    short_shift_hours: Tuple[float, float] = (1.5, 4.0)
-    long_shift_hours: Tuple[float, float] = (6.0, 14.0)
     scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale <= 1.0:
             raise ValueError("scale must be in (0, 1]")
-        if self.buses_per_day > self.n_buses:
-            raise ValueError("buses_per_day cannot exceed n_buses")
-        if self.window_end_hour <= self.window_start_hour:
-            raise ValueError("service window must be non-empty")
 
     @property
     def effective_days(self) -> int:
-        return max(2, int(round(self.days * self.scale)))
+        return max(2, int(round(DAYS * self.scale)))
 
     @property
     def effective_buses(self) -> int:
-        return max(4, int(round(self.n_buses * self.scale)))
+        return max(4, int(round(N_BUSES * self.scale)))
 
     @property
     def effective_buses_per_day(self) -> int:
-        return max(3, min(self.effective_buses, int(round(self.buses_per_day * self.scale))))
+        return max(3, min(self.effective_buses, int(round(BUSES_PER_DAY * self.scale))))
 
 
 def bus_name(index: int) -> str:
@@ -120,15 +119,12 @@ def _poisson(rng: random.Random, mean: float) -> int:
     return count
 
 
-def _route_relationship_rate(
-    route_a: int, route_b: int, config: DieselNetConfig
-) -> float:
+def _route_relationship_rate(route_a: int, route_b: int) -> float:
     if route_a == route_b:
-        return config.same_route_rate
-    n = config.n_routes
-    if min((route_a - route_b) % n, (route_b - route_a) % n) == 1:
-        return config.adjacent_route_rate
-    return config.other_route_rate
+        return SAME_ROUTE_RATE
+    if min((route_a - route_b) % N_ROUTES, (route_b - route_a) % N_ROUTES) == 1:
+        return ADJACENT_ROUTE_RATE
+    return OTHER_ROUTE_RATE
 
 
 def route_schedule(config: DieselNetConfig = DieselNetConfig()) -> Dict[int, Dict[str, int]]:
@@ -145,14 +141,14 @@ def route_schedule(config: DieselNetConfig = DieselNetConfig()) -> Dict[int, Dic
     rng = random.Random(f"routes:{config.seed}")
     buses = [bus_name(i) for i in range(config.effective_buses)]
     schedule: Dict[int, Dict[str, int]] = {}
-    current = {bus: index % config.n_routes for index, bus in enumerate(buses)}
+    current = {bus: index % N_ROUTES for index, bus in enumerate(buses)}
     for day in range(config.effective_days):
         if day > 0:
             current = {
                 bus: (
                     route
                     if rng.random() < config.route_stickiness
-                    else rng.randrange(config.n_routes)
+                    else rng.randrange(N_ROUTES)
                 )
                 for bus, route in current.items()
             }
@@ -160,16 +156,14 @@ def route_schedule(config: DieselNetConfig = DieselNetConfig()) -> Dict[int, Dic
     return schedule
 
 
-def _daily_shift(
-    rng: random.Random, config: DieselNetConfig
-) -> Tuple[float, float]:
+def _daily_shift(rng: random.Random) -> Tuple[float, float]:
     """One bus's service window for one day, in hours."""
-    start = rng.uniform(config.shift_start_min, config.shift_start_max)
-    if rng.random() < config.short_shift_probability:
-        length = rng.uniform(*config.short_shift_hours)
+    start = rng.uniform(SHIFT_START_MIN, SHIFT_START_MAX)
+    if rng.random() < SHORT_SHIFT_PROBABILITY:
+        length = rng.uniform(*SHORT_SHIFT_HOURS)
     else:
-        length = rng.uniform(*config.long_shift_hours)
-    return start, min(config.window_end_hour, start + length)
+        length = rng.uniform(*LONG_SHIFT_HOURS)
+    return start, min(WINDOW_END_HOUR, start + length)
 
 
 def generate_dieselnet_trace(config: DieselNetConfig = DieselNetConfig()) -> EncounterTrace:
@@ -177,13 +171,13 @@ def generate_dieselnet_trace(config: DieselNetConfig = DieselNetConfig()) -> Enc
     rng = random.Random(config.seed)
     buses = [bus_name(i) for i in range(config.effective_buses)]
     routes_by_day = route_schedule(config)
-    full_window = config.window_end_hour - config.window_start_hour
+    full_window = WINDOW_END_HOUR - WINDOW_START_HOUR
 
     encounters: List[Encounter] = []
     for day in range(config.effective_days):
         active = sorted(rng.sample(buses, config.effective_buses_per_day))
         routes = routes_by_day[day]
-        shifts = {bus: _daily_shift(rng, config) for bus in active}
+        shifts = {bus: _daily_shift(rng) for bus in active}
         day_base = day * SECONDS_PER_DAY
         for i, bus_a in enumerate(active):
             for bus_b in active[i + 1 :]:
@@ -191,9 +185,7 @@ def generate_dieselnet_trace(config: DieselNetConfig = DieselNetConfig()) -> Enc
                 overlap_end = min(shifts[bus_a][1], shifts[bus_b][1])
                 if overlap_end <= overlap_start:
                     continue
-                rate = _route_relationship_rate(
-                    routes[bus_a], routes[bus_b], config
-                )
+                rate = _route_relationship_rate(routes[bus_a], routes[bus_b])
                 # Meeting opportunities are proportional to how long both
                 # buses are simultaneously in service.
                 rate *= (overlap_end - overlap_start) / full_window

@@ -25,6 +25,15 @@ from itertools import accumulate
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
+#: The synthetic model's shape: Zipf exponents of sender activity and
+#: recipient popularity, the mean size of a sender's contact set, and the
+#: share of a sender's mail that goes to that set.
+SENDER_EXPONENT = 1.1
+RECIPIENT_EXPONENT = 0.9
+MEAN_CONTACTS = 6
+CONTACT_LOCALITY = 0.8
+
+
 def user_name(index: int) -> str:
     return f"user{index:03d}"
 
@@ -52,7 +61,7 @@ class SyntheticEmailModel(EmailWorkloadModel):
 
     ``contact_sets[u]`` is the sender's personal address book; a draw picks
     the sender Zipf-weighted, then the recipient from the contact set with
-    probability ``contact_locality`` and from global Zipf popularity
+    probability :data:`CONTACT_LOCALITY` and from global Zipf popularity
     otherwise.
     """
 
@@ -60,7 +69,6 @@ class SyntheticEmailModel(EmailWorkloadModel):
     sender_weights: List[float]
     recipient_weights: List[float]
     contact_sets: Dict[str, List[str]]
-    contact_locality: float = 0.8
 
     def __post_init__(self) -> None:
         # choices(weights=w) accumulates w on every call and then draws
@@ -76,7 +84,7 @@ class SyntheticEmailModel(EmailWorkloadModel):
     def draw_pair(self, rng: random.Random) -> Tuple[str, str]:
         sender = rng.choices(self._users, cum_weights=self._sender_cum, k=1)[0]
         contacts = self.contact_sets.get(sender, [])
-        if contacts and rng.random() < self.contact_locality:
+        if contacts and rng.random() < CONTACT_LOCALITY:
             recipient = rng.choice(contacts)
         else:
             recipient = rng.choices(
@@ -87,23 +95,16 @@ class SyntheticEmailModel(EmailWorkloadModel):
         return sender, recipient
 
 
-def generate_enron_model(
-    n_users: int = 100,
-    seed: int = 7,
-    sender_exponent: float = 1.1,
-    recipient_exponent: float = 0.9,
-    mean_contacts: int = 6,
-    contact_locality: float = 0.8,
-) -> SyntheticEmailModel:
+def generate_enron_model(n_users: int = 100, seed: int = 7) -> SyntheticEmailModel:
     """Build a synthetic Enron-like communication model."""
     if n_users < 2:
         raise ValueError("need at least two users")
     rng = random.Random(seed)
     users = [user_name(i) for i in range(n_users)]
-    recipient_weights = _zipf_weights(n_users, recipient_exponent)
+    recipient_weights = _zipf_weights(n_users, RECIPIENT_EXPONENT)
     contact_sets: Dict[str, List[str]] = {}
     for index, user in enumerate(users):
-        size = max(1, min(n_users - 1, int(rng.expovariate(1.0 / mean_contacts)) + 1))
+        size = max(1, min(n_users - 1, int(rng.expovariate(1.0 / MEAN_CONTACTS)) + 1))
         # sample() picks positions from the population's length and k
         # alone, so positions in the n - 1 others, each mapped past the
         # user's own index, are the contacts sampling a list of them gave.
@@ -112,10 +113,9 @@ def generate_enron_model(
         ]
     return SyntheticEmailModel(
         _users=users,
-        sender_weights=_zipf_weights(n_users, sender_exponent),
+        sender_weights=_zipf_weights(n_users, SENDER_EXPONENT),
         recipient_weights=recipient_weights,
         contact_sets=contact_sets,
-        contact_locality=contact_locality,
     )
 
 

@@ -26,6 +26,10 @@ from repro.emulation.network import Injection
 from .enron import EmailWorkloadModel
 from .mapping import host_of
 
+#: Each injection day's messages start at 08:00, two minutes apart.
+INJECTION_START_HOUR = 8.0
+INJECTION_INTERVAL_SECONDS = 120.0
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -47,8 +51,6 @@ class WorkloadConfig:
 
     target_total: int = 490
     injection_days: int = 8
-    window_start_hour: float = 8.0
-    interval_seconds: float = 120.0
     seed: int = 99
     addressing: str = "bus"
 
@@ -57,8 +59,6 @@ class WorkloadConfig:
             raise ValueError("target_total must be >= 1")
         if self.injection_days < 1:
             raise ValueError("injection_days must be >= 1")
-        if self.interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
         if self.addressing not in ("bus", "user"):
             raise ValueError("addressing must be 'bus' or 'user'")
 
@@ -76,8 +76,8 @@ def build_injection_schedule(
 
     The total is dealt round-robin over the injection days that actually
     have riders; days without assignments are skipped (a bus-less day can
-    carry no senders). Messages on one day are spaced ``interval_seconds``
-    apart from the window start.
+    carry no senders). Messages on one day are spaced
+    :data:`INJECTION_INTERVAL_SECONDS` apart from :data:`INJECTION_START_HOUR`.
     """
     rng = random.Random(config.seed)
     # Each day's assignment inverted once (user → first bus listing them,
@@ -104,7 +104,7 @@ def build_injection_schedule(
     sequence = 0
     for day in candidate_days:
         riders = bus_of[day]
-        day_start = day * SECONDS_PER_DAY + config.window_start_hour * 3600.0
+        day_start = day * SECONDS_PER_DAY + INJECTION_START_HOUR * 3600.0
         for slot in range(per_day[day]):
             sender, recipient = model.draw_pair(rng)
             attempts = 0
@@ -119,7 +119,7 @@ def build_injection_schedule(
             if recipient == sender:
                 others = [u for u in model.users if u != sender]
                 recipient = rng.choice(others)
-            time = day_start + slot * config.interval_seconds
+            time = day_start + slot * INJECTION_INTERVAL_SECONDS
             if config.addressing == "bus":
                 source_bus = riders[sender]  # sender is a rider by choice
                 destination_bus = riders.get(recipient)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.churn.trust import ReciprocityLedger
+from repro.churn.trust import MIN_TAKEN, ReciprocityLedger
 
 
 def pair_ledger(given=0, taken=0, **knobs):
@@ -32,13 +32,14 @@ class TestTrackerReciprocity:
         assert ledger.reciprocal("me", "peer")
 
     def test_grace_window_before_min_taken(self):
-        ledger = pair_ledger(given=24, threshold=0.5, min_taken=25)
+        assert MIN_TAKEN == 25
+        ledger = pair_ledger(given=MIN_TAKEN - 1, threshold=0.5)
         assert ledger.reciprocal("me", "peer")  # still inside the grace window
         ledger.observe_sync("me", "peer", sent=1)
         assert not ledger.reciprocal("me", "peer")
 
     def test_generous_peer_passes_the_gate(self):
-        ledger = pair_ledger(given=40, taken=30, threshold=0.5, min_taken=10)
+        ledger = pair_ledger(given=40, taken=30, threshold=0.5)
         assert ledger.reciprocal("me", "peer")
 
 
@@ -48,24 +49,25 @@ class TestLedgerAdmission:
         assert ledger.admit("a", "b")
 
     def test_leech_refused_after_grace(self):
-        ledger = ReciprocityLedger(["honest", "leech"], threshold=0.4, min_taken=10)
-        for _ in range(12):
+        ledger = ReciprocityLedger(["honest", "leech"], threshold=0.4)
+        for _ in range(MIN_TAKEN):
             ledger.observe_sync("honest", "leech", sent=1)
-        # honest gave 12, took nothing back -> leech's score at honest is
-        # (0+1)/(12+1), below threshold, past the grace window.
+        # honest gave 25, took nothing back -> leech's score at honest is
+        # (0+1)/(25+1), below threshold, past the grace window.
         assert not ledger.admit("honest", "leech")
 
     def test_balanced_pair_keeps_syncing(self):
-        ledger = ReciprocityLedger(["a", "b"], threshold=0.4, min_taken=10)
-        for _ in range(12):
+        ledger = ReciprocityLedger(["a", "b"], threshold=0.4)
+        for _ in range(MIN_TAKEN + 2):
             ledger.observe_sync("a", "b", sent=1)
             ledger.observe_sync("b", "a", sent=1)
         assert ledger.admit("a", "b")
 
     def test_admit_is_symmetric(self):
-        ledger = ReciprocityLedger(["a", "b"], threshold=0.4, min_taken=5)
-        for _ in range(8):
+        ledger = ReciprocityLedger(["a", "b"], threshold=0.4)
+        for _ in range(MIN_TAKEN + 3):
             ledger.observe_sync("a", "b", sent=1)
+        assert not ledger.admit("a", "b")
         assert ledger.admit("a", "b") == ledger.admit("b", "a")
 
 

@@ -4,6 +4,7 @@ churn-disabled byte-identity guarantee."""
 import pytest
 
 from repro.churn.schedule import ARRIVE, CRASH, LEAVE, REJOIN
+from repro.churn.trust import MIN_TAKEN, ReciprocityLedger
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import build_scenario
 from repro.experiments.store import canonical_json
@@ -104,7 +105,7 @@ class TestChurnRun:
         scenario, _ = run_scenario(churn_config())
         ledger = scenario.emulator.director.reciprocity
         assert ledger.threshold == 0.4
-        assert ledger.min_taken == 25
+        assert isinstance(ledger, ReciprocityLedger) and MIN_TAKEN == 25
 
     def test_summary_has_the_lifecycle_block(self):
         _, metrics = run_scenario(churn_config())

@@ -5,6 +5,8 @@ from repro.emulation.encounters import Encounter, EncounterTrace
 from repro.emulation.network import Emulator, Injection
 from repro.emulation.node import EmulatedNode
 from repro.faults import FaultConfig
+from repro.replication import peer_health
+from repro.replication.peer_health import PeerHealthTracker
 
 
 def hour(h):
@@ -42,14 +44,15 @@ class TestInjectorLifecycle:
         emulator = make_emulator(FaultConfig(corruption_probability=0.5))
         assert sorted(emulator.peer_health) == ["a", "b"]
         for tracker in emulator.peer_health.values():
-            assert (tracker.suspect_threshold, tracker.quarantine_threshold) == (3, 6)
-            assert (
-                tracker.backoff_base,
-                tracker.backoff_factor,
-                tracker.backoff_max,
-            ) == (120.0, 2.0, 3600.0)
-            assert tracker.jitter == 0.1
-            assert tracker.recovery_probes == 2
+            assert isinstance(tracker, PeerHealthTracker)
+        assert (peer_health.SUSPECT_THRESHOLD, peer_health.QUARANTINE_THRESHOLD) == (3, 6)
+        assert (
+            peer_health.BACKOFF_BASE,
+            peer_health.BACKOFF_FACTOR,
+            peer_health.BACKOFF_MAX,
+        ) == (120.0, 2.0, 3600.0)
+        assert peer_health.JITTER == 0.1
+        assert peer_health.RECOVERY_PROBES == 2
 
 
 class TestEncounterDrops:

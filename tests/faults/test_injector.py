@@ -1,6 +1,7 @@
 """FaultInjector orchestration: seeding, decisions, and resume/backoff."""
 
 from repro.faults import FaultConfig, FaultInjector, ResumeTracker, pair_key
+from repro.faults.injector import RETRY_BASE, RETRY_FACTOR, RETRY_MAX
 
 
 def injector(seed=0, **knobs):
@@ -62,31 +63,30 @@ class TestResumeTracker:
         assert tracker.can_attempt(("a", "b"), 0.0)
 
     def test_interruption_opens_backoff_window(self):
-        tracker = ResumeTracker(base=60.0, factor=2.0, maximum=3600.0)
+        tracker = ResumeTracker()
         tracker.record_interruption(("a", "b"), now=100.0)
-        assert not tracker.can_attempt(("a", "b"), 150.0)
-        assert tracker.can_attempt(("a", "b"), 160.0)
+        assert not tracker.can_attempt(("a", "b"), 100.0 + RETRY_BASE - 1.0)
+        assert tracker.can_attempt(("a", "b"), 100.0 + RETRY_BASE)
 
     def test_backoff_grows_exponentially_and_caps(self):
-        tracker = ResumeTracker(base=60.0, factor=2.0, maximum=200.0)
-        state = tracker.record_interruption(("a", "b"), now=0.0)
-        assert state.next_attempt == 60.0
-        state = tracker.record_interruption(("a", "b"), now=0.0)
-        assert state.next_attempt == 120.0
-        state = tracker.record_interruption(("a", "b"), now=0.0)
-        assert state.next_attempt == 200.0  # capped, not 240
-        state = tracker.record_interruption(("a", "b"), now=0.0)
-        assert state.next_attempt == 200.0
+        assert (RETRY_BASE, RETRY_FACTOR, RETRY_MAX) == (60.0, 2.0, 3600.0)
+        tracker = ResumeTracker()
+        windows = [
+            tracker.record_interruption(("a", "b"), now=100.0).next_attempt - 100.0
+            for _ in range(8)
+        ]
+        # 60 · 2⁶ = 3 840 is past the hour: the seventh window is capped.
+        assert windows == [60.0, 120.0, 240.0, 480.0, 960.0, 1920.0, 3600.0, 3600.0]
 
     def test_backoff_stays_at_cap_past_float_range(self):
         """2.0 ** 1024 overflows a float: the 1 025th interruption in a
         row used to raise OverflowError instead of waiting the cap."""
-        tracker = ResumeTracker(base=60.0, factor=2.0, maximum=3600.0)
+        tracker = ResumeTracker()
         for _ in range(2000):
             state = tracker.record_interruption(("a", "b"), now=0.0)
-            assert state.next_attempt <= 3600.0
+            assert state.next_attempt <= RETRY_MAX
         assert state.attempts == 2000
-        assert state.next_attempt == 3600.0
+        assert state.next_attempt == RETRY_MAX
 
     def test_the_injector_backs_off_a_minute_doubling_to_an_hour(self):
         injector = FaultInjector(FaultConfig(truncation_probability=1.0))

@@ -5,6 +5,8 @@ delivered prefix."""
 import random
 from dataclasses import replace
 
+import pytest
+
 from repro.dtn import (
     COPIES_ATTRIBUTE,
     DEFAULT_COPIES,
@@ -30,6 +32,8 @@ def host(name, policy_factory=EpidemicPolicy):
 
 
 TRUNCATE = FaultConfig(truncation_probability=1.0)
+#: The replica whose batches the transports under test carry.
+SOURCE = ReplicaId("alice")
 
 
 class Keeping(random.Random):
@@ -50,19 +54,22 @@ class FakeEntry:
 
 
 class TestDeliverMechanics:
+    def test_a_transport_names_its_source(self):
+        with pytest.raises(TypeError, match="source_id"):
+            FaultyTransport(FaultConfig(), random.Random(1))
+
     def test_perfect_channel_when_no_models(self):
         batch = [FakeEntry(i) for i in range(5)]
-        outcome = FaultyTransport(FaultConfig(), random.Random(1)).deliver(batch)
+        transport = FaultyTransport(FaultConfig(), random.Random(1), source_id=SOURCE)
+        outcome = transport.deliver(batch)
         assert outcome.delivered == batch
-        assert outcome.sent == 5
+        assert outcome.confirmed == batch
         assert not outcome.truncated
-        assert outcome.lost == 0 and outcome.duplicated == 0
+        assert outcome.lost == 0
 
     def test_truncation_keeps_prefix_in_order(self):
         batch = [FakeEntry(i) for i in range(6)]
-        transport = FaultyTransport(
-            TRUNCATE, Keeping(2)
-        )
+        transport = FaultyTransport(TRUNCATE, Keeping(2), source_id=SOURCE)
         outcome = transport.deliver(batch)
         assert outcome.truncated
         assert outcome.lost == 4
@@ -71,20 +78,25 @@ class TestDeliverMechanics:
     def test_duplication_inserts_copy_immediately_after(self):
         batch = [FakeEntry(i) for i in range(3)]
         transport = FaultyTransport(
-            FaultConfig(duplication_probability=1.0), random.Random(1)
+            FaultConfig(duplication_probability=1.0),
+            random.Random(1),
+            source_id=SOURCE,
         )
         outcome = transport.deliver(batch)
-        assert outcome.duplicated == 3
         assert [entry.tag for entry in outcome.delivered] == [0, 0, 1, 1, 2, 2]
+        assert outcome.confirmed == batch
 
     def test_duplication_applies_to_delivered_prefix_only(self):
         batch = [FakeEntry(i) for i in range(4)]
         transport = FaultyTransport(
-            replace(TRUNCATE, duplication_probability=1.0), Keeping(2)
+            replace(TRUNCATE, duplication_probability=1.0),
+            Keeping(2),
+            source_id=SOURCE,
         )
         outcome = transport.deliver(batch)
         assert [entry.tag for entry in outcome.delivered] == [0, 0, 1, 1]
-        assert outcome.lost == 2 and outcome.duplicated == 2
+        assert outcome.lost == 2
+        assert outcome.confirmed == batch[:2]
 
 
 class TestPrefixCommit:
@@ -97,9 +109,7 @@ class TestPrefixCommit:
         items = [
             sender.create_item(f"m{i}", {"destination": "bob"}) for i in range(8)
         ]
-        transport = FaultyTransport(
-            TRUNCATE, Keeping(k)
-        )
+        transport = FaultyTransport(TRUNCATE, Keeping(k), source_id=SOURCE)
         stats = SyncSession(
             source=sender_ep,
             target=receiver_ep,
@@ -126,9 +136,7 @@ class TestPrefixCommit:
         receiver, receiver_ep = host("bob")
         for i in range(8):
             sender.create_item(f"m{i}", {"destination": "bob"})
-        transport = FaultyTransport(
-            TRUNCATE, Keeping(k)
-        )
+        transport = FaultyTransport(TRUNCATE, Keeping(k), source_id=SOURCE)
         SyncSession(
             source=sender_ep,
             target=receiver_ep,
@@ -146,7 +154,9 @@ class TestPrefixCommit:
         for i in range(4):
             sender.create_item(f"m{i}", {"destination": "bob"})
         transport = FaultyTransport(
-            FaultConfig(duplication_probability=1.0), random.Random(1)
+            FaultConfig(duplication_probability=1.0),
+            random.Random(1),
+            source_id=SOURCE,
         )
         stats = SyncSession(
             source=sender_ep,
@@ -164,7 +174,7 @@ class TestPrefixCommit:
         receiver, receiver_ep = host("bob")
         for i in range(6):
             sender.create_item(f"m{i}", {"destination": "bob"})
-        transport = FaultyTransport(TRUNCATE, random.Random(1))
+        transport = FaultyTransport(TRUNCATE, random.Random(1), source_id=SOURCE)
         stats = SyncSession(
             source=sender_ep,
             target=receiver_ep,
@@ -196,9 +206,7 @@ class TestDeliveryConfirmedHook:
         receiver, receiver_ep = host("bob")
         for i in range(8):
             sender.create_item(f"m{i}", {"destination": "bob"})
-        transport = FaultyTransport(
-            TRUNCATE, Keeping(k)
-        )
+        transport = FaultyTransport(TRUNCATE, Keeping(k), source_id=SOURCE)
         SyncSession(
             source=sender_ep,
             target=receiver_ep,
@@ -217,7 +225,9 @@ class TestDeliveryConfirmedHook:
         for i in range(4):
             sender.create_item(f"m{i}", {"destination": "bob"})
         transport = FaultyTransport(
-            FaultConfig(duplication_probability=1.0), random.Random(1)
+            FaultConfig(duplication_probability=1.0),
+            random.Random(1),
+            source_id=SOURCE,
         )
         SyncSession(
             source=sender_ep,
@@ -247,9 +257,7 @@ class TestFirstContactUnderFaults:
         items = [
             carrier.create_item(f"m{i}", {"destination": "dst"}) for i in range(5)
         ]
-        transport = FaultyTransport(
-            TRUNCATE, Keeping(k)
-        )
+        transport = FaultyTransport(TRUNCATE, Keeping(k), source_id=SOURCE)
         stats = SyncSession(
             source=carrier_ep,
             target=relay_ep,
@@ -272,9 +280,7 @@ class TestFirstContactUnderFaults:
         items = [
             carrier.create_item(f"m{i}", {"destination": "dst"}) for i in range(5)
         ]
-        transport = FaultyTransport(
-            TRUNCATE, Keeping(k)
-        )
+        transport = FaultyTransport(TRUNCATE, Keeping(k), source_id=SOURCE)
         SyncSession(
             source=carrier_ep,
             target=relay_ep,
@@ -307,9 +313,7 @@ class TestSprayBudgetUnderFaults:
         items = [
             sender.create_item(f"m{i}", {"destination": "dst"}) for i in range(5)
         ]
-        transport = FaultyTransport(
-            TRUNCATE, Keeping(k)
-        )
+        transport = FaultyTransport(TRUNCATE, Keeping(k), source_id=SOURCE)
         SyncSession(
             source=sender_ep,
             target=receiver_ep,
@@ -329,7 +333,9 @@ class TestSprayBudgetUnderFaults:
         receiver, receiver_ep = host("bob", SprayAndWaitPolicy)
         item = sender.create_item("m", {"destination": "dst"})
         transport = FaultyTransport(
-            FaultConfig(duplication_probability=1.0), random.Random(1)
+            FaultConfig(duplication_probability=1.0),
+            random.Random(1),
+            source_id=SOURCE,
         )
         SyncSession(
             source=sender_ep,

@@ -194,7 +194,9 @@ class TestTransportProtocol:
 
         from repro.faults import FaultConfig, FaultyTransport
 
-        transport = FaultyTransport(FaultConfig(), random.Random(1))
+        transport = FaultyTransport(
+            FaultConfig(), random.Random(1), source_id=ReplicaId("alice")
+        )
         assert isinstance(transport, Transport)
 
     def test_rejects_non_transports(self):

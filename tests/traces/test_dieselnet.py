@@ -8,6 +8,12 @@ from hypothesis import given, strategies as st
 
 from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
 from repro.traces.dieselnet import (
+    BUSES_PER_DAY,
+    DAYS,
+    N_BUSES,
+    N_ROUTES,
+    WINDOW_END_HOUR,
+    WINDOW_START_HOUR,
     DieselNetConfig,
     bus_name,
     format_trace_text,
@@ -28,18 +34,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             DieselNetConfig(scale=1.5)
 
-    def test_rejects_more_daily_buses_than_exist(self):
-        with pytest.raises(ValueError):
-            DieselNetConfig(n_buses=5, buses_per_day=10)
-
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            DieselNetConfig(window_start_hour=10, window_end_hour=9)
-
     def test_effective_values_scale_down(self):
         config = DieselNetConfig(scale=0.5)
-        assert config.effective_days < config.days
-        assert config.effective_buses < config.n_buses
+        assert config.effective_days < DAYS
+        assert config.effective_buses < N_BUSES
+        assert config.effective_buses_per_day < BUSES_PER_DAY
+
+    def test_full_scale_is_the_campus_fleet(self):
+        config = DieselNetConfig()
+        assert (config.effective_days, config.effective_buses) == (17, 35)
+        assert config.effective_buses_per_day == 23
 
 
 class TestGenerator:
@@ -57,7 +61,7 @@ class TestGenerator:
         trace = generate_dieselnet_trace(SMALL)
         for encounter in trace:
             seconds_into_day = encounter.time - encounter.day * SECONDS_PER_DAY
-            assert 8.0 * 3600 <= seconds_into_day <= 23.0 * 3600
+            assert WINDOW_START_HOUR * 3600 <= seconds_into_day <= WINDOW_END_HOUR * 3600
 
     def test_days_span_configured_count(self):
         trace = generate_dieselnet_trace(SMALL)
@@ -96,7 +100,7 @@ class TestGenerator:
         assert set(schedule) == set(range(config.effective_days))
         for day_routes in schedule.values():
             assert len(day_routes) == config.effective_buses
-            assert all(0 <= r < config.n_routes for r in day_routes.values())
+            assert all(0 <= r < N_ROUTES for r in day_routes.values())
 
     def test_route_churn_changes_assignments(self):
         config = DieselNetConfig(seed=5)

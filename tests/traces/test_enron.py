@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.traces.enron import (
+    CONTACT_LOCALITY,
     EmpiricalEmailModel,
     generate_enron_model,
     parse_pairs_csv,
@@ -50,7 +51,8 @@ class TestSyntheticModel:
 
     def test_contact_locality(self):
         """Most of a sender's mail goes to its contact set."""
-        model = generate_enron_model(n_users=50, seed=4, contact_locality=0.9)
+        assert CONTACT_LOCALITY == 0.8
+        model = generate_enron_model(n_users=50, seed=4)
         rng = random.Random(0)
         in_contacts = 0
         total = 2000

@@ -6,6 +6,8 @@ from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrac
 from repro.traces.enron import generate_enron_model
 from repro.traces.mapping import assign_users_daily, host_of
 from repro.traces.workload import (
+    INJECTION_INTERVAL_SECONDS,
+    INJECTION_START_HOUR,
     WorkloadConfig,
     build_injection_schedule,
     injection_days_used,
@@ -43,7 +45,6 @@ class TestConfig:
         for kwargs in (
             {"target_total": 0},
             {"injection_days": 0},
-            {"interval_seconds": 0},
             {"addressing": "pigeon"},
         ):
             with pytest.raises(ValueError):
@@ -64,7 +65,7 @@ class TestSchedule:
         assert max(injection_days_used(injections)) < 8
 
     def test_morning_window_and_interval(self):
-        injections, _, config = make_schedule(target_total=24)
+        injections, _, _ = make_schedule(target_total=24)
         by_day = {}
         for injection in injections:
             by_day.setdefault(int(injection.time // SECONDS_PER_DAY), []).append(
@@ -72,10 +73,11 @@ class TestSchedule:
             )
         for day, day_injections in by_day.items():
             times = sorted(i.time for i in day_injections)
-            start = day * SECONDS_PER_DAY + 8 * 3600.0
+            start = day * SECONDS_PER_DAY + INJECTION_START_HOUR * 3600.0
             assert times[0] == start
             deltas = [b - a for a, b in zip(times, times[1:])]
-            assert all(d == config.interval_seconds for d in deltas)
+            assert all(d == INJECTION_INTERVAL_SECONDS for d in deltas)
+        assert (INJECTION_START_HOUR, INJECTION_INTERVAL_SECONDS) == (8.0, 120.0)
 
     def test_deterministic(self):
         a, _, _ = make_schedule(target_total=50)
