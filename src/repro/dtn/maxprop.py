@@ -100,8 +100,11 @@ class MaxPropPolicy(RoutingPolicy):
         self.known_vectors: Dict[str, Dict[str, float]] = {}
         #: Gossiped address directory: address → (host node, freshness).
         self.locations: Dict[str, Tuple[str, float]] = {}
-        #: Item ids confirmed delivered (flooded acks).
+        #: Item ids confirmed delivered (flooded acks). They only grow.
         self.acks: Set[ItemId] = set()
+        #: ``frozenset(acks)`` for requests, kept while ``acks`` keeps its
+        #: size (a set that only grows is unchanged while its size is).
+        self._ack_snapshot: FrozenSet[ItemId] = frozenset()
         self._peer: Optional[MaxPropRequest] = None
         #: Memoised all-destinations Dijkstra result, invalidated whenever
         #: the contact-graph picture changes (``to_send`` runs once per
@@ -162,15 +165,17 @@ class MaxPropPolicy(RoutingPolicy):
     # -- gossip merge -------------------------------------------------------------------
 
     def _merge_gossip(self, peer: MaxPropRequest) -> None:
+        # Vectors are stored as received: none is ever written in place
+        # (``own_vector`` builds a fresh one, ``persistent_state`` copies).
         # The peer's own vector is authoritative for the peer.
-        self.known_vectors[peer.node] = dict(peer.vectors.get(peer.node, {}))
+        self.known_vectors[peer.node] = peer.vectors.get(peer.node, {})
         own = self.replica.replica_id.name
         for node, vector in peer.vectors.items():
             if node == peer.node or node == own:
                 continue
             # Second-hand vectors: accept when we have nothing better.
             if node not in self.known_vectors:
-                self.known_vectors[node] = dict(vector)
+                self.known_vectors[node] = vector
         for address, (node, stamp) in peer.locations.items():
             mine = self.locations.get(address)
             if mine is None or stamp > mine[1]:
@@ -200,6 +205,8 @@ class MaxPropPolicy(RoutingPolicy):
                 continue
             settled[node] = cost
             for neighbour, probability in graph.get(node, {}).items():
+                if neighbour in settled:  # edges cost >= 0: already final
+                    continue
                 edge = 1.0 - min(max(probability, 0.0), 1.0)
                 new_cost = cost + edge
                 if new_cost < distances.get(neighbour, float("inf")):
@@ -253,6 +260,7 @@ class MaxPropPolicy(RoutingPolicy):
             for address, (node, stamp) in state.get("locations", {}).items()
         }
         self.acks = {decode_item_id(e) for e in state.get("acks", [])}
+        self._ack_snapshot = frozenset(self.acks)
         self._distance_cache = None
 
     # -- policy interface -----------------------------------------------------------------------
@@ -263,12 +271,14 @@ class MaxPropPolicy(RoutingPolicy):
         locations = dict(self.locations)
         for address in self.local_addresses():
             locations[address] = (self.replica.replica_id.name, context.now)
+        if len(self._ack_snapshot) != len(self.acks):
+            self._ack_snapshot = frozenset(self.acks)
         return MaxPropRequest(
             node=self.replica.replica_id.name,
             addresses=self.local_addresses(),
             vectors=vectors,
             locations=locations,
-            acks=frozenset(self.acks),
+            acks=self._ack_snapshot,
         )
 
     def process_req(self, routing_state: Any, context: SyncContext) -> None:

@@ -2,12 +2,13 @@
 
 One :class:`PeerConnection` is an :class:`asyncio.BufferedProtocol` on the
 :mod:`repro.net.framing` codec: ``buffer_updated`` feeds the decoder and
-wakes the one waiting ``receive``, whose per-read timeout (one timer
-handle, so a stalled peer cannot wedge the process) is cancelled on
-arrival; ``send`` writes one frame and waits only while the transport is
-backed up. EOF raises :class:`ConnectionClosed`, whose ``mid_frame`` flag
-distinguishes a clean close from a connection cut mid-frame — the live
-analogue of the truncation fault, and what the parity tests lean on.
+wakes the one waiting ``receive``, whose per-read timeout (so a stalled
+peer cannot wedge the process) is one read deadline per link, watched by
+one timer handle that outlives the frames; ``send`` writes one frame and
+waits only while the transport is backed up. EOF raises
+:class:`ConnectionClosed`, whose ``mid_frame`` flag distinguishes a clean
+close from a connection cut mid-frame — the live analogue of the
+truncation fault, and what the parity tests lean on.
 
 Addresses are strings — ``unix:/path/to.sock`` or ``tcp:host:port`` — so
 the CLI, config files, and wire messages all name endpoints the same way.
@@ -100,6 +101,12 @@ class PeerConnection(asyncio.BufferedProtocol):
         self._transport: Optional[asyncio.Transport] = None
         self._lost = self._loop.create_future()
         self._receiver: Optional[asyncio.Future] = None
+        #: The waiting ``receive``'s deadline (loop time) and its timeout.
+        self._deadline = 0.0
+        self._timeout = read_timeout
+        #: The one timer handle watching ``_deadline``: a receive moves the
+        #: deadline and re-arms it only to fire earlier than it would.
+        self._watchdog: Optional[asyncio.TimerHandle] = None
         self._paused = False
         self._sender: Optional[asyncio.Future] = None
 
@@ -126,12 +133,23 @@ class PeerConnection(asyncio.BufferedProtocol):
         _settle(self._sender)
 
     def connection_lost(self, error: Optional[Exception]) -> None:
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+            self._watchdog = None
         _settle(self._lost)
         _settle(self._receiver, self._closed_error())
         _settle(self._sender, self._closed_error())
 
-    def _expire(self, timeout: float) -> None:
-        error = asyncio.TimeoutError(f"no frame within {timeout:.1f}s")
+    def _arm(self, when: float) -> None:
+        self._watchdog = self._loop.call_at(when, self._watch, when)
+
+    def _watch(self, when: float) -> None:
+        """The watchdog fired at ``when``: expire the wait or follow it."""
+        if self._deadline > when:  # receives moved the deadline on
+            self._arm(self._deadline)
+            return
+        self._watchdog = None
+        error = asyncio.TimeoutError(f"no frame within {self._timeout:.1f}s")
         _settle(self._receiver, error)
 
     def _closed_error(self) -> ConnectionClosed:
@@ -165,14 +183,15 @@ class PeerConnection(asyncio.BufferedProtocol):
                 raise self._closed_error()
             if timeout is None:
                 timeout = self.read_timeout
+            self._deadline = deadline = self._loop.time() + timeout
+            self._timeout = timeout
+            watchdog = self._watchdog
+            if watchdog is None or watchdog.when() > deadline:
+                if watchdog is not None:
+                    watchdog.cancel()
+                self._arm(deadline)
             self._receiver = self._loop.create_future()
-            timer = self._loop.call_at(
-                self._loop.time() + timeout, self._expire, timeout
-            )
-            try:
-                await self._receiver
-            finally:
-                timer.cancel()
+            await self._receiver
         return self._inbox.popleft()
 
     async def close(self) -> None:

@@ -26,6 +26,8 @@ import json
 import struct
 from typing import Any, Dict, List
 
+from repro.replication.integrity import canonical_encoder
+
 MAGIC = b"RPR1"
 HEADER_SIZE = len(MAGIC) + 4
 #: Hard ceiling on one frame's payload. A batch frame at city scale is a
@@ -33,9 +35,27 @@ HEADER_SIZE = len(MAGIC) + 4
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
-# Built once: ``json.dumps`` with arguments builds a ``JSONEncoder`` per call.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_decode = json.JSONDecoder().decode
+_encode = canonical_encoder()
+_decoder = json.JSONDecoder()
+_scan_once = _decoder.scan_once
+
+
+def _decode(text: str) -> Any:
+    """``JSONDecoder().decode(text)``, in one scan when the value fills it.
+
+    ``JSONDecoder.decode`` also runs two whitespace regexes per payload;
+    a canonical frame has no whitespace, so the value scanned at offset 0
+    ends exactly at the payload's end. Anything else — padding, trailing
+    data, no value at all — goes through ``decode``, which accepts or
+    refuses it exactly as before.
+    """
+    try:
+        value, end = _scan_once(text, 0)
+    except StopIteration:
+        end = -1
+    if end == len(text):
+        return value
+    return _decoder.decode(text)
 
 
 class FramingError(ValueError):
@@ -55,7 +75,8 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
         )
     try:
         payload = _encode(message).encode("utf-8")
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, RecursionError) as error:
+        # A circular message nests until the interpreter's limit.
         raise FramingError(f"message is not JSON-encodable: {error}") from error
     if len(payload) > MAX_FRAME_BYTES:
         raise FramingError(

@@ -26,7 +26,6 @@ functions; the bundled PROPHET and MaxProp states are registered by
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import InvalidFilterError, ReplicationError
@@ -42,7 +41,12 @@ from .filters import (
     OrFilter,
 )
 from .ids import ItemId, ReplicaId, Version
-from .integrity import cached_item_checksum, frame_checksum, item_checksum
+from .integrity import (
+    cached_item_checksum,
+    canonical_encoder,
+    frame_checksum,
+    item_checksum,
+)
 from .items import Item
 from .sync import BatchEntry, SyncRequest
 from .routing import Priority, PriorityClass
@@ -425,9 +429,12 @@ def decode_batch_frame(data: Any) -> List[BatchEntry]:
 # -- size accounting -----------------------------------------------------------------------
 
 
+_encode = canonical_encoder()
+
+
 def wire_size(encoded: Any) -> int:
     """Size in bytes of an encoded object on the wire (compact JSON)."""
-    return len(json.dumps(encoded, separators=(",", ":"), sort_keys=True).encode())
+    return len(_encode(encoded))
 
 
 def knowledge_wire_size(vector: VersionVector) -> int:

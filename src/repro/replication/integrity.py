@@ -31,9 +31,10 @@ the always-computing specification it must agree with.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from json import JSONEncoder
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, Callable, Iterable, Tuple
 
 from .items import CHECKSUM_MEMO_ATTRIBUTE, Item
 
@@ -62,10 +63,25 @@ def _opaque(value: object) -> str:
     return f"<{type(value).__name__}>"
 
 
-# Built once: ``json.dumps`` with arguments builds a ``JSONEncoder`` per call.
-_encode = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), default=_opaque
-).encode
+def canonical_encoder(
+    default: Callable[[Any], Any] = JSONEncoder().default,
+) -> Callable[[Any], str]:
+    """The canonical compact JSON encoder, as one C encoder built once.
+
+    Exactly ``json.dumps(value, sort_keys=True, separators=(",", ":"),
+    default=default)``: ASCII escapes, ``NaN``/``Infinity`` allowed. A
+    ``JSONEncoder``'s ``encode`` builds a new C encoder, float closure and
+    circular-reference ``markers`` dict per call; this one keeps no
+    markers, so a circular value raises ``RecursionError`` (at the
+    interpreter's nesting limit) instead of ``ValueError``.
+    """
+    encode = c_make_encoder(
+        None, default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
+_encode = canonical_encoder(_opaque)
 
 #: Count of actual serialise-and-hash computations performed by
 #: :func:`item_checksum` since process start. The instance memo avoids

@@ -64,7 +64,13 @@ class _Entry:
         if counter <= prefix or counter in extras:
             return self
         if counter != prefix + 1:
-            return _Entry(prefix, extras | {counter})  # beyond a gap
+            # Beyond a gap: canonical by construction, so it skips the
+            # validation pass over every extra (out-of-order batches add
+            # thousands of extras one by one).
+            entry = object.__new__(_Entry)
+            object.__setattr__(entry, "prefix", prefix)
+            object.__setattr__(entry, "extras", extras | {counter})
+            return entry
         if not extras:
             # The usual add: a gap-free prefix grows by one, its (empty)
             # extras handed on untouched.
@@ -174,14 +180,21 @@ class VersionVector:
         return snapshot
 
     def _write(
-        self, replica: ReplicaId, old: Optional[_Entry], entry: _Entry
+        self,
+        replica: ReplicaId,
+        old: Optional[_Entry],
+        entry: _Entry,
+        growth: Optional[int] = None,
     ) -> None:
         """Store ``entry`` where ``old`` was: detach a shared table first,
-        keep the size by what changed."""
+        keep the size by what changed (``growth`` bytes, when the caller
+        knows it)."""
         if self._shared:
             self._entries = dict(self._entries)
             self._shared = False
-        if old is None or old.is_empty or entry.is_empty:
+        if growth is not None:
+            self._cost += growth
+        elif old is None or old.is_empty or entry.is_empty:
             self._cost += _entry_cost(replica, entry) - _entry_cost(replica, old)
         elif entry.extras is old.extras:
             # Nearly every write: a prefix grew beside untouched extras.
@@ -206,11 +219,16 @@ class VersionVector:
         how :meth:`Replica.apply_remote` keeps its at-most-once guard. A
         repeat writes nothing, so a shared table stays shared.
         """
-        old = self._entries.get(version.replica, _NOTHING_KNOWN)
-        new = old.add(version.counter)
+        replica, counter = version.replica, version.counter
+        old = self._entries.get(replica, _NOTHING_KNOWN)
+        new = old.add(counter)
         if new is old:
             return False
-        self._write(version.replica, old, new)
+        if new.prefix == old.prefix and not old.is_empty:
+            # One more extra: ``,counter`` joins the member, nothing else.
+            self._write(replica, old, new, len(str(counter)) + 1)
+        else:
+            self._write(replica, old, new)
         return True
 
     def merge(self, other: "VersionVector") -> None:

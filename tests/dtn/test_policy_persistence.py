@@ -63,6 +63,18 @@ class TestProphet:
         assert reborn.predictability("b") < before
 
 
+def _dicts(value, found=None):
+    """Every dict reachable from ``value``, by identity."""
+    found = {} if found is None else found
+    if isinstance(value, dict):
+        found[id(value)] = value
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for element in value:
+            _dicts(element, found)
+    return found
+
+
 class TestMaxProp:
     def make_populated(self):
         replica, policy = bound(MaxPropPolicy)
@@ -96,3 +108,34 @@ class TestMaxProp:
         assert reborn.path_cost_to_address("user1") == policy.path_cost_to_address(
             "user1"
         )
+
+    def _live_dicts(self, policy):
+        return _dicts([policy.meeting_counts, policy.known_vectors, policy.locations])
+
+    def test_persisted_and_restored_state_share_no_dict_with_a_live_policy(self):
+        """Gossiped vectors are stored as received; what leaves or enters
+        through persistence is still a copy."""
+        _, policy = self.make_populated()
+        state = policy.persistent_state()
+        assert not _dicts(state).keys() & self._live_dicts(policy).keys()
+
+        _, reborn = bound(MaxPropPolicy)
+        reborn.restore_state(state)
+        assert not _dicts(state).keys() & self._live_dicts(reborn).keys()
+        assert not self._live_dicts(policy).keys() & self._live_dicts(reborn).keys()
+
+        state["known_vectors"]["b"]["c"] = 0.0  # nothing live moves
+        assert policy.known_vectors["b"] == {"c": 1.0}
+        assert reborn.known_vectors["b"] == {"c": 1.0}
+
+    def test_a_request_carries_the_acks_as_they_grow(self):
+        _, policy = self.make_populated()
+        first = policy.generate_req(ctx()).acks
+        assert first == {ItemId(ReplicaId("x"), 1)}
+        assert policy.generate_req(ctx()).acks is first  # unchanged: reused
+        policy.acks.add(ItemId(ReplicaId("x"), 2))
+        assert policy.generate_req(ctx()).acks == policy.acks
+
+        _, reborn = bound(MaxPropPolicy)
+        reborn.restore_state(policy.persistent_state())
+        assert reborn.generate_req(ctx()).acks == policy.acks

@@ -345,3 +345,114 @@ def test_swarm_fails_fast_on_a_serve_process_that_dies_while_booting(tmp_path):
             await asyncio.wait_for(swarm._connect(never, deadline), 10)
 
     asyncio.run(scenario())
+
+
+# -- the read deadline --------------------------------------------------------
+#
+# A link keeps one read deadline, moved by every ``receive`` and watched
+# by one timer handle that is re-armed only when it would fire too early
+# or too late. Seen from outside it must time out exactly like a timer per
+# receive: at the waiting call's own timeout, never at an earlier one's.
+
+
+async def _stalling_peer(address, frames):
+    """A framed peer that sends ``frames`` messages, then goes silent."""
+    release = asyncio.Event()
+
+    async def stall(connection):
+        for n in range(frames):
+            await connection.send({"n": n})
+        await release.wait()
+
+    return await listen(address, stall), release
+
+
+async def _timed_out_after(client, timeout=None):
+    """Seconds from a ``receive`` call to its ``TimeoutError``."""
+    loop = asyncio.get_running_loop()
+    started = loop.time()
+    with pytest.raises(asyncio.TimeoutError):
+        await client.receive(timeout)
+    return loop.time() - started
+
+
+def test_a_stalled_peer_times_out_after_read_timeout_from_this_receive():
+    """The watchdog armed by an earlier receive fires before this one's
+    deadline; it must follow the deadline on, not expire the wait."""
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
+            address = _socket_path(tmp)
+            server, release = await _stalling_peer(address, frames=1)
+            client = await open_connection(address, read_timeout=0.3)
+            try:
+                assert await client.receive() == {"n": 0}
+                await asyncio.sleep(0.15)  # the old deadline is 0.15 s away
+                return await _timed_out_after(client)
+            finally:
+                release.set()
+                await client.close()
+                await _closed(server)
+
+    elapsed = asyncio.run(scenario())
+    assert 0.3 - 0.01 <= elapsed < 1.0
+
+
+def test_a_shorter_timeout_fires_on_time_under_a_longer_deadline():
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
+            address = _socket_path(tmp)
+            server, release = await _stalling_peer(address, frames=1)
+            client = await open_connection(address, read_timeout=30.0)
+            try:
+                assert await client.receive() == {"n": 0}  # arms 30 s out
+                short = await _timed_out_after(client, timeout=0.05)
+                # And a longer one after it is not cut short by it.
+                longer = await _timed_out_after(client, timeout=0.2)
+                return short, longer
+            finally:
+                release.set()
+                await client.close()
+                await _closed(server)
+
+    short, longer = asyncio.run(scenario())
+    assert 0.05 - 0.01 <= short < 1.0
+    assert 0.2 - 0.01 <= longer < 1.0
+
+
+def test_receives_on_one_link_schedule_a_constant_number_of_timers():
+    """10 000 waited-for frames, ping-pong on one link: one watchdog per
+    link end, where a timer per receive scheduled 20 000."""
+    rounds = 10_000
+
+    async def scenario():
+        with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
+            address = _socket_path(tmp)
+
+            async def echo(connection):
+                for _ in range(rounds):
+                    await connection.send(await connection.receive())
+
+            server = await listen(address, echo)
+            client = await open_connection(address)
+            loop = asyncio.get_running_loop()
+            scheduled = []
+            call_at = loop.call_at
+
+            def counting(when, callback, *args, **kwargs):
+                scheduled.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = counting
+            try:
+                for n in range(rounds):
+                    await client.send({"n": n})
+                    assert await client.receive() == {"n": n}
+            finally:
+                del loop.call_at
+            await client.close()
+            await _closed(server)
+            return scheduled
+
+    scheduled = asyncio.run(scenario())
+    assert len(scheduled) <= 2

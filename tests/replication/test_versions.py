@@ -1,7 +1,10 @@
 """Unit tests for version vectors (knowledge)."""
 
+import random
+
 import pytest
 
+from repro.replication.codec import encode_knowledge, wire_size
 from repro.replication.ids import ReplicaId, Version
 from repro.replication.versions import VersionVector, _Entry
 
@@ -76,8 +79,6 @@ class TestVersionVector:
         assert v("a", 1) in vector
 
     def test_add_reports_whether_the_version_was_new(self):
-        from repro.replication.codec import encode_knowledge, wire_size
-
         vector = VersionVector.empty()
         a = ReplicaId("a")
         steps = [
@@ -123,6 +124,29 @@ class TestVersionVector:
         vector.add(v("a", 2))
         assert vector.size_in_extras() == 0
         assert vector.known_counter_prefix(ReplicaId("a")) == 3
+
+    @pytest.mark.parametrize("order", ["reverse", "shuffled"])
+    def test_a_batch_out_of_order_ends_as_the_in_order_vector(self, order):
+        """20 000 versions of one origin, last first or shuffled (what a
+        node rejoining after a long partition receives): every step stays
+        canonical and its size stays the size of its encoding."""
+        counters = list(range(1, 20_001))
+        if order == "reverse":
+            counters.reverse()
+        else:
+            random.Random(44).shuffle(counters)
+        vector = VersionVector.empty()
+        for step, counter in enumerate(counters, 1):
+            assert vector.add(v("a", counter)) is True
+            if step % 1000 == 0:
+                entry = vector._entries[ReplicaId("a")]
+                assert _Entry(entry.prefix, entry.extras) == entry  # canonical
+                assert vector.wire_size() == wire_size(encode_knowledge(vector))
+        assert vector == VersionVector.from_versions(
+            v("a", counter) for counter in range(1, 20_001)
+        )
+        assert vector.size_in_extras() == 0
+        assert vector.wire_size() == wire_size(encode_knowledge(vector))
 
     def test_merge_unions(self):
         left = VersionVector.from_versions([v("a", 1), v("b", 2), v("b", 1)])
