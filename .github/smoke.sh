@@ -20,8 +20,8 @@ sweep)
     --scale 0.25 --workers 2 --results-dir results/runs"
   $SWEEP | tee sweep-first.log
   $SWEEP | tee sweep-second.log
-  grep -q "4 reused" sweep-second.log
-  grep -q "4 ok, 0 missing, 0 failed, 0 invalid" sweep-second.log
+  grep -q "4 completed, 0 reused, 0 failed" sweep-first.log
+  grep -q "0 completed, 4 reused, 0 failed" sweep-second.log
   ;;
 
 adversarial)

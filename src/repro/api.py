@@ -24,7 +24,7 @@ Groups:
 * **Sweeps** — :func:`expand_grid`, :func:`run_sweep`,
   :class:`SweepEvent`, :class:`SweepReport`, :class:`RunOutcome`,
   :class:`RunStore`, :exc:`StoreError`, :func:`run_id_for`,
-  :func:`config_digest`, :func:`sweep_id_for`.
+  :func:`config_digest`.
 * **Metrics** — :class:`MetricsCollector`, :class:`MessageRecord`.
 * **Policies** — :func:`get_policy`, :func:`register_policy`,
   :func:`available_policies`, :func:`default_parameters`,
@@ -82,7 +82,6 @@ from repro.experiments.store import (
     StoreError,
     config_digest,
     run_id_for,
-    sweep_id_for,
 )
 from repro.experiments.sweep import (
     RunOutcome,
@@ -160,7 +159,6 @@ __all__ = [
     "run_id_for",
     "run_swarm",
     "run_sweep",
-    "sweep_id_for",
 ]
 
 

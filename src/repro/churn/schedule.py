@@ -14,7 +14,7 @@ in windows chosen to keep the scenarios meaningful: arrivals land early
 enough to participate, leaves late enough to have accumulated state
 worth handing off, and crash/rejoin windows always close before the
 trace span ends — both execution modes therefore replay the complete
-schedule regardless of any convergence ``extra_days`` tail.
+schedule.
 """
 
 from __future__ import annotations

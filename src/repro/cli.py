@@ -16,7 +16,7 @@ Usage (installed as ``python -m repro``):
                           [--bandwidth-limits N|none ...]
                           [--storage-limits N|none ...]
                           [--scale S] [--workers N] [--no-resume]
-                          [--timeout SECONDS] [--extra-days N] [--report]
+                          [--timeout SECONDS] [--report]
                           [--filter LABEL] [--results-dir DIR]
     python -m repro figure {5,6,7,8,9,10,all} [--scale S]
                            [--output-dir DIR] [--results-dir DIR]
@@ -306,10 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact store root (default results/runs)",
     )
     sweep.add_argument(
-        "--extra-days", type=int, default=0,
-        help="emulate this many extra quiet days after the trace ends",
-    )
-    sweep.add_argument(
         "--report", action="store_true",
         help="after the sweep, print summary tables read back from the "
              "artifact store",
@@ -573,25 +569,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             workers=workers,
             resume=not args.no_resume,
             progress=_print_sweep_event,
-            extra_days=args.extra_days,
             timeout_s=args.timeout,
         )
     except ValueError as exc:
         return _usage_error(exc)
     print(
-        f"sweep {report.sweep_id}: {len(report.outcomes)} runs — "
+        f"sweep: {len(report.outcomes)} runs — "
         f"{report.completed} completed, {report.reused} reused, "
         f"{report.failed} failed "
         f"(wall {report.wall_clock_s:.1f}s, workers {workers})"
-    )
-    statuses = store.validate_manifest(report.sweep_id)
-    ok = sum(1 for status in statuses.values() if status == "ok")
-    missing = sum(1 for status in statuses.values() if status == "missing")
-    failed = sum(1 for status in statuses.values() if status == "failed")
-    invalid = len(statuses) - ok - missing - failed
-    print(
-        f"manifest: {ok} ok, {missing} missing, {failed} failed, "
-        f"{invalid} invalid"
     )
     for outcome in report.outcomes:
         if outcome.status == "failed":
@@ -607,14 +593,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(render_store_summary(store, label_filter=args.filter))
         print()
         print(render_measured_table(store))
-    return (
-        0
-        if report.failed == 0
-        and invalid == 0
-        and missing == 0
-        and failed == 0
-        else 1
-    )
+    return 1 if report.failed else 0
 
 
 def _emit(text: str, name: str, output_dir: Optional[pathlib.Path]) -> None:

@@ -307,14 +307,12 @@ class ColumnarWorld:
 
     # -- event loop --------------------------------------------------------
 
-    def run(
-        self, extra_days: int = 0, end_time: Optional[float] = None
-    ) -> MetricsCollector:
+    def run(self, end_time: Optional[float] = None) -> MetricsCollector:
         """Replay injections + encounters in event order; return metrics."""
         times = self.trace.times
         if end_time is None:
             # Bus addressing only, so no reassignment day extends the run.
-            end_time = run_end_time(self.trace, extra_days=extra_days)
+            end_time = run_end_time(self.trace)
         # The schedule's order: an injection beats the encounters at its
         # instant (INJECT < ENCOUNTER band), so it closes the segment of
         # encounters strictly before it; nothing past the end time runs.
@@ -675,7 +673,6 @@ def run_columnar(
     config: Any,
     trace: Optional[EncounterTrace] = None,
     model: Optional[Any] = None,
-    extra_days: int = 0,
 ) -> Tuple[MetricsCollector, Dict[str, float]]:
     """Run ``config`` on the columnar engine.
 
@@ -686,7 +683,7 @@ def run_columnar(
     """
     world, trace = build_world(config, trace, model)
     trace_summary = trace.summary()
-    metrics = world.run(extra_days=extra_days)
+    metrics = world.run()
     return metrics, trace_summary
 
 

@@ -77,15 +77,11 @@ def order_coins(seed: int) -> Iterator[bool]:
 def end_time(
     trace: EncounterTrace,
     assignments: Optional[AssignmentSchedule] = None,
-    extra_days: int = 0,
 ) -> float:
     """When a run ends: the close of the last day that has an encounter
-    or a reassignment (day 0's if there is neither), plus ``extra_days``."""
+    or a reassignment (day 0's if there is neither)."""
     last_assignment_day = max(assignments or (), default=0)
-    return (
-        max(trace.duration, (last_assignment_day + 1) * SECONDS_PER_DAY)
-        + extra_days * SECONDS_PER_DAY
-    )
+    return max(trace.duration, (last_assignment_day + 1) * SECONDS_PER_DAY)
 
 
 def build_schedule(
@@ -93,7 +89,6 @@ def build_schedule(
     injections: Sequence["Injection"] = (),
     assignments: Optional[AssignmentSchedule] = None,
     churn_schedule: Optional["ChurnSchedule"] = None,
-    extra_days: int = 0,
 ) -> Tuple[List[Step], float]:
     """Every step of a run in execution order, plus the run's end time.
 
@@ -113,7 +108,7 @@ def build_schedule(
     # The sort is stable: steps equal on (time, band) keep the sequence
     # order they were appended in.
     steps.sort(key=lambda step: (step.time, BAND[step.kind]))
-    return steps, end_time(trace, assignments, extra_days)
+    return steps, end_time(trace, assignments)
 
 
 class RunDirector:

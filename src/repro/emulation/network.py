@@ -404,9 +404,9 @@ class Emulator:
         self.now = max(self.now, until)
         return self.now
 
-    def run(self, extra_days: int = 0) -> MetricsCollector:
+    def run(self) -> MetricsCollector:
         """Run the whole emulation and finalise metrics."""
-        self.advance(end_time(self.trace, self.assignments, extra_days))
+        self.advance(end_time(self.trace, self.assignments))
         for record in self.metrics.records.values():
             record.copies_at_end = self.count_copies(record.message_id)
         self.director.finalize(self.now)

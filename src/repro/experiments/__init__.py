@@ -2,8 +2,7 @@
 
 Beyond the per-figure harnesses this package hosts the sweep machinery:
 :mod:`~repro.experiments.sweep` (process-parallel grid execution) and
-:mod:`~repro.experiments.store` (content-addressed run artifacts +
-manifests).
+:mod:`~repro.experiments.store` (content-addressed run artifacts).
 The supported subset of these names is re-exported by :mod:`repro.api`.
 """
 
@@ -34,13 +33,7 @@ from .report import (
 )
 from .runner import ExperimentResult, run_experiment, run_scenario
 from .scenario import Scenario, build_scenario, expected_user_meetings
-from .store import (
-    RunStore,
-    StoreError,
-    config_digest,
-    run_id_for,
-    sweep_id_for,
-)
+from .store import RunStore, StoreError, config_digest, run_id_for
 from .sweep import (
     RunOutcome,
     SweepEvent,
@@ -104,5 +97,4 @@ __all__ = [
     "run_scenario",
     "run_sweep",
     "seeded",
-    "sweep_id_for",
 ]

@@ -60,12 +60,10 @@ def replica_fixed_point(replica: Replica) -> Dict[str, Any]:
     }
 
 
-def emulator_fixed_points(
-    config: ExperimentConfig, extra_days: int = 0
-) -> Dict[str, Dict[str, Any]]:
+def emulator_fixed_points(config: ExperimentConfig) -> Dict[str, Dict[str, Any]]:
     """Run ``config`` through the discrete-event emulator; snapshot nodes."""
     emulator = build_scenario(config).emulator
-    emulator.run(extra_days=extra_days)
+    emulator.run()
     return snapshot_emulator(emulator)
 
 
@@ -137,9 +135,7 @@ def compare_fixed_points(
 
 
 def check_convergence_parity(
-    config: ExperimentConfig,
-    extra_days: int = 0,
-    transport: str = "unix",
+    config: ExperimentConfig, transport: str = "unix"
 ) -> ParityReport:
     """Run ``config`` through both worlds and compare the fixed points.
 
@@ -152,19 +148,13 @@ def check_convergence_parity(
     # the net layer loaded.
     from repro.net.swarm import SwarmConfig, run_swarm
 
-    emulator_points = emulator_fixed_points(config, extra_days=extra_days)
-    report = run_swarm(
-        SwarmConfig(
-            experiment=config, transport=transport, extra_days=extra_days
-        )
-    )
+    emulator_points = emulator_fixed_points(config)
+    report = run_swarm(SwarmConfig(experiment=config, transport=transport))
     return compare_fixed_points(emulator_points, report.fixed_points)
 
 
 def check_churn_parity(
-    config: ExperimentConfig,
-    extra_days: int = 0,
-    transport: str = "unix",
+    config: ExperimentConfig, transport: str = "unix"
 ) -> ParityReport:
     """Convergence parity for a *churning* scenario.
 
@@ -189,6 +179,4 @@ def check_churn_parity(
             "churn schedule has no amnesiac rejoin; raise crash_fraction "
             "or amnesia_probability so the gate exercises one"
         )
-    return check_convergence_parity(
-        config, extra_days=extra_days, transport=transport
-    )
+    return check_convergence_parity(config, transport=transport)

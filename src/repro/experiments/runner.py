@@ -67,7 +67,6 @@ def run_experiment(
     config: ExperimentConfig,
     trace: Optional[EncounterTrace] = None,
     model: Optional[EmailWorkloadModel] = None,
-    extra_days: int = 0,
 ) -> ExperimentResult:
     """Build the scenario for ``config``, run it, and collect metrics.
 
@@ -80,19 +79,17 @@ def run_experiment(
     if config.engine == "columnar":
         from repro.emulation.columnar import run_columnar
 
-        metrics, trace_summary = run_columnar(
-            config, trace=trace, model=model, extra_days=extra_days
-        )
+        metrics, trace_summary = run_columnar(config, trace=trace, model=model)
         return ExperimentResult(
             config=config, metrics=metrics, trace_summary=trace_summary
         )
     scenario = build_scenario(config, trace=trace, model=model)
-    return run_scenario(scenario, extra_days=extra_days)
+    return run_scenario(scenario)
 
 
-def run_scenario(scenario: Scenario, extra_days: int = 0) -> ExperimentResult:
+def run_scenario(scenario: Scenario) -> ExperimentResult:
     """Run a pre-built scenario (lets callers inspect or tweak it first)."""
-    metrics = scenario.emulator.run(extra_days=extra_days)
+    metrics = scenario.emulator.run()
     return ExperimentResult(
         config=scenario.config,
         metrics=metrics,

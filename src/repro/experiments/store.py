@@ -14,7 +14,6 @@ Layout::
     results/runs/
         epidemic-3f9c2ab41d07e6b2.json     one artifact per run
         spray-91be77a30c44d1f5.json
-        manifest-5a3e1c9b0d12.json         one manifest per sweep
 
 An artifact is an envelope around ``ExperimentResult.to_dict()``::
 
@@ -38,7 +37,7 @@ import hashlib
 import json
 import pathlib
 import re
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.replication.persistence import write_text_atomic
 
@@ -52,7 +51,6 @@ RUN_SCHEMA_VERSION = 1
 DEFAULT_STORE_ROOT = pathlib.Path("results") / "runs"
 
 _DIGEST_LENGTH = 16
-_SWEEP_DIGEST_LENGTH = 12
 _SAFE_POLICY = re.compile(r"[^a-z0-9_-]+")
 
 
@@ -78,7 +76,7 @@ def run_id_for(config: ExperimentConfig) -> str:
 
 
 class RunStore:
-    """One directory of run artifacts plus sweep manifests.
+    """One directory of run artifacts, one file per run.
 
     The store is append-mostly and safe to share between sweeps: artifacts
     are keyed purely by config content, so two sweeps whose grids overlap
@@ -92,14 +90,6 @@ class RunStore:
 
     def path_for(self, run_id: str) -> pathlib.Path:
         return self.root / f"{run_id}.json"
-
-    def failure_path_for(self, run_id: str) -> pathlib.Path:
-        """Sidecar recording that a run *failed* (timed out, crashed, or
-        raised) — distinct from a run that simply never executed."""
-        return self.root / f"{run_id}.failed.json"
-
-    def manifest_path(self, sweep_id: str) -> pathlib.Path:
-        return self.root / f"manifest-{sweep_id}.json"
 
     # -- queries --------------------------------------------------------------------
 
@@ -118,12 +108,7 @@ class RunStore:
         """Run ids of every artifact file in the store, sorted."""
         if not self.root.is_dir():
             return []
-        return sorted(
-            path.stem
-            for path in self.root.glob("*.json")
-            if not path.name.startswith("manifest-")
-            and not path.name.endswith(".failed.json")
-        )
+        return sorted(path.stem for path in self.root.glob("*.json"))
 
     # -- reading --------------------------------------------------------------------
 
@@ -201,128 +186,7 @@ class RunStore:
             "wall_clock_s": wall_clock_s,
             "result": result.to_dict(),
         }
-        path = self._write_atomic(self.path_for(run_id), artifact)
-        # A successful run supersedes any stale failure record.
-        self.clear_failure(run_id)
-        return path
-
-    # -- failure sidecars -----------------------------------------------------------
-
-    def record_failure(
-        self,
-        run_id: str,
-        label: str,
-        error: str,
-        wall_clock_s: Optional[float] = None,
-    ) -> pathlib.Path:
-        """Persist a failure sidecar for a run with no artifact.
-
-        A timed-out or crashed worker leaves no result to store; the
-        sidecar records *that it failed and why*, so a later
-        :meth:`validate_manifest` distinguishes "failed" from "never ran",
-        while :meth:`has` still reports the run as absent (resume retries
-        it)."""
-        payload = {
-            "schema": RUN_SCHEMA_VERSION,
-            "run_id": run_id,
-            "label": label,
-            "status": "failed",
-            "error": error,
-            "wall_clock_s": wall_clock_s,
-        }
-        return self._write_atomic(self.failure_path_for(run_id), payload)
-
-    def load_failure(self, run_id: str) -> Optional[Dict[str, Any]]:
-        """The failure sidecar for ``run_id``, or None if there is none."""
-        path = self.failure_path_for(run_id)
-        try:
-            return json.loads(path.read_text())
-        except OSError:
-            return None
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt failure sidecar {path}: {exc}") from exc
-
-    def clear_failure(self, run_id: str) -> None:
-        try:
-            self.failure_path_for(run_id).unlink()
-        except OSError:
-            pass
-
-    def _write_atomic(
-        self, path: pathlib.Path, payload: Dict[str, Any]
-    ) -> pathlib.Path:
+        path = self.path_for(run_id)
         self.root.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(path, canonical_json(payload) + "\n")
+        write_text_atomic(path, canonical_json(artifact) + "\n")
         return path
-
-    # -- manifests ------------------------------------------------------------------
-
-    def write_manifest(
-        self, configs: Sequence[ExperimentConfig], workers: int
-    ) -> pathlib.Path:
-        """Record a sweep's full grid before any run executes.
-
-        The manifest is itself content-addressed by the sorted run ids, so
-        re-launching the same grid (the resume path) overwrites the same
-        manifest file instead of accumulating duplicates.
-        """
-        runs = sorted(
-            (
-                {
-                    "run_id": run_id_for(config),
-                    "config_digest": config_digest(config),
-                    "label": config.label(),
-                }
-                for config in configs
-            ),
-            key=lambda entry: entry["run_id"],
-        )
-        manifest = {
-            "schema": RUN_SCHEMA_VERSION,
-            "sweep_id": sweep_id_for(entry["run_id"] for entry in runs),
-            "workers": workers,
-            "runs": runs,
-        }
-        return self._write_atomic(
-            self.manifest_path(manifest["sweep_id"]), manifest
-        )
-
-    def load_manifest(self, sweep_id: str) -> Dict[str, Any]:
-        path = self.manifest_path(sweep_id)
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(f"unreadable sweep manifest {path}: {exc}") from exc
-
-    def validate_manifest(self, sweep_id: str) -> Dict[str, str]:
-        """Per-run status of a sweep: ``run_id → ok|missing|failed|invalid``.
-
-        ``failed`` means no artifact exists but a failure sidecar does —
-        the run executed and died (timeout, crash, exception) rather than
-        never having been attempted.
-        """
-        manifest = self.load_manifest(sweep_id)
-        statuses: Dict[str, str] = {}
-        for entry in manifest["runs"]:
-            run_id = entry["run_id"]
-            if not self.path_for(run_id).exists():
-                statuses[run_id] = (
-                    "failed"
-                    if self.failure_path_for(run_id).exists()
-                    else "missing"
-                )
-                continue
-            try:
-                artifact = self.load_artifact(run_id)
-            except StoreError:
-                statuses[run_id] = "invalid"
-                continue
-            matches = artifact["config_digest"] == entry["config_digest"]
-            statuses[run_id] = "ok" if matches else "invalid"
-        return statuses
-
-
-def sweep_id_for(run_ids: Iterable[str]) -> str:
-    """Digest naming a sweep: the hash of its sorted run ids."""
-    payload = canonical_json(sorted(run_ids)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:_SWEEP_DIGEST_LENGTH]

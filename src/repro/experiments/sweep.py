@@ -9,18 +9,18 @@ into throughput:
   of :class:`~repro.experiments.config.ExperimentConfig` cells;
 * :func:`run_sweep` fans the cells out to ``spawn`` worker processes,
   one process per run, under a parent-side watchdog (``timeout_s``)
-  that kills overdue workers and records hard-crashed ones. Workers
+  that kills overdue workers and settles hard-crashed ones. Workers
   never receive live replicas or emulators — only ``config.to_dict()``
   payloads — and rebuild the scenario on their side, so the engine is
   safe under every multiprocessing start method and never pays pickling
   costs proportional to simulation state;
 * each completed run is written (atomically, by the parent, which is the
   store's single writer) into a content-addressed
-  :class:`~repro.experiments.store.RunStore` together with a sweep
-  manifest, so an interrupted sweep resumes by skipping runs whose
-  artifacts already exist and validate;
-* per-run lifecycle and sync-counter telemetry stream back to the parent
-  as runs start and finish — a progress callback sees every event.
+  :class:`~repro.experiments.store.RunStore`, so an interrupted sweep
+  resumes by skipping runs whose artifacts already exist and validate;
+  the returned :class:`SweepReport` is the only record of failed runs;
+* per-run lifecycle events, a finished run's summary with them, reach a
+  progress callback as runs start and finish.
 
 Because every run is deterministic from its config, a parallel sweep's
 artifacts are byte-identical to a serial sweep's
@@ -35,33 +35,11 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 from queue import Empty
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from .config import ExperimentConfig
 from .runner import ExperimentResult, run_experiment
-from .store import RunStore, run_id_for, sweep_id_for
-
-#: Summary counters streamed back to the parent as each run finishes.
-TELEMETRY_KEYS: Tuple[str, ...] = (
-    "injected",
-    "delivered",
-    "delivery_ratio",
-    "syncs",
-    "encounters",
-    "transmissions",
-    "quarantined_entries",
-    "rejected_knowledge",
-    "protocol_violations",
-)
+from .store import RunStore, run_id_for
 
 #: Progress callback: receives one :class:`SweepEvent` per lifecycle step.
 ProgressCallback = Callable[["SweepEvent"], None]
@@ -74,8 +52,8 @@ class SweepEvent:
     ``kind`` is ``"reused"`` (a valid artifact already existed),
     ``"started"``, ``"finished"``, or ``"failed"``. ``completed`` counts
     runs that have reached a terminal state so far, out of ``total``.
-    Events for parallel runs may be delivered from a helper thread;
-    callbacks should be cheap and thread-safe (printing is fine).
+    A ``finished`` event's ``telemetry`` is the run's ``summary()``.
+    Callbacks should be cheap (printing is fine).
     """
 
     kind: str
@@ -101,9 +79,8 @@ class RunOutcome:
 
 @dataclass
 class SweepReport:
-    """What :func:`run_sweep` returns: the sweep identity plus outcomes."""
+    """What :func:`run_sweep` returns: one outcome per grid cell."""
 
-    sweep_id: str
     store_root: str
     workers: int
     wall_clock_s: float
@@ -211,14 +188,11 @@ def _execute(payload: Dict[str, Any]) -> Dict[str, Any]:
     started = time.perf_counter()
     try:
         config = ExperimentConfig.from_dict(payload["config"])
-        result = run_experiment(config, extra_days=payload["extra_days"])
-        summary = result.summary()
-        telemetry = {key: summary[key] for key in TELEMETRY_KEYS}
+        result = run_experiment(config)
         return {
             "run_id": run_id,
             "wall_clock_s": time.perf_counter() - started,
             "result": result.to_dict(),
-            "telemetry": telemetry,
         }
     except Exception:
         return {
@@ -242,7 +216,6 @@ def run_sweep(
     workers: int = 1,
     resume: bool = True,
     progress: Optional[ProgressCallback] = None,
-    extra_days: int = 0,
     timeout_s: Optional[float] = None,
 ) -> SweepReport:
     """Run every config, parallel across processes, into the store.
@@ -254,14 +227,13 @@ def run_sweep(
     * ``progress`` receives a :class:`SweepEvent` per lifecycle step.
     * ``timeout_s`` arms the watchdog: each run gets that much wall
       clock, after which its worker process is killed and the run is
-      recorded as a ``failed`` outcome with a failure sidecar in the
-      store (a later resume of the same grid retries it). Setting a
-      timeout forces the process path even for ``workers=1`` — a hung
-      run can only be killed from outside its process.
+      reported as a ``failed`` outcome. It leaves no file, so a later
+      resume of the same grid retries it. Setting a timeout forces the
+      process path even for ``workers=1`` — a hung run can only be
+      killed from outside its process.
 
-    The sweep manifest is written before any run starts, so a killed
-    sweep leaves behind both the plan and the completed artifacts —
-    everything resume needs.
+    The store holds only completed runs' artifacts, so a killed sweep
+    leaves behind everything resume needs.
     """
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError("timeout_s must be positive")
@@ -270,13 +242,9 @@ def run_sweep(
     if len(set(run_ids)) != len(run_ids):
         raise ValueError("sweep grid contains duplicate configs")
     report = SweepReport(
-        sweep_id=sweep_id_for(run_ids),
-        store_root=str(store.root),
-        workers=workers,
-        wall_clock_s=0.0,
+        store_root=str(store.root), workers=workers, wall_clock_s=0.0
     )
     started = time.perf_counter()
-    store.write_manifest(configs, workers=workers)
 
     total = len(configs)
     terminal = 0
@@ -315,7 +283,6 @@ def run_sweep(
                     "run_id": run_id,
                     "label": config.label(),
                     "config": config.to_dict(),
-                    "extra_days": extra_days,
                 }
             )
 
@@ -326,12 +293,6 @@ def run_sweep(
         run_id = payload["run_id"]
         label = payload["label"]
         if "error" in outcome_raw:
-            store.record_failure(
-                run_id,
-                label,
-                outcome_raw["error"],
-                wall_clock_s=outcome_raw["wall_clock_s"],
-            )
             report.outcomes.append(
                 RunOutcome(
                     run_id=run_id,
@@ -345,18 +306,17 @@ def run_sweep(
             return
         result = ExperimentResult.from_dict(outcome_raw["result"])
         store.save_result(result, wall_clock_s=outcome_raw["wall_clock_s"])
+        summary = result.summary()
         report.outcomes.append(
             RunOutcome(
                 run_id=run_id,
                 label=label,
                 status="completed",
                 wall_clock_s=outcome_raw["wall_clock_s"],
-                summary=result.summary(),
+                summary=summary,
             )
         )
-        emit(
-            "finished", run_id, label, telemetry=outcome_raw["telemetry"]
-        )
+        emit("finished", run_id, label, telemetry=summary)
 
     if timeout_s is None and (len(pending) <= 1 or workers <= 1):
         for payload in pending:

@@ -62,11 +62,17 @@ from repro.replication.codec import decode_item_id
 from repro.replication.persistence import load_replica
 from repro.replication.sync import SyncStats
 
-from .connection import DEFAULT_READ_TIMEOUT, PeerConnection, open_connection
+from .connection import PeerConnection, open_connection
 from .server import PROTOCOL_VERSION
 
 #: Base port for ``transport="tcp"`` swarms; node i listens on base + i.
 DEFAULT_BASE_PORT = 42640
+
+#: The interface ``transport="tcp"`` nodes listen on.
+TCP_HOST = "127.0.0.1"
+
+#: Seconds a serve process has to start answering its control dial.
+STARTUP_TIMEOUT = 30.0
 
 
 @dataclass(kw_only=True)
@@ -75,12 +81,8 @@ class SwarmConfig:
 
     experiment: ExperimentConfig
     transport: str = "unix"
-    host: str = "127.0.0.1"
     base_port: int = DEFAULT_BASE_PORT
     runtime_dir: Optional[str] = None
-    startup_timeout: float = 30.0
-    read_timeout: float = DEFAULT_READ_TIMEOUT
-    extra_days: int = 0
 
     def __post_init__(self) -> None:
         if self.transport not in ("unix", "tcp"):
@@ -98,12 +100,8 @@ class SwarmConfig:
         return {
             "experiment": self.experiment.to_dict(),
             "transport": self.transport,
-            "host": self.host,
             "base_port": self.base_port,
             "runtime_dir": self.runtime_dir,
-            "startup_timeout": self.startup_timeout,
-            "read_timeout": self.read_timeout,
-            "extra_days": self.extra_days,
         }
 
     @classmethod
@@ -164,7 +162,6 @@ class _Swarm:
             inputs.injections,
             inputs.reassignments,
             inputs.churn_schedule,
-            extra_days=config.extra_days,
         )
         names = inputs.trace.host_names
         # The emulator's director, over the same inputs: gating, lost
@@ -191,7 +188,7 @@ class _Swarm:
             if config.transport == "unix":
                 address = f"unix:{self.runtime_dir / (name + '.sock')}"
             else:
-                address = f"tcp:{config.host}:{config.base_port + index}"
+                address = f"tcp:{TCP_HOST}:{config.base_port + index}"
             self.nodes[name] = _Node(name, address)
 
     # -- process management ---------------------------------------------------
@@ -239,9 +236,7 @@ class _Swarm:
         )
 
     async def _connect_all(self) -> None:
-        deadline = (
-            asyncio.get_running_loop().time() + self.config.startup_timeout
-        )
+        deadline = asyncio.get_running_loop().time() + STARTUP_TIMEOUT
         for node in self.nodes.values():
             await self._connect(node, deadline)
 
@@ -253,7 +248,7 @@ class _Swarm:
         # checkpoint) fails the run at once.
         loop = asyncio.get_running_loop()
         if deadline is None:
-            deadline = loop.time() + self.config.startup_timeout
+            deadline = loop.time() + STARTUP_TIMEOUT
         while True:
             if node.process is not None and node.process.returncode is not None:
                 raise RuntimeError(
@@ -263,12 +258,10 @@ class _Swarm:
             if loop.time() > deadline:
                 raise RuntimeError(
                     f"could not reach {node.name!r} at {node.address} "
-                    f"within {self.config.startup_timeout:.0f}s"
+                    f"within {STARTUP_TIMEOUT:.0f}s"
                 )
             try:
-                node.control = await open_connection(
-                    node.address, read_timeout=self.config.read_timeout
-                )
+                node.control = await open_connection(node.address)
                 break
             except OSError:
                 await asyncio.sleep(0.05)

@@ -1,7 +1,6 @@
 """The run's event schedule, the emulator's walk over it, and the one
 end-time function (``repro.emulation.engine``)."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.churn import ChurnSchedule, LifecycleEvent
@@ -90,11 +89,8 @@ class TestScheduling:
         sends=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), max_size=5),
         days=st.sets(st.integers(0, 3)),
         lifecycle=st.lists(st.sampled_from([0.0, 1.0, 1.5]), max_size=4),
-        extra_days=st.integers(0, 2),
     )
-    def test_schedule_is_the_tagged_sort(
-        self, meetings, sends, days, lifecycle, extra_days
-    ):
+    def test_schedule_is_the_tagged_sort(self, meetings, sends, days, lifecycle):
         trace = EncounterTrace(Encounter(t * DAY, *pair) for t, pair in meetings)
         injections = [Injection(t * DAY, "a", "b", n) for n, t in enumerate(sends)]
         events = [
@@ -109,11 +105,11 @@ class TestScheduling:
         order = sorted(range(len(tagged)), key=lambda n: (*tagged[n][:2], n))
 
         steps, end = build_schedule(
-            trace, injections, dict.fromkeys(days, {}), churn(*events), extra_days
+            trace, injections, dict.fromkeys(days, {}), churn(*events)
         )
         assert steps == [(tagged[n][0], *tagged[n][2:]) for n in order]
         last_day = max([meeting.day for meeting in trace] + sorted(days) + [0])
-        assert end == (last_day + 1 + extra_days) * DAY
+        assert end == (last_day + 1) * DAY
 
 
 class TestRunUntil:
@@ -142,8 +138,7 @@ class TestRunUntil:
         assert [now for now, _ in ran] == [1.0, 10.0]
 
 
-@pytest.mark.parametrize("extra_days", [0, 2])
-def test_object_and_columnar_engines_end_together(extra_days):
+def test_object_and_columnar_engines_end_together():
     # The last day holds a single encounter.
     trace = EncounterTrace(
         [Encounter(9 * 3600.0 + n, "a", "b") for n in range(3)]
@@ -151,8 +146,4 @@ def test_object_and_columnar_engines_end_together(extra_days):
     )
     emulator, _ = recording_emulator(trace)
     world = ColumnarWorld(trace, [], policy="epidemic")
-    assert (
-        emulator.run(extra_days).end_time
-        == world.run(extra_days).end_time
-        == (3 + extra_days) * DAY
-    )
+    assert emulator.run().end_time == world.run().end_time == 3 * DAY

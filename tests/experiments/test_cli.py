@@ -300,3 +300,11 @@ def test_bench_is_not_a_command():
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["bench", "sync"])
     assert excinfo.value.code == 2
+
+
+def test_sweep_has_no_extra_days_flag(capsys):
+    """A run ends where its config says; ``--extra-days`` is gone."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--extra-days", "1"])
+    assert excinfo.value.code == 2
+    assert "--extra-days" in capsys.readouterr().err

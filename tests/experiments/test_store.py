@@ -12,7 +12,6 @@ from repro.experiments.store import (
     StoreError,
     config_digest,
     run_id_for,
-    sweep_id_for,
 )
 
 
@@ -47,10 +46,6 @@ class TestContentAddressing:
         ]
         for variant in variants:
             assert run_id_for(variant) != run_id_for(base)
-
-    def test_sweep_id_ignores_run_order(self):
-        assert sweep_id_for(["b", "a"]) == sweep_id_for(["a", "b"])
-        assert sweep_id_for(["a"]) != sweep_id_for(["a", "b"])
 
 
 class TestSaveLoad:
@@ -107,46 +102,3 @@ class TestValidation:
         with pytest.raises(StoreError, match="schema"):
             store.load_artifact(run_id_for(small_result.config))
 
-
-class TestManifests:
-    def _grid(self):
-        return [
-            ExperimentConfig(scale=0.25, policy="epidemic"),
-            ExperimentConfig(scale=0.25, policy="spray"),
-        ]
-
-    def test_write_and_validate(self, store, small_result):
-        configs = self._grid()
-        path = store.write_manifest(configs, workers=2)
-        manifest = json.loads(path.read_text())
-        sweep_id = manifest["sweep_id"]
-        assert sweep_id == sweep_id_for(run_id_for(c) for c in configs)
-        assert manifest["workers"] == 2
-        assert [entry["run_id"] for entry in manifest["runs"]] == sorted(
-            run_id_for(c) for c in configs
-        )
-
-        statuses = store.validate_manifest(sweep_id)
-        assert set(statuses.values()) == {"missing"}
-
-        store.save_result(small_result)  # the epidemic cell
-        statuses = store.validate_manifest(sweep_id)
-        assert statuses[run_id_for(configs[0])] == "ok"
-        assert statuses[run_id_for(configs[1])] == "missing"
-
-    def test_tampered_artifact_reports_invalid(self, store, small_result):
-        configs = self._grid()
-        store.write_manifest(configs, workers=1)
-        sweep_id = sweep_id_for(run_id_for(c) for c in configs)
-        path = store.save_result(small_result)
-        path.write_text("{}")
-        statuses = store.validate_manifest(sweep_id)
-        assert statuses[run_id_for(configs[0])] == "invalid"
-
-    def test_manifest_not_listed_as_run(self, store):
-        store.write_manifest(self._grid(), workers=1)
-        assert store.list_run_ids() == []
-
-    def test_missing_manifest_raises(self, store):
-        with pytest.raises(StoreError, match="manifest"):
-            store.load_manifest("0" * 12)

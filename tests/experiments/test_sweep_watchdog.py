@@ -3,13 +3,18 @@
 The timeout tests use a timeout far below any real run's startup cost, so
 every worker is deterministically overdue — no sleeps or races. The crash
 test injects a worker entry point that dies without reporting, which is
-indistinguishable from an OOM-kill as far as the parent can see.
+indistinguishable from an OOM-kill as far as the parent can see. The
+one-killed-cell test injects a worker that hangs on its spray cell only.
 """
 
+import functools
 import os
+import time
 
 import pytest
 
+from repro.cli import main
+from repro.experiments import sweep
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import RunStore, run_id_for
 from repro.experiments.sweep import _run_parallel, expand_grid, run_sweep
@@ -22,6 +27,14 @@ def _crashy_worker(payload, queue):
     os._exit(13)
 
 
+def _hangs_on_spray(payload, queue):
+    """The real worker, except that the spray cell never reports (spawn
+    target)."""
+    if payload["label"] == "spray":
+        time.sleep(600)
+    sweep._worker_entry(payload, queue)
+
+
 class TestTimeout:
     def test_timeout_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="timeout_s"):
@@ -29,7 +42,9 @@ class TestTimeout:
                 [BASE], store=RunStore(tmp_path / "runs"), timeout_s=0.0
             )
 
-    def test_overdue_runs_become_failed_outcomes_with_sidecars(self, tmp_path):
+    def test_overdue_runs_become_failed_outcomes_and_leave_no_file(
+        self, tmp_path
+    ):
         store = RunStore(tmp_path / "runs")
         grid = expand_grid(BASE, seeds=[0, 1])
         events = []
@@ -45,35 +60,23 @@ class TestTimeout:
         for outcome in report.outcomes:
             assert outcome.status == "failed"
             assert "timed out" in outcome.error
-            failure = store.load_failure(outcome.run_id)
-            assert failure is not None
-            assert failure["status"] == "failed"
-            assert "timed out" in failure["error"]
-            assert not store.path_for(outcome.run_id).exists()
-        # The manifest distinguishes "failed" from "never attempted".
-        statuses = store.validate_manifest(report.sweep_id)
-        assert set(statuses.values()) == {"failed"}
+        assert not store.root.exists()
         kinds = [event.kind for event in events]
         assert kinds.count("started") == 2
         assert kinds.count("failed") == 2
 
-    def test_resume_retries_failed_runs_and_clears_sidecars(self, tmp_path):
+    def test_resume_retries_failed_runs(self, tmp_path):
         store = RunStore(tmp_path / "runs")
         grid = expand_grid(BASE, seeds=[0, 1])
         first = run_sweep(grid, store=store, workers=2, timeout_s=0.001)
         assert first.failed == 2
 
         # Same grid, watchdog disarmed: resume retries the failed runs
-        # (their artifacts never existed) and success clears the sidecars.
+        # (their artifacts never existed).
         second = run_sweep(grid, store=store, workers=1)
         assert second.completed == 2
         assert second.reused == 0
-        for config in grid:
-            run_id = run_id_for(config)
-            assert store.has(config)
-            assert store.load_failure(run_id) is None
-        statuses = store.validate_manifest(second.sweep_id)
-        assert set(statuses.values()) == {"ok"}
+        assert all(store.has(config) for config in grid)
 
     def test_timeout_forces_watchdog_even_for_one_worker(self, tmp_path):
         """workers=1 with a timeout must still run out-of-process — a hung
@@ -90,15 +93,40 @@ class TestTimeout:
         report = run_sweep([BASE], store=store, workers=1, timeout_s=600.0)
         assert report.completed == 1
         assert report.failed == 0
-        assert store.load_failure(run_id_for(BASE)) is None
+        assert store.list_run_ids() == [run_id_for(BASE)]
 
-    def test_failure_sidecars_hidden_from_run_listing(self, tmp_path):
-        store = RunStore(tmp_path / "runs")
-        store.record_failure("epidemic-deadbeef", "epidemic", "boom")
-        assert store.list_run_ids() == []
-        assert store.load_failure("epidemic-deadbeef")["error"] == "boom"
-        store.clear_failure("epidemic-deadbeef")
-        assert store.load_failure("epidemic-deadbeef") is None
+    def test_a_killed_cell_fails_the_sweep_and_only_it_reruns(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            sweep,
+            "_run_parallel",
+            functools.partial(_run_parallel, worker=_hangs_on_spray),
+        )
+        epidemic, spray = map(
+            run_id_for, expand_grid(BASE, policies=["epidemic", "spray"])
+        )
+        root = tmp_path / "runs"
+        argv = [
+            "sweep", "--policies", "epidemic", "spray", "--scale", "0.25",
+            "--workers", "2", "--results-dir", str(root),
+        ]
+        assert main([*argv, "--timeout", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert "1 completed, 0 reused, 1 failed" in out
+        assert f"--- {spray} failed ---" in err
+        assert "timed out after 5.0s" in err
+        # The store holds the completed cell's artifact and nothing else.
+        assert [path.name for path in root.iterdir()] == [f"{epidemic}.json"]
+
+        assert main(argv) == 0
+        out, _ = capsys.readouterr()
+        assert "1 completed, 1 reused, 0 failed" in out
+        assert f"start    spray  ({spray})" in out
+        assert "start    epidemic" not in out
+
+        assert main(argv) == 0
+        assert "0 completed, 2 reused, 0 failed" in capsys.readouterr().out
 
 
 class TestCrashedWorker:
@@ -108,7 +136,6 @@ class TestCrashedWorker:
                 "run_id": "epidemic-cafebabe",
                 "label": "epidemic",
                 "config": BASE.to_dict(),
-                "extra_days": 0,
             }
         ]
         settled = []

@@ -327,7 +327,6 @@ def test_swarm_fails_fast_on_a_serve_process_that_dies_while_booting(tmp_path):
         SwarmConfig(
             experiment=ExperimentConfig(scale=0.25),
             runtime_dir=str(tmp_path),
-            startup_timeout=5.0,
         )
     )
 

@@ -5,7 +5,8 @@ the default every run used; the defaults became constants of the same
 value. Passing one now raises ``TypeError`` (even at its old default), so
 a caller that still tunes one fails loudly instead of being ignored. An
 eviction strategy is a name from ``EVICTION_STRATEGIES``, so a checkpoint
-can always record it: a callable is refused like an unknown name.
+can always record it: a callable is refused like an unknown name. A run
+ends where its config says, so nothing takes ``extra_days``.
 """
 
 import pytest
@@ -13,7 +14,11 @@ import pytest
 from repro.churn.trust import ReciprocityLedger
 from repro.dtn import EpidemicPolicy
 from repro.emulation.node import EmulatedNode
+from repro.experiments import ExperimentConfig, run_experiment, run_sweep
+from repro.experiments.parity import check_convergence_parity
 from repro.faults.injector import ResumeTracker
+from repro.net.connection import DEFAULT_READ_TIMEOUT
+from repro.net.swarm import SwarmConfig
 from repro.replication import AddressFilter, Replica, ReplicaId
 from repro.replication.peer_health import PeerHealthTracker
 from repro.replication.store import EVICTION_STRATEGIES, RelayStore, evict_fifo
@@ -79,6 +84,16 @@ REMOVED = [
         },
         {"contact_locality": 0.8},
     ),
+    (
+        SwarmConfig,
+        {"experiment": ExperimentConfig()},
+        {
+            "host": "127.0.0.1",
+            "startup_timeout": 30.0,
+            "read_timeout": DEFAULT_READ_TIMEOUT,
+            "extra_days": 0,
+        },
+    ),
 ]
 
 
@@ -112,3 +127,13 @@ def test_an_eviction_strategy_is_a_name(build):
         build(name)
     with pytest.raises(ValueError, match="unknown eviction strategy"):
         build(evict_fifo)
+
+
+@pytest.mark.parametrize(
+    "run", [run_experiment, run_sweep, check_convergence_parity]
+)
+def test_nothing_runs_past_its_config(run):
+    """``extra_days`` is refused before anything runs."""
+    with pytest.raises(TypeError, match="extra_days"):
+        run(ExperimentConfig(scale=0.25), extra_days=0)
+
