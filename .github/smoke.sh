@@ -131,6 +131,22 @@ EOF
   # reaches the emulator's exact per-node fixed point.
   python -m repro swarm --scale 0.25 --policy epidemic --parity \
     $CHURN_FLAGS --output churn-swarm-metrics.json
+  # The same churn under a storage limit: emulator and swarm must book
+  # the same evictions, and some must happen. Each node reports its
+  # evictions with its directive replies, so a crashed, departed or
+  # respawned process takes none of them with it.
+  python -m repro run --policy epidemic --scale 0.25 --storage-limit 3 \
+    $CHURN_FLAGS --json churn-storage-metrics.json
+  python -m repro swarm --scale 0.25 --policy epidemic --storage-limit 3 \
+    --parity $CHURN_FLAGS --output churn-storage-swarm-metrics.json
+  python - <<'EOF'
+import json
+emulated = json.load(open("churn-storage-metrics.json"))["summary"]
+live = json.load(open("churn-storage-swarm-metrics.json"))["document"]["summary"]
+assert emulated["evictions"] == live["evictions"] > 0, (
+    emulated["evictions"], live["evictions"])
+print("evictions:", emulated["evictions"])
+EOF
   # Churn unit + parity integration tests (and the schedule/director
   # unit tests: lifecycle events ride the same step list).
   python -m pytest -q \

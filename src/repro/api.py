@@ -1,9 +1,9 @@
 """The supported public surface of :mod:`repro`, in one flat namespace.
 
 ``repro.api`` is a curated facade: everything re-exported here is covered
-by the stability policy in ``docs/api.md`` — keyword-compatible across
-minor releases, with at least one release of notice in ``docs/api.md``
-before any breaking change. Internal modules stay importable (this is
+by the stability policy in ``docs/api.md``: a keyword that stays keeps
+its meaning, and each removal is listed there with its release, with no
+deprecation release first. Internal modules stay importable (this is
 research code; poke at anything), but only the names below are *promised*.
 
 Typical use::

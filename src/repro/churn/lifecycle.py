@@ -5,16 +5,15 @@ A :class:`LifecycleTracker` belongs to the run's
 the run: the emulator restarts node objects, the swarm orchestrator kills
 and respawns processes, and both report each
 :class:`~repro.churn.schedule.LifecycleEvent` to the director. The
-tracker answers "is this node online right now?" and accrues the
-availability and recovery metrics — once, so the two worlds' churn
-metrics are identical by construction.
+tracker answers "is this node online right now?", accrues node-seconds
+online and hands back the rejoin latencies an encounter closes; the
+director books the events and latencies in the run's collector — once,
+so the two worlds' churn metrics are identical by construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
-
-from repro.emulation.metrics import ChurnCounts
+from typing import Dict, Iterable, List, Set
 
 from .schedule import ARRIVE, CRASH, LEAVE, REJOIN, ChurnSchedule, LifecycleEvent
 
@@ -49,44 +48,38 @@ class LifecycleTracker:
 
     # -- state changes --------------------------------------------------------------
 
-    def apply(self, event: LifecycleEvent, now: float, churn: ChurnCounts) -> None:
-        """Fold one lifecycle event into availability state and ``churn``."""
+    def apply(self, event: LifecycleEvent, now: float) -> None:
+        """Fold one lifecycle event into availability state."""
         name = event.node
         if event.kind == ARRIVE:
             if not self._online.get(name, False):
                 self._online[name] = True
                 self._online_since[name] = now
-            churn.churn_arrivals += 1
         elif event.kind == LEAVE:
             self._go_offline(name, now)
             self._departed.add(name)
-            churn.churn_leaves += 1
         elif event.kind == CRASH:
             self._go_offline(name, now)
-            churn.churn_crashes += 1
         elif event.kind == REJOIN:
             if not self._online.get(name, False):
                 self._online[name] = True
                 self._online_since[name] = now
             self._awaiting_recovery[name] = now
-            churn.churn_rejoins += 1
-            if event.amnesiac:
-                churn.churn_amnesiac_rejoins += 1
         else:
             raise ValueError(f"unknown lifecycle event kind {event.kind!r}")
 
-    def note_encounter(self, a: str, b: str, now: float, churn: ChurnCounts) -> None:
+    def note_encounter(self, a: str, b: str, now: float) -> List[float]:
         """Record that an encounter between ``a`` and ``b`` completed.
 
-        A rejoined node's first completed encounter marks its recovery —
-        the latency from rejoin to that contact is the rejoin recovery
-        time stamped into the metrics.
+        A rejoined node's first completed encounter marks its recovery;
+        returns the latencies, rejoin to this contact, that it closed.
         """
+        latencies = []
         for name in (a, b):
             rejoined_at = self._awaiting_recovery.pop(name, None)
             if rejoined_at is not None:
-                churn.rejoin_recovery_seconds += now - rejoined_at
-                churn.rejoin_recoveries += 1
+                latencies.append(now - rejoined_at)
+        return latencies
 
     def finalize(self, end_time: float) -> float:
         """Close out availability accounting; returns total node-seconds."""

@@ -35,7 +35,9 @@ integer-interned state:
   between two buses that are not live — 97.8 % of them on that run —
   draws its order coin and is counted without entering the kernel. The
   run's inputs, end time and order coins are the shared ones
-  (``build_inputs``, ``engine.end_time``, ``engine.order_coins``).
+  (``build_inputs``, ``engine.end_time``, ``engine.order_coins``), and
+  so are the collector's event methods that book it: one call per sync,
+  with counts, and one per segment for its idle encounters.
 
 Correctness contract: for any configuration accepted by
 :func:`columnar_unsupported_reason`, a columnar run reproduces the
@@ -326,15 +328,9 @@ class ColumnarWorld:
             self._inject(injection)
             lo = hi
         self._run_segment(lo, stop)
-        metrics = self.metrics
-        metrics.end_time = end_time
-        holders = self._holders
-        index_of = {item_id: i for i, item_id in enumerate(self._item_ids)}
-        for record in metrics.records.values():
-            idx = index_of.get(record.message_id)
-            if idx is not None:
-                record.copies_at_end = int(holders[idx])
-        return metrics
+        copies = dict(zip(self._item_ids, self._holders))
+        self.metrics.record_end(end_time, copies.__getitem__)
+        return self.metrics
 
     def _run_segment(self, lo: int, hi: int) -> None:
         """Trace encounters ``lo..hi``, which no injection falls among."""
@@ -358,9 +354,7 @@ class ColumnarWorld:
                 encounter(now, a, b, order)
         # Between two buses no item has reached nothing can move: one
         # encounter and two syncs that offer nothing, counted in bulk.
-        metrics = self.metrics
-        metrics.encounters += idle
-        metrics.syncs += 2 * idle
+        self.metrics.record_empty_encounters(idle)
 
     def _match(self, nid: int) -> Set[int]:
         match = {nid}
@@ -416,10 +410,10 @@ class ColumnarWorld:
             name_a = self.hosts[ai]
             name_b = self.hosts[bi]
             if not injector.encounter_allowed(name_a, name_b, now):
-                metrics.backoff_skips += 1
+                metrics.record_skipped_encounter("backoff")
                 return
             if injector.should_drop_encounter():
-                metrics.dropped_encounters += 1
+                metrics.record_skipped_encounter("drop")
                 return
         first, second = (ai, bi) if order else (bi, ai)
         budget = self.bandwidth_limit
@@ -427,12 +421,12 @@ class ColumnarWorld:
         if budget is not None:
             budget = max(0, budget - sent_a)
         _, interrupted_b = self._sync(second, first, now, budget)
-        metrics.encounters += 1
+        metrics.record_encounter()
         if injector is not None:
             if injector.note_encounter_outcome(
                 name_a, name_b, now, interrupted=interrupted_a or interrupted_b
             ):
-                metrics.resumed_pairs += 1
+                metrics.record_resumed_pair()
 
     def _sync(
         self, src: int, tgt: int, now: float, budget: Optional[int]
@@ -444,7 +438,7 @@ class ColumnarWorld:
             # No item ever reached the source: every other counter
             # would gain 0 and an empty batch draws nothing from the
             # fault rng.
-            metrics.syncs += 1
+            metrics.record_sync_counts()
             return 0, False
         attr, store_s, outbox_s, relay_s, _ = source
         store_size = len(store_s) + len(outbox_s) + len(relay_s)
@@ -591,18 +585,18 @@ class ColumnarWorld:
                 if dest[i] == tgt:
                     metrics.record_delivery(item_ids[i], now, tgt_name, holders[i])
 
-        metrics.syncs += 1
-        metrics.transmissions += sent_total
-        metrics.matching_transmissions += sent_matching
-        metrics.relayed_transmissions += sent_total - sent_matching
-        metrics.truncated_transmissions += truncated
-        metrics.lost_transmissions += lost
-        metrics.redundant_transmissions += redundant
-        metrics.store_items_at_sync += store_size
-        metrics.items_scanned += candidates
-        metrics.index_skipped += store_size - candidates
-        if interrupted:
-            metrics.interrupted_syncs += 1
+        metrics.record_sync_counts(
+            sent_total=sent_total,
+            sent_matching=sent_matching,
+            sent_relayed=sent_total - sent_matching,
+            truncated=truncated,
+            lost=lost,
+            redundant=redundant,
+            store_size=store_size,
+            candidates=candidates,
+            index_skipped=store_size - candidates,
+            interrupted=interrupted,
+        )
         return sent_total, interrupted
 
     # -- introspection (tests / equivalence harness) -----------------------

@@ -10,12 +10,15 @@ calls, the live swarm (:mod:`repro.net.swarm`) as awaited directives.
   run in ``(time, band, sequence)`` order, the band guaranteeing e.g.
   that a day's user reassignment precedes any encounter at its instant.
 * :class:`RunDirector` owns every **decision and booking** around a step;
-  an executor asks, performs the physical act, and reports back.
+  an executor asks, performs the physical act, and reports back. It
+  books through the collector's event methods
+  (:class:`~repro.emulation.metrics.MetricsCollector`), which alone
+  write a counter.
 
 The columnar engine (:mod:`repro.emulation.columnar`) keeps its own
 loop, a slice of the trace columns per gap between injections — a step
 object per encounter is what it exists to avoid — and shares
-:func:`end_time` and :func:`order_coins`.
+:func:`end_time`, :func:`order_coins` and the collector's event methods.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import random
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -41,6 +45,7 @@ from .metrics import ChurnCounts, MetricsCollector
 
 if TYPE_CHECKING:
     from repro.churn import ChurnConfig, ChurnSchedule, LifecycleEvent
+    from repro.replication.ids import ItemId
     from repro.replication.sync import SyncStats
 
     from .network import Injection
@@ -128,12 +133,14 @@ class RunDirector:
         churn: Optional["ChurnConfig"] = None,
         churn_schedule: Optional["ChurnSchedule"] = None,
         seed: int = 0,
-        metrics: Optional[MetricsCollector] = None,
     ) -> None:
         #: Node names in the executor's order (a dict: cheap membership).
         self.nodes: Dict[str, None] = dict.fromkeys(nodes)
         self.assignments = dict(assignments or {})
-        self.metrics = metrics if metrics is not None else MetricsCollector()
+        # A churning run's collector carries a churn block.
+        self.metrics = MetricsCollector(
+            churn=None if churn_schedule is None else ChurnCounts()
+        )
         self.skipped_injections: List["Injection"] = []
         self._orders = order_coins(seed)
         self._user_location: Dict[str, str] = {}
@@ -151,7 +158,6 @@ class RunDirector:
             self.reciprocity = ReciprocityLedger(
                 sorted(self.nodes), threshold=churn.reciprocity_threshold
             )
-            self.metrics.churn = ChurnCounts()
 
     def online(self, name: str) -> bool:
         return self.lifecycle is None or self.lifecycle.online(name)
@@ -200,7 +206,7 @@ class RunDirector:
             # The sending node is down: the message is never born (its
             # app is not running), which is a real churn cost — counted,
             # not silently dropped.
-            self.metrics.churn.churn_lost_injections += 1
+            self.metrics.record_lost_injection()
             return None
         return name
 
@@ -218,10 +224,10 @@ class RunDirector:
         a, b = encounter.a, encounter.b
         if self.lifecycle is not None:
             if not (self.lifecycle.online(a) and self.lifecycle.online(b)):
-                self.metrics.churn.churn_skipped_encounters += 1
+                self.metrics.record_skipped_encounter("offline")
                 return None
             if not self.reciprocity.admit(a, b):
-                self.metrics.churn.reciprocity_refusals += 1
+                self.metrics.record_skipped_encounter("reciprocity")
                 return None
         return (a, b) if order else (b, a)
 
@@ -235,11 +241,10 @@ class RunDirector:
     ) -> None:
         """Book one finished encounter — or a graceful leaver's hand-off
         to its partner — from the stats of its syncs."""
-        self.metrics.encounters += 1
-        if handoff:
-            self.metrics.churn.churn_handoffs += 1
+        self.metrics.record_encounter(handoff)
         if self.lifecycle is not None:
-            self.lifecycle.note_encounter(a, b, now, self.metrics.churn)
+            for latency in self.lifecycle.note_encounter(a, b, now):
+                self.metrics.record_rejoin_recovery(latency)
             for sync_stats in stats:
                 self.reciprocity.observe_sync(
                     sync_stats.source.name,
@@ -262,7 +267,8 @@ class RunDirector:
         """
         name = event.node
         users = frozenset(self._current_day_map.get(name, ()))
-        self.lifecycle.apply(event, now, self.metrics.churn)
+        self.lifecycle.apply(event, now)
+        self.metrics.record_lifecycle(event.kind, event.amnesiac)
         if event.kind in ("leave", "crash"):
             for user in users:
                 if self._user_location.get(user) == name:
@@ -274,9 +280,10 @@ class RunDirector:
 
     # -- end of run ----------------------------------------------------------------
 
-    def finalize(self, now: float) -> None:
-        """Stamp the end time and close the churn accounts."""
-        self.metrics.end_time = now
+    def finalize(self, now: float, copies: Callable[["ItemId"], int]) -> None:
+        """Book the end of the run — ``copies(message_id)`` counts a
+        message's live copies network-wide — and close the churn accounts."""
+        self.metrics.record_end(now, copies)
         if self.lifecycle is not None:
             self.metrics.finalize_churn(
                 self.lifecycle.finalize(now),

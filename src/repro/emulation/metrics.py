@@ -6,6 +6,11 @@ delivery and at the end of the experiment — the quantities behind
 Figures 5–10. Sync-level counters (transmissions, truncations, evictions)
 quantify the traffic/storage side of the trade-off.
 
+Every counter has one writer: the collector's ``record_*`` methods, each
+named by the run event it books. The three executors — the emulator and
+the swarm orchestrator through their shared run director, and the
+columnar engine — report events and never set a field.
+
 Delay conventions follow the paper: delays are measured from injection to
 *first* delivery; "delivered within T" fractions are over all injected
 messages (undelivered counts against the fraction); mean delay is over
@@ -15,7 +20,7 @@ delivered messages.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.replication.ids import ItemId, ReplicaId
 from repro.replication.sync import SyncStats
@@ -84,8 +89,8 @@ class MessageRecord:
 class ChurnCounts:
     """Lifecycle accounting of a churning run (``MetricsCollector.churn``).
 
-    The engine's director and :class:`~repro.churn.LifecycleTracker` add
-    to the counters as events happen; ``node_seconds_online``,
+    The collector's event methods add to the counters as the run's
+    director reports events; ``node_seconds_online``,
     ``lost_to_departure`` and ``reciprocity_scores`` are stamped once by
     :meth:`MetricsCollector.finalize_churn`. The field order is the key
     order of a run artifact's ``churn`` block.
@@ -201,7 +206,8 @@ class MetricsCollector:
     peak_rss_bytes = 0.0
     tracemalloc_peak_bytes = 0.0
 
-    # -- recording ------------------------------------------------------------------
+    # -- recording: one method per run event ----------------------------------------
+    # Executors report what happened; only these methods write a counter.
 
     def record_injection(
         self,
@@ -219,6 +225,10 @@ class MetricsCollector:
             injected_node=node,
         )
 
+    def record_lost_injection(self) -> None:
+        """An injection fell on an offline node: the message is never born."""
+        self.churn.churn_lost_injections += 1
+
     def record_delivery(
         self, message_id: ItemId, time: float, node: str, copies: int
     ) -> bool:
@@ -231,23 +241,98 @@ class MetricsCollector:
         record.copies_at_delivery = copies
         return True
 
+    def record_encounter(self, handoff: bool = False) -> None:
+        """An encounter ran its syncs (a graceful leaver's hand-off too)."""
+        self.encounters += 1
+        if handoff:
+            self.churn.churn_handoffs += 1
+
+    def record_empty_encounters(self, count: int) -> None:
+        """``count`` encounters whose two syncs had nothing to offer."""
+        self.encounters += count
+        self.syncs += 2 * count
+
+    def record_skipped_encounter(self, reason: str) -> None:
+        """An encounter that did not happen: a fault gate's ``"backoff"``,
+        ``"quarantine"`` or ``"drop"``, or churn's ``"offline"`` (a side
+        was down) or ``"reciprocity"`` (the tit-for-tat gate refused)."""
+        if reason == "backoff":
+            self.backoff_skips += 1
+        elif reason == "quarantine":
+            self.quarantine_skips += 1
+        elif reason == "drop":
+            self.dropped_encounters += 1
+        elif reason == "offline":
+            self.churn.churn_skipped_encounters += 1
+        elif reason == "reciprocity":
+            self.churn.reciprocity_refusals += 1
+        else:
+            raise ValueError(f"unknown skip reason {reason!r}")
+
+    def record_resumed_pair(self) -> None:
+        """A pair's first complete encounter after an interrupted one."""
+        self.resumed_pairs += 1
+
+    def record_crash(self) -> None:
+        """A fault-injected node crash-restart."""
+        self.crashes += 1
+
+    def record_evictions(self, count: int) -> None:
+        """``count`` relayed items evicted under storage pressure."""
+        self.evictions += count
+
     def record_sync(self, stats: SyncStats) -> None:
-        self.syncs += 1
-        self.transmissions += stats.sent_total
-        self.matching_transmissions += stats.sent_matching
-        self.relayed_transmissions += stats.sent_relayed
-        self.truncated_transmissions += stats.truncated
-        self.lost_transmissions += stats.lost_in_transit
-        self.redundant_transmissions += stats.redundant_received
-        self.store_items_at_sync += stats.store_size
-        self.items_scanned += stats.candidates
-        self.index_skipped += stats.index_skipped
-        self.quarantined_entries += stats.quarantined_entries
-        self.rejected_knowledge += stats.rejected_knowledge
-        self.metadata_bytes += stats.metadata_bytes
+        """One directed sync, from the stats its session returned."""
+        self.record_sync_counts(
+            sent_total=stats.sent_total,
+            sent_matching=stats.sent_matching,
+            sent_relayed=stats.sent_relayed,
+            truncated=stats.truncated,
+            lost=stats.lost_in_transit,
+            redundant=stats.redundant_received,
+            store_size=stats.store_size,
+            candidates=stats.candidates,
+            index_skipped=stats.index_skipped,
+            quarantined=stats.quarantined_entries,
+            rejected=stats.rejected_knowledge,
+            metadata_bytes=stats.metadata_bytes,
+            interrupted=stats.interrupted,
+        )
         for violation in stats.violations:
             self.record_violation(violation.kind)
-        if stats.interrupted:
+
+    def record_sync_counts(
+        self,
+        *,
+        sent_total: int = 0,
+        sent_matching: int = 0,
+        sent_relayed: int = 0,
+        truncated: int = 0,
+        lost: int = 0,
+        redundant: int = 0,
+        store_size: int = 0,
+        candidates: int = 0,
+        index_skipped: int = 0,
+        quarantined: int = 0,
+        rejected: int = 0,
+        metadata_bytes: int = 0,
+        interrupted: bool = False,
+    ) -> None:
+        """One directed sync, from its counts (none given: an empty one)."""
+        self.syncs += 1
+        self.transmissions += sent_total
+        self.matching_transmissions += sent_matching
+        self.relayed_transmissions += sent_relayed
+        self.truncated_transmissions += truncated
+        self.lost_transmissions += lost
+        self.redundant_transmissions += redundant
+        self.store_items_at_sync += store_size
+        self.items_scanned += candidates
+        self.index_skipped += index_skipped
+        self.quarantined_entries += quarantined
+        self.rejected_knowledge += rejected
+        self.metadata_bytes += metadata_bytes
+        if interrupted:
             self.interrupted_syncs += 1
 
     def record_violation(self, kind: str) -> None:
@@ -259,6 +344,32 @@ class MetricsCollector:
         self.peer_health_transitions[label] = (
             self.peer_health_transitions.get(label, 0) + 1
         )
+
+    def record_lifecycle(self, kind: str, amnesiac: bool = False) -> None:
+        """A node arrived, left, crashed or rejoined (amnesiac or not)."""
+        churn = self.churn
+        if kind == "arrive":
+            churn.churn_arrivals += 1
+        elif kind == "leave":
+            churn.churn_leaves += 1
+        elif kind == "crash":
+            churn.churn_crashes += 1
+        elif kind == "rejoin":
+            churn.churn_rejoins += 1
+            if amnesiac:
+                churn.churn_amnesiac_rejoins += 1
+
+    def record_rejoin_recovery(self, seconds: float) -> None:
+        """A rejoined node's first encounter, ``seconds`` after its rejoin."""
+        self.churn.rejoin_recovery_seconds += seconds
+        self.churn.rejoin_recoveries += 1
+
+    def record_end(self, end_time: float, copies: Callable[[ItemId], int]) -> None:
+        """The run ended: stamp its end time and each message's live
+        copies network-wide, as ``copies(message_id)`` counts them."""
+        self.end_time = end_time
+        for record in self.records.values():
+            record.copies_at_end = copies(record.message_id)
 
     def finalize_churn(
         self,

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.faults import FaultConfig, FaultInjector
-from repro.replication.events import BaseReplicaObserver
-from repro.replication.items import Item
+from repro.replication.events import EvictionCounter
 from repro.replication.peer_health import PeerHealthTracker
 from repro.replication.session import (
     EncounterSession,
@@ -70,14 +69,6 @@ class Injection:
     body: object = None
 
 
-class _EvictionCounter(BaseReplicaObserver):
-    def __init__(self, metrics: MetricsCollector) -> None:
-        self._metrics = metrics
-
-    def on_evict(self, item: Item) -> None:
-        self._metrics.evictions += 1
-
-
 class Emulator:
     """Wires trace + workload + nodes together and runs to completion."""
 
@@ -89,7 +80,6 @@ class Emulator:
         assignments: Optional[AssignmentSchedule] = None,
         bandwidth_limit: Optional[int] = None,
         seed: int = 0,
-        metrics: Optional[MetricsCollector] = None,
         faults: Optional[FaultConfig] = None,
         fault_seed: int = 0,
         churn: Optional["ChurnConfig"] = None,
@@ -138,7 +128,6 @@ class Emulator:
             self.churn,
             self.churn_schedule,
             seed=seed,
-            metrics=metrics,
         )
         self.assignments = self.director.assignments
         self.metrics = self.director.metrics
@@ -170,13 +159,13 @@ class Emulator:
         if missing:
             raise ValueError(f"trace references unknown nodes: {sorted(missing)}")
 
-        self._eviction_counter = _EvictionCounter(self.metrics)
+        self._evictions = EvictionCounter()
         for node in self.nodes.values():
             self._wire_node(node)
 
     def _wire_node(self, node: EmulatedNode) -> None:
         """Attach metrics plumbing to a (possibly freshly restarted) node."""
-        node.replica.register_observer(self._eviction_counter)
+        node.replica.register_observer(self._evictions)
         node.app.on_delivery(
             lambda message, _node=node: self._on_delivery(_node, message)
         )
@@ -225,13 +214,13 @@ class Emulator:
         now = self.now
         if injector is not None:
             if not injector.encounter_allowed(encounter.a, encounter.b, now):
-                self.metrics.backoff_skips += 1
+                self.metrics.record_skipped_encounter("backoff")
                 return
             if not self._peers_willing(encounter.a, encounter.b, now):
-                self.metrics.quarantine_skips += 1
+                self.metrics.record_skipped_encounter("quarantine")
                 return
             if injector.should_drop_encounter():
-                self.metrics.dropped_encounters += 1
+                self.metrics.record_skipped_encounter("drop")
                 return
         first, second = self.nodes[roles[0]], self.nodes[roles[1]]
         transport_factory = (
@@ -260,7 +249,7 @@ class Emulator:
                 encounter.a, encounter.b, now, interrupted
             )
             if resumed:
-                self.metrics.resumed_pairs += 1
+                self.metrics.record_resumed_pair()
             self._record_peer_outcomes(encounter, stats, now)
             for victim in injector.crash_victims((encounter.a, encounter.b)):
                 self.restart_node(victim)
@@ -351,7 +340,7 @@ class Emulator:
         node = self.nodes[name]
         node.crash_restart()
         self._wire_node(node)
-        self.metrics.crashes += 1
+        self.metrics.record_crash()
         return node
 
     def _on_delivery(self, node: EmulatedNode, message) -> None:
@@ -370,11 +359,6 @@ class Emulator:
     def skipped_injections(self) -> Sequence[Injection]:
         return tuple(self.director.skipped_injections)
 
-    @property
-    def failed_encounters(self) -> int:
-        """Encounters whose contact happened but no sync completed."""
-        return self.metrics.dropped_encounters
-
     # -- orchestration -----------------------------------------------------------------------
 
     def advance(self, until: float) -> float:
@@ -383,7 +367,8 @@ class Emulator:
 
         Resumable: a later call picks up where this one stopped. The
         clock is moved on to ``until`` even when the last step ran
-        earlier, so duration-based metrics line up.
+        earlier, so duration-based metrics line up. The evictions the
+        steps caused are booked on return.
         """
         if self._steps is None:
             self._steps, _ = build_schedule(
@@ -402,12 +387,11 @@ class Emulator:
             self.now = step.time
             perform[step.kind](step.event)
         self.now = max(self.now, until)
+        self.metrics.record_evictions(self._evictions.drain())
         return self.now
 
     def run(self) -> MetricsCollector:
         """Run the whole emulation and finalise metrics."""
         self.advance(end_time(self.trace, self.assignments))
-        for record in self.metrics.records.values():
-            record.copies_at_end = self.count_copies(record.message_id)
-        self.director.finalize(self.now)
+        self.director.finalize(self.now, self.count_copies)
         return self.metrics

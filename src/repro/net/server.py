@@ -50,9 +50,8 @@ from repro.replication.codec import (
     encode_sync_request,
 )
 from repro.replication.errors import SyncProtocolError
-from repro.replication.events import BaseReplicaObserver
+from repro.replication.events import EvictionCounter
 from repro.replication.ids import ReplicaId
-from repro.replication.items import Item
 from repro.replication.persistence import load_replica, save_replica
 from repro.replication.routing import SyncContext
 from repro.replication.session import SyncSession, monotone_knowledge
@@ -152,14 +151,6 @@ def _apply(session: SyncSession, delivery: Dict[str, Any]) -> SyncStats:
     )
 
 
-class _EvictionCounter(BaseReplicaObserver):
-    def __init__(self) -> None:
-        self.count = 0
-
-    def on_evict(self, item: Item) -> None:
-        self.count += 1
-
-
 class NodeServer:
     """One live replica process, serving control and peer connections."""
 
@@ -177,7 +168,7 @@ class NodeServer:
         self.sim_now = 0.0
         self.encounters = 0
         self._deliveries: List[Dict[str, Any]] = []
-        self._evictions = _EvictionCounter()
+        self._evictions = EvictionCounter()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
         #: Idle links this node dialed, by (peer, address); dials so far.
@@ -335,6 +326,7 @@ class NodeServer:
             return {
                 "type": "assign-ok",
                 "deliveries": self._drain_deliveries(),
+                "evictions": self._evictions.drain(),
             }
         if kind == "inject":
             self._advance(message.get("time"))
@@ -348,6 +340,7 @@ class NodeServer:
                 "type": "inject-ok",
                 "message_id": encode_item_id(sent.message_id),
                 "deliveries": self._drain_deliveries(),
+                "evictions": self._evictions.drain(),
             }
         if kind == "checkpoint":
             # Persist without stopping: the orchestrator images a node's
@@ -370,13 +363,12 @@ class NodeServer:
                     for item in self.node.replica.stored_items()
                     if not item.deleted
                 ),
-                "evictions": self._evictions.count,
             }
         return {"type": "error", "error": f"unknown directive {kind!r}"}
 
     async def _handle_encounter(self, message: Dict[str, Any]) -> Dict[str, Any]:
         try:
-            stats, deliveries = await self._coordinate_encounter(
+            stats, deliveries, evictions = await self._coordinate_encounter(
                 peer=message["peer"],
                 address=message["address"],
                 time=float(message.get("time", self.sim_now)),
@@ -390,6 +382,7 @@ class NodeServer:
             "type": "encounter-ok",
             "syncs": [record.to_dict() for record in stats],
             "deliveries": deliveries,
+            "evictions": evictions,
         }
 
     def status_document(self) -> Dict[str, Any]:
@@ -420,7 +413,7 @@ class NodeServer:
         address: str,
         time: float,
         budget: Optional[int],
-    ) -> Tuple[List[SyncStats], List[Dict[str, Any]]]:
+    ) -> Tuple[List[SyncStats], List[Dict[str, Any]], int]:
         """Run one encounter as the initiating side (first sync's source).
 
         This is :class:`~repro.replication.session.EncounterSession`'s
@@ -495,7 +488,8 @@ class NodeServer:
         deliveries = self._drain_deliveries() + list(
             done.get("deliveries", ())
         )
-        return [stats_a, stats_b], deliveries
+        evictions = self._evictions.drain() + int(done.get("evictions", 0))
+        return [stats_a, stats_b], deliveries, evictions
 
     async def _serve_encounter(
         self, connection: PeerConnection, opening: Dict[str, Any]
@@ -528,6 +522,7 @@ class NodeServer:
             {
                 "type": "encounter-done",
                 "deliveries": self._drain_deliveries(),
+                "evictions": self._evictions.drain(),
             }
         )
 

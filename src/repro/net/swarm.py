@@ -14,13 +14,13 @@ Every decision and every booking is the run's
 :class:`~repro.emulation.engine.RunDirector`'s, as in the emulator; the
 orchestrator performs the physical act between its calls and feeds it
 from directive replies: sync stats travel back serialized, deliveries
-are announced by the node that made them, and end-of-run copy counts
-come from snapshot directives. Two deliberate differences from the
-emulator's collector are documented where they occur:
-``copies_at_delivery`` is unknowable without a global view, and a node
-that departs takes its eviction counter with it. The replication *state*
-— what the parity harness in :mod:`repro.experiments.parity` compares —
-is bit-identical.
+and evictions are reported by the node that made them with the reply to
+the directive that caused them, and end-of-run copy counts come from
+snapshot directives. One deliberate difference from the emulator's
+collector is documented where it occurs: ``copies_at_delivery`` is
+unknowable without a global view. The replication *state* — what the
+parity harness in :mod:`repro.experiments.parity` compares — is
+bit-identical.
 
 Replay is sequential (one directive completes before the next begins).
 That is what makes a live run deterministic and parity-comparable: the
@@ -59,6 +59,7 @@ from repro.experiments.report import run_summary_document
 from repro.experiments.scenario import build_inputs
 from repro.experiments.store import canonical_json, run_id_for
 from repro.replication.codec import decode_item_id
+from repro.replication.ids import ItemId
 from repro.replication.persistence import load_replica
 from repro.replication.sync import SyncStats
 
@@ -347,19 +348,21 @@ class _Swarm:
             )
         return reply
 
-    def _record_deliveries(self, deliveries: Any) -> None:
+    def _book_reply(self, reply: Dict[str, Any]) -> None:
+        """Book the deliveries and evictions a node reports in a reply."""
         # ``copies_at_delivery`` stays None on the live path: counting
         # live copies network-wide at the instant of delivery needs the
         # emulator's global view. The summary's mean-copies figure
         # ignores None records; every other per-message metric (delay,
         # delivery ratio) is exact.
-        for event in deliveries or ():
+        for event in reply.get("deliveries") or ():
             self.metrics.record_delivery(
                 decode_item_id(event["message_id"]),
                 float(event["time"]),
                 event["node"],
                 None,
             )
+        self.metrics.record_evictions(int(reply.get("evictions", 0)))
 
     async def _assign(self, name: str, users, now: float) -> None:
         reply = await self._command(
@@ -367,7 +370,7 @@ class _Swarm:
             {"type": "assign", "time": now, "addresses": sorted(users)},
             "assign-ok",
         )
-        self._record_deliveries(reply.get("deliveries"))
+        self._book_reply(reply)
 
     async def _apply_assignment(self, day: int, now: float) -> None:
         for name, users in self.director.begin_day(day).items():
@@ -395,7 +398,7 @@ class _Swarm:
             now,
             node_name,
         )
-        self._record_deliveries(reply.get("deliveries"))
+        self._book_reply(reply)
 
     async def _encounter(
         self,
@@ -419,7 +422,7 @@ class _Swarm:
         )
         stats = [SyncStats.from_dict(raw) for raw in reply["syncs"]]
         self.director.book_encounter(first, second, stats, now, handoff=handoff)
-        self._record_deliveries(reply.get("deliveries"))
+        self._book_reply(reply)
 
     async def _run_encounter(self, encounter: Encounter, now: float) -> None:
         roles = self.director.encounter_roles(encounter)
@@ -490,16 +493,13 @@ class _Swarm:
         """Snapshot every node; finalise metrics from the global view."""
         fixed_points: Dict[str, Dict[str, Any]] = {}
         held: Dict[str, set] = {}
-        evictions = 0
         for name in sorted(self.nodes):
             node = self.nodes[name]
             if node.control is None:
                 # Departed (left or crashed-without-rejoining) node: its
                 # process is gone, so snapshot the checkpoint it wrote on
                 # the way down — exactly the state the emulator's frozen
-                # node holds at end of run. Its eviction counter died
-                # with the process; pre-departure evictions on such
-                # nodes are the one counter the live path undercounts.
+                # node holds at end of run.
                 replica, _ = load_replica(self._state_dir / f"{name}.json")
                 fixed_points[name] = replica_fixed_point(replica)
                 held[name] = {
@@ -513,14 +513,12 @@ class _Swarm:
             )
             fixed_points[name] = reply["fixed_point"]
             held[name] = set(reply["held"])
-            evictions += int(reply.get("evictions", 0))
-        self.metrics.evictions = evictions
-        for record in self.metrics.records.values():
-            key = str(record.message_id)
-            record.copies_at_end = sum(
-                1 for ids in held.values() if key in ids
-            )
-        self.director.finalize(self.end_time)
+
+        def copies(item_id: ItemId) -> int:
+            key = str(item_id)
+            return sum(1 for ids in held.values() if key in ids)
+
+        self.director.finalize(self.end_time, copies)
         return fixed_points
 
 

@@ -47,6 +47,22 @@ class BaseReplicaObserver:
         pass
 
 
+class EvictionCounter(BaseReplicaObserver):
+    """Counts the evictions of the replicas it observes: ``count`` in all,
+    :meth:`drain` those not yet drained, for an executor to book."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._drained = 0
+
+    def on_evict(self, item: Item) -> None:
+        self.count += 1
+
+    def drain(self) -> int:
+        fresh, self._drained = self.count - self._drained, self.count
+        return fresh
+
+
 class ObserverList(BaseReplicaObserver):
     """Fans notifications out to a list of observers, in registration order."""
 

@@ -249,9 +249,7 @@ def _run_object(emulator, until=None):
     if until is None:
         return emulator.run()
     emulator.advance(until)
-    for record in emulator.metrics.records.values():
-        record.copies_at_end = emulator.count_copies(record.message_id)
-    emulator.director.finalize(emulator.now)
+    emulator.director.finalize(emulator.now, emulator.count_copies)
     return emulator.metrics
 
 

@@ -1,8 +1,13 @@
 """Unit tests for the metrics collector."""
 
+import ast
 import math
+import pathlib
 
-from repro.emulation.metrics import HOURS, MetricsCollector
+import pytest
+
+import repro
+from repro.emulation.metrics import HOURS, ChurnCounts, MetricsCollector
 from repro.replication.ids import ItemId, ReplicaId
 from repro.replication.sync import SyncStats
 
@@ -43,6 +48,122 @@ class TestRecording:
         assert metrics.matching_transmissions == 4
         assert metrics.relayed_transmissions == 6
         assert metrics.truncated_transmissions == 2
+
+    def test_counts_and_stats_book_the_same_sync(self):
+        stats = SyncStats(
+            source=ReplicaId("a"),
+            target=ReplicaId("b"),
+            sent_total=5,
+            sent_matching=2,
+            sent_relayed=3,
+            truncated=1,
+            lost_in_transit=2,
+            redundant_received=1,
+            store_size=9,
+            candidates=6,
+            index_skipped=3,
+            interrupted=True,
+        )
+        from_stats, from_counts = MetricsCollector(), MetricsCollector()
+        from_stats.record_sync(stats)
+        from_counts.record_sync_counts(
+            sent_total=5,
+            sent_matching=2,
+            sent_relayed=3,
+            truncated=1,
+            lost=2,
+            redundant=1,
+            store_size=9,
+            candidates=6,
+            index_skipped=3,
+            interrupted=True,
+        )
+        assert from_stats.to_dict() == from_counts.to_dict()
+        assert from_counts.interrupted_syncs == 1
+
+    def test_an_empty_sync_only_counts_itself(self):
+        metrics = MetricsCollector()
+        metrics.record_sync_counts()
+        metrics.record_empty_encounters(3)
+        assert (metrics.syncs, metrics.encounters) == (7, 3)
+        assert metrics.transmissions == metrics.items_scanned == 0
+
+    def test_each_skip_reason_hits_its_counter(self):
+        metrics = MetricsCollector(churn=ChurnCounts())
+        for reason in ("backoff", "quarantine", "drop", "offline", "reciprocity"):
+            metrics.record_skipped_encounter(reason)
+        assert metrics.backoff_skips == 1
+        assert metrics.quarantine_skips == 1
+        assert metrics.dropped_encounters == 1
+        assert metrics.churn.churn_skipped_encounters == 1
+        assert metrics.churn.reciprocity_refusals == 1
+        with pytest.raises(ValueError, match="skip reason"):
+            metrics.record_skipped_encounter("weather")
+
+    def test_end_of_run_stamps_end_time_and_copies(self):
+        metrics = collector_with([(0.0, 1.0), (0.0, None)])
+        metrics.record_end(86400.0, lambda message_id: message_id.serial + 4)
+        assert metrics.end_time == 86400.0
+        assert [record.copies_at_end for record in metrics.records.values()] == [4, 5]
+
+
+#: Expressions whose attributes are run metrics: the collector as an
+#: executor names it, and its churn block.
+_METRIC_HOLDERS = {"metrics", "_metrics", "churn"}
+
+
+def _holder_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def metric_writes(tree):
+    """``(line, target)`` of every assignment to a metric attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and _holder_name(sub.value) in _METRIC_HOLDERS
+                ):
+                    yield node.lineno, ast.unparse(sub)
+
+
+class TestOneWriter:
+    """Every run metric is written by ``MetricsCollector`` alone."""
+
+    def test_no_metric_is_written_outside_the_collector(self):
+        package = pathlib.Path(repro.__file__).parent
+        collector = package / "emulation" / "metrics.py"
+        writes = [
+            f"{path.relative_to(package)}:{line}: {target}"
+            for path in sorted(package.rglob("*.py"))
+            if path != collector
+            for line, target in sorted(metric_writes(ast.parse(path.read_text())))
+        ]
+        assert writes == []
+
+    def test_the_walk_sees_every_form_of_write(self):
+        tree = ast.parse(
+            "metrics.syncs += 1\n"
+            "self.metrics.evictions = 3\n"
+            "self._metrics.crashes += 1\n"
+            "self.metrics.churn.churn_leaves += 1\n"
+            "a, metrics.end_time = 1, 2\n"
+            "self.metrics = MetricsCollector()\n"
+            "record.copies_at_end = 0\n"
+        )
+        assert [line for line, _ in metric_writes(tree)] == [1, 2, 3, 4, 5]
 
 
 class TestAggregates:

@@ -61,7 +61,6 @@ class TestEncounterDrops:
         metrics = emulator.run()
         assert metrics.encounters == 0
         assert metrics.dropped_encounters == 40
-        assert emulator.failed_encounters == 40
         assert metrics.delivered == 0
 
     def test_partial_drop_still_delivers(self):

@@ -57,15 +57,15 @@ class TestSyncFailures:
     def test_zero_probability_never_fails(self):
         emulator = self.make_emulator(0.0)
         emulator.run()
-        assert emulator.failed_encounters == 0
+        assert emulator.metrics.dropped_encounters == 0
         assert emulator.metrics.encounters == 50
 
     def test_failures_drop_encounters_but_not_delivery(self):
         emulator = self.make_emulator(0.5)
         metrics = emulator.run()
-        assert emulator.failed_encounters > 0
+        assert emulator.metrics.dropped_encounters > 0
         assert (
-            emulator.failed_encounters + metrics.encounters == 50
+            emulator.metrics.dropped_encounters + metrics.encounters == 50
         )
         # With 50 opportunities, the message still gets through.
         assert metrics.delivered == 1
@@ -81,5 +81,5 @@ class TestSyncFailures:
         first.run()
         second = self.make_emulator(0.3, seed=9)
         second.run()
-        assert first.failed_encounters == second.failed_encounters
+        assert first.metrics.dropped_encounters == second.metrics.dropped_encounters
         assert first.metrics.transmissions == second.metrics.transmissions

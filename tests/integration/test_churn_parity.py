@@ -26,7 +26,7 @@ from .test_swarm_parity import live_comparable
 #: fractions covers every lifecycle path: one late arrival, one
 #: checkpoint rejoin, one amnesiac rejoin, one graceful leave (with
 #: handoff), one free rider, plus the reciprocity gate armed.
-CONFIG = ExperimentConfig(scale=0.25, policy="epidemic").with_churn(
+CHURN = dict(
     seed=0,
     arrival_fraction=0.15,
     departure_fraction=0.15,
@@ -35,6 +35,7 @@ CONFIG = ExperimentConfig(scale=0.25, policy="epidemic").with_churn(
     free_rider_fraction=0.15,
     reciprocity_threshold=0.4,
 )
+CONFIG = ExperimentConfig(scale=0.25, policy="epidemic").with_churn(**CHURN)
 
 
 class TestChurnParity:
@@ -77,6 +78,18 @@ class TestChurnParity:
         )
         for name in free_riders:
             assert scores[name] < honest_floor
+
+    def test_a_storage_limit_books_the_evictions_of_processes_that_die(self):
+        # Crashed, departed and respawned processes included: each node
+        # reports its evictions with the reply to the directive that
+        # caused them, so none dies with its process.
+        config = ExperimentConfig(
+            scale=0.25, policy="epidemic", storage_limit=3
+        ).with_churn(**CHURN)
+        expected = build_scenario(config).emulator.run()
+        report = run_swarm(SwarmConfig(experiment=config))
+        assert live_comparable(report.metrics) == live_comparable(expected)
+        assert report.metrics.evictions > 0
 
     def test_gate_rejects_unarmed_configs(self):
         with pytest.raises(ValueError, match="armed ChurnConfig"):

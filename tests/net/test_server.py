@@ -261,8 +261,11 @@ def test_reply_shapes_the_bench_driver_and_protocol_doc_rely_on():
     assert injected["type"] == "inject-ok", injected
     assert decode_item_id(injected["message_id"]).origin.name == first
     assert injected["deliveries"] == []
+    # No storage limit: nothing evicted, and the count says so.
+    assert injected["evictions"] == 0
     assert encounter["type"] == "encounter-ok", encounter
-    assert {"syncs", "deliveries"} <= set(encounter)
+    assert {"syncs", "deliveries", "evictions"} <= set(encounter)
+    assert encounter["evictions"] == 0
     wire_fields = {"source", "target", "violations", *SyncStats._COUNTER_FIELDS}
     assert [set(sync) for sync in encounter["syncs"]] == [wire_fields] * 2
     to_peer, from_peer = encounter["syncs"]

@@ -1,6 +1,10 @@
 """Unit tests for replica observers."""
 
-from repro.replication.events import BaseReplicaObserver, ObserverList
+from repro.replication.events import (
+    BaseReplicaObserver,
+    EvictionCounter,
+    ObserverList,
+)
 from tests.conftest import make_item
 
 
@@ -40,3 +44,22 @@ class TestObserverList:
         item = make_item()
         base.on_store(item, True)
         base.on_evict(item)  # nothing raised
+
+
+class TestEvictionCounter:
+    def test_drain_hands_over_each_eviction_once(self):
+        counter = EvictionCounter()
+        item = make_item()
+        counter.on_evict(item)
+        counter.on_evict(item)
+        assert counter.drain() == 2
+        assert counter.drain() == 0
+        counter.on_evict(item)
+        assert counter.drain() == 1
+        # The running total is not drained.
+        assert counter.count == 3
+
+    def test_ignores_stores(self):
+        counter = EvictionCounter()
+        counter.on_store(make_item(), True)
+        assert (counter.count, counter.drain()) == (0, 0)
