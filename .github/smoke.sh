@@ -22,6 +22,18 @@ sweep)
   $SWEEP | tee sweep-second.log
   grep -q "4 completed, 0 reused, 0 failed" sweep-first.log
   grep -q "0 completed, 4 reused, 0 failed" sweep-second.log
+  # A figure reuses the sweep's seed-0 epidemic and spray runs and adds
+  # its other three legs; a second call adds none and prints the rows a
+  # figure without a store prints.
+  FIGURE="python -m repro figure 8 --scale 0.25"
+  runs() { ls results/runs/*.json | wc -l; }
+  swept=$(runs)
+  $FIGURE --results-dir results/runs > figure-first.log
+  test "$(runs)" -eq $((swept + 3))
+  $FIGURE --results-dir results/runs > figure-second.log
+  test "$(runs)" -eq $((swept + 3))
+  $FIGURE > figure-plain.log
+  cmp figure-second.log figure-plain.log
   ;;
 
 adversarial)

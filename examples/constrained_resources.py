@@ -8,8 +8,10 @@ advantage survives.
 Run:  python examples/constrained_resources.py
 """
 
+import tempfile
+
 from repro.dtn.registry import PAPER_POLICY_ORDER
-from repro.experiments.figures import SharedScenarioInputs, policy_sweep
+from repro.experiments import RunStore, policy_sweep
 
 HOURS = 3600.0
 
@@ -28,15 +30,14 @@ def describe(title, results):
 
 
 def main() -> None:
-    inputs = SharedScenarioInputs.at_scale(0.5)
+    with tempfile.TemporaryDirectory() as root:
+        store = RunStore(root)
+        free = policy_sweep(0.5, store, PAPER_POLICY_ORDER)
+        bandwidth = policy_sweep(0.5, store, PAPER_POLICY_ORDER, bandwidth_limit=1)
+        storage = policy_sweep(0.5, store, PAPER_POLICY_ORDER, storage_limit=2)
 
-    free = policy_sweep(inputs, PAPER_POLICY_ORDER)
     describe("Unconstrained (Figures 7/8 setting):", free)
-
-    bandwidth = policy_sweep(inputs, PAPER_POLICY_ORDER, bandwidth_limit=1)
     describe("Bandwidth-constrained — 1 message per encounter (Figure 9):", bandwidth)
-
-    storage = policy_sweep(inputs, PAPER_POLICY_ORDER, storage_limit=2)
     describe(
         "Storage-constrained — 2 relayed messages per node, FIFO (Figure 10):",
         storage,

@@ -17,7 +17,6 @@ from typing import Optional
 
 from repro.dtn import register_policy
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.experiments.figures import SharedScenarioInputs
 from repro.replication import Filter, Item, Priority, RoutingPolicy, SyncContext
 
 #: Host-local marker: set on copies held by relays (not the source).
@@ -49,11 +48,10 @@ class TwoHopRelayPolicy(RoutingPolicy):
 def main() -> None:
     register_policy("two-hop", TwoHopRelayPolicy)
 
-    inputs = SharedScenarioInputs.at_scale(0.5)
     print("policy      delivered  mean-delay  within-12h  transmissions")
     for policy in ("cimbiosys", "two-hop", "spray", "epidemic"):
         config = ExperimentConfig(scale=0.5, policy=policy)
-        result = run_experiment(config, trace=inputs.trace, model=inputs.model)
+        result = run_experiment(config)
         metrics = result.metrics
         mean_delay = metrics.mean_delay_hours()
         print(

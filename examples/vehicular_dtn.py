@@ -10,11 +10,12 @@ Run:  python examples/vehicular_dtn.py            (half-size, seconds)
 """
 
 import os
+import tempfile
 
 from repro.dtn.registry import PAPER_POLICY_ORDER
 from repro.experiments import (
     ExperimentConfig,
-    SharedScenarioInputs,
+    RunStore,
     policy_sweep,
     render_summary_rows,
 )
@@ -23,8 +24,10 @@ from repro.experiments.report import render_series_table
 
 def main() -> None:
     scale = float(os.environ.get("REPRO_SCALE", "0.5"))
-    inputs = SharedScenarioInputs.at_scale(scale)
-    summary = inputs.trace.summary()
+    with tempfile.TemporaryDirectory() as root:
+        results = policy_sweep(scale, RunStore(root), PAPER_POLICY_ORDER)
+
+    summary = results["cimbiosys"].trace_summary
     print(
         f"Trace: {summary['encounters']:.0f} encounters, "
         f"{summary['hosts']:.0f} buses over {summary['days']:.0f} days "
@@ -32,8 +35,6 @@ def main() -> None:
     )
     messages = ExperimentConfig(scale=scale).effective_messages
     print(f"Workload: {messages} messages injected over the first 8 days\n")
-
-    results = policy_sweep(inputs, PAPER_POLICY_ORDER)
 
     print(
         render_summary_rows(

@@ -83,12 +83,13 @@ def inter_contact_times(trace: EncounterTrace) -> Dict[Tuple[str, str], List[flo
 
 def inter_contact_summary(trace: EncounterTrace) -> Dict[str, float]:
     """Aggregate inter-contact time statistics (seconds)."""
+    by_pair = inter_contact_times(trace)
     all_gaps: List[float] = []
-    for gaps in inter_contact_times(trace).values():
+    for gaps in by_pair.values():
         all_gaps.extend(gaps)
     all_gaps.sort()
     return {
-        "pairs_with_repeats": float(len(inter_contact_times(trace))),
+        "pairs_with_repeats": float(len(by_pair)),
         "mean": mean(all_gaps),
         "median": percentile(all_gaps, 0.5),
         "p90": percentile(all_gaps, 0.9),

@@ -116,7 +116,7 @@ def generate_churn_schedule(
     """
     hosts = sorted(trace.hosts)
     n = len(hosts)
-    last_day = max((encounter.day for encounter in trace), default=0)
+    last_day = max(trace.days, default=0)
     span = float((last_day + 1) * SECONDS_PER_DAY)
     rng = random.Random(config.seed)
 
@@ -164,13 +164,6 @@ def generate_churn_schedule(
     # restricted to peers that are online at the leave time (departed
     # and mid-crash peers can't take a final sync; unarrived peers
     # aren't there yet). Ties break alphabetically.
-    meetings: Dict[str, Dict[str, int]] = {}
-    for encounter in trace:
-        meetings.setdefault(encounter.a, {}).setdefault(encounter.b, 0)
-        meetings[encounter.a][encounter.b] += 1
-        meetings.setdefault(encounter.b, {}).setdefault(encounter.a, 0)
-        meetings[encounter.b][encounter.a] += 1
-
     provisional = list(events) + [
         LifecycleEvent(time=time, kind=LEAVE, node=node)
         for node, time in leave_times.items()
@@ -186,7 +179,8 @@ def generate_churn_schedule(
         when = leave_times[node]
         partner: Optional[str] = None
         candidates = sorted(
-            meetings.get(node, {}).items(), key=lambda pair: (-pair[1], pair[0])
+            trace.meeting_counts_for(node).items(),
+            key=lambda pair: (-pair[1], pair[0]),
         )
         for peer, _count in candidates:
             if peer != node and online_at(peer, when):

@@ -43,13 +43,13 @@ import json
 import os
 import pathlib
 import sys
+import tempfile
 from typing import Optional, Sequence
 
 from repro.dtn.registry import PAPER_POLICY_ORDER, available_policies
 from repro.experiments.config import ExperimentConfig, configured_scale
 from repro.experiments.figures import (
     FIGURE_TITLES,
-    SharedScenarioInputs,
     figure_5,
     figure_6,
     figure_7,
@@ -67,6 +67,7 @@ from repro.experiments.report import (
 )
 from repro.churn import ChurnConfig
 from repro.experiments.runner import run_experiment
+from repro.experiments.store import RunStore
 from repro.faults import FaultConfig
 from repro.traces.dieselnet import (
     DieselNetConfig,
@@ -321,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--output-dir", type=pathlib.Path, default=None)
     figure.add_argument(
         "--results-dir", type=pathlib.Path, default=None, metavar="DIR",
-        help="read/write run artifacts in this store instead of re-running "
-             "every configuration in memory (e.g. results/runs)",
+        help="read/write run artifacts in this store instead of a "
+             "temporary one (e.g. results/runs)",
     )
 
     subparsers.add_parser("tables", help="print Tables I and II")
@@ -536,7 +537,6 @@ def _print_sweep_event(event) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.store import RunStore
     from repro.experiments.sweep import expand_grid, filter_by_label, run_sweep
 
     try:
@@ -605,33 +605,41 @@ def _emit(text: str, name: str, output_dir: Optional[pathlib.Path]) -> None:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    inputs = SharedScenarioInputs.at_scale(args.scale)
-    if args.results_dir is not None:
-        from repro.experiments.figures import RESULT_CACHE
-        from repro.experiments.store import RunStore
+    """Run the figure's legs into ``--results-dir``'s store, or into one
+    in a temporary directory that goes with the command."""
+    try:
+        if args.results_dir is not None:
+            _figures(args, RunStore(args.results_dir))
+        else:
+            with tempfile.TemporaryDirectory(prefix="repro-figure-") as root:
+                _figures(args, RunStore(root))
+    except RuntimeError as exc:  # a failed leg
+        return _usage_error(exc)
+    return 0
 
-        RESULT_CACHE.attach_store(RunStore(args.results_dir))
+
+def _figures(args: argparse.Namespace, store: RunStore) -> None:
     which = args.which
+    scale = args.scale
     out = args.output_dir
 
     def series(name: str, axis: str, data) -> None:
         _emit(render_series_table(FIGURE_TITLES[name], axis, data), name, out)
 
     if which in ("5", "all"):
-        series("fig5", "k", figure_5(inputs))
+        series("fig5", "k", figure_5(scale, store))
     if which in ("6", "all"):
-        series("fig6", "k", figure_6(inputs))
+        series("fig6", "k", figure_6(scale, store))
     if which in ("7", "all"):
-        curves = figure_7(inputs)
+        curves = figure_7(scale, store)
         for name, axis in (("fig7a", "hours"), ("fig7b", "days")):
             series(name, axis, {p: curves[p][axis] for p in PAPER_POLICY_ORDER})
     if which in ("8", "all"):
-        _emit(render_figure_8(figure_8(inputs)), "fig8", out)
+        _emit(render_figure_8(figure_8(scale, store)), "fig8", out)
     if which in ("9", "all"):
-        series("fig9", "hours", figure_9(inputs))
+        series("fig9", "hours", figure_9(scale, store))
     if which in ("10", "all"):
-        series("fig10", "hours", figure_10(inputs))
-    return 0
+        series("fig10", "hours", figure_10(scale, store))
 
 
 def cmd_tables(args: argparse.Namespace) -> int:

@@ -222,7 +222,6 @@ class Emulator:
             if injector.should_drop_encounter():
                 self.metrics.record_skipped_encounter("drop")
                 return
-        first, second = self.nodes[roles[0]], self.nodes[roles[1]]
         transport_factory = (
             (
                 lambda source_id, target_id: injector.transport(
@@ -232,17 +231,13 @@ class Emulator:
             if injector is not None
             else None
         )
-        with monotone_knowledge(
-            first.replica, second.replica, during="an encounter"
-        ):
-            stats = EncounterSession(
-                first=first.endpoint,
-                second=second.endpoint,
-                now=now,
-                config=self._session_config,
-                transport_factory=transport_factory,
-            ).run()
-        self.director.book_encounter(encounter.a, encounter.b, stats, now)
+        stats = self._run_session(
+            *roles,
+            now,
+            during="an encounter",
+            config=self._session_config,
+            transport_factory=transport_factory,
+        )
         if injector is not None:
             interrupted = any(sync_stats.interrupted for sync_stats in stats)
             resumed = injector.note_encounter_outcome(
@@ -278,17 +273,31 @@ class Emulator:
 
     def _run_handoff(self, leaver: str, partner: str, now: float) -> None:
         """Two syncs between the leaver and its handoff partner."""
-        first = self.nodes[leaver]
-        second = self.nodes[partner]
-        with monotone_knowledge(
-            first.replica, second.replica, during="a handoff"
-        ):
+        self._run_session(leaver, partner, now, during="a handoff", handoff=True)
+
+    def _run_session(
+        self,
+        first: str,
+        second: str,
+        now: float,
+        during: str,
+        handoff: bool = False,
+        config: Optional[SessionConfig] = None,
+        transport_factory=None,
+    ) -> Sequence:
+        """Two syncs, ``first`` sourcing the first, under the
+        monotone-knowledge check; booked as the swarm books them."""
+        source, target = self.nodes[first], self.nodes[second]
+        with monotone_knowledge(source.replica, target.replica, during=during):
             stats = EncounterSession(
-                first=first.endpoint,
-                second=second.endpoint,
+                first=source.endpoint,
+                second=target.endpoint,
                 now=now,
+                config=config,
+                transport_factory=transport_factory,
             ).run()
-        self.director.book_encounter(leaver, partner, stats, now, handoff=True)
+        self.director.book_encounter(first, second, stats, now, handoff=handoff)
+        return stats
 
     def _peers_willing(self, a: str, b: str, now: float) -> bool:
         """Do both participants accept the encounter right now?

@@ -11,8 +11,6 @@ from .figures import (
     CDF_DAYS,
     CDF_HOURS,
     FIGURE_5_K_VALUES,
-    RESULT_CACHE,
-    SharedScenarioInputs,
     figure_5,
     figure_6,
     figure_7,
@@ -59,11 +57,9 @@ __all__ = [
     "ExperimentResult",
     "FIGURE_5_K_VALUES",
     "PolicySummaryRow",
-    "RESULT_CACHE",
     "RunOutcome",
     "RunStore",
     "Scenario",
-    "SharedScenarioInputs",
     "StoreError",
     "SweepEvent",
     "SweepReport",

@@ -1,29 +1,37 @@
 """Per-figure reproduction harnesses.
 
-Each ``figure_N`` function runs the emulations behind one figure of the
-paper's evaluation section and returns structured series data;
-``tests/paper`` and ``repro figure`` render them as paper-style rows (see
+A figure is a list of :class:`~repro.experiments.config.ExperimentConfig`
+legs and a fold over their results. Every leg runs through
+:func:`~repro.experiments.sweep.run_sweep` into a
+:class:`~repro.experiments.store.RunStore` and is read back from its
+artifact, so a leg runs once per store: Figures 5 and 6 share one
+multi-address sweep and Figures 7 and 8 one policy sweep, exactly as in
+the paper, and a leg ``repro sweep`` already ran is reused. ``tests/paper``
+and ``repro figure`` render the folds as paper-style rows (see
 :mod:`repro.experiments.report` for the renderer).
-
-Runs are cached per (config, trace-identity) inside the process: Figures 7
-and 8 share one policy sweep, and Figures 5 and 6 share one multi-address
-sweep, exactly as in the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.dtn.registry import PAPER_POLICY_ORDER
-from repro.emulation.encounters import EncounterTrace
-from repro.emulation.metrics import HOURS
-from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
-from repro.traces.enron import EmailWorkloadModel, generate_enron_model
+from repro.emulation.metrics import HOURS, MetricsCollector
 
 from .config import ExperimentConfig
-from .runner import ExperimentResult, run_experiment
-from .store import config_digest
+from .runner import ExperimentResult
+from .store import RunStore, run_id_for
+from .sweep import run_sweep
 
 #: k values on the x-axis of Figures 5 and 6 ("Self" is k = 0).
 FIGURE_5_K_VALUES: Tuple[int, ...] = (0, 1, 2, 4, 8, 16)
@@ -47,198 +55,144 @@ FIGURE_TITLES: Dict[str, str] = {
     "(max 2 relayed messages per node, FIFO eviction)",
 }
 
+Key = TypeVar("Key", bound=Hashable)
 
-@dataclass
-class SharedScenarioInputs:
-    """Trace and e-mail model shared across a figure's runs.
 
-    The paper runs every configuration against the same trace and message
-    workload; sharing these across runs both matches that and avoids
-    regenerating them.
+def _run_legs(
+    legs: Mapping[Key, ExperimentConfig], store: RunStore
+) -> Dict[Key, ExperimentResult]:
+    """Run each leg's config serially into ``store`` and read it back.
+
+    Valid artifacts are reused, and legs with one config share one run
+    (and one result object). Raises on a failed leg, with its error text.
     """
-
-    scale: float
-    trace: EncounterTrace
-    model: EmailWorkloadModel
-
-    @classmethod
-    def at_scale(cls, scale: float, trace_seed: int = 42, email_seed: int = 7
-                 ) -> "SharedScenarioInputs":
-        base = ExperimentConfig(scale=scale, trace_seed=trace_seed)
-        trace = generate_dieselnet_trace(
-            DieselNetConfig(seed=trace_seed, scale=scale)
-        )
-        model = generate_enron_model(
-            n_users=base.effective_users, seed=email_seed
-        )
-        return cls(scale=scale, trace=trace, model=model)
+    run_ids = {key: run_id_for(config) for key, config in legs.items()}
+    configs = dict(zip(run_ids.values(), legs.values()))
+    for outcome in run_sweep(list(configs.values()), store=store).outcomes:
+        if outcome.status == "failed":
+            raise RuntimeError(
+                f"figure leg {outcome.label} failed:\n{outcome.error}"
+            )
+    results = {run_id: store.load_result(run_id) for run_id in configs}
+    return {key: results[run_id] for key, run_id in run_ids.items()}
 
 
-class _ResultCache:
-    """Process-wide memo of experiment runs, keyed by the trace object and
-    the config digest (the content address a run store files a run
-    under), so configs that differ in any field never share a run.
-
-    With a :class:`~repro.experiments.store.RunStore` attached (the
-    ``repro figure --results-dir`` path, and how figures share runs with
-    ``repro sweep``), the cache reads completed runs back from their JSON
-    artifacts instead of holding only live objects, and persists fresh
-    runs as artifacts. A stored run is only reused when its trace summary
-    matches the inputs' trace — configs don't describe externally supplied
-    traces, so the summary check keeps a custom-trace session from
-    aliasing a synthetic-trace artifact.
-    """
-
-    def __init__(self) -> None:
-        self._results: Dict[Tuple[int, str], ExperimentResult] = {}
-        self._store = None
-
-    def attach_store(self, store) -> None:
-        """Back the cache with an artifact store (None detaches)."""
-        self._store = store
-
-    def _from_store(
-        self, config: ExperimentConfig, inputs: SharedScenarioInputs
-    ) -> Optional[ExperimentResult]:
-        if self._store is None or not self._store.has(config):
-            return None
-        result = self._store.load_result(config)
-        if result.trace_summary != inputs.trace.summary():
-            return None
-        return result
-
-    def run(
-        self, config: ExperimentConfig, inputs: SharedScenarioInputs
-    ) -> ExperimentResult:
-        key = (id(inputs.trace), config_digest(config))
-        if key not in self._results:
-            stored = self._from_store(config, inputs)
-            if stored is not None:
-                self._results[key] = stored
-            else:
-                self._results[key] = run_experiment(
-                    config, trace=inputs.trace, model=inputs.model
-                )
-                if self._store is not None:
-                    self._store.save_result(self._results[key])
-        return self._results[key]
-
-
-RESULT_CACHE = _ResultCache()
+def _percent_cdf(
+    result: ExperimentResult, hour_points: Sequence[float]
+) -> List[Tuple[float, float]]:
+    """(hours, % delivered within them) at each of ``hour_points``."""
+    return [
+        (hours, 100.0 * fraction)
+        for hours, fraction in result.delay_cdf_hours(hour_points)
+    ]
 
 
 # -- Figures 5 & 6: multi-address filters -------------------------------------------
 
 
 def multiaddress_sweep(
-    inputs: SharedScenarioInputs,
+    scale: float,
+    store: RunStore,
     k_values: Sequence[int] = FIGURE_5_K_VALUES,
-    strategies: Sequence[str] = ("random", "selected"),
 ) -> Dict[Tuple[str, int], ExperimentResult]:
     """Run the unmodified-Cimbiosys multi-address experiments.
 
     Returns results keyed by (strategy, k); k = 0 is the shared "Self"
     baseline, stored under both strategies for convenient plotting.
     """
-    results: Dict[Tuple[str, int], ExperimentResult] = {}
-    base = ExperimentConfig(scale=inputs.scale, policy="cimbiosys")
-    self_result = RESULT_CACHE.run(base, inputs)
-    for strategy in strategies:
-        results[(strategy, 0)] = self_result
-        for k in k_values:
-            if k == 0:
-                continue
-            config = base.with_filters(strategy, k)
-            results[(strategy, k)] = RESULT_CACHE.run(config, inputs)
-    return results
+    base = ExperimentConfig(scale=scale, policy="cimbiosys")
+    return _run_legs(
+        {
+            (strategy, k): base.with_filters(strategy, k) if k else base
+            for strategy in ("random", "selected")
+            for k in k_values
+        },
+        store,
+    )
+
+
+def _multiaddress_series(
+    scale: float,
+    store: RunStore,
+    k_values: Sequence[int],
+    value: Callable[[MetricsCollector], float],
+) -> Dict[str, List[Tuple[int, float]]]:
+    sweep = multiaddress_sweep(scale, store, k_values)
+    return {
+        strategy: [(k, value(sweep[(strategy, k)].metrics)) for k in k_values]
+        for strategy in ("random", "selected")
+    }
 
 
 def figure_5(
-    inputs: SharedScenarioInputs,
+    scale: float,
+    store: RunStore,
     k_values: Sequence[int] = FIGURE_5_K_VALUES,
 ) -> Dict[str, List[Tuple[int, float]]]:
     """Mean message delay (hours) vs addresses-in-filter, per strategy."""
-    sweep = multiaddress_sweep(inputs, k_values)
-    series: Dict[str, List[Tuple[int, float]]] = {}
-    for strategy in ("random", "selected"):
-        points = []
-        for k in k_values:
-            result = sweep[(strategy, k)]
-            mean_hours = result.metrics.mean_delay_hours()
-            points.append((k, mean_hours if mean_hours is not None else float("nan")))
-        series[strategy] = points
-    return series
+
+    def mean_hours(metrics: MetricsCollector) -> float:
+        hours = metrics.mean_delay_hours()
+        return hours if hours is not None else float("nan")
+
+    return _multiaddress_series(scale, store, k_values, mean_hours)
 
 
 def figure_6(
-    inputs: SharedScenarioInputs,
+    scale: float,
+    store: RunStore,
     k_values: Sequence[int] = FIGURE_5_K_VALUES,
-    deadline_hours: float = 12.0,
 ) -> Dict[str, List[Tuple[int, float]]]:
-    """% messages delivered within ``deadline_hours`` vs addresses-in-filter."""
-    sweep = multiaddress_sweep(inputs, k_values)
-    series: Dict[str, List[Tuple[int, float]]] = {}
-    for strategy in ("random", "selected"):
-        points = []
-        for k in k_values:
-            result = sweep[(strategy, k)]
-            fraction = result.metrics.fraction_delivered_within(
-                deadline_hours * HOURS
-            )
-            points.append((k, 100.0 * fraction))
-        series[strategy] = points
-    return series
+    """% messages delivered within 12 hours vs addresses-in-filter."""
+    return _multiaddress_series(
+        scale,
+        store,
+        k_values,
+        lambda metrics: 100.0 * metrics.fraction_delivered_within(12.0 * HOURS),
+    )
 
 
 # -- Figures 7–10: DTN routing policies -----------------------------------------------
 
 
 def policy_sweep(
-    inputs: SharedScenarioInputs,
+    scale: float,
+    store: RunStore,
     policies: Sequence[str] = PAPER_POLICY_ORDER,
     bandwidth_limit: Optional[int] = None,
     storage_limit: Optional[int] = None,
 ) -> Dict[str, ExperimentResult]:
-    """Run each routing policy over the shared scenario."""
-    results: Dict[str, ExperimentResult] = {}
-    for policy in policies:
-        config = ExperimentConfig(scale=inputs.scale, policy=policy).with_constraints(
-            bandwidth_limit=bandwidth_limit, storage_limit=storage_limit
-        )
-        results[policy] = RESULT_CACHE.run(config, inputs)
-    return results
+    """Run each routing policy over the paper's scenario at ``scale``."""
+    return _run_legs(
+        {
+            policy: ExperimentConfig(scale=scale, policy=policy).with_constraints(
+                bandwidth_limit=bandwidth_limit, storage_limit=storage_limit
+            )
+            for policy in policies
+        },
+        store,
+    )
 
 
 def figure_7(
-    inputs: SharedScenarioInputs,
+    scale: float,
+    store: RunStore,
     policies: Sequence[str] = PAPER_POLICY_ORDER,
 ) -> Dict[str, Dict[str, List[Tuple[float, float]]]]:
     """Delay CDFs, unconstrained: (a) 0–12 hours, (b) 1–10 days."""
-    sweep = policy_sweep(inputs, policies)
     curves: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
-    for policy, result in sweep.items():
+    for policy, result in policy_sweep(scale, store, policies).items():
+        by_day = _percent_cdf(result, [day * 24.0 for day in CDF_DAYS])
         curves[policy] = {
-            "hours": [
-                (hours, 100.0 * fraction)
-                for hours, fraction in result.delay_cdf_hours(CDF_HOURS)
-            ],
-            "days": [
-                (days, 100.0 * fraction)
-                for days, fraction in result.delay_cdf_hours(
-                    [d * 24.0 for d in CDF_DAYS]
-                )
-            ],
+            "hours": _percent_cdf(result, CDF_HOURS),
+            "days": [(day, value) for day, (_, value) in zip(CDF_DAYS, by_day)],
         }
-        # Re-label the day curve's x values back to days.
-        curves[policy]["days"] = [
-            (day, value)
-            for day, (_, value) in zip(CDF_DAYS, curves[policy]["days"])
-        ]
     return curves
 
 
 def figure_8(
-    inputs: SharedScenarioInputs,
+    scale: float,
+    store: RunStore,
     policies: Sequence[str] = PAPER_POLICY_ORDER,
 ) -> Dict[str, Dict[str, float]]:
     """Average stored copies per message, at delivery time and at the end.
@@ -246,7 +200,7 @@ def figure_8(
     NaN where no message has the count, as in ``MetricsCollector.summary``.
     """
     copies: Dict[str, Dict[str, float]] = {}
-    for policy, result in policy_sweep(inputs, policies).items():
+    for policy, result in policy_sweep(scale, store, policies).items():
         summary = result.metrics.summary()
         copies[policy] = {
             "at_delivery": summary["mean_copies_at_delivery"],
@@ -256,32 +210,28 @@ def figure_8(
 
 
 def figure_9(
-    inputs: SharedScenarioInputs,
+    scale: float,
+    store: RunStore,
     policies: Sequence[str] = PAPER_POLICY_ORDER,
     bandwidth_limit: int = 1,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Delay CDF (0–12 h) with the bandwidth cap (1 message per encounter)."""
-    sweep = policy_sweep(inputs, policies, bandwidth_limit=bandwidth_limit)
+    sweep = policy_sweep(scale, store, policies, bandwidth_limit=bandwidth_limit)
     return {
-        policy: [
-            (hours, 100.0 * fraction)
-            for hours, fraction in result.delay_cdf_hours(CDF_HOURS)
-        ]
+        policy: _percent_cdf(result, CDF_HOURS)
         for policy, result in sweep.items()
     }
 
 
 def figure_10(
-    inputs: SharedScenarioInputs,
+    scale: float,
+    store: RunStore,
     policies: Sequence[str] = PAPER_POLICY_ORDER,
     storage_limit: int = 2,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Delay CDF (0–12 h) with the storage cap (2 relayed messages per node)."""
-    sweep = policy_sweep(inputs, policies, storage_limit=storage_limit)
+    sweep = policy_sweep(scale, store, policies, storage_limit=storage_limit)
     return {
-        policy: [
-            (hours, 100.0 * fraction)
-            for hours, fraction in result.delay_cdf_hours(CDF_HOURS)
-        ]
+        policy: _percent_cdf(result, CDF_HOURS)
         for policy, result in sweep.items()
     }

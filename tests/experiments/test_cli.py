@@ -152,6 +152,44 @@ class TestFigureCommand:
         assert (tmp_path / "fig8.txt").exists()
 
 
+def _artifacts(root):
+    """Artifact file name → mtime, for every run in a ``--results-dir``."""
+    return {path.name: path.stat().st_mtime_ns for path in root.glob("*.json")}
+
+
+class TestFigureResultsDir:
+    """``repro figure --results-dir`` runs its legs into that store."""
+
+    FIGURE_8 = ["figure", "8", "--scale", "0.25"]
+
+    def test_a_later_call_without_it_writes_nothing_there(self, tmp_path, capsys):
+        assert main(self.FIGURE_8 + ["--results-dir", str(tmp_path)]) == 0
+        stored = _artifacts(tmp_path)
+        assert len(stored) == 5
+        assert main(["figure", "9", "--scale", "0.25"]) == 0
+        assert _artifacts(tmp_path) == stored
+
+    def test_a_second_identical_call_reruns_no_leg(self, tmp_path, capsys):
+        argv = self.FIGURE_8 + ["--results-dir", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        stored = _artifacts(tmp_path)
+        assert main(argv) == 0
+        assert _artifacts(tmp_path) == stored
+        assert capsys.readouterr().out == first
+
+    def test_a_figure_reuses_a_sweeps_artifacts(self, tmp_path, capsys):
+        sweep = ["sweep", "--policies", "epidemic", "spray", "--scale", "0.25",
+                 "--workers", "1", "--results-dir", str(tmp_path)]
+        assert main(sweep) == 0
+        swept = _artifacts(tmp_path)
+        assert len(swept) == 2
+        assert main(self.FIGURE_8 + ["--results-dir", str(tmp_path)]) == 0
+        stored = _artifacts(tmp_path)
+        assert len(stored) == 5
+        assert {name: stored[name] for name in swept} == swept
+
+
 class TestTablesCommand:
     def test_prints_both_tables(self, capsys):
         assert main(["tables"]) == 0

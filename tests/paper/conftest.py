@@ -9,8 +9,10 @@ orderings are the reproduction target (see EXPERIMENTS.md).
 
 Everything runs at ``SCALE`` 0.5, the half-size scenario (a few seconds
 in all); ``repro figure all --scale 1.0`` prints the paper-size figures.
-Emulation runs are cached process-wide, so figures sharing a sweep (5/6,
-7/8) pay for it once, exactly as in the paper's experimental design.
+The figures run their legs into the session's ``store``, the one cache
+here, so figures sharing a sweep (5/6, 7/8) pay for it once, exactly as
+in the paper's experimental design. The ablations run each config with
+``run_experiment``.
 """
 
 from __future__ import annotations
@@ -19,15 +21,16 @@ import pathlib
 
 import pytest
 
-from repro.experiments.figures import SharedScenarioInputs
+from repro.experiments.store import RunStore
 
 SCALE = 0.5
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[2] / "results"
 
 
 @pytest.fixture(scope="session")
-def inputs() -> SharedScenarioInputs:
-    return SharedScenarioInputs.at_scale(SCALE)
+def store(tmp_path_factory) -> RunStore:
+    """The run store every figure test runs its legs into."""
+    return RunStore(tmp_path_factory.mktemp("runs"))
 
 
 @pytest.fixture

@@ -17,18 +17,20 @@ from repro.experiments.runner import run_experiment
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.traces.enron import generate_enron_model
 
+from .conftest import SCALE
+
 HOURS = 3600.0
 
 
-def test_ablation_delete_on_receipt(inputs, check_results):
+def test_ablation_delete_on_receipt(check_results):
     rows = {}
     for policy in ("cimbiosys", "spray", "epidemic"):
         for delete in (False, True):
             config = replace(
-                ExperimentConfig(scale=inputs.scale, policy=policy),
+                ExperimentConfig(scale=SCALE, policy=policy),
                 delete_on_receipt=delete,
             )
-            result = run_experiment(config, trace=inputs.trace, model=inputs.model)
+            result = run_experiment(config)
             rows[(policy, delete)] = result.metrics
     series = {
         "keep": [
@@ -58,18 +60,18 @@ def test_ablation_delete_on_receipt(inputs, check_results):
         assert cleaned.delivered == kept.delivered
 
 
-def test_ablation_route_stickiness_vs_prophet(inputs, check_results):
+def test_ablation_route_stickiness_vs_prophet(check_results):
     """PROPHET's advantage over blind spraying grows with predictability."""
     series = {"prophet": [], "spray": []}
     for stickiness in (0.0, 0.3, 0.9):
         trace = generate_dieselnet_trace(
-            DieselNetConfig(scale=inputs.scale, route_stickiness=stickiness)
+            DieselNetConfig(scale=SCALE, route_stickiness=stickiness)
         )
         model = generate_enron_model(
-            n_users=ExperimentConfig(scale=inputs.scale).effective_users
+            n_users=ExperimentConfig(scale=SCALE).effective_users
         )
         for policy, points in series.items():
-            config = ExperimentConfig(scale=inputs.scale, policy=policy)
+            config = ExperimentConfig(scale=SCALE, policy=policy)
             result = run_experiment(config, trace=trace, model=model)
             points.append(
                 (stickiness, 100.0 * result.metrics.fraction_delivered_within(24 * HOURS))

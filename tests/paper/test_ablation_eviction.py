@@ -11,18 +11,20 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_series_table
 from repro.experiments.runner import run_experiment
 
+from .conftest import SCALE
+
 HOURS = 3600.0
 STRATEGIES = ("fifo", "random", "oldest-created")
 
 
-def test_ablation_eviction_strategies(inputs, check_results):
+def test_ablation_eviction_strategies(check_results):
     rows = {}
     for strategy in STRATEGIES:
         config = replace(
-            ExperimentConfig(scale=inputs.scale, policy="epidemic", storage_limit=2),
+            ExperimentConfig(scale=SCALE, policy="epidemic", storage_limit=2),
             eviction_strategy=strategy,
         )
-        result = run_experiment(config, trace=inputs.trace, model=inputs.model)
+        result = run_experiment(config)
         rows[strategy] = result.metrics
     series = {
         strategy: [

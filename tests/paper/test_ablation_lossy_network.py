@@ -13,23 +13,23 @@ from repro.experiments.report import render_series_table
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultConfig
 
+from .conftest import SCALE
+
 LOSS_RATES = (0.0, 0.25, 0.5)
 
 
-def test_ablation_sync_failures(inputs, check_results):
+def test_ablation_sync_failures(check_results):
     series = {}
     failures = {}
     for policy in ("cimbiosys", "epidemic"):
         points = []
         for loss in LOSS_RATES:
             config = ExperimentConfig(
-                scale=inputs.scale,
+                scale=SCALE,
                 policy=policy,
                 faults=FaultConfig(encounter_drop_probability=loss),
             )
-            metrics = run_experiment(
-                config, trace=inputs.trace, model=inputs.model
-            ).metrics
+            metrics = run_experiment(config).metrics
             points.append((loss, 100.0 * metrics.delivery_ratio))
             failures[(policy, loss)] = metrics.dropped_encounters
         series[policy] = points

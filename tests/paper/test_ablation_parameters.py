@@ -14,17 +14,19 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_series_table
 from repro.experiments.runner import run_experiment
 
+from .conftest import SCALE
+
 HOURS = 3600.0
 
 
-def _sweep(inputs, policy, parameter, values):
+def _sweep(policy, parameter, values):
     points_delivery = []
     points_traffic = []
     for value in values:
-        config = ExperimentConfig(scale=inputs.scale, policy=policy).with_policy(
+        config = ExperimentConfig(scale=SCALE, policy=policy).with_policy(
             policy, **{parameter: value}
         )
-        result = run_experiment(config, trace=inputs.trace, model=inputs.model)
+        result = run_experiment(config)
         metrics = result.metrics
         points_delivery.append(
             (value, 100.0 * metrics.fraction_delivered_within(12 * HOURS))
@@ -33,8 +35,8 @@ def _sweep(inputs, policy, parameter, values):
     return points_delivery, points_traffic
 
 
-def test_ablation_epidemic_ttl(inputs, check_results):
-    delivery, traffic = _sweep(inputs, "epidemic", "initial_ttl", (1, 2, 4, 10))
+def test_ablation_epidemic_ttl(check_results):
+    delivery, traffic = _sweep("epidemic", "initial_ttl", (1, 2, 4, 10))
     check_results(
         "ablation_epidemic_ttl",
         render_series_table(
@@ -51,8 +53,8 @@ def test_ablation_epidemic_ttl(inputs, check_results):
     assert abs(by_ttl[10] - by_ttl[4]) <= max(5.0, abs(by_ttl[4] - by_ttl[1]))
 
 
-def test_ablation_spray_copies(inputs, check_results):
-    delivery, traffic = _sweep(inputs, "spray", "initial_copies", (1, 2, 4, 8, 16))
+def test_ablation_spray_copies(check_results):
+    delivery, traffic = _sweep("spray", "initial_copies", (1, 2, 4, 8, 16))
     check_results(
         "ablation_spray_copies",
         render_series_table(
@@ -70,8 +72,8 @@ def test_ablation_spray_copies(inputs, check_results):
     assert tx[1] == min(tx.values())
 
 
-def test_ablation_maxprop_hop_threshold(inputs, check_results):
-    delivery, traffic = _sweep(inputs, "maxprop", "hop_threshold", (0, 3, 10))
+def test_ablation_maxprop_hop_threshold(check_results):
+    delivery, traffic = _sweep("maxprop", "hop_threshold", (0, 3, 10))
     check_results(
         "ablation_maxprop_threshold",
         render_series_table(
@@ -87,15 +89,15 @@ def test_ablation_maxprop_hop_threshold(inputs, check_results):
     assert max(values_seen) - min(values_seen) <= 10.0
 
 
-def test_ablation_maxprop_threshold_under_bandwidth_cap(inputs, check_results):
+def test_ablation_maxprop_threshold_under_bandwidth_cap(check_results):
     points = []
     for threshold in (0, 3, 10):
         config = (
-            ExperimentConfig(scale=inputs.scale, policy="maxprop")
+            ExperimentConfig(scale=SCALE, policy="maxprop")
             .with_policy("maxprop", hop_threshold=threshold)
             .with_constraints(bandwidth_limit=1)
         )
-        result = run_experiment(config, trace=inputs.trace, model=inputs.model)
+        result = run_experiment(config)
         points.append((threshold, 100.0 * result.metrics.delivery_ratio))
     check_results(
         "ablation_maxprop_threshold_bw",

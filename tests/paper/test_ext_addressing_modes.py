@@ -15,19 +15,21 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_series_table
 from repro.experiments.runner import run_experiment
 
+from .conftest import SCALE
+
 HOURS = 3600.0
 POLICIES = ("cimbiosys", "epidemic")
 
 
-def test_ext_addressing_modes(inputs, check_results):
+def test_ext_addressing_modes(check_results):
     rows = {}
     for policy in POLICIES:
         for addressing in ("bus", "user"):
             config = replace(
-                ExperimentConfig(scale=inputs.scale, policy=policy),
+                ExperimentConfig(scale=SCALE, policy=policy),
                 addressing=addressing,
             )
-            result = run_experiment(config, trace=inputs.trace, model=inputs.model)
+            result = run_experiment(config)
             rows[(policy, addressing)] = result.metrics
     series = {
         f"{policy}/{addressing}": [

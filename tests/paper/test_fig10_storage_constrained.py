@@ -15,11 +15,13 @@ from repro.experiments.figures import (
 )
 from repro.experiments.report import render_series_table
 
+from .conftest import SCALE
+
 STORAGE_LIMIT = 2
 
 
-def test_figure_10_storage_constrained(inputs, check_results):
-    curves = figure_10(inputs, PAPER_POLICY_ORDER, STORAGE_LIMIT)
+def test_figure_10_storage_constrained(store, check_results):
+    curves = figure_10(SCALE, store, PAPER_POLICY_ORDER, STORAGE_LIMIT)
     check_results(
         "fig10",
         render_series_table(
@@ -29,10 +31,10 @@ def test_figure_10_storage_constrained(inputs, check_results):
         ),
     )
 
-    unconstrained = figure_7(inputs, PAPER_POLICY_ORDER)
-    free_results = policy_sweep(inputs, PAPER_POLICY_ORDER)
+    unconstrained = figure_7(SCALE, store, PAPER_POLICY_ORDER)
+    free_results = policy_sweep(SCALE, store, PAPER_POLICY_ORDER)
     capped_results = policy_sweep(
-        inputs, PAPER_POLICY_ORDER, storage_limit=STORAGE_LIMIT
+        SCALE, store, PAPER_POLICY_ORDER, storage_limit=STORAGE_LIMIT
     )
 
     # Cimbiosys does not exploit relays, so the cap changes nothing.

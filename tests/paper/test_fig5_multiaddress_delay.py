@@ -10,11 +10,13 @@ network size.
 from repro.experiments.figures import FIGURE_TITLES, figure_5
 from repro.experiments.report import render_series_table
 
+from .conftest import SCALE
+
 K_VALUES = (0, 1, 2, 4, 8, 16)
 
 
-def test_figure_5_multiaddress_mean_delay(inputs, check_results):
-    series = figure_5(inputs, K_VALUES)
+def test_figure_5_multiaddress_mean_delay(store, check_results):
+    series = figure_5(SCALE, store, K_VALUES)
     check_results(
         "fig5",
         render_series_table(

@@ -9,11 +9,13 @@ small k.
 from repro.experiments.figures import FIGURE_TITLES, figure_6
 from repro.experiments.report import render_series_table
 
+from .conftest import SCALE
+
 K_VALUES = (0, 1, 2, 4, 8, 16)
 
 
-def test_figure_6_multiaddress_delivery(inputs, check_results):
-    series = figure_6(inputs, K_VALUES)
+def test_figure_6_multiaddress_delivery(store, check_results):
+    series = figure_6(SCALE, store, K_VALUES)
     check_results(
         "fig6",
         render_series_table(

@@ -15,9 +15,11 @@ from repro.dtn.registry import PAPER_POLICY_ORDER
 from repro.experiments.figures import FIGURE_TITLES, figure_7, policy_sweep
 from repro.experiments.report import render_series_table
 
+from .conftest import SCALE
 
-def test_figure_7_delay_cdfs(inputs, check_results):
-    curves = figure_7(inputs, PAPER_POLICY_ORDER)
+
+def test_figure_7_delay_cdfs(store, check_results):
+    curves = figure_7(SCALE, store, PAPER_POLICY_ORDER)
     check_results(
         "fig7a",
         render_series_table(
@@ -56,7 +58,7 @@ def test_figure_7_delay_cdfs(inputs, check_results):
         assert at_10d[policy] >= at_10d["cimbiosys"]
 
     # (b) Epidemic ≡ MaxProp unconstrained — identical distributions.
-    results = policy_sweep(inputs, PAPER_POLICY_ORDER)
+    results = policy_sweep(SCALE, store, PAPER_POLICY_ORDER)
     assert (
         results["epidemic"].metrics.delays()
         == results["maxprop"].metrics.delays()

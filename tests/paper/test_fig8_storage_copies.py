@@ -13,9 +13,11 @@ from repro.dtn.registry import PAPER_POLICY_ORDER
 from repro.experiments.figures import figure_8
 from repro.experiments.report import render_figure_8
 
+from .conftest import SCALE
 
-def test_figure_8_stored_copies(inputs, check_results):
-    copies = figure_8(inputs, PAPER_POLICY_ORDER)
+
+def test_figure_8_stored_copies(store, check_results):
+    copies = figure_8(SCALE, store, PAPER_POLICY_ORDER)
     check_results("fig8", render_figure_8(copies))
 
     at_delivery = {p: copies[p]["at_delivery"] for p in PAPER_POLICY_ORDER}

@@ -16,11 +16,13 @@ from repro.experiments.figures import (
 )
 from repro.experiments.report import render_series_table
 
+from .conftest import SCALE
+
 BANDWIDTH_LIMIT = 1
 
 
-def test_figure_9_bandwidth_constrained(inputs, check_results):
-    curves = figure_9(inputs, PAPER_POLICY_ORDER, BANDWIDTH_LIMIT)
+def test_figure_9_bandwidth_constrained(store, check_results):
+    curves = figure_9(SCALE, store, PAPER_POLICY_ORDER, BANDWIDTH_LIMIT)
     check_results(
         "fig9",
         render_series_table(
@@ -30,9 +32,9 @@ def test_figure_9_bandwidth_constrained(inputs, check_results):
         ),
     )
 
-    unconstrained = figure_7(inputs, PAPER_POLICY_ORDER)
+    unconstrained = figure_7(SCALE, store, PAPER_POLICY_ORDER)
     constrained_results = policy_sweep(
-        inputs, PAPER_POLICY_ORDER, bandwidth_limit=BANDWIDTH_LIMIT
+        SCALE, store, PAPER_POLICY_ORDER, bandwidth_limit=BANDWIDTH_LIMIT
     )
 
     for policy in PAPER_POLICY_ORDER:
