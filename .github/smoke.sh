@@ -104,6 +104,11 @@ EOF
   # delivery) sees the addresses the emulator's nodes see.
   python -m repro swarm --scale 0.4 --policy prophet --addressing user \
     --parity --output swarm-prophet-user-metrics.json
+  # The same under MaxProp: decoded hop lists (per-copy state) and user
+  # addresses (attribute values) both feed routing, so a decoder that
+  # shares one decoded value for another fails the gate.
+  python -m repro swarm --scale 0.4 --policy maxprop --addressing user \
+    --parity --output swarm-maxprop-user-metrics.json
   # Swarm parity integration tests (framing + budget legs; fixed points
   # and the whole metrics dump), and the unit tests of the schedule and
   # director that carry that parity.

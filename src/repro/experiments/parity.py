@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping
 
 from repro.emulation.network import Emulator
-from repro.replication.persistence import replica_to_state
+from repro.replication.codec import encode_item, encode_knowledge
+from repro.replication.persistence import replica_stores
 from repro.replication.replica import Replica
 
 from .config import ExperimentConfig
@@ -48,14 +49,15 @@ def replica_fixed_point(replica: Replica) -> Dict[str, Any]:
 
     Store contents are canonically encoded and *sorted*, so two replicas
     holding the same items in different arrival orders compare equal —
-    the fixed point is about what converged, not the path taken.
+    the fixed point is about what converged, not the path taken. Each
+    item is encoded as the list is built: no snapshot of the whole
+    replica is held beside the digest.
     """
-    state = replica_to_state(replica)
     return {
-        "knowledge": state["knowledge"],
+        "knowledge": encode_knowledge(replica.knowledge),
         "stores": {
-            key: sorted(canonical_json(item) for item in state[key])
-            for key in _STORE_KEYS
+            key: sorted(canonical_json(encode_item(item)) for item in items)
+            for key, items in replica_stores(replica).items()
         },
     }
 

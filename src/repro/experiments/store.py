@@ -39,7 +39,8 @@ import pathlib
 import re
 from typing import Any, Dict, List, Optional, Union
 
-from repro.replication.persistence import write_text_atomic
+from repro.replication.integrity import canonical_encoder
+from repro.replication.persistence import write_atomic
 
 from .config import ExperimentConfig
 from .runner import ExperimentResult
@@ -58,9 +59,9 @@ class StoreError(RuntimeError):
     """An artifact is missing, unreadable, or fails content validation."""
 
 
-def canonical_json(data: Any) -> str:
-    """Deterministic JSON used for digests and artifact bodies."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+#: Deterministic JSON used for digests and artifact bodies:
+#: ``json.dumps(data, sort_keys=True, separators=(",", ":"))``.
+canonical_json = canonical_encoder()
 
 
 def config_digest(config: ExperimentConfig) -> str:
@@ -188,5 +189,5 @@ class RunStore:
         }
         path = self.path_for(run_id)
         self.root.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(path, canonical_json(artifact) + "\n")
+        write_atomic(path, (canonical_json(artifact), "\n"))
         return path

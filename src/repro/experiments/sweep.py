@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from .config import ExperimentConfig
 from .runner import ExperimentResult, run_experiment
-from .store import RunStore, run_id_for
+from .store import RunStore, StoreError, run_id_for
 
 #: Progress callback: receives one :class:`SweepEvent` per lifecycle step.
 ProgressCallback = Callable[["SweepEvent"], None]
@@ -210,6 +210,15 @@ def _worker_entry(payload: Dict[str, Any], queue: Any) -> None:
 # -- parent side ----------------------------------------------------------------------
 
 
+def _reused_summary(store: RunStore, run_id: str) -> Optional[Dict[str, Any]]:
+    """The summary of ``run_id``'s valid artifact, read once; None when
+    there is none to reuse (missing, corrupt or failing validation)."""
+    try:
+        return store.load_result(run_id).summary()
+    except StoreError:
+        return None
+
+
 def run_sweep(
     configs: Sequence[ExperimentConfig],
     store: Optional[RunStore] = None,
@@ -264,9 +273,9 @@ def run_sweep(
 
     pending: List[Dict[str, Any]] = []
     for config, run_id in zip(configs, run_ids):
-        if resume and store.has(config):
+        summary = _reused_summary(store, run_id) if resume else None
+        if summary is not None:
             terminal += 1
-            summary = store.load_result(run_id).summary()
             report.outcomes.append(
                 RunOutcome(
                     run_id=run_id,

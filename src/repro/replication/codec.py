@@ -22,6 +22,14 @@ Routing-policy payloads are open-ended, so the codec has a small registry
 (:func:`register_routing_codec`) mapping a type tag to encode/decode
 functions; the bundled PROPHET and MaxProp states are registered by
 :mod:`repro.dtn.codec`.
+
+Decoding keeps one copy of what repeats from item to item. Replica
+names, their ids and short string attribute keys and values go through
+one bounded process-wide table (:data:`SHARED_NAMES`), so a node that
+stores thousands of decoded copies holds each name once, as an
+in-process replica does. Per-copy state goes to
+:func:`~repro.replication.items.per_copy_state`, and an item's attribute
+map is built once, as the item's own mapping.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from .integrity import (
     frame_checksum,
     item_checksum,
 )
-from .items import Item
+from .items import Item, owned_mapping, per_copy_state
 from .sync import BatchEntry, SyncRequest
 from .routing import Priority, PriorityClass
 from .versions import VersionVector, _Entry
@@ -81,11 +89,49 @@ def encode_version(version: Version) -> List[Any]:
     return [version.replica.name, version.counter]
 
 
+#: How many distinct strings, and how many replica ids, decoding shares
+#: process-wide. The first decoded copy of a name is kept and every later
+#: equal name decodes to it; once the table is full a new name is used as
+#: decoded. Never ``sys.intern``: a peer picks these strings, and interned
+#: strings outlive every reference on Python 3.12.
+SHARED_NAMES = 4096
+#: Longer strings (bodies, not names) are never shared.
+SHARED_NAME_LENGTH = 64
+
+
+class _SharedTable(dict):
+    """Decoded text → the first value built from an equal text.
+
+    A hit is one C dict lookup; a miss builds the value and keeps it
+    while the text is short and the table has room.
+    """
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable[[str], Any]) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, text: Any) -> Any:
+        value = self._build(text)
+        if (
+            type(text) is str
+            and len(text) <= SHARED_NAME_LENGTH
+            and len(self) < SHARED_NAMES
+        ):
+            self[text] = value
+        return value
+
+
+_names = _SharedTable(lambda text: text)
+_replica_ids = _SharedTable(lambda name: ReplicaId(_names[name]))
+
+
 def _replica_id(name: Any) -> ReplicaId:
     """A replica id from the wire; names are strings, nothing else sorts."""
     if not isinstance(name, str):
         raise CodecError(f"bad replica name: {name!r}")
-    return ReplicaId(name)
+    return _replica_ids[name]
 
 
 def decode_version(data: Any) -> Version:
@@ -241,12 +287,15 @@ def decode_item(data: Any) -> Item:
             for key, value in data.get("local", {}).items()
         }
         item = Item(
-            item_id=decode_item_id(data["id"]),
-            version=decode_version(data["version"]),
-            payload=data.get("payload"),
-            attributes=data.get("attributes", {}),
-            local_attributes=local,
-            deleted=bool(data.get("deleted", False)),
+            decode_item_id(data["id"]),
+            decode_version(data["version"]),
+            data.get("payload"),
+            owned_mapping(
+                (_names[key], _names[value] if type(value) is str else value)
+                for key, value in data.get("attributes", {}).items()
+            ),
+            per_copy_state(local),
+            bool(data.get("deleted", False)),
         )
         declared = data.get("checksum")
         if declared is not None and item_checksum(item) != declared:

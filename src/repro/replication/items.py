@@ -18,18 +18,20 @@ explicit :meth:`Item.with_local` so policies can adjust per-copy state
 without version churn, mirroring Cimbiosys's internal no-new-version update
 interface that the paper relies on for Spray and Wait.
 
-A stored copy is one small slotted ``Item`` shell around shared parts: ids,
-payload and ``attributes`` are the author's objects, and ``local_attributes`` is *the* mapping :func:`per_copy_state`
-keeps for that state (every copy whose TTL is 7 holds one
-``{"epidemic.ttl": 7}``). That is safe: both mappings refuse every mutating
-method, and one handed in from outside is copied before an item binds it.
+A stored copy is one small slotted ``Item`` shell around shared parts:
+ids, payload and ``attributes`` are the author's objects, and
+``local_attributes`` is *the* mapping :func:`per_copy_state` keeps for
+that state (every copy whose TTL is 7 holds one ``{"epidemic.ttl": 7}``,
+a copy decoded off the wire too). That is safe: both mappings refuse
+every mutating method, and one handed in from outside is copied before
+an item binds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, Tuple
 
 from .ids import ItemId, Version
 
@@ -94,6 +96,12 @@ def per_copy_state(state: Mapping[str, Any]) -> _OwnedDict:
         return _shared_state(**state)
     except TypeError:  # a float, an unhashable list, a key that is not a name
         return _OwnedDict(state)
+
+
+def owned_mapping(pairs: Iterable[Tuple[str, Any]]) -> _OwnedDict:
+    """A read-only mapping of ``pairs`` that an item adopts as it is: a
+    decoder builds an item's attributes once instead of once and a copy."""
+    return _OwnedDict(pairs)
 
 
 class _Memos:

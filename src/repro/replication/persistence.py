@@ -12,7 +12,9 @@ operation is invoked". This module provides both halves:
 * :func:`save_replica` / :func:`load_replica` — the same, to/from a file,
   optionally bundling a routing policy's persistent state alongside
   (policies expose ``persistent_state()`` / ``restore_state()``; see
-  :class:`repro.replication.routing.RoutingPolicy`).
+  :class:`repro.replication.routing.RoutingPolicy`). The file is
+  ``json.dumps(document, sort_keys=True)``, written a stored item at a
+  time: the snapshot dict is never built for it.
 
 Restoring produces a replica that is protocol-indistinguishable from the
 one saved: same knowledge, same stored versions, same future ids — so a
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Union
 
 from .codec import (
     CodecError,
@@ -36,14 +38,28 @@ from .codec import (
     encode_knowledge,
 )
 from .ids import ReplicaId
+from .integrity import canonical_encoder
+from .items import Item
 from .replica import Replica
 
 #: Format marker so future layout changes can be detected on load.
 STATE_FORMAT = "repro.replica-state.v1"
 
+#: ``json.dumps(value, sort_keys=True)``, the checkpoint file's encoding.
+_dumps = canonical_encoder(separators=(", ", ": "))
 
-def replica_to_state(replica: Replica) -> Dict[str, Any]:
-    """Snapshot a replica into a JSON-representable dict."""
+
+def replica_stores(replica: Replica) -> Dict[str, Sequence[Item]]:
+    """Each store's items in FIFO order, under its key in a replica state."""
+    return {
+        "in_filter": replica._store.items(),
+        "outbox": replica._outbox.items(),
+        "relay": replica._relay.items(),
+    }
+
+
+def _state_head(replica: Replica) -> Dict[str, Any]:
+    """A replica's snapshot without its three stores."""
     return {
         "format": STATE_FORMAT,
         "replica": replica.replica_id.name,
@@ -52,10 +68,15 @@ def replica_to_state(replica: Replica) -> Dict[str, Any]:
         "relay_eviction": replica._relay.strategy,
         "knowledge": encode_knowledge(replica.knowledge),
         "ids": replica._ids.snapshot(),
-        "in_filter": [encode_item(item) for item in replica._store.items()],
-        "outbox": [encode_item(item) for item in replica._outbox.items()],
-        "relay": [encode_item(item) for item in replica._relay.items()],
     }
+
+
+def replica_to_state(replica: Replica) -> Dict[str, Any]:
+    """Snapshot a replica into a JSON-representable dict."""
+    state = _state_head(replica)
+    for key, items in replica_stores(replica).items():
+        state[key] = [encode_item(item) for item in items]
+    return state
 
 
 def replica_from_state(state: Dict[str, Any]) -> Replica:
@@ -112,20 +133,44 @@ def amnesiac_replica_state(state: Dict[str, Any]) -> Dict[str, Any]:
     return fresh
 
 
-def write_text_atomic(path: pathlib.Path, text: str) -> None:
-    """Replace ``path``'s contents with ``text``, all or nothing.
+def write_atomic(path: pathlib.Path, chunks: Iterable[str]) -> None:
+    """Replace ``path``'s contents with the concatenated ``chunks``, all or
+    nothing.
 
     Temp file beside the target, ``fsync``, then ``os.replace``: a writer
-    killed at any instruction leaves the old file or the new one, never a
-    torn one (churn SIGKILLs a daemon right after its checkpoint
-    directive).
+    killed at any instruction, or a chunk that fails to encode, leaves
+    the old file or the new one, never a torn one (churn SIGKILLs a
+    daemon right after its checkpoint directive).
     """
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as stream:
-        stream.write(text)
+        stream.writelines(chunks)
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(tmp, path)
+
+
+def _checkpoint_chunks(
+    replica: Replica, policy_state: Optional[Dict[str, Any]]
+) -> Iterator[str]:
+    """``json.dumps(document, sort_keys=True)`` of a checkpoint, in pieces,
+    each stored item encoded as it is written."""
+    stores = replica_stores(replica)
+    state = {**_state_head(replica), **stores}
+    yield "{"
+    if policy_state is not None:
+        yield '"policy_state": ' + _dumps(policy_state) + ", "
+    yield '"replica_state": {'
+    for number, key in enumerate(sorted(state)):
+        yield (", " if number else "") + _dumps(key) + ": "
+        if key not in stores:
+            yield _dumps(state[key])
+            continue
+        yield "["
+        for position, item in enumerate(stores[key]):
+            yield (", " if position else "") + _dumps(encode_item(item))
+        yield "]"
+    yield "}}"
 
 
 def save_replica(
@@ -133,11 +178,9 @@ def save_replica(
     path: Union[str, pathlib.Path],
     policy_state: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Write a replica checkpoint (plus optional policy state) to ``path``."""
-    document = {"replica_state": replica_to_state(replica)}
-    if policy_state is not None:
-        document["policy_state"] = policy_state
-    write_text_atomic(pathlib.Path(path), json.dumps(document, sort_keys=True))
+    """Write a replica checkpoint (plus optional policy state) to ``path``:
+    ``{"policy_state": ..., "replica_state": replica_to_state(replica)}``."""
+    write_atomic(pathlib.Path(path), _checkpoint_chunks(replica, policy_state))
 
 
 def load_replica(

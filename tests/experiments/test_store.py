@@ -1,8 +1,11 @@
 """Tests for the content-addressed run-artifact store."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -10,8 +13,23 @@ from repro.experiments.store import (
     RUN_SCHEMA_VERSION,
     RunStore,
     StoreError,
+    canonical_json,
     config_digest,
     run_id_for,
+)
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+    | st.text()
+    | st.sampled_from(["é", "日本", "\U0001f600", "\ud800", '"\\', "\x00\n"]),
+    lambda children: st.lists(children, max_size=5)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=30,
 )
 
 
@@ -23,6 +41,19 @@ def small_result():
 @pytest.fixture()
 def store(tmp_path):
     return RunStore(tmp_path / "runs")
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    def test_is_json_dumps_sorted_and_compact(self, data):
+        expected = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert canonical_json(data) == expected
+
+    def test_refuses_what_json_dumps_refuses(self):
+        for value in ({1, 2}, b"bytes", object()):
+            with pytest.raises(TypeError):
+                canonical_json(value)
 
 
 class TestContentAddressing:

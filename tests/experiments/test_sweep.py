@@ -173,6 +173,23 @@ class TestResume:
         assert report.reused == 1
         assert store.has(grid[0])
 
+    def test_a_reused_cell_reads_its_artifact_once(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path / "runs")
+        grid = small_grid()[:2]
+        run_sweep(grid, store=store, workers=1)
+        reads = []
+        load_artifact = RunStore.load_artifact
+
+        def counted(self, run_id):
+            reads.append(run_id)
+            return load_artifact(self, run_id)
+
+        monkeypatch.setattr(RunStore, "load_artifact", counted)
+        report = run_sweep(grid, store=store, workers=1)
+        assert report.reused == 2
+        # Two per cell while a validity check read it before the load did.
+        assert sorted(reads) == sorted(run_id_for(config) for config in grid)
+
     def test_no_resume_reruns_everything(self, tmp_path):
         store = RunStore(tmp_path / "runs")
         grid = small_grid()[:2]
