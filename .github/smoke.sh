@@ -148,6 +148,14 @@ EOF
   # reaches the emulator's exact per-node fixed point.
   python -m repro swarm --scale 0.25 --policy epidemic --parity \
     $CHURN_FLAGS --output churn-swarm-metrics.json
+  # PROPHET and MaxProp keep routing state. It rides in the checkpoint's
+  # head line through the swarm's checkpoint rejoins and through the
+  # emulator's crash restarts alike, so parity holds only if both
+  # restore it the same way.
+  for policy in prophet maxprop; do
+    python -m repro swarm --scale 0.25 --policy "$policy" --parity \
+      $CHURN_FLAGS --output "churn-$policy-swarm-metrics.json"
+  done
   # The same churn under a storage limit: emulator and swarm must book
   # the same evictions, and some must happen. Each node reports its
   # evictions with its directive replies, so a crashed, departed or

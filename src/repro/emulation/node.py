@@ -20,16 +20,15 @@ bus that already carries their mail" case.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional
 
 from repro.messaging.app import MessagingApp
 from repro.replication.filters import MultiAddressFilter
 from repro.replication.ids import ReplicaId
 from repro.replication.persistence import (
-    amnesiac_replica_state,
-    replica_from_state,
-    replica_to_state,
+    amnesiac_replica,
+    checkpoint_lines,
+    replica_from_lines,
 )
 from repro.replication.replica import Replica
 from repro.replication.routing import RoutingPolicy
@@ -147,23 +146,19 @@ class EmulatedNode:
         """Simulate a crash + reboot: only durable state survives.
 
         The replica and the policy's ``persistent_state()`` go through
-        the persistence layer with a JSON round-trip, exactly what disk
-        storage would impose; the delivery log is durable too.
+        exactly the checkpoint lines a real node writes to disk and reads
+        back (:func:`~repro.replication.persistence.checkpoint_lines`);
+        the delivery log is durable too.
         """
-        replica_state = json.loads(json.dumps(replica_to_state(self.replica)))
-        policy_state = json.loads(json.dumps(self.policy.persistent_state()))
-        return self.adopt(
-            replica_from_state(replica_state),
-            policy_state,
-            self.app.delivery_log(),
-        )
+        lines = checkpoint_lines(self.replica, self.policy.persistent_state())
+        return self.adopt(*replica_from_lines(lines), self.app.delivery_log())
 
     def amnesiac_restart(self) -> "EmulatedNode":
         """Reboot after losing all local state except identity.
 
         The replica comes back with empty stores and knowledge but the
         *preserved* id-factory counters (see
-        :func:`~repro.replication.persistence.amnesiac_replica_state` —
+        :func:`~repro.replication.persistence.amnesiac_replica` —
         reusing serials would collide with still-circulating copies of
         forgotten items). The routing policy is rebuilt from scratch via
         ``policy_factory`` and the messaging app restarts with an empty
@@ -175,11 +170,8 @@ class EmulatedNode:
                 f"node {self.name!r} has no policy_factory; an amnesiac "
                 "restart needs one to rebuild its routing policy"
             )
-        state = json.loads(
-            json.dumps(amnesiac_replica_state(replica_to_state(self.replica)))
-        )
         self.policy = self.policy_factory()
-        return self.adopt(replica_from_state(state))
+        return self.adopt(amnesiac_replica(self.replica))
 
     # -- convenience ------------------------------------------------------------------
 

@@ -31,17 +31,12 @@ from typing import Any, Dict, List, Mapping
 
 from repro.emulation.network import Emulator
 from repro.replication.codec import encode_item, encode_knowledge
-from repro.replication.persistence import replica_stores
+from repro.replication.persistence import STORE_KEYS, replica_stores
 from repro.replication.replica import Replica
 
 from .config import ExperimentConfig
 from .scenario import build_inputs, build_scenario
 from .store import canonical_json
-
-#: The replicated-state keys of a replica snapshot that define the fixed
-#: point; everything else in the snapshot (counters, capacities) is
-#: configuration or bookkeeping.
-_STORE_KEYS = ("in_filter", "outbox", "relay")
 
 
 def replica_fixed_point(replica: Replica) -> Dict[str, Any]:
@@ -101,7 +96,7 @@ def _describe_difference(
             f"knowledge differs: emulator {expected.get('knowledge')!r} "
             f"vs swarm {actual.get('knowledge')!r}"
         )
-    for key in _STORE_KEYS:
+    for key in STORE_KEYS:
         left = expected.get("stores", {}).get(key, [])
         right = actual.get("stores", {}).get(key, [])
         if left != right:

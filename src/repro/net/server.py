@@ -81,7 +81,7 @@ class ServeConfig:
     #: Rejoin after losing everything but identity: ignore the stores,
     #: knowledge, and policy state in any on-disk checkpoint and restore
     #: only the id-factory counters (see
-    #: :func:`~repro.replication.persistence.amnesiac_replica_state`).
+    #: :func:`~repro.replication.persistence.amnesiac_replica`).
     amnesiac: bool = False
 
     def __post_init__(self) -> None:

@@ -59,9 +59,9 @@ from .peer_health import (
     PeerRecord,
 )
 from .persistence import (
+    checkpoint_lines,
     load_replica,
-    replica_from_state,
-    replica_to_state,
+    replica_from_lines,
     save_replica,
 )
 from .errors import (
@@ -188,6 +188,7 @@ __all__ = [
     "VersionVector",
     "build_batch",
     "build_request",
+    "checkpoint_lines",
     "decode_batch_entry",
     "decode_batch_frame",
     "decode_filter",
@@ -206,8 +207,7 @@ __all__ = [
     "load_replica",
     "monotone_knowledge",
     "register_routing_codec",
-    "replica_from_state",
-    "replica_to_state",
+    "replica_from_lines",
     "save_replica",
     "validate_request_knowledge",
     "wire_size",

@@ -65,25 +65,23 @@ def _opaque(value: object) -> str:
 
 def canonical_encoder(
     default: Callable[[Any], Any] = JSONEncoder().default,
-    separators: Tuple[str, str] = (",", ":"),
 ) -> Callable[[Any], str]:
     """The canonical compact JSON encoder, as one C encoder built once.
 
-    Exactly ``json.dumps(value, sort_keys=True, separators=separators,
+    Exactly ``json.dumps(value, sort_keys=True, separators=(",", ":"),
     default=default)``: ASCII escapes, ``NaN``/``Infinity`` allowed. A
     ``JSONEncoder``'s ``encode`` builds a new C encoder, float closure and
     circular-reference ``markers`` dict per call; this one keeps no
     markers, so a circular value raises ``RecursionError`` (at the
     interpreter's nesting limit) instead of ``ValueError``.
     """
-    item_separator, key_separator = separators
     encode = c_make_encoder(
         None,
         default,
         encode_basestring_ascii,
         None,
-        key_separator,
-        item_separator,
+        ":",
+        ",",
         True,
         False,
         True,

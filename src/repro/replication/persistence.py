@@ -4,21 +4,20 @@ Cimbiosys replicas survive restarts: the item stores, knowledge, filter,
 and version counters persist, and Section V-A of the paper adds the
 requirement that routing policies "can define persistent data structures
 which are serialized to disk and retrieved whenever a synchronization
-operation is invoked". This module provides both halves:
+operation is invoked". A checkpoint (``repro.replica-state.v2``,
+docs/protocol.md §6) is one head line of canonical JSON — identity,
+filter, relay configuration, knowledge, id counters, each store's item
+count and the policy's persistent state — then one line per stored
+item, store by store in FIFO order.
 
-* :func:`replica_to_state` / :func:`replica_from_state` — a complete,
-  JSON-representable snapshot of a replica (all three stores in FIFO
-  order, knowledge, filter, id-factory counters);
-* :func:`save_replica` / :func:`load_replica` — the same, to/from a file,
-  optionally bundling a routing policy's persistent state alongside
-  (policies expose ``persistent_state()`` / ``restore_state()``; see
-  :class:`repro.replication.routing.RoutingPolicy`). The file is
-  ``json.dumps(document, sort_keys=True)``, written a stored item at a
-  time: the snapshot dict is never built for it.
-
-Restoring produces a replica that is protocol-indistinguishable from the
-one saved: same knowledge, same stored versions, same future ids — so a
-host can check-point between encounters and resume where it left off.
+:func:`checkpoint_lines` is the one writer and :func:`replica_from_lines`
+the one reader, for files (:func:`save_replica` / :func:`load_replica`)
+and for an emulated crash restart alike. The reader decodes a line at a
+time and refuses, with :class:`CodecError`, any line that is not one
+value and its newline, a store short of its count, and a line past the
+last item: a torn file never loads short. A restored replica is
+protocol-indistinguishable from the one saved: same knowledge, same
+stored versions, same future ids.
 """
 
 from __future__ import annotations
@@ -26,9 +25,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .codec import (
+    _MALFORMED,
     CodecError,
     decode_filter,
     decode_item,
@@ -43,24 +43,29 @@ from .items import Item
 from .replica import Replica
 
 #: Format marker so future layout changes can be detected on load.
-STATE_FORMAT = "repro.replica-state.v1"
+STATE_FORMAT = "repro.replica-state.v2"
 
-#: ``json.dumps(value, sort_keys=True)``, the checkpoint file's encoding.
-_dumps = canonical_encoder(separators=(", ", ": "))
+_encode = canonical_encoder()
+_scan_once = json.JSONDecoder().scan_once
+
+
+#: A replica's stores, in the order a checkpoint lists their items.
+STORE_KEYS = ("in_filter", "outbox", "relay")
 
 
 def replica_stores(replica: Replica) -> Dict[str, Sequence[Item]]:
-    """Each store's items in FIFO order, under its key in a replica state."""
-    return {
-        "in_filter": replica._store.items(),
-        "outbox": replica._outbox.items(),
-        "relay": replica._relay.items(),
-    }
+    """Each store's items in FIFO order, under its key in a checkpoint."""
+    stores = (replica._store, replica._outbox, replica._relay)
+    return {key: store.items() for key, store in zip(STORE_KEYS, stores)}
 
 
-def _state_head(replica: Replica) -> Dict[str, Any]:
-    """A replica's snapshot without its three stores."""
-    return {
+def checkpoint_lines(
+    replica: Replica, policy_state: Optional[Dict[str, Any]] = None
+) -> Iterator[str]:
+    """A replica's checkpoint, one newline-terminated line at a time: the
+    head, then each stored item, encoded as it is yielded."""
+    stores = replica_stores(replica)
+    head = {
         "format": STATE_FORMAT,
         "replica": replica.replica_id.name,
         "filter": encode_filter(replica.filter),
@@ -68,69 +73,61 @@ def _state_head(replica: Replica) -> Dict[str, Any]:
         "relay_eviction": replica._relay.strategy,
         "knowledge": encode_knowledge(replica.knowledge),
         "ids": replica._ids.snapshot(),
+        "counts": {key: len(items) for key, items in stores.items()},
+        "policy_state": policy_state,
     }
+    yield _encode(head) + "\n"
+    for items in stores.values():
+        for item in items:
+            yield _encode(encode_item(item)) + "\n"
 
 
-def replica_to_state(replica: Replica) -> Dict[str, Any]:
-    """Snapshot a replica into a JSON-representable dict."""
-    state = _state_head(replica)
-    for key, items in replica_stores(replica).items():
-        state[key] = [encode_item(item) for item in items]
-    return state
+def _line_value(line: str, number: int) -> Any:
+    """The one JSON value on checkpoint line ``number`` (1-based)."""
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(line) - 1 or not line.endswith("\n"):
+        raise CodecError(f"line {number} is not one JSON value and its newline")
+    return value
 
 
-def replica_from_state(state: Dict[str, Any]) -> Replica:
-    """Rebuild a replica from :func:`replica_to_state` output.
-
-    Store contents are restored directly (observers do not fire — the
-    items were already reported stored in the previous life).
+def replica_from_lines(
+    lines: Iterable[str],
+) -> Tuple[Replica, Optional[Dict[str, Any]]]:
+    """Rebuild a replica from :func:`checkpoint_lines` output; returns
+    (replica, policy_state-or-None). Items are put straight into their
+    stores: observers do not fire, they were told in the previous life.
     """
-    if state.get("format") != STATE_FORMAT:
-        raise CodecError(
-            f"unrecognised replica state format: {state.get('format')!r}"
+    numbered = enumerate(lines, start=1)
+    head = _line_value(next(numbered, (1, ""))[1], 1)
+    found = head.get("format") if isinstance(head, dict) else None
+    if found != STATE_FORMAT:
+        raise CodecError(f"unrecognised replica state format: {found!r}")
+    try:
+        replica = Replica(
+            ReplicaId(head["replica"]),
+            decode_filter(head["filter"]),
+            relay_capacity=head["relay_capacity"],
+            relay_eviction=head["relay_eviction"],
         )
-    replica = Replica(
-        ReplicaId(state["replica"]),
-        decode_filter(state["filter"]),
-        relay_capacity=state.get("relay_capacity"),
-        relay_eviction=state["relay_eviction"],
-    )
-    replica._ids.restore(state["ids"])
-    replica.knowledge = decode_knowledge(state["knowledge"])
-    for encoded in state["in_filter"]:
-        replica._store.put(decode_item(encoded))
-    for encoded in state["outbox"]:
-        replica._outbox.put(decode_item(encoded))
-    for encoded in state["relay"]:
-        replica._relay.put(decode_item(encoded))
-    return replica
-
-
-def amnesiac_replica_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    """The state an *amnesiac* restart of ``state``'s replica boots from.
-
-    Everything is lost except identity: the filter configuration (the
-    node still knows who it is and what it subscribes to) and — crucially
-    — the id-factory counters. Reusing version serials after forgetting
-    the items they named would collide with copies of the old items still
-    circulating in the network, so an amnesiac node resumes authoring
-    from its pre-crash counter even though its stores and knowledge come
-    back empty.
-    """
-    if state.get("format") != STATE_FORMAT:
-        raise CodecError(
-            f"unrecognised replica state format: {state.get('format')!r}"
-        )
-    fresh = replica_to_state(
-        Replica(
-            ReplicaId(state["replica"]),
-            decode_filter(state["filter"]),
-            relay_capacity=state.get("relay_capacity"),
-            relay_eviction=state["relay_eviction"],
-        )
-    )
-    fresh["ids"] = state["ids"]
-    return fresh
+        replica._ids.restore(head["ids"])
+        replica.knowledge = decode_knowledge(head["knowledge"])
+        counts = [int(head["counts"][key]) for key in STORE_KEYS]
+    except _MALFORMED as error:
+        raise CodecError(f"bad checkpoint head: {error!r}") from error
+    stores = (replica._store, replica._outbox, replica._relay)
+    for store, count in zip(stores, counts):
+        for _ in range(count):
+            number, line = next(numbered, (None, None))
+            if line is None:
+                raise CodecError("checkpoint ends before its last item")
+            store.put(decode_item(_line_value(line, number)))
+    extra = next(numbered, None)
+    if extra is not None:
+        raise CodecError(f"line {extra[0]} follows the last item")
+    return replica, head.get("policy_state")
 
 
 def write_atomic(path: pathlib.Path, chunks: Iterable[str]) -> None:
@@ -150,46 +147,37 @@ def write_atomic(path: pathlib.Path, chunks: Iterable[str]) -> None:
     os.replace(tmp, path)
 
 
-def _checkpoint_chunks(
-    replica: Replica, policy_state: Optional[Dict[str, Any]]
-) -> Iterator[str]:
-    """``json.dumps(document, sort_keys=True)`` of a checkpoint, in pieces,
-    each stored item encoded as it is written."""
-    stores = replica_stores(replica)
-    state = {**_state_head(replica), **stores}
-    yield "{"
-    if policy_state is not None:
-        yield '"policy_state": ' + _dumps(policy_state) + ", "
-    yield '"replica_state": {'
-    for number, key in enumerate(sorted(state)):
-        yield (", " if number else "") + _dumps(key) + ": "
-        if key not in stores:
-            yield _dumps(state[key])
-            continue
-        yield "["
-        for position, item in enumerate(stores[key]):
-            yield (", " if position else "") + _dumps(encode_item(item))
-        yield "]"
-    yield "}}"
-
-
 def save_replica(
     replica: Replica,
     path: Union[str, pathlib.Path],
     policy_state: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Write a replica checkpoint (plus optional policy state) to ``path``:
-    ``{"policy_state": ..., "replica_state": replica_to_state(replica)}``."""
-    write_atomic(pathlib.Path(path), _checkpoint_chunks(replica, policy_state))
+    """Write ``checkpoint_lines(replica, policy_state)`` to ``path``, all
+    or nothing."""
+    write_atomic(pathlib.Path(path), checkpoint_lines(replica, policy_state))
 
 
 def load_replica(
     path: Union[str, pathlib.Path],
-) -> tuple[Replica, Optional[Dict[str, Any]]]:
-    """Load a checkpoint; returns (replica, policy_state-or-None)."""
-    document = json.loads(pathlib.Path(path).read_text())
-    try:
-        replica_state = document["replica_state"]
-    except (TypeError, KeyError):
-        raise CodecError(f"not a replica checkpoint: {path}") from None
-    return replica_from_state(replica_state), document.get("policy_state")
+) -> Tuple[Replica, Optional[Dict[str, Any]]]:
+    """Load a checkpoint; returns (replica, policy_state-or-None). A file
+    that is not a whole checkpoint raises :class:`CodecError` naming it."""
+    with open(path, encoding="utf-8") as stream:
+        try:
+            return replica_from_lines(stream)
+        except (CodecError, UnicodeDecodeError) as error:
+            raise CodecError(f"{path}: {error}") from error
+
+
+def amnesiac_replica(replica: Replica) -> Replica:
+    """A fresh replica keeping only ``replica``'s identity: its name,
+    filter, relay configuration and id-factory counters (an amnesiac
+    node must not reissue the serials of items it forgot)."""
+    fresh = Replica(
+        replica.replica_id,
+        replica.filter,
+        relay_capacity=replica._relay.capacity,
+        relay_eviction=replica._relay.strategy,
+    )
+    fresh._ids.restore(replica._ids.snapshot())
+    return fresh

@@ -1,10 +1,12 @@
 """The fixed point and the checkpoint are written an item at a time.
 
-``replica_fixed_point`` and ``save_replica`` no longer build a replica's
-whole ``replica_to_state`` tree before serializing it. Each must still
-produce exactly what the tree-building definitions kept here produce, on
-the converged state of a short run of every registered policy, and the
-checkpoint must still be written all or nothing.
+``replica_fixed_point`` and ``save_replica`` never build a replica's
+whole state before serializing it. On the converged state of a short run
+of every registered policy, the checkpoint must be the
+``repro.replica-state.v2`` layout (one head line, then one canonical
+JSON line per stored item, store by store in FIFO order), the fixed
+point must be what that checkpoint holds, sorted, and the checkpoint
+must still be written all or nothing.
 """
 
 import json
@@ -17,37 +19,58 @@ from repro.api import available_policies
 from repro.experiments import ExperimentConfig, build_scenario
 from repro.experiments.parity import replica_fixed_point
 from repro.replication import persistence
+from repro.replication.codec import encode_item
 from repro.replication.persistence import (
+    checkpoint_lines,
     load_replica,
-    replica_to_state,
+    replica_stores,
     save_replica,
 )
 
 STORE_KEYS = ("in_filter", "outbox", "relay")
+HEAD_KEYS = {
+    "format",
+    "replica",
+    "filter",
+    "relay_capacity",
+    "relay_eviction",
+    "knowledge",
+    "ids",
+    "counts",
+    "policy_state",
+}
 
 
-def tree_fixed_point(replica):
-    """The fixed point as defined before: the state tree, then one
-    canonical JSON string per stored item, sorted."""
-    state = replica_to_state(replica)
+def canonical(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def read_checkpoint(text):
+    """(head, {store: [item, ...]}) of a checkpoint's text, parsed with
+    ``json.loads`` line by line."""
+    lines = text.split("\n")
+    assert lines.pop() == "", "every line ends with a newline"
+    head = json.loads(lines[0])
+    stores, position = {}, 1
+    for key in STORE_KEYS:
+        count = head["counts"][key]
+        chunk = lines[position : position + count]
+        stores[key] = [json.loads(line) for line in chunk]
+        position += count
+    assert position == len(lines)
+    return head, stores
+
+
+def checkpoint_fixed_point(replica):
+    """The fixed point as the checkpoint defines it: its knowledge, then
+    one canonical JSON string per stored item, sorted."""
+    head, stores = read_checkpoint("".join(checkpoint_lines(replica)))
     return {
-        "knowledge": state["knowledge"],
+        "knowledge": head["knowledge"],
         "stores": {
-            key: sorted(
-                json.dumps(item, sort_keys=True, separators=(",", ":"))
-                for item in state[key]
-            )
-            for key in STORE_KEYS
+            key: sorted(canonical(item) for item in stores[key]) for key in STORE_KEYS
         },
     }
-
-
-def tree_checkpoint(replica, policy_state):
-    """The checkpoint file as written before: one ``json.dumps``."""
-    document = {"replica_state": replica_to_state(replica)}
-    if policy_state is not None:
-        document["policy_state"] = policy_state
-    return json.dumps(document, sort_keys=True).encode("utf-8")
 
 
 @pytest.fixture(scope="module", params=available_policies())
@@ -60,20 +83,38 @@ def converged(request):
 
 
 class TestFixedPoint:
-    def test_is_the_state_tree_definition(self, converged):
+    def test_is_what_the_checkpoint_holds(self, converged):
         for node in converged:
-            assert replica_fixed_point(node.replica) == tree_fixed_point(node.replica)
+            replica = node.replica
+            assert replica_fixed_point(replica) == checkpoint_fixed_point(replica)
 
 
 class TestCheckpoint:
-    def test_writes_the_bytes_of_one_json_dumps(self, converged, tmp_path):
+    def test_writes_the_v2_layout(self, converged, tmp_path):
         path = tmp_path / "node.json"
         for node in converged:
+            replica = node.replica
             policy_state = node.policy.persistent_state()
-            save_replica(node.replica, path, policy_state=policy_state)
-            assert path.read_bytes() == tree_checkpoint(node.replica, policy_state)
-            save_replica(node.replica, path)
-            assert path.read_bytes() == tree_checkpoint(node.replica, None)
+            for bundled in (policy_state, None):
+                save_replica(replica, path, policy_state=bundled)
+                text = path.read_text()
+                assert text == "".join(checkpoint_lines(replica, bundled))
+                head, stores = read_checkpoint(text)
+                assert set(head) == HEAD_KEYS
+                assert head["format"] == "repro.replica-state.v2"
+                assert head["replica"] == replica.replica_id.name
+                assert head["policy_state"] == json.loads(json.dumps(bundled))
+                expected = replica_stores(replica)
+                counts = {key: len(expected[key]) for key in STORE_KEYS}
+                assert head["counts"] == counts
+                lines = text.splitlines(keepends=True)
+                assert lines[0] == canonical(head) + "\n"
+                # Item lines follow the head store by store, FIFO order.
+                assert lines[1:] == [
+                    canonical(encode_item(item)) + "\n"
+                    for key in STORE_KEYS
+                    for item in expected[key]
+                ]
 
     def test_reloads_to_an_equal_fixed_point(self, converged, tmp_path):
         path = tmp_path / "node.json"
@@ -85,7 +126,9 @@ class TestCheckpoint:
             assert restored_policy == json.loads(json.dumps(policy_state))
 
 
-def test_an_unusual_policy_state_is_encoded_as_json_dumps_does(tmp_path, converged):
+def test_an_unusual_policy_state_round_trips_through_the_head_line(
+    tmp_path, converged
+):
     replica = converged[0].replica
     policy_state = {
         "é": [1, 2.5, -0.0, 10**30, None, True],
@@ -94,7 +137,14 @@ def test_an_unusual_policy_state_is_encoded_as_json_dumps_does(tmp_path, converg
     }
     path = tmp_path / "node.json"
     save_replica(replica, path, policy_state=policy_state)
-    assert path.read_bytes() == tree_checkpoint(replica, policy_state)
+    head_line = path.read_text().split("\n", 1)[0]
+    assert head_line.isascii()
+    assert json.loads(head_line)["policy_state"] == policy_state
+    _, restored = load_replica(path)
+    assert restored == policy_state
+    assert canonical(restored) == canonical(policy_state)
+    assert math.copysign(1.0, restored["é"][2]) == -1.0
+    assert restored["é"][3] == 10**30 and isinstance(restored["é"][3], int)
 
 
 class TestAllOrNothing:
@@ -119,7 +169,7 @@ class TestAllOrNothing:
         temp = str(path.with_name(path.name + ".tmp"))
         # The target still holds the old file while the new one is synced.
         assert calls == [("fsync", "old"), ("replace", temp, str(path))]
-        assert path.read_bytes() == tree_checkpoint(replica, None)
+        assert path.read_text() == "".join(checkpoint_lines(replica))
 
     def test_an_item_that_fails_to_encode_leaves_the_old_file(self, tmp_path):
         scenario = build_scenario(ExperimentConfig(scale=0.25, policy="epidemic"))

@@ -22,7 +22,7 @@ from repro.replication import (
     SyncEndpoint,
     SyncSession,
 )
-from repro.replication.persistence import replica_from_state, replica_to_state
+from repro.replication.persistence import checkpoint_lines, replica_from_lines
 from repro.replication.sync import apply_batch, build_batch, build_request
 
 
@@ -89,10 +89,10 @@ class TestCrashRestart:
         receiver, receiver_ep = host("bob")
         sender.create_item("m0", {"destination": "bob"})
         SyncSession(source=sender_ep, target=receiver_ep).run()
-        checkpoint = replica_to_state(receiver)
+        checkpoint = list(checkpoint_lines(receiver))
 
         # Crash: the in-memory replica is gone; restore from the checkpoint.
-        restored = replica_from_state(checkpoint)
+        restored, _ = replica_from_lines(checkpoint)
         restored_ep = SyncEndpoint(restored, EpidemicPolicy().bind(restored))
         stats = SyncSession(source=sender_ep, target=restored_ep).run()
         assert stats.sent_total == 0
@@ -105,13 +105,13 @@ class TestCrashRestart:
         receiver, receiver_ep = host("bob")
         sender.create_item("m0", {"destination": "bob"})
         SyncSession(source=sender_ep, target=receiver_ep).run()
-        stale_checkpoint = replica_to_state(receiver)
+        stale_checkpoint = list(checkpoint_lines(receiver))
 
         sender.create_item("m1", {"destination": "bob"})
         # m1 delivered, then crash
         SyncSession(source=sender_ep, target=receiver_ep).run()
 
-        restored = replica_from_state(stale_checkpoint)
+        restored, _ = replica_from_lines(stale_checkpoint)
         restored_ep = SyncEndpoint(restored, EpidemicPolicy().bind(restored))
         stats = SyncSession(source=sender_ep, target=restored_ep).run()
         assert stats.sent_total == 1  # only m1 again

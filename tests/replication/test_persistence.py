@@ -17,9 +17,10 @@ from repro.replication import (
 )
 from repro.replication.codec import CodecError
 from repro.replication.persistence import (
+    amnesiac_replica,
+    checkpoint_lines,
     load_replica,
-    replica_from_state,
-    replica_to_state,
+    replica_from_lines,
     save_replica,
 )
 
@@ -36,39 +37,47 @@ def populated_replica():
     return replica
 
 
+def roundtrip(replica):
+    """``replica`` rebuilt from its checkpoint lines."""
+    restored, _ = replica_from_lines(checkpoint_lines(replica))
+    return restored
+
+
 class TestRoundtrip:
     def test_stores_survive(self):
         replica = populated_replica()
-        restored = replica_from_state(replica_to_state(replica))
+        restored = roundtrip(replica)
         assert restored.in_filter_count == replica.in_filter_count
         assert restored.outbox_count == replica.outbox_count
         assert restored.relay_count == replica.relay_count
 
     def test_knowledge_survives(self):
         replica = populated_replica()
-        restored = replica_from_state(replica_to_state(replica))
+        restored = roundtrip(replica)
         assert restored.knowledge == replica.knowledge
 
     def test_local_attributes_survive(self):
         replica = populated_replica()
-        restored = replica_from_state(replica_to_state(replica))
+        restored = roundtrip(replica)
         relayed = [item for item in restored.stored_items() if item.local("ttl")]
         assert len(relayed) == 1
         assert relayed[0].local("ttl") == 3
 
     def test_filter_survives(self):
         replica = populated_replica()
-        restored = replica_from_state(replica_to_state(replica))
+        restored = roundtrip(replica)
         assert restored.filter == replica.filter
 
     def test_state_is_json_representable(self):
-        state = replica_to_state(populated_replica())
-        restored = replica_from_state(json.loads(json.dumps(state)))
+        text = "".join(checkpoint_lines(populated_replica()))
+        for line in text.splitlines():
+            json.loads(line)
+        restored, _ = replica_from_lines(text.splitlines(keepends=True))
         assert restored.knowledge == populated_replica().knowledge
 
     def test_id_counters_continue_not_repeat(self):
         replica = populated_replica()
-        restored = replica_from_state(replica_to_state(replica))
+        restored = roundtrip(replica)
         fresh = restored.create_item("post-restore", {"destination": "x"})
         existing_ids = {item.item_id for item in replica.stored_items()}
         assert fresh.item_id not in existing_ids
@@ -79,12 +88,12 @@ class TestRoundtrip:
         replica = Replica(
             ReplicaId("n"), AddressFilter("n"), relay_capacity=2
         )
-        restored = replica_from_state(replica_to_state(replica))
+        restored = roundtrip(replica)
         assert restored._relay.capacity == 2
 
     def test_bad_format_rejected(self):
         with pytest.raises(CodecError):
-            replica_from_state({"format": "something-else"})
+            replica_from_lines(['{"format":"something-else"}\n'])
 
     def test_registered_eviction_strategy_survives(self):
         replica = Replica(
@@ -93,10 +102,30 @@ class TestRoundtrip:
             relay_capacity=2,
             relay_eviction="random",
         )
-        state = replica_to_state(replica)
-        assert state["relay_eviction"] == "random"
-        restored = replica_from_state(state)
+        head = json.loads(next(checkpoint_lines(replica)))
+        assert head["relay_eviction"] == "random"
+        restored = roundtrip(replica)
         assert restored._relay.strategy == "random"
+
+
+class TestAmnesia:
+    def test_keeps_identity_and_counters_and_forgets_the_rest(self):
+        replica = Replica(
+            ReplicaId("n"),
+            MultiAddressFilter("n", frozenset({"u"})),
+            relay_capacity=2,
+            relay_eviction="random",
+        )
+        replica.create_item("before", {"destination": "x"})
+        fresh = amnesiac_replica(replica)
+        assert fresh.replica_id == replica.replica_id
+        assert fresh.filter == replica.filter
+        assert (fresh._relay.capacity, fresh._relay.strategy) == (2, "random")
+        assert fresh.stored_count == 0
+        assert fresh.knowledge == Replica(ReplicaId("n"), AddressFilter("n")).knowledge
+        after = fresh.create_item("after", {"destination": "x"})
+        assert after.item_id not in {item.item_id for item in replica.stored_items()}
+        assert after.version not in set(replica.knowledge.versions())
 
 
 class TestResume:
@@ -108,7 +137,7 @@ class TestResume:
         bob.create_item("first", {"destination": "alice"})
         SyncSession(source=SyncEndpoint(bob), target=SyncEndpoint(alice)).run()
 
-        restored = replica_from_state(replica_to_state(alice))
+        restored = roundtrip(alice)
         # Nothing new: the restored knowledge filters everything out.
         stats = SyncSession(
             source=SyncEndpoint(bob),
@@ -210,9 +239,10 @@ class TestCrashPoints:
         assert writer.returncode < 0, "the writer was meant to be killed"
         restored, _ = load_replica(path)
         if survivor == "old":
-            assert replica_to_state(restored) == replica_to_state(old)
+            assert list(checkpoint_lines(restored)) == list(checkpoint_lines(old))
         else:
             assert restored.outbox_count == 50
         # The next checkpoint goes through whatever the crash left behind.
         save_replica(old, path)
-        assert replica_to_state(load_replica(path)[0]) == replica_to_state(old)
+        restored, _ = load_replica(path)
+        assert list(checkpoint_lines(restored)) == list(checkpoint_lines(old))

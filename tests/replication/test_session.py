@@ -22,7 +22,7 @@ from repro.replication import (
     SyncSession,
     Transport,
 )
-from repro.replication.persistence import replica_to_state
+from repro.replication.persistence import checkpoint_lines
 
 
 def replica(name):
@@ -47,7 +47,7 @@ def seeded_pair():
 
 
 def state_of(*replicas):
-    return [replica_to_state(r) for r in replicas]
+    return [list(checkpoint_lines(r)) for r in replicas]
 
 
 class TestSyncSessionEquivalence:

@@ -10,7 +10,6 @@ replica operations that move copies between stores. A randomized churn
 test drives all of them against the reference predicate.
 """
 
-import json
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from repro.replication.filters import AddressFilter, MultiAddressFilter
 from repro.replication.ids import ItemId, ReplicaId, Version
 from repro.replication.items import Item
 from repro.replication.replica import Replica
-from repro.replication.persistence import replica_from_state, replica_to_state
+from repro.replication.persistence import checkpoint_lines, replica_from_lines
 from repro.replication.store import ItemStore, RelayStore, VersionIndex
 from repro.replication.versions import VersionVector
 from tests.conftest import make_item, make_version
@@ -350,8 +349,8 @@ class TestReplicaIndex:
             replica.get_item(next(iter(replica.stored_items())).item_id)
             .with_local(ttl=3)
         )
-        restored = replica_from_state(
-            json.loads(json.dumps(replica_to_state(replica)))
+        restored, _ = replica_from_lines(
+            "".join(checkpoint_lines(replica)).splitlines(keepends=True)
         )
         assert restored.items_unknown_to(VersionVector.empty()) == (
             replica.items_unknown_to(VersionVector.empty())
