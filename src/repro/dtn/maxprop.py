@@ -39,6 +39,14 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.replication.codec import (
+    CodecError,
+    decode_item_id,
+    decode_names,
+    decode_number,
+    decode_state_fields,
+    encode_item_id,
+)
 from repro.replication.events import BaseReplicaObserver
 from repro.replication.filters import Filter
 from repro.replication.ids import ItemId
@@ -82,6 +90,13 @@ class _DeliveryWatcher(BaseReplicaObserver):
     def on_store(self, item: Item, matched_filter: bool) -> None:
         if matched_filter:
             self._policy.note_possible_delivery(item)
+
+
+def _decode_location(value: Any) -> Tuple[str, float]:
+    """A persisted ``[node, stamp]`` location."""
+    if type(value) is not list or len(value) != 2 or type(value[0]) is not str:
+        raise CodecError(f"bad location in policy state: {value!r}")
+    return value[0], decode_number(value[1])
 
 
 class MaxPropPolicy(RoutingPolicy):
@@ -229,8 +244,6 @@ class MaxPropPolicy(RoutingPolicy):
     # -- persistence -------------------------------------------------------------------------
 
     def persistent_state(self) -> dict:
-        from repro.replication.codec import encode_item_id
-
         return {
             "meeting_counts": dict(self.meeting_counts),
             "known_vectors": {
@@ -245,21 +258,19 @@ class MaxPropPolicy(RoutingPolicy):
         }
 
     def restore_state(self, state: dict) -> None:
-        from repro.replication.codec import decode_item_id
-
-        self.meeting_counts = {
-            node: float(count)
-            for node, count in state.get("meeting_counts", {}).items()
-        }
-        self.known_vectors = {
-            node: {k: float(v) for k, v in vector.items()}
-            for node, vector in state.get("known_vectors", {}).items()
-        }
-        self.locations = {
-            address: (node, float(stamp))
-            for address, (node, stamp) in state.get("locations", {}).items()
-        }
-        self.acks = {decode_item_id(e) for e in state.get("acks", [])}
+        """Reload :meth:`persistent_state` output; anything else raises
+        :class:`~repro.replication.codec.CodecError`."""
+        counts, vectors, locations, acks = decode_state_fields(
+            state, ("meeting_counts", "known_vectors", "locations", "acks")
+        )
+        if type(acks) is not list:
+            raise CodecError(f"policy state acks are {type(acks).__name__}")
+        self.meeting_counts = decode_names(counts, decode_number)
+        self.known_vectors = decode_names(
+            vectors, lambda vector: decode_names(vector, decode_number)
+        )
+        self.locations = decode_names(locations, _decode_location)
+        self.acks = {decode_item_id(encoded) for encoded in acks}
         self._ack_snapshot = frozenset(self.acks)
         self._distance_cache = None
 

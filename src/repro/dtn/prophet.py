@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Optional
 
+from repro.replication.codec import decode_names, decode_number, decode_state_fields
 from repro.replication.filters import Filter
 from repro.replication.items import Item
 from repro.replication.routing import (
@@ -139,11 +140,13 @@ class ProphetPolicy(RoutingPolicy):
         }
 
     def restore_state(self, state: dict) -> None:
-        self.predictabilities = {
-            key: float(value)
-            for key, value in state.get("predictabilities", {}).items()
-        }
-        self._last_aged_at = float(state.get("last_aged_at", 0.0))
+        """Reload :meth:`persistent_state` output; anything else raises
+        :class:`~repro.replication.codec.CodecError`."""
+        predictabilities, last_aged_at = decode_state_fields(
+            state, ("predictabilities", "last_aged_at")
+        )
+        self.predictabilities = decode_names(predictabilities, decode_number)
+        self._last_aged_at = decode_number(last_aged_at)
 
     # -- policy interface -----------------------------------------------------------
 

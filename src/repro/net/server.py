@@ -43,6 +43,7 @@ from repro.experiments.parity import replica_fixed_point
 from repro.experiments.report import run_summary_document
 from repro.experiments.scenario import build_inputs, build_node
 from repro.replication.codec import (
+    CodecError,
     decode_batch_frame,
     decode_sync_request,
     encode_batch_frame,
@@ -52,7 +53,7 @@ from repro.replication.codec import (
 from repro.replication.errors import SyncProtocolError
 from repro.replication.events import EvictionCounter
 from repro.replication.ids import ReplicaId
-from repro.replication.persistence import load_replica, save_replica
+from repro.replication.persistence import load_identity, load_replica, save_replica
 from repro.replication.routing import SyncContext
 from repro.replication.session import SyncSession, monotone_knowledge
 from repro.replication.sync import BatchEntry, SyncStats
@@ -78,10 +79,10 @@ class ServeConfig:
     experiment: ExperimentConfig
     state_dir: Optional[str] = None
     read_timeout: float = DEFAULT_READ_TIMEOUT
-    #: Rejoin after losing everything but identity: ignore the stores,
-    #: knowledge, and policy state in any on-disk checkpoint and restore
-    #: only the id-factory counters (see
-    #: :func:`~repro.replication.persistence.amnesiac_replica`).
+    #: Rejoin after losing everything but identity: read only the head
+    #: line of any on-disk checkpoint, ignore its stores, knowledge and
+    #: policy state, and restore the id-factory counters (see
+    #: :func:`~repro.replication.persistence.load_identity`).
     amnesiac: bool = False
 
     def __post_init__(self) -> None:
@@ -189,19 +190,25 @@ class NodeServer:
         path = self.checkpoint_path
         if path is None or not path.exists():
             return
-        replica, policy_state = load_replica(path)
+        if self.config.amnesiac:
+            # The node lost everything but its identity: of the
+            # checkpoint only the head line's name, filter, relay
+            # configuration and id-factory counters survive (reusing
+            # version serials after forgetting the items they named would
+            # collide with still-circulating copies). The policy is the
+            # fresh one this node was built with.
+            replica, policy_state = load_identity(path), None
+        else:
+            replica, policy_state = load_replica(path)
         if replica.replica_id.name != self.name:
             raise ValueError(
                 f"checkpoint {path} belongs to "
                 f"{replica.replica_id.name!r}, not {self.name!r}"
             )
-        self.node.adopt(replica, policy_state)
-        if self.config.amnesiac:
-            # The node lost everything but its identity: of the
-            # checkpoint only the id-factory counters survive (reusing
-            # version serials after forgetting the items they named would
-            # collide with still-circulating copies).
-            self.node.amnesiac_restart()
+        try:
+            self.node.adopt(replica, policy_state)
+        except CodecError as error:  # a policy state its policy never wrote
+            raise CodecError(f"{path}: {error}") from error
 
     def _wire_node(self) -> None:
         self.node.replica.register_observer(self._evictions)

@@ -352,6 +352,40 @@ def decode_routing_state(data: Any) -> Any:
         raise CodecError(f"bad {tag} routing state: {payload!r}") from error
 
 
+# -- policy persistent state ----------------------------------------------------------------
+#
+# A policy's ``persistent_state()`` reaches a checkpoint's head line as
+# plain JSON. Restoring refuses what that method could not have written,
+# so a damaged or hand-edited file stops a boot with :class:`CodecError`
+# instead of an ``AttributeError`` or a silently empty routing state.
+
+
+def decode_state_fields(data: Any, keys: Tuple[str, ...]) -> List[Any]:
+    """The values of a persistent state holding exactly ``keys``, in
+    that order."""
+    if not isinstance(data, dict):
+        raise CodecError(f"policy state is {type(data).__name__}, not a map")
+    if data.keys() != set(keys):
+        found = sorted(map(str, data))
+        raise CodecError(f"policy state needs exactly {sorted(keys)}, got {found}")
+    return [data[key] for key in keys]
+
+
+def decode_number(value: Any) -> float:
+    """A JSON number (not a bool, not a string) as a float."""
+    if type(value) not in (int, float):
+        raise CodecError(f"policy state holds {value!r} where a number belongs")
+    return float(value)
+
+
+def decode_names(data: Any, decode_value: Callable[[Any], Any]) -> Dict[str, Any]:
+    """A JSON object keyed by names, each value through ``decode_value``."""
+    if not isinstance(data, dict):
+        kind = type(data).__name__
+        raise CodecError(f"policy state holds {kind} where a map belongs")
+    return {key: decode_value(value) for key, value in data.items()}
+
+
 # -- protocol messages ---------------------------------------------------------------------
 
 

@@ -34,8 +34,9 @@ import hashlib
 from dataclasses import dataclass
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Iterable, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
+from .ids import ItemId
 from .items import CHECKSUM_MEMO_ATTRIBUTE, Item
 
 #: Violation kinds, as they appear in metrics and logs.
@@ -143,6 +144,37 @@ def cached_item_checksum(item: Item) -> str:
         return memo
     checksum = item_checksum(item)
     object.__setattr__(item, CHECKSUM_MEMO_ATTRIBUTE, checksum)
+    return checksum
+
+
+def stamp_checksum(item: Item, held: Callable[[ItemId], Optional[Item]]) -> str:
+    """:func:`cached_item_checksum` of a wire copy, memoised as well on
+    the stored copy ``held(item.item_id)`` when that provably holds the
+    same replicated content.
+
+    Proof is identity, not equality: the stored copy must carry the very
+    same id, version, payload and attribute objects as ``item`` and the
+    same deletion flag, as the copy a wire copy was derived from does
+    (an author's copy is then hashed once, not at every send). A forged
+    or decoded copy holds other objects and keeps computing its own. A
+    wire copy that already carries a checksum was derived from a copy
+    that did, so the store is asked only when this one is computed.
+    """
+    memo = getattr(item, CHECKSUM_MEMO_ATTRIBUTE, None)
+    if memo is not None:
+        return memo
+    checksum = cached_item_checksum(item)
+    other = held(item.item_id)
+    if (
+        other is not None
+        and other.item_id is item.item_id
+        and other.version is item.version
+        and other.payload is item.payload
+        and other.attributes is item.attributes
+        and other.deleted == item.deleted
+        and getattr(other, CHECKSUM_MEMO_ATTRIBUTE, None) is None
+    ):
+        object.__setattr__(other, CHECKSUM_MEMO_ATTRIBUTE, checksum)
     return checksum
 
 

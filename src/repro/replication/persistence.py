@@ -25,7 +25,19 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from .codec import (
     _MALFORMED,
@@ -93,15 +105,12 @@ def _line_value(line: str, number: int) -> Any:
     return value
 
 
-def replica_from_lines(
-    lines: Iterable[str],
-) -> Tuple[Replica, Optional[Dict[str, Any]]]:
-    """Rebuild a replica from :func:`checkpoint_lines` output; returns
-    (replica, policy_state-or-None). Items are put straight into their
-    stores: observers do not fire, they were told in the previous life.
-    """
-    numbered = enumerate(lines, start=1)
-    head = _line_value(next(numbered, (1, ""))[1], 1)
+def _replica_from_head(
+    line: str,
+) -> Tuple[Replica, List[int], Optional[Dict[str, Any]]]:
+    """The replica a checkpoint's head line describes, stores still
+    empty; each store's item count; the policy state."""
+    head = _line_value(line, 1)
     found = head.get("format") if isinstance(head, dict) else None
     if found != STATE_FORMAT:
         raise CodecError(f"unrecognised replica state format: {found!r}")
@@ -117,6 +126,18 @@ def replica_from_lines(
         counts = [int(head["counts"][key]) for key in STORE_KEYS]
     except _MALFORMED as error:
         raise CodecError(f"bad checkpoint head: {error!r}") from error
+    return replica, counts, head.get("policy_state")
+
+
+def replica_from_lines(
+    lines: Iterable[str],
+) -> Tuple[Replica, Optional[Dict[str, Any]]]:
+    """Rebuild a replica from :func:`checkpoint_lines` output; returns
+    (replica, policy_state-or-None). Items are put straight into their
+    stores: observers do not fire, they were told in the previous life.
+    """
+    numbered = enumerate(lines, start=1)
+    replica, counts, policy_state = _replica_from_head(next(numbered, (1, ""))[1])
     stores = (replica._store, replica._outbox, replica._relay)
     for store, count in zip(stores, counts):
         for _ in range(count):
@@ -127,7 +148,7 @@ def replica_from_lines(
     extra = next(numbered, None)
     if extra is not None:
         raise CodecError(f"line {extra[0]} follows the last item")
-    return replica, head.get("policy_state")
+    return replica, policy_state
 
 
 def write_atomic(path: pathlib.Path, chunks: Iterable[str]) -> None:
@@ -157,16 +178,29 @@ def save_replica(
     write_atomic(pathlib.Path(path), checkpoint_lines(replica, policy_state))
 
 
+def _read(path: Union[str, pathlib.Path], read: Callable[[TextIO], Any]) -> Any:
+    """``read`` an open checkpoint; a file that is not one raises
+    :class:`CodecError` naming it."""
+    with open(path, encoding="utf-8") as stream:
+        try:
+            return read(stream)
+        except (CodecError, UnicodeDecodeError) as error:
+            raise CodecError(f"{path}: {error}") from error
+
+
 def load_replica(
     path: Union[str, pathlib.Path],
 ) -> Tuple[Replica, Optional[Dict[str, Any]]]:
     """Load a checkpoint; returns (replica, policy_state-or-None). A file
     that is not a whole checkpoint raises :class:`CodecError` naming it."""
-    with open(path, encoding="utf-8") as stream:
-        try:
-            return replica_from_lines(stream)
-        except (CodecError, UnicodeDecodeError) as error:
-            raise CodecError(f"{path}: {error}") from error
+    return _read(path, replica_from_lines)
+
+
+def load_identity(path: Union[str, pathlib.Path]) -> Replica:
+    """The :func:`amnesiac_replica` of the checkpoint at ``path``, read
+    from its head line alone: an amnesiac rejoin decodes no stored item."""
+    replica, _, _ = _read(path, lambda stream: _replica_from_head(stream.readline()))
+    return amnesiac_replica(replica)
 
 
 def amnesiac_replica(replica: Replica) -> Replica:

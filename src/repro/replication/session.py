@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, 
 
 from .errors import SyncProtocolError
 from .ids import ReplicaId
-from .integrity import cached_item_checksum
+from .integrity import stamp_checksum
 from .replica import Replica
 from .routing import SyncContext
 from .sync import (
@@ -176,15 +176,21 @@ class SyncSession:
         )
 
     def stamp(self, batch: List[BatchEntry]) -> List[BatchEntry]:
-        """Source side: stamp content checksums before a real channel."""
+        """Source side: stamp content checksums before a real channel.
+
+        Each checksum is memoised on the stored copy the wire copy was
+        derived from as well (:func:`stamp_checksum`), so a copy this
+        replica authored is hashed once, however often it is sent.
+        """
         if self.source is None:
             raise ValueError("stamp needs the source endpoint")
+        held = self.source.replica.get_item
         return [
             BatchEntry(
                 entry.item,
                 entry.matched_filter,
                 entry.priority,
-                cached_item_checksum(entry.item),
+                stamp_checksum(entry.item, held),
             )
             for entry in batch
         ]

@@ -21,8 +21,8 @@ exactly one (the latest known) version per id.
 Beyond the primary id index, every store writes into a
 **version index** (:class:`VersionIndex`; a replica's three stores share
 one): per authoring replica, the held version counters in sorted order
-and, in a parallel column, the copy holding each. Because a peer's
-knowledge is a per-replica prefix plus a small extras set (see
+and, in parallel columns, each copy's key and the copy itself. Because
+a peer's knowledge is a per-replica prefix plus a small extras set (see
 :mod:`repro.replication.versions`), the index lets
 :meth:`VersionIndex.candidates` enumerate exactly the held items a
 given knowledge vector does *not* cover — a bisect to skip the known
@@ -34,6 +34,7 @@ store size.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from typing import (
@@ -57,41 +58,49 @@ from .versions import VersionVector
 #: Callback invoked when the relay store evicts an item under pressure.
 EvictionCallback = Callable[[Item], None]
 
-#: Who holds an indexed version: ``(key, item)``, the stored copy itself.
+#: A copy as a walk sorts it: ``(key, item)``, built for the walk (and
+#: kept for the few parked copies), never stored per open copy.
 _Owner = Tuple[int, Item]
 
-#: Bits of a store's insertion sequence below its rank in an owner key.
+#: Bits of a store's insertion sequence below its rank in a copy's key.
 _RANK_SHIFT = 48
 
 
 class _Columns:
     """One partition of a :class:`VersionIndex`: per origin, the held
-    counters in sorted order and, position for position, their owners.
-    Two dicts, not a pair per origin: a sync that moves nothing reads
-    only the counters, one object fewer per origin."""
+    counters in sorted order and, position for position, each copy's
+    key and the copy itself. Three dicts of columns, not a record per
+    copy: the keys are unboxed in an ``array('q')`` (a rank of at most
+    2 shifted by 48 fits), the items are the stored copies, so a held
+    copy costs three slots and no object of its own. A sync that moves
+    nothing reads only the counters."""
 
-    __slots__ = ("counters", "owners")
+    __slots__ = ("counters", "keys", "items")
 
     def __init__(self) -> None:
         self.counters: Dict[ReplicaId, List[int]] = {}
-        self.owners: Dict[ReplicaId, List[_Owner]] = {}
+        self.keys: Dict[ReplicaId, array] = {}
+        self.items: Dict[ReplicaId, List[Item]] = {}
 
-    def insert(self, version: Version, owner: _Owner) -> None:
+    def insert(self, version: Version, key: int, item: Item) -> None:
         origin, counter = version
         counters = self.counters.get(origin)
         if counters is None:
             self.counters[origin] = [counter]
-            self.owners[origin] = [owner]
+            self.keys[origin] = array("q", (key,))
+            self.items[origin] = [item]
         elif counter > counters[-1]:  # common case: counters ascend
             counters.append(counter)
-            self.owners[origin].append(owner)
+            self.keys[origin].append(key)
+            self.items[origin].append(item)
         else:
             at = bisect_right(counters, counter)
             counters.insert(at, counter)
-            self.owners[origin].insert(at, owner)
+            self.keys[origin].insert(at, key)
+            self.items[origin].insert(at, item)
 
-    def take(self, version: Version, item: Optional[Item] = None) -> Optional[_Owner]:
-        """Unindex ``version``; its owner, or ``None`` (nothing touched) if
+    def take(self, version: Version, item: Optional[Item] = None) -> Optional[int]:
+        """Unindex ``version``; its key, or ``None`` (nothing touched) if
         it is not held here or, given ``item``, held by another copy."""
         origin, counter = version
         counters = self.counters.get(origin)
@@ -100,25 +109,25 @@ class _Columns:
         at = bisect_left(counters, counter)
         if at == len(counters) or counters[at] != counter:
             return None
-        owners = self.owners[origin]
-        if item is not None and owners[at][1] is not item:
+        items = self.items[origin]
+        if item is not None and items[at] is not item:
             return None
-        del counters[at]
-        owner = owners.pop(at)
+        del counters[at], items[at]
+        key = self.keys[origin].pop(at)
         if not counters:
-            del self.counters[origin]
-            del self.owners[origin]
-        return owner
+            del self.counters[origin], self.keys[origin], self.items[origin]
+        return key
 
     def unknown(self, found: List[_Owner], known: Callable[[ReplicaId], Any]) -> None:
-        """Append to ``found`` the owners ``known`` does not cover: per
-        origin one lookup, a bisect past the known prefix, and the owners
-        beyond as one slice (filtered only when there are extras)."""
-        owners = self.owners
+        """Append to ``found`` the ``(key, item)`` of each copy ``known``
+        does not cover: per origin one lookup, a bisect past the known
+        prefix, and the two columns beyond zipped from one slice each
+        (filtered only when there are extras)."""
+        keys, items = self.keys, self.items
         for origin, counters in self.counters.items():
             entry = known(origin)
-            if entry is None:
-                found += owners[origin]  # nothing known from this origin
+            if entry is None:  # nothing known from this origin
+                found += zip(keys[origin], items[origin])
                 continue
             prefix = entry.prefix
             if counters[-1] <= prefix:
@@ -126,17 +135,17 @@ class _Columns:
             start = bisect_right(counters, prefix)
             extras = entry.extras
             if extras:
-                column = owners[origin]
+                column, held = keys[origin], items[origin]
                 found += [
-                    column[at]
+                    (column[at], held[at])
                     for at in range(start, len(counters))
                     if counters[at] not in extras
                 ]
             else:
-                found += owners[origin][start:]
+                found += zip(keys[origin][start:], items[origin][start:])
 
     def count_unknown(self, known: Callable[[ReplicaId], Any]) -> int:
-        """How many owners :meth:`unknown` would find, not enumerated:
+        """How many copies :meth:`unknown` would find, not enumerated:
         extras lie above the prefix, so one C-level intersection."""
         count = 0
         for origin, counters in self.counters.items():
@@ -153,19 +162,20 @@ class _Columns:
 class VersionIndex:
     """Per authoring replica, the held version counters and who holds each.
 
-    Two parallel columns per origin: the counters in sorted order and,
-    position for position, each counter's *owner* ``(key, item)``. The
-    key is the holding store's rank shifted above that store's insertion
-    sequence, so one plain sort of owners is the stores' concatenated
-    insertion order, decided by unique ints: two items are never
-    compared. The owner holds the stored :class:`Item`, so a walk hands
-    back items without looking a single id up. A :class:`Replica` shares
-    one index among its three stores; a standalone store has its own.
+    Three parallel columns per origin (:class:`_Columns`): the counters
+    in sorted order and, position for position, each copy's *key* and
+    the stored :class:`Item`. The key is the holding store's rank
+    shifted above that store's insertion sequence, so one plain sort of
+    ``(key, item)`` pairs is the stores' concatenated insertion order,
+    decided by unique ints: two items are never compared. The column
+    holds the stored copy, so a walk hands back items without looking a
+    single id up. A :class:`Replica` shares one index among its three
+    stores; a standalone store has its own.
 
     A sync walks the *open* columns. A copy its routing policy refuses
     for good (:meth:`~repro.replication.routing.RoutingPolicy.refuses_for_good`)
-    is :meth:`park`-ed in a second pair, which a sync reaches only by
-    the target filter's addresses and counts without enumerating. Any
+    is :meth:`park`-ed in a second partition, which a sync reaches only
+    by the target filter's addresses and counts without enumerating. Any
     :meth:`remove` ends the mark; a store that keeps the copy adds it
     back open.
     """
@@ -175,27 +185,28 @@ class VersionIndex:
     def __init__(self) -> None:
         self._open = _Columns()
         self._parked = _Columns()
-        #: destination address → the parked owners addressed there.
+        #: destination address → the parked ``(key, item)``s addressed there.
         self._destined: Dict[str, Dict[Version, _Owner]] = {}
 
     def add(self, item: Item, key: int) -> None:
-        self._open.insert(item.version, (key, item))
+        self._open.insert(item.version, key, item)
 
     def remove(self, item: Item) -> int:
         """Unindex ``item``'s version, open or parked; returns its key.
         Raises :class:`KeyError`, the index untouched, if neither holds it."""
         version = item.version
-        owner = self._open.take(version)
-        if owner is None:
-            owner = self._parked.take(version)
-            if owner is None:
+        key = self._open.take(version)
+        if key is None:
+            key = self._parked.take(version)
+            if key is None:
                 raise KeyError(f"version {version} is not indexed")
-            destination = owner[1].attributes[ATTR_DESTINATION]
+            # One version, one content: the held copy's destination.
+            destination = item.attributes[ATTR_DESTINATION]
             parked = self._destined[destination]
             del parked[version]
             if not parked:
                 del self._destined[destination]
-        return owner[0]
+        return key
 
     def park(self, item: Item) -> None:
         """Move ``item`` out of the walk. A no-op unless it is the very
@@ -203,10 +214,10 @@ class VersionIndex:
         restamped or expunged) and its destination is one address."""
         destination = item.attributes.get(ATTR_DESTINATION)
         if isinstance(destination, str):
-            owner = self._open.take(item.version, item)
-            if owner is not None:
-                self._parked.insert(item.version, owner)
-                self._destined.setdefault(destination, {})[item.version] = owner
+            key = self._open.take(item.version, item)
+            if key is not None:
+                self._parked.insert(item.version, key, item)
+                self._destined.setdefault(destination, {})[item.version] = (key, item)
 
     def candidates(
         self, knowledge: VersionVector, addresses: Optional[AbstractSet[str]] = None
@@ -267,9 +278,7 @@ class ItemStore:
         #: The version index this store writes into: its replica's, or
         #: one of its own.
         self.index = VersionIndex() if index is None else index
-        #: Owner keys are ``_rank | _seq``: an ``|`` allocates the key at its
-        #: size, where ``+=`` on the shifted key would allocate it a third
-        #: digit it never uses (16 B more per held copy, in pymalloc).
+        #: Index keys are ``_rank | _seq``, held unboxed by the index.
         self._rank = rank << _RANK_SHIFT
         self._seq = 0
         #: Cached insertion-order tuple, rebuilt lazily after mutations.

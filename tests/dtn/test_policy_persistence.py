@@ -13,6 +13,7 @@ from repro.dtn import (
     SprayAndWaitPolicy,
 )
 from repro.replication import AddressFilter, Replica, ReplicaId, SyncContext
+from repro.replication.codec import CodecError
 from repro.replication.ids import ItemId
 
 
@@ -139,3 +140,67 @@ class TestMaxProp:
         _, reborn = bound(MaxPropPolicy)
         reborn.restore_state(policy.persistent_state())
         assert reborn.generate_req(ctx()).acks == policy.acks
+
+
+def _prophet_state():
+    return {"predictabilities": {"b": 0.5}, "last_aged_at": 3600.0}
+
+
+def _maxprop_state():
+    return {
+        "meeting_counts": {"b": 1.0},
+        "known_vectors": {"b": {"c": 1.0}},
+        "locations": {"user1": ["b", 5.0]},
+        "acks": [["x", 1]],
+    }
+
+
+#: One change each that PROPHET's or MaxProp's ``persistent_state()``
+#: could never have written.
+DAMAGE = {
+    "prophet": [
+        lambda state: [1, 2],
+        lambda state: None,
+        lambda state: {},
+        lambda state: {**state, "bogus": 1},
+        lambda state: {"last_aged_at": 0.0},
+        lambda state: {**state, "predictabilities": "x"},
+        lambda state: {**state, "predictabilities": {"b": "0.5"}},
+        lambda state: {**state, "predictabilities": {"b": True}},
+        lambda state: {**state, "last_aged_at": None},
+    ],
+    "maxprop": [
+        lambda state: [1, 2],
+        lambda state: {"predictabilities": "x"},
+        lambda state: {**state, "bogus": 1},
+        lambda state: {**state, "meeting_counts": {"b": "1"}},
+        lambda state: {**state, "known_vectors": {"b": 1.0}},
+        lambda state: {**state, "known_vectors": {"b": {"c": [1.0]}}},
+        lambda state: {**state, "locations": {"user1": ["b"]}},
+        lambda state: {**state, "locations": {"user1": [1, 5.0]}},
+        lambda state: {**state, "locations": {"user1": "b"}},
+        lambda state: {**state, "acks": {"x": 1}},
+        lambda state: {**state, "acks": [["x"]]},
+    ],
+}
+
+
+class TestRefusedStates:
+    @pytest.mark.parametrize(
+        "policy_cls, state, damage",
+        [
+            (ProphetPolicy, _prophet_state, damage)
+            for damage in DAMAGE["prophet"]
+        ]
+        + [
+            (MaxPropPolicy, _maxprop_state, damage)
+            for damage in DAMAGE["maxprop"]
+        ],
+    )
+    def test_a_state_the_policy_never_wrote_is_a_codec_error(
+        self, policy_cls, state, damage
+    ):
+        _, reborn = bound(policy_cls)
+        reborn.restore_state(state())  # the undamaged state restores
+        with pytest.raises(CodecError):
+            reborn.restore_state(damage(state()))

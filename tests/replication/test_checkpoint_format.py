@@ -5,14 +5,17 @@ head line carrying each store's item count, then one line per item. An
 empty file, garbage, a v1 document, a file cut at any byte (at a line
 boundary or inside a line), a line past the last item and a line with
 text after its value each raise :class:`CodecError` naming the path, and
-a ``repro serve`` node booting from such a file raises it too. Text that
-would break a line (``\\n``, ``\\r``, U+2028) is escaped, so every item
-stays on its line. And a restore holds little beyond the replica it
-builds: no whole-file parse sits beside it.
+a ``repro serve`` node booting from such a file raises it too, as it
+does on a ``policy_state`` its PROPHET or MaxProp policy never wrote. An
+amnesiac boot reads the head line alone. Text that would break a line
+(``\\n``, ``\\r``, U+2028) is escaped, so every item stays on its line.
+And a restore holds little beyond the replica it builds: no whole-file
+parse sits beside it.
 """
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.replication import (
     Replica,
     ReplicaId,
 )
+from repro.replication import persistence
 from repro.replication.codec import CodecError
 from repro.replication.persistence import (
     checkpoint_lines,
@@ -165,13 +169,14 @@ class TestServeBoot:
     def name(self):
         return build_inputs(EXPERIMENT).trace.host_names[0]
 
-    def _serve(self, tmp_path, name):
+    def _serve(self, tmp_path, name, policy="epidemic", amnesiac=False):
         return NodeServer(
             ServeConfig(
                 node=name,
                 listen=f"unix:{tmp_path / (name + '.sock')}",
-                experiment=EXPERIMENT,
+                experiment=replace(EXPERIMENT, policy=policy),
                 state_dir=str(tmp_path),
+                amnesiac=amnesiac,
             )
         )
 
@@ -197,6 +202,70 @@ class TestServeBoot:
         with pytest.raises(CodecError) as refused:
             self._serve(tmp_path, name)
         assert str(path) in str(refused.value)
+
+    @pytest.mark.parametrize("policy", ["prophet", "maxprop"])
+    @pytest.mark.parametrize(
+        "state",
+        [[1, 2], {"predictabilities": "x"}, {"bogus": 1}],
+        ids=["a-list", "a-string-map", "an-unknown-key"],
+    )
+    def test_refuses_a_policy_state_its_policy_never_wrote(
+        self, tmp_path, name, policy, state
+    ):
+        path = tmp_path / f"{name}.json"
+        save_replica(Replica(ReplicaId(name), AddressFilter(name)), path, state)
+        with pytest.raises(CodecError) as refused:
+            self._serve(tmp_path, name, policy=policy)
+        assert str(path) in str(refused.value)
+
+    def _amnesiac_checkpoint(self, tmp_path, name):
+        replica = Replica(
+            ReplicaId(name),
+            MultiAddressFilter(name, frozenset({"carol"})),
+            relay_capacity=3,
+            relay_eviction="random",
+        )
+        for serial in range(5):
+            replica.create_item(f"kept {serial}", {"destination": "x"})
+        save_replica(replica, tmp_path / f"{name}.json", {"p": 1})
+        return replica
+
+    def test_an_amnesiac_boot_decodes_no_item_line(self, tmp_path, name, monkeypatch):
+        self._amnesiac_checkpoint(tmp_path, name)
+
+        def refuse(data):
+            raise AssertionError("an amnesiac boot decoded an item line")
+
+        monkeypatch.setattr(persistence, "decode_item", refuse)
+        replica = self._serve(tmp_path, name, amnesiac=True).node.replica
+        assert replica.stored_count == 0
+        assert not replica.knowledge
+
+    def test_an_amnesiac_boot_keeps_what_restore_then_forget_keeps(
+        self, tmp_path, name
+    ):
+        saved = self._amnesiac_checkpoint(tmp_path, name)
+        forgot = self._serve(tmp_path, name)
+        forgot.node.amnesiac_restart()
+        booted = self._serve(tmp_path, name, amnesiac=True).node
+
+        def kept(node):
+            replica = node.replica
+            return (
+                replica.replica_id,
+                replica.filter,
+                replica._relay.capacity,
+                replica._relay.strategy,
+                replica._ids.snapshot(),
+                replica.stored_count,
+                replica.knowledge,
+            )
+
+        assert kept(booted) == kept(forgot.node)
+        assert kept(booted)[4] == saved._ids.snapshot()
+        assert booted.replica.create_item("new", {}).item_id not in {
+            item.item_id for item in saved.stored_items()
+        }
 
 
 @pytest.mark.parametrize("breaker", ["\n", "\r", "\r\n", "\u2028", "\u2029"])

@@ -30,11 +30,12 @@ from repro.replication import (
     ReplicaId,
     SyncEndpoint,
 )
-from repro.replication.codec import encode_item
+from repro.replication.codec import decode_item, encode_item
 from repro.replication.integrity import (
     cached_item_checksum,
     checksum_computations,
     item_checksum,
+    stamp_checksum,
 )
 from repro.replication.items import (
     CHECKSUM_MEMO_ATTRIBUTE,
@@ -342,6 +343,21 @@ class TestWhatAStoredCopyCosts:
         )
         # 344 before; 120 here (shell 96, its share of 300 attribute dicts).
         assert attributed / len(copies) <= 160
+        indexed = sum(
+            stat.size
+            for stat in snapshot.statistics("filename")
+            if stat.traceback[0].filename.endswith("replication/store.py")
+        )
+        # 149 while the version index kept a (key, item) pair and a boxed
+        # key per copy; 78 with the key unboxed and the item in a column.
+        assert indexed / len(copies) <= 90
+
+    def test_an_authored_copy_is_hashed_once_however_often_it_is_sent(self):
+        before = checksum_computations()
+        run_flood()
+        # 773 while only the wire copy kept its checksum: each send of an
+        # author's stored copy hashed it again.
+        assert checksum_computations() - before == FLOOD["items"]
 
     def test_a_replaced_copy_carries_no_memo_and_recomputes(self):
         item = make_item().wire_copy(ttl=3)
@@ -354,6 +370,20 @@ class TestWhatAStoredCopyCosts:
         assert cached_item_checksum(forged) != cached_item_checksum(item)
         assert checksum_computations() - before == 2  # memoised once, spec once
         assert forged.local_attributes is item.local_attributes
+
+    def test_only_the_copy_a_wire_copy_came_from_shares_its_checksum(self):
+        held = make_item(payload="body")
+        wire = held.wire_copy(ttl=3)
+        forged = replace(held, payload="tampered")
+        decoded = decode_item(encode_item(held))
+        for other in (forged, decoded, replace(held, deleted=True)):
+            fresh = held.wire_copy(ttl=3)  # no memo yet: computed here
+            assert stamp_checksum(fresh, lambda _: other) == item_checksum(held)
+            assert memo_of(other) is None
+        assert stamp_checksum(wire, lambda _: held) == memo_of(held) == memo_of(wire)
+        before = checksum_computations()
+        assert cached_item_checksum(forged) != memo_of(held)
+        assert checksum_computations() - before == 1
 
     def test_an_item_has_no_dict(self):
         item = make_item()
