@@ -8,16 +8,26 @@ imported by :mod:`repro.dtn` at package load.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, FrozenSet
 
 from repro.replication.codec import (
+    CodecError,
     decode_item_id,
+    decode_names,
+    decode_number,
+    decode_state_fields,
     encode_item_id,
     register_routing_codec,
 )
 
-from .maxprop import MaxPropRequest
+from .maxprop import MaxPropRequest, _decode_location
 from .prophet import ProphetRequest
+
+
+def _decode_addresses(value: Any) -> FrozenSet[str]:
+    if type(value) is not list or not all(type(a) is str for a in value):
+        raise CodecError(f"routing state holds {value!r} where addresses belong")
+    return frozenset(value)
 
 
 def _encode_prophet(state: ProphetRequest) -> Dict[str, Any]:
@@ -27,10 +37,11 @@ def _encode_prophet(state: ProphetRequest) -> Dict[str, Any]:
     }
 
 
-def _decode_prophet(data: Dict[str, Any]) -> ProphetRequest:
+def _decode_prophet(data: Any) -> ProphetRequest:
+    addresses, p = decode_state_fields(data, ("addresses", "p"))
     return ProphetRequest(
-        addresses=frozenset(data["addresses"]),
-        predictabilities={k: float(v) for k, v in data["p"].items()},
+        addresses=_decode_addresses(addresses),
+        predictabilities=decode_names(p, decode_number),
     )
 
 
@@ -49,19 +60,20 @@ def _encode_maxprop(state: MaxPropRequest) -> Dict[str, Any]:
     }
 
 
-def _decode_maxprop(data: Dict[str, Any]) -> MaxPropRequest:
+def _decode_maxprop(data: Any) -> MaxPropRequest:
+    node, addresses, vectors, locations, acks = decode_state_fields(
+        data, ("node", "addresses", "vectors", "locations", "acks")
+    )
+    if type(node) is not str or type(acks) is not list:
+        raise CodecError(f"bad maxprop node or acks: {node!r}, {acks!r}")
     return MaxPropRequest(
-        node=data["node"],
-        addresses=frozenset(data["addresses"]),
-        vectors={
-            node: {k: float(v) for k, v in vector.items()}
-            for node, vector in data["vectors"].items()
-        },
-        locations={
-            address: (node, float(stamp))
-            for address, (node, stamp) in data["locations"].items()
-        },
-        acks=frozenset(decode_item_id(e) for e in data["acks"]),
+        node=node,
+        addresses=_decode_addresses(addresses),
+        vectors=decode_names(
+            vectors, lambda vector: decode_names(vector, decode_number)
+        ),
+        locations=decode_names(locations, _decode_location),
+        acks=frozenset(decode_item_id(e) for e in acks),
     )
 
 

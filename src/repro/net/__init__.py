@@ -22,7 +22,6 @@ wire format.
 from .connection import (
     ConnectionClosed,
     PeerConnection,
-    format_address,
     open_connection,
     parse_address,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "SwarmConfig",
     "SwarmReport",
     "encode_frame",
-    "format_address",
     "open_connection",
     "parse_address",
     "run_swarm",

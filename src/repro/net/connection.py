@@ -4,11 +4,12 @@ One :class:`PeerConnection` is an :class:`asyncio.BufferedProtocol` on the
 :mod:`repro.net.framing` codec: ``buffer_updated`` feeds the decoder and
 wakes the one waiting ``receive``, whose per-read timeout (so a stalled
 peer cannot wedge the process) is one read deadline per link, watched by
-one timer handle that outlives the frames; ``send`` writes one frame and
-waits only while the transport is backed up. EOF raises
-:class:`ConnectionClosed`, whose ``mid_frame`` flag distinguishes a clean
-close from a connection cut mid-frame — the live analogue of the
-truncation fault, and what the parity tests lean on.
+one timer handle that outlives the frames; ``send`` writes one frame, or
+``send_pieces`` one frame's pieces, waiting only while the transport is
+backed up. EOF raises :class:`ConnectionClosed`, whose ``mid_frame``
+flag distinguishes a clean close from a connection cut mid-frame — the
+live analogue of the truncation fault, and what the parity tests lean
+on.
 
 Addresses are strings — ``unix:/path/to.sock`` or ``tcp:host:port`` — so
 the CLI, config files, and wire messages all name endpoints the same way.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from functools import partial
-from typing import Any, Awaitable, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Deque, Dict, Iterable, Optional, Set, Tuple
 
 from .framing import FrameDecoder, encode_frame
 
@@ -63,15 +64,6 @@ def parse_address(address: str) -> Tuple[str, Any]:
         f"unsupported address {address!r}; expected unix:/path or "
         f"tcp:host:port"
     )
-
-
-def format_address(scheme: str, operand: Any) -> str:
-    if scheme == "unix":
-        return f"unix:{operand}"
-    if scheme == "tcp":
-        host, port = operand
-        return f"tcp:{host}:{port}"
-    raise ValueError(f"unsupported scheme {scheme!r}")
 
 
 def _settle(future: Optional[asyncio.Future], error=None) -> None:
@@ -164,12 +156,18 @@ class PeerConnection(asyncio.BufferedProtocol):
 
     async def send(self, message: Dict[str, Any]) -> None:
         """Write one frame; waits only while the transport is backed up."""
-        if self.closed:
-            raise self._closed_error()
-        self._transport.write(encode_frame(message))
-        if self._paused:
-            self._sender = self._loop.create_future()
-            await self._sender
+        await self.send_pieces((encode_frame(message),))
+
+    async def send_pieces(self, pieces: Iterable[bytes]) -> None:
+        """Write a frame's pieces (:func:`~.framing.frame_pieces`), each
+        only once the transport has drained below its high-water mark."""
+        for piece in pieces:
+            if self.closed:
+                raise self._closed_error()
+            self._transport.write(piece)
+            if self._paused:
+                self._sender = self._loop.create_future()
+                await self._sender
 
     async def receive(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Return the next message, waiting at most ``timeout`` seconds.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, Iterator, List
 
 from repro.replication.integrity import canonical_encoder
 
@@ -34,8 +34,16 @@ HEADER_SIZE = len(MAGIC) + 4
 #: few MB; anything claiming more is a corrupt or hostile length field.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+#: Bytes per piece :func:`frame_pieces` yields.
+PIECE_BYTES = 64 * 1024
+
 _LENGTH = struct.Struct(">I")
 _encode = canonical_encoder()
+#: The canonical encoding as a stream of small strings (the pure-Python
+#: encoder; the C one only encodes a whole value at once).
+_iterencode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).iterencode
 _decoder = json.JSONDecoder()
 _scan_once = _decoder.scan_once
 
@@ -62,6 +70,28 @@ class FramingError(ValueError):
     """A message that cannot be framed (not JSON-encodable, or oversized)."""
 
 
+def _encoded(message: Dict[str, Any], encode: Callable[[Any], Any]) -> Any:
+    """``encode(message)``, or the :class:`FramingError` refusing it."""
+    if not isinstance(message, dict):
+        raise FramingError(
+            f"wire messages are JSON objects, got {type(message).__name__}"
+        )
+    try:
+        return encode(message)
+    except (TypeError, ValueError, RecursionError) as error:
+        # A circular message nests until the interpreter's limit.
+        raise FramingError(f"message is not JSON-encodable: {error}") from error
+
+
+def _header(length: int) -> bytes:
+    if length > MAX_FRAME_BYTES:
+        raise FramingError(
+            f"frame payload of {length} bytes exceeds "
+            f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+        )
+    return MAGIC + _LENGTH.pack(length)
+
+
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Encode one message dict as a wire frame.
 
@@ -69,21 +99,35 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
     messages are byte-identical — the property every checksum in the
     codec layer already relies on.
     """
-    if not isinstance(message, dict):
-        raise FramingError(
-            f"wire messages are JSON objects, got {type(message).__name__}"
-        )
-    try:
-        payload = _encode(message).encode("utf-8")
-    except (TypeError, ValueError, RecursionError) as error:
-        # A circular message nests until the interpreter's limit.
-        raise FramingError(f"message is not JSON-encodable: {error}") from error
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FramingError(
-            f"frame payload of {len(payload)} bytes exceeds "
-            f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
-        )
-    return b"".join((MAGIC, _LENGTH.pack(len(payload)), payload))
+    payload = _encoded(message, _encode).encode("utf-8")
+    return b"".join((_header(len(payload)), payload))
+
+
+def frame_pieces(message: Dict[str, Any]) -> Iterator[bytes]:
+    """The bytes of ``encode_frame(message)``, header first, in pieces of
+    about :data:`PIECE_BYTES`, so no whole frame is ever held.
+
+    A first pass over the encoding learns the payload's length; the
+    frame is refused exactly as :func:`encode_frame` refuses it, on the
+    first ``next()`` and before any byte is yielded, so a frame is never
+    torn. The second pass yields it. Both run the pure-Python encoder,
+    together about 2.5 times the C one's time: worth it only for a reply
+    that grows with a whole store.
+    """
+    # The encoding escapes every non-ASCII character: a piece's length
+    # is its byte count.
+    length = _encoded(message, lambda value: sum(map(len, _iterencode(value))))
+    yield _header(length)
+    # Bytes, not a list of the encoder's strings (most are a few
+    # characters, each with a ~50-byte header); each piece a copy, as a
+    # transport may keep a view of what it was handed.
+    chunk = bytearray()
+    for piece in _iterencode(message):
+        chunk += piece.encode("ascii")
+        if len(chunk) >= PIECE_BYTES:
+            yield bytes(chunk)
+            chunk.clear()
+    yield bytes(chunk)
 
 
 def _magic_prefix_overlap(tail: bytes) -> int:

@@ -66,6 +66,7 @@ from .connection import (
     open_connection,
     parse_address,
 )
+from .framing import frame_pieces
 
 PROTOCOL_VERSION = 1
 
@@ -313,6 +314,10 @@ class NodeServer:
                     return
                 elif kind == "encounter":
                     await connection.send(await self._handle_encounter(message))
+                elif kind == "snapshot":
+                    # The one reply that grows with the whole store, not a
+                    # batch: written piecewise, never held as a whole frame.
+                    await connection.send_pieces(frame_pieces(self._snapshot()))
                 else:
                     await connection.send(self._handle_directive(kind, message))
             except (ConnectionClosed, asyncio.TimeoutError):
@@ -361,17 +366,18 @@ class NodeServer:
                     "error": "no state_dir configured; cannot checkpoint",
                 }
             return {"type": "checkpoint-ok", "checkpoint": checkpoint}
-        if kind == "snapshot":
-            return {
-                "type": "snapshot-ok",
-                "fixed_point": replica_fixed_point(self.node.replica),
-                "held": sorted(
-                    str(item.item_id)
-                    for item in self.node.replica.stored_items()
-                    if not item.deleted
-                ),
-            }
         return {"type": "error", "error": f"unknown directive {kind!r}"}
+
+    def _snapshot(self) -> Dict[str, Any]:
+        return {
+            "type": "snapshot-ok",
+            "fixed_point": replica_fixed_point(self.node.replica),
+            "held": sorted(
+                str(item.item_id)
+                for item in self.node.replica.stored_items()
+                if not item.deleted
+            ),
+        }
 
     async def _handle_encounter(self, message: Dict[str, Any]) -> Dict[str, Any]:
         try:

@@ -24,12 +24,8 @@ from .enron import (
     parse_pairs_csv,
     user_name,
 )
-from .mapping import AssignmentSchedule, assign_users_daily, host_of, users_on_day
-from .workload import (
-    WorkloadConfig,
-    build_injection_schedule,
-    injection_days_used,
-)
+from .mapping import AssignmentSchedule, assign_users_daily, host_of
+from .workload import WorkloadConfig, build_injection_schedule
 
 __all__ = [
     "AssignmentSchedule",
@@ -46,11 +42,9 @@ __all__ = [
     "generate_dieselnet_trace",
     "generate_enron_model",
     "host_of",
-    "injection_days_used",
     "load_trace",
     "parse_pairs_csv",
     "parse_trace_text",
     "save_trace",
     "user_name",
-    "users_on_day",
 ]

@@ -45,17 +45,6 @@ def assign_users_daily(
     return schedule
 
 
-def users_on_day(
-    schedule: Mapping[int, Mapping[str, FrozenSet[str]]], day: int
-) -> FrozenSet[str]:
-    """Every user riding some bus on ``day``."""
-    day_map = schedule.get(day, {})
-    riders: set = set()
-    for assigned in day_map.values():
-        riders |= assigned
-    return frozenset(riders)
-
-
 def host_of(
     schedule: Mapping[int, Mapping[str, FrozenSet[str]]], day: int, user: str
 ) -> str | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 from repro.emulation.encounters import SECONDS_PER_DAY
 from repro.emulation.network import Injection
@@ -157,8 +157,3 @@ def _next_host(
         if bus is not None:
             return bus
     return None
-
-
-def injection_days_used(injections: Sequence[Injection]) -> List[int]:
-    """The distinct days on which the schedule injects, sorted."""
-    return sorted({int(injection.time // SECONDS_PER_DAY) for injection in injections})

@@ -18,7 +18,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.net.connection import (
     ConnectionClosed,
     PeerConnection,
-    format_address,
     listen,
     open_connection,
     parse_address,
@@ -39,11 +38,6 @@ def test_parse_address_tcp():
 def test_parse_address_rejects(bad):
     with pytest.raises(ValueError):
         parse_address(bad)
-
-
-def test_format_address_round_trips():
-    for address in ("unix:/tmp/a.sock", "tcp:localhost:1234"):
-        assert format_address(*parse_address(address)) == address
 
 
 def _socket_path(directory):

@@ -7,6 +7,7 @@ of the truncation fault in :mod:`repro.faults` — a proper prefix of the
 bytes arrives, and nothing after the cut may be invented).
 """
 
+import json
 import random
 
 import pytest
@@ -17,9 +18,11 @@ from repro.net.framing import (
     HEADER_SIZE,
     MAGIC,
     MAX_FRAME_BYTES,
+    PIECE_BYTES,
     FrameDecoder,
     FramingError,
     encode_frame,
+    frame_pieces,
 )
 
 MESSAGES = [
@@ -238,3 +241,60 @@ def test_fuzz_segmentation_never_changes_the_outcome(stream, data):
     for name in ("pending", "junk_bytes", "corrupt_frames"):
         assert getattr(pieced, name) == getattr(whole, name), name
     assert whole.pending + whole.junk_bytes <= len(stream)
+
+
+# -- piecewise encoding ----------------------------------------------------------
+
+_any_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()  # NaN and the infinities too
+    | st.text()
+    | _json_values.map(json.dumps),  # a string that is itself JSON
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), _any_json, max_size=5))
+def test_fuzz_pieces_join_to_the_one_shot_frame(message):
+    pieces = list(frame_pieces(message))
+    assert b"".join(pieces) == encode_frame(message)
+    assert len(pieces[0]) == HEADER_SIZE
+
+
+def test_pieces_are_bounded_and_header_first():
+    message = {"items": ["é" * 500 + str(serial) for serial in range(600)]}
+    pieces = list(frame_pieces(message))
+    assert b"".join(pieces) == encode_frame(message)
+    assert len(pieces) > 10
+    assert all(len(piece) < PIECE_BYTES + 4_000 for piece in pieces)
+
+
+def _circular():
+    message = {}
+    message["self"] = message
+    return message
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        ["not", "a", "mapping"],
+        {"blob": "x" * (MAX_FRAME_BYTES + 1)},
+        {"value": object()},
+        {"keys": {1: "a", "b": 2}},  # unsortable
+        _circular(),
+    ],
+    ids=["non-dict", "oversized", "unencodable", "unsortable", "circular"],
+)
+def test_a_refused_frame_yields_nothing(message):
+    with pytest.raises(FramingError):
+        encode_frame(message)
+    pieces = frame_pieces(message)
+    with pytest.raises(FramingError):
+        next(pieces)
+    assert list(pieces) == []

@@ -11,24 +11,29 @@ dialed: one dial per peer, a spare for an encounter that overlaps
 another, a fresh one after the peer was replaced or an encounter failed
 — a fake peer that closes, stalls or answers ``error`` mid-encounter
 checks the failure stays on the dialed link — and none left open at
-shutdown.
+shutdown. A ``snapshot`` many socket writes long decodes to the node's
+fixed point, and answering it costs a fraction of its frame in heap.
 """
 
 import asyncio
+import gc
 import json
 import os
 import pathlib
+import socket
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 
 import repro
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.parity import replica_fixed_point
 from repro.experiments.scenario import build_scenario
 from repro.net.connection import open_connection
-from repro.net.framing import FrameDecoder, encode_frame
+from repro.net.framing import PIECE_BYTES, FrameDecoder, encode_frame
 from repro.replication.codec import decode_item_id
 from repro.net.server import PROTOCOL_VERSION, NodeServer, ServeConfig
 from repro.replication.errors import SyncProtocolError
@@ -648,3 +653,115 @@ def test_shutdown_with_links_open_in_both_directions_is_clean():
     for process, (_, stderr) in zip(processes, outcomes):
         assert process.returncode == 0
         assert b"Warning" not in stderr and b"Exception" not in stderr, stderr
+
+
+# -- the snapshot reply ---------------------------------------------------------
+
+
+async def _stored_server(tmp, copies):
+    """A node holding ``copies`` messages it authored for a peer."""
+    first, second = sorted(build_scenario(EXPERIMENT).nodes)[:2]
+    server = await _start_server(tmp, first)
+    for serial in range(copies):
+        reply = server._handle_directive(
+            "inject",
+            {
+                "time": float(serial), "source": first,
+                "destination": second, "body": f"message {serial} " * 4,
+            },
+        )
+        assert reply["type"] == "inject-ok", reply
+    return server
+
+
+def _snapshot_of(replica):
+    return {
+        "type": "snapshot-ok",
+        "fixed_point": replica_fixed_point(replica),
+        "held": sorted(
+            str(item.item_id) for item in replica.stored_items() if not item.deleted
+        ),
+    }
+
+
+def test_a_snapshot_over_a_socket_is_the_fixed_point_and_held_ids():
+    """Large enough to be written in many pieces and to back the
+    transport up: the reply still decodes to what the node holds."""
+
+    async def scenario(tmp):
+        server = await _stored_server(tmp, 2_000)
+        control = await _control(server.name, server.config.listen)
+        try:
+            await control.send({"type": "snapshot"})
+            reply = await control.receive()
+            await control.send({"type": "status"})
+            status = await control.receive()  # the link is still in step
+        finally:
+            await control.close()
+            await server.close()
+        return reply, status, _snapshot_of(server.node.replica)
+
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+        reply, status, expected = asyncio.run(scenario(tmp))
+    assert len(encode_frame(expected)) > 4 * PIECE_BYTES
+    assert reply == expected
+    assert len(reply["held"]) == 2_000
+    assert status["type"] == "status-ok"
+
+
+def _drain(address, request, length):
+    """Send ``request`` on a raw socket after the hello; read ``length``
+    reply bytes into one reused buffer, allocating nothing per read."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+        raw.settimeout(30.0)
+        raw.connect(address)
+        raw.sendall(encode_frame({"type": "hello", "protocol": PROTOCOL_VERSION}))
+        decoder = FrameDecoder()
+        while not decoder.feed(raw.recv(4096)):
+            pass
+        raw.sendall(encode_frame(request))
+        buffer = bytearray(64 * 1024)
+        while length:
+            read = raw.recv_into(buffer)
+            assert read, "the node closed mid-reply"
+            length -= read
+
+
+def test_answering_a_snapshot_holds_no_whole_frame():
+    """The heap a node needs to answer ``snapshot``, above the reply it
+    builds, as a share of the frame it writes (about 1 s)."""
+
+    async def scenario(tmp):
+        server = await _stored_server(tmp, 3_000)
+        try:
+            length = len(encode_frame(_snapshot_of(server.node.replica)))
+            gc.collect()
+            tracemalloc.start(1)
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                built = _snapshot_of(server.node.replica)
+                reply_bytes = tracemalloc.get_traced_memory()[0] - before
+                del built
+                gc.collect()
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                await asyncio.get_running_loop().run_in_executor(
+                    None, _drain, server.config.listen[len("unix:"):],
+                    {"type": "snapshot"}, length,
+                )
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        finally:
+            await server.close()
+        return (peak - reply_bytes) / length, length
+
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+        share, length = asyncio.run(scenario(tmp))
+    assert length > 4 * PIECE_BYTES
+    # 2.7x while the reply was framed whole: its JSON string, that
+    # string's bytes, the joined frame and the transport's copies of
+    # what the socket did not take. About 0.5 written piecewise: the
+    # piece being encoded, the one before it and what the transport
+    # buffers up to its high-water mark (docs/performance.md §18).
+    assert share <= 1.0, share

@@ -192,6 +192,37 @@ class TestSyncMessages:
         decoded = decode_routing_state(encode_routing_state(state))
         assert decoded == state
 
+    @pytest.mark.parametrize(
+        "tag, change",
+        [
+            ("prophet", {"p": {"x": "0.5", "y": True}}),
+            ("maxprop", {"node": 5, "addresses": "ab"}),
+            ("maxprop", {"addresses": "ab"}),
+            ("maxprop", {"vectors": {"bus01": {"bus02": "nan"}}}),
+            ("maxprop", {"locations": {"user1": ["bus02"]}}),
+            ("maxprop", {"acks": "x"}),
+            ("prophet", {"extra": 1}),
+        ],
+    )
+    def test_a_routing_state_no_encoder_wrote_is_refused(self, tag, change):
+        import repro.dtn  # noqa: F401
+        from repro.dtn import MaxPropRequest, ProphetRequest
+
+        state = {
+            "prophet": ProphetRequest(frozenset({"alice"}), {"bob": 0.5}),
+            "maxprop": MaxPropRequest(
+                node="bus01",
+                addresses=frozenset({"bus01"}),
+                vectors={"bus01": {"bus02": 1.0}},
+                locations={"user1": ("bus02", 9.0)},
+            ),
+        }[tag]
+        encoded = encode_routing_state(state)
+        assert decode_routing_state(encoded) == state
+        encoded["state"].update(change)
+        with pytest.raises(CodecError):
+            decode_routing_state(encoded)
+
     def test_unregistered_state_raises(self):
         with pytest.raises(CodecError):
             encode_routing_state(object())

@@ -3,7 +3,7 @@
 import random
 
 from repro.emulation.encounters import SECONDS_PER_DAY, Encounter, EncounterTrace
-from repro.traces.mapping import assign_users_daily, host_of, users_on_day
+from repro.traces.mapping import assign_users_daily, host_of
 
 
 def trace_two_days():
@@ -23,7 +23,7 @@ class TestAssignment:
     def test_every_user_assigned_each_active_day(self):
         schedule = assign_users_daily(trace_two_days(), USERS, seed=1)
         for day in (0, 1):
-            assert users_on_day(schedule, day) == set(USERS)
+            assert set().union(*schedule[day].values()) == set(USERS)
 
     def test_only_active_buses_get_users(self):
         schedule = assign_users_daily(trace_two_days(), USERS, seed=1)
@@ -90,4 +90,4 @@ class TestLookups:
 
     def test_users_on_missing_day_empty(self):
         schedule = assign_users_daily(trace_two_days(), USERS, seed=1)
-        assert users_on_day(schedule, 99) == frozenset()
+        assert set().union(*schedule.get(99, {}).values()) == set()

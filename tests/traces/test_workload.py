@@ -10,7 +10,6 @@ from repro.traces.workload import (
     INJECTION_START_HOUR,
     WorkloadConfig,
     build_injection_schedule,
-    injection_days_used,
 )
 
 
@@ -62,7 +61,7 @@ class TestSchedule:
 
     def test_injections_limited_to_first_eight_days(self):
         injections, _, _ = make_schedule()
-        assert max(injection_days_used(injections)) < 8
+        assert max(injection.time for injection in injections) < 8 * SECONDS_PER_DAY
 
     def test_morning_window_and_interval(self):
         injections, _, _ = make_schedule(target_total=24)
