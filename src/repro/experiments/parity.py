@@ -9,7 +9,10 @@ comparison:
 * :func:`replica_fixed_point` — a canonical, JSON-safe digest of one
   replica's converged state: its knowledge vector plus the content of all
   three stores (in-filter, outbox, relay), each item in its canonical
-  wire encoding, order-independent;
+  wire encoding, in item-id order;
+* :func:`fixed_point_cut` / :func:`fixed_point_text` — the same digest as
+  canonical JSON text, one piece per item, from a cut taken once, so a
+  node can write it without building it;
 * :func:`emulator_fixed_points` — run a config through
   :func:`~repro.experiments.runner.run_experiment`'s machinery and
   snapshot every node;
@@ -27,10 +30,12 @@ where the emulator's perfect channel does not).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping
+from operator import attrgetter
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.emulation.network import Emulator
 from repro.replication.codec import encode_item, encode_knowledge
+from repro.replication.items import Item
 from repro.replication.persistence import STORE_KEYS, replica_stores
 from repro.replication.replica import Replica
 
@@ -39,21 +44,68 @@ from .scenario import build_inputs, build_scenario
 from .store import canonical_json
 
 
+#: What a fixed point is made of: the encoded knowledge, and each store's
+#: items in item-id order.
+FixedPointCut = Tuple[Dict[str, List[int]], Dict[str, Sequence[Item]]]
+
+_item_id = attrgetter("item_id")
+
+
+def fixed_point_cut(replica: Replica) -> FixedPointCut:
+    """The parts of ``replica``'s fixed point, taken now.
+
+    Each store's ``items()`` tuple is sorted by :class:`ItemId` (unique
+    within a store and totally ordered); items are immutable, so the cut
+    keeps describing this instant while the replica moves on.
+    """
+    return encode_knowledge(replica.knowledge), {
+        key: sorted(items, key=_item_id)
+        for key, items in replica_stores(replica).items()
+    }
+
+
+def canonical_items(items: Iterable[Item]) -> Iterator[str]:
+    """Each item's canonical wire encoding, as ``items`` orders them."""
+    for item in items:
+        yield canonical_json(encode_item(item))
+
+
+def json_list_text(strings: Iterable[str]) -> Iterator[str]:
+    """``canonical_json(list(strings))``, one piece per string."""
+    separator = "["
+    for string in strings:
+        yield separator + canonical_json(string)
+        separator = ","
+    yield "[]" if separator == "[" else "]"
+
+
+def fixed_point_text(cut: FixedPointCut) -> Iterator[str]:
+    """``canonical_json`` of the fixed point ``cut`` describes, one piece
+    per stored item, each encoded as it is yielded. Iterating it again
+    encodes every item again: nothing but the cut is held."""
+    knowledge, stores = cut
+    yield '{"knowledge":' + canonical_json(knowledge) + ',"stores":'
+    separator = "{"
+    for key in sorted(stores):
+        yield separator + canonical_json(key) + ":"
+        yield from json_list_text(canonical_items(stores[key]))
+        separator = ","
+    yield "}}"
+
+
 def replica_fixed_point(replica: Replica) -> Dict[str, Any]:
     """The canonical converged-state digest of one replica.
 
-    Store contents are canonically encoded and *sorted*, so two replicas
-    holding the same items in different arrival orders compare equal —
-    the fixed point is about what converged, not the path taken. Each
-    item is encoded as the list is built: no snapshot of the whole
-    replica is held beside the digest.
+    Each store's contents are canonically encoded in item-id order, so
+    two replicas holding the same items in different arrival orders
+    compare equal — the fixed point is about what converged, not the
+    path taken. :func:`fixed_point_text` of the same cut is this
+    digest's canonical JSON.
     """
+    knowledge, stores = fixed_point_cut(replica)
     return {
-        "knowledge": encode_knowledge(replica.knowledge),
-        "stores": {
-            key: sorted(canonical_json(encode_item(item)) for item in items)
-            for key, items in replica_stores(replica).items()
-        },
+        "knowledge": knowledge,
+        "stores": {key: list(canonical_items(items)) for key, items in stores.items()},
     }
 
 

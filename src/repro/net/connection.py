@@ -159,7 +159,7 @@ class PeerConnection(asyncio.BufferedProtocol):
         await self.send_pieces((encode_frame(message),))
 
     async def send_pieces(self, pieces: Iterable[bytes]) -> None:
-        """Write a frame's pieces (:func:`~.framing.frame_pieces`), each
+        """Write a frame's pieces (:func:`~.framing.frame_text`), each
         only once the transport has drained below its high-water mark."""
         for piece in pieces:
             if self.closed:

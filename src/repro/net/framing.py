@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterable, Iterator, List
 
 from repro.replication.integrity import canonical_encoder
 
@@ -34,16 +34,11 @@ HEADER_SIZE = len(MAGIC) + 4
 #: few MB; anything claiming more is a corrupt or hostile length field.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: Bytes per piece :func:`frame_pieces` yields.
+#: Bytes per piece :func:`frame_text` yields.
 PIECE_BYTES = 64 * 1024
 
 _LENGTH = struct.Struct(">I")
 _encode = canonical_encoder()
-#: The canonical encoding as a stream of small strings (the pure-Python
-#: encoder; the C one only encodes a whole value at once).
-_iterencode = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), check_circular=False
-).iterencode
 _decoder = json.JSONDecoder()
 _scan_once = _decoder.scan_once
 
@@ -103,26 +98,28 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
     return b"".join((_header(len(payload)), payload))
 
 
-def frame_pieces(message: Dict[str, Any]) -> Iterator[bytes]:
-    """The bytes of ``encode_frame(message)``, header first, in pieces of
-    about :data:`PIECE_BYTES`, so no whole frame is ever held.
+def frame_text(text: Callable[[], Iterable[str]]) -> Iterator[bytes]:
+    """The frame whose payload is ``"".join(text())``, header first, in
+    pieces of about :data:`PIECE_BYTES`, so no whole frame is ever held.
 
-    A first pass over the encoding learns the payload's length; the
-    frame is refused exactly as :func:`encode_frame` refuses it, on the
-    first ``next()`` and before any byte is yielded, so a frame is never
-    torn. The second pass yields it. Both run the pure-Python encoder,
-    together about 2.5 times the C one's time: worth it only for a reply
-    that grows with a whole store.
+    ``text`` is called twice and must yield the same ASCII strings both
+    times (canonical JSON escapes every non-ASCII character, so a
+    piece's length is its byte count). The first pass sums the lengths;
+    a frame that cannot be written — oversized, non-ASCII, or a piece
+    that fails to encode — is refused on the first ``next()``, before
+    any byte is yielded, so a frame is never torn. The second pass
+    yields it.
     """
-    # The encoding escapes every non-ASCII character: a piece's length
-    # is its byte count.
-    length = _encoded(message, lambda value: sum(map(len, _iterencode(value))))
+    length = 0
+    for piece in text():
+        if not piece.isascii():
+            raise FramingError("frame text must be ASCII")
+        length += len(piece)
     yield _header(length)
-    # Bytes, not a list of the encoder's strings (most are a few
-    # characters, each with a ~50-byte header); each piece a copy, as a
-    # transport may keep a view of what it was handed.
+    # Each piece a copy of the chunk, as a transport may keep a view of
+    # what it was handed.
     chunk = bytearray()
-    for piece in _iterencode(message):
+    for piece in text():
         chunk += piece.encode("ascii")
         if len(chunk) >= PIECE_BYTES:
             yield bytes(chunk)

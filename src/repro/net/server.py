@@ -32,14 +32,15 @@ Protocol framing and the message sequence are specified in
 from __future__ import annotations
 
 import asyncio
+import heapq
 import pathlib
 import signal
 from dataclasses import dataclass
 from resource import RUSAGE_SELF, getrusage
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parity import replica_fixed_point
+from repro.experiments.parity import fixed_point_cut, fixed_point_text, json_list_text
 from repro.experiments.report import run_summary_document
 from repro.experiments.scenario import build_inputs, build_node
 from repro.replication.codec import (
@@ -66,7 +67,7 @@ from .connection import (
     open_connection,
     parse_address,
 )
-from .framing import frame_pieces
+from .framing import frame_text
 
 PROTOCOL_VERSION = 1
 
@@ -316,8 +317,8 @@ class NodeServer:
                     await connection.send(await self._handle_encounter(message))
                 elif kind == "snapshot":
                     # The one reply that grows with the whole store, not a
-                    # batch: written piecewise, never held as a whole frame.
-                    await connection.send_pieces(frame_pieces(self._snapshot()))
+                    # batch: written copy by copy, never held whole.
+                    await connection.send_pieces(frame_text(self._snapshot()))
                 else:
                     await connection.send(self._handle_directive(kind, message))
             except (ConnectionClosed, asyncio.TimeoutError):
@@ -368,16 +369,25 @@ class NodeServer:
             return {"type": "checkpoint-ok", "checkpoint": checkpoint}
         return {"type": "error", "error": f"unknown directive {kind!r}"}
 
-    def _snapshot(self) -> Dict[str, Any]:
-        return {
-            "type": "snapshot-ok",
-            "fixed_point": replica_fixed_point(self.node.replica),
-            "held": sorted(
-                str(item.item_id)
-                for item in self.node.replica.stored_items()
-                if not item.deleted
-            ),
-        }
+    def _snapshot(self) -> Callable[[], Iterator[str]]:
+        """The canonical JSON of the ``snapshot-ok`` reply, as a source
+        :func:`~.framing.frame_text` iterates twice: the fixed point and
+        the ``held`` ids (non-deleted copies, in item-id order) of the
+        cut taken now, whatever is stored while the reply is written."""
+        cut = fixed_point_cut(self.node.replica)
+
+        def text() -> Iterator[str]:
+            # Merged from the cut's sorted stores: no list of ids is held.
+            held = heapq.merge(*cut[1].values(), key=lambda item: item.item_id)
+            yield '{"fixed_point":'
+            yield from fixed_point_text(cut)
+            yield ',"held":'
+            yield from json_list_text(
+                str(item.item_id) for item in held if not item.deleted
+            )
+            yield ',"type":"snapshot-ok"}'
+
+        return text
 
     async def _handle_encounter(self, message: Dict[str, Any]) -> Dict[str, Any]:
         try:

@@ -168,16 +168,35 @@ def encode_knowledge(vector: VersionVector) -> Dict[str, List[int]]:
     return encoded
 
 
+def _knowledge_entry(shape: Any) -> _Entry:
+    """The entry ``[prefix, extra, ...]`` :func:`encode_knowledge` writes.
+
+    Only what re-encodes to itself is accepted: a list of ``int`` (not
+    ``bool``, ``float`` or ``str``) counters, extras strictly increasing
+    above ``prefix + 1``, and not the empty entry ``[0]``.
+    """
+    if type(shape) is not list or shape == [0]:
+        raise ValueError(f"not an encoded entry: {shape!r}")
+    prefix, *extras = shape
+    if type(prefix) is not int:
+        raise ValueError(f"the prefix must be an int: {shape!r}")
+    last = prefix + 1
+    for extra in extras:
+        if type(extra) is not int or extra <= last:
+            raise ValueError(f"extras must be increasing ints: {shape!r}")
+        last = extra
+    return _Entry(prefix, frozenset(extras))
+
+
 def decode_knowledge(data: Any) -> VersionVector:
+    """Decode :func:`encode_knowledge`'s output; anything it would not
+    re-encode byte for byte raises :class:`CodecError`."""
     if not isinstance(data, dict):
         raise CodecError(f"bad knowledge encoding: {data!r}")
     entries: Dict[ReplicaId, _Entry] = {}
     for name, shape in data.items():
         try:
-            prefix, *extras = shape
-            entries[_replica_id(name)] = _Entry(
-                int(prefix), frozenset(int(e) for e in extras)
-            )
+            entries[_replica_id(name)] = _knowledge_entry(shape)
         except _MALFORMED as error:
             raise CodecError(f"bad knowledge entry for {name!r}") from error
     return VersionVector(entries)

@@ -5,8 +5,9 @@ whole state before serializing it. On the converged state of a short run
 of every registered policy, the checkpoint must be the
 ``repro.replica-state.v2`` layout (one head line, then one canonical
 JSON line per stored item, store by store in FIFO order), the fixed
-point must be what that checkpoint holds, sorted, and the checkpoint
-must still be written all or nothing.
+point must be what that checkpoint holds, in item-id order, its text
+form must be exactly its canonical JSON, and the checkpoint must still
+be written all or nothing.
 """
 
 import json
@@ -17,12 +18,17 @@ import pytest
 
 from repro.api import available_policies
 from repro.experiments import ExperimentConfig, build_scenario
-from repro.experiments.parity import replica_fixed_point
+from repro.experiments.parity import (
+    fixed_point_cut,
+    fixed_point_text,
+    replica_fixed_point,
+)
 from repro.replication import persistence
 from repro.replication.codec import encode_item
 from repro.replication.persistence import (
     checkpoint_lines,
     load_replica,
+    replica_from_lines,
     replica_stores,
     save_replica,
 )
@@ -63,14 +69,37 @@ def read_checkpoint(text):
 
 def checkpoint_fixed_point(replica):
     """The fixed point as the checkpoint defines it: its knowledge, then
-    one canonical JSON string per stored item, sorted."""
+    one canonical JSON string per stored item, in item-id order (an id
+    is ``[origin, serial]``, which sorts as the ``ItemId`` does)."""
     head, stores = read_checkpoint("".join(checkpoint_lines(replica)))
     return {
         "knowledge": head["knowledge"],
         "stores": {
-            key: sorted(canonical(item) for item in stores[key]) for key in STORE_KEYS
+            key: [
+                canonical(item)
+                for item in sorted(stores[key], key=lambda item: tuple(item["id"]))
+            ]
+            for key in STORE_KEYS
         },
     }
+
+
+#: Payloads the text form escapes twice: once in the item's own canonical
+#: JSON, again as a string inside the fixed point's.
+AWKWARD = ['say "hi"', "back\\slash", "bell\x07 nul\x00 tab\t", "é 日本 \U0001f600"]
+
+
+def with_awkward_copies(replica):
+    """A copy of ``replica`` that also holds copies with awkward payloads
+    and attributes, a tombstone and a copy with ``local`` attributes."""
+    copy, _ = replica_from_lines(checkpoint_lines(replica))
+    made = [
+        copy.create_item(payload, {"destination": payload, "note\n": [payload]})
+        for payload in AWKWARD
+    ]
+    copy.delete_item(made[0].item_id)
+    copy.adjust_local(made[1].with_local(ttl=3, hops=("a", "\u00e9")))
+    return copy
 
 
 @pytest.fixture(scope="module", params=available_policies())
@@ -87,6 +116,28 @@ class TestFixedPoint:
         for node in converged:
             replica = node.replica
             assert replica_fixed_point(replica) == checkpoint_fixed_point(replica)
+
+    def test_text_is_its_canonical_json(self, converged):
+        for node in converged:
+            replica = node.replica
+            text = "".join(fixed_point_text(fixed_point_cut(replica)))
+            assert text == canonical(replica_fixed_point(replica))
+
+    def test_text_escapes_awkward_copies_twice(self, converged):
+        replica = with_awkward_copies(converged[0].replica)
+        items = list(replica.stored_items())
+        assert any(item.deleted for item in items)
+        assert any(item.local_attributes for item in items)
+        text = "".join(fixed_point_text(fixed_point_cut(replica)))
+        assert text.isascii()
+        assert text == canonical(replica_fixed_point(replica))
+        assert replica_fixed_point(replica) == checkpoint_fixed_point(replica)
+        stored = [
+            json.loads(line)["payload"]
+            for key in STORE_KEYS
+            for line in json.loads(text)["stores"][key]
+        ]
+        assert set(AWKWARD[1:]) <= set(stored)
 
 
 class TestCheckpoint:

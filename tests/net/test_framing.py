@@ -22,7 +22,7 @@ from repro.net.framing import (
     FrameDecoder,
     FramingError,
     encode_frame,
-    frame_pieces,
+    frame_text,
 )
 
 MESSAGES = [
@@ -258,43 +258,65 @@ _any_json = st.recursive(
 )
 
 
+def _canonical(message):
+    return json.dumps(message, sort_keys=True, separators=(",", ":"))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.text(max_size=8), _any_json, max_size=5))
-def test_fuzz_pieces_join_to_the_one_shot_frame(message):
-    pieces = list(frame_pieces(message))
+@given(
+    st.dictionaries(st.text(max_size=8), _any_json, max_size=5),
+    st.lists(st.integers(min_value=0, max_value=400), max_size=8),
+)
+def test_fuzz_pieces_join_to_the_one_shot_frame(message, cuts):
+    """Canonical text cut anywhere frames to ``encode_frame``'s bytes."""
+    text = _canonical(message)
+    bounds = [0, *sorted(min(cut, len(text)) for cut in cuts), len(text)]
+    strings = [text[start:end] for start, end in zip(bounds, bounds[1:])]
+    pieces = list(frame_text(lambda: strings))
     assert b"".join(pieces) == encode_frame(message)
     assert len(pieces[0]) == HEADER_SIZE
 
 
 def test_pieces_are_bounded_and_header_first():
     message = {"items": ["é" * 500 + str(serial) for serial in range(600)]}
-    pieces = list(frame_pieces(message))
+    strings = ["{", '"items":', _canonical(message["items"]), "}"]
+    strings[2:3] = [strings[2][start : start + 999] for start in range(0, len(strings[2]), 999)]
+    pieces = list(frame_text(lambda: strings))
     assert b"".join(pieces) == encode_frame(message)
     assert len(pieces) > 10
-    assert all(len(piece) < PIECE_BYTES + 4_000 for piece in pieces)
+    assert all(len(piece) < PIECE_BYTES + 1_000 for piece in pieces)
 
 
-def _circular():
-    message = {}
-    message["self"] = message
-    return message
+def test_the_source_is_read_twice():
+    calls = []
+
+    def text():
+        calls.append(len(calls))
+        yield '{"a":1}'
+
+    assert b"".join(frame_text(text)) == encode_frame({"a": 1})
+    assert calls == [0, 1]
+
+
+def _failing():
+    yield '{"a":'
+    raise TypeError("a piece that fails to encode")
 
 
 @pytest.mark.parametrize(
-    "message",
+    "text, error",
     [
-        ["not", "a", "mapping"],
-        {"blob": "x" * (MAX_FRAME_BYTES + 1)},
-        {"value": object()},
-        {"keys": {1: "a", "b": 2}},  # unsortable
-        _circular(),
+        (
+            lambda: ['{"blob":"'] + ["x" * (1 << 20)] * 17 + ['"}'],
+            FramingError,
+        ),
+        (lambda: ['{"text":"é"}'], FramingError),
+        (_failing, TypeError),
     ],
-    ids=["non-dict", "oversized", "unencodable", "unsortable", "circular"],
+    ids=["oversized", "non-ascii", "failing"],
 )
-def test_a_refused_frame_yields_nothing(message):
-    with pytest.raises(FramingError):
-        encode_frame(message)
-    pieces = frame_pieces(message)
-    with pytest.raises(FramingError):
+def test_a_refused_frame_yields_nothing(text, error):
+    pieces = frame_text(text)
+    with pytest.raises(error):
         next(pieces)
     assert list(pieces) == []

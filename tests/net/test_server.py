@@ -12,7 +12,9 @@ another, a fresh one after the peer was replaced or an encounter failed
 — a fake peer that closes, stalls or answers ``error`` mid-encounter
 checks the failure stays on the dialed link — and none left open at
 shutdown. A ``snapshot`` many socket writes long decodes to the node's
-fixed point, and answering it costs a fraction of its frame in heap.
+fixed point — the one cut before its first byte, even when a copy is
+stored while its write waits on backpressure — and answering it costs a
+fraction of its frame in heap.
 """
 
 import asyncio
@@ -24,6 +26,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import pytest
@@ -32,8 +35,14 @@ import repro
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parity import replica_fixed_point
 from repro.experiments.scenario import build_scenario
-from repro.net.connection import open_connection
-from repro.net.framing import PIECE_BYTES, FrameDecoder, encode_frame
+from repro.net.connection import PeerConnection, open_connection
+from repro.net.framing import (
+    HEADER_SIZE,
+    PIECE_BYTES,
+    FrameDecoder,
+    encode_frame,
+    frame_text,
+)
 from repro.replication.codec import decode_item_id
 from repro.net.server import PROTOCOL_VERSION, NodeServer, ServeConfig
 from repro.replication.errors import SyncProtocolError
@@ -675,12 +684,17 @@ async def _stored_server(tmp, copies):
 
 
 def _snapshot_of(replica):
+    """The ``snapshot-ok`` reply for ``replica``: its fixed point, and the
+    ids of its non-deleted copies in item-id order."""
     return {
         "type": "snapshot-ok",
         "fixed_point": replica_fixed_point(replica),
-        "held": sorted(
-            str(item.item_id) for item in replica.stored_items() if not item.deleted
-        ),
+        "held": [
+            str(item_id)
+            for item_id in sorted(
+                item.item_id for item in replica.stored_items() if not item.deleted
+            )
+        ],
     }
 
 
@@ -699,14 +713,93 @@ def test_a_snapshot_over_a_socket_is_the_fixed_point_and_held_ids():
         finally:
             await control.close()
             await server.close()
-        return reply, status, _snapshot_of(server.node.replica)
+        joined = b"".join(frame_text(server._snapshot()))
+        return reply, status, _snapshot_of(server.node.replica), joined
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-        reply, status, expected = asyncio.run(scenario(tmp))
-    assert len(encode_frame(expected)) > 4 * PIECE_BYTES
+        reply, status, expected, joined = asyncio.run(scenario(tmp))
+    assert len(joined) > 4 * PIECE_BYTES
     assert reply == expected
     assert len(reply["held"]) == 2_000
     assert status["type"] == "status-ok"
+    # The written frame is the one-shot frame of what it decodes to.
+    assert FrameDecoder().feed(joined) == [reply]
+    assert joined == encode_frame(reply)
+
+
+def _read_exactly(raw, size):
+    data = bytearray()
+    while len(data) < size:
+        read = raw.recv(size - len(data))
+        assert read, "the node closed mid-reply"
+        data += read
+    return bytes(data)
+
+
+def _snapshot_across(address, started, injected):
+    """Ask for a ``snapshot`` on a raw socket, read its header, signal
+    ``started``; read the rest only once ``injected`` is set."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+        raw.settimeout(30.0)
+        raw.connect(address)
+        raw.sendall(encode_frame({"type": "hello", "protocol": PROTOCOL_VERSION}))
+        decoder = FrameDecoder()
+        while not decoder.feed(raw.recv(4096)):
+            pass
+        raw.sendall(encode_frame({"type": "snapshot"}))
+        header = _read_exactly(raw, HEADER_SIZE)
+        started.set()
+        assert injected.wait(30.0)
+        length = int.from_bytes(header[-4:], "big")
+        return FrameDecoder().feed(header + _read_exactly(raw, length))
+
+
+def test_a_copy_stored_while_a_snapshot_waits_is_not_in_it(monkeypatch):
+    """The reply is the cut taken before its first byte: an ``inject``
+    answered on a second link while the write waits on backpressure
+    neither tears the frame nor changes its length or content."""
+    paused = []
+    pause = PeerConnection.pause_writing
+
+    def recorded_pause(connection):
+        paused.append(True)
+        pause(connection)
+
+    monkeypatch.setattr(PeerConnection, "pause_writing", recorded_pause)
+
+    async def scenario(tmp):
+        server = await _stored_server(tmp, 3_000)
+        before = _snapshot_of(server.node.replica)
+        started, injected = threading.Event(), threading.Event()
+        loop = asyncio.get_running_loop()
+        reader = loop.run_in_executor(
+            None, _snapshot_across, server.config.listen[len("unix:"):],
+            started, injected,
+        )
+        control = await _control(server.name, server.config.listen)
+        try:
+            assert await loop.run_in_executor(None, started.wait, 30.0)
+            while not paused:  # the writer is waiting on the transport
+                await asyncio.sleep(0.01)
+            reply = await _directive(
+                control, type="inject", time=1e6, source=server.name,
+                destination=sorted(build_scenario(EXPERIMENT).nodes)[1],
+                body="stored mid-reply",
+            )
+            assert reply["type"] == "inject-ok", reply
+            injected.set()
+            messages = await reader
+        finally:
+            injected.set()
+            await control.close()
+            await server.close()
+        return before, messages, _snapshot_of(server.node.replica)
+
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+        before, messages, after = asyncio.run(scenario(tmp))
+    assert messages == [before]
+    assert len(after["held"]) == len(before["held"]) + 1
+    assert after["fixed_point"] != before["fixed_point"]
 
 
 def _drain(address, request, length):
@@ -728,8 +821,8 @@ def _drain(address, request, length):
 
 
 def test_answering_a_snapshot_holds_no_whole_frame():
-    """The heap a node needs to answer ``snapshot``, above the reply it
-    builds, as a share of the frame it writes (about 1 s)."""
+    """The whole heap peak of a node answering ``snapshot``, as a share
+    of the frame it writes (about 1 s)."""
 
     async def scenario(tmp):
         server = await _stored_server(tmp, 3_000)
@@ -738,12 +831,6 @@ def test_answering_a_snapshot_holds_no_whole_frame():
             gc.collect()
             tracemalloc.start(1)
             try:
-                before = tracemalloc.get_traced_memory()[0]
-                built = _snapshot_of(server.node.replica)
-                reply_bytes = tracemalloc.get_traced_memory()[0] - before
-                del built
-                gc.collect()
-                tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 await asyncio.get_running_loop().run_in_executor(
                     None, _drain, server.config.listen[len("unix:"):],
@@ -754,14 +841,13 @@ def test_answering_a_snapshot_holds_no_whole_frame():
                 tracemalloc.stop()
         finally:
             await server.close()
-        return (peak - reply_bytes) / length, length
+        return peak / length, length
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
         share, length = asyncio.run(scenario(tmp))
     assert length > 4 * PIECE_BYTES
-    # 2.7x while the reply was framed whole: its JSON string, that
-    # string's bytes, the joined frame and the transport's copies of
-    # what the socket did not take. About 0.5 written piecewise: the
-    # piece being encoded, the one before it and what the transport
-    # buffers up to its high-water mark (docs/performance.md §18).
-    assert share <= 1.0, share
+    # About 0.5: the cut's sorted lists, the piece being encoded, the one
+    # before it and what the transport buffers up to its high-water mark.
+    # A fixed point built whole before it is written reads 1.8
+    # (docs/performance.md §19).
+    assert share <= 0.75, share

@@ -90,6 +90,19 @@ class TestKnowledge:
         with pytest.raises(CodecError):
             decode_knowledge({"a": "oops"})
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "5", [1, "3"], [True], [2.0], [1.5], [3, 5.0],  # not int counters
+            [3, 5, 5], [3, 6, 5], [3, 4], [3, 2],  # extras not increasing
+            [0], [], [-1],  # empty, none, negative
+            (3,),  # a tuple, which no wire decode yields
+        ],
+    )
+    def test_refuses_what_the_encoder_never_writes(self, entry):
+        with pytest.raises(CodecError):
+            decode_knowledge({"a": entry})
+
 
 class TestFilters:
     @pytest.mark.parametrize(

@@ -160,6 +160,10 @@ def wire(encoded):
     return json.loads(json.dumps(encoded))
 
 
+def canonical_bytes(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
 def content(item):
     """Every field of an item (``Item.__eq__`` sees only id and version)."""
     return (
@@ -284,6 +288,29 @@ def test_knowledge_round_trips_with_extras(vector):
     assert decoded == vector
     assert decoded.wire_size() == vector.wire_size()
     assert decoded.size_in_extras() == vector.size_in_extras()
+
+
+_counters = st.one_of(
+    st.integers(min_value=-1, max_value=9),
+    st.booleans(),
+    st.floats(min_value=0, max_value=9),
+    st.text(alphabet="0123456789", max_size=2),
+)
+_knowledge_shapes = knowledge.map(encode_knowledge) | st.dictionaries(
+    st.text(alphabet="ab", max_size=2),
+    st.lists(_counters, max_size=4) | _counters,
+    max_size=3,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=_knowledge_shapes)
+def test_knowledge_decodes_only_what_re_encodes_to_itself(data):
+    try:
+        vector = decode_knowledge(data)
+    except CodecError:
+        return
+    assert canonical_bytes(encode_knowledge(vector)) == canonical_bytes(data)
 
 
 @settings(max_examples=200, deadline=None)
