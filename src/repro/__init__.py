@@ -25,7 +25,7 @@ The *supported* surface is :mod:`repro.api` — a curated, stability-policed
 facade (see ``docs/api.md``). Everything else is importable but internal.
 """
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "analysis",

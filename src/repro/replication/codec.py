@@ -134,10 +134,18 @@ def _replica_id(name: Any) -> ReplicaId:
     return _replica_ids[name]
 
 
+def _id_fields(data: Any) -> Tuple[ReplicaId, int]:
+    """The ``[name, number]`` list :func:`encode_version` and
+    :func:`encode_item_id` write; a number must be an ``int`` (not a
+    ``bool``, ``float`` or ``str``), so that it re-encodes to itself."""
+    if type(data) is not list or len(data) != 2 or type(data[1]) is not int:
+        raise ValueError(f"not an encoded id: {data!r}")
+    return _replica_id(data[0]), data[1]
+
+
 def decode_version(data: Any) -> Version:
     try:
-        name, counter = data
-        return Version(_replica_id(name), int(counter))
+        return Version(*_id_fields(data))
     except _MALFORMED as error:
         raise CodecError(f"bad version encoding: {data!r}") from error
 
@@ -148,8 +156,7 @@ def encode_item_id(item_id: ItemId) -> List[Any]:
 
 def decode_item_id(data: Any) -> ItemId:
     try:
-        name, serial = data
-        return ItemId(_replica_id(name), int(serial))
+        return ItemId(*_id_fields(data))
     except _MALFORMED as error:
         raise CodecError(f"bad item id encoding: {data!r}") from error
 
@@ -291,6 +298,27 @@ def _encode_local_attributes(local: Any) -> Dict[str, Any]:
     return encoded
 
 
+#: The keys :func:`encode_item` always writes, and those it writes only
+#: when they carry something.
+_ITEM_KEYS = frozenset({"id", "version", "payload", "attributes"})
+_ITEM_EXTRAS = frozenset({"local", "deleted", "checksum"})
+
+
+def _check_item_shape(data: Any) -> None:
+    """Refuse what :func:`encode_item` would not write back: a key
+    missing or unknown, an empty ``local``, a ``deleted`` that is not
+    ``true``, a checksum that is not a string."""
+    keys = data.keys()
+    if (
+        not _ITEM_KEYS <= keys
+        or not keys - _ITEM_KEYS <= _ITEM_EXTRAS
+        or ("local" in data and not data["local"])
+        or data.get("deleted", True) is not True
+        or type(data.get("checksum", "")) is not str
+    ):
+        raise ValueError(f"not an encoded item: {data!r}")
+
+
 def decode_item(data: Any) -> Item:
     """Decode one item, verifying its content checksum when present.
 
@@ -299,8 +327,10 @@ def decode_item(data: Any) -> Item:
     rather than silently admitted to a store. Verification always hashes
     the freshly decoded content (a decoded object can carry no memo;
     caching before verifying is how a forged frame would slip through).
+    Only what :func:`encode_item` writes decodes (:func:`_check_item_shape`).
     """
     try:
+        _check_item_shape(data)
         local = {
             key: tuple(value) if isinstance(value, list) else value
             for key, value in data.get("local", {}).items()
@@ -308,13 +338,13 @@ def decode_item(data: Any) -> Item:
         item = Item(
             decode_item_id(data["id"]),
             decode_version(data["version"]),
-            data.get("payload"),
+            data["payload"],
             owned_mapping(
                 (_names[key], _names[value] if type(value) is str else value)
-                for key, value in data.get("attributes", {}).items()
+                for key, value in data["attributes"].items()
             ),
             per_copy_state(local),
-            bool(data.get("deleted", False)),
+            "deleted" in data,
         )
         declared = data.get("checksum")
         if declared is not None and item_checksum(item) != declared:

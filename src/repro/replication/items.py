@@ -18,13 +18,16 @@ explicit :meth:`Item.with_local` so policies can adjust per-copy state
 without version churn, mirroring Cimbiosys's internal no-new-version update
 interface that the paper relies on for Spray and Wait.
 
-A stored copy is one small slotted ``Item`` shell around shared parts:
+A stored copy is a small slotted ``Item`` shell around shared parts:
 ids, payload and ``attributes`` are the author's objects, and
 ``local_attributes`` is *the* mapping :func:`per_copy_state` keeps for
 that state (every copy whose TTL is 7 holds one ``{"epidemic.ttl": 7}``,
 a copy decoded off the wire too). That is safe: both mappings refuse
 every mutating method, and one handed in from outside is copied before
-an item binds it.
+an item binds it. Identical copies of one version share the shell as
+well: a copy hands out the copy it derived for a state once a store has
+:func:`adopt`-ed it, so every replica one holder sent that state to
+stores the same object.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ KIND_TOMBSTONE = "tombstone"
 #: :meth:`Item.wire_copy`; the checksum excludes host-local attributes)
 #: carry it over explicitly.
 CHECKSUM_MEMO_ATTRIBUTE = "_content_checksum"
+
+#: Name of the slot through which identical copies share one shell. A copy
+#: :meth:`Item._restamped` derives holds ``(origin,)`` there until a store
+#: :func:`adopt`-s it; from then on the origin holds the adopted copy and
+#: hands it out again for the same per-copy state, and the copy holds
+#: nothing. A derivation no store takes (a wire copy, a duplicate, a copy
+#: lost in transit) is never pointed at, so it keeps nothing alive.
+DERIVED_ATTRIBUTE = "_derived"
 
 
 class _OwnedDict(dict):
@@ -106,7 +117,7 @@ def owned_mapping(pairs: Iterable[Tuple[str, Any]]) -> _OwnedDict:
 
 class _Memos:
     #: A slotted dataclass can declare no slot that is not a field; its base can.
-    __slots__ = (CHECKSUM_MEMO_ATTRIBUTE,)
+    __slots__ = (CHECKSUM_MEMO_ATTRIBUTE, DERIVED_ATTRIBUTE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,6 +239,9 @@ class Item(_Memos):
         shared = per_copy_state(state)
         if shared is self.local_attributes:
             return self
+        adopted = getattr(self, DERIVED_ATTRIBUTE, None)
+        if type(adopted) is Item and adopted.local_attributes is shared:
+            return adopted
         derived = Item(
             self.item_id,
             self.version,
@@ -239,6 +253,7 @@ class Item(_Memos):
         memo = getattr(self, CHECKSUM_MEMO_ATTRIBUTE, None)
         if memo is not None:
             object.__setattr__(derived, CHECKSUM_MEMO_ATTRIBUTE, memo)
+        object.__setattr__(derived, DERIVED_ATTRIBUTE, (self,))
         return derived
 
     def as_tombstone(self, version: Version) -> "Item":
@@ -253,3 +268,13 @@ class Item(_Memos):
     def __repr__(self) -> str:
         flags = " deleted" if self.deleted else ""
         return f"Item({self.item_id}@{self.version}{flags})"
+
+
+def adopt(item: Item) -> None:
+    """``item`` is now stored: the copy it was derived from hands it out
+    for the same per-copy state from here on (at most one such copy each),
+    and ``item`` lets go of that copy."""
+    origin = getattr(item, DERIVED_ATTRIBUTE, None)
+    if type(origin) is tuple:
+        object.__setattr__(origin[0], DERIVED_ATTRIBUTE, item)
+        object.__setattr__(item, DERIVED_ATTRIBUTE, None)

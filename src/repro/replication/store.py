@@ -30,6 +30,11 @@ prefix, then a slice of the tail — instead of probing ``contains`` on
 every stored item. That query is the sync hot path: one call per sync
 session, proportional to what the peer is missing rather than to the
 store size.
+
+Every copy a store takes in (:meth:`ItemStore.put`,
+:meth:`ItemStore.update_in_place`) is :func:`~repro.replication.items.adopt`-ed:
+the copy it was derived from hands it out again for the same per-copy
+state, so in one process identical copies of a version share one shell.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from zlib import crc32
 
 from .errors import UnknownItemError
 from .ids import ItemId, ReplicaId, Version
-from .items import ATTR_DESTINATION, Item
+from .items import ATTR_DESTINATION, Item, adopt
 from .versions import VersionVector
 
 #: Callback invoked when the relay store evicts an item under pressure.
@@ -307,6 +312,7 @@ class ItemStore:
         self.index.add(item, self._rank | self._seq)
         self._seq += 1
         self._snapshot = None
+        adopt(item)
 
     def update_in_place(self, item: Item) -> None:
         """Replace a stored item without touching its FIFO position.
@@ -322,6 +328,7 @@ class ItemStore:
         self.index.add(item, self.index.remove(previous))  # the old key
         self._items[item.item_id] = item
         self._snapshot = None
+        adopt(item)
 
     def remove(self, item_id: ItemId) -> Item:
         item = self._items.pop(item_id, None)

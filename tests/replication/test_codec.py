@@ -55,6 +55,19 @@ class TestIdentifiers:
         with pytest.raises(CodecError):
             decode_version(["only-one"])
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            ["a", True], ["a", 1.0], ["a", "7"],  # not int numbers
+            ("a", 7), ["a", 7, 8], {"a": 0, "7": 1},  # not a [name, int] list
+        ],
+    )
+    def test_refuses_what_the_encoder_never_writes(self, data):
+        with pytest.raises(CodecError):
+            decode_version(data)
+        with pytest.raises(CodecError):
+            decode_item_id(data)
+
 
 class TestKnowledge:
     def test_roundtrip_with_gaps(self):
@@ -151,6 +164,34 @@ class TestItems:
     def test_bad_item_raises(self):
         with pytest.raises(CodecError):
             decode_item({"id": "nope"})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deleted", "false"),  # once decoded to a tombstone
+            ("deleted", 0),
+            ("deleted", False),
+            ("deleted", None),
+            ("id", ["a", True]),
+            ("id", ["a", 1.0]),
+            ("version", ["a", "7"]),
+            ("local", {}),
+            ("checksum", None),
+            ("extra", 1),
+        ],
+    )
+    def test_refuses_what_the_encoder_never_writes(self, field, value):
+        data = encode_item(make_item(payload="hello"))
+        data[field] = value
+        with pytest.raises(CodecError):
+            decode_item(data)
+
+    @pytest.mark.parametrize("field", ["payload", "attributes"])
+    def test_refuses_an_item_missing_a_key_the_encoder_always_writes(self, field):
+        data = encode_item(make_item(payload=None))
+        del data[field]
+        with pytest.raises(CodecError):
+            decode_item(data)
 
 
 class TestSyncMessages:

@@ -279,6 +279,51 @@ def test_item_round_trips_with_local_attributes(item):
     assert content(decode_item(wire(encode_item(item)))) == content(item)
     stamped = wire(encode_item(item, with_checksum=True))
     assert content(decode_item(stamped)) == content(item)
+    for with_checksum in (False, True):  # and back to its very bytes
+        encoded = encode_item(item, with_checksum=with_checksum)
+        again = encode_item(decode_item(wire(encoded)), with_checksum=with_checksum)
+        assert canonical_bytes(again) == canonical_bytes(encoded)
+
+
+#: What a peer might write for an id, a version or the deletion flag:
+#: look-alikes of each (a bool, a float or a string for a number); other
+#: keys dropped, emptied or added.
+_id_shapes = st.lists(
+    st.sampled_from(["a", "b"]) | st.integers(-1, 3) | st.booleans()
+    | st.floats(0, 3) | st.text(alphabet="0123", max_size=1),
+    max_size=3,
+)
+_flags = (
+    st.booleans() | st.none() | st.integers(0, 1) | st.floats(0, 1)
+    | st.sampled_from(["true", "false", ""])
+)
+
+
+@st.composite
+def _item_shapes(draw):
+    encoded = encode_item(draw(items))
+    field = draw(
+        st.sampled_from(["id", "version", "deleted", "local", "payload", "extra"])
+    )
+    if field in ("id", "version"):
+        encoded[field] = draw(_id_shapes)
+    elif field == "deleted":
+        encoded[field] = draw(_flags)
+    elif draw(st.booleans()):  # a key dropped, or one no encoder writes
+        encoded.pop(field, None)
+    else:
+        encoded[field] = draw(st.just({}) | st.none() | _flags)
+    return encoded
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=_item_shapes())
+def test_item_decodes_only_what_re_encodes_to_itself(data):
+    try:
+        item = decode_item(data)
+    except CodecError:
+        return
+    assert canonical_bytes(encode_item(item)) == canonical_bytes(data)
 
 
 @settings(max_examples=200, deadline=None)

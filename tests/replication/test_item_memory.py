@@ -1,13 +1,15 @@
 """What one stored copy costs, and why sharing its parts is safe.
 
-Three claims, as counts and refusals rather than timings:
+Four claims, as counts and refusals rather than timings:
 
 * an item's mappings are read-only in fact, so a copy on one replica
   cannot be edited through a copy on another (they share mappings);
 * per-copy state is shared by value through one constructor that never
   lets look-alike values (``1``, ``1.0``, ``True``) answer for each other;
 * on a small flood the number of distinct state mappings and the bytes
-  allocated per stored copy stay where docs/performance.md §10 says.
+  allocated per stored copy stay where docs/performance.md §10 says;
+* identical copies of one version share one shell once a store adopts
+  one, and a copy no store adopts is never kept alive for it (§20).
 """
 
 import copy
@@ -15,6 +17,7 @@ import gc
 import json
 import pickle
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -39,11 +42,13 @@ from repro.replication.integrity import (
 )
 from repro.replication.items import (
     CHECKSUM_MEMO_ATTRIBUTE,
+    DERIVED_ATTRIBUTE,
     Item,
     _shared_state,
     per_copy_state,
 )
 from tests.conftest import make_item
+from tests.replication.test_decode_sharing import _LiveCodec
 
 def memo_of(item):
     return getattr(item, CHECKSUM_MEMO_ATTRIBUTE, None)
@@ -341,7 +346,8 @@ class TestWhatAStoredCopyCosts:
             if stat.traceback[0].filename.endswith("replication/items.py")
             or "/repro/dtn/" in stat.traceback[0].filename
         )
-        # 344 before; 120 here (shell 96, its share of 300 attribute dicts).
+        # 344 before; 113 with a shell per copy (88 B each, its share of
+        # 300 attribute dicts); 92 with identical copies sharing a shell.
         assert attributed / len(copies) <= 160
         indexed = sum(
             stat.size
@@ -407,3 +413,85 @@ class TestWhatAStoredCopyCosts:
         assert cached_item_checksum(twin) == cached_item_checksum(item)
         with pytest.raises(TypeError, match="read-only"):
             twin.attributes["destination"] = "evil"
+
+
+# -- identical copies share one shell --------------------------------------------
+
+
+def derived_of(item):
+    return getattr(item, DERIVED_ATTRIBUTE, None)
+
+
+def endpoint(name, policy):
+    replica = Replica(ReplicaId(name), MultiAddressFilter(own_address=name))
+    return SyncEndpoint(replica, get_policy(policy).bind(replica))
+
+
+def meet(first, second, transport=None):
+    EncounterSession(
+        first=first,
+        second=second,
+        transport_factory=None if transport is None else (lambda s, t: transport),
+    ).run()
+
+
+class TestIdenticalCopiesShareAShell:
+    def test_a_shell_is_no_larger_than_one_pymalloc_block_of_96(self):
+        assert sys.getsizeof(make_item()) <= 96
+
+    def test_the_tiny_flood_holds_fewer_shells_than_copies(self):
+        copies = [item for e in run_flood() for item in e.replica.stored_items()]
+        shells = {id(item) for item in copies}
+        values = {
+            (item.item_id, item.version, id(item.local_attributes)) for item in copies
+        }
+        assert len(copies) == 2400
+        assert len(values) == 1225
+        # 2 400 while every hop built a shell of its own; 1 668 here.
+        assert len(values) <= len(shells) <= 1700
+
+    @pytest.mark.parametrize("policy", ["epidemic", "spray", "maxprop"])
+    def test_a_second_receiver_gets_the_first_receivers_shell(self, policy):
+        a, b, c, d = (endpoint(name, policy) for name in "abcd")
+        sent = a.replica.create_item("body", {"destination": "z", "source": "a"})
+        # The first send goes out before the author's copy is stamped, so
+        # it derives from a copy no store holds any more.
+        for receiver in (b, c, d):
+            meet(a, receiver)
+        held = a.replica.get_item(sent.item_id)
+        first = c.replica.get_item(sent.item_id)
+        second = d.replica.get_item(sent.item_id)
+        assert first is not None and first is not held
+        if dict(first.local_attributes) == dict(second.local_attributes):
+            assert second is first
+        else:  # a halved copy budget: another state, another shell
+            assert second is not first
+        # An adopted copy points nowhere back.
+        for item in (held, first, second):
+            assert type(derived_of(item)) is not tuple
+
+    @pytest.mark.parametrize("policy", ["epidemic", "spray", "maxprop"])
+    def test_no_stored_copy_keeps_a_wire_copy_alive(self, policy):
+        nodes = [endpoint(name, policy) for name in ("a", "b", "c")]
+        for node in nodes:
+            for serial in range(3):
+                node.replica.create_item(
+                    f"m{serial}", {"destination": "z", "source": "x"}
+                )
+        live = _LiveCodec()
+        for first, second in [(0, 1), (1, 2), (2, 0), (1, 0)]:
+            meet(nodes[first], nodes[second], live)
+        stored = [item for node in nodes for item in node.replica.stored_items()]
+        assert len(stored) == 27  # it flooded
+        held = {id(item) for item in stored}
+        for item in stored:
+            derived = derived_of(item)
+            assert type(derived) is not tuple  # adopted: the origin let go
+            assert derived is None or id(derived) in held
+
+    def test_a_derivation_no_store_adopts_is_not_remembered(self):
+        held = make_item().wire_copy(ttl=3)
+        shipped = held.wire_copy(ttl=2)
+        assert derived_of(shipped) == (held,)
+        assert derived_of(held) is not shipped
+        assert held.wire_copy(ttl=2) is not shipped
