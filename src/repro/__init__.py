@@ -23,9 +23,16 @@ The package layers, bottom to top:
 
 The *supported* surface is :mod:`repro.api` — a curated, stability-policed
 facade (see ``docs/api.md``). Everything else is importable but internal.
+
+A package namespace binds only what is cheap to load. ``repro.api``,
+``repro.experiments`` and ``repro.net``'s live-server names resolve on
+first use (:func:`late_names`), so a process loads only the layers it
+uses: the frame codec does not bring the event loop with it.
 """
 
-__version__ = "1.20.0"
+import importlib
+
+__version__ = "1.21.0"
 
 __all__ = [
     "analysis",
@@ -37,3 +44,25 @@ __all__ = [
     "replication",
     "traces",
 ]
+
+
+def late_names(namespace, homes):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a module whose names
+    in ``homes`` (home module → names) load on first use.
+
+    A resolved name is bound in ``namespace``, so it is the home
+    module's own object and the next lookup never gets here.
+    """
+    home_of = {name: module for module, names in homes.items() for name in names}
+
+    def __getattr__(name):
+        if name not in home_of:
+            module = namespace["__name__"]
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        namespace[name] = getattr(importlib.import_module(home_of[name]), name)
+        return namespace[name]
+
+    def __dir__():
+        return sorted(namespace.keys() | home_of.keys())
+
+    return __getattr__, __dir__

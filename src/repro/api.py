@@ -49,8 +49,6 @@ Groups:
   (``repro serve`` / ``repro swarm``), and
   :func:`check_convergence_parity` asserts a live swarm reaches the
   emulator's exact per-node fixed point (see ``docs/deployment.md``).
-  ``run_swarm`` and its two classes resolve on first use: they bring
-  asyncio and ssl (5 MB), which a run that opens no socket never needs.
 * **Columnar engine** — select with ``ExperimentConfig(engine="columnar")``;
   :exc:`ColumnarUnsupportedError` and :func:`columnar_unsupported_reason`
   report configs outside the verified subset, :func:`comparable_metrics`
@@ -60,59 +58,44 @@ Groups:
   ``docs/performance.md`` §7).
 """
 
-from __future__ import annotations
+from repro import late_names
 
-from repro.dtn.registry import (
-    PAPER_POLICY_ORDER,
-    available_policies,
-    default_parameters,
-    get_policy,
-    register_policy,
-)
-from repro.emulation.columnar import (
-    ColumnarUnsupportedError,
-    columnar_unsupported_reason,
-    comparable_metrics,
-)
-from repro.emulation.metrics import MessageRecord, MetricsCollector
-from repro.experiments.config import ExperimentConfig, configured_scale
-from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.experiments.store import (
-    RunStore,
-    StoreError,
-    config_digest,
-    run_id_for,
-)
-from repro.experiments.sweep import (
-    RunOutcome,
-    SweepEvent,
-    SweepReport,
-    expand_grid,
-    run_sweep,
-)
-from repro.churn import (
-    ChurnConfig,
-    ChurnSchedule,
-    LifecycleEvent,
-    generate_churn_schedule,
-)
-from repro.experiments.parity import (
-    ParityReport,
-    check_churn_parity,
-    check_convergence_parity,
-    compare_fixed_points,
-    replica_fixed_point,
-)
-from repro.faults.config import FaultConfig
-from repro.replication.integrity import ProtocolViolation
-from repro.replication.peer_health import PeerHealthTracker
-from repro.replication.session import (
-    EncounterSession,
-    SessionConfig,
-    SyncSession,
-    Transport,
-)
-from repro.traces.dieselnet import MetroConfig, generate_metro_trace
+#: Every name loads from its home module on first use, so a process pays
+#: only for the layers it touches: ``SyncSession`` does not bring the
+#: sweep engine and ``multiprocessing``, nor ``run_swarm`` asyncio to a
+#: run that opens no socket.
+_HOMES = {
+    "repro.churn": (
+        "ChurnConfig", "ChurnSchedule", "LifecycleEvent", "generate_churn_schedule",
+    ),
+    "repro.dtn.registry": (
+        "PAPER_POLICY_ORDER", "available_policies", "default_parameters",
+        "get_policy", "register_policy",
+    ),
+    "repro.emulation.columnar": (
+        "ColumnarUnsupportedError", "columnar_unsupported_reason", "comparable_metrics",
+    ),
+    "repro.emulation.metrics": ("MessageRecord", "MetricsCollector"),
+    "repro.experiments.config": ("ExperimentConfig", "configured_scale"),
+    "repro.experiments.parity": (
+        "ParityReport", "check_churn_parity", "check_convergence_parity",
+        "compare_fixed_points", "replica_fixed_point",
+    ),
+    "repro.experiments.runner": ("ExperimentResult", "run_experiment"),
+    "repro.experiments.store": ("RunStore", "StoreError", "config_digest", "run_id_for"),
+    "repro.experiments.sweep": (
+        "RunOutcome", "SweepEvent", "SweepReport", "expand_grid", "run_sweep",
+    ),
+    "repro.faults.config": ("FaultConfig",),
+    "repro.net.swarm": ("SwarmConfig", "SwarmReport", "run_swarm"),
+    "repro.replication.integrity": ("ProtocolViolation",),
+    "repro.replication.peer_health": ("PeerHealthTracker",),
+    "repro.replication.session": (
+        "EncounterSession", "SessionConfig", "SyncSession", "Transport",
+    ),
+    "repro.traces.dieselnet": ("MetroConfig", "generate_metro_trace"),
+}
+__getattr__, __dir__ = late_names(globals(), _HOMES)
 
 __all__ = [
     "ChurnConfig",
@@ -160,17 +143,3 @@ __all__ = [
     "run_swarm",
     "run_sweep",
 ]
-
-
-def __getattr__(name: str) -> object:
-    # PEP 562. Of ``__all__`` only ``SwarmConfig``, ``SwarmReport`` and
-    # ``run_swarm`` are not bound above, so only they can get here.
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from repro.net import swarm
-
-    return getattr(swarm, name)
-
-
-def __dir__() -> list:
-    return sorted(set(__all__).union(globals()))

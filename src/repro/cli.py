@@ -44,30 +44,11 @@ import os
 import pathlib
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.dtn.registry import PAPER_POLICY_ORDER, available_policies
 from repro.experiments.config import ExperimentConfig, configured_scale
-from repro.experiments.figures import (
-    FIGURE_TITLES,
-    figure_5,
-    figure_6,
-    figure_7,
-    figure_8,
-    figure_9,
-    figure_10,
-)
-from repro.experiments.report import (
-    render_figure_8,
-    render_series_table,
-    render_summary_rows,
-    render_table_1,
-    render_table_2,
-    run_summary_document,
-)
 from repro.churn import ChurnConfig
-from repro.experiments.runner import run_experiment
-from repro.experiments.store import RunStore
 from repro.faults import FaultConfig
 from repro.traces.dieselnet import (
     DieselNetConfig,
@@ -75,6 +56,11 @@ from repro.traces.dieselnet import (
     generate_dieselnet_trace,
 )
 from repro.traces.workload import WorkloadError
+
+# Each command imports the harnesses, store and renderers it runs, so
+# that ``repro serve`` loads neither the figures nor the sweep engine.
+if TYPE_CHECKING:
+    from repro.experiments.store import RunStore
 
 
 def _add_scenario_arguments(
@@ -393,6 +379,9 @@ def _experiment_config(args: argparse.Namespace, **extra) -> ExperimentConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.report import render_summary_rows, run_summary_document
+    from repro.experiments.runner import run_experiment
+
     try:
         faults = _config_from_flags(FaultConfig, FAULT_FLAGS, args)
         config = _experiment_config(
@@ -468,6 +457,7 @@ def cmd_swarm(args: argparse.Namespace) -> int:
         compare_fixed_points,
         emulator_fixed_points,
     )
+    from repro.experiments.report import render_summary_rows
     from repro.experiments.store import run_id_for
     from repro.net.swarm import SwarmConfig, run_swarm
 
@@ -537,6 +527,7 @@ def _print_sweep_event(event) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.store import RunStore
     from repro.experiments.sweep import expand_grid, filter_by_label, run_sweep
 
     try:
@@ -607,6 +598,8 @@ def _emit(text: str, name: str, output_dir: Optional[pathlib.Path]) -> None:
 def cmd_figure(args: argparse.Namespace) -> int:
     """Run the figure's legs into ``--results-dir``'s store, or into one
     in a temporary directory that goes with the command."""
+    from repro.experiments.store import RunStore
+
     try:
         if args.results_dir is not None:
             _figures(args, RunStore(args.results_dir))
@@ -619,6 +612,17 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _figures(args: argparse.Namespace, store: RunStore) -> None:
+    from repro.experiments.figures import (
+        FIGURE_TITLES,
+        figure_5,
+        figure_6,
+        figure_7,
+        figure_8,
+        figure_9,
+        figure_10,
+    )
+    from repro.experiments.report import render_figure_8, render_series_table
+
     which = args.which
     scale = args.scale
     out = args.output_dir
@@ -643,6 +647,8 @@ def _figures(args: argparse.Namespace, store: RunStore) -> None:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from repro.experiments.report import render_table_1, render_table_2
+
     print(render_table_1())
     print()
     print(render_table_2())

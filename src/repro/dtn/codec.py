@@ -8,10 +8,11 @@ imported by :mod:`repro.dtn` at package load.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet
+from typing import Any, Dict
 
 from repro.replication.codec import (
     CodecError,
+    decode_addresses,
     decode_item_id,
     decode_names,
     decode_number,
@@ -24,12 +25,6 @@ from .maxprop import MaxPropRequest, _decode_location
 from .prophet import ProphetRequest
 
 
-def _decode_addresses(value: Any) -> FrozenSet[str]:
-    if type(value) is not list or not all(type(a) is str for a in value):
-        raise CodecError(f"routing state holds {value!r} where addresses belong")
-    return frozenset(value)
-
-
 def _encode_prophet(state: ProphetRequest) -> Dict[str, Any]:
     return {
         "addresses": sorted(state.addresses),
@@ -40,7 +35,7 @@ def _encode_prophet(state: ProphetRequest) -> Dict[str, Any]:
 def _decode_prophet(data: Any) -> ProphetRequest:
     addresses, p = decode_state_fields(data, ("addresses", "p"))
     return ProphetRequest(
-        addresses=_decode_addresses(addresses),
+        addresses=decode_addresses(addresses),
         predictabilities=decode_names(p, decode_number),
     )
 
@@ -68,7 +63,7 @@ def _decode_maxprop(data: Any) -> MaxPropRequest:
         raise CodecError(f"bad maxprop node or acks: {node!r}, {acks!r}")
     return MaxPropRequest(
         node=node,
-        addresses=_decode_addresses(addresses),
+        addresses=decode_addresses(addresses),
         vectors=decode_names(
             vectors, lambda vector: decode_names(vector, decode_number)
         ),

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.emulation.columnar import run_columnar
 from repro.emulation.encounters import EncounterTrace
 from repro.emulation.metrics import HOURS, MetricsCollector
 from repro.traces.enron import EmailWorkloadModel
@@ -77,8 +78,6 @@ def run_experiment(
     configurations outside its verified subset.
     """
     if config.engine == "columnar":
-        from repro.emulation.columnar import run_columnar
-
         metrics, trace_summary = run_columnar(config, trace=trace, model=model)
         return ExperimentResult(
             config=config, metrics=metrics, trace_summary=trace_summary

@@ -19,15 +19,20 @@ See ``docs/deployment.md`` for usage and ``docs/protocol.md`` §9 for the
 wire format.
 """
 
-from .connection import (
-    ConnectionClosed,
-    PeerConnection,
-    open_connection,
-    parse_address,
-)
+from repro import late_names
+
 from .framing import MAX_FRAME_BYTES, FrameDecoder, FramingError, encode_frame
-from .server import NodeServer, ServeConfig
-from .swarm import SwarmConfig, SwarmReport, run_swarm
+
+#: The framing names above cost nothing more than the codec; these bring
+#: asyncio and ssl, so they load on first use.
+_HOMES = {
+    "repro.net.connection": (
+        "ConnectionClosed", "PeerConnection", "open_connection", "parse_address",
+    ),
+    "repro.net.server": ("NodeServer", "ServeConfig"),
+    "repro.net.swarm": ("SwarmConfig", "SwarmReport", "run_swarm"),
+}
+__getattr__, __dir__ = late_names(globals(), _HOMES)
 
 __all__ = [
     "ConnectionClosed",

@@ -34,7 +34,7 @@ map is built once, as the item's own mapping.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import InvalidFilterError, ReplicationError
 from .filters import (
@@ -236,28 +236,55 @@ def encode_filter(filter_: Filter) -> Dict[str, Any]:
     raise CodecError(f"cannot encode filter type {type(filter_).__name__}")
 
 
+#: The keys :func:`encode_filter` writes for each filter type.
+_FILTER_KEYS = {
+    "all": ("type",),
+    "nothing": ("type",),
+    "address": ("type", "address"),
+    "multi-address": ("type", "own", "relay"),
+    "attribute": ("type", "name", "value"),
+    "and": ("type", "operands"),
+    "or": ("type", "operands"),
+    "not": ("type", "operand"),
+}
+
+
+def _decode_operands(data: Any) -> Tuple[Filter, ...]:
+    if type(data) is not list:
+        raise CodecError(f"filter operands are {type(data).__name__}, not a list")
+    return tuple(decode_filter(operand) for operand in data)
+
+
 def decode_filter(data: Any) -> Filter:
+    """Decode :func:`encode_filter`'s output; anything it would not write
+    back (a key missing or unknown, a name that is not a string, relay
+    addresses unsorted or repeated) raises :class:`CodecError`."""
     try:
         kind = data["type"]
+    except _MALFORMED as error:
+        raise CodecError(f"bad filter encoding: {data!r}") from error
+    if type(kind) is not str or kind not in _FILTER_KEYS:
+        raise CodecError(f"unknown filter type: {kind!r}")
+    _, *fields = decode_state_fields(data, _FILTER_KEYS[kind])
+    try:
         if kind == "all":
             return AllFilter()
         if kind == "nothing":
             return NothingFilter()
         if kind == "address":
-            return AddressFilter(data["address"])
+            return AddressFilter(decode_name(*fields))
         if kind == "multi-address":
-            return MultiAddressFilter(data["own"], frozenset(data["relay"]))
+            own, relay = fields
+            return MultiAddressFilter(decode_name(own), decode_addresses(relay))
         if kind == "attribute":
-            return AttributeFilter(data["name"], data["value"])
-        if kind == "and":
-            return AndFilter(tuple(decode_filter(f) for f in data["operands"]))
-        if kind == "or":
-            return OrFilter(tuple(decode_filter(f) for f in data["operands"]))
+            name, value = fields
+            return AttributeFilter(decode_name(name), value)
         if kind == "not":
-            return NotFilter(decode_filter(data["operand"]))
+            return NotFilter(decode_filter(*fields))
+        operands = _decode_operands(*fields)
+        return AndFilter(operands) if kind == "and" else OrFilter(operands)
     except _MALFORMED as error:
         raise CodecError(f"bad filter encoding: {data!r}") from error
-    raise CodecError(f"unknown filter type: {kind!r}")
 
 
 # -- items --------------------------------------------------------------------------
@@ -410,13 +437,13 @@ def decode_routing_state(data: Any) -> Any:
 
 
 def decode_state_fields(data: Any, keys: Tuple[str, ...]) -> List[Any]:
-    """The values of a persistent state holding exactly ``keys``, in
-    that order."""
+    """The values of a JSON object holding exactly ``keys``, in that
+    order (a persistent state, a filter)."""
     if not isinstance(data, dict):
-        raise CodecError(f"policy state is {type(data).__name__}, not a map")
+        raise CodecError(f"{type(data).__name__} where a map belongs")
     if data.keys() != set(keys):
         found = sorted(map(str, data))
-        raise CodecError(f"policy state needs exactly {sorted(keys)}, got {found}")
+        raise CodecError(f"a map needs exactly {sorted(keys)}, got {found}")
     return [data[key] for key in keys]
 
 
@@ -425,6 +452,22 @@ def decode_number(value: Any) -> float:
     if type(value) not in (int, float):
         raise CodecError(f"policy state holds {value!r} where a number belongs")
     return float(value)
+
+
+def decode_name(value: Any) -> str:
+    """A name or address: a JSON string, nothing that merely converts."""
+    if type(value) is not str:
+        raise CodecError(f"{value!r} where a name belongs")
+    return value
+
+
+def decode_addresses(value: Any) -> FrozenSet[str]:
+    """The sorted list of distinct names an encoder writes for a set."""
+    if type(value) is not list or not all(type(a) is str for a in value):
+        raise CodecError(f"{value!r} where a list of addresses belongs")
+    if any(a >= b for a, b in zip(value, value[1:])):
+        raise CodecError(f"addresses {value!r} are not sorted and distinct")
+    return frozenset(value)
 
 
 def decode_names(data: Any, decode_value: Callable[[Any], Any]) -> Dict[str, Any]:

@@ -271,21 +271,14 @@ def metro_bus_order(n_buses: int) -> Iterator[int]:
 
 
 def _route_buses(config: MetroConfig) -> List[range]:
-    """Route → its bus indices: a contiguous partition, sizes differing by ≤1."""
+    """Route → its bus indices: a contiguous partition, sizes differing by ≤1.
+
+    The metro analogue of :func:`route_schedule`, but static: the
+    per-day variation comes from duty-cycle sampling instead.
+    """
     base, extra = divmod(config.n_buses, config.n_routes)
     starts = [route * base + min(route, extra) for route in range(config.n_routes + 1)]
     return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
-
-
-def metro_route_members(config: MetroConfig) -> List[List[str]]:
-    """Route → member buses: contiguous partition, sizes differing by ≤1.
-
-    This is the metro analogue of :func:`route_schedule`: membership is
-    static (scaling the fleet scales every route proportionally), and
-    the per-day variation comes from duty-cycle sampling in
-    :func:`generate_metro_trace` instead of schedule churn.
-    """
-    return [list(map(metro_bus_name, buses)) for buses in _route_buses(config)]
 
 
 def _poisson_capped(rng: random.Random, mean: float) -> int:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import repro
 import repro.api as api
 
@@ -38,7 +40,7 @@ class TestFacade:
     def test_asyncio_arrives_with_the_swarm_names_not_with_the_import(self):
         """A run that opens no socket pays for no event loop: the three
         ``repro.net.swarm`` names resolve on first use (docs/api.md)."""
-        script = textwrap.dedent(
+        _fresh(
             """
             import sys
             import repro.api as api
@@ -62,20 +64,80 @@ class TestFacade:
             assert (SwarmConfig, SwarmReport, run_swarm) == (
                 home.SwarmConfig, home.SwarmReport, home.run_swarm
             )
-            try:
-                api.no_such_name
-            except AttributeError as error:
-                assert "no_such_name" in str(error)
-            else:
-                raise AssertionError("unknown names must raise AttributeError")
             """
         )
-        subprocess.run(
-            [sys.executable, "-c", script],
-            check=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
+
+
+def _fresh(script):
+    subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+
+
+#: An import a workload makes, and modules it must leave unloaded.
+IMPORT_FOOTPRINTS = [
+    (
+        "from repro.net import FrameDecoder, encode_frame",
+        ["asyncio", "repro.net.server"],
+    ),
+    (
+        "from repro.api import EncounterSession, SessionConfig, SyncSession, get_policy",
+        ["repro.experiments.sweep", "repro.emulation.columnar", "multiprocessing"],
+    ),
+    (
+        "from repro.experiments import build_scenario, run_scenario",
+        ["repro.experiments.figures", "multiprocessing"],
+    ),
+    (
+        "import repro.cli",
+        ["repro.experiments.figures", "repro.experiments.sweep", "multiprocessing"],
+    ),
+]
+
+
+@pytest.mark.parametrize("statement, absent", IMPORT_FOOTPRINTS)
+def test_an_import_loads_only_the_layers_it_names(statement, absent):
+    _fresh(
+        f"""
+        import sys
+        {statement}
+        loaded = sorted(set({absent!r}) & set(sys.modules))
+        assert not loaded, loaded
+        """
+    )
+
+
+@pytest.mark.parametrize("namespace", ["repro.api", "repro.experiments", "repro.net"])
+def test_late_names_are_their_home_modules_objects(namespace):
+    """Each name of ``__all__`` is bound at import or listed once under
+    its home module, resolves to that module's object, and shows in
+    ``dir()``; an unknown name raises ``AttributeError``."""
+    _fresh(
+        f"""
+        import importlib
+        module = importlib.import_module({namespace!r})
+        homes = {{
+            name: home for home, names in module._HOMES.items() for name in names
+        }}
+        assert len(homes) == sum(map(len, module._HOMES.values()))
+        assert set(homes) <= set(module.__all__)
+        assert set(module.__all__) - set(homes) <= set(vars(module))
+        assert set(module.__all__) <= set(dir(module))
+        for name in module.__all__:
+            home = importlib.import_module(homes.get(name, {namespace!r}))
+            assert getattr(module, name) is getattr(home, name), name
+        exec(f"from {namespace} import *", {{}})
+        try:
+            module.no_such_name
+        except AttributeError as error:
+            assert "no_such_name" in str(error)
+        else:
+            raise AssertionError("unknown names must raise AttributeError")
+        """
+    )
 
 
 class TestPolicyRegistryContract:

@@ -140,6 +140,34 @@ class TestFilters:
         with pytest.raises(CodecError):
             decode_filter("not-a-dict")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # "bc" decoded to the two relay addresses b and c.
+            {"type": "multi-address", "own": "a", "relay": "bc"},
+            {"type": "multi-address", "own": "a", "relay": {"b": 1}},
+            # Unsorted and repeated: the encoder writes sorted(set).
+            {"type": "multi-address", "own": "a", "relay": ["c", "b", "b"]},
+            {"type": "multi-address", "own": "a", "relay": ["c", "b"]},
+            {"type": "multi-address", "own": 5, "relay": []},
+            {"type": "multi-address", "own": "a", "relay": [1]},
+            {"type": "address", "address": 7},
+            {"type": "address", "address": ""},
+            {"type": "attribute", "name": 3, "value": "x"},
+            # Unknown and missing keys.
+            {"type": "all", "junk": True},
+            {"type": "address", "address": "a", "extra": 1},
+            {"type": "multi-address", "own": "a"},
+            {"type": "not"},
+            {"type": "and", "operands": "ab"},
+            {"type": "or", "operands": [{"type": "all", "x": 0}]},
+            {"type": ["all"]},
+        ],
+    )
+    def test_refuses_what_the_encoder_never_writes(self, data):
+        with pytest.raises(CodecError):
+            decode_filter(data)
+
 
 class TestItems:
     def test_plain_roundtrip(self):

@@ -49,6 +49,7 @@ from repro.replication.codec import (
     decode_version,
     encode_batch_entry,
     encode_batch_frame,
+    encode_filter,
     encode_item,
     encode_knowledge,
     encode_sync_request,
@@ -356,6 +357,49 @@ def test_knowledge_decodes_only_what_re_encodes_to_itself(data):
     except CodecError:
         return
     assert canonical_bytes(encode_knowledge(vector)) == canonical_bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_=filters)
+def test_filter_round_trips_to_its_bytes(filter_):
+    encoded = encode_filter(filter_)
+    decoded = decode_filter(wire(encoded))
+    assert decoded == filter_
+    assert canonical_bytes(encode_filter(decoded)) == canonical_bytes(encoded)
+
+
+#: What a peer might write in a filter: a name's look-alikes, address
+#: lists unsorted, repeated or spelled as a string or a map, and keys
+#: dropped or added.
+_filter_values = (
+    _flags | names | st.lists(st.sampled_from(["a", "b", "c", 1]), max_size=3)
+    | st.dictionaries(st.sampled_from(["b", "c"]), st.integers(0, 1), max_size=2)
+)
+
+
+@st.composite
+def _filter_shapes(draw):
+    encoded = encode_filter(draw(filters))
+    key = draw(
+        st.sampled_from(["type", "address", "own", "relay", "name", "operands", "extra"])
+    )
+    if draw(st.booleans()):
+        encoded.pop(key, None)
+    else:
+        encoded[key] = draw(_filter_values)
+    return encoded
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=_filter_shapes())
+@example(data={"type": "multi-address", "own": "a", "relay": "bc"})
+@example(data={"type": "multi-address", "own": "a", "relay": ["c", "b", "b"]})
+def test_filter_decodes_only_what_re_encodes_to_itself(data):
+    try:
+        filter_ = decode_filter(data)
+    except CodecError:
+        return
+    assert canonical_bytes(encode_filter(filter_)) == canonical_bytes(data)
 
 
 @settings(max_examples=200, deadline=None)

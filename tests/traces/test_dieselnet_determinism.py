@@ -30,8 +30,8 @@ from repro.traces.dieselnet import (
     generate_metro_trace,
     metro_bus_name,
     metro_bus_order,
-    metro_route_members,
 )
+from repro.traces.dieselnet import _route_buses
 
 
 #: What every ``random()`` returns when a test forces a day's times equal.
@@ -88,13 +88,13 @@ class TestMetroConfig:
         assert names == sorted(names)
 
     def test_route_members_balance(self):
+        """Membership is static: contiguous runs of bus indices whose
+        sizes differ by at most one."""
         config = MetroConfig(n_buses=103, n_routes=10)
-        members = metro_route_members(config)
-        sizes = [len(route) for route in members]
-        assert sum(sizes) == 103
-        assert max(sizes) - min(sizes) <= 1
-        flat = [bus for route in members for bus in route]
-        assert len(set(flat)) == len(flat)
+        routes = _route_buses(config)
+        sizes = [len(route) for route in routes]
+        assert len(routes) == 10 and max(sizes) - min(sizes) <= 1
+        assert [bus for route in routes for bus in route] == list(range(103))
 
 
 class TestMetroGenerator:
@@ -175,10 +175,9 @@ class TestMetroGenerator:
         config = MetroConfig(
             seed=5, n_buses=60, n_routes=4, days=2, interchange_rate=0.0
         )
-        members = metro_route_members(config)
         route_of = {
-            bus: index
-            for index, route in enumerate(members)
+            metro_bus_name(bus): index
+            for index, route in enumerate(_route_buses(config))
             for bus in route
         }
         for encounter in generate_metro_trace(config):
@@ -189,10 +188,9 @@ class TestMetroGenerator:
             seed=5, n_buses=60, n_routes=5, days=2,
             meetings_per_bus_per_day=0.0, interchange_rate=3.0,
         )
-        members = metro_route_members(config)
         route_of = {
-            bus: index
-            for index, route in enumerate(members)
+            metro_bus_name(bus): index
+            for index, route in enumerate(_route_buses(config))
             for bus in route
         }
         trace = generate_metro_trace(config)
